@@ -20,14 +20,12 @@ and PsiT the fundamental braiding ([,] (x) id)(id (x) Psi)(Delta (x) id)):
 
 from __future__ import annotations
 
-
-from .cyclotomic import Cyc, cyc
+from .cyclotomic import Cyc
 from .groups import FiniteGroup, ClassContext
 from .reps import Rep
 from .double import DoubleElement
 from .quadalg import QuadAlg
 from .linalg import SparseSpan
-from . import linalg
 
 ZERO = Cyc.rational(0)
 ONE = Cyc.rational(1)
@@ -40,6 +38,33 @@ def _addto(d, key, coeff):
         d[key] = s
     elif key in d:
         del d[key]
+
+
+def _braid_relation_holds(psi, n: int) -> bool:
+    """psi_12 psi_23 psi_12 = psi_23 psi_12 psi_23 on every basis triple of
+    an n-dimensional space; psi(i, j) is the image {(a, b): coeff} of (i, j)."""
+
+    def apply12(vec):
+        out: dict = {}
+        for (i, j, k), c in vec.items():
+            for (a, b), c2 in psi(i, j).items():
+                _addto(out, (a, b, k), c * c2)
+        return out
+
+    def apply23(vec):
+        out: dict = {}
+        for (i, j, k), c in vec.items():
+            for (a, b), c2 in psi(j, k).items():
+                _addto(out, (i, a, b), c * c2)
+        return out
+
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                start = {(i, j, k): ONE}
+                if apply12(apply23(apply12(start))) != apply23(apply12(apply23(start))):
+                    return False
+    return True
 
 
 class BraidedLie:
@@ -86,13 +111,6 @@ class BraidedLie:
         raise NotImplementedError
 
     # -- axiom suite ------------------------------------------------------
-
-    def _bracket_vec(self, vec: dict, j: int) -> dict:
-        out: dict = {}
-        for i, c in vec.items():
-            for k, c2 in self.bracket(i, j).items():
-                _addto(out, k, c * c2)
-        return out
 
     def check_L1(self) -> bool:
         """[x,[y,z]] = [ , ]([ , ] (x) [ , ])(id (x) Psi (x) id)(Delta (x) id (x) id)."""
@@ -218,27 +236,7 @@ class BraidedLie:
 
     def check_braid_relation(self) -> bool:
         """PsiT_12 PsiT_23 PsiT_12 = PsiT_23 PsiT_12 PsiT_23 on triple products."""
-        def apply12(vec):
-            out: dict = {}
-            for (i, j, k), c in vec.items():
-                for (a, b), c2 in self.psit(i, j).items():
-                    _addto(out, (a, b, k), c * c2)
-            return out
-
-        def apply23(vec):
-            out: dict = {}
-            for (i, j, k), c in vec.items():
-                for (a, b), c2 in self.psit(j, k).items():
-                    _addto(out, (i, a, b), c * c2)
-            return out
-
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for k in range(self.dim):
-                    start = {(i, j, k): ONE}
-                    if apply12(apply23(apply12(start))) != apply23(apply12(apply23(start))):
-                        return False
-        return True
+        return _braid_relation_holds(self.psit, self.dim)
 
 
 class BlockBraidedLie(BraidedLie):
@@ -553,29 +551,8 @@ class BlockRMatrices:
         if self.ctx1 is not self.ctx2 or self.pi1 is not self.pi2:
             raise ValueError("the YBE check runs on a single block")
         psi = self.braiding_operator()
-        n = len(self.labels1())
+        return _braid_relation_holds(lambda i, j: psi[(i, j)], len(self.labels1()))
 
-        def apply12(vec):
-            out = {}
-            for (i, j, k), c in vec.items():
-                for (a, b), c2 in psi[(i, j)].items():
-                    _addto(out, (a, b, k), c * c2)
-            return out
-
-        def apply23(vec):
-            out = {}
-            for (i, j, k), c in vec.items():
-                for (a, b), c2 in psi[(j, k)].items():
-                    _addto(out, (i, a, b), c * c2)
-            return out
-
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    start = {(i, j, k): ONE}
-                    if apply12(apply23(apply12(start))) != apply23(apply12(apply23(start))):
-                        return False
-        return True
 
 def fundamental_braiding_rmatrix(block1, block2, e_ai, e_bj, e_ck, e_dl):
     """PsiT on matrix units via the R-matrix contraction:
@@ -812,7 +789,6 @@ def killing_trace_oracle(lie: BlockBraidedLie):
     [a=d][b=c] delta_i^l delta_k^j.
     """
     dim = lie.dim
-    group = lie.group
 
     def ev(idx1: int, idx2: int) -> Cyc:
         (t1, a, i, b, j) = lie.basis[idx1]
@@ -998,7 +974,6 @@ def braided_antipode_preserves_relations(lie: BlockBraidedLie) -> bool:
     if len(lie.blocks) != 1:
         raise ValueError("implemented per block")
     ctx, pi = lie.blocks[0]
-    group = lie.group
 
     def s_on_index(idx):
         (t, a, i, b, j) = lie.basis[idx]

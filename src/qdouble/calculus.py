@@ -14,11 +14,9 @@ Three concrete carriers:
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .cyclotomic import Cyc
 from .groups import FiniteGroup, ClassContext
-from .reps import Rep, induced_rep, decompose, irrep_catalog
+from .reps import Rep, induced_rep
 from .double import build_VCpi
 from . import linalg
 
@@ -58,13 +56,6 @@ class FunctionCalculus:
                 val = fun[self.group.table[x][c]] - fun[x]
                 if val:
                     out[(x, c)] = out.get((x, c), ZERO) + val
-        return out
-
-    def right_translate(self, fun, c):
-        """(R_c f) with e_c . delta_g = R_c(delta_g) e_c, R_c(delta_g) = delta_{g c^-1}."""
-        out = [ZERO] * self.group.n
-        for x in range(self.group.n):
-            out[self.group.table[x][self.group.inv[c]]] = fun[x]
         return out
 
     def one_form_times_function(self, form, fun):
@@ -185,15 +176,12 @@ class GroupAlgebraCalculus:
             ]
             for g in range(self.group.n)
         ]
-        flat = [self._flatten(m) for m in self.e_matrices]
-        rows, pivots = linalg.rref(flat)
-        self.lambda_dim = len(rows)
+        # reduced echelon basis of Lambda^1, the span of the e^g
+        self._lambda_rows = linalg.rref([self._flatten(m) for m in self.e_matrices])[0]
+        self.lambda_dim = len(self._lambda_rows)
 
     def _flatten(self, m):
         return [x for row in m for x in row]
-
-    def e_matrix(self, g: int):
-        return self.e_matrices[g]
 
     def is_connected(self) -> bool:
         """Connected iff the representation is faithful."""
@@ -202,9 +190,7 @@ class GroupAlgebraCalculus:
 
     def is_inner(self) -> tuple[bool, list | None]:
         """Solve theta rho(g) - theta = rho(g) - 1 for theta in the span of the e^g."""
-        span = [self._flatten(self.e_matrices[g]) for g in range(self.group.n)]
-        rows, pivots = linalg.rref(span)
-        d2 = self.rho.dim * self.rho.dim
+        rows = self._lambda_rows
         constraints = []
         rhs_vec = []
         # unknown theta expressed in the rref basis of Lambda^1
@@ -228,15 +214,6 @@ class GroupAlgebraCalculus:
                     theta[i][j] = theta[i][j] + coeff * base[i * self.rho.dim + j]
         return True, theta
 
-    def lambda_content(self) -> dict:
-        """Irreducible content of the forms: all non-trivial blocks of rho."""
-        full = decompose(self.rho)
-        out = {}
-        for irr in irrep_catalog(self.group):
-            if irr.name in full and not _is_trivial(irr):
-                out[irr.name] = irr.dim * irr.dim
-        return out
-
 
 def _is_trivial(rep: Rep) -> bool:
     return rep.dim == 1 and all(m[0][0] == ONE for m in rep.matrices)
@@ -258,11 +235,12 @@ class LambdaBasis:
             candidates = [g for g in range(1, group.n)]
         chosen = []
         chosen_rows = []
+        span = linalg.SparseSpan()
         for g in candidates:
             row = calculus._flatten(calculus.e_matrices[g])
             if not any(row):
                 continue
-            if chosen_rows and linalg.row_space_contains(chosen_rows, row):
+            if not span.add(dict(enumerate(row))):
                 if preferred is not None:
                     raise ValueError("preferred basis is linearly dependent")
                 continue

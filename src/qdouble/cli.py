@@ -22,7 +22,6 @@ from .reps import catalog, centralizer_character, irrep_catalog, induced_rep
 from .double import build_VCpi, double_irreps
 from .transfer import (
     transfer_to_group_algebra,
-    transfer_to_functions,
     factorization_check,
 )
 from .calculus import fodc_group_algebra, lambda_basis
@@ -32,7 +31,6 @@ from .geometry import (
     metric_compat_residuals,
     star_compat_residuals,
     riemann_compat_residuals,
-    ricci,
     ricci_scalar,
 )
 from .dualgeometry import dual_constraints
@@ -373,7 +371,8 @@ def cmd_verify_paper(scenario, args):
 
     results = run_regression()
     for name, ok, detail in results:
-        print(f"{'PASS' if ok else 'FAIL'}  {name}" + (f"  [{detail}]" if detail else ""))
+        line = f"{'PASS' if ok else 'FAIL'}  {name}" + (f"  [{detail}]" if detail else "")
+        print(line, file=sys.stderr)
     failed = [name for name, ok, _ in results if not ok]
     return {
         "subcommand": "verify-paper",

@@ -111,7 +111,6 @@ class Cyc:
         phi = _phi(order)
         if len(coeffs) != phi:
             coeffs = _reduce(order, list(coeffs))
-        object.__setattr__  # immutable by convention; slots carry the data
         self.coeffs = coeffs
 
     # -- constructors ---------------------------------------------------
@@ -125,7 +124,6 @@ class Cyc:
         if not isinstance(order, int) or order < 1:
             raise ValueError(f"cyclotomic order must be a positive integer, got {order!r}")
         k = power % order
-        phi = _phi(order)
         coeffs = [_ZERO] * (k + 1)
         coeffs[k] = _ONE
         return Cyc(order, _reduce(order, coeffs))
@@ -196,30 +194,22 @@ class Cyc:
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyc":
+        """a^-1 = prod_(k != 1) sigma_k(a) / N(a), over the units k mod N.
+
+        The norm N(a) = a * prod_(k != 1) sigma_k(a) is rational.
+        """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in a cyclotomic field")
-        n = len(self.coeffs)
-        if n == 1:
-            return Cyc(self.order, (1 / self.coeffs[0],))
-        # solve (mult-by-self) x = 1 in the power basis
-        table = _reduction_table(self.order)
-        cols = []
-        for j in range(n):
-            col = [_ZERO] * (2 * n - 1)
-            for i, c in enumerate(self.coeffs):
-                col[i + j] = c
-            cols.append(_reduce(self.order, col))
-        aug = [[cols[j][i] for j in range(n)] + [_ONE if i == 0 else _ZERO] for i in range(n)]
-        for col in range(n):
-            piv = next(r for r in range(col, n) if aug[r][col])
-            aug[col], aug[piv] = aug[piv], aug[col]
-            inv = 1 / aug[col][col]
-            aug[col] = [v * inv for v in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col]:
-                    f = aug[r][col]
-                    aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-        return Cyc(self.order, tuple(aug[i][n] for i in range(n)))
+        n = self.order
+        if len(self.coeffs) == 1:
+            return Cyc(n, (1 / self.coeffs[0],))
+        cofactor = None
+        for k in range(2, n):
+            if gcd(k, n) == 1:
+                image = self.galois(k)
+                cofactor = image if cofactor is None else cofactor * image
+        norm = (self * cofactor).coeffs[0]
+        return Cyc(n, tuple(c / norm for c in cofactor.coeffs))
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -245,19 +235,21 @@ class Cyc:
             exponent >>= 1
         return result
 
-    def conj(self) -> "Cyc":
-        """Field automorphism zeta_N -> zeta_N^(N-1); complex conjugation."""
+    def galois(self, k: int) -> "Cyc":
+        """Field automorphism sigma_k: zeta_N -> zeta_N^k, for k prime to N."""
         n = self.order
-        if n <= 2:
-            return self
         table = _reduction_table(n)
-        out = [_ZERO] * _phi(n)
-        for k, c in enumerate(self.coeffs):
+        out = [_ZERO] * len(self.coeffs)
+        for e, c in enumerate(self.coeffs):
             if c:
-                row = table[(k * (n - 1)) % n]
+                row = table[(e * k) % n]
                 for j in range(len(out)):
                     out[j] += c * row[j]
         return Cyc(n, tuple(out))
+
+    def conj(self) -> "Cyc":
+        """Complex conjugation, the automorphism sigma_(N-1)."""
+        return self if self.order <= 2 else self.galois(self.order - 1)
 
     # -- predicates and conversions ---------------------------------------
 

@@ -208,13 +208,6 @@ class DoubleElement:
             _accumulate(((g_.conj(f, g), g_.conj(f, h)), c) for (g, h), c in self.terms.items()),
         )
 
-    def to_vector(self) -> list[Cyc]:
-        n = self.group.n
-        vec = [ZERO] * (n * n)
-        for (g, h), c in self.terms.items():
-            vec[g * n + h] = c
-        return vec
-
     def to_json(self) -> list[dict]:
         labels = self.group.labels
         return [

@@ -17,7 +17,6 @@ from .reps import Rep, irrep_catalog
 from .poly import Poly
 from .double import CrossedModule
 from .transfer import projector_fixed_space, conjugated_projector
-from . import linalg
 
 ZERO = Cyc.rational(0)
 ONE = Cyc.rational(1)
@@ -74,15 +73,6 @@ def is_bicovariant_operator(group: FiniteGroup, matrix) -> bool:
                     if matrix[move(f)][move(g)] != matrix[f][g]:
                         return False
     return True
-
-
-def matrix_coefficient_functions(rho: Rep, group: FiniteGroup):
-    """The functions rho^i_j as vectors over the delta basis."""
-    out = []
-    for i in range(rho.dim):
-        for j in range(rho.dim):
-            out.append([rho.matrices[g][i][j] for g in range(group.n)])
-    return out
 
 
 class DualInnerProduct:

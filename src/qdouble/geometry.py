@@ -3,9 +3,8 @@
 Covariant bimodule inner products determined by class lengths, the class
 Laplacians and the mass/length dictionary, connection families solved from
 linear covariance/torsion/cotorsion constraints, the polynomial
-compatibility conditions (metric, star, curvature) handled by substitution
-and pairwise resultants, curvature and Ricci data, and geometric
-Laplacians.
+compatibility conditions (metric, star, curvature) handled by substitution,
+curvature and Ricci data, and geometric Laplacians.
 
 All parametric data lives in the polynomial ring over the cyclotomic field
 with named real indeterminates, so the family statements are checked as
@@ -18,7 +17,7 @@ import itertools
 from fractions import Fraction
 
 from .cyclotomic import Cyc, cyc
-from .poly import Poly, RatFunc, poly_gcd, resultant
+from .poly import Poly, RatFunc, poly_gcd
 from .calculus import LambdaBasis
 from .groups import FiniteGroup
 from . import linalg
@@ -77,32 +76,6 @@ class InnerProduct:
         half = Cyc.rational(Fraction(-1, 2))
         gh = group.table[g][group.inv[h]]
         return (self.length_of(gh) - self.length_of(g) - self.length_of(h)) * half
-
-    def pair_coords(self, g: int, h: int) -> Poly:
-        """Bilinear extension through the basis coordinates."""
-        a = self.basis.coords(g)
-        b = self.basis.coords(h)
-        total = Poly.constant(0, self.vars)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        total = total + self.matrix[i][j] * (x * y)
-        return total
-
-    def bilinear_consistent(self) -> bool:
-        """Lengths formula agrees with the bilinear extension on all pairs.
-
-        This can fail off special length strata when the spanning forms e^g
-        satisfy linear relations; the basis Gram matrix is still a valid
-        bimodule inner product, but the strict module-map covariance then
-        only holds where this flag is true.
-        """
-        for g in range(self.group.n):
-            for h in range(self.group.n):
-                if self.pair_coords(g, h) != self.pair_elements(g, h):
-                    return False
-        return True
 
     def covariant(self) -> bool:
         """gamma(u) g gamma(u)^T = g and rho(u) g rho(u)^T = g for every u."""
@@ -306,7 +279,6 @@ class ConnectionFamily:
         const = []
         for name, spec in functionals:
             row = []
-            value_const = Poly.constant(0, self.vars)
             combo = Poly.constant(0, self.vars)
             for key, coeff in spec.items():
                 combo = combo + self.gamma[key] * cyc(coeff)
@@ -402,7 +374,6 @@ def connection_solve(basis: LambdaBasis, ip: InnerProduct | None, flags) -> Conn
         if ip is None:
             raise ValueError("cotorsion freeness needs an inner product")
         adj = ip.adjugate()
-        filtered = []
         t = len(base_null)
         eq_rows = []  # over Poly in ip.vars
         for k in range(dim):
@@ -773,84 +744,6 @@ def laplacian_consistency_residuals(family: ConnectionFamily, ip: InnerProduct, 
 
 def residuals_vanish(residuals, bindings) -> bool:
     return all(not r.substitute(bindings) for r in residuals)
-
-
-def _param_degree(poly: Poly, params) -> int:
-    idxs = [poly.vars.index(p) for p in params if p in poly.vars]
-    if not poly.terms:
-        return -1
-    return max(sum(e[i] for i in idxs) for e in poly.terms)
-
-
-def _eliminate_variable(pool, var, max_terms=4000, keep=24):
-    """One elimination round: resultants of each pool member against the
-    smallest polynomial containing the variable."""
-    with_var = sorted((r for r in pool if r.degree(var) > 0), key=lambda r: len(r.terms))
-    without = [r for r in pool if r.degree(var) <= 0]
-    if not with_var:
-        return without
-    pivot = with_var[0]
-    out = list(without)
-    for other in with_var[1:]:
-        res = resultant(pivot, other, var)
-        if res and len(res.terms) <= max_terms:
-            out.append(res)
-    out = _dedupe(out)
-    out.sort(key=lambda r: len(r.terms))
-    return out[:keep]
-
-
-def forced_zero_certificate(residuals, target: str, params):
-    """Try to certify target = 0 by resultant elimination of the other parameters.
-
-    Returns (power, side_condition_poly) on success, None otherwise; the side
-    condition is a nonzero polynomial in the non-parameter variables only.
-    """
-    pool = [r for r in residuals if r]
-    # eliminate cheap variables first
-    others = sorted(
-        (p for p in params if p != target),
-        key=lambda v: sum(r.degree(v) for r in pool if r.degree(v) > 0),
-    )
-    for var in others:
-        pool = _eliminate_variable(pool, var)
-        if not pool:
-            return None
-        hit = _target_power_certificate(pool, target, params)
-        if hit:
-            return hit
-    return _target_power_certificate(pool, target, params)
-
-
-def _target_power_certificate(pool, target, params):
-    other_params = [p for p in params if p != target]
-    for r in pool:
-        if r.degree(target) <= 0:
-            continue
-        if any(r.degree(p) > 0 for p in other_params):
-            continue
-        stripped = r
-        power = 0
-        while not stripped.coeff_of(target, 0):
-            stripped = _shift_down(stripped, target)
-            power += 1
-            if not stripped:
-                break
-        if power and stripped and stripped.degree(target) == 0:
-            return power, stripped
-    return None
-
-
-def _shift_down(poly: Poly, var: str) -> Poly:
-    i = poly.vars.index(var)
-    out = {}
-    for exp, c in poly.terms.items():
-        if exp[i] == 0:
-            raise ValueError("not divisible")
-        new = list(exp)
-        new[i] -= 1
-        out[tuple(new)] = c
-    return Poly(poly.vars, out)
 
 
 def strip_monomial_content(poly: Poly, keep=()) -> Poly:

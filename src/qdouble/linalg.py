@@ -108,28 +108,6 @@ def solve(matrix, rhs):
     return x
 
 
-def det(matrix):
-    n = len(matrix)
-    rows = [list(r) for r in matrix]
-    sign = 1
-    result = None
-    for c in range(n):
-        piv = next((i for i in range(c, n) if rows[i][c]), None)
-        if piv is None:
-            return matrix[0][0] * 0
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            sign = -sign
-        for i in range(c + 1, n):
-            if rows[i][c]:
-                f = rows[i][c] / rows[c][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    result = rows[0][0]
-    for i in range(1, n):
-        result = result * rows[i][i]
-    return result if sign > 0 else -result
-
-
 def inverse(matrix):
     n = len(matrix)
     one = None
@@ -150,6 +128,17 @@ def inverse(matrix):
     return [row[n:] for row in rows[:n]]
 
 
+def _subtract(target: dict, c, row: dict) -> None:
+    """target -= c * row in place, dropping the entries that become zero."""
+    for k, v in row.items():
+        nv = target.get(k)
+        nv = -c * v if nv is None else nv - c * v
+        if nv:
+            target[k] = nv
+        elif k in target:
+            del target[k]
+
+
 class SparseSpan:
     """Incremental row space over a field, rows as {column_key: scalar} dicts.
 
@@ -161,23 +150,14 @@ class SparseSpan:
         self.pivots: dict = {}
 
     def reduce(self, row: dict) -> dict:
+        """Subtract stored rows until no pivot column of the row is left.
+
+        A stored row is zero on every other pivot column, so a subtraction
+        never adds a pivot column to the row: one ascending pass suffices.
+        """
         row = {k: v for k, v in row.items() if v}
-        touched = True
-        while touched:
-            touched = False
-            for col in sorted(row):
-                piv = self.pivots.get(col)
-                if piv is not None:
-                    c = row[col]
-                    for k, v in piv.items():
-                        nv = row.get(k)
-                        nv = -c * v if nv is None else nv - c * v
-                        if nv:
-                            row[k] = nv
-                        elif k in row:
-                            del row[k]
-                    touched = True
-                    break
+        for col in sorted(k for k in row if k in self.pivots):
+            _subtract(row, row[col], self.pivots[col])
         return row
 
     def add(self, row: dict) -> bool:
@@ -189,16 +169,10 @@ class SparseSpan:
         inv = 1 / row[col] if not hasattr(row[col], "inverse") else row[col].inverse()
         row = {k: v * inv for k, v in row.items()}
         # back-substitute into existing pivots
-        for pcol, prow in self.pivots.items():
+        for prow in self.pivots.values():
             c = prow.get(col)
             if c:
-                for k, v in row.items():
-                    nv = prow.get(k)
-                    nv = -c * v if nv is None else nv - c * v
-                    if nv:
-                        prow[k] = nv
-                    elif k in prow:
-                        del prow[k]
+                _subtract(prow, c, row)
         self.pivots[col] = row
         return True
 
@@ -208,12 +182,6 @@ class SparseSpan:
     @property
     def rank(self) -> int:
         return len(self.pivots)
-
-
-def row_space_contains(basis_rows, vector) -> bool:
-    if not basis_rows:
-        return not any(vector)
-    return rank(basis_rows) == rank(basis_rows + [list(vector)])
 
 
 def same_row_space(rows_a, rows_b) -> bool:

@@ -187,10 +187,6 @@ class Poly:
         """Conjugate coefficients; variables are real indeterminates."""
         return Poly(self.vars, {e: c.conj() for e, c in self.terms.items()})
 
-    def evaluate(self, bindings: dict) -> Cyc:
-        out = self.substitute(bindings)
-        return out.as_cyc()
-
     def monic_normalize(self) -> "Poly":
         """Divide by the coefficient of the lexicographically largest monomial."""
         if not self.terms:

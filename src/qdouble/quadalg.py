@@ -28,12 +28,6 @@ class QuadAlg:
         self.inhomogeneous = [(dict(q), c) for q, c in inhomogeneous]
         self._dims: dict[int, int] = {0: 1, 1: self.n}
 
-    def relation_rank(self) -> int:
-        span = SparseSpan()
-        for r in self._all_quadratic_parts():
-            span.add(dict(r))
-        return span.rank
-
     def _all_quadratic_parts(self):
         for r in self.relations:
             yield r

@@ -17,30 +17,18 @@ from .reps import (
     centralizer_character,
     irrep_catalog,
     induced_rep,
-    decompose,
 )
 from .double import (
     DoubleElement,
     build_VCpi,
     double_irreps,
     block_idempotent,
-    regular_crossed_module,
-    decompose_DG_module,
 )
 from .transfer import (
     transfer_to_group_algebra,
-    transfer_to_functions,
     transfer_via_total_space,
     averaging_to_group_algebra,
     factorization_check,
-    coaction_equivariance,
-    coact_E,
-    coact_Eprime,
-    coact_Estar,
-    projector_cov,
-    projector_fixed_space,
-    fourier,
-    fourier_inv,
 )
 from .calculus import fodc_group_algebra, lambda_basis
 from .geometry import (
@@ -63,7 +51,6 @@ from .geometry import (
 from .dualgeometry import dual_constraints, freefield_solutions
 from .braided import (
     lie_cpi,
-    lie_bdg,
     psit_via_rmatrix,
     envelope,
     frt,
@@ -339,7 +326,6 @@ def criterion_3():
 
 def criterion_4():
     d = S3Data.get()
-    G = d.G
     rho = induced_rep(d.ctx2, d.pi[1])
     calc = fodc_group_algebra(rho)
     q = d.q
@@ -680,7 +666,6 @@ def criterion_9():
     cons, closed = solve_case(["u", "v", "w", "uv", "vu"], {d.uv: "w1", d.u: "w2"})
     Vv = closed[sign.name].vars
     w1p = Poly.variable("w1", Vv)
-    w2p = Poly.variable("w2", Vv)
     lam_sign = w1p * (-8)
     lam_two = w1p * 2
     sub = {"a1": lam_sign, "a2": lam_two, "w2": w1p * cyc(Fraction(-2, 3))}
@@ -703,7 +688,6 @@ def criterion_9():
 
 def criterion_10():
     d = S3Data.get()
-    G = d.G
     spectrum = {"e": 0, "u": 1, "uv": 2}
     checks = []
     allok_dim = True
@@ -842,7 +826,6 @@ def criterion_12():
 
 def criterion_13():
     d = S3Data.get()
-    G = d.G
     checks = []
     liep = lie_cpi(d.ctx3, d.pipm[0])
     Kp = killing_form(liep)

@@ -14,7 +14,7 @@ import itertools
 from fractions import Fraction
 
 from .cyclotomic import Cyc, cyc, root_of_unity
-from .groups import FiniteGroup, Subgroup
+from .groups import FiniteGroup
 from . import linalg
 
 ZERO = Cyc.rational(0)
@@ -285,20 +285,22 @@ def _perm_to_adjacent_word(p):
     return word
 
 
-def dihedral_two_dim(group: FiniteGroup) -> Rep:
-    """2-dimensional representation of a dihedral group of order 8."""
+def _dihedral_generators(group: FiniteGroup) -> tuple[int, int]:
+    """A rotation of order 4 and a reflection outside the rotations."""
     rot = next((g for g in range(group.n) if group.order_of(g) == 4), None)
     if rot is None or group.n != 8:
         raise ValueError("not a dihedral group of order 8")
     rot_sub = group.subgroup_generated([rot])
     ref = next(g for g in range(group.n) if g not in rot_sub and group.order_of(g) == 2)
-    i = root_of_unity(4, 1)
-    rot_m = [[ZERO, -ONE], [ONE, ZERO]]
-    ref_m = [[ONE, ZERO], [ZERO, -ONE]]
+    return rot, ref
+
+
+def _extend_from_generators(group: FiniteGroup, gens, identity) -> list:
+    """Matrices on the whole group from (generator, matrix) images, as products
+    along a search of the Cayley graph."""
     mats = [None] * group.n
-    mats[0] = linalg.identity(2, ONE, ZERO)
+    mats[0] = identity
     frontier = [0]
-    gens = [(rot, rot_m), (ref, ref_m)]
     while frontier:
         x = frontier.pop()
         for g, gm in gens:
@@ -306,6 +308,15 @@ def dihedral_two_dim(group: FiniteGroup) -> Rep:
             if mats[y] is None:
                 mats[y] = linalg.mat_mul(mats[x], gm)
                 frontier.append(y)
+    return mats
+
+
+def dihedral_two_dim(group: FiniteGroup) -> Rep:
+    """2-dimensional representation of a dihedral group of order 8."""
+    rot, ref = _dihedral_generators(group)
+    rot_m = [[ZERO, -ONE], [ONE, ZERO]]
+    ref_m = [[ONE, ZERO], [ZERO, -ONE]]
+    mats = _extend_from_generators(group, [(rot, rot_m), (ref, ref_m)], linalg.identity(2, ONE, ZERO))
     return Rep(group, mats, name="dihedral2")
 
 
@@ -396,22 +407,10 @@ def _partitions(n: int):
 
 def _order8_nonabelian_irreps(group: FiniteGroup) -> list[Rep]:
     two = dihedral_two_dim(group)
-    rot = next(g for g in range(group.n) if group.order_of(g) == 4)
-    rot_sub = group.subgroup_generated([rot])
-    ref = next(g for g in range(group.n) if g not in rot_sub and group.order_of(g) == 2)
+    rot, ref = _dihedral_generators(group)
     linear = []
     for er, ef in itertools.product([1, -1], repeat=2):
-        mats = [None] * group.n
-        mats[0] = [[ONE]]
-        frontier = [0]
-        gens = [(rot, [[cyc(er)]]), (ref, [[cyc(ef)]])]
-        while frontier:
-            x = frontier.pop()
-            for g, gm in gens:
-                y = group.table[x][g]
-                if mats[y] is None:
-                    mats[y] = linalg.mat_mul(mats[x], gm)
-                    frontier.append(y)
+        mats = _extend_from_generators(group, [(rot, [[cyc(er)]]), (ref, [[cyc(ef)]])], [[ONE]])
         try:
             linear.append(Rep(group, mats, name=f"chi({er},{ef})"))
         except ValueError:

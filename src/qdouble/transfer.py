@@ -108,7 +108,6 @@ def default_embedding(ctx: ClassContext, pi: Rep, module: CrossedModule):
 
 def check_embedding(ctx: ClassContext, pi: Rep, module: CrossedModule, embed) -> None:
     """The columns must be grade-r vectors intertwining the centralizer action."""
-    group = ctx.group
     for col in embed:
         for i, c in enumerate(col):
             if c and module.grading[i] != ctx.rep:
@@ -193,16 +192,6 @@ def functions_to_group_algebra(group: FiniteGroup, module: CrossedModule):
                 if val:
                     mat[target_g * module.dim + out_w][g * module.dim + widx] = val * scale
     return mat
-
-
-def covariantize(ctx: ClassContext, module: CrossedModule, section):
-    """(delta_c (x) w) -> delta_c (x) q_c |> w on C(class) (x) W coordinates."""
-    out = {}
-    for c in ctx.cls:
-        w = section.get(c)
-        if w:
-            out[c] = module.act(ctx.q[c], w)
-    return out
 
 
 def projector_cov(ctx: ClassContext, pi: Rep, module: CrossedModule):

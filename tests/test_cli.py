@@ -87,3 +87,15 @@ def test_config_error_exit_code(tmp_path):
     bad.write_text(json.dumps({"group": {"name": "s3_uvw"}}))
     out = run_cli("transfer", "--scenario", str(bad))
     assert out.returncode == 2
+
+
+def test_verify_paper_stdout_is_json(monkeypatch, capsys):
+    from qdouble import cli, regression
+
+    fake = [("c1 fake check", True, ""), ("c2 fake check", False, "detail")]
+    monkeypatch.setattr(regression, "run_regression", lambda: fake)
+    assert cli.main(["verify-paper"]) == 3
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert report["passed"] == 1 and report["failed"] == ["c2 fake check"]
+    assert err.splitlines() == ["PASS  c1 fake check", "FAIL  c2 fake check  [detail]"]

@@ -51,7 +51,7 @@ def test_division_by_zero_distinct():
 
 
 def _random_cyc(rng):
-    order = rng.choice([1, 2, 3, 4, 6, 12])
+    order = rng.choice([1, 2, 3, 4, 5, 6, 8, 12])
     coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(order)]
     return Cyc(order, coeffs)
 
@@ -63,6 +63,7 @@ def test_field_axioms_on_random_triples():
         assert (a + b) * c == a * c + b * c
         if a:
             assert a * a.inverse() == cyc(1)
+            assert a.inverse().order == a.order
 
 
 def test_reduction_idempotent():

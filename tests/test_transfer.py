@@ -219,8 +219,11 @@ def test_star_projector_and_image(s3, ctx2):
     image_rows = [list(c) for c in cols.values()]
     # image sits inside the fixed space
     fixed_rows = [list(f) for f in fixed]
+    fixed_span = la.SparseSpan()
+    for f in fixed_rows:
+        fixed_span.add(dict(enumerate(f)))
     for row in image_rows:
-        assert la.row_space_contains(fixed_rows, row)
+        assert fixed_span.contains(dict(enumerate(row)))
     # the full E^W transfer (all fiber vectors, not only the embedded copy)
     full_rows = []
     for c in ctx2.cls:
