@@ -202,7 +202,7 @@ class BraidedLie:
             for i, c in eta.items():
                 for k, c2 in self.bracket(i, x).items():
                     _addto(left, k, c * c2)
-            if left != ({x: ONE} if True else None):
+            if left != {x: ONE}:
                 return False
             right: dict = {}
             for i, c in eta.items():
@@ -254,9 +254,7 @@ class BlockBraidedLie(BraidedLie):
         basis = []
         self._pos = {}
         for t, (ctx, pi) in enumerate(self.blocks):
-            if ctx.rep == 0 and pi.dim == 1 and all(
-                m[0][0] == ONE for m in pi.matrices
-            ):
+            if ctx.rep == 0 and pi.is_trivial():
                 raise ValueError("the trivial pair is excluded")
             for a in ctx.cls:
                 for i in range(pi.dim):

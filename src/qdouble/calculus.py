@@ -35,7 +35,7 @@ class FunctionCalculus:
         if 0 in subset:
             raise ValueError("the identity cannot generate an arrow")
         for c in subset:
-            for g in range(group.n):
+            for g in group.generators:
                 if group.conj(g, c) not in subset:
                     raise ValueError("subset is not stable under conjugation")
         self.group = group
@@ -189,12 +189,16 @@ class GroupAlgebraCalculus:
         return sum(1 for m in self.rho.matrices if linalg.mat_eq(m, ident)) == 1
 
     def is_inner(self) -> tuple[bool, list | None]:
-        """Solve theta rho(g) - theta = rho(g) - 1 for theta in the span of the e^g."""
+        """Solve theta rho(g) - theta = rho(g) - 1 for theta in the span of the e^g.
+
+        The condition reads (theta - 1) rho(g) = theta - 1, so it is imposed
+        on generators only; the solution space, hence the rref and theta,
+        is the same as over the whole group."""
         rows = self._lambda_rows
         constraints = []
         rhs_vec = []
         # unknown theta expressed in the rref basis of Lambda^1
-        for g in range(self.group.n):
+        for g in self.group.generators:
             for i in range(self.rho.dim):
                 for j in range(self.rho.dim):
                     row = []
@@ -213,10 +217,6 @@ class GroupAlgebraCalculus:
                 for j in range(self.rho.dim):
                     theta[i][j] = theta[i][j] + coeff * base[i * self.rho.dim + j]
         return True, theta
-
-
-def _is_trivial(rep: Rep) -> bool:
-    return rep.dim == 1 and all(m[0][0] == ONE for m in rep.matrices)
 
 
 def fodc_group_algebra(rho: Rep) -> GroupAlgebraCalculus:
@@ -297,13 +297,12 @@ class LambdaBasis:
         """d g = partial_i g (x) e^i with partial_i g = g <e_i, e^g>; the scalars."""
         return self.coords(g)
 
-    def gamma_rho_commutation_holds(self, conjugators=None) -> bool:
-        """gamma(g) rho(k) = rho(k) gamma(k^-1 g k); conjugators defaults to
-        the whole group (a generating set suffices)."""
+    def gamma_rho_commutation_holds(self) -> bool:
+        """gamma(g) rho(k) = rho(k) gamma(k^-1 g k) for every g and every
+        generator k; the k that satisfy it are closed under products."""
         group = self.group
-        ks = range(group.n) if conjugators is None else conjugators
         for g in range(group.n):
-            for k in ks:
+            for k in group.generators:
                 lhs = linalg.mat_mul(self.gamma(g), self.rho_matrix(k))
                 rhs = linalg.mat_mul(self.rho_matrix(k), self.gamma(group.conj(group.inv[k], g)))
                 if not linalg.mat_eq(lhs, rhs):
@@ -336,7 +335,7 @@ class DoubleCalculus:
     """
 
     def __init__(self, ctx: ClassContext, pi: Rep):
-        if ctx.rep == 0 and _is_trivial(pi):
+        if ctx.rep == 0 and pi.is_trivial():
             raise ValueError("the trivial pair does not define a calculus")
         self.ctx = ctx
         self.pi = pi
@@ -386,7 +385,6 @@ class DoubleCalculus:
                         for x in range(group.n):
                             key = ((x, mid), (c, i, dtar, l))
                             out[key] = out.get(key, ZERO) + coeff
-                key0 = None
                 for x in range(group.n):
                     key0 = ((x, h), (c, i, c, i))
                     out[key0] = out.get(key0, ZERO) - ONE
@@ -492,7 +490,7 @@ class DoubleCalculus:
         p1 keeps delta_pi,1 |C| arrow generators on C(G); p2 keeps
         delta_C,{e} dim(pi)^2 generators on the group algebra.
         """
-        p1 = len(self.cls) if _is_trivial(self.pi) else 0
+        p1 = len(self.cls) if self.pi.is_trivial() else 0
         p2 = self.pi.dim * self.pi.dim if self.ctx.rep == 0 else 0
         return p1, p2
 
@@ -513,9 +511,9 @@ def base_calculus_group_algebra(ctx: ClassContext, pi: Rep):
     rho = induced_rep(ctx, pi)
     base = GroupAlgebraCalculus(rho)
     structure = None
-    if _is_trivial(pi) and ctx.rep != 0:
+    if pi.is_trivial() and ctx.rep != 0:
         structure = FunctionCalculus(ctx.group, ctx.cls)
-    ver_is_zero = not _is_trivial(pi)
+    ver_is_zero = not pi.is_trivial()
     return base, structure, ver_is_zero
 
 

@@ -293,9 +293,7 @@ def cmd_dual(scenario, args):
             counter += 1
     lambda_vars = {}
     for k, rho in enumerate(irreps):
-        lambda_vars[rho.name] = None if rho.dim == 1 and all(
-            m[0][0] == cyc(1) for m in rho.matrices
-        ) else f"astar{k}"
+        lambda_vars[rho.name] = None if rho.is_trivial() else f"astar{k}"
     constraints, closed = dual_constraints(group, subset, weight_vars, lambda_vars)
     return {
         "subcommand": "dual",

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .cyclotomic import Cyc, cyc
 from .groups import FiniteGroup, ClassContext
-from .reps import Rep, irrep_catalog, abelian_characters
+from .reps import Rep, irrep_catalog, abelian_characters, check_homomorphism
 from . import linalg
 
 ZERO = Cyc.rational(0)
@@ -284,28 +284,20 @@ def quasi_R(group: FiniteGroup) -> list[tuple[DoubleElement, DoubleElement]]:
 class CrossedModule:
     """Finite-dimensional G-graded G-module, i.e. a D(G)-module."""
 
-    def __init__(self, group: FiniteGroup, basis_labels, action, grading, check: bool = True):
+    def __init__(self, group: FiniteGroup, basis_labels, action, grading):
         self.group = group
         self.basis = list(basis_labels)
         self.dim = len(self.basis)
         self.action = action  # list over g of dim x dim Cyc matrices
         self.grading = list(grading)
-        if check:
-            self.verify()
+        self.verify()
 
     def verify(self):
+        """The action is a homomorphism and h maps grade x to grade h x h^-1;
+        both checked on generators, which suffices for each."""
         g_ = self.group
-        ident = linalg.identity(self.dim, ONE, ZERO)
-        if not linalg.mat_eq(self.action[0], ident):
-            raise ValueError("identity must act as the identity")
-        for a in range(g_.n):
-            for b in range(g_.n):
-                if not linalg.mat_eq(
-                    linalg.mat_mul(self.action[a], self.action[b]),
-                    self.action[g_.table[a][b]],
-                ):
-                    raise ValueError("action is not a homomorphism")
-        for h in range(g_.n):
+        check_homomorphism(g_, self.action, "action")
+        for h in g_.generators:
             m = self.action[h]
             for j in range(self.dim):
                 target = g_.conj(h, self.grading[j])
@@ -364,7 +356,6 @@ class CrossedModule:
             list(self.basis) + list(other.basis),
             action,
             self.grading + other.grading,
-            check=False,
         )
 
 
@@ -403,7 +394,7 @@ def regular_crossed_module(group: FiniteGroup) -> CrossedModule:
             m[pos[(group.conj(f, g), group.table[f][h])]][pos[(g, h)]] = ONE
         action.append(m)
     grading = [g for (g, h) in basis]
-    return CrossedModule(group, basis, action, grading, check=False)
+    return CrossedModule(group, basis, action, grading)
 
 
 def bdg_crossed_module(group: FiniteGroup) -> CrossedModule:
@@ -418,7 +409,7 @@ def bdg_crossed_module(group: FiniteGroup) -> CrossedModule:
             m[pos[(group.conj(f, g), group.conj(f, h))]][pos[(g, h)]] = ONE
         action.append(m)
     grading = [group.commutator(group.inv[g], h) for (g, h) in basis]
-    return CrossedModule(group, basis, action, grading, check=False)
+    return CrossedModule(group, basis, action, grading)
 
 
 # -- Artin-Wedderburn ----------------------------------------------------------
@@ -454,7 +445,7 @@ def centralizer_irreps(ctx: ClassContext) -> list[Rep]:
     if sub.n == ctx.group.n:
         parent_irreps = irrep_catalog(ctx.group)
         return [
-            Rep(sub, [r.matrices[g] for g in sub.embedding], name=r.name, check=False)
+            Rep(sub, [r.matrices[g] for g in sub.embedding], name=r.name)
             for r in parent_irreps
         ]
     if sub.is_abelian():

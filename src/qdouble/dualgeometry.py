@@ -63,9 +63,9 @@ def peter_weyl_blocks(group: FiniteGroup, g: int, irreps=None):
 
 def is_bicovariant_operator(group: FiniteGroup, matrix) -> bool:
     """Bicomodule map for the coregular coactions: commutes with both
-    translation actions of the group on functions."""
+    translation actions of the group on functions, checked on generators."""
     n = group.n
-    for h in range(n):
+    for h in group.generators:
         # left translation L_h: delta_g -> delta_{hg}; right: delta_g -> delta_{gh}
         for (move, name) in ((lambda g: group.table[h][g], "L"), (lambda g: group.table[g][h], "R")):
             for g in range(n):

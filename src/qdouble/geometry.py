@@ -78,9 +78,10 @@ class InnerProduct:
         return (self.length_of(gh) - self.length_of(g) - self.length_of(h)) * half
 
     def covariant(self) -> bool:
-        """gamma(u) g gamma(u)^T = g and rho(u) g rho(u)^T = g for every u."""
+        """gamma(u) g gamma(u)^T = g and rho(u) g rho(u)^T = g for every
+        generator u, hence for every u."""
         dim = self.basis.dim
-        for u in range(self.group.n):
+        for u in self.group.generators:
             for mat in (self.basis.gamma(u), self.basis.rho_matrix(u)):
                 for i in range(dim):
                     for j in range(dim):
@@ -340,9 +341,10 @@ def connection_solve(basis: LambdaBasis, ip: InnerProduct | None, flags) -> Conn
     pos = {t: a for a, t in enumerate(index)}
     rows = []
     if "covariant" in flags:
-        rho = {g: basis.rho_matrix(g) for g in range(group.n)}
-        for g in range(group.n):
-            r = rho[g]
+        # invariance under the generators gives the same row space, so the
+        # same rref and nullspace, as invariance under every g
+        for g in group.generators:
+            r = basis.rho_matrix(g)
             for i in range(dim):
                 for j in range(dim):
                     for k in range(dim):

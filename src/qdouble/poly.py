@@ -318,10 +318,8 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         pa, pb = pb, r
         if pa.degree(var) < pb.degree(var):
             pa, pb = pb, pa
+    # a nonzero pb ended the loop with a vanishing remainder, so pb divides pa
     prim = pb if pb else pa
-    if pb:
-        prim = pb
-        # loop ended because remainder vanished; pb divides pa
     g = cont * prim.exact_div(_content_wrt(prim, var)) if prim.degree(var) > 0 else cont
     return g.monic_normalize()
 

@@ -60,6 +60,7 @@ from .braided import (
     killing_trace_oracle,
     quotient_hopf,
     bdg_braided_checks,
+    _braid_relation_holds,
 )
 from .poly import Poly
 from . import linalg
@@ -625,7 +626,7 @@ def criterion_9():
     G = d.G
     irreps = irrep_catalog(G)
     by_dim = {r.dim: r for r in irreps}
-    triv = [r for r in irreps if r.dim == 1 and all(m[0][0] == ONE for m in r.matrices)][0]
+    triv = [r for r in irreps if r.is_trivial()][0]
     sign = [r for r in irreps if r.dim == 1 and r is not triv][0]
     two = by_dim[2]
     lam_names = {triv.name: None, sign.name: "a1", two.name: "a2"}
@@ -733,7 +734,7 @@ def criterion_11(include_s4: bool = True):
 
         pi_list = list(pis.values()) if pis else centralizer_irreps(ctx)
         for pi in pi_list:
-            if ctx.rep == 0 and pi.dim == 1 and all(m[0][0] == ONE for m in pi.matrices):
+            if ctx.rep == 0 and pi.is_trivial():
                 blocks.append((ctx, pi, None))  # trivial pair: unit object only
                 continue
             lie = lie_cpi(ctx, pi)
@@ -800,7 +801,7 @@ def criterion_12():
 
     ok = True
     for pi in centralizer_irreps(d.ctx1):
-        if pi.dim == 1 and all(m[0][0] == ONE for m in pi.matrices):
+        if pi.is_trivial():
             continue
         lie_e = lie_cpi(d.ctx1, pi)
         env_e = envelope(lie_e, maxdeg=2)
@@ -933,7 +934,7 @@ def criterion_14():
 
     dims = {}
     for pi in centralizer_irreps(d.ctx1):
-        dims[pi.dim if not _is_trivial_rep(pi) else 0] = covering_map_image(
+        dims[pi.dim if not pi.is_trivial() else 0] = covering_map_image(
             [(d.ctx1, pi)]
         )["dimension"]
     checks.append(
@@ -956,10 +957,6 @@ def criterion_14():
     ok2 = r11.dg_mul(r22) == expected
     checks.append(_check("c14 (r_1^1)^2 = r_2^2 and r_1^1 r_2^2 = (d_e + d_vu + d_uv) (x) e", ok1 and ok2))
     return checks
-
-
-def _is_trivial_rep(pi):
-    return pi.dim == 1 and all(m[0][0] == ONE for m in pi.matrices)
 
 
 # -- criterion 15: property suites -------------------------------------------------------------
@@ -1086,7 +1083,7 @@ def criterion_15():
     ok_ybe = True
     ok_inv = True
     for ctx, pi in double_irreps(G):
-        if ctx.rep == 0 and _is_trivial_rep(pi):
+        if ctx.rep == 0 and pi.is_trivial():
             continue
         rm = BlockRMatrices((ctx, pi), (ctx, pi))
         ok_ybe = ok_ybe and rm.yang_baxter_holds()
@@ -1098,27 +1095,7 @@ def criterion_15():
     for ctx, pi in double_irreps(G):
         module = build_VCpi(ctx, pi)
         psi = module.braiding_with(module)
-
-        def ap12(vec):
-            out = {}
-            for (i, j, k), c in vec.items():
-                for (a, b), c2 in psi(i, j):
-                    out[(a, b, k)] = out.get((a, b, k), ZERO) + c * c2
-            return {kk: vv for kk, vv in out.items() if vv}
-
-        def ap23(vec):
-            out = {}
-            for (i, j, k), c in vec.items():
-                for (a, b), c2 in psi(j, k):
-                    out[(i, a, b)] = out.get((i, a, b), ZERO) + c * c2
-            return {kk: vv for kk, vv in out.items() if vv}
-
-        for i in range(module.dim):
-            for j in range(module.dim):
-                for k in range(module.dim):
-                    start = {(i, j, k): ONE}
-                    if ap12(ap23(ap12(start))) != ap23(ap12(ap23(start))):
-                        ok = False
+        ok = _braid_relation_holds(lambda i, j: dict(psi(i, j)), module.dim) and ok
     checks.append(_check("c15 braid relation for the crossed-module braiding", ok))
     bd = bdg_braided_checks(G)
     checks.append(_check("c15 braided Hopf structure of the transmuted double", all(bd.values()), str(bd)))

@@ -4,8 +4,8 @@ The catalogue covers what the engine needs without a general character
 table algorithm: trivial and sign representations, characters of cyclic
 and abelian groups, Young seminormal representations of S_n for n <= 5
 (rational entries), a dihedral 2-dimensional representation, internal
-products, and user-supplied matrices.  Everything is validated as a
-homomorphism on construction.
+products, and user-supplied matrices.  Every representation is validated
+as a homomorphism on construction, on the group's generating set.
 """
 
 from __future__ import annotations
@@ -24,24 +24,15 @@ ONE = Cyc.rational(1)
 class Rep:
     """A matrix representation: one dim x dim Cyc matrix per group element."""
 
-    def __init__(self, group: FiniteGroup, matrices, name: str = "rep", check: bool = True):
+    def __init__(self, group: FiniteGroup, matrices, name: str = "rep"):
         self.group = group
         self.matrices = [[list(row) for row in m] for m in matrices]
         self.dim = len(self.matrices[0])
         self.name = name
-        if check:
-            self._validate()
+        self._validate()
 
     def _validate(self):
-        g_ = self.group
-        ident = linalg.identity(self.dim, ONE, ZERO)
-        if not linalg.mat_eq(self.matrices[0], ident):
-            raise ValueError(f"{self.name}: identity does not map to the identity matrix")
-        for a in range(g_.n):
-            for b in range(g_.n):
-                lhs = linalg.mat_mul(self.matrices[a], self.matrices[b])
-                if not linalg.mat_eq(lhs, self.matrices[g_.table[a][b]]):
-                    raise ValueError(f"{self.name}: not a homomorphism at ({a},{b})")
+        check_homomorphism(self.group, self.matrices, self.name)
 
     def matrix(self, g: int):
         return self.matrices[g]
@@ -73,9 +64,10 @@ class Rep:
         return total == cyc(self.group.n)
 
     def is_real_orthogonal(self) -> bool:
-        """Entries fixed by conjugation and rho(g) rho(g)^T = 1 for all g."""
+        """Entries fixed by conjugation and rho(g) rho(g)^T = 1 for every
+        generator g; real orthogonal matrices are closed under products."""
         ident = linalg.identity(self.dim, ONE, ZERO)
-        for m in self.matrices:
+        for m in (self.matrices[s] for s in self.group.generators):
             for row in m:
                 for x in row:
                     if x.conj() != x:
@@ -84,14 +76,29 @@ class Rep:
                 return False
         return True
 
-    def tensor(self, other: "Rep") -> "Rep":
-        mats = [
-            _kron(self.matrices[g], other.matrices[g]) for g in range(self.group.n)
-        ]
-        return Rep(self.group, mats, name=f"{self.name}(x){other.name}", check=False)
+    def is_trivial(self) -> bool:
+        """One-dimensional and 1 on every generator, hence on the whole group."""
+        return self.dim == 1 and all(self.matrices[s][0][0] == ONE for s in self.group.generators)
 
     def __repr__(self):
         return f"Rep({self.name}, dim={self.dim}, group order {self.group.n})"
+
+
+def check_homomorphism(group: FiniteGroup, matrices, name: str) -> None:
+    """Raise ValueError unless g -> matrices[g] is a homomorphism.
+
+    Checks M(e) = 1 and M(g) M(s) = M(gs) for every g and every generator s,
+    |G| |S| products.  The h with M(g) M(h) = M(gh) for all g are closed
+    under products, so the identity then holds for every h.
+    """
+    dim = len(matrices[0])
+    if not linalg.mat_eq(matrices[0], linalg.identity(dim, ONE, ZERO)):
+        raise ValueError(f"{name}: identity does not map to the identity matrix")
+    for g in range(group.n):
+        for s in group.generators:
+            lhs = linalg.mat_mul(matrices[g], matrices[s])
+            if not linalg.mat_eq(lhs, matrices[group.table[g][s]]):
+                raise ValueError(f"{name}: not a homomorphism at ({g},{s})")
 
 
 def _kron(a, b):
@@ -99,10 +106,9 @@ def _kron(a, b):
     out = [[ZERO] * (na * nb) for _ in range(na * nb)]
     for i in range(na):
         for j in range(na):
-            if True:
-                for k in range(nb):
-                    for l in range(nb):
-                        out[i * nb + k][j * nb + l] = a[i][j] * b[k][l]
+            for k in range(nb):
+                for l in range(nb):
+                    out[i * nb + k][j * nb + l] = a[i][j] * b[k][l]
     return out
 
 
@@ -110,7 +116,7 @@ def _kron(a, b):
 
 
 def trivial_rep(group: FiniteGroup) -> Rep:
-    return Rep(group, [[[ONE]] for _ in range(group.n)], name="trivial", check=False)
+    return Rep(group, [[[ONE]] for _ in range(group.n)], name="trivial")
 
 
 def sign_rep(group: FiniteGroup) -> Rep:
@@ -162,14 +168,7 @@ def abelian_characters(group: FiniteGroup) -> list[Rep]:
     """All 1-dimensional representations of an abelian group."""
     if not group.is_abelian():
         raise ValueError("character enumeration requires an abelian group")
-    gens = []
-    generated = {0}
-    for g in range(1, group.n):
-        if g not in generated:
-            gens.append(g)
-            generated = set(group.subgroup_generated(gens))
-        if len(generated) == group.n:
-            break
+    gens = group.generators
     orders = [group.order_of(g) for g in gens]
     chars = []
     for exps in itertools.product(*(range(o) for o in orders)):
@@ -291,7 +290,9 @@ def _dihedral_generators(group: FiniteGroup) -> tuple[int, int]:
     if rot is None or group.n != 8:
         raise ValueError("not a dihedral group of order 8")
     rot_sub = group.subgroup_generated([rot])
-    ref = next(g for g in range(group.n) if g not in rot_sub and group.order_of(g) == 2)
+    ref = next((g for g in range(group.n) if g not in rot_sub and group.order_of(g) == 2), None)
+    if ref is None:
+        raise ValueError("not a dihedral group of order 8")
     return rot, ref
 
 
@@ -488,4 +489,4 @@ def induced_rep(ctx, pi: Rep) -> Rep:
                 for j in range(pi.dim):
                     m[pos[c] * pi.dim + i][pos[d] * pi.dim + j] = block[i][j]
         mats.append(m)
-    return Rep(group, mats, name=f"induced({pi.name})", check=False)
+    return Rep(group, mats, name=f"induced({pi.name})")

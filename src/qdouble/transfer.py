@@ -107,12 +107,13 @@ def default_embedding(ctx: ClassContext, pi: Rep, module: CrossedModule):
 
 
 def check_embedding(ctx: ClassContext, pi: Rep, module: CrossedModule, embed) -> None:
-    """The columns must be grade-r vectors intertwining the centralizer action."""
+    """The columns must be grade-r vectors intertwining the centralizer action
+    (checked on the centralizer's generators, which suffices)."""
     for col in embed:
         for i, c in enumerate(col):
             if c and module.grading[i] != ctx.rep:
                 raise ValueError("embedding does not land in the grade-r component")
-    for n_idx in range(ctx.centralizer.n):
+    for n_idx in ctx.centralizer.generators:
         n = ctx.centralizer.embedding[n_idx]
         for j in range(pi.dim):
             lhs = module.act(n, embed[j])

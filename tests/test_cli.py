@@ -89,6 +89,15 @@ def test_config_error_exit_code(tmp_path):
     assert out.returncode == 2
 
 
+def test_quaternion_group_is_a_configuration_error(tmp_path):
+    # Q8 has order 8 but one involution, so the order-8 catalogue has no reflection
+    q8 = tmp_path / "q8.json"
+    q8.write_text(json.dumps({"group": {"generators": [[[1, 2, 4, 7], [3, 6, 8, 5]], [[1, 3, 4, 8], [2, 5, 7, 6]]]}}))
+    out = run_cli("double-irreps", "--scenario", str(q8))
+    assert out.returncode == 2
+    assert "configuration error" in out.stderr
+
+
 def test_verify_paper_stdout_is_json(monkeypatch, capsys):
     from qdouble import cli, regression
 
