@@ -310,14 +310,7 @@ def cmd_braided(scenario, args):
     return {
         "subcommand": "braided",
         "dimension": lie.dim,
-        "axioms": {
-            "L1": lie.check_L1(),
-            "L2": lie.check_L2(),
-            "L3": lie.check_L3(),
-            "L4": lie.check_L4(),
-            "braid_relation": lie.check_braid_relation(),
-            "regular": lie.is_regular(),
-        },
+        "axioms": lie.axioms(),
         "image": covering_map_image([(ctx, pi)]),
     }
 

@@ -30,6 +30,30 @@ def _phi(n: int) -> int:
     return result
 
 
+def _mobius(n: int) -> int:
+    result, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            result = -result
+        p += 1
+    return -result if n > 1 else result
+
+
+_trace_weight_cache: dict[int, tuple[Fraction, ...]] = {}
+
+
+def _trace_weights(n: int) -> tuple[Fraction, ...]:
+    """Tr(zeta_n^k) / phi(n) = mu(n/d) / phi(n/d) with d = gcd(n, k), for k < phi(n)."""
+    if n not in _trace_weight_cache:
+        _trace_weight_cache[n] = tuple(
+            Fraction(_mobius(n // gcd(n, k)), _phi(n // gcd(n, k))) for k in range(_phi(n))
+        )
+    return _trace_weight_cache[n]
+
+
 def _poly_divmod(num: list[Fraction], den: list[Fraction]):
     num = num[:]
     q = [_ZERO] * max(1, len(num) - len(den) + 1)
@@ -283,9 +307,11 @@ class Cyc:
         return a.coeffs == b.coeffs
 
     def __hash__(self):
+        """Hash of the normalised trace Tr(x) / phi(N), which is the same at
+        every order x is written in, and is x itself for a rational x."""
         if self.is_rational():
             return hash(self.coeffs[0])
-        return hash((self.order, self.coeffs))
+        return hash(sum(c * w for c, w in zip(self.coeffs, _trace_weights(self.order)) if c))
 
     def to_complex(self) -> complex:
         return sum(

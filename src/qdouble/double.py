@@ -15,7 +15,13 @@ from fractions import Fraction
 
 from .cyclotomic import Cyc, cyc
 from .groups import FiniteGroup, ClassContext
-from .reps import Rep, irrep_catalog, abelian_characters, check_homomorphism
+from .reps import (
+    Rep,
+    irrep_catalog,
+    abelian_characters,
+    check_homomorphism,
+    _order8_nonabelian_irreps,
+)
 from . import linalg
 
 ZERO = Cyc.rational(0)
@@ -208,13 +214,6 @@ class DoubleElement:
             _accumulate(((g_.conj(f, g), g_.conj(f, h)), c) for (g, h), c in self.terms.items()),
         )
 
-    def to_json(self) -> list[dict]:
-        labels = self.group.labels
-        return [
-            {"g": labels[g], "h": labels[h], "coeff": c.to_json()}
-            for (g, h), c in sorted(self.terms.items())
-        ]
-
     def __repr__(self):
         labels = self.group.labels
         bits = [
@@ -233,6 +232,53 @@ def _accumulate(pairs):
         elif key in out:
             del out[key]
     return out
+
+
+def _basis_elements(group: FiniteGroup) -> list[DoubleElement]:
+    return [DoubleElement.basis(group, g, h) for g in range(group.n) for h in range(group.n)]
+
+
+def antipode_axiom_holds(group: FiniteGroup, coproduct, product, antipode) -> bool:
+    """m(S (x) id)Delta x = eps(x) 1 = m(id (x) S)Delta x on every basis element."""
+    unit = DoubleElement.unit(group)
+    for x in _basis_elements(group):
+        left = DoubleElement(group)
+        right = DoubleElement(group)
+        for (x1, x2), c in coproduct(x).items():
+            a = DoubleElement.basis(group, *x1, c)
+            b = DoubleElement.basis(group, *x2)
+            left = left + product(antipode(a), b)
+            right = right + product(a, antipode(b))
+        expected = unit.scale(x.counit())
+        if left != expected or right != expected:
+            return False
+    return True
+
+
+def bialgebra_axiom_holds(group: FiniteGroup, coproduct, product, braid=None) -> bool:
+    """Delta(ab) = a1 b1' (x) a2 b2 on every pair of basis elements, where
+    b1' = braid(a2, b1) is b1 moved past a2 (b1 itself when braid is None:
+    the flip)."""
+    basis = _basis_elements(group)
+    split = [
+        [
+            (DoubleElement.basis(group, *x1), DoubleElement.basis(group, *x2), c)
+            for (x1, x2), c in coproduct(x).items()
+        ]
+        for x in basis
+    ]
+    for a, a_split in zip(basis, split):
+        for b, b_split in zip(basis, split):
+            rhs = _accumulate(
+                ((k1, k2), c1 * c2 * c3 * c4)
+                for a1, a2, c1 in a_split
+                for b1, b2, c2 in b_split
+                for k1, c3 in product(a1, b1 if braid is None else braid(a2, b1)).terms.items()
+                for k2, c4 in product(a2, b2).terms.items()
+            )
+            if coproduct(product(a, b)) != rhs:
+                return False
+    return True
 
 
 def pairing(a: DoubleElement, b: DoubleElement) -> Cyc:
@@ -439,32 +485,34 @@ def block_idempotent(ctx: ClassContext, pi: Rep) -> DoubleElement:
     return total
 
 
-def centralizer_irreps(ctx: ClassContext) -> list[Rep]:
-    """Irreducibles of the centralizer subgroup (catalogue families only)."""
+def _centralizer_catalogue(ctx: ClassContext):
+    """The catalogue family that builds the centralizer irreducibles, as a
+    thunk; raises before any building when no family covers the centralizer."""
     sub = ctx.centralizer
     if sub.n == ctx.group.n:
-        parent_irreps = irrep_catalog(ctx.group)
-        return [
+        return lambda: [
             Rep(sub, [r.matrices[g] for g in sub.embedding], name=r.name)
-            for r in parent_irreps
+            for r in irrep_catalog(ctx.group)
         ]
     if sub.is_abelian():
-        return abelian_characters(sub)
+        return lambda: abelian_characters(sub)
     if sub.n == 8:
-        from .reps import _order8_nonabelian_irreps
-
-        return _order8_nonabelian_irreps(sub)
+        return lambda: _order8_nonabelian_irreps(sub)
     raise ValueError("no centralizer irreducible catalogue for this class")
 
 
+def centralizer_irreps(ctx: ClassContext) -> list[Rep]:
+    """Irreducibles of the centralizer subgroup (catalogue families only)."""
+    return _centralizer_catalogue(ctx)()
+
+
 def double_irreps(group: FiniteGroup):
-    """All (context, pi) pairs labelling the irreducibles of the double."""
-    out = []
-    for cls_ in group.conjugacy_classes():
-        ctx = ClassContext(group, cls_[0])
-        for pi in centralizer_irreps(ctx):
-            out.append((ctx, pi))
-    return out
+    """All (context, pi) pairs labelling the irreducibles of the double.
+
+    Every class is checked for a catalogue before any catalogue is built."""
+    contexts = [ClassContext(group, cls_[0]) for cls_ in group.conjugacy_classes()]
+    catalogues = [_centralizer_catalogue(ctx) for ctx in contexts]
+    return [(ctx, pi) for ctx, build in zip(contexts, catalogues) for pi in build()]
 
 
 def decompose_DG_module(module: CrossedModule, pairs=None) -> dict:

@@ -605,14 +605,14 @@ def riemann_compat_residuals(family: ConnectionFamily):
 
 
 def _dedupe(polys):
-    seen = []
+    """The first of each set of polynomials equal up to a scalar, in order."""
+    seen = set()
     out = []
     for p in polys:
         norm = p.monic_normalize()
-        if any(norm == q for q in seen):
-            continue
-        seen.append(norm)
-        out.append(p)
+        if norm not in seen:
+            seen.add(norm)
+            out.append(p)
     return out
 
 

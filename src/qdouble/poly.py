@@ -133,7 +133,13 @@ class Poly:
         return a.terms == b.terms
 
     def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
+        """Over the nonzero (name, exponent) pairs, as __eq__ aligns variables."""
+        return hash(
+            frozenset(
+                (frozenset((v, e) for v, e in zip(self.vars, exp) if e), c)
+                for exp, c in self.terms.items()
+            )
+        )
 
     def is_zero(self) -> bool:
         return not self.terms

@@ -14,15 +14,20 @@ from fractions import Fraction
 from .cyclotomic import Cyc, cyc, root_of_unity
 from .groups import FiniteGroup, class_context
 from .reps import (
+    abelian_characters,
     centralizer_character,
     irrep_catalog,
     induced_rep,
 )
 from .double import (
     DoubleElement,
+    antipode_axiom_holds,
+    bialgebra_axiom_holds,
     build_VCpi,
+    centralizer_irreps,
     double_irreps,
     block_idempotent,
+    killing_Q,
 )
 from .transfer import (
     transfer_to_group_algebra,
@@ -50,6 +55,7 @@ from .geometry import (
 )
 from .dualgeometry import dual_constraints, freefield_solutions
 from .braided import (
+    BlockRMatrices,
     lie_cpi,
     psit_via_rmatrix,
     envelope,
@@ -694,8 +700,6 @@ def criterion_10():
     allok_dim = True
     allok_img = True
     for ctx, pis in ((d.ctx1, None), (d.ctx2, d.pi), (d.ctx3, d.pipm)):
-        from .double import centralizer_irreps
-
         pi_list = list(pis.values()) if pis else centralizer_irreps(ctx)
         for pi in pi_list:
             module = build_VCpi(ctx, pi)
@@ -723,63 +727,39 @@ def criterion_10():
 # -- criterion 11: braided-Lie axioms ------------------------------------------------------
 
 
-def criterion_11(include_s4: bool = True):
+def criterion_11():
     d = S3Data.get()
+    s3_blocks = [
+        (ctx, pi)
+        for ctx, pis in ((d.ctx1, None), (d.ctx2, d.pi), (d.ctx3, d.pipm))
+        for pi in (list(pis.values()) if pis else centralizer_irreps(ctx))
+        if not (ctx.rep == 0 and pi.is_trivial())  # trivial pair: unit object only
+    ]
+    S4 = FiniteGroup.symmetric(4)
+    ctx = class_context(S4, S4.element("s3"))
+    s1_pos = ctx.centralizer.position[S4.element("s1")]
+    s4_blocks = [
+        (ctx, p) for p in abelian_characters(ctx.centralizer) if p.matrices[s1_pos][0][0] == ONE
+    ]
     checks = []
-    allax = True
-    allroutes = True
-    blocks = []
-    for ctx, pis in ((d.ctx1, None), (d.ctx2, d.pi), (d.ctx3, d.pipm)):
-        from .double import centralizer_irreps
-
-        pi_list = list(pis.values()) if pis else centralizer_irreps(ctx)
-        for pi in pi_list:
-            if ctx.rep == 0 and pi.is_trivial():
-                blocks.append((ctx, pi, None))  # trivial pair: unit object only
-                continue
+    for blocks, axioms_name, route_name in (
+        (
+            s3_blocks,
+            "c11 axioms L1-L4, braid relation, regularity for the S3 blocks",
+            "c11 R-matrix route equals the direct formulas (S3)",
+        ),
+        (s4_blocks, "c11 axioms for the 2-cycle class of S4 with pi_pm", "c11 R-matrix route for S4"),
+    ):
+        axioms = routes = True
+        for ctx, pi in blocks:
             lie = lie_cpi(ctx, pi)
-            ok = (
-                lie.check_L1()
-                and lie.check_L2()
-                and lie.check_L3()
-                and lie.check_L4()
-                and lie.check_braid_relation()
-                and lie.is_regular()
-            )
-            allax = allax and ok
-            rt = psit_via_rmatrix(lie, 0, 0)
-            agree = all(
-                rt[(i, j)] == lie.psit(i, j) for i in range(lie.dim) for j in range(lie.dim)
-            )
-            allroutes = allroutes and agree
-    checks.append(_check("c11 axioms L1-L4, braid relation, regularity for the S3 blocks", allax))
-    checks.append(_check("c11 R-matrix route equals the direct formulas (S3)", allroutes))
-    if include_s4:
-        from .reps import abelian_characters
-
-        S4 = FiniteGroup.symmetric(4)
-        ctx = class_context(S4, S4.element("s3"))
-        chars = abelian_characters(ctx.centralizer)
-        s1_pos = ctx.centralizer.position[S4.element("s1")]
-        pis = [c for c in chars if c.matrices[s1_pos][0][0] == ONE]
-        ok = True
-        routes = True
-        for p in pis:
-            lie = lie_cpi(ctx, p)
-            ok = ok and (
-                lie.check_L1()
-                and lie.check_L2()
-                and lie.check_L3()
-                and lie.check_L4()
-                and lie.check_braid_relation()
-                and lie.is_regular()
-            )
+            axioms = all(lie.axioms().values()) and axioms
             rt = psit_via_rmatrix(lie, 0, 0)
             routes = routes and all(
                 rt[(i, j)] == lie.psit(i, j) for i in range(lie.dim) for j in range(lie.dim)
             )
-        checks.append(_check("c11 axioms for the 2-cycle class of S4 with pi_pm", ok))
-        checks.append(_check("c11 R-matrix route for S4", routes))
+        checks.append(_check(axioms_name, axioms))
+        checks.append(_check(route_name, routes))
     return checks
 
 
@@ -797,8 +777,6 @@ def criterion_12():
     H, B = quotient_hopf(d.ctx3, d.pipm[0], maxdeg=2)
     checks.append(_check("c12 dim_2 H = 24", H.graded_dimension(2) == 24))
     checks.append(_check("c12 dim_2 B = 24", B.graded_dimension(2) == 24))
-    from .double import centralizer_irreps
-
     ok = True
     for pi in centralizer_irreps(d.ctx1):
         if pi.is_trivial():
@@ -930,8 +908,6 @@ def criterion_14():
             img_p["surjective"] and img_m["surjective"] and img_p["classes_generate"],
         )
     )
-    from .double import centralizer_irreps
-
     dims = {}
     for pi in centralizer_irreps(d.ctx1):
         dims[pi.dim if not pi.is_trivial() else 0] = covering_map_image(
@@ -968,14 +944,15 @@ def criterion_15():
     checks = []
     n = G.n
     basis = [(g, h) for g in range(n) for h in range(n)]
-    # coassociativity, counit and antipode axioms for both structures
+    structures = (
+        (DoubleElement.dg_coproduct, DoubleElement.dg_mul, DoubleElement.dg_antipode),
+        (DoubleElement.dvee_coproduct, DoubleElement.dvee_mul, DoubleElement.dvee_antipode),
+    )
+    # coassociativity and counit axioms for both structures
     ok = True
     for (g, h) in basis:
         x = DoubleElement.basis(G, g, h)
-        for coproduct, product, antipode in (
-            (DoubleElement.dg_coproduct, DoubleElement.dg_mul, DoubleElement.dg_antipode),
-            (DoubleElement.dvee_coproduct, DoubleElement.dvee_mul, DoubleElement.dvee_antipode),
-        ):
+        for coproduct, _, _ in structures:
             delta = coproduct(x)
             left = {}
             right = {}
@@ -998,46 +975,9 @@ def criterion_15():
                     c_right = c_right + DoubleElement.basis(G, g1, h1, c)
             if c_left != x or c_right != x:
                 ok = False
-            s_left = DoubleElement(G)
-            s_right = DoubleElement(G)
-            for ((g1, h1), (g2, h2)), c in delta.items():
-                a = DoubleElement.basis(G, g1, h1)
-                b = DoubleElement.basis(G, g2, h2)
-                s_left = s_left + product(antipode(a), b).scale(c)
-                s_right = s_right + product(a, antipode(b)).scale(c)
-            expected = DoubleElement.unit(G).scale(x.counit())
-            if s_left != expected or s_right != expected:
-                ok = False
+    ok = all(antipode_axiom_holds(G, *s) for s in structures) and ok
     checks.append(_check("c15 Hopf axioms for both structures on the full S3 basis", ok))
-    # bialgebra compatibility on all pairs
-    ok = True
-    for (g, h) in basis:
-        for (u_, v_) in basis:
-            a = DoubleElement.basis(G, g, h)
-            b = DoubleElement.basis(G, u_, v_)
-            for coproduct, product in (
-                (DoubleElement.dg_coproduct, DoubleElement.dg_mul),
-                (DoubleElement.dvee_coproduct, DoubleElement.dvee_mul),
-            ):
-                lhs = coproduct(product(a, b))
-                rhs = {}
-                da, db = coproduct(a), coproduct(b)
-                for (a1, a2), c1 in da.items():
-                    for (b1, b2), c2 in db.items():
-                        first = product(
-                            DoubleElement.basis(G, *a1), DoubleElement.basis(G, *b1)
-                        )
-                        second = product(
-                            DoubleElement.basis(G, *a2), DoubleElement.basis(G, *b2)
-                        )
-                        for k1, c3 in first.terms.items():
-                            for k2, c4 in second.terms.items():
-                                key = (k1, k2)
-                                val = rhs.get(key, ZERO) + c1 * c2 * c3 * c4
-                                rhs[key] = val
-                rhs = {k: v for k, v in rhs.items() if v}
-                if lhs != rhs:
-                    ok = False
+    ok = all(bialgebra_axiom_holds(G, coproduct, product) for coproduct, product, _ in structures)
     checks.append(_check("c15 bialgebra compatibility on all S3 pairs", ok))
     # star, pairing and quantum Killing form identities
     ok = all(
@@ -1045,8 +985,6 @@ def criterion_15():
         for (g, h) in basis
     )
     checks.append(_check("c15 star is involutive", ok))
-    from .double import killing_Q
-
     ok = True
     for (g, h) in basis:
         x = DoubleElement.basis(G, g, h)
@@ -1078,8 +1016,6 @@ def criterion_15():
                                 ok = False
     checks.append(_check("c15 Schur orthogonality for the S3 catalogue", ok))
     # Yang-Baxter and second-inverse identities for each S3 block
-    from .braided import BlockRMatrices
-
     ok_ybe = True
     ok_inv = True
     for ctx, pi in double_irreps(G):
@@ -1121,11 +1057,5 @@ ALL_CRITERIA = [
 ]
 
 
-def run_regression(include_s4: bool = True):
-    results = []
-    for crit in ALL_CRITERIA:
-        if crit is criterion_11:
-            results.extend(crit(include_s4=include_s4))
-        else:
-            results.extend(crit())
-    return results
+def run_regression():
+    return [check for crit in ALL_CRITERIA for check in crit()]

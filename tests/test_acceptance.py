@@ -19,8 +19,8 @@ from qdouble.poly import Poly
 from qdouble.regression import S3Data
 
 
-def _run(criterion, **kw):
-    results = criterion(**kw)
+def _run(criterion):
+    results = criterion()
     for name, ok, detail in results:
         print(f"{'PASS' if ok else 'FAIL'}  {name}" + (f"  [{detail}]" if detail else ""))
     failed = [name for name, ok, _ in results if not ok]
@@ -68,7 +68,7 @@ def test_criterion_10_free_fields():
 
 
 def test_criterion_11_braided_lie_axioms():
-    _run(regression.criterion_11, include_s4=True)
+    _run(regression.criterion_11)
 
 
 def test_criterion_12_quadratic_dimensions():

@@ -96,6 +96,42 @@ def test_axiom_negative_control(data):
     lie._bracket_cache[key] = {k: v * cyc(2) for k, v in lie.bracket(*key).items()}
     lie._psit_cache.clear()
     assert not (lie.check_L1() and lie.check_L2() and lie.check_L3())
+    assert not all(lie.axioms().values())
+
+
+def test_action_table_is_conjugation_of_matrix_units(data):
+    """lie.action[g][idx] = rho(g) E rho(g^-1) for E = |a,i><b,j| in V_{C,pi},
+    on every non-trivial S3 block and the S4 4-cycle block."""
+    from qdouble.double import build_VCpi, centralizer_irreps
+    from qdouble.groups import FiniteGroup, class_context
+
+    blocks = [
+        (ctx, pi)
+        for ctx in (data.ctx1, data.ctx2, data.ctx3)
+        for pi in centralizer_irreps(ctx)
+        if not (ctx.rep == 0 and pi.is_trivial())
+    ]
+    S4 = FiniteGroup.symmetric(4)
+    ctx4 = class_context(S4, "s1s2s3")
+    blocks.append((ctx4, centralizer_character(ctx4, 1)))
+    for ctx, pi in blocks:
+        lie = lie_cpi(ctx, pi)
+        G = ctx.group
+        rho = build_VCpi(ctx, pi).action
+        pos = {c: k for k, c in enumerate(ctx.cls)}
+        dim = len(rho[0])
+        for g in range(G.n):
+            for idx, (_, a, i, b, j) in enumerate(lie.basis):
+                # rho(g) |r><s| rho(g^-1) has entries rho(g)[x][r] rho(g^-1)[s][y]
+                r, s = pos[a] * pi.dim + i, pos[b] * pi.dim + j
+                expected = {}
+                for x in range(dim):
+                    for y in range(dim):
+                        coeff = rho[g][x][r] * rho[G.inv[g]][s][y]
+                        if coeff:
+                            (a2, k), (b2, l) = divmod(x, pi.dim), divmod(y, pi.dim)
+                            expected[lie.index_of(0, ctx.cls[a2], k, ctx.cls[b2], l)] = coeff
+                assert dict(lie.action[g][idx]) == expected
 
 
 def test_regular_braided_lie_on_double(data):

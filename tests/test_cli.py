@@ -76,6 +76,7 @@ def test_quotient_dims():
 def test_braided_report():
     out = run_cli("braided", "--scenario", str(SCENARIOS / "s3_case_iii_plus.json"))
     report = json.loads(out.stdout)
+    assert set(report["axioms"]) == {"L1", "L2", "L3", "L4", "braid_relation", "regular"}
     assert all(report["axioms"].values())
     assert report["image"]["surjective"] is True
 

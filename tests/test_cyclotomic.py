@@ -108,3 +108,17 @@ def test_real_and_imaginary_parts():
     z = cyc(3) + i * cyc(2)
     assert z.real_part() == cyc(3)
     assert z.imag_part() == cyc(2)
+
+
+def test_hash_agrees_with_eq_across_orders():
+    z3 = root_of_unity(3, 1)
+    assert z3 == z3.promote(6)
+    assert len({z3, z3.promote(6), z3.promote(12)}) == 1
+    rng = random.Random(19)
+    for _ in range(200):
+        a = _random_cyc(rng)
+        for factor in (2, 3, 4):
+            assert hash(a.promote(a.order * factor)) == hash(a)
+    # a rational hashes as the Fraction it equals
+    for value in (0, -3, Fraction(2, 7)):
+        assert hash(cyc(value).promote(12)) == hash(Fraction(value))

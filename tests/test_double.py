@@ -18,6 +18,8 @@ from qdouble.double import (
     killing_Q,
     beta,
     quasi_R,
+    antipode_axiom_holds,
+    bialgebra_axiom_holds,
 )
 import qdouble.linalg as la
 
@@ -218,3 +220,24 @@ def test_braiding_invertible(s3, ctx2):
     module = build_VCpi(ctx2, centralizer_character(ctx2, 2))
     m = module.braiding_matrix(module)
     assert la.rank(m) == module.dim * module.dim
+
+
+def test_shared_hopf_checkers_and_negative_controls(s3):
+    D = DoubleElement
+    assert antipode_axiom_holds(s3, D.dg_coproduct, D.dg_mul, D.dg_antipode)
+    assert antipode_axiom_holds(s3, D.dvee_coproduct, D.dvee_mul, D.dvee_antipode)
+    assert bialgebra_axiom_holds(s3, D.dg_coproduct, D.dg_mul)
+    assert not antipode_axiom_holds(s3, D.dg_coproduct, D.dg_mul, D.dvee_antipode)
+    # BD(G) needs the crossed-module braiding between the middle factors
+    assert not bialgebra_axiom_holds(s3, D.dvee_coproduct, D.dg_mul)
+
+
+def test_double_irreps_fails_before_building_any_catalogue(monkeypatch):
+    import qdouble.double
+
+    def refuse(group):
+        raise AssertionError("a catalogue was built")
+
+    monkeypatch.setattr(qdouble.double, "irrep_catalog", refuse)
+    with pytest.raises(ValueError, match="no centralizer irreducible catalogue for this class"):
+        double_irreps(FiniteGroup.symmetric(5))

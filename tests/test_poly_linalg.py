@@ -19,6 +19,18 @@ def test_poly_arithmetic():
     assert (p - p).is_zero()
 
 
+def test_poly_hash_agrees_with_aligning_eq():
+    x, y = Poly.variable("x", ("x", "y")), Poly.variable("y", ("x", "y"))
+    p = x * root_of_unity(3, 1) + y * y
+    swapped = Poly.variable("x", ("y", "x")) * root_of_unity(3, 1).promote(6) + (
+        Poly.variable("y", ("y", "x")) ** 2
+    )
+    wider = p.extend(("x", "y", "z"))
+    assert p == swapped == wider
+    assert hash(p) == hash(swapped) == hash(wider)
+    assert len({p, swapped, wider}) == 1
+
+
 def test_poly_conj_fixes_real_parameters():
     V = ("t",)
     t = Poly.variable("t", V)
