@@ -90,6 +90,26 @@ def build_pi(ctx, scenario: dict):
     return catalog(ctx.centralizer, spec["kind"], **{k: v for k, v in spec.items() if k != "kind"})
 
 
+def exact_number(value, key: str) -> Fraction:
+    """An int, or an [int, int] pair with a nonzero denominator, as a Fraction.
+
+    Scenario numbers are exact: a float, a bool or a number written as a
+    string is a configuration error, not something to round.
+    """
+
+    def whole(x):
+        return isinstance(x, int) and not isinstance(x, bool)
+
+    if whole(value):
+        return Fraction(value)
+    if isinstance(value, list) and len(value) == 2 and all(map(whole, value)) and value[1]:
+        return Fraction(value[0], value[1])
+    raise ConfigError(
+        f"{key}: expected an integer or an [integer, integer] pair with a nonzero denominator, "
+        f"got {value!r}"
+    )
+
+
 def scalar_json(value) -> dict:
     if isinstance(value, Cyc):
         return value.to_json()
@@ -239,15 +259,15 @@ def cmd_geometry(scenario, args):
     lengths = {}
     for key, value in lengths_spec.items():
         if isinstance(value, str):
+            if not value.isidentifier():
+                raise ConfigError(f"lengths.{key}: {value!r} is neither a number nor a variable name")
             lengths[key] = Poly.variable(value, variables)
         else:
-            lengths[key] = cyc(Fraction(value)) if not isinstance(value, list) else cyc(
-                Fraction(value[0], value[1])
-            )
+            lengths[key] = cyc(exact_number(value, f"lengths.{key}"))
     if "stratum" in scenario:
         # bindings like l1 = (a/b) l2
         target, num, den, source = scenario["stratum"]
-        lengths[target] = Poly.variable(source, variables) * cyc(Fraction(num, den))
+        lengths[target] = Poly.variable(source, variables) * cyc(exact_number([num, den], "stratum"))
     ip = ip_from_lengths(basis, lengths, variables)
     flags = scenario.get("flags", ["covariant", "torsion_free", "cotorsion_free"])
     linear = [f for f in flags if f in ("covariant", "torsion_free", "cotorsion_free")]

@@ -2,20 +2,28 @@
 
 Every scalar in this package is a ``Cyc``: a vector of rationals in the
 power basis {1, z, ..., z^(phi(N)-1)} of Q(zeta_N), reduced modulo the
-N-th cyclotomic polynomial.  Mixed-order expressions are promoted to the
-lcm order, using the embedding zeta_N -> zeta_M^(M/N) for N | M.
+N-th cyclotomic polynomial.  A coefficient is an ``int`` when it is a whole
+number and a ``Fraction`` otherwise; every division goes through
+``Fraction``, so no float ever enters.
+
+The order N is a tag, not the conductor of the value: it is the lcm of the
+orders of every operand that fed the value, because no operation lowers
+it.  A rational computed at N = 3 keeps N = 3, and ``to_json`` writes it
+as ``{"N": 3, "coeffs": [[num, den], [0, 1]]}``.  Mixed-order expressions are
+promoted to the lcm order, using the embedding zeta_N -> zeta_M^(M/N) for
+N | M; a rational operand needs no promotion, only zero padding.
 """
 
 from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from math import gcd
+from functools import cache
+from math import gcd, lcm
+from operator import add, sub
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
-
+@cache
 def _phi(n: int) -> int:
     result, k = n, n
     p = 2
@@ -30,6 +38,12 @@ def _phi(n: int) -> int:
     return result
 
 
+@cache
+def _padding(n: int) -> tuple[int, ...]:
+    """The phi(n) - 1 zero coefficients that follow a rational at order n."""
+    return (0,) * (_phi(n) - 1)
+
+
 def _mobius(n: int) -> int:
     result, p = 1, 2
     while p * p <= n:
@@ -42,24 +56,18 @@ def _mobius(n: int) -> int:
     return -result if n > 1 else result
 
 
-_trace_weight_cache: dict[int, tuple[Fraction, ...]] = {}
-
-
+@cache
 def _trace_weights(n: int) -> tuple[Fraction, ...]:
     """Tr(zeta_n^k) / phi(n) = mu(n/d) / phi(n/d) with d = gcd(n, k), for k < phi(n)."""
-    if n not in _trace_weight_cache:
-        _trace_weight_cache[n] = tuple(
-            Fraction(_mobius(n // gcd(n, k)), _phi(n // gcd(n, k))) for k in range(_phi(n))
-        )
-    return _trace_weight_cache[n]
+    return tuple(Fraction(_mobius(n // gcd(n, k)), _phi(n // gcd(n, k))) for k in range(_phi(n)))
 
 
-def _poly_divmod(num: list[Fraction], den: list[Fraction]):
+def _poly_divmod(num: list[int], den: list[int]):
+    """Quotient and remainder of integer polynomials, for a monic den."""
     num = num[:]
-    q = [_ZERO] * max(1, len(num) - len(den) + 1)
-    dlead = den[-1]
+    q = [0] * max(1, len(num) - len(den) + 1)
     for i in range(len(num) - len(den), -1, -1):
-        c = num[i + len(den) - 1] / dlead
+        c = num[i + len(den) - 1]
         if c:
             q[i] = c
             for j, d in enumerate(den):
@@ -69,57 +77,61 @@ def _poly_divmod(num: list[Fraction], den: list[Fraction]):
     return q, num
 
 
-_cyclotomic_cache: dict[int, list[Fraction]] = {}
-
-
-def cyclotomic_polynomial(n: int) -> list[Fraction]:
-    """Coefficients of Phi_n, low degree first."""
-    if n in _cyclotomic_cache:
-        return _cyclotomic_cache[n]
+@cache
+def cyclotomic_polynomial(n: int) -> list[int]:
+    """Integer coefficients of the monic Phi_n, low degree first."""
     # divide x^n - 1 by the proper cyclotomic divisors
-    poly = [-_ONE] + [_ZERO] * (n - 1) + [_ONE]
+    poly = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
             poly, rem = _poly_divmod(poly, cyclotomic_polynomial(d))
-            assert len(rem) == 1 and not rem[0]
-    _cyclotomic_cache[n] = poly
+            assert rem == [0]
     return poly
 
 
-_reduction_cache: dict[int, list[tuple[Fraction, ...]]] = {}
-
-
-def _reduction_table(n: int) -> list[tuple[Fraction, ...]]:
+@cache
+def _reduction_table(n: int) -> list[tuple[int, ...]]:
     """Power basis expansion of zeta_n^e for 0 <= e < max(2*phi(n), n)."""
-    if n in _reduction_cache:
-        return _reduction_cache[n]
     phi = _phi(n)
     mod = cyclotomic_polynomial(n)
-    rows: list[tuple[Fraction, ...]] = []
-    current = [_ONE] + [_ZERO] * (phi - 1)
+    rows: list[tuple[int, ...]] = []
+    current = [1] + [0] * (phi - 1)
     for _ in range(max(2 * phi, n)):
         rows.append(tuple(current))
-        nxt = [_ZERO] + current[:-1]
+        nxt = [0] + current[:-1]
         top = current[-1]
         if top:
             for j in range(phi):
                 nxt[j] -= top * mod[j]
         current = nxt
-    _reduction_cache[n] = rows
     return rows
 
 
-def _reduce(n: int, coeffs: list[Fraction]) -> tuple[Fraction, ...]:
+def _canonical(values) -> tuple:
+    """The coefficients with every whole-number Fraction turned into an int."""
+    return tuple([v if v.__class__ is int or v.denominator != 1 else v.numerator for v in values])
+
+
+def _rational(value):
+    """value as a canonical coefficient; only an int or a Fraction is exact."""
+    if isinstance(value, int):
+        return int(value)
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
+    raise TypeError(f"a cyclotomic coefficient must be an int or a Fraction, got {value!r}")
+
+
+def _reduce(n: int, coeffs: list) -> tuple:
     phi = _phi(n)
     table = _reduction_table(n)
-    out = list(coeffs[:phi]) + [_ZERO] * (phi - len(coeffs))
+    out = list(coeffs[:phi]) + [0] * (phi - len(coeffs))
     for e in range(phi, len(coeffs)):
         c = coeffs[e]
         if c:
             row = table[e]
             for j in range(phi):
                 out[j] += c * row[j]
-    return tuple(out)
+    return _canonical(out)
 
 
 class Cyc:
@@ -131,26 +143,28 @@ class Cyc:
         if not isinstance(order, int) or order < 1:
             raise ValueError(f"cyclotomic order must be a positive integer, got {order!r}")
         self.order = order
-        coeffs = tuple(Fraction(c) for c in coeffs)
-        phi = _phi(order)
-        if len(coeffs) != phi:
-            coeffs = _reduce(order, list(coeffs))
-        self.coeffs = coeffs
+        coeffs = [_rational(c) for c in coeffs]
+        self.coeffs = tuple(coeffs) if len(coeffs) == _phi(order) else _reduce(order, coeffs)
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
+    def _make(order: int, coeffs: tuple) -> "Cyc":
+        """Wrap coefficients that are already reduced and canonical."""
+        out = object.__new__(Cyc)
+        out.order = order
+        out.coeffs = coeffs
+        return out
+
+    @staticmethod
     def rational(value) -> "Cyc":
-        return Cyc(1, (Fraction(value),))
+        return Cyc._make(1, (_rational(value),))
 
     @staticmethod
     def zeta(order: int, power: int = 1) -> "Cyc":
         if not isinstance(order, int) or order < 1:
             raise ValueError(f"cyclotomic order must be a positive integer, got {order!r}")
-        k = power % order
-        coeffs = [_ZERO] * (k + 1)
-        coeffs[k] = _ONE
-        return Cyc(order, _reduce(order, coeffs))
+        return Cyc._make(order, _reduction_table(order)[power % order])
 
     # -- order promotion ------------------------------------------------
 
@@ -161,59 +175,85 @@ class Cyc:
         if order % self.order:
             raise ValueError(f"cannot promote order {self.order} into order {order}")
         step = order // self.order
-        out = [_ZERO] * order
+        out = [0] * order
         for k, c in enumerate(self.coeffs):
-            if c:
-                out[k * step] += c
-        return Cyc(order, _reduce(order, out))
-
-    def _common(self, other: "Cyc"):
-        if self.order == other.order:
-            return self, other
-        m = self.order * other.order // gcd(self.order, other.order)
-        return self.promote(m), other.promote(m)
+            out[k * step] = c
+        return Cyc._make(order, _reduce(order, out))
 
     # -- ring operations -------------------------------------------------
+    #
+    # Each operation first tries a path that needs no promotion: equal
+    # orders, two rationals (one scalar op, zero padded to the lcm order),
+    # or a rational whose order divides the other operand's.
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self._common(other)
-        return Cyc(a.order, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        if other.__class__ is not Cyc:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return self._combine(other, add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyc(self.order, tuple(-x for x in self.coeffs))
+        return Cyc._make(self.order, tuple([-x for x in self.coeffs]))
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        if other.__class__ is not Cyc:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return self._combine(other, sub)
 
     def __rsub__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return other._combine(self, sub)
+
+    def _combine(self, other: "Cyc", op) -> "Cyc":
+        """op(self, other) for op = operator.add or operator.sub."""
+        n, m = self.order, other.order
+        a, b = self.coeffs, other.coeffs
+        if n == m:
+            return Cyc._make(n, _canonical(map(op, a, b)))
+        order = lcm(n, m)
+        if not any(a[1:]) and not any(b[1:]):
+            return Cyc._make(order, _canonical((op(a[0], b[0]),)) + _padding(order))
+        return self.promote(order)._combine(other.promote(order), op)
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self._common(other)
-        n = len(a.coeffs)
-        if n == 1:
-            return Cyc(a.order, (a.coeffs[0] * b.coeffs[0],))
-        prod = [_ZERO] * (2 * n - 1)
-        for i, x in enumerate(a.coeffs):
+        if other.__class__ is not Cyc:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        n, m = self.order, other.order
+        a, b = self.coeffs, other.coeffs
+        if not any(a[1:]):
+            x = a[0]
+            if not any(b[1:]):
+                x *= b[0]
+                if x.__class__ is not int and x.denominator == 1:
+                    x = x.numerator
+                order = lcm(n, m)
+                return Cyc._make(order, (x,) + _padding(order))
+            if m % n == 0:
+                return Cyc._make(m, _canonical([x * y for y in b]))
+        elif not any(b[1:]) and n % m == 0:
+            y = b[0]
+            return Cyc._make(n, _canonical([x * y for x in a]))
+        if n != m:
+            order = lcm(n, m)
+            a, b = self.promote(order).coeffs, other.promote(order).coeffs
+            n = order
+        k = len(a)
+        prod = [0] * (2 * k - 1)
+        for i, x in enumerate(a):
             if x:
-                for j, y in enumerate(b.coeffs):
+                for j, y in enumerate(b):
                     if y:
                         prod[i + j] += x * y
-        return Cyc(a.order, _reduce(a.order, prod))
+        return Cyc._make(n, _reduce(n, prod))
 
     __rmul__ = __mul__
 
@@ -226,14 +266,14 @@ class Cyc:
             raise ZeroDivisionError("inverse of zero in a cyclotomic field")
         n = self.order
         if len(self.coeffs) == 1:
-            return Cyc(n, (1 / self.coeffs[0],))
+            return Cyc._make(n, _canonical((Fraction(1, self.coeffs[0]),)))
         cofactor = None
         for k in range(2, n):
             if gcd(k, n) == 1:
                 image = self.galois(k)
                 cofactor = image if cofactor is None else cofactor * image
         norm = (self * cofactor).coeffs[0]
-        return Cyc(n, tuple(c / norm for c in cofactor.coeffs))
+        return Cyc._make(n, _canonical([Fraction(c, norm) for c in cofactor.coeffs]))
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -263,13 +303,13 @@ class Cyc:
         """Field automorphism sigma_k: zeta_N -> zeta_N^k, for k prime to N."""
         n = self.order
         table = _reduction_table(n)
-        out = [_ZERO] * len(self.coeffs)
+        out = [0] * len(self.coeffs)
         for e, c in enumerate(self.coeffs):
             if c:
                 row = table[(e * k) % n]
                 for j in range(len(out)):
                     out[j] += c * row[j]
-        return Cyc(n, tuple(out))
+        return Cyc._make(n, _canonical(out))
 
     def conj(self) -> "Cyc":
         """Complex conjugation, the automorphism sigma_(N-1)."""
@@ -286,7 +326,7 @@ class Cyc:
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.coeffs[0])
 
     def real_part(self) -> "Cyc":
         return (self + self.conj()) * Cyc.rational(Fraction(1, 2))
@@ -297,14 +337,23 @@ class Cyc:
         return (self - self.conj()) / (i + i)
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return any(self.coeffs)
 
     def __eq__(self, other) -> bool:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self._common(other)
-        return a.coeffs == b.coeffs
+        if other.__class__ is not Cyc:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b = self.coeffs, other.coeffs
+        if self.order == other.order:
+            return a == b
+        # the power basis is a Q-basis, so a value is rational exactly when
+        # its coefficients past the first vanish, at every order
+        rational_a, rational_b = not any(a[1:]), not any(b[1:])
+        if rational_a or rational_b:
+            return rational_a and rational_b and a[0] == b[0]
+        order = lcm(self.order, other.order)
+        return self.promote(order).coeffs == other.promote(order).coeffs
 
     def __hash__(self):
         """Hash of the normalised trace Tr(x) / phi(N), which is the same at

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SCENARIOS = Path(__file__).resolve().parent.parent / "src" / "qdouble" / "scenarios"
 
 
@@ -97,6 +99,28 @@ def test_quaternion_group_is_a_configuration_error(tmp_path):
     out = run_cli("double-irreps", "--scenario", str(q8))
     assert out.returncode == 2
     assert "configuration error" in out.stderr
+
+
+@pytest.mark.parametrize(
+    "change, key",
+    [
+        ({"lengths": {"u": 0.1, "uv": "l2"}}, "lengths.u"),
+        ({"lengths": {"u": [1.5, 2], "uv": "l2"}}, "lengths.u"),
+        ({"lengths": {"uv": "l2"}, "stratum": ["u", 2, 0, "l2"]}, "stratum"),
+        ({"lengths": {"u": True, "uv": "l2"}}, "lengths.u"),
+        ({"lengths": {"u": "0.1", "uv": "l2"}}, "lengths.u"),
+        ({"lengths": {"uv": "l2"}, "stratum": ["u", "2", 3, "l2"]}, "stratum"),
+    ],
+    ids=["float", "float-pair", "zero-denominator", "bool", "string-number", "string-pair"],
+)
+def test_inexact_scenario_numbers_are_configuration_errors(tmp_path, change, key):
+    scenario = json.loads((SCENARIOS / "s3_case_ii.json").read_text())
+    scenario.update(change)
+    path = tmp_path / "inexact.json"
+    path.write_text(json.dumps(scenario))
+    out = run_cli("geometry", "--scenario", str(path))
+    assert out.returncode == 2
+    assert out.stderr.startswith(f"configuration error: {key}:")
 
 
 def test_verify_paper_stdout_is_json(monkeypatch, capsys):
