@@ -42,28 +42,28 @@ def _addto(d, key, coeff):
 
 def _braid_relation_holds(psi, n: int) -> bool:
     """psi_12 psi_23 psi_12 = psi_23 psi_12 psi_23 on every basis triple of
-    an n-dimensional space; psi(i, j) is the image {(a, b): coeff} of (i, j)."""
-
-    def apply12(vec):
-        out: dict = {}
-        for (i, j, k), c in vec.items():
-            for (a, b), c2 in psi(i, j).items():
-                _addto(out, (a, b, k), c * c2)
-        return out
-
-    def apply23(vec):
-        out: dict = {}
-        for (i, j, k), c in vec.items():
-            for (a, b), c2 in psi(j, k).items():
-                _addto(out, (i, a, b), c * c2)
-        return out
-
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                start = {(i, j, k): ONE}
-                if apply12(apply23(apply12(start))) != apply23(apply12(apply23(start))):
-                    return False
+    an n-dimensional space; psi(i, j) is the image {(a, b): coeff} of (i, j).
+    The sides are A psi_12 and psi_23 A with A = psi_12 psi_23, tabulated for
+    one last index k at a time, since psi_12 keeps it."""
+    for k in range(n):
+        composed: dict = {}
+        for i in range(n):
+            for j in range(n):
+                out = composed[i, j] = {}
+                for (a, b), c in psi(j, k).items():
+                    for (x, y), c2 in psi(i, a).items():
+                        _addto(out, (x, y, b), c * c2)
+        for (i, j), image in composed.items():
+            lhs: dict = {}
+            for (a, b), c in psi(i, j).items():
+                for t, c2 in composed[a, b].items():
+                    _addto(lhs, t, c * c2)
+            rhs: dict = {}
+            for (x, y, z), c in image.items():
+                for (a, b), c2 in psi(y, z).items():
+                    _addto(rhs, (x, a, b), c * c2)
+            if lhs != rhs:
+                return False
     return True
 
 
@@ -238,11 +238,9 @@ class BraidedLie:
                 targets.add(key)
             return len(targets) == self.dim * self.dim
         span = SparseSpan()
-        count = 0
         for v in values:
-            if span.add(dict(v)):
-                count += 1
-        return count == self.dim * self.dim
+            span.add(dict(v))
+        return span.rank == self.dim * self.dim
 
     def check_braid_relation(self) -> bool:
         """PsiT_12 PsiT_23 PsiT_12 = PsiT_23 PsiT_12 PsiT_23 on triple products."""

@@ -351,6 +351,8 @@ def cmd_killing(scenario, args):
 
 
 def cmd_envelope(scenario, args):
+    if args.degree < 0:
+        raise ConfigError(f"--degree must be 0 or more, got {args.degree}")
     group = build_group(scenario["group"])
     ctx = build_context(group, scenario)
     pi = build_pi(ctx, scenario)

@@ -7,6 +7,8 @@ vectors are lists.
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
+
 
 def mat_mul(a, b):
     n, k, m = len(a), len(b), len(b[0])
@@ -128,36 +130,39 @@ def inverse(matrix):
     return [row[n:] for row in rows[:n]]
 
 
-def _subtract(target: dict, c, row: dict) -> None:
-    """target -= c * row in place, dropping the entries that become zero."""
-    for k, v in row.items():
-        nv = target.get(k)
-        nv = -c * v if nv is None else nv - c * v
-        if nv:
-            target[k] = nv
-        elif k in target:
-            del target[k]
-
-
 class SparseSpan:
     """Incremental row space over a field, rows as {column_key: scalar} dicts.
 
-    Rows are reduced against the stored echelon basis on insertion; pivots
-    are chosen as the minimum column key of the reduced row.
+    Stored rows are echelon, not reduced: each is monic at its pivot, its
+    minimum key, and may be nonzero on pivot columns stored after it.
     """
 
     def __init__(self):
         self.pivots: dict = {}
 
     def reduce(self, row: dict) -> dict:
-        """Subtract stored rows until no pivot column of the row is left.
+        """Clear the pivot columns of the row, smallest first.
 
-        A stored row is zero on every other pivot column, so a subtraction
-        never adds a pivot column to the row: one ascending pass suffices.
+        A subtraction may bring in pivot columns above the one it clears, so
+        they wait in a heap.  Only whether the remainder is empty is canonical.
         """
         row = {k: v for k, v in row.items() if v}
-        for col in sorted(k for k in row if k in self.pivots):
-            _subtract(row, row[col], self.pivots[col])
+        todo = [k for k in row if k in self.pivots]
+        heapify(todo)
+        while todo:
+            col = heappop(todo)
+            c = row.get(col)
+            if not c:
+                continue
+            for k, v in self.pivots[col].items():
+                if k in row:
+                    row[k] -= c * v
+                    if not row[k]:
+                        del row[k]
+                else:
+                    row[k] = -c * v
+                    if k in self.pivots:
+                        heappush(todo, k)
         return row
 
     def add(self, row: dict) -> bool:
@@ -167,13 +172,7 @@ class SparseSpan:
             return False
         col = min(row)
         inv = 1 / row[col] if not hasattr(row[col], "inverse") else row[col].inverse()
-        row = {k: v * inv for k, v in row.items()}
-        # back-substitute into existing pivots
-        for prow in self.pivots.values():
-            c = prow.get(col)
-            if c:
-                _subtract(prow, c, row)
-        self.pivots[col] = row
+        self.pivots[col] = {k: v * inv for k, v in row.items()}
         return True
 
     def contains(self, row: dict) -> bool:

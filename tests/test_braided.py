@@ -1,3 +1,6 @@
+from fractions import Fraction
+from itertools import product
+
 import pytest
 
 from qdouble.cyclotomic import cyc
@@ -193,6 +196,75 @@ def test_envelope_dims_case_ii(data):
         expected_d2 = 10 if j == 0 else 6
         assert env.graded_dimension(2) == expected_d2
         assert env.hilbert_prefix(3) == fa.hilbert_prefix(3)
+
+
+# P = 1 mod 6, so zeta_N -> W ** (6 // N) for N | 6 is a ring map from the
+# P-integral part of Q(zeta_N) to F_P, compatible across the orders N.
+P = 1_000_000_009
+W = next(w for w in (pow(x, (P - 1) // 6, P) for x in range(2, 100)) if pow(w, 2, P) != 1 and pow(w, 3, P) != 1)
+
+
+def _mod_p(x):
+    assert 6 % x.order == 0
+    w = pow(W, 6 // x.order, P)
+    total = 0
+    for i, c in enumerate(x.coeffs):
+        c = Fraction(c)
+        total += c.numerator * pow(c.denominator, -1, P) * pow(w, i, P)
+    return total % P
+
+
+def _rank_mod_p(rows):
+    """Rank over F_P by leading-term reduction of int rows {key: value}."""
+    pivots = {}
+    for row in rows:
+        row = {k: v for k, v in row.items() if v}
+        while row:
+            col = min(row)
+            if col not in pivots:
+                inv = pow(row[col], -1, P)
+                pivots[col] = {k: v * inv % P for k, v in row.items()}
+                break
+            f = row[col]
+            for k, v in pivots[col].items():
+                v = (row.get(k, 0) - f * v) % P
+                if v:
+                    row[k] = v
+                else:
+                    del row[k]
+    return len(pivots)
+
+
+def _graded_dims_mod_p(alg, maxdeg):
+    """n^d minus the rank mod P of the rows T^a (x) R (x) T^b, a + 2 + b = d."""
+    rels = [{k: _mod_p(c) for k, c in r.items()} for r in alg._all_quadratic_parts()]
+    return [
+        alg.n**d
+        - _rank_mod_p(
+            {prefix + k + suffix: v for k, v in rel.items()}
+            for rel in rels
+            for a in range(d - 1)
+            for prefix in product(range(alg.n), repeat=a)
+            for suffix in product(range(alg.n), repeat=d - 2 - a)
+        )
+        for d in range(maxdeg + 1)
+    ]
+
+
+def test_graded_dims_match_rank_mod_p(data):
+    """Rank mod P is at most the rank over Q(zeta_3), so equal graded dims of
+    U(L) and of the FRT algebra are an independent witness of the exact ones."""
+    from qdouble.double import centralizer_irreps
+
+    blocks = 0
+    for ctx in (data.ctx1, data.ctx2, data.ctx3):
+        for pi in centralizer_irreps(ctx):
+            if ctx.rep == 0 and pi.dim == 1 and all(m[0][0] == ONE for m in pi.matrices):
+                continue
+            for alg in (envelope(lie_cpi(ctx, pi), maxdeg=3), frt([(ctx, pi)], maxdeg=3)):
+                assert alg.hilbert_prefix(3) == _graded_dims_mod_p(alg, 3)
+            blocks += 1
+    assert blocks == 7
 
 
 def test_envelope_relations_case_ii(data):

@@ -68,6 +68,17 @@ def test_envelope_dims():
     assert report["frt_dims"] == [1, 9, 33]
 
 
+def test_negative_degree_is_a_configuration_error():
+    out = run_cli("envelope", "--degree", "-1")
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.startswith("configuration error: --degree")
+    out = run_cli("envelope", "--degree", "0")
+    assert out.returncode == 0
+    report = json.loads(out.stdout)
+    assert report["enveloping_dims"] == report["frt_dims"] == [1]
+
+
 def test_quotient_dims():
     out = run_cli("quotient", "--scenario", str(SCENARIOS / "s3_case_iii_plus.json"))
     report = json.loads(out.stdout)

@@ -121,6 +121,52 @@ def test_sparse_span_matches_dense_rank():
             assert span.contains(dict(enumerate(row))) == unchanged
 
 
+def test_echelon_span_clears_pivot_column_brought_in_by_a_subtraction():
+    span = la.SparseSpan()
+    assert span.add({(0, 1): cyc(1), (0, 2): cyc(1)})
+    # pivot (0, 2) arrives after the stored row (0, 1) + (0, 2) that is nonzero on it
+    assert span.add({(0, 2): cyc(1), (1, 0): cyc(1)})
+    # (0, 1) - (1, 0): clearing (0, 1) brings in (0, 2), which must be cleared too
+    difference = {(0, 1): cyc(1), (1, 0): cyc(-1)}
+    assert span.contains(difference)
+    assert not span.add(difference)
+    assert not span.contains({(1, 0): cyc(1)})
+    assert span.rank == 2
+
+
+def test_echelon_span_with_tuple_keys_matches_dense_rank():
+    rng = random.Random(11)
+    keys = [(i, j) for i in range(3) for j in range(3)]
+    entries = [cyc(0), cyc(0), cyc(1), cyc(-2), root_of_unity(3, 1), root_of_unity(3, 2) + cyc(1)]
+    later_pivot_seen = False
+    for _ in range(25):
+        base = [[rng.choice(entries) for _ in keys] for _ in range(rng.randint(2, 5))]
+
+        def combination():
+            row = [cyc(0)] * len(keys)
+            for b in base:
+                c = rng.choice(entries)
+                row = [x + c * y for x, y in zip(row, b)]
+            return dict(zip(keys, row))
+
+        rows = [combination() for _ in range(rng.randint(2, 7))]
+        probes = [combination(), {k: rng.choice(entries) for k in keys}]
+        dense = [[row[k] for k in keys] for row in rows]
+        # as drawn, and by ascending leading key, so that rows stored early are
+        # nonzero on pivot columns added later
+        by_leading_key = sorted(rows, key=lambda row: min((k for k, v in row.items() if v), default=keys[-1]))
+        for order in (rows, by_leading_key):
+            span = la.SparseSpan()
+            for row in order:
+                span.add(row)
+            later_pivot_seen |= any(k != col and k in span.pivots for col, r in span.pivots.items() for k in r)
+            assert span.rank == la.rank(dense)
+            for probe in probes:
+                unchanged = la.rank(dense + [[probe[k] for k in keys]]) == la.rank(dense)
+                assert span.contains(probe) == unchanged
+    assert later_pivot_seen
+
+
 def test_quadalg_symmetric_square():
     """Anticommutation relations leave the symmetric square: n(n+1)/2."""
     n = 3
