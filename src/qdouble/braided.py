@@ -224,22 +224,11 @@ class BraidedLie:
         return True
 
     def is_regular(self) -> bool:
-        """Invertibility of the fundamental braiding.
-
-        Monomial braidings (every value a single scaled basis vector) are
-        checked as scaled bijections; otherwise sparse elimination."""
-        values = [self.psit(i, j) for i in range(self.dim) for j in range(self.dim)]
-        if all(len(v) == 1 for v in values):
-            targets = set()
-            for v in values:
-                (key, coeff), = v.items()
-                if not coeff:
-                    return False
-                targets.add(key)
-            return len(targets) == self.dim * self.dim
+        """Invertibility of the fundamental braiding, by sparse elimination."""
         span = SparseSpan()
-        for v in values:
-            span.add(dict(v))
+        for i in range(self.dim):
+            for j in range(self.dim):
+                span.add(dict(self.psit(i, j)))
         return span.rank == self.dim * self.dim
 
     def check_braid_relation(self) -> bool:
@@ -694,7 +683,8 @@ def inclusion_element(ctx: ClassContext, pi: Rep, a, i: int, b, j: int) -> Doubl
 def covering_map_image(blocks) -> dict:
     """Unital subalgebra of the double generated by the inclusion images.
 
-    Exact closure: iterate span + span * generators to a fixed point.
+    Exact closure: every element that enlarges the span is multiplied by
+    every generator once, so the span ends closed under the generators.
     Reports the dimension, surjectivity onto the double, and whether the
     classes generate the group (a necessary condition).
     """
@@ -708,24 +698,13 @@ def covering_map_image(blocks) -> dict:
                     for j in range(pi.dim):
                         gens.append(inclusion_element(ctx, pi, a, i, b, j))
     span = SparseSpan()
-    frontier = [DoubleElement.unit(group)]
-    for g in gens:
-        frontier.append(g)
-    basis_elements = []
-    for elt in frontier:
-        if span.add(dict(elt.terms)):
-            basis_elements.append(elt)
-    changed = True
-    while changed:
-        changed = False
-        new_elements = []
-        for elt in basis_elements:
-            for g in gens:
-                prod = elt.dg_mul(g)
-                if prod and span.add(dict(prod.terms)):
-                    new_elements.append(prod)
-                    changed = True
-        basis_elements.extend(new_elements)
+    work = [elt for elt in [DoubleElement.unit(group)] + gens if span.add(dict(elt.terms))]
+    while work:
+        elt = work.pop()
+        for g in gens:
+            prod = elt.dg_mul(g)
+            if prod and span.add(dict(prod.terms)):
+                work.append(prod)
     classes_union = sorted({c for ctx, _ in blocks for c in ctx.cls})
     return {
         "dimension": span.rank,

@@ -43,6 +43,7 @@ from .braided import (
     quotient_hopf,
 )
 from .poly import Poly
+from . import linalg
 
 
 class ConfigError(Exception):
@@ -341,12 +342,10 @@ def cmd_killing(scenario, args):
     pi = build_pi(ctx, scenario)
     lie = lie_cpi(ctx, pi)
     K = killing_form(lie)
-    import qdouble.linalg as la
-
     return {
         "subcommand": "killing",
         "matrix": [[scalar_json(x) for x in row] for row in K],
-        "nondegenerate": la.rank(K) == lie.dim,
+        "nondegenerate": linalg.rank(K) == lie.dim,
     }
 
 

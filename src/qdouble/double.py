@@ -15,13 +15,7 @@ from fractions import Fraction
 
 from .cyclotomic import Cyc, cyc
 from .groups import FiniteGroup, ClassContext
-from .reps import (
-    Rep,
-    irrep_catalog,
-    abelian_characters,
-    check_homomorphism,
-    _order8_nonabelian_irreps,
-)
+from .reps import Rep, irrep_catalog, irrep_family, check_homomorphism
 from . import linalg
 
 ZERO = Cyc.rational(0)
@@ -367,6 +361,14 @@ class CrossedModule:
                     out[i] = out[i] + coeff * moved[i]
         return out
 
+    def double_matrix(self, x: DoubleElement):
+        """Matrix of x on the module: column j is x acting on basis vector j."""
+        cols = [
+            self.act_double(x, [ONE if i == j else ZERO for i in range(self.dim)])
+            for j in range(self.dim)
+        ]
+        return linalg.transpose(cols)
+
     def braiding_with(self, other: "CrossedModule"):
         """Psi(v_i (x) w_j) = |v_i| |> w_j (x) v_i as a sparse map."""
         def psi(i: int, j: int):
@@ -485,25 +487,9 @@ def block_idempotent(ctx: ClassContext, pi: Rep) -> DoubleElement:
     return total
 
 
-def _centralizer_catalogue(ctx: ClassContext):
-    """The catalogue family that builds the centralizer irreducibles, as a
-    thunk; raises before any building when no family covers the centralizer."""
-    sub = ctx.centralizer
-    if sub.n == ctx.group.n:
-        return lambda: [
-            Rep(sub, [r.matrices[g] for g in sub.embedding], name=r.name)
-            for r in irrep_catalog(ctx.group)
-        ]
-    if sub.is_abelian():
-        return lambda: abelian_characters(sub)
-    if sub.n == 8:
-        return lambda: _order8_nonabelian_irreps(sub)
-    raise ValueError("no centralizer irreducible catalogue for this class")
-
-
 def centralizer_irreps(ctx: ClassContext) -> list[Rep]:
-    """Irreducibles of the centralizer subgroup (catalogue families only)."""
-    return _centralizer_catalogue(ctx)()
+    """Irreducibles of the centralizer subgroup, from the catalogue dispatcher."""
+    return irrep_catalog(ctx.centralizer)
 
 
 def double_irreps(group: FiniteGroup):
@@ -511,8 +497,9 @@ def double_irreps(group: FiniteGroup):
 
     Every class is checked for a catalogue before any catalogue is built."""
     contexts = [ClassContext(group, cls_[0]) for cls_ in group.conjugacy_classes()]
-    catalogues = [_centralizer_catalogue(ctx) for ctx in contexts]
-    return [(ctx, pi) for ctx, build in zip(contexts, catalogues) for pi in build()]
+    if any(irrep_family(ctx.centralizer) is None for ctx in contexts):
+        raise ValueError("no centralizer irreducible catalogue for this class")
+    return [(ctx, pi) for ctx in contexts for pi in centralizer_irreps(ctx)]
 
 
 def decompose_DG_module(module: CrossedModule, pairs=None) -> dict:
@@ -523,12 +510,7 @@ def decompose_DG_module(module: CrossedModule, pairs=None) -> dict:
     out = {}
     total = 0
     for ctx, pi in pairs:
-        p = block_idempotent(ctx, pi)
-        cols = []
-        for j in range(module.dim):
-            vec = [ONE if i == j else ZERO for i in range(module.dim)]
-            cols.append(module.act_double(p, vec))
-        r = linalg.rank(cols)
+        r = linalg.rank(module.double_matrix(block_idempotent(ctx, pi)))
         dim_v = len(ctx.cls) * pi.dim
         if r % dim_v:
             raise RuntimeError("idempotent rank is not a multiple of the block dimension")

@@ -279,10 +279,5 @@ def freefield_solutions(
             # transport along the class context of the inverse element
             other = ClassContext(group, group.class_of(ginv)[0])
             conjugator = other.q[ginv]
-        p = conjugated_projector(ctx, pi, conjugator)
-        cols = []
-        for j in range(module.dim):
-            vec = [ONE if i == j else ZERO for i in range(module.dim)]
-            cols.append(module.act_double(p, vec))
-        blocks[g] = [[cols[j][i] for j in range(module.dim)] for i in range(module.dim)]
+        blocks[g] = module.double_matrix(conjugated_projector(ctx, pi, conjugator))
     return projector_fixed_space(blocks, group, module)

@@ -17,7 +17,7 @@ import itertools
 from fractions import Fraction
 
 from .cyclotomic import Cyc, cyc
-from .poly import Poly, RatFunc, poly_gcd
+from .poly import Poly, RatFunc, _bareiss_det, _content_wrt, poly_gcd
 from .calculus import LambdaBasis
 from .groups import FiniteGroup
 from . import linalg
@@ -129,8 +129,6 @@ class InnerProduct:
 
     def det(self) -> Poly:
         if self._det is None:
-            from .poly import _bareiss_det
-
             self._det = _bareiss_det([[x for x in row] for row in self.matrix])
         return self._det
 
@@ -138,8 +136,6 @@ class InnerProduct:
         """adj with adj @ matrix = det * id; polynomial entries."""
         if self._adj is None:
             n = self.basis.dim
-            from .poly import _bareiss_det
-
             adj = [[None] * n for _ in range(n)]
             for i in range(n):
                 for j in range(n):
@@ -871,7 +867,5 @@ def common_factor_in(residuals, var: str):
         g = poly_gcd(g, r)
         if g.degree(var) <= 0:
             return None
-    from .poly import _content_wrt
-
     content = _content_wrt(g, var)
     return g.exact_div(content).monic_normalize()

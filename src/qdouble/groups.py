@@ -236,7 +236,8 @@ class FiniteGroup:
 
 
 class Subgroup(FiniteGroup):
-    """A subgroup with its own Cayley table plus the embedding into the parent."""
+    """A subgroup with its own Cayley table plus the embedding into the parent;
+    it keeps the parent's permutation images of its elements."""
 
     def __init__(self, parent: FiniteGroup, elements: list[int]):
         elements = sorted(set(elements))
@@ -251,7 +252,8 @@ class Subgroup(FiniteGroup):
         self.parent = parent
         self.embedding = elements
         self.position = pos
-        super().__init__(table, labels=[parent.labels[g] for g in elements])
+        perms = [parent.perms[g] for g in elements] if parent.perms else None
+        super().__init__(table, labels=[parent.labels[g] for g in elements], perms=perms)
 
 
 @dataclass

@@ -68,7 +68,7 @@ from .braided import (
     bdg_braided_checks,
     _braid_relation_holds,
 )
-from .poly import Poly
+from .poly import Poly, _pseudo_rem, poly_gcd, resultant
 from . import linalg
 
 ZERO = Cyc.rational(0)
@@ -505,8 +505,6 @@ def _riemann_extra_component(rres, P3):
     if lin.degree("f") != 1:
         return False
     # r-only consequence: resultant of a quadratic residual with the linear one
-    from .poly import resultant, poly_gcd
-
     rq = resultant(p0, lin, "f")
     rq = strip_monomial_content(rq)
     # expected factor
@@ -518,20 +516,7 @@ def _riemann_extra_component(rres, P3):
         return False
     # discriminant 15^2 - 4*2*21 = 57 > 0: two real roots
     # every residual must reduce to zero modulo (lin, target)
-    for p in at_s1:
-        rem = p
-        while rem and rem.degree("f") >= 1:
-            lead = rem.coeff_of("f", rem.degree("f"))
-            shift = Poly.variable("f", rem.vars) ** (rem.degree("f") - 1)
-            rem = lin.coeff_of("f", 1) * rem - lead * shift * lin
-        # now reduce in r modulo target
-        while rem and rem.degree("r") >= 2:
-            lead = rem.coeff_of("r", rem.degree("r"))
-            shift = Poly.variable("r", rem.vars) ** (rem.degree("r") - 2)
-            rem = target.coeff_of("r", 2) * rem - lead * shift * target
-        if rem:
-            return False
-    return True
+    return not any(_pseudo_rem(_pseudo_rem(p, lin, "f"), target, "r") for p in at_s1)
 
 
 # -- criterion 7: curvature -------------------------------------------------------------

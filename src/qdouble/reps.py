@@ -6,15 +6,23 @@ and abelian groups, Young seminormal representations of S_n for n <= 5
 (rational entries), a dihedral 2-dimensional representation, internal
 products, and user-supplied matrices.  Every representation is validated
 as a homomorphism on construction, on the group's generating set.
+
+Every catalogue representation, except an internal product or user-supplied
+matrices, is built one way: images of a few generators, extended to the
+whole group by ``_extend_from_generators``.  ``irrep_family``
+is the only dispatcher to a family, for whole groups and centralizers alike
+(a ``Subgroup`` keeps its parent's permutations), and ``irrep_catalog``
+builds what it picks.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from .cyclotomic import Cyc, cyc, root_of_unity
-from .groups import FiniteGroup
+from .groups import FiniteGroup, parse_cycles
 from . import linalg
 
 ZERO = Cyc.rational(0)
@@ -116,17 +124,16 @@ def _kron(a, b):
 
 
 def trivial_rep(group: FiniteGroup) -> Rep:
-    return Rep(group, [[[ONE]] for _ in range(group.n)], name="trivial")
+    images = [(s, [[ONE]]) for s in group.generators]
+    return Rep(group, _extend_from_generators(group, images, [[ONE]]), name="trivial")
 
 
 def sign_rep(group: FiniteGroup) -> Rep:
     """Sign of the underlying permutations (requires permutation images)."""
     if group.perms is None:
         raise ValueError("sign representation needs permutation images")
-    mats = []
-    for p in group.perms:
-        mats.append([[cyc(_perm_sign(p))]])
-    return Rep(group, mats, name="sign")
+    images = [(s, [[cyc(_perm_sign(group.perms[s]))]]) for s in group.generators]
+    return Rep(group, _extend_from_generators(group, images, [[ONE]]), name="sign")
 
 
 def _perm_sign(p) -> int:
@@ -153,47 +160,27 @@ def cyclic_rep(group: FiniteGroup, j: int, generator: int | None = None) -> Rep:
         generator = next((g for g in range(n) if group.order_of(g) == n), None)
         if generator is None:
             raise ValueError("group is not cyclic")
-    mats = [None] * n
-    x, k = 0, 0
-    for _ in range(n):
-        mats[x] = [[root_of_unity(n, j * k)]]
-        x = group.table[x][generator]
-        k += 1
-    if any(m is None for m in mats):
-        raise ValueError("chosen generator does not generate the group")
+    # pi(e) is zeta_n^0, not 1: a printed N is the lcm of the operand orders
+    identity = [[root_of_unity(n, 0)]]
+    mats = _extend_from_generators(group, [(generator, [[root_of_unity(n, j)]])], identity)
     return Rep(group, mats, name=f"cyclic_{j}")
 
 
 def abelian_characters(group: FiniteGroup) -> list[Rep]:
-    """All 1-dimensional representations of an abelian group."""
+    """All 1-dimensional representations of an abelian group: every choice of
+    roots of unity on the generators that respects the group's relations."""
     if not group.is_abelian():
         raise ValueError("character enumeration requires an abelian group")
     gens = group.generators
     orders = [group.order_of(g) for g in gens]
     chars = []
     for exps in itertools.product(*(range(o) for o in orders)):
-        values = {0: cyc(1)}
-        ok = True
-        # propagate multiplicatively; consistency checked as we go
-        for g, o, k in zip(gens, orders, exps):
-            base = root_of_unity(o, k)
-            new = {}
-            for x, vx in values.items():
-                y, vy = x, vx
-                for _ in range(o - 1):
-                    y = group.table[y][g]
-                    vy = vy * base
-                    if y in values and values[y] != vy:
-                        ok = False
-                    new[y] = vy
-            values.update(new)
-        if not ok or len(values) != group.n:
-            continue
-        mats = [[[values[g]]] for g in range(group.n)]
+        images = [(g, [[root_of_unity(o, k)]]) for g, o, k in zip(gens, orders, exps)]
+        mats = _extend_from_generators(group, images, [[ONE]])
         try:
             chars.append(Rep(group, mats, name=f"chi{exps}"))
         except ValueError:
-            continue
+            continue  # the images break a relation among the generators
     if len(chars) != group.n:
         raise RuntimeError("abelian character enumeration failed")
     return chars
@@ -228,7 +215,8 @@ def _standard_tableaux(partition):
 
 
 def seminormal_rep(group: FiniteGroup, partition) -> Rep:
-    """Young seminormal form of S_n, rational matrix entries."""
+    """Young seminormal form of S_n, rational matrix entries, extended from the
+    images of the adjacent transpositions (k, k+1)."""
     if group.perms is None:
         raise ValueError("seminormal representation needs permutation images")
     n = len(group.perms[0])
@@ -257,31 +245,13 @@ def seminormal_rep(group: FiniteGroup, partition) -> Rep:
                 m[i][i] = cyc(dd)  # +1 or -1, same row or column
         return m
 
-    smat = {k: transposition_matrix(k) for k in range(1, n)}
-    mats = []
-    for p in group.perms:
-        word = _perm_to_adjacent_word(p)
-        m = linalg.identity(dim, ONE, ZERO)
-        for k in word:
-            m = linalg.mat_mul(m, smat[k])
-        mats.append(m)
+    element = {p: g for g, p in enumerate(group.perms)}
+    adjacent = [parse_cycles([[k, k + 1]], n) for k in range(1, n)]
+    if any(p not in element for p in adjacent):
+        raise ValueError("seminormal representation needs the full symmetric group")
+    gens = [(element[p], transposition_matrix(k)) for k, p in enumerate(adjacent, start=1)]
+    mats = _extend_from_generators(group, gens, linalg.identity(dim, ONE, ZERO))
     return Rep(group, mats, name=f"seminormal{partition}")
-
-
-def _perm_to_adjacent_word(p):
-    """Write p as a product of adjacent transpositions (applied right to left)."""
-    p = list(p)
-    word = []
-    # bubble sort; composition convention matches _compose (q first, then p)
-    arr = list(p)
-    n = len(arr)
-    for i in range(n):
-        for j in range(n - 1):
-            if arr[j] > arr[j + 1]:
-                arr[j], arr[j + 1] = arr[j + 1], arr[j]
-                word.append(j + 1)
-    word.reverse()
-    return word
 
 
 def _dihedral_generators(group: FiniteGroup) -> tuple[int, int]:
@@ -297,18 +267,20 @@ def _dihedral_generators(group: FiniteGroup) -> tuple[int, int]:
 
 
 def _extend_from_generators(group: FiniteGroup, gens, identity) -> list:
-    """Matrices on the whole group from (generator, matrix) images, as products
-    along a search of the Cayley graph."""
+    """Matrices on the whole group from (generator, matrix) images: each
+    element's matrix is the product along a shortest word in the generators,
+    found by a breadth-first search of the Cayley graph."""
     mats = [None] * group.n
     mats[0] = identity
-    frontier = [0]
-    while frontier:
-        x = frontier.pop()
+    reached = [0]
+    for x in reached:
         for g, gm in gens:
             y = group.table[x][g]
             if mats[y] is None:
                 mats[y] = linalg.mat_mul(mats[x], gm)
-                frontier.append(y)
+                reached.append(y)
+    if len(reached) != group.n:
+        raise ValueError("the chosen generators do not generate the group")
     return mats
 
 
@@ -371,29 +343,35 @@ def catalog(group: FiniteGroup, kind: str, **params) -> Rep:
     raise ValueError(f"unknown representation kind {kind!r}")
 
 
+def irrep_family(group: FiniteGroup):
+    """The catalogue family that builds the irreducibles of group, or None.
+
+    The one dispatcher, for whole groups and centralizers alike (a Subgroup
+    keeps its parent's permutations).  Choosing builds nothing, so a caller
+    can check many groups before building any."""
+    if group.is_abelian():
+        return abelian_characters
+    perms = group.perms
+    if perms is not None and len(perms[0]) <= 5 and group.n == math.factorial(len(perms[0])):
+        return _symmetric_irreps
+    if group.n == 8:
+        return _order8_nonabelian_irreps
+    return None
+
+
 def irrep_catalog(group: FiniteGroup) -> list[Rep]:
     """All irreducibles for the supported group families."""
-    n = group.n
-    if group.is_abelian():
-        reps = abelian_characters(group)
-    elif group.perms is not None and n in (6, 24, 120) and _looks_symmetric(group):
-        deg = len(group.perms[0])
-        reps = [seminormal_rep(group, p) for p in _partitions(deg)]
-    elif n == 8:
-        reps = _order8_nonabelian_irreps(group)
-    else:
-        raise ValueError(f"no irreducible catalogue for this group (order {n})")
-    total = sum(r.dim * r.dim for r in reps)
-    if total != n:
+    family = irrep_family(group)
+    if family is None:
+        raise ValueError(f"no irreducible catalogue for this group (order {group.n})")
+    reps = family(group)
+    if sum(r.dim * r.dim for r in reps) != group.n:
         raise RuntimeError("irreducible catalogue is incomplete")
     return reps
 
 
-def _looks_symmetric(group: FiniteGroup) -> bool:
-    deg = len(group.perms[0])
-    import math
-
-    return group.n == math.factorial(deg)
+def _symmetric_irreps(group: FiniteGroup) -> list[Rep]:
+    return [seminormal_rep(group, p) for p in _partitions(len(group.perms[0]))]
 
 
 def _partitions(n: int):

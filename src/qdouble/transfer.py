@@ -197,30 +197,16 @@ def functions_to_group_algebra(group: FiniteGroup, module: CrossedModule):
 
 def projector_cov(ctx: ClassContext, pi: Rep, module: CrossedModule):
     """Covariantized projector on C(class) (x) W, block diagonal over c."""
-    blocks = {}
-    for c in ctx.cls:
-        p = conjugated_projector(ctx, pi, ctx.q[c])
-        cols = []
-        for j in range(module.dim):
-            vec = [ONE if i == j else ZERO for i in range(module.dim)]
-            cols.append(module.act_double(p, vec))
-        blocks[c] = [[cols[j][i] for j in range(module.dim)] for i in range(module.dim)]
-    return blocks
+    return {c: module.double_matrix(conjugated_projector(ctx, pi, ctx.q[c])) for c in ctx.cls}
 
 
 def projector_star(ctx: ClassContext, pi: Rep, module: CrossedModule):
     """Projector on C(G) (x) W: delta_g (x) zeta_r(g)^-1 P zeta_r(g) |> w."""
     group = ctx.group
-    blocks = {}
-    for g in range(group.n):
-        _, n = ctx.factorize(g)
-        p = conjugated_projector(ctx, pi, group.inv[n])
-        cols = []
-        for j in range(module.dim):
-            vec = [ONE if i == j else ZERO for i in range(module.dim)]
-            cols.append(module.act_double(p, vec))
-        blocks[g] = [[cols[j][i] for j in range(module.dim)] for i in range(module.dim)]
-    return blocks
+    return {
+        g: module.double_matrix(conjugated_projector(ctx, pi, group.inv[ctx.factorize(g)[1]]))
+        for g in range(group.n)
+    }
 
 
 def projector_fixed_space(blocks, group: FiniteGroup, module: CrossedModule, points=None):

@@ -102,6 +102,22 @@ def test_axiom_negative_control(data):
     assert not all(lie.axioms().values())
 
 
+@pytest.mark.parametrize("block", ["case_ii_3_cycle", "point_class_two_dim"])
+def test_regularity_negative_control(data, block):
+    """Two basis pairs sent to the same target make the braiding singular."""
+    from qdouble.double import centralizer_irreps
+
+    if block == "case_ii_3_cycle":
+        lie = lie_cpi(data.ctx2, data.pi[1])
+    else:
+        lie = lie_cpi(data.ctx1, next(p for p in centralizer_irreps(data.ctx1) if p.dim == 2))
+    assert lie.is_regular()
+    pairs = [(i, j) for i in range(lie.dim) for j in range(lie.dim)]
+    lie._psit_cache[pairs[0]] = dict(lie.psit(*pairs[1]))
+    assert not lie.is_regular()
+    assert lie.axioms()["regular"] is False
+
+
 def test_action_table_is_conjugation_of_matrix_units(data):
     """lie.action[g][idx] = rho(g) E rho(g^-1) for E = |a,i><b,j| in V_{C,pi},
     on every non-trivial S3 block and the S4 4-cycle block."""

@@ -1,10 +1,20 @@
+import itertools
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import qdouble.reps
+from qdouble.cli import build_context, build_group
 from qdouble.cyclotomic import cyc, root_of_unity
-from qdouble.groups import FiniteGroup, class_context
+from qdouble.double import centralizer_irreps
+from qdouble.groups import ClassContext, FiniteGroup, class_context
 from qdouble.reps import (
+    _axial_distance,
+    _order8_nonabelian_irreps,
+    _partitions,
+    _standard_tableaux,
     trivial_rep,
     sign_rep,
     cyclic_rep,
@@ -187,3 +197,207 @@ def test_centralizer_character_pins_value(s3, ctx2):
         pi = centralizer_character(ctx2, j)
         pos = ctx2.centralizer.position[ctx2.rep]
         assert pi.matrices[pos][0][0] == q ** j
+
+
+# -- one construction path: test-side reference builders ----------------------
+#
+# Catalogue representations are extended from generator images by
+# reps._extend_from_generators.  The references below build the same
+# matrices other ways (words of adjacent transpositions, powers of a
+# generator, a brute-force character table); entries are compared through
+# to_json, so the order tag N is pinned as well as the value.
+
+
+def _json_matrices(matrices):
+    return [[[x.to_json() for x in row] for row in m] for m in matrices]
+
+
+def _adjacent_word(p):
+    """p as a product of adjacent transpositions s_k = (k, k+1), by bubble sort."""
+    arr, word = list(p), []
+    for _ in range(len(arr)):
+        for j in range(len(arr) - 1):
+            if arr[j] > arr[j + 1]:
+                arr[j], arr[j + 1] = arr[j + 1], arr[j]
+                word.append(j + 1)
+    return word[::-1]
+
+
+def _word_product_seminormal(group, partition):
+    """Young's seminormal matrices of s_k, multiplied along each element's word."""
+    tableaux = _standard_tableaux(partition)
+    index = {frozenset(t.items()): i for i, t in enumerate(tableaux)}
+    dim = len(tableaux)
+    one, zero = cyc(1), cyc(0)
+
+    def s(k):
+        m = [[zero] * dim for _ in range(dim)]
+        for i, t in enumerate(tableaux):
+            dd = Fraction(1, _axial_distance(t, k))
+            m[i][i] = cyc(dd)
+            swapped = dict(t)
+            swapped[k], swapped[k + 1] = t[k + 1], t[k]
+            j = index.get(frozenset(swapped.items()))
+            if j is not None and j > i:
+                m[i][j] = cyc(1 - dd * dd)
+                m[j][i] = cyc(1)
+        return m
+
+    n = len(group.perms[0])
+    smat = {k: s(k) for k in range(1, n)}
+    mats = []
+    for p in group.perms:
+        m = la.identity(dim, one, zero)
+        for k in _adjacent_word(p):
+            m = la.mat_mul(m, smat[k])
+        mats.append(m)
+    return mats
+
+
+def _power_walk(group, j, generator):
+    """g^k -> zeta_n^(jk), walking the powers of the generator."""
+    n = group.n
+    mats = [None] * n
+    x = 0
+    for k in range(n):
+        mats[x] = [[root_of_unity(n, j * k)]]
+        x = group.table[x][generator]
+    assert None not in mats
+    return mats
+
+
+def _brute_force_characters(group):
+    """Every assignment of roots of unity to the generators, in enumeration
+    order, kept when it is multiplicative on all |G|^2 pairs.  An element
+    g_1^m_1 ... g_r^m_r takes the product over the m_i > 0 only, so its tag is
+    the lcm of the orders of the generators it needs."""
+    gens = group.generators
+    orders = [group.order_of(g) for g in gens]
+    exponents = {}
+    for ms in itertools.product(*(range(o) for o in orders)):
+        x = 0
+        for g, m in zip(gens, ms):
+            for _ in range(m):
+                x = group.table[x][g]
+        exponents.setdefault(x, ms)
+    assert len(exponents) == group.n
+    table = []
+    for exps in itertools.product(*(range(o) for o in orders)):
+        values = []
+        for x in range(group.n):
+            v = cyc(1)
+            for o, k, m in zip(orders, exps, exponents[x]):
+                if m:
+                    v = v * root_of_unity(o, k * m)
+            values.append(v)
+        t = group.table
+        pairs = itertools.product(range(group.n), repeat=2)
+        if all(values[t[a][b]] == values[a] * values[b] for a, b in pairs):
+            table.append((f"chi{exps}", [[[v]] for v in values]))
+    return table
+
+
+@pytest.mark.parametrize("degree", [3, 4, 5])
+def test_seminormal_matches_word_products(degree):
+    group = FiniteGroup.symmetric(degree)
+    for partition in _partitions(degree):
+        reference = _word_product_seminormal(group, partition)
+        assert _json_matrices(seminormal_rep(group, partition).matrices) == _json_matrices(reference)
+
+
+def test_seminormal_on_generators_other_than_transpositions():
+    # S4 from a 4-cycle and a transposition: the greedy generators are not
+    # the adjacent transpositions, which the builder finds by permutation
+    group = FiniteGroup.from_generators([[[1, 2, 3, 4]], [[1, 2]]])
+    for partition in [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]:
+        reference = _word_product_seminormal(group, partition)
+        assert _json_matrices(seminormal_rep(group, partition).matrices) == _json_matrices(reference)
+
+
+def test_seminormal_needs_the_full_symmetric_group():
+    a4 = FiniteGroup.from_generators([[[1, 2, 3]], [[2, 3, 4]]])
+    with pytest.raises(ValueError, match="full symmetric group"):
+        seminormal_rep(a4, (3, 1))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_cyclic_rep_matches_power_walk(n):
+    group = FiniteGroup.cyclic(n)
+    generator = group.element("r") if n > 1 else 0
+    for j in range(n):
+        rep = cyclic_rep(group, j)
+        assert _json_matrices(rep.matrices) == _json_matrices(_power_walk(group, j, generator))
+        # pi(e) keeps the tag n: a printed N is the lcm of the operand orders
+        assert rep.matrices[0][0][0].to_json()["N"] == n
+
+
+def test_centralizer_character_matches_power_walk_on_scenarios():
+    scenarios = Path(__file__).resolve().parent.parent / "src" / "qdouble" / "scenarios"
+    contexts = []
+    for path in sorted(scenarios.glob("*.json")):
+        scenario = json.loads(path.read_text())
+        if scenario.get("irrep", {}).get("kind") == "centralizer_character":
+            contexts.append(build_context(build_group(scenario["group"]), scenario))
+    s4 = FiniteGroup.symmetric(4)
+    contexts.append(class_context(s4, "s1s2s3"))
+    assert len(contexts) == 4
+    for ctx in contexts:
+        sub = ctx.centralizer
+        for j in range(sub.n):
+            reference = _power_walk(sub, j, sub.position[ctx.rep])
+            assert _json_matrices(centralizer_character(ctx, j).matrices) == _json_matrices(reference)
+
+
+@pytest.mark.parametrize(
+    "generators",
+    [
+        [[[1, 2]], [[3, 4]]],
+        [[[1, 2]], [[3, 4, 5, 6]]],
+        [[[1, 2, 3]], [[4, 5, 6]]],
+        [[[1, 2]], [[3, 4]], [[5, 6, 7]]],
+    ],
+    ids=["C2xC2", "C2xC4", "C3xC3", "C2xC2xC3"],
+)
+def test_abelian_characters_match_brute_force(generators):
+    group = FiniteGroup.from_generators(generators)
+    chars = abelian_characters(group)
+    reference = _brute_force_characters(group)
+    assert [c.name for c in chars] == [name for name, _ in reference]
+    assert [_json_matrices(c.matrices) for c in chars] == [_json_matrices(m) for _, m in reference]
+
+
+def test_subgroup_keeps_parent_permutations():
+    s4 = FiniteGroup.symmetric(4)
+    for cls_ in s4.conjugacy_classes():
+        sub = class_context(s4, cls_[0]).centralizer
+        assert sub.perms == [s4.perms[g] for g in sub.embedding]
+
+
+@pytest.mark.parametrize("degree", [3, 4])
+def test_centralizer_irreps_from_the_one_dispatcher(degree):
+    """The dispatcher on a centralizer gives what the family constructors give
+    on it, and on the whole-group centralizer what the whole group's
+    catalogue gives, re-indexed along the embedding."""
+    group = FiniteGroup.symmetric(degree)
+    whole = irrep_catalog(group)
+    for cls_ in group.conjugacy_classes():
+        ctx = ClassContext(group, cls_[0])
+        sub = ctx.centralizer
+        if sub.n == group.n:
+            restricted = [[r.matrices[g] for g in sub.embedding] for r in whole]
+            expected = [(r.name, r.dim, _json_matrices(m)) for r, m in zip(whole, restricted)]
+        else:
+            family = abelian_characters if sub.is_abelian() else _order8_nonabelian_irreps
+            expected = [(r.name, r.dim, _json_matrices(r.matrices)) for r in family(sub)]
+        got = [(r.name, r.dim, _json_matrices(r.matrices)) for r in centralizer_irreps(ctx)]
+        assert got == expected
+
+
+def test_irrep_catalog_refuses_s6_before_building(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a representation was built")
+
+    monkeypatch.setattr(qdouble.reps, "_extend_from_generators", refuse)
+    monkeypatch.setattr(qdouble.reps, "seminormal_rep", refuse)
+    with pytest.raises(ValueError, match="no irreducible catalogue"):
+        irrep_catalog(FiniteGroup.symmetric(6))
