@@ -4,7 +4,7 @@ Modules:
 
 * ``cyclotomic``   -- the scalar field Q(zeta_N)
 * ``poly``         -- polynomials and rational functions in named parameters
-* ``linalg``       -- exact dense and sparse linear algebra
+* ``linalg``       -- one exact elimination, ``SparseSpan.reduce``, and its dense view ``rref``
 * ``groups``       -- Cayley tables, conjugacy classes, sections and cocycles
 * ``reps``         -- matrix representations, characters, projectors
 * ``double``       -- the double, its modules and Artin-Wedderburn data

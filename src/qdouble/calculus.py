@@ -195,18 +195,16 @@ class GroupAlgebraCalculus:
         on generators only; the solution space, hence the rref and theta,
         is the same as over the whole group."""
         rows = self._lambda_rows
+        dim = self.rho.dim
+        bms = [[base[k * dim: (k + 1) * dim] for k in range(dim)] for base in rows]
         constraints = []
         rhs_vec = []
         # unknown theta expressed in the rref basis of Lambda^1
         for g in self.group.generators:
-            for i in range(self.rho.dim):
-                for j in range(self.rho.dim):
-                    row = []
-                    for base in rows:
-                        bm = [base[k * self.rho.dim: (k + 1) * self.rho.dim] for k in range(self.rho.dim)]
-                        prod = linalg.mat_mul(bm, self.rho.matrices[g])
-                        row.append(prod[i][j] - bm[i][j])
-                    constraints.append(row)
+            prods = [linalg.mat_mul(bm, self.rho.matrices[g]) for bm in bms]
+            for i in range(dim):
+                for j in range(dim):
+                    constraints.append([prod[i][j] - bm[i][j] for bm, prod in zip(bms, prods)])
                     rhs_vec.append(self.e_matrices[g][i][j])
         sol = linalg.solve(constraints, rhs_vec)
         if sol is None:
@@ -264,9 +262,8 @@ class LambdaBasis:
         """Coordinates of e^g in the chosen basis."""
         if g not in self._coord_cache:
             target = self.calculus._flatten(self.calculus.e_matrices[g])
-            sol = linalg.solve(
-                [list(col) for col in zip(*self._rows)], target
-            )
+            # the transpose keeps its len(target) rows when the basis is empty
+            sol = linalg.solve([[row[k] for row in self._rows] for k in range(len(target))], target)
             if sol is None:
                 raise RuntimeError("basis fails to span e^g")
             self._coord_cache[g] = sol

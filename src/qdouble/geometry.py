@@ -36,6 +36,8 @@ class InnerProduct:
     """Covariant bimodule inner product on a chosen basis of invariant forms."""
 
     def __init__(self, basis: LambdaBasis, lengths: dict, variables=()):
+        if not basis.dim:
+            raise ValueError("Lambda^1 = 0 for the trivial pair, so there is no inner product")
         group = basis.group
         self.basis = basis
         self.group = group
@@ -364,9 +366,7 @@ def connection_solve(basis: LambdaBasis, ip: InnerProduct | None, flags) -> Conn
                     row[pos[(i, k, j)]] = row[pos[(i, k, j)]] - ONE
                     if any(row):
                         rows.append(row)
-    base_null = linalg.nullspace(rows, ONE, ZERO) if rows else [
-        [ONE if a == b else ZERO for a in range(len(index))] for b in range(len(index))
-    ]
+    base_null = linalg.nullspace(rows, len(index), ONE, ZERO)
     # express as family over p0.. with Cyc coefficients, then impose cotorsion
     if "cotorsion_free" in flags:
         if ip is None:
@@ -389,14 +389,14 @@ def connection_solve(basis: LambdaBasis, ip: InnerProduct | None, flags) -> Conn
                                 total = total - gjm * base_null[b][pos[(m, i, k)]]
                         row.append(RatFunc(total))
                     eq_rows.append(row)
-        sol = linalg.nullspace(eq_rows, RatFunc(Poly.constant(1, ip.vars)), RatFunc(Poly.constant(0, ip.vars)))
+        sol = linalg.nullspace(eq_rows, t, RatFunc(Poly.constant(1, ip.vars)), RatFunc(Poly.constant(0, ip.vars)))
         combos = []
         for vec in sol:
-            # clear all denominators so the family has polynomial entries
+            # clear the denominators, each made monic as it is fixed only up to a constant
             scale = Poly.constant(1, ip.vars)
             for coeff in vec:
                 if coeff.den.degree() > 0:
-                    scale = scale * coeff.den
+                    scale = scale * coeff.den.monic_normalize()
             if scale.degree() > 0:
                 vec = [x * RatFunc(scale, reduce=False) for x in vec]
             combo = [Poly.constant(0, ip.vars) for _ in index]

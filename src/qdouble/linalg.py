@@ -1,13 +1,20 @@
-"""Exact dense linear algebra over any field with Python arithmetic.
+"""Exact linear algebra over any field with Python arithmetic.
 
 Works for ``Fraction``, ``Cyc`` and the rational function field in
 ``poly``; zero testing is truthiness.  Matrices are lists of lists,
 vectors are lists.
+
+``SparseSpan.reduce`` is the one elimination.  ``rref`` is its dense view,
+under the order-tag rule its docstring states, and ``rank``, ``nullspace``,
+``solve``, ``inverse`` and ``same_row_space`` all go through ``rref``.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
+from math import lcm
+
+from .cyclotomic import Cyc
 
 
 def mat_mul(a, b):
@@ -48,40 +55,40 @@ def mat_eq(a, b) -> bool:
 
 
 def rref(matrix):
-    """Reduced row echelon form; returns (rref_rows, pivot_columns)."""
-    rows = [list(r) for r in matrix]
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][c]
-        rows[r] = [x / inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
+    """Reduced row echelon form; returns (rref_rows, pivot_columns).
+
+    The rows go into a ``SparseSpan``; then each stored row, from the last
+    pivot up, is reduced against the rows already reduced, which is the
+    back-substitution.  The elimination never touches a zero, so the order
+    tag is set here: every ``Cyc`` entry returned, zeros included, is
+    promoted to the lcm of the orders of the ``Cyc`` entries of the input.
+    """
+    span = SparseSpan()
+    for row in matrix:
+        span.add(dict(enumerate(row)))
+    done = SparseSpan()
+    for col in sorted(span.pivots, reverse=True):
+        done.pivots[col] = done.reduce(span.pivots[col])
+    pivots = sorted(done.pivots)
+    if not pivots:
+        return [], []
+    reduced = [done.pivots[p] for p in pivots]
+    zero = reduced[0][pivots[0]] - reduced[0][pivots[0]]
+    orders = [x.order for row in matrix for x in row if x.__class__ is Cyc]
+    if orders:
+        tag = lcm(*orders)
+        zero = zero.promote(tag)
+        reduced = [{k: v.promote(tag) for k, v in row.items()} for row in reduced]
+    return [[row.get(c, zero) for c in range(len(matrix[0]))] for row in reduced], pivots
 
 
 def rank(matrix) -> int:
     return len(rref(matrix)[0])
 
 
-def nullspace(matrix, one, zero):
-    """Basis of the right kernel (column vectors as lists)."""
-    if not matrix:
-        return []
-    ncols = len(matrix[0])
+def nullspace(matrix, ncols, one, zero):
+    """Basis of the right kernel of a matrix with ncols columns (column
+    vectors as lists); with no rows, the standard basis."""
     rows, pivots = rref(matrix)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
@@ -112,14 +119,7 @@ def solve(matrix, rhs):
 
 def inverse(matrix):
     n = len(matrix)
-    one = None
-    for row in matrix:
-        for x in row:
-            if x:
-                one = x / x
-                break
-        if one is not None:
-            break
+    one = next((x / x for row in matrix for x in row if x), None)
     if one is None:
         raise ZeroDivisionError("singular matrix")
     zero = one - one
@@ -171,7 +171,7 @@ class SparseSpan:
         if not row:
             return False
         col = min(row)
-        inv = 1 / row[col] if not hasattr(row[col], "inverse") else row[col].inverse()
+        inv = 1 / row[col]
         self.pivots[col] = {k: v * inv for k, v in row.items()}
         return True
 
@@ -184,8 +184,5 @@ class SparseSpan:
 
 
 def same_row_space(rows_a, rows_b) -> bool:
-    ra = rank(rows_a) if rows_a else 0
-    rb = rank(rows_b) if rows_b else 0
-    if ra != rb:
-        return False
-    return rank(rows_a + rows_b) == ra if rows_a else rb == 0
+    ra = rank(rows_a)
+    return ra == rank(rows_b) and rank(rows_a + rows_b) == ra

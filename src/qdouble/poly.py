@@ -353,6 +353,11 @@ def resultant(a: Poly, b: Poly, var: str) -> Poly:
 
 
 def _bareiss_det(rows: list[list[Poly]]) -> Poly:
+    """Determinant by fraction-free (Bareiss) elimination in the polynomial ring.
+
+    Not ``linalg``'s field elimination: ``Poly`` has exact division but no
+    inverse, and over ``RatFunc`` every step would run a gcd.  Resultants and
+    ``InnerProduct.det``, printed as ``metric_determinant``, come from here."""
     n = len(rows)
     rows = [list(r) for r in rows]
     vars_ = rows[0][0].vars

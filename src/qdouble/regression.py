@@ -623,12 +623,8 @@ def criterion_9():
     lam_names = {triv.name: None, sign.name: "a1", two.name: "a2"}
     checks = []
 
-    def solve_case(subset, weights):
-        cons, closed = dual_constraints(G, subset, weights, lam_names)
-        return cons, closed
-
     # case (i): S = {uv, vu}
-    cons, closed = solve_case(["uv", "vu"], {d.uv: "w1"})
+    cons, closed = dual_constraints(G, ["uv", "vu"], {d.uv: "w1"}, lam_names)
     V = cons[0].vars
     w1 = Poly.variable("w1", V)
     # the constraints must force lambda*_sign = 0 and be satisfied by the
@@ -645,7 +641,7 @@ def criterion_9():
         )
     )
     # case (ii): S = {u, v, w}
-    cons, closed = solve_case(["u", "v", "w"], {d.u: "w2"})
+    cons, closed = dual_constraints(G, ["u", "v", "w"], {d.u: "w2"}, lam_names)
     w2 = Poly.variable("w2", closed[sign.name].vars)
     formula_ok = closed[sign.name] == w2 * 12 and closed[two.name] == w2 * 6
     consistent = all(
@@ -655,7 +651,7 @@ def criterion_9():
         _check("c9 case S={u,v,w}: lambda*_sign = 12 l*_2, lambda*_2 = 6 l*_2", formula_ok and consistent)
     )
     # case (iii): the union
-    cons, closed = solve_case(["u", "v", "w", "uv", "vu"], {d.uv: "w1", d.u: "w2"})
+    cons, closed = dual_constraints(G, ["u", "v", "w", "uv", "vu"], {d.uv: "w1", d.u: "w2"}, lam_names)
     Vv = closed[sign.name].vars
     w1p = Poly.variable("w1", Vv)
     lam_sign = w1p * (-8)

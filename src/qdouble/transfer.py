@@ -38,13 +38,8 @@ def fourier(group: FiniteGroup, vec):
     return out
 
 
-def fourier_inv(group: FiniteGroup, fun):
-    """Functions to group algebra: delta_g -> g^-1."""
-    out = [ZERO] * group.n
-    for g, c in enumerate(fun):
-        if c:
-            out[group.inv[g]] = out[group.inv[g]] + c
-    return out
+# delta_g -> g^-1 back to the group algebra: the map g <-> g^-1 is an involution
+fourier_inv = fourier
 
 
 def integral_group_algebra(group: FiniteGroup, vec) -> Cyc:
@@ -228,7 +223,7 @@ def projector_fixed_space(blocks, group: FiniteGroup, module: CrossedModule, poi
                 row = [ZERO] * dim
                 row[g * module.dim + j] = ONE
                 rows.append(row)
-    return linalg.nullspace(rows, ONE, ZERO)
+    return linalg.nullspace(rows, dim, ONE, ZERO)
 
 
 # -- averaging on the total space -------------------------------------------------

@@ -101,6 +101,16 @@ def test_partials_vanish_on_identity(s3, ctx2):
     assert [x for x in alpha_w] == [cyc(-1), cyc(-1), ONE, ONE]
 
 
+def test_case_ii_matrices_print_order_3(s3, ctx2):
+    """The s3_case_ii report: all 64 gamma and rho entries are rational and
+    print N = 3, the lcm of the orders that fed them."""
+    calc = fodc_group_algebra(induced_rep(ctx2, centralizer_character(ctx2, 1)))
+    lb = lambda_basis(calc, preferred=["u", "v", "uv", "vu"])
+    for g in (s3.element("u"), s3.element("v")):
+        for m in (lb.gamma(g), lb.rho_matrix(g)):
+            assert [x.to_json()["N"] for row in m for x in row] == [3] * 16
+
+
 def test_sign_case_gamma_rho(s3, ctx2):
     calc = fodc_group_algebra(induced_rep(ctx2, centralizer_character(ctx2, 0)))
     assert calc.lambda_dim == 1

@@ -134,6 +134,39 @@ def test_inexact_scenario_numbers_are_configuration_errors(tmp_path, change, key
     assert out.stderr.startswith(f"configuration error: {key}:")
 
 
+def _scenario(tmp_path, **spec):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"group": {"name": "s3_uvw"}, "class_rep": "e", **spec}))
+    return str(path)
+
+
+def test_cotorsion_on_one_dimensional_lambda_imposes_nothing(tmp_path):
+    # dim Lambda^1 = 1 has no pairs i < j, so cotorsion adds no equation
+    spec = {"irrep": {"kind": "sign"}, "lengths": {"u": "l1", "uv": "l2"}}
+    dims = []
+    for flags in (["covariant", "torsion_free"], ["covariant", "torsion_free", "cotorsion_free"]):
+        out = run_cli("geometry", "--scenario", _scenario(tmp_path, flags=flags, **spec))
+        assert out.returncode == 0
+        dims.append(json.loads(out.stdout)["family_dimension"])
+    assert dims == [1, 1]
+
+
+def test_trivial_pair_calculus_prints_empty_matrices(tmp_path):
+    spec = {"irrep": {"kind": "trivial"}, "lengths": {"u": 1, "uv": 2}, "print_matrices": ["u"]}
+    out = run_cli("calculus", "--scenario", _scenario(tmp_path, **spec))
+    assert out.returncode == 0
+    report = json.loads(out.stdout)
+    assert report["lambda_dim"] == 0
+    assert report["gamma"] == report["rho"] == {"u": []}
+
+
+def test_trivial_pair_geometry_is_a_configuration_error(tmp_path):
+    spec = {"irrep": {"kind": "trivial"}, "lengths": {"u": 1, "uv": 2}}
+    out = run_cli("geometry", "--scenario", _scenario(tmp_path, **spec))
+    assert out.returncode == 2
+    assert out.stderr.startswith("configuration error:")
+
+
 def test_verify_paper_stdout_is_json(monkeypatch, capsys):
     from qdouble import cli, regression
 

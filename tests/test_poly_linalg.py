@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -75,7 +76,7 @@ def test_exact_dense_linear_algebra():
     assert la.rank(m) == 2
     singular = [[cyc(1), cyc(2)], [cyc(2), cyc(4)]]
     assert la.rank(singular) == 1
-    ns = la.nullspace(singular, cyc(1), cyc(0))
+    ns = la.nullspace(singular, 2, cyc(1), cyc(0))
     assert len(ns) == 1
     assert la.solve(singular, [cyc(1), cyc(2)]) is not None
     assert la.solve(singular, [cyc(1), cyc(3)]) is None
@@ -165,6 +166,117 @@ def test_echelon_span_with_tuple_keys_matches_dense_rank():
                 unchanged = la.rank(dense + [[probe[k] for k in keys]]) == la.rank(dense)
                 assert span.contains(probe) == unchanged
     assert later_pivot_seen
+
+
+def _gauss_jordan(matrix):
+    """Reference rref: the dense Gauss-Jordan loop, which touches every entry."""
+    rows = [list(r) for r in matrix]
+    if not rows:
+        return rows, []
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = rows[r][c]
+        rows[r] = [x / inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows[:r], pivots
+
+
+def _oracle_matrices():
+    """Seeded Cyc matrices: orders 1, 2, 3, 4 and 12, dependent rows, wide and
+    tall shapes, and in some the zeros carry an order above the other entries."""
+    rng = random.Random(9)
+    cases = []
+    for orders in ([1], [2], [3], [4], [12], [1, 3], [2, 4], [3, 4, 12]):
+        for nrows, ncols in ((2, 5), (5, 2), (4, 4), (6, 3), (3, 7)):
+            high_zero = rng.random() < 0.5
+            zero = cyc(0).promote(12 if high_zero else 1)
+
+            def entry():
+                if rng.random() < 0.4:
+                    return zero
+                n = rng.choice(orders)
+                return Cyc(n, [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)])
+
+            base = [[entry() for _ in range(ncols)] for _ in range(rng.randint(1, nrows))]
+            rows = []
+            for _ in range(nrows):
+                if rng.random() < 0.5:
+                    rows.append([entry() for _ in range(ncols)])
+                else:
+                    # a combination of the base rows, so the rows are dependent
+                    row = [zero] * ncols
+                    for b in base:
+                        c = entry()
+                        row = [x + c * y for x, y in zip(row, b)]
+                    rows.append(row)
+            cases.append(rows)
+    return cases
+
+
+def test_rref_views_of_the_span_match_the_dense_reference():
+    one, zero = cyc(1), cyc(0)
+    rng = random.Random(13)
+    for matrix in _oracle_matrices():
+        nrows, ncols = len(matrix), len(matrix[0])
+        ref_rows, ref_pivots = _gauss_jordan(matrix)
+        rows, pivots = la.rref(matrix)
+        assert pivots == ref_pivots
+        assert rows == ref_rows
+        tag = math.lcm(*(x.order for row in matrix for x in row))
+        assert all(x.order == tag for row in rows for x in row)
+        assert la.rank(matrix) == len(ref_pivots)
+        span = la.SparseSpan()
+        for row in matrix:
+            span.add(dict(enumerate(row)))
+        probes = [[cyc(rng.randint(-2, 2)) for _ in range(ncols)], [x + y for x, y in zip(*matrix[:2])]]
+        for probe in probes:
+            unchanged = len(_gauss_jordan(matrix + [probe])[1]) == len(ref_pivots)
+            assert span.contains(dict(enumerate(probe))) == unchanged
+        kernel = la.nullspace(matrix, ncols, one, zero)
+        assert len(kernel) == ncols - len(ref_pivots)
+        for vec in kernel:
+            assert not any(la.mat_vec(matrix, vec))
+        point = [cyc(rng.randint(-2, 2)) for _ in range(ncols)]
+        for rhs in (la.mat_vec(matrix, point), [cyc(rng.randint(-2, 2)) for _ in range(nrows)]):
+            inconsistent = ncols in _gauss_jordan([row + [b] for row, b in zip(matrix, rhs)])[1]
+            x = la.solve(matrix, rhs)
+            assert (x is None) == inconsistent
+            if x is not None:
+                assert la.mat_vec(matrix, x) == rhs
+        if nrows == ncols == len(ref_pivots):
+            assert la.mat_eq(la.mat_mul(la.inverse(matrix), matrix), la.identity(ncols, one, zero))
+
+
+def test_rref_over_rational_functions_matches_the_dense_reference():
+    V = ("x", "y")
+    x, y = (RatFunc(Poly.variable(v, V)) for v in V)
+    c = lambda v: RatFunc(Poly.constant(v, V))
+    matrix = [
+        [x, c(1), y, c(0)],
+        [x * y, y, y * y, c(2)],
+        [c(0), x - y, c(1), x],
+        [x * x, x, x * y, c(0)],
+    ]
+    assert la.rref(matrix) == _gauss_jordan(matrix)
+    assert la.rank(matrix) == 3
+
+
+def test_nullspace_of_no_equations_is_the_standard_basis():
+    one, zero = cyc(1), cyc(0)
+    assert la.nullspace([], 3, one, zero) == la.identity(3, one, zero)
 
 
 def test_quadalg_symmetric_square():
