@@ -4,7 +4,9 @@ Modules:
 
 * ``cyclotomic``   -- the scalar field Q(zeta_N)
 * ``poly``         -- polynomials and rational functions in named parameters
-* ``linalg``       -- one exact elimination, ``SparseSpan.reduce``, and its dense view ``rref``
+* ``linalg``       -- one exact elimination, ``SparseSpan.reduce``, and its dense view ``rref``;
+  the one sparse accumulation rule, ``_addto``/``_accumulate`` (private, so the
+  benchmark tracer does not wrap a call per term)
 * ``groups``       -- Cayley tables, conjugacy classes, sections and cocycles
 * ``reps``         -- matrix representations, characters, projectors
 * ``double``       -- the double, its modules and Artin-Wedderburn data

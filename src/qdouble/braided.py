@@ -25,19 +25,10 @@ from .groups import FiniteGroup, ClassContext
 from .reps import Rep
 from .double import DoubleElement, antipode_axiom_holds, bialgebra_axiom_holds
 from .quadalg import QuadAlg
-from .linalg import SparseSpan
+from .linalg import SparseSpan, _addto
 
 ZERO = Cyc.rational(0)
 ONE = Cyc.rational(1)
-
-
-def _addto(d, key, coeff):
-    prev = d.get(key)
-    s = coeff if prev is None else prev + coeff
-    if s:
-        d[key] = s
-    elif key in d:
-        del d[key]
 
 
 def _braid_relation_holds(psi, n: int) -> bool:
@@ -556,11 +547,8 @@ def fundamental_braiding_rmatrix(block1, block2, e_ai, e_bj, e_ck, e_dl):
                                         m_ = (sa, mf)
                                         d = r21.Rinv(m_, s_, u_, i_)
                                         if d:
-                                            key = ((m_, n_), (p_, q_))
-                                            prev = out.get(key)
-                                            val = a * b * c * d
-                                            out[key] = val if prev is None else prev + val
-    return {kk: vv for kk, vv in out.items() if vv}
+                                            _addto(out, ((m_, n_), (p_, q_)), a * b * c * d)
+    return out
 
 
 def psit_via_rmatrix(lie: BlockBraidedLie, t1: int, t2: int):
@@ -594,7 +582,7 @@ def psit_via_rmatrix(lie: BlockBraidedLie, t1: int, t2: int):
 # -- enveloping and FRT algebras -------------------------------------------------------
 
 
-def envelope(lie: BraidedLie, maxdeg: int = 3) -> QuadAlg:
+def envelope(lie: BraidedLie) -> QuadAlg:
     """Universal enveloping presentation: relations im(PsiT - id) in degree 2."""
     relations = []
     for i in range(lie.dim):
@@ -603,12 +591,10 @@ def envelope(lie: BraidedLie, maxdeg: int = 3) -> QuadAlg:
             _addto(row, (i, j), -ONE)
             if row:
                 relations.append(row)
-    alg = QuadAlg([str(b) for b in lie.basis], relations)
-    alg.hilbert_prefix(min(maxdeg, 2))
-    return alg
+    return QuadAlg([str(b) for b in lie.basis], relations)
 
 
-def frt(blocks, maxdeg: int = 3) -> QuadAlg:
+def frt(blocks) -> QuadAlg:
     """FRT-type bialgebra presentation from the block R-matrices.
 
     Generators t_{ai}^{bj} per block; relations
@@ -655,9 +641,7 @@ def frt(blocks, maxdeg: int = 3) -> QuadAlg:
                                         _addto(row, key, -c2)
                             if row:
                                 relations.append(row)
-    alg = QuadAlg([str(l) for l in labels], relations)
-    alg.hilbert_prefix(min(maxdeg, 2))
-    return alg
+    return QuadAlg([str(l) for l in labels], relations)
 
 
 # -- inclusion into the double, image and Killing form ----------------------------------
@@ -675,8 +659,7 @@ def inclusion_element(ctx: ClassContext, pi: Rep, a, i: int, b, j: int) -> Doubl
         if coeff:
             n_parent = sub.embedding[n_idx]
             g = group.word(ctx.q[a], group.inv[n_parent], group.inv[ctx.q[b]])
-            key = (g, group.inv[b])
-            terms[key] = terms.get(key, ZERO) + coeff
+            _addto(terms, (g, group.inv[b]), coeff)
     return DoubleElement(group, terms)
 
 
@@ -827,7 +810,7 @@ def braided_antipode_on_generator(ctx: ClassContext, pi: Rep, a, i, b, j):
     return out
 
 
-def quotient_hopf(ctx: ClassContext, pi: Rep, maxdeg: int = 2):
+def quotient_hopf(ctx: ClassContext, pi: Rep):
     """Hopf quotients of the FRT and enveloping presentations.
 
     Adds the antipode relations sum_c t_{ai}^{ck} S t_{ck}^{bj} = [a=b][i=j]
@@ -841,8 +824,8 @@ def quotient_hopf(ctx: ClassContext, pi: Rep, maxdeg: int = 2):
     if sorted(group.inv[c] for c in ctx.cls) != ctx.cls:
         raise ValueError("conjugacy class must be stable under inversion")
     lie = lie_cpi(ctx, pi)
-    ua = envelope(lie, maxdeg=1)
-    fa = frt([(ctx, pi)], maxdeg=1)
+    ua = envelope(lie)
+    fa = frt([(ctx, pi)])
     pos = lie._pos
 
     def t_index(a, i, b, j):
@@ -897,8 +880,6 @@ def quotient_hopf(ctx: ClassContext, pi: Rep, maxdeg: int = 2):
                     inhom_env.append((row4, const))
     H = QuadAlg(fa.generators, fa.relations, inhomogeneous=inhom_frt)
     B = QuadAlg(ua.generators, ua.relations, inhomogeneous=inhom_env)
-    H.hilbert_prefix(min(maxdeg, 2))
-    B.hilbert_prefix(min(maxdeg, 2))
     return H, B
 
 

@@ -19,6 +19,7 @@ from .groups import FiniteGroup, ClassContext
 from .reps import Rep, induced_rep
 from .double import build_VCpi
 from . import linalg
+from .linalg import _accumulate, _addto
 
 ZERO = Cyc.rational(0)
 ONE = Cyc.rational(1)
@@ -50,30 +51,18 @@ class FunctionCalculus:
 
     def d(self, fun):
         """d(f) = sum_c (R_c - id)(f) (x) e_c as dict (x, c) -> coeff."""
-        out = {}
-        for c in self.subset:
-            for x in range(self.group.n):
-                val = fun[self.group.table[x][c]] - fun[x]
-                if val:
-                    out[(x, c)] = out.get((x, c), ZERO) + val
-        return out
+        table = self.group.table
+        return _accumulate(
+            ((x, c), fun[table[x][c]] - fun[x]) for c in self.subset for x in range(self.group.n)
+        )
 
     def one_form_times_function(self, form, fun):
         """(sum delta_x e_c) . f using e_c f = R_c(f) e_c."""
-        out = {}
-        for (x, c), coeff in form.items():
-            val = coeff * fun[self.group.table[x][c]]
-            if val:
-                out[(x, c)] = out.get((x, c), ZERO) + val
-        return out
+        table = self.group.table
+        return _accumulate(((x, c), coeff * fun[table[x][c]]) for (x, c), coeff in form.items())
 
     def function_times_one_form(self, fun, form):
-        out = {}
-        for (x, c), coeff in form.items():
-            val = fun[x] * coeff
-            if val:
-                out[(x, c)] = out.get((x, c), ZERO) + val
-        return out
+        return _accumulate(((x, c), fun[x] * coeff) for (x, c), coeff in form.items())
 
     def leibniz_holds(self) -> bool:
         n = self.group.n
@@ -85,9 +74,8 @@ class FunctionCalculus:
                 lhs = self.d(prod)
                 rhs = self.one_form_times_function(self.d(fg), fh)
                 for k, v in self.function_times_one_form(fg, self.d(fh)).items():
-                    rhs[k] = rhs.get(k, ZERO) + v
-                keys = set(lhs) | set(rhs)
-                if any(lhs.get(k, ZERO) != rhs.get(k, ZERO) for k in keys):
+                    _addto(rhs, k, v)
+                if lhs != rhs:
                     return False
         return True
 
@@ -102,12 +90,10 @@ class FunctionCalculus:
                 left = self.one_form_times_function(theta_c, fun)
                 right = self.function_times_one_form(fun, theta_c)
                 for k, v in left.items():
-                    comm[k] = comm.get(k, ZERO) + v
+                    _addto(comm, k, v)
                 for k, v in right.items():
-                    comm[k] = comm.get(k, ZERO) - v
-            dg = self.d(fun)
-            keys = set(comm) | set(dg)
-            if any(comm.get(k, ZERO) != dg.get(k, ZERO) for k in keys):
+                    _addto(comm, k, -v)
+            if comm != self.d(fun):
                 return False
         return True
 
@@ -125,8 +111,7 @@ class FunctionCalculus:
                 for (x, c), coeff in form.items():
                     for a in range(n):
                         b = group.table[group.inv[a]][x]
-                        key = (a, group.conj(b, c), b)
-                        lhs[key] = lhs.get(key, ZERO) + coeff
+                        _addto(lhs, (a, group.conj(b, c), b), coeff)
                 rhs = {}
                 for a in range(n):
                     b = group.table[group.inv[a]][g]
@@ -138,10 +123,8 @@ class FunctionCalculus:
                         fa = [ONE if x == a else ZERO for x in range(n)]
                         part = self.function_times_one_form(fcc, self.d(fa))
                         for (x, c), coeff in part.items():
-                            key = (x, c, b)
-                            rhs[key] = rhs.get(key, ZERO) + coeff
-                keys = set(lhs) | set(rhs)
-                if any(lhs.get(k, ZERO) != rhs.get(k, ZERO) for k in keys):
+                            _addto(rhs, (x, c, b), coeff)
+                if lhs != rhs:
                     return False
         return True
 
@@ -365,9 +348,8 @@ class DoubleCalculus:
         for c in self.cls:
             for i in range(self.pi.dim):
                 for sign, x in ((ONE, group.table[g][group.inv[c]]), (-ONE, g)):
-                    key = ((x, 0), (c, i, c, i))
-                    out[key] = out.get(key, ZERO) + sign
-        return {k: v for k, v in out.items() if v}
+                    _addto(out, ((x, 0), (c, i, c, i)), sign)
+        return out
 
     def d_group(self, h: int):
         """d h = sum_c chc^-1 (x) E_{ci} (x) h^-1 |> E^{ci}  -  h (x) sum E_{ci}^{ci}."""
@@ -380,37 +362,27 @@ class DoubleCalculus:
                 for (dtar, l, coeff) in self._act_dual(hinv, c, i):
                     if coeff:
                         for x in range(group.n):
-                            key = ((x, mid), (c, i, dtar, l))
-                            out[key] = out.get(key, ZERO) + coeff
+                            _addto(out, ((x, mid), (c, i, dtar, l)), coeff)
                 for x in range(group.n):
-                    key0 = ((x, h), (c, i, c, i))
-                    out[key0] = out.get(key0, ZERO) - ONE
-        return {k: v for k, v in out.items() if v}
+                    _addto(out, ((x, h), (c, i, c, i)), -ONE)
+        return out
 
     def d_basis(self, g: int, h: int):
         """d(delta_g (x) h) by the Leibniz rule on delta_g . (1 (x) h)."""
-        out = {}
-        for ((x, y), form), coeff in self.d_delta(g).items():
-            # (d delta_g) . (1 (x) h)
-            for (key, c2) in self._right_mult_group({((x, y), form): coeff}, h).items():
-                out[key] = out.get(key, ZERO) + c2
-        dh = self.d_group(h)
-        # delta_g . dh  (left multiplication in the tensor algebra)
-        for ((x, y), form), coeff in dh.items():
-            if x == g:
-                key = ((x, y), form)
-                out[key] = out.get(key, ZERO) + coeff
-        return {k: v for k, v in out.items() if v}
+        # (d delta_g) . (1 (x) h)  +  delta_g . dh, with delta_g = delta_g (x) e
+        out = self._right_mult_group(self.d_delta(g), h)
+        for key, coeff in self.left_mult(g, 0, self.d_group(h)).items():
+            _addto(out, key, coeff)
+        return out
 
     def _right_mult_delta(self, form_elt, g: int):
         """omega . delta_g with E_{ci}^{dj} . delta_g = delta_{g c^-1} (x) E_{ci}^{dj}."""
         group = self.group
-        out = {}
-        for ((x, y), (c, i, d, j)), coeff in form_elt.items():
-            if x == group.table[g][group.inv[c]]:
-                key = ((x, y), (c, i, d, j))
-                out[key] = out.get(key, ZERO) + coeff
-        return {k: v for k, v in out.items() if v}
+        return _accumulate(
+            (((x, y), (c, i, d, j)), coeff)
+            for ((x, y), (c, i, d, j)), coeff in form_elt.items()
+            if x == group.table[g][group.inv[c]]
+        )
 
     def _right_mult_group(self, form_elt, h: int):
         """omega . h with E_{ci}^{dj} . h = chc^-1 (x) E_{ci} (x) h^-1 |> E^{dj}."""
@@ -420,24 +392,20 @@ class DoubleCalculus:
         for ((x, y), (c, i, d, j)), coeff in form_elt.items():
             mid = group.table[y][group.conj(c, h)]
             for (dtar, l, cc) in self._act_dual(hinv, d, j):
-                val = coeff * cc
-                if val:
-                    key = ((x, mid), (c, i, dtar, l))
-                    out[key] = out.get(key, ZERO) + val
-        return {k: v for k, v in out.items() if v}
+                _addto(out, ((x, mid), (c, i, dtar, l)), coeff * cc)
+        return out
 
     def right_mult(self, form_elt, g: int, h: int):
         """omega . (delta_g (x) h)."""
         return self._right_mult_group(self._right_mult_delta(form_elt, g), h)
 
     def left_mult(self, g: int, h: int, form_elt):
-        group = self.group
-        out = {}
-        for ((x, y), form), coeff in form_elt.items():
-            if x == g:
-                key = ((x, group.table[h][y]), form)
-                out[key] = out.get(key, ZERO) + coeff
-        return {k: v for k, v in out.items() if v}
+        table = self.group.table
+        return _accumulate(
+            (((x, table[h][y]), form), coeff)
+            for ((x, y), form), coeff in form_elt.items()
+            if x == g
+        )
 
     def theta(self):
         out = {}
@@ -456,9 +424,8 @@ class DoubleCalculus:
                 lhs = self.d_basis(g, h)
                 rhs = self.right_mult(theta, g, h)
                 for key, coeff in self.left_mult(g, h, theta).items():
-                    rhs[key] = rhs.get(key, ZERO) - coeff
-                keys = set(lhs) | set(rhs)
-                if any(lhs.get(k, ZERO) != rhs.get(k, ZERO) for k in keys):
+                    _addto(rhs, key, -coeff)
+                if lhs != rhs:
                     return False
         return True
 
@@ -475,9 +442,8 @@ class DoubleCalculus:
                         rhs = self.right_mult(da, g2, h2)
                         db = self.d_basis(g2, h2)
                         for key, coeff in self.left_mult(g1, h1, db).items():
-                            rhs[key] = rhs.get(key, ZERO) + coeff
-                        keys = set(lhs) | set(rhs)
-                        if any(lhs.get(k, ZERO) != rhs.get(k, ZERO) for k in keys):
+                            _addto(rhs, key, coeff)
+                        if lhs != rhs:
                             return False
         return True
 

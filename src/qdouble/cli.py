@@ -62,14 +62,15 @@ def build_group(spec: dict) -> FiniteGroup:
     if spec.get("name") == "s3_uvw":
         return FiniteGroup.s3_with_uvw_labels()
     if spec.get("name") == "symmetric":
-        return FiniteGroup.symmetric(int(spec["degree"]))
+        return FiniteGroup.symmetric(_integer(spec.get("degree"), "group.degree"))
     if spec.get("name") == "cyclic":
-        return FiniteGroup.cyclic(int(spec["order"]))
+        return FiniteGroup.cyclic(_integer(spec.get("order"), "group.order"))
     if "generators" in spec:
+        degree = spec.get("degree")
         return FiniteGroup.from_generators(
             spec["generators"],
             labels=spec.get("labels"),
-            degree=spec.get("degree"),
+            degree=None if degree is None else _integer(degree, "group.degree"),
             relabel=spec.get("relabel"),
         )
     raise ConfigError("group spec needs a name or generators")
@@ -82,13 +83,75 @@ def build_context(group: FiniteGroup, scenario: dict):
     return class_context(group, rep, q_override=scenario.get("q_override"))
 
 
+# the key each irrep kind requires, None for none
+_IRREP_KEYS = {
+    "centralizer_character": "j", "cyclic": "j", "seminormal": "partition", "user": "matrices",
+    "trivial": None, "sign": None, "s3_two_dim": None, "dihedral2": None,
+}
+
+
 def build_pi(ctx, scenario: dict):
+    """The scenario's centralizer irrep, its spec checked in full first."""
     spec = scenario.get("irrep")
     if spec is None:
         raise ConfigError("scenario needs an irrep spec")
-    if spec.get("kind") == "centralizer_character":
-        return centralizer_character(ctx, int(spec["j"]))
-    return catalog(ctx.centralizer, spec["kind"], **{k: v for k, v in spec.items() if k != "kind"})
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    if kind not in _IRREP_KEYS:
+        raise ConfigError(f"irrep.kind: expected one of {sorted(_IRREP_KEYS)}, got {kind!r}")
+    key = _IRREP_KEYS[kind]
+    if key and key not in spec:
+        raise ConfigError(f"irrep.{key}: required for kind {kind!r}")
+    value = spec.get(key)
+    if key == "j":
+        value = _integer(value, "irrep.j")
+    elif key == "partition" and not (
+        isinstance(value, list) and all(_is_integer(p) and p > 0 for p in value)
+    ):
+        raise ConfigError(f"irrep.partition: expected a list of positive integers, got {value!r}")
+    elif key == "matrices":
+        value = _matrices(value, ctx.centralizer.n)
+    if kind == "centralizer_character":
+        return centralizer_character(ctx, value)
+    return catalog(ctx.centralizer, kind, **({key: value} if key else {}))
+
+
+def _matrices(value, count: int) -> list:
+    """count square matrices of one size, every entry an exact number."""
+    dim = len(value[0]) if isinstance(value, list) and value and isinstance(value[0], list) else 0
+    if not dim or not all(
+        isinstance(m, list) and len(m) == dim
+        and all(isinstance(r, list) and len(r) == dim for r in m)
+        for m in value
+    ):
+        raise ConfigError(f"irrep.matrices: expected square matrices of one size, got {value!r}")
+    out = [
+        [[cyc(exact_number(x, f"irrep.matrices[{a}][{i}][{j}]")) for j, x in enumerate(row)]
+         for i, row in enumerate(m)]
+        for a, m in enumerate(value)
+    ]
+    if len(out) != count:
+        raise ConfigError(
+            f"irrep.matrices: expected {count}, one per centralizer element, got {len(out)}"
+        )
+    return out
+
+
+def _block(scenario: dict):
+    """(group, class context, centralizer irrep) of a block subcommand."""
+    group = build_group(scenario["group"])
+    ctx = build_context(group, scenario)
+    return group, ctx, build_pi(ctx, scenario)
+
+
+def _is_integer(value) -> bool:
+    """The one scenario integer rule: an int, not a bool, a float or a string."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _integer(value, key: str) -> int:
+    if not _is_integer(value):
+        raise ConfigError(f"{key}: expected an integer, got {value!r}")
+    return value
 
 
 def exact_number(value, key: str) -> Fraction:
@@ -97,13 +160,9 @@ def exact_number(value, key: str) -> Fraction:
     Scenario numbers are exact: a float, a bool or a number written as a
     string is a configuration error, not something to round.
     """
-
-    def whole(x):
-        return isinstance(x, int) and not isinstance(x, bool)
-
-    if whole(value):
+    if _is_integer(value):
         return Fraction(value)
-    if isinstance(value, list) and len(value) == 2 and all(map(whole, value)) and value[1]:
+    if isinstance(value, list) and len(value) == 2 and all(map(_is_integer, value)) and value[1]:
         return Fraction(value[0], value[1])
     raise ConfigError(
         f"{key}: expected an integer or an [integer, integer] pair with a nonzero denominator, "
@@ -173,8 +232,7 @@ def cmd_classes(scenario, args):
         )
     report = {"subcommand": "classes", "classes": out}
     if "class_rep" in scenario:
-        ctx = build_context(build_group(scenario["group"]), scenario)
-        report["context"] = ctx.table_report()
+        report["context"] = build_context(group, scenario).table_report()
     return report
 
 
@@ -201,9 +259,7 @@ def cmd_double_irreps(scenario, args):
 
 
 def cmd_transfer(scenario, args):
-    group = build_group(scenario["group"])
-    ctx = build_context(group, scenario)
-    pi = build_pi(ctx, scenario)
+    group, ctx, pi = _block(scenario)
     module = build_VCpi(ctx, pi)
     cols = transfer_to_group_algebra(ctx, pi, module)
     image = {}
@@ -227,9 +283,7 @@ def cmd_transfer(scenario, args):
 
 
 def cmd_calculus(scenario, args):
-    group = build_group(scenario["group"])
-    ctx = build_context(group, scenario)
-    pi = build_pi(ctx, scenario)
+    group, ctx, pi = _block(scenario)
     rho = induced_rep(ctx, pi)
     calc = fodc_group_algebra(rho)
     basis = lambda_basis(calc, preferred=scenario.get("basis"))
@@ -250,9 +304,7 @@ def cmd_calculus(scenario, args):
 
 
 def cmd_geometry(scenario, args):
-    group = build_group(scenario["group"])
-    ctx = build_context(group, scenario)
-    pi = build_pi(ctx, scenario)
+    group, ctx, pi = _block(scenario)
     calc = fodc_group_algebra(induced_rep(ctx, pi))
     basis = lambda_basis(calc, preferred=scenario.get("basis"))
     lengths_spec = scenario.get("lengths", {})
@@ -324,9 +376,7 @@ def cmd_dual(scenario, args):
 
 
 def cmd_braided(scenario, args):
-    group = build_group(scenario["group"])
-    ctx = build_context(group, scenario)
-    pi = build_pi(ctx, scenario)
+    _, ctx, pi = _block(scenario)
     lie = lie_cpi(ctx, pi)
     return {
         "subcommand": "braided",
@@ -337,9 +387,7 @@ def cmd_braided(scenario, args):
 
 
 def cmd_killing(scenario, args):
-    group = build_group(scenario["group"])
-    ctx = build_context(group, scenario)
-    pi = build_pi(ctx, scenario)
+    _, ctx, pi = _block(scenario)
     lie = lie_cpi(ctx, pi)
     K = killing_form(lie)
     return {
@@ -352,25 +400,18 @@ def cmd_killing(scenario, args):
 def cmd_envelope(scenario, args):
     if args.degree < 0:
         raise ConfigError(f"--degree must be 0 or more, got {args.degree}")
-    group = build_group(scenario["group"])
-    ctx = build_context(group, scenario)
-    pi = build_pi(ctx, scenario)
+    _, ctx, pi = _block(scenario)
     lie = lie_cpi(ctx, pi)
-    degree = args.degree
-    env = envelope(lie, maxdeg=degree)
-    fa = frt([(ctx, pi)], maxdeg=degree)
     return {
         "subcommand": "envelope",
-        "enveloping_dims": env.hilbert_prefix(degree),
-        "frt_dims": fa.hilbert_prefix(degree),
+        "enveloping_dims": envelope(lie).hilbert_prefix(args.degree),
+        "frt_dims": frt([(ctx, pi)]).hilbert_prefix(args.degree),
     }
 
 
 def cmd_quotient(scenario, args):
-    group = build_group(scenario["group"])
-    ctx = build_context(group, scenario)
-    pi = build_pi(ctx, scenario)
-    H, B = quotient_hopf(ctx, pi, maxdeg=2)
+    _, ctx, pi = _block(scenario)
+    H, B = quotient_hopf(ctx, pi)
     return {
         "subcommand": "quotient",
         "hopf_dims": H.hilbert_prefix(2),

@@ -17,6 +17,7 @@ from .cyclotomic import Cyc, cyc
 from .groups import FiniteGroup, ClassContext
 from .reps import Rep, irrep_catalog, irrep_family, check_homomorphism
 from . import linalg
+from .linalg import _accumulate, _addto
 
 ZERO = Cyc.rational(0)
 ONE = Cyc.rational(1)
@@ -61,12 +62,7 @@ class DoubleElement:
         self._require_same_group(other)
         out = dict(self.terms)
         for k, v in other.terms.items():
-            s = out.get(k)
-            s = v if s is None else s + v
-            if s:
-                out[k] = s
-            elif k in out:
-                del out[k]
+            _addto(out, k, v)
         return DoubleElement(self.group, out)
 
     def __sub__(self, other):
@@ -97,14 +93,7 @@ class DoubleElement:
         for (g, h), a in self.terms.items():
             for (u, v), b in other.terms.items():
                 if g == g_.conj(h, u):
-                    key = (g, g_.table[h][v])
-                    c = a * b
-                    s = out.get(key)
-                    s = c if s is None else s + c
-                    if s:
-                        out[key] = s
-                    elif key in out:
-                        del out[key]
+                    _addto(out, (g, g_.table[h][v]), a * b)
         return DoubleElement(g_, out)
 
     def dvee_mul(self, other: "DoubleElement") -> "DoubleElement":
@@ -115,26 +104,17 @@ class DoubleElement:
         for (g, h), a in self.terms.items():
             for (u, v), b in other.terms.items():
                 if g == u:
-                    key = (g, g_.table[h][v])
-                    c = a * b
-                    s = out.get(key)
-                    s = c if s is None else s + c
-                    if s:
-                        out[key] = s
-                    elif key in out:
-                        del out[key]
+                    _addto(out, (g, g_.table[h][v]), a * b)
         return DoubleElement(g_, out)
 
     def dg_coproduct(self) -> dict:
         """Tensor coalgebra of D(G): {((a,h),(b,h)): coeff} with ab = g."""
         g_ = self.group
-        out = {}
-        for (g, h), coeff in self.terms.items():
-            for a in range(g_.n):
-                b = g_.table[g_.inv[a]][g]
-                key = ((a, h), (b, h))
-                out[key] = out.get(key, ZERO) + coeff
-        return {k: v for k, v in out.items() if v}
+        return _accumulate(
+            (((a, h), (g_.table[g_.inv[a]][g], h)), coeff)
+            for (g, h), coeff in self.terms.items()
+            for a in range(g_.n)
+        )
 
     def dvee_coproduct(self) -> dict:
         """Semidirect coproduct of the dual double."""
@@ -144,8 +124,8 @@ class DoubleElement:
             ghg = g_.word(g, h, g_.inv[g])
             for f in range(g_.n):
                 key = ((f, g_.conj(g_.inv[f], ghg)), (g_.table[g_.inv[f]][g], h))
-                out[key] = out.get(key, ZERO) + coeff
-        return {k: v for k, v in out.items() if v}
+                _addto(out, key, coeff)
+        return out
 
     def counit(self) -> Cyc:
         total = ZERO
@@ -189,9 +169,8 @@ class DoubleElement:
         out = {}
         for (g, h), c in self.terms.items():
             comm = g_.commutator(g_.inv[g], h)
-            key = (g_.table[comm][g_.inv[g]], g_.word(g, g_.inv[h], g_.inv[g]))
-            out[key] = out.get(key, ZERO) + c
-        return DoubleElement(g_, {k: v for k, v in out.items() if v})
+            _addto(out, (g_.table[comm][g_.inv[g]], g_.word(g, g_.inv[h], g_.inv[g])), c)
+        return DoubleElement(g_, out)
 
     def grading(self) -> int:
         """Group grading of a basis element in the transmuted double."""
@@ -214,18 +193,6 @@ class DoubleElement:
             f"({c!r})*d_{labels[g]}|{labels[h]}" for (g, h), c in sorted(self.terms.items())
         ]
         return " + ".join(bits) if bits else "0"
-
-
-def _accumulate(pairs):
-    out = {}
-    for key, c in pairs:
-        s = out.get(key)
-        s = c if s is None else s + c
-        if s:
-            out[key] = s
-        elif key in out:
-            del out[key]
-    return out
 
 
 def _basis_elements(group: FiniteGroup) -> list[DoubleElement]:
@@ -474,8 +441,7 @@ def wedderburn_element(ctx: ClassContext, pi: Rep, c: int, i: int, d: int, j: in
         if coeff:
             n_parent = sub.embedding[n_idx]
             h = group.word(ctx.q[c], n_parent, group.inv[ctx.q[d]])
-            key = (c, h)
-            terms[key] = terms.get(key, ZERO) + coeff
+            _addto(terms, (c, h), coeff)
     return DoubleElement(group, terms)
 
 

@@ -16,6 +16,7 @@ from .groups import FiniteGroup, ClassContext
 from .reps import Rep, irrep_catalog
 from .poly import Poly
 from .double import CrossedModule
+from .linalg import _addto
 from .transfer import projector_fixed_space, conjugated_projector
 
 ZERO = Cyc.rational(0)
@@ -209,9 +210,7 @@ def second_order_check(group: FiniteGroup, matrix, dip: DualInnerProduct) -> boo
                     )
                     if not b:
                         continue
-                    prev = pairing.get(f)
-                    term = w * (a * b)
-                    pairing[f] = term if prev is None else prev + term
+                    _addto(pairing, f, w * (a * b))
             # box(delta_g delta_h) = box(delta_g)delta_h + delta_g box(delta_h) + 2(d,d)
             for f in range(n):
                 left = matrix[f][g] if g == h else _zero_like(matrix[f][g])

@@ -21,6 +21,7 @@ from .poly import Poly, RatFunc, _bareiss_det, _content_wrt, poly_gcd
 from .calculus import LambdaBasis
 from .groups import FiniteGroup
 from . import linalg
+from .linalg import _addto
 
 ZERO = Cyc.rational(0)
 ONE = Cyc.rational(1)
@@ -248,9 +249,6 @@ class ConnectionFamily:
         self.vars = tuple(variables)
         self.provenance = tuple(provenance)
 
-    def entry(self, i, j, k) -> Poly:
-        return self.gamma[(i, j, k)]
-
     def n_params(self) -> int:
         return len(self.params)
 
@@ -258,9 +256,6 @@ class ConnectionFamily:
         new_params = tuple(p for p in self.params if p not in bindings)
         out = {k: v.substitute(bindings) for k, v in self.gamma.items()}
         return ConnectionFamily(self.basis, out, new_params, self.vars, self.provenance)
-
-    def matrix(self, i):
-        return [[self.gamma[(i, j, k)] for k in range(self.dim)] for j in range(self.dim)]
 
     def reparameterize(self, functionals) -> "ConnectionFamily":
         """Express in new parameters given by linear functionals of the symbols.
@@ -451,6 +446,7 @@ def metric_compat_residuals(family: ConnectionFamily, ip: InnerProduct):
         for l in range(dim):
             for i in range(dim):
                 for j in range(dim):
+                    # a Poly sum with no known zero, not a sparse map, so not _addto (also below)
                     total = None
                     for a in range(dim):
                         if not gpin[l][a]:
@@ -794,12 +790,7 @@ def membership_certificate(residuals, target: Poly, params, degree: int = 1) -> 
         for exp, c in poly.terms.items():
             key = tuple(exp[i] for i in pidx)
             if scalar_field:
-                prev = out.get(key)
-                s = c if prev is None else prev + c
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
+                _addto(out, key, c)
             else:
                 rest = [0] * len(allvars)
                 for i in bidx:

@@ -158,9 +158,6 @@ class FiniteGroup:
 
     # -- basic operations -----------------------------------------------------
 
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
     def word(self, *elements: int) -> int:
         out = 0
         for x in elements:

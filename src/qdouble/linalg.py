@@ -7,6 +7,11 @@ vectors are lists.
 ``SparseSpan.reduce`` is the one elimination.  ``rref`` is its dense view,
 under the order-tag rule its docstring states, and ``rank``, ``nullspace``,
 ``solve``, ``inverse`` and ``same_row_space`` all go through ``rref``.
+
+``_addto`` and ``_accumulate`` are the one sparse accumulation rule: every
+{key: scalar} map is built through them and holds no zero, so two maps are
+equal exactly when they are equal dicts.  They are private because the
+benchmark tracer wraps every public function, which would cost a span a term.
 """
 
 from __future__ import annotations
@@ -15,6 +20,24 @@ from heapq import heapify, heappop, heappush
 from math import lcm
 
 from .cyclotomic import Cyc
+
+
+def _addto(d, key, coeff):
+    """d[key] += coeff, deleting the key when the sum is zero."""
+    prev = d.get(key)
+    s = coeff if prev is None else prev + coeff
+    if s:
+        d[key] = s
+    elif prev is not None:
+        del d[key]
+
+
+def _accumulate(pairs):
+    """The zero-free {key: sum of coeffs} of (key, coeff) pairs."""
+    out = {}
+    for key, coeff in pairs:
+        _addto(out, key, coeff)
+    return out
 
 
 def mat_mul(a, b):
@@ -149,6 +172,7 @@ class SparseSpan:
         row = {k: v for k, v in row.items() if v}
         todo = [k for k in row if k in self.pivots]
         heapify(todo)
+        # not _addto: a new key that is a pivot column must join the heap
         while todo:
             col = heappop(todo)
             c = row.get(col)

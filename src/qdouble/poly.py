@@ -12,6 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cyclotomic import Cyc, cyc
+from .linalg import _addto
 
 
 class Poly:
@@ -70,12 +71,7 @@ class Poly:
         a, b = self._align(other)
         out = dict(a.terms)
         for exp, c in b.terms.items():
-            s = out.get(exp)
-            s = c if s is None else s + c
-            if s:
-                out[exp] = s
-            elif exp in out:
-                del out[exp]
+            _addto(out, exp, c)
         return Poly(a.vars, out)
 
     __radd__ = __add__
@@ -100,14 +96,7 @@ class Poly:
         out: dict[tuple, Cyc] = {}
         for e1, c1 in a.terms.items():
             for e2, c2 in b.terms.items():
-                exp = tuple(x + y for x, y in zip(e1, e2))
-                prod = c1 * c2
-                s = out.get(exp)
-                s = prod if s is None else s + prod
-                if s:
-                    out[exp] = s
-                elif exp in out:
-                    del out[exp]
+                _addto(out, tuple(x + y for x, y in zip(e1, e2)), c1 * c2)
         return Poly(a.vars, out)
 
     __rmul__ = __mul__
@@ -159,8 +148,7 @@ class Poly:
         out = {}
         for exp, c in self.terms.items():
             if exp[i] == power:
-                reduced = exp[:i] + (0,) + exp[i + 1:]
-                out[reduced] = out.get(reduced, Cyc.rational(0)) + c
+                _addto(out, exp[:i] + (0,) + exp[i + 1:], c)
         return Poly(self.vars, out)
 
     def constant_term(self) -> Cyc:

@@ -42,12 +42,6 @@ class Rep:
     def _validate(self):
         check_homomorphism(self.group, self.matrices, self.name)
 
-    def matrix(self, g: int):
-        return self.matrices[g]
-
-    def entry(self, g: int, i: int, j: int) -> Cyc:
-        return self.matrices[g][i][j]
-
     def trace(self, g: int) -> Cyc:
         m = self.matrices[g]
         t = ZERO
@@ -334,10 +328,6 @@ def catalog(group: FiniteGroup, kind: str, **params) -> Rep:
         return seminormal_rep(group, tuple(params["partition"]))
     if kind == "dihedral2":
         return dihedral_two_dim(group)
-    if kind == "product":
-        return product_rep(
-            group, params["rep_a"], params["sub_a"], params["rep_b"], params["sub_b"]
-        )
     if kind == "user":
         return user_rep(group, params["matrices"])
     raise ValueError(f"unknown representation kind {kind!r}")

@@ -21,6 +21,7 @@ from .groups import ClassContext, FiniteGroup
 from .reps import Rep, group_projector
 from .double import CrossedModule, DoubleElement
 from . import linalg
+from .linalg import _addto
 
 ZERO = Cyc.rational(0)
 ONE = Cyc.rational(1)
@@ -428,16 +429,12 @@ def coaction_equivariance(map_cols, coact_in, coact_out) -> bool:
             mid_col = map_cols[mid_key]
             for out_idx, val in enumerate(mid_col):
                 if val:
-                    k2 = (pair, out_idx)
-                    acc = lhs.get(k2, ZERO) + coeff * val
-                    lhs[k2] = acc
+                    _addto(lhs, (pair, out_idx), coeff * val)
         rhs: dict = {}
         for out_idx, val in enumerate(col):
             if val:
                 for pair, out_key, coeff in coact_out(out_idx):
-                    k2 = (pair, out_key)
-                    rhs[k2] = rhs.get(k2, ZERO) + val * coeff
-        for k2 in set(lhs) | set(rhs):
-            if lhs.get(k2, ZERO) != rhs.get(k2, ZERO):
-                return False
+                    _addto(rhs, (pair, out_key), val * coeff)
+        if lhs != rhs:
+            return False
     return True

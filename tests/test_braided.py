@@ -205,8 +205,8 @@ def test_direct_sum_axioms(data):
 def test_envelope_dims_case_ii(data):
     for j in (0, 1, 2):
         lie = lie_cpi(data.ctx2, data.pi[j])
-        env = envelope(lie, maxdeg=3)
-        fa = frt([(data.ctx2, data.pi[j])], maxdeg=3)
+        env = envelope(lie)
+        fa = frt([(data.ctx2, data.pi[j])])
         # j = 0: polynomial algebra on 4 generators; j = 1, 2: the four extra
         # vanishing products leave 6 = 16 - 6 - 4 independent degree-2 monomials
         expected_d2 = 10 if j == 0 else 6
@@ -277,7 +277,7 @@ def test_graded_dims_match_rank_mod_p(data):
         for pi in centralizer_irreps(ctx):
             if ctx.rep == 0 and pi.dim == 1 and all(m[0][0] == ONE for m in pi.matrices):
                 continue
-            for alg in (envelope(lie_cpi(ctx, pi), maxdeg=3), frt([(ctx, pi)], maxdeg=3)):
+            for alg in (envelope(lie_cpi(ctx, pi)), frt([(ctx, pi)])):
                 assert alg.hilbert_prefix(3) == _graded_dims_mod_p(alg, 3)
             blocks += 1
     assert blocks == 7
@@ -286,7 +286,7 @@ def test_graded_dims_match_rank_mod_p(data):
 def test_envelope_relations_case_ii(data):
     """For j = 1, 2 the extra relations kill the four mixed products."""
     lie = lie_cpi(data.ctx2, data.pi[1])
-    env = envelope(lie, maxdeg=2)
+    env = envelope(lie)
     e11 = lie.index_of(0, data.uv, 0, data.uv, 0)
     e12 = lie.index_of(0, data.uv, 0, data.vu, 0)
     e21 = lie.index_of(0, data.vu, 0, data.uv, 0)
@@ -384,7 +384,7 @@ def test_quotient_requires_real_orthogonal(data):
 
 
 def test_quotient_case_ii_pi0(data):
-    H, B = quotient_hopf(data.ctx2, data.pi[0], maxdeg=2)
+    H, B = quotient_hopf(data.ctx2, data.pi[0])
     assert H.graded_dimension(2) == B.graded_dimension(2) == 5
     # the antipode relation t_1^1 t_2^2 + t_1^2 t_2^1 = 1 is present
     lie = lie_cpi(data.ctx2, data.pi[0])

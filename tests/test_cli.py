@@ -134,6 +134,38 @@ def test_inexact_scenario_numbers_are_configuration_errors(tmp_path, change, key
     assert out.stderr.startswith(f"configuration error: {key}:")
 
 
+CHARACTER = {"kind": "centralizer_character"}
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"irrep": {**CHARACTER, "j": 1.5}}, "irrep.j: expected an integer, got 1.5"),
+        ({"irrep": {**CHARACTER, "j": True}}, "irrep.j: expected an integer, got True"),
+        ({"irrep": {**CHARACTER, "j": "1"}}, "irrep.j: expected an integer, got '1'"),
+        ({"group": {"name": "symmetric", "degree": 3.9}}, "group.degree: expected an integer"),
+        ({"group": {"generators": [[[1, 2]], [[2, 3]]], "degree": 3.5}}, "group.degree: expected"),
+        ({"irrep": {"kind": "cyclic", "j": "x"}}, "irrep.j: expected an integer, got 'x'"),
+        ({"irrep": {"kind": "user", "matrices": [[[1]], [[1]]]}}, "irrep.matrices: expected 3,"),
+        ({"irrep": {"kind": "user", "matrices": [[[1.5]]]}}, "irrep.matrices[0][0][0]:"),
+        ({"irrep": {"kind": "seminormal"}}, "irrep.partition: required for kind 'seminormal'"),
+        ({"irrep": {"j": 1}}, "irrep.kind: expected one of"),
+    ],
+    ids=[
+        "float-j", "bool-j", "string-j", "float-degree", "float-generators-degree",
+        "cyclic-string-j", "user-count", "user-float-entry", "seminormal-no-partition", "no-kind",
+    ],
+)
+def test_malformed_scenario_is_a_configuration_error(tmp_path, change, message):
+    scenario = json.loads((SCENARIOS / "s3_case_ii.json").read_text())
+    scenario.update(change)
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(scenario))
+    out = run_cli("transfer", "--scenario", str(path))
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr.startswith(f"configuration error: {message}")
+
+
 def _scenario(tmp_path, **spec):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps({"group": {"name": "s3_uvw"}, "class_rep": "e", **spec}))

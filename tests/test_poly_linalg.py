@@ -92,6 +92,52 @@ def test_sparse_span():
     assert not span.contains({2: cyc(1)})
 
 
+def _accumulation_pairs(rng):
+    """Seeded (key, Cyc) pairs at orders 1, 2, 3, 4 and 12, shuffled.
+
+    Even keys cancel: each term comes with its negative.  An odd key's terms
+    are q + c zeta with q > |c|, so every partial sum has a positive
+    normalised trace and is never zero on the way."""
+    pairs = []
+    for key in range(12):
+        terms = []
+        for _ in range(rng.randint(1, 4)):
+            order = rng.choice([1, 2, 3, 4, 12])
+            c = rng.randint(-3, 3)
+            q = Fraction(abs(c) + rng.randint(1, 3), rng.randint(1, 2))
+            terms.append(Cyc.rational(q) + root_of_unity(order, rng.randrange(order)) * c)
+        if key % 2 == 0:
+            terms += [-t for t in terms]
+        pairs += [(key, t) for t in terms]
+    rng.shuffle(pairs)
+    return pairs
+
+
+def test_accumulate_is_the_zero_free_per_key_sum():
+    pairs = _accumulation_pairs(random.Random(23))
+    got = la._accumulate(pairs)
+    chain, orders = {}, {}
+    for key, c in pairs:
+        chain[key] = chain.get(key, cyc(0)) + c
+        orders[key] = math.lcm(orders.get(key, 1), c.order)
+    assert got == {k: v for k, v in chain.items() if v}
+    assert sorted(got) == list(range(1, 12, 2))
+    assert all(got.values())
+    assert {k: v.order for k, v in got.items()} == {k: chain[k].order for k in got}
+    assert all(v.order == orders[k] for k, v in got.items())
+    assert len({v.order for v in got.values()}) >= 3
+
+
+def test_addto_deletes_a_key_that_cancels():
+    z = root_of_unity(12, 5)
+    d = {"a": z, "b": cyc(1)}
+    la._addto(d, "a", -z)
+    la._addto(d, "c", cyc(0))
+    assert d == {"b": cyc(1)}
+    la._addto(d, "b", cyc(2))
+    assert d == {"b": cyc(3)}
+
+
 def _random_entry(rng):
     if rng.random() < 0.4:
         return cyc(0)
