@@ -62,15 +62,15 @@ def build_group(spec: dict) -> FiniteGroup:
     if spec.get("name") == "s3_uvw":
         return FiniteGroup.s3_with_uvw_labels()
     if spec.get("name") == "symmetric":
-        return FiniteGroup.symmetric(_integer(spec.get("degree"), "group.degree"))
+        return FiniteGroup.symmetric(_positive_integer(spec.get("degree"), "group.degree"))
     if spec.get("name") == "cyclic":
-        return FiniteGroup.cyclic(_integer(spec.get("order"), "group.order"))
+        return FiniteGroup.cyclic(_positive_integer(spec.get("order"), "group.order"))
     if "generators" in spec:
         degree = spec.get("degree")
         return FiniteGroup.from_generators(
             spec["generators"],
             labels=spec.get("labels"),
-            degree=None if degree is None else _integer(degree, "group.degree"),
+            degree=None if degree is None else _positive_integer(degree, "group.degree"),
             relabel=spec.get("relabel"),
         )
     raise ConfigError("group spec needs a name or generators")
@@ -138,7 +138,7 @@ def _matrices(value, count: int) -> list:
 
 def _block(scenario: dict):
     """(group, class context, centralizer irrep) of a block subcommand."""
-    group = build_group(scenario["group"])
+    group = build_group(_required(scenario, "group"))
     ctx = build_context(group, scenario)
     return group, ctx, build_pi(ctx, scenario)
 
@@ -152,6 +152,20 @@ def _integer(value, key: str) -> int:
     if not _is_integer(value):
         raise ConfigError(f"{key}: expected an integer, got {value!r}")
     return value
+
+
+def _positive_integer(value, key: str) -> int:
+    """A group size: an integer by the rule above, and at least 1."""
+    if _integer(value, key) < 1:
+        raise ConfigError(f"{key}: expected a positive integer, got {value!r}")
+    return value
+
+
+def _required(scenario: dict, key: str):
+    """A top-level scenario key the subcommand cannot run without."""
+    if key not in scenario:
+        raise ConfigError(f"{key}: required")
+    return scenario[key]
 
 
 def exact_number(value, key: str) -> Fraction:
@@ -209,7 +223,7 @@ def emit(report: dict, args) -> None:
 
 
 def cmd_group(scenario, args):
-    group = build_group(scenario["group"])
+    group = build_group(_required(scenario, "group"))
     return {
         "subcommand": "group",
         "order": group.n,
@@ -219,7 +233,7 @@ def cmd_group(scenario, args):
 
 
 def cmd_classes(scenario, args):
-    group = build_group(scenario["group"])
+    group = build_group(_required(scenario, "group"))
     out = []
     for cls_ in group.conjugacy_classes():
         ctx = class_context(group, cls_[0])
@@ -237,7 +251,7 @@ def cmd_classes(scenario, args):
 
 
 def cmd_double_irreps(scenario, args):
-    group = build_group(scenario["group"])
+    group = build_group(_required(scenario, "group"))
     blocks = []
     total = 0
     for ctx, pi in double_irreps(group):
@@ -353,8 +367,8 @@ def cmd_geometry(scenario, args):
 
 
 def cmd_dual(scenario, args):
-    group = build_group(scenario["group"])
-    subset = scenario["subset"]
+    group = build_group(_required(scenario, "group"))
+    subset = _required(scenario, "subset")
     irreps = irrep_catalog(group)
     weight_vars = {}
     counter = 1

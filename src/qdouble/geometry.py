@@ -13,15 +13,13 @@ polynomial identities.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 from .cyclotomic import Cyc, cyc
-from .poly import Poly, RatFunc, _bareiss_det, _content_wrt, poly_gcd
+from .poly import Poly, RatFunc, _bareiss_det
 from .calculus import LambdaBasis
 from .groups import FiniteGroup
 from . import linalg
-from .linalg import _addto
 
 ZERO = Cyc.rational(0)
 ONE = Cyc.rational(1)
@@ -99,13 +97,19 @@ class InnerProduct:
         return True
 
     def metric_conditions_hold(self) -> bool:
-        """Translation and conjugation identities over all triples of group
-        elements, evaluated through the length formula."""
+        """Translation and conjugation identities for every pair g, h and
+        every generator u, evaluated through the length formula.
+
+        Generators are enough.  Right translation R_u(e^g) = e^{gu} - e^u
+        satisfies R_{u2} R_{u1} = R_{u1 u2}, and conjugation is an action,
+        so the u under which both preserve the pairing are closed under
+        products, and in a finite group the generators' products are all
+        of G."""
         group = self.group
         for g in range(group.n):
             for h in range(group.n):
                 base = self.pair_elements(g, h)
-                for u in range(group.n):
+                for u in group.generators:
                     gu, hu = group.table[g][u], group.table[h][u]
                     rhs = (
                         self.pair_elements(gu, hu)
@@ -321,8 +325,10 @@ POLY_FLAGS = ("metric_compat", "star_compat", "riemann_compat")
 def connection_solve(basis: LambdaBasis, ip: InnerProduct | None, flags) -> ConnectionFamily:
     """Solve the linear constraint flags exactly, returning an affine family.
 
-    Polynomial flags are not imposed here; use the residual builders plus
-    ``solve_polynomial_flags`` on the returned family.
+    Polynomial flags are not imposed here: ``metric_compat_residuals``,
+    ``star_compat_residuals`` and ``riemann_compat_residuals`` give their
+    conditions on the returned family, as polynomials in its parameters, and
+    ``poly.groebner`` with ``poly.normal_form`` decides what they force.
     """
     flags = list(flags)
     unknown = [f for f in flags if f not in LINEAR_FLAGS + POLY_FLAGS]
@@ -756,107 +762,3 @@ def strip_monomial_content(poly: Poly, keep=()) -> Poly:
     for exp, c in poly.terms.items():
         out[tuple(a - b for a, b in zip(exp, mins))] = c
     return Poly(poly.vars, out)
-
-
-def _monomials_upto(variables, degree):
-    out = [()]
-    for d in range(1, degree + 1):
-        out.extend(itertools.combinations_with_replacement(variables, d))
-    return out
-
-
-def membership_certificate(residuals, target: Poly, params, degree: int = 1) -> bool:
-    """Decide whether target = sum h_i R_i with deg(h_i) <= degree in the
-    parameters, by exact linear algebra over the remaining variables' field.
-
-    A positive answer certifies that target vanishes on every common zero of
-    the residuals (for generic values of the non-parameter coefficients).
-    """
-    residuals = [strip_monomial_content(r, keep=params) for r in residuals if r]
-    if not residuals:
-        return not target
-    allvars = tuple(dict.fromkeys(sum((r.vars for r in residuals), target.vars)))
-    params = tuple(p for p in params if p in allvars)
-    base = tuple(v for v in allvars if v not in params)
-    pidx = [allvars.index(p) for p in params]
-    bidx = [allvars.index(b) for b in base]
-    scalar_field = not any(
-        r.degree(b) > 0 for r in residuals for b in base
-    ) and not any(target.degree(b) > 0 for b in base if b in target.vars)
-
-    def split(poly):
-        """Sparse row keyed by param-monomials; Cyc or RatFunc coefficients."""
-        out = {}
-        for exp, c in poly.terms.items():
-            key = tuple(exp[i] for i in pidx)
-            if scalar_field:
-                _addto(out, key, c)
-            else:
-                rest = [0] * len(allvars)
-                for i in bidx:
-                    rest[i] = exp[i]
-                bucket = out.setdefault(key, {})
-                bucket[tuple(rest)] = c
-        if scalar_field:
-            return out
-        return {
-            k: RatFunc(Poly(allvars, v))
-            for k, v in out.items()
-            if any(bool(c) for c in v.values())
-        }
-
-    span = linalg.SparseSpan()
-    for r in residuals:
-        r = r.extend(allvars)
-        for mono in _monomials_upto(params, degree):
-            m = r
-            for v in mono:
-                m = m * Poly.variable(v, allvars)
-            span.add(split(m))
-    return span.contains(split(target.extend(allvars)))
-
-
-def forced_linear_relations(residuals, params, candidates, degree: int = 1):
-    """Certify candidate relations sequentially, substituting each certified
-    relation before trying the rest; multiplier degree escalates only after
-    the cheap rounds stop making progress.
-
-    candidates: list of (description, target Poly, substitution dict or None).
-    A target or its square in the residual ideal counts as certified (squares
-    are enough because the parameters are real).
-    Returns (certified descriptions, remaining residuals after substitutions).
-    """
-    pool = list(residuals)
-    certified = []
-    pending = list(candidates)
-    for d in range(1, degree + 1):
-        progress = True
-        while progress and pending:
-            progress = False
-            for item in list(pending):
-                desc, tgt, subs = item
-                if membership_certificate(pool, tgt, params, degree=d) or (
-                    membership_certificate(pool, tgt * tgt, params, degree=d)
-                ):
-                    certified.append(desc)
-                    pending.remove(item)
-                    if subs:
-                        pool = [p for p in (r.substitute(subs) for r in pool) if p]
-                    progress = True
-        if not pending:
-            break
-    return certified, pool
-
-
-def common_factor_in(residuals, var: str):
-    """gcd of the residuals viewed in the given variable, primitive part."""
-    pool = [r for r in residuals if r and r.degree(var) > 0]
-    if not pool:
-        return None
-    g = pool[0]
-    for r in pool[1:]:
-        g = poly_gcd(g, r)
-        if g.degree(var) <= 0:
-            return None
-    content = _content_wrt(g, var)
-    return g.exact_div(content).monic_normalize()

@@ -3,8 +3,9 @@
 Parameters (metric lengths, connection moduli, eigenvalues) are carried as
 named commuting indeterminates, declared real: complex conjugation fixes
 them and conjugates the cyclotomic coefficients.  Sparse dict-of-monomials
-representation; gcd by a primitive subresultant remainder sequence, which
-is all the elimination in this package needs.
+representation.  ``poly_gcd`` (a primitive subresultant remainder sequence)
+keeps ``RatFunc`` reduced; ``groebner`` and ``normal_form`` decide ideal
+membership and equality, the polynomial elimination of the regression suite.
 """
 
 from __future__ import annotations
@@ -253,7 +254,7 @@ def _poly_divmod_multivar(a: Poly, b: Poly):
     return q, r
 
 
-# -- gcd and resultants ----------------------------------------------------
+# -- gcd ------------------------------------------------------------------
 
 
 def _content_wrt(p: Poly, var: str) -> Poly:
@@ -318,34 +319,13 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return g.monic_normalize()
 
 
-def resultant(a: Poly, b: Poly, var: str) -> Poly:
-    """Sylvester resultant eliminating var, by exact fraction-free expansion."""
-    a, b = a._align(b)
-    m, n = a.degree(var), b.degree(var)
-    if m < 0 or n < 0:
-        return Poly.constant(0, a.vars)
-    if m == 0:
-        return a ** n if n >= 0 else Poly.constant(1, a.vars)
-    if n == 0:
-        return b ** m
-    size = m + n
-    acoe = [a.coeff_of(var, m - k) for k in range(m + 1)]
-    bcoe = [b.coeff_of(var, n - k) for k in range(n + 1)]
-    zero = Poly.constant(0, a.vars)
-    rows = []
-    for i in range(n):
-        rows.append([zero] * i + acoe + [zero] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([zero] * i + bcoe + [zero] * (size - n - 1 - i))
-    return _bareiss_det(rows)
-
-
 def _bareiss_det(rows: list[list[Poly]]) -> Poly:
     """Determinant by fraction-free (Bareiss) elimination in the polynomial ring.
 
     Not ``linalg``'s field elimination: ``Poly`` has exact division but no
-    inverse, and over ``RatFunc`` every step would run a gcd.  Resultants and
-    ``InnerProduct.det``, printed as ``metric_determinant``, come from here."""
+    inverse, and over ``RatFunc`` every step would run a gcd.
+    ``InnerProduct.det``, printed as ``metric_determinant``, and its adjugate
+    come from here."""
     n = len(rows)
     rows = [list(r) for r in rows]
     vars_ = rows[0][0].vars
@@ -366,6 +346,117 @@ def _bareiss_det(rows: list[list[Poly]]) -> Poly:
         prev = rows[k][k]
     d = rows[n - 1][n - 1]
     return d if sign > 0 else -d
+
+
+# -- Groebner bases -----------------------------------------------------------
+#
+# Inside the engine a polynomial is its zero-free {exponent tuple: Cyc} map,
+# and a basis element is the pair (leading exponent, monic terms).
+
+
+def _grevlex(exp):
+    """Sort key of a monomial in graded reverse lexicographic order."""
+    return sum(exp), tuple(-e for e in reversed(exp))
+
+
+def _lcm(a, b):
+    return tuple(map(max, a, b))
+
+
+def _divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def _add_multiple(out, terms, lead, m, c):
+    """out += c (m / lead) terms, for a monomial lead dividing m."""
+    for e, tc in terms.items():
+        _addto(out, tuple(x + y - z for x, y, z in zip(e, m, lead)), c * tc)
+
+
+def _monic(terms):
+    lead = max(terms, key=_grevlex)
+    inv = terms[lead].inverse()
+    return lead, {e: c * inv for e, c in terms.items()}
+
+
+def _reduce(terms, basis):
+    """The remainder of terms on division by the (lead, monic terms) pairs."""
+    terms = dict(terms)
+    rem = {}
+    while terms:
+        m = max(terms, key=_grevlex)
+        for lead, g in basis:
+            if _divides(lead, m):
+                _add_multiple(terms, g, lead, m, -terms[m])
+                break
+        else:
+            rem[m] = terms.pop(m)
+    return rem
+
+
+def _spoly(f, g):
+    lcm = _lcm(f[0], g[0])
+    out = {}
+    _add_multiple(out, f[1], f[0], lcm, Cyc.rational(1))
+    _add_multiple(out, g[1], g[0], lcm, Cyc.rational(-1))
+    return out
+
+
+def groebner(polys) -> list[Poly]:
+    """The reduced Groebner basis of the ideal the polys generate.
+
+    The order is grevlex over the variables that occur in the polys, taken
+    in their merged ``vars`` order.  Buchberger's algorithm with normal pair
+    selection (least lcm first) and the product and chain criteria (Cox,
+    Little, O'Shea, *Ideals, Varieties, and Algorithms*, ch. 2).  The ideal
+    is the unit ideal exactly when the basis is [1].
+    """
+    merged = tuple(dict.fromkeys(v for p in polys for v in p.vars))
+    polys = [p.extend(merged) for p in polys if p]
+    occur = [i for i in range(len(merged)) if any(e[i] for p in polys for e in p.terms)]
+    basis = [
+        _monic({tuple(e[i] for i in occur): c for e, c in p.terms.items()}) for p in polys
+    ]
+    pairs = {(i, j) for j in range(len(basis)) for i in range(j)}
+    while pairs:
+        i, j = min(pairs, key=lambda ij: _grevlex(_lcm(basis[ij[0]][0], basis[ij[1]][0])))
+        li, lj = basis[i][0], basis[j][0]
+        lcm = _lcm(li, lj)
+        coprime = lcm == tuple(x + y for x, y in zip(li, lj))
+        chain = any(
+            k != i and k != j
+            and (min(i, k), max(i, k)) not in pairs
+            and (min(j, k), max(j, k)) not in pairs
+            and _divides(basis[k][0], lcm)
+            for k in range(len(basis))
+        )
+        if not coprime and not chain:
+            rem = _reduce(_spoly(basis[i], basis[j]), basis)
+            if rem:
+                pairs.update((k, len(basis)) for k in range(len(basis)))
+                basis.append(_monic(rem))
+        pairs.discard((i, j))
+    minimal = []
+    for lead, terms in sorted(basis, key=lambda b: _grevlex(b[0])):
+        if not any(_divides(l, lead) for l, _ in minimal):
+            minimal.append((lead, terms))
+    variables = tuple(merged[i] for i in occur)
+    return [
+        Poly(variables, _reduce(terms, minimal[:k] + minimal[k + 1:]))
+        for k, (_, terms) in enumerate(minimal)
+    ]
+
+
+def normal_form(p: Poly, basis: list[Poly]) -> Poly:
+    """The remainder of p on division by a ``groebner`` basis.
+
+    It is zero exactly when p lies in the ideal, and two polynomials have
+    the same normal form exactly when they agree modulo the ideal."""
+    if not basis:
+        return p
+    variables = tuple(dict.fromkeys(basis[0].vars + p.vars))
+    pairs = [_monic(g.extend(variables).terms) for g in basis]
+    return Poly(variables, _reduce(p.extend(variables).terms, pairs))
 
 
 class RatFunc:

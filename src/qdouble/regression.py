@@ -43,10 +43,7 @@ from .geometry import (
     metric_compat_residuals,
     star_compat_residuals,
     riemann_compat_residuals,
-    membership_certificate,
-    forced_linear_relations,
     residuals_vanish,
-    common_factor_in,
     ricci,
     ricci_scalar,
     geometric_laplacian,
@@ -68,7 +65,7 @@ from .braided import (
     bdg_braided_checks,
     _braid_relation_holds,
 )
-from .poly import Poly, _pseudo_rem, poly_gcd, resultant
+from .poly import Poly, groebner, normal_form
 from . import linalg
 from .linalg import _addto
 
@@ -422,9 +419,8 @@ def criterion_6():
     checks.append(_check("c6 printed WQLC family reproduced as the x = 0 slice", entry_ok))
     mres = metric_compat_residuals(fam4, d.ip_stratum())
     P4 = ("r", "s", "f", "x")
-    forced = all(
-        membership_certificate(mres, Poly.variable(t, P4), P4, degree=1) for t in P4
-    )
+    mbasis = groebner([strip_monomial_content(r, keep=P4) for r in mres])
+    forced = all(not normal_form(Poly.variable(t, P4), mbasis) for t in P4)
     checks.append(
         _check(
             "c6 metric compatibility forces r = s = 0 (and also f = x = 0)",
@@ -448,17 +444,22 @@ def criterion_6():
     }
     suff = residuals_vanish(sres, star_family)
     cands = [
-        ("s_re", pv("s_re"), {"s_re": 0}),
-        ("s_im", pv("s_im"), {"s_im": 0}),
-        ("f_re", pv("f_re"), {"f_re": 0}),
-        ("r_re", pv("r_re"), {"r_re": 0}),
-        ("r=f", pv("r_im") - pv("f_im"), {"r_im": pv("f_im")}),
+        ("s_re", pv("s_re")),
+        ("s_im", pv("s_im")),
+        ("f_re", pv("f_re")),
+        ("r_re", pv("r_re")),
+        ("r=f", pv("r_im") - pv("f_im")),
     ]
-    certified, remaining = forced_linear_relations(sres, P6, cands, degree=2)
+    # t or t^2 in the ideal: t vanishes on every common zero
+    sbasis = groebner(sres)
+    certified = [
+        desc for desc, t in cands
+        if not normal_form(t, sbasis) or not normal_form(t * t, sbasis)
+    ]
     checks.append(
         _check(
             "c6 star compatibility yields s = 0, r = f, Re f = 0 on the printed family",
-            suff and len(certified) == 5 and not remaining,
+            suff and len(certified) == 5,
             f"certified {certified}",
         )
     )
@@ -469,55 +470,34 @@ def criterion_6():
     suff = residuals_vanish(rres, {"s": 0, "f": rvar * cyc(Fraction(1, 4))}) and residuals_vanish(
         rres, {"s": 0, "f": rvar}
     )
-    at_s0 = [x for x in (p.substitute({"s": 0}) for p in rres) if x]
-    fac = common_factor_in(at_s0, "f")
     fvar = Poly.variable("f", P3)
-    quad = (fvar * 4 - rvar) * (fvar - rvar)
-    fac_ok = fac is not None and fac.monic_normalize() == quad.monic_normalize()
+
+    def slice_is(s, generators):
+        """(residuals at this s) = (generators), by normal forms both ways."""
+        at_s = [x for x in (p.substitute({"s": s}) for p in rres) if x]
+        basis, gbasis = groebner(at_s), groebner(generators)
+        return not any(normal_form(p, gbasis) for p in at_s) and not any(
+            normal_form(g, basis) for g in generators
+        )
+
     checks.append(
         _check(
             "c6 within s = 0: Riemann compatibility is exactly f in {r/4, r}",
-            suff and fac_ok,
+            suff and slice_is(0, [(fvar * 4 - rvar) * (fvar - rvar)]),
         )
     )
+    # at s = 1, f = (3r + 11)/4 over 2r^2 + 15r + 21, whose discriminant 57 > 0
+    a, b, c = 2, 15, 21
     checks.append(
         _check(
             "c6 divergence: Riemann variety has components off s = 0",
-            _riemann_extra_component(rres, P3),
+            b * b - 4 * a * c > 0
+            and slice_is(1, [fvar * 4 - rvar * 3 - 11, rvar * rvar * a + rvar * b + c]),
             "real branch over 2r^2 + 15r + 21 = 0 at s = 1; see notes",
         )
     )
     return checks
 
-
-def _riemann_extra_component(rres, P3):
-    """Exact certificate that the Riemann conditions admit s = 1 solutions.
-
-    Reduces every residual at s = 1 to zero modulo a triangular set
-    {linear-in-f, quadratic-in-r} whose real solvability is certified by a
-    positive discriminant.
-    """
-    at_s1 = [x for x in (p.substitute({"s": 1}) for p in rres) if x]
-    quads = [p for p in at_s1 if p.degree("f") == 2]
-    if len(quads) < 2:
-        return False
-    p0, p1 = quads[0], quads[1]
-    lin = p1.coeff_of("f", 2) * p0 - p0.coeff_of("f", 2) * p1
-    if lin.degree("f") != 1:
-        return False
-    # r-only consequence: resultant of a quadratic residual with the linear one
-    rq = resultant(p0, lin, "f")
-    rq = strip_monomial_content(rq)
-    # expected factor
-    V = rq.vars
-    r = Poly.variable("r", V)
-    target = r * r * 2 + r * 15 + Poly.constant(21, V)
-    g = poly_gcd(rq, target)
-    if g.degree("r") != 2:
-        return False
-    # discriminant 15^2 - 4*2*21 = 57 > 0: two real roots
-    # every residual must reduce to zero modulo (lin, target)
-    return not any(_pseudo_rem(_pseudo_rem(p, lin, "f"), target, "r") for p in at_s1)
 
 
 # -- criterion 7: curvature -------------------------------------------------------------
@@ -598,9 +578,7 @@ def criterion_8():
     res1 = laplacian_consistency_residuals(
         fam1, ip1, {"e": 0, "u": Poly.variable("lam1", W), "uv": Poly.variable("lam2", W)}
     )
-    forced = membership_certificate(
-        res1, Poly.variable("lam2", W), ("g0", "lam1", "lam2"), degree=1
-    )
+    forced = not normal_form(Poly.variable("lam2", W), groebner(res1))
     checks.append(
         _check(
             "c8 sign calculus forces lambda_2 = 0 (no geometric regular spectrum)",
@@ -630,7 +608,7 @@ def criterion_9():
     w1 = Poly.variable("w1", V)
     # the constraints must force lambda*_sign = 0 and be satisfied by the
     # closed-form solution (0, 6 l*_1)
-    forced_sign = membership_certificate(cons, Poly.variable("a1", V), ("a1", "a2"), degree=1)
+    forced_sign = not normal_form(Poly.variable("a1", V), groebner(cons))
     sigma_zero = all(not c.substitute({"a1": 0, "a2": w1 * 6}) for c in cons)
     formula_ok = closed[sign.name].is_zero() and closed[
         two.name

@@ -145,14 +145,15 @@ def test_criterion_06_literal_wqlc_dimensions():
 def test_criterion_06_literal_riemann_necessity():
     """Criterion 6 asks that curvature compatibility yield s = 0.  Within
     s = 0 the branches f in {r/4, r} are exact and complete, but s = 0 is not
-    forced: an exact triangular reduction exhibits real solutions with s = 1
-    over 2 r^2 + 15 r + 21 = 0."""
-    from qdouble.geometry import riemann_compat_residuals, membership_certificate
+    forced: at s = 1 the ideal is exactly (4f - 3r - 11, 2 r^2 + 15 r + 21),
+    which has real solutions."""
+    from qdouble.geometry import riemann_compat_residuals
+    from qdouble.poly import groebner, normal_form
 
     d = S3Data.get()
     rres = riemann_compat_residuals(d.printed_wqlc_slice())
     P3 = ("r", "s", "f")
-    assert membership_certificate(rres, Poly.variable("s", P3), P3, degree=2), (
+    assert not normal_form(Poly.variable("s", P3), groebner(rres)), (
         "s does not vanish on the full compatibility variety; see the "
         "exhibited branch in criterion 6"
     )

@@ -150,10 +150,14 @@ CHARACTER = {"kind": "centralizer_character"}
         ({"irrep": {"kind": "user", "matrices": [[[1.5]]]}}, "irrep.matrices[0][0][0]:"),
         ({"irrep": {"kind": "seminormal"}}, "irrep.partition: required for kind 'seminormal'"),
         ({"irrep": {"j": 1}}, "irrep.kind: expected one of"),
+        ({"group": {"name": "cyclic", "order": 0}}, "group.order: expected a positive integer, got 0"),
+        ({"group": {"name": "cyclic", "order": -2}}, "group.order: expected a positive integer, got -2"),
+        ({"group": {"name": "symmetric", "degree": 0}}, "group.degree: expected a positive integer"),
     ],
     ids=[
         "float-j", "bool-j", "string-j", "float-degree", "float-generators-degree",
         "cyclic-string-j", "user-count", "user-float-entry", "seminormal-no-partition", "no-kind",
+        "zero-order", "negative-order", "zero-degree",
     ],
 )
 def test_malformed_scenario_is_a_configuration_error(tmp_path, change, message):
@@ -164,6 +168,12 @@ def test_malformed_scenario_is_a_configuration_error(tmp_path, change, message):
     out = run_cli("transfer", "--scenario", str(path))
     assert (out.returncode, out.stdout) == (2, "")
     assert out.stderr.startswith(f"configuration error: {message}")
+
+
+def test_missing_scenario_key_is_named():
+    s4 = Path(__file__).resolve().parent.parent / "perfbench" / "scenarios" / "s4_four_cycle.json"
+    out = run_cli("dual", "--scenario", str(s4))
+    assert (out.returncode, out.stdout, out.stderr) == (2, "", "configuration error: subset: required\n")
 
 
 def _scenario(tmp_path, **spec):

@@ -1,19 +1,22 @@
 import pytest
 
 from qdouble.cyclotomic import cyc
+from qdouble.groups import FiniteGroup, class_context
+from qdouble.double import centralizer_irreps
 from qdouble.reps import induced_rep
 from qdouble.calculus import fodc_group_algebra, lambda_basis
-from qdouble.poly import Poly
+from qdouble.poly import Poly, groebner, normal_form
 from qdouble.geometry import (
+    InnerProduct,
     ip_from_lengths,
     covariant_operator,
     operator_is_covariant,
     is_second_order,
     ip_from_laplacian,
     connection_solve,
-    membership_certificate,
     residuals_vanish,
     metric_compat_residuals,
+    strip_monomial_content,
     geometric_laplacian,
 )
 from qdouble.regression import S3Data, printed_wqlc_matrices
@@ -40,6 +43,58 @@ def test_zero_lengths_degenerate(data):
     ip = ip_from_lengths(data.basis_end2(), {"u": 0, "uv": 0})
     assert all(not x for row in ip.matrix for x in row)
     assert ip.det().is_zero()
+
+
+def _metric_conditions_on_all_triples(ip):
+    """Reference: the translation and conjugation identities for every u in G."""
+    group = ip.group
+    for g in range(group.n):
+        for h in range(group.n):
+            base = ip.pair_elements(g, h)
+            for u in range(group.n):
+                gu, hu = group.table[g][u], group.table[h][u]
+                rhs = (
+                    ip.pair_elements(gu, hu)
+                    - ip.pair_elements(gu, u)
+                    - ip.pair_elements(u, hu)
+                    + ip.pair_elements(u, u)
+                )
+                if base != rhs:
+                    return False
+                if base != ip.pair_elements(
+                    group.conj(group.inv[u], g), group.conj(group.inv[u], h)
+                ):
+                    return False
+    return True
+
+
+def _generic_s3_inner_product(data):
+    V = ("l1", "l2")
+    return InnerProduct(
+        data.basis_end2(), {"u": Poly.variable("l1", V), "uv": Poly.variable("l2", V)}, V
+    )
+
+
+def _generic_s4_inner_product():
+    s4 = FiniteGroup.symmetric(4)
+    ctx = class_context(s4, s4.element("s3"))
+    basis = lambda_basis(fodc_group_algebra(induced_rep(ctx, centralizer_irreps(ctx)[0])))
+    reps = [c[0] for c in s4.conjugacy_classes() if c[0]]
+    V = tuple(f"l{k}" for k in range(len(reps)))
+    return InnerProduct(basis, {g: Poly.variable(v, V) for g, v in zip(reps, V)}, V)
+
+
+def test_metric_conditions_on_generators_agree_with_all_triples(data):
+    for ip in (_generic_s3_inner_product(data), _generic_s4_inner_product()):
+        assert ip.metric_conditions_hold()
+        assert _metric_conditions_on_all_triples(ip)
+
+
+def test_nonzero_identity_length_fails_the_metric_conditions(data):
+    ip = _generic_s3_inner_product(data)
+    ip.lengths[0] = Poly.constant(1, ip.vars)
+    assert not ip.metric_conditions_hold()
+    assert not _metric_conditions_on_all_triples(ip)
 
 
 def test_sign_calculus_single_length(data):
@@ -130,8 +185,9 @@ def test_metric_compat_solution_is_zero_connection(data):
     res = metric_compat_residuals(fam, data.ip_stratum())
     assert residuals_vanish(res, {"r": 0, "s": 0, "f": 0, "x": 0})
     P4 = ("r", "s", "f", "x")
+    basis = groebner([strip_monomial_content(r, keep=P4) for r in res])
     for t in P4:
-        assert membership_certificate(res, Poly.variable(t, P4), P4, degree=1)
+        assert not normal_form(Poly.variable(t, P4), basis)
 
 
 def test_maurer_cartan_connection(data):

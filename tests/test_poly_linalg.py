@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from qdouble.cyclotomic import Cyc, cyc, root_of_unity
-from qdouble.poly import Poly, RatFunc, poly_gcd, resultant
+from qdouble.poly import Poly, RatFunc, poly_gcd
 from qdouble.quadalg import QuadAlg
 import qdouble.linalg as la
 
@@ -40,22 +40,13 @@ def test_poly_conj_fixes_real_parameters():
     assert p.conj() == t * root_of_unity(4, 3) + Poly.constant(3, V)
 
 
-def test_gcd_and_resultant():
+def test_gcd():
     V = ("x", "y")
     x, y = Poly.variable("x", V), Poly.variable("y", V)
     a = (x - y) * (x + cyc(2))
     b = (x - y) * (x * x + y)
     g = poly_gcd(a, b)
     assert g.monic_normalize() == (x - y).monic_normalize()
-    r = resultant(x * x - y, x + cyc(3), "x")
-    assert r == Poly.constant(9, V) - y
-
-
-def test_resultant_detects_common_roots():
-    V = ("x",)
-    x = Poly.variable("x", V)
-    assert resultant((x - 1) * (x - 2), (x - 2) * (x + 5), "x").is_zero()
-    assert not resultant((x - 1) * (x - 2), (x - 3), "x").is_zero()
 
 
 def test_ratfunc_field():
