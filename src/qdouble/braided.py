@@ -16,9 +16,30 @@ and PsiT the fundamental braiding ([,] (x) id)(id (x) Psi)(Delta (x) id)):
 * L3, the bracket is a braided-coalgebra map, and counit-compatible;
 * L4, when a grouplike unit exists: [eta, x] = x and [x, eta] = eps(x) eta;
 * the braid relation for PsiT and its invertibility (regularity).
+
+L1, L2, L3 and the braid relation are decided on one basis tuple per
+G-orbit.  A braided-Lie algebra in the crossed-module category has a
+G-equivariant counit, coproduct, Psi, bracket and hence PsiT (Majid,
+"Quantum and braided Lie algebras", J. Geom. Phys. 13, 1994), with G
+acting diagonally on tensor powers.  Both sides of each of these axioms
+are composites of those maps, so if a generator s acts monomially,
+s |> v_i = c_i v_p(i) with c_i != 0, a side at (p(i), p(j), ...) is
+(c_i c_j ...)^-1 s |> (the side at (i, j, ...)): the sides agree on the
+image tuple once they agree on the tuple, and so on its whole orbit under
+the group generated by the generators' permutations.
+
+The argument is used only where its premise is decided first: every
+generator's action is monomial, and the counit, coproduct, Psi, bracket
+and PsiT commute with it on all basis vectors and pairs (dim^2 |S| work).
+Otherwise, for a non-monomial action (dim pi > 1) or a tensor that is not
+equivariant, every tuple is its own representative and the same loop is
+exhaustive.  L4 runs over every basis vector, since the unit need not be
+invariant.
 """
 
 from __future__ import annotations
+
+from itertools import product
 
 from .cyclotomic import Cyc
 from .groups import FiniteGroup, ClassContext
@@ -31,31 +52,80 @@ ZERO = Cyc.rational(0)
 ONE = Cyc.rational(1)
 
 
+def _orbits(n: int, arity: int, perms):
+    """One representative tuple for each orbit of the tuples in
+    range(n)**arity under the permutations ``perms`` of range(n), each
+    acting on every factor.  A tuple is coded in base n and the
+    representative is the least code of its orbit, so representatives come
+    in lexicographic order.  With no permutations every tuple is its own
+    representative.  Each permutation is lifted to the codes of the first
+    arity - 1 factors, so a code moves by one divmod and two lookups."""
+    lifted = []
+    for perm in perms:
+        head = [0]
+        for _ in range(arity - 1):
+            head = [c * n + p for c in head for p in perm]
+        lifted.append((head, perm))
+    seen = bytearray(n ** arity)
+    for code, t in enumerate(product(range(n), repeat=arity)):
+        if seen[code]:
+            continue
+        seen[code] = 1
+        orbit = [code]
+        for member in orbit:
+            q, r = divmod(member, n)
+            for head, perm in lifted:
+                image = head[q] * n + perm[r]
+                if not seen[image]:
+                    seen[image] = 1
+                    orbit.append(image)
+        yield t
+
+
+def _first_unequal(sides, n: int, arity: int, perms=()):
+    """The first representative tuple t (see ``_orbits``) whose two sides
+    ``sides(*t)`` differ, as (t, lhs, rhs), or None."""
+    for t in _orbits(n, arity, perms):
+        lhs, rhs = sides(*t)
+        if lhs != rhs:
+            return t, lhs, rhs
+    return None
+
+
+def _braid_sides(psi, i: int, j: int, k: int):
+    """psi_12 psi_23 psi_12 and psi_23 psi_12 psi_23 on v_i (x) v_j (x) v_k,
+    as sparse vectors over index triples; psi(i, j) is the image
+    {(a, b): coeff} of (i, j)."""
+
+    def at(vec: dict, pos: int) -> dict:
+        out: dict = {}
+        for t, c in vec.items():
+            for (a, b), c2 in psi(t[pos], t[pos + 1]).items():
+                _addto(out, t[:pos] + (a, b) + t[pos + 2:], c * c2)
+        return out
+
+    start = {(i, j, k): ONE}
+    return at(at(at(start, 0), 1), 0), at(at(at(start, 1), 0), 1)
+
+
 def _braid_relation_holds(psi, n: int) -> bool:
     """psi_12 psi_23 psi_12 = psi_23 psi_12 psi_23 on every basis triple of
-    an n-dimensional space; psi(i, j) is the image {(a, b): coeff} of (i, j).
-    The sides are A psi_12 and psi_23 A with A = psi_12 psi_23, tabulated for
-    one last index k at a time, since psi_12 keeps it."""
-    for k in range(n):
-        composed: dict = {}
-        for i in range(n):
-            for j in range(n):
-                out = composed[i, j] = {}
-                for (a, b), c in psi(j, k).items():
-                    for (x, y), c2 in psi(i, a).items():
-                        _addto(out, (x, y, b), c * c2)
-        for (i, j), image in composed.items():
-            lhs: dict = {}
-            for (a, b), c in psi(i, j).items():
-                for t, c2 in composed[a, b].items():
-                    _addto(lhs, t, c * c2)
-            rhs: dict = {}
-            for (x, y, z), c in image.items():
-                for (a, b), c2 in psi(y, z).items():
-                    _addto(rhs, (x, a, b), c * c2)
-            if lhs != rhs:
-                return False
-    return True
+    an n-dimensional space."""
+    return _first_unequal(lambda i, j, k: _braid_sides(psi, i, j, k), n, 3) is None
+
+
+def _act(perm, scale, vec: dict) -> dict:
+    """s |> vec for the monomial action s |> v_i = scale[i] v_perm[i], on a
+    sparse vector keyed by basis indices or by tuples of them."""
+    out = {}
+    for key, c in vec.items():
+        if isinstance(key, tuple):
+            for k in key:
+                c = c * scale[k]
+            out[tuple(perm[k] for k in key)] = c
+        else:
+            out[perm[key]] = c * scale[key]
+    return out
 
 
 class BraidedLie:
@@ -80,6 +150,7 @@ class BraidedLie:
         self.unit = unit  # optional vector (dict index -> Cyc)
         self._bracket_cache: dict = {}
         self._psit_cache: dict = {}
+        self._perms = None
 
     # braiding of the underlying crossed modules
     def psi(self, i: int, j: int):
@@ -114,6 +185,78 @@ class BraidedLie:
             "regular": self.is_regular(),
         }
 
+    def _orbit_perms(self) -> tuple:
+        """The basis permutations of the generators' actions if the orbit
+        argument of the module docstring applies, else ().  Decided once,
+        on first use, so the structure tensors must not change after it."""
+        if self._perms is None:
+            perms = []
+            for s in self.group.generators:
+                perm = self._equivariant_perm(s)
+                if perm is None:
+                    perms = []
+                    break
+                perms.append(perm)
+            self._perms = tuple(perms)
+        return self._perms
+
+    def _equivariant_perm(self, s: int):
+        """The permutation p of s |> v_i = c_i v_p(i) if the action of s is
+        monomial and the counit, coproduct, Psi, bracket and PsiT commute
+        with it on every basis vector and pair, else None."""
+        rows = self.action[s]
+        if not all(len(row) == 1 and row[0][1] for row in rows):
+            return None
+        perm = [row[0][0] for row in rows]
+        scale = [row[0][1] for row in rows]
+        if len(set(perm)) != self.dim:
+            return None
+        for i in range(self.dim):
+            delta, image = {}, {}
+            for (a, b, c) in self.coproduct[i]:
+                _addto(delta, (a, b), c)
+            for (a, b, c) in self.coproduct[perm[i]]:
+                _addto(image, (a, b), c * scale[i])
+            if self.counit[perm[i]] * scale[i] != self.counit[i] or _act(perm, scale, delta) != image:
+                return None
+        for tensor in (lambda i, j: dict(self.psi(i, j)), self.bracket, self.psit):
+            for i in range(self.dim):
+                for j in range(self.dim):
+                    c = scale[i] * scale[j]
+                    image = {k: c * v for k, v in tensor(perm[i], perm[j]).items()}
+                    if _act(perm, scale, tensor(i, j)) != image:
+                        return None
+        return perm
+
+    def _first_failure(self, axiom: str):
+        """The first (axiom, indices, lhs, rhs) on which the two sides of
+        ``axiom`` differ, or None.  L1, L2, L3 and the braid relation run
+        over orbit representatives (see the module docstring).  L4 first
+        compares (Delta eta, eps eta) with (eta (x) eta, 1) at indices (),
+        then ([eta, x], [x, eta]) with (x, eps(x) eta) at every x."""
+        if axiom == "L4":
+            if self.unit is None:
+                return None
+            eta = self.unit
+            delta_eta: dict = {}
+            for i, c in eta.items():
+                for (a, b, c2) in self.coproduct[i]:
+                    _addto(delta_eta, (a, b), c * c2)
+            eta_eta = {(a, b): ca * cb for a, ca in eta.items() for b, cb in eta.items()}
+            eps_eta = sum((c * self.counit[i] for i, c in eta.items()), ZERO)
+            if (delta_eta, eps_eta) != (eta_eta, ONE):
+                return axiom, (), (delta_eta, eps_eta), (eta_eta, ONE)
+            found = _first_unequal(self._L4_sides, self.dim, 1)
+        else:
+            arity, sides = {
+                "L1": (3, self._L1_sides),
+                "L2": (3, self._L2_sides),
+                "L3": (2, self._L3_sides),
+                "braid_relation": (3, lambda i, j, k: _braid_sides(self.psit, i, j, k)),
+            }[axiom]
+            found = _first_unequal(sides, self.dim, arity, self._orbit_perms())
+        return None if found is None else (axiom, *found)
+
     def _nested(self, x: int, y: int, z: int) -> dict:
         """[x, [y, z]]."""
         out: dict = {}
@@ -122,97 +265,67 @@ class BraidedLie:
                 _addto(out, l, c * c2)
         return out
 
+    def _L1_sides(self, x: int, y: int, z: int):
+        rhs: dict = {}
+        for (x1, x2, c1) in self.coproduct[x]:
+            for ((yy, xx2), c2) in self.psi(x2, y):
+                # [ [x1, yy], [xx2, z] ]
+                for a, ca in self.bracket(x1, yy).items():
+                    for b, cb in self.bracket(xx2, z).items():
+                        for l, cl in self.bracket(a, b).items():
+                            _addto(rhs, l, c1 * c2 * ca * cb * cl)
+        return self._nested(x, y, z), rhs
+
+    def _L2_sides(self, x: int, y: int, z: int):
+        rhs: dict = {}
+        for (a, b), c in self.psit(x, y).items():
+            for l, c2 in self._nested(a, b, z).items():
+                _addto(rhs, l, c * c2)
+        return self._nested(x, y, z), rhs
+
+    def _L3_sides(self, x: int, y: int):
+        lhs: dict = {}
+        eps_lhs = ZERO
+        for k, c in self.bracket(x, y).items():
+            for (a, b, c2) in self.coproduct[k]:
+                _addto(lhs, (a, b), c * c2)
+            eps_lhs = eps_lhs + c * self.counit[k]
+        rhs: dict = {}
+        for (x1, x2, c1) in self.coproduct[x]:
+            for (y1, y2, c2) in self.coproduct[y]:
+                for ((yy1, xx2), c3) in self.psi(x2, y1):
+                    for a, ca in self.bracket(x1, yy1).items():
+                        for b, cb in self.bracket(xx2, y2).items():
+                            _addto(rhs, (a, b), c1 * c2 * c3 * ca * cb)
+        return (lhs, eps_lhs), (rhs, self.counit[x] * self.counit[y])
+
+    def _L4_sides(self, x: int):
+        left: dict = {}
+        right: dict = {}
+        for i, c in self.unit.items():
+            for k, c2 in self.bracket(i, x).items():
+                _addto(left, k, c * c2)
+            for k, c2 in self.bracket(x, i).items():
+                _addto(right, k, c * c2)
+        expected = {i: self.counit[x] * c for i, c in self.unit.items() if self.counit[x] * c}
+        return (left, right), ({x: ONE}, expected)
+
     def check_L1(self) -> bool:
         """[x,[y,z]] = [ , ]([ , ] (x) [ , ])(id (x) Psi (x) id)(Delta (x) id (x) id)."""
-        for x in range(self.dim):
-            for y in range(self.dim):
-                for z in range(self.dim):
-                    rhs: dict = {}
-                    for (x1, x2, c1) in self.coproduct[x]:
-                        for ((yy, xx2), c2) in self.psi(x2, y):
-                            # [ [x1, yy], [xx2, z] ]
-                            for a, ca in self.bracket(x1, yy).items():
-                                for b, cb in self.bracket(xx2, z).items():
-                                    for l, cl in self.bracket(a, b).items():
-                                        _addto(rhs, l, c1 * c2 * ca * cb * cl)
-                    if self._nested(x, y, z) != rhs:
-                        return False
-        return True
+        return self._first_failure("L1") is None
 
     def check_L2(self) -> bool:
         """[,](id (x) [,]) invariant under PsiT on the first two factors."""
-        for x in range(self.dim):
-            for y in range(self.dim):
-                for z in range(self.dim):
-                    rhs: dict = {}
-                    for (a, b), c in self.psit(x, y).items():
-                        for l, c2 in self._nested(a, b, z).items():
-                            _addto(rhs, l, c * c2)
-                    if self._nested(x, y, z) != rhs:
-                        return False
-        return True
+        return self._first_failure("L2") is None
 
     def check_L3(self) -> bool:
         """Delta [x,y] = [x1, y1'] (x) [x2', y2] with Psi between, and
         eps[x,y] = eps(x) eps(y)."""
-        for x in range(self.dim):
-            for y in range(self.dim):
-                lhs: dict = {}
-                for k, c in self.bracket(x, y).items():
-                    for (a, b, c2) in self.coproduct[k]:
-                        _addto(lhs, (a, b), c * c2)
-                rhs: dict = {}
-                for (x1, x2, c1) in self.coproduct[x]:
-                    for (y1, y2, c2) in self.coproduct[y]:
-                        for ((yy1, xx2), c3) in self.psi(x2, y1):
-                            for a, ca in self.bracket(x1, yy1).items():
-                                for b, cb in self.bracket(xx2, y2).items():
-                                    _addto(rhs, (a, b), c1 * c2 * c3 * ca * cb)
-                if lhs != rhs:
-                    return False
-                eps_lhs = ZERO
-                for k, c in self.bracket(x, y).items():
-                    eps_lhs = eps_lhs + c * self.counit[k]
-                if eps_lhs != self.counit[x] * self.counit[y]:
-                    return False
-        return True
+        return self._first_failure("L3") is None
 
     def check_L4(self) -> bool:
         """Unit axioms when a grouplike unit is present."""
-        if self.unit is None:
-            return True
-        eta = self.unit
-        # grouplike: Delta eta = eta (x) eta, eps eta = 1
-        delta_eta: dict = {}
-        for i, c in eta.items():
-            for (a, b, c2) in self.coproduct[i]:
-                _addto(delta_eta, (a, b), c * c2)
-        tensor_eta = {}
-        for a, ca in eta.items():
-            for b, cb in eta.items():
-                _addto(tensor_eta, (a, b), ca * cb)
-        if delta_eta != tensor_eta:
-            return False
-        eps_eta = ZERO
-        for i, c in eta.items():
-            eps_eta = eps_eta + c * self.counit[i]
-        if eps_eta != ONE:
-            return False
-        for x in range(self.dim):
-            left: dict = {}
-            for i, c in eta.items():
-                for k, c2 in self.bracket(i, x).items():
-                    _addto(left, k, c * c2)
-            if left != {x: ONE}:
-                return False
-            right: dict = {}
-            for i, c in eta.items():
-                for k, c2 in self.bracket(x, i).items():
-                    _addto(right, k, c * c2)
-            expected = {i: self.counit[x] * c for i, c in eta.items() if self.counit[x] * c}
-            if right != expected:
-                return False
-        return True
+        return self._first_failure("L4") is None
 
     def is_regular(self) -> bool:
         """Invertibility of the fundamental braiding, by sparse elimination."""
@@ -224,7 +337,7 @@ class BraidedLie:
 
     def check_braid_relation(self) -> bool:
         """PsiT_12 PsiT_23 PsiT_12 = PsiT_23 PsiT_12 PsiT_23 on triple products."""
-        return _braid_relation_holds(self.psit, self.dim)
+        return self._first_failure("braid_relation") is None
 
 
 class BlockBraidedLie(BraidedLie):

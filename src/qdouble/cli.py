@@ -59,6 +59,8 @@ def load_scenario(path: str) -> dict:
 
 
 def build_group(spec: dict) -> FiniteGroup:
+    if not isinstance(spec, dict):
+        raise ConfigError(f"group: expected an object with a name or generators, got {spec!r}")
     if spec.get("name") == "s3_uvw":
         return FiniteGroup.s3_with_uvw_labels()
     if spec.get("name") == "symmetric":
@@ -333,7 +335,13 @@ def cmd_geometry(scenario, args):
             lengths[key] = cyc(exact_number(value, f"lengths.{key}"))
     if "stratum" in scenario:
         # bindings like l1 = (a/b) l2
-        target, num, den, source = scenario["stratum"]
+        stratum = scenario["stratum"]
+        if not (
+            isinstance(stratum, list) and len(stratum) == 4
+            and isinstance(stratum[0], str) and isinstance(stratum[3], str)
+        ):
+            raise ConfigError(f"stratum: expected [target, num, den, source], got {stratum!r}")
+        target, num, den, source = stratum
         lengths[target] = Poly.variable(source, variables) * cyc(exact_number([num, den], "stratum"))
     ip = ip_from_lengths(basis, lengths, variables)
     flags = scenario.get("flags", ["covariant", "torsion_free", "cotorsion_free"])
@@ -392,10 +400,15 @@ def cmd_dual(scenario, args):
 def cmd_braided(scenario, args):
     _, ctx, pi = _block(scenario)
     lie = lie_cpi(ctx, pi)
+    axioms = lie.axioms()
+    for name, ok in axioms.items():
+        if not ok and name != "regular":
+            axiom, indices, lhs, rhs = lie._first_failure(name)
+            print(f"witness: {axiom} fails at {indices}: lhs {lhs} != rhs {rhs}", file=sys.stderr)
     return {
         "subcommand": "braided",
         "dimension": lie.dim,
-        "axioms": lie.axioms(),
+        "axioms": axioms,
         "image": covering_map_image([(ctx, pi)]),
     }
 

@@ -115,8 +115,8 @@ class DualInnerProduct:
 def dual_constraints(group: FiniteGroup, subset, weight_vars: dict, lambda_vars: dict, irreps=None):
     """Constraint polynomials and the closed form for the eigenvalues.
 
-    Returns (constraints, lambda_formula, regular_flag_callable) where
-    constraints must vanish, lambda_formula maps irrep name to
+    Returns (constraints, lambda_formula) where constraints must vanish and
+    lambda_formula maps irrep name to
     2 sum_C l*_C (1 - chi_rho(C)) |C| over bidirectional classes.
     """
     if irreps is None:

@@ -21,6 +21,7 @@ from qdouble.braided import (
     quotient_hopf,
     braided_antipode_preserves_relations,
     bdg_braided_checks,
+    _orbits,
 )
 from qdouble.regression import S3Data
 import qdouble.linalg as la
@@ -116,6 +117,233 @@ def test_regularity_negative_control(data, block):
     lie._psit_cache[pairs[0]] = dict(lie.psit(*pairs[1]))
     assert not lie.is_regular()
     assert lie.axioms()["regular"] is False
+
+
+# -- exhaustive references for the orbit decision ---------------------------------
+
+
+def _L1_rhs(lie, x, y, z):
+    """[[x1, y'], [x2', z]] with Psi between x2 and y."""
+    rhs = {}
+    for (x1, x2, c1) in lie.coproduct[x]:
+        for ((yy, xx2), c2) in lie.psi(x2, y):
+            for a, ca in lie.bracket(x1, yy).items():
+                for b, cb in lie.bracket(xx2, z).items():
+                    for l, cl in lie.bracket(a, b).items():
+                        la._addto(rhs, l, c1 * c2 * ca * cb * cl)
+    return rhs
+
+
+def _reference_L1(lie):
+    return all(
+        lie._nested(x, y, z) == _L1_rhs(lie, x, y, z)
+        for x in range(lie.dim)
+        for y in range(lie.dim)
+        for z in range(lie.dim)
+    )
+
+
+def _reference_L2(lie):
+    for x in range(lie.dim):
+        for y in range(lie.dim):
+            for z in range(lie.dim):
+                rhs = {}
+                for (a, b), c in lie.psit(x, y).items():
+                    for l, c2 in lie._nested(a, b, z).items():
+                        la._addto(rhs, l, c * c2)
+                if lie._nested(x, y, z) != rhs:
+                    return False
+    return True
+
+
+def _reference_L3(lie):
+    for x in range(lie.dim):
+        for y in range(lie.dim):
+            lhs = {}
+            eps = ZERO
+            for k, c in lie.bracket(x, y).items():
+                for (a, b, c2) in lie.coproduct[k]:
+                    la._addto(lhs, (a, b), c * c2)
+                eps = eps + c * lie.counit[k]
+            rhs = {}
+            for (x1, x2, c1) in lie.coproduct[x]:
+                for (y1, y2, c2) in lie.coproduct[y]:
+                    for ((yy1, xx2), c3) in lie.psi(x2, y1):
+                        for a, ca in lie.bracket(x1, yy1).items():
+                            for b, cb in lie.bracket(xx2, y2).items():
+                                la._addto(rhs, (a, b), c1 * c2 * c3 * ca * cb)
+            if lhs != rhs or eps != lie.counit[x] * lie.counit[y]:
+                return False
+    return True
+
+
+def _reference_braid(psi, n):
+    """psi_12 psi_23 psi_12 = psi_23 psi_12 psi_23, tabulating A = psi_12 psi_23
+    for one last index k at a time, since psi_12 keeps it."""
+    for k in range(n):
+        composed = {}
+        for i in range(n):
+            for j in range(n):
+                out = composed[i, j] = {}
+                for (a, b), c in psi(j, k).items():
+                    for (x, y), c2 in psi(i, a).items():
+                        la._addto(out, (x, y, b), c * c2)
+        for (i, j), image in composed.items():
+            lhs = {}
+            for (a, b), c in psi(i, j).items():
+                for t, c2 in composed[a, b].items():
+                    la._addto(lhs, t, c * c2)
+            rhs = {}
+            for (x, y, z), c in image.items():
+                for (a, b), c2 in psi(y, z).items():
+                    la._addto(rhs, (x, a, b), c * c2)
+            if lhs != rhs:
+                return False
+    return True
+
+
+def _reference_axioms(lie):
+    return {
+        "L1": _reference_L1(lie),
+        "L2": _reference_L2(lie),
+        "L3": _reference_L3(lie),
+        "L4": lie.check_L4(),
+        "braid_relation": _reference_braid(lie.psit, lie.dim),
+        "regular": lie.is_regular(),
+    }
+
+
+def _s4_blocks():
+    """The S4 4-cycle block with j = 1 and the two 2-cycle blocks of criterion 11."""
+    from qdouble.groups import FiniteGroup, class_context
+    from qdouble.reps import abelian_characters
+
+    S4 = FiniteGroup.symmetric(4)
+    four = class_context(S4, "s1s2s3")
+    two = class_context(S4, S4.element("s3"))
+    s1 = two.centralizer.position[S4.element("s1")]
+    pis = [p for p in abelian_characters(two.centralizer) if p.matrices[s1][0][0] == ONE]
+    assert len(pis) == 2
+    return [(four, centralizer_character(four, 1))] + [(two, p) for p in pis]
+
+
+def test_orbit_decision_matches_exhaustive_reference(data):
+    """axioms() on orbit representatives equals the exhaustive loops on every
+    S3 block and on the S4 blocks, whose monomial actions take the orbit path."""
+    from qdouble.double import centralizer_irreps
+
+    blocks = [
+        (ctx, pi)
+        for ctx in (data.ctx1, data.ctx2, data.ctx3)
+        for pi in centralizer_irreps(ctx)
+        if not (ctx.rep == 0 and pi.is_trivial())
+    ]
+    for ctx, pi in blocks + _s4_blocks():
+        lie = lie_cpi(ctx, pi)
+        assert lie.axioms() == _reference_axioms(lie_cpi(ctx, pi)), (ctx.rep, pi.name)
+        assert bool(lie._orbit_perms()) == (pi.dim == 1)
+
+
+def test_orbit_representatives_partition_the_tuples():
+    """On the S4 4-cycle block: 1,968 triple orbits and 60 pair orbits, each
+    representative the least tuple of its orbit, the orbits disjoint and
+    their sizes summing to dim^3 and dim^2."""
+    ctx, pi = _s4_blocks()[0]
+    lie = lie_cpi(ctx, pi)
+    perms = lie._orbit_perms()
+    assert len(perms) == len(ctx.group.generators)
+    for arity, count in ((3, 1968), (2, 60)):
+        reps = list(_orbits(lie.dim, arity, perms))
+        sizes = []
+        covered = set()
+        for rep in reps:
+            orbit = {rep}
+            frontier = [rep]
+            while frontier:
+                t = frontier.pop()
+                for p in perms:
+                    image = tuple(p[i] for i in t)
+                    if image not in orbit:
+                        orbit.add(image)
+                        frontier.append(image)
+            assert rep == min(orbit) and covered.isdisjoint(orbit)
+            covered |= orbit
+            sizes.append(len(orbit))
+        assert len(reps) == count
+        assert sum(sizes) == len(covered) == lie.dim**arity
+
+
+def test_corrupted_psit_outside_the_representatives_fails_the_precondition(data):
+    lie = lie_cpi(data.ctx2, data.pi[1])
+    assert lie.is_regular()  # fills every psit entry
+    reps = set(_orbits(lie.dim, 2, lie_cpi(data.ctx2, data.pi[1])._orbit_perms()))
+    key = next((i, j) for i in range(lie.dim) for j in range(lie.dim) if (i, j) not in reps and i != j)
+    lie._psit_cache[key] = {key: ONE}  # the identity in place of a flip
+    assert lie._orbit_perms() == ()
+    assert lie.check_braid_relation() is False
+    assert not _reference_braid(lie.psit, lie.dim)
+
+
+def _corrupt(lie, part):
+    if part == "action":  # no longer a permutation
+        s = lie.group.generators[0]
+        lie.action[s] = [lie.action[s][1]] + lie.action[s][1:]
+    elif part == "counit":
+        lie.counit[0] = lie.counit[0] + ONE
+    else:
+        lie.coproduct[0] = lie.coproduct[0][:-1]
+
+
+@pytest.mark.parametrize("part", ["action", "counit", "coproduct"])
+def test_corrupted_structure_takes_the_exhaustive_path(data, part):
+    lie = lie_cpi(data.ctx2, data.pi[1])
+    _corrupt(lie, part)
+    assert lie._orbit_perms() == ()
+    assert lie.axioms() == _reference_axioms(lie)
+
+
+def test_two_dimensional_point_class_takes_the_exhaustive_path(data):
+    from qdouble.double import centralizer_irreps
+
+    two = next(p for p in centralizer_irreps(data.ctx1) if p.dim == 2)
+    lie = lie_cpi(data.ctx1, two)
+    assert lie._orbit_perms() == ()
+    assert all(lie.axioms().values())
+
+
+def _with_doubled_bracket(ctx, pi):
+    """The block's algebra with its first nonzero bracket value doubled."""
+    lie = lie_cpi(ctx, pi)
+    key = next(k for k in ((i, j) for i in range(lie.dim) for j in range(lie.dim)) if lie.bracket(*k))
+    lie._bracket_cache[key] = {k: v * cyc(2) for k, v in lie.bracket(*key).items()}
+    return lie
+
+
+def test_witness_names_a_failing_triple(data):
+    """With one bracket value corrupted, the L1 witness is a triple on which
+    the two sides, recomputed here, differ."""
+    lie = _with_doubled_bracket(data.ctx2, data.pi[1])
+    assert not lie.check_L1()
+    axiom, (x, y, z), lhs, rhs = lie._first_failure("L1")
+    assert axiom == "L1" and lhs != rhs
+    assert (lhs, rhs) == (lie._nested(x, y, z), _L1_rhs(lie, x, y, z))
+    assert lie._first_failure("L4") is None  # no unit
+
+
+def test_cli_writes_the_witness_of_a_failed_axiom(monkeypatch, capsys):
+    import json
+    from qdouble import cli
+
+    monkeypatch.setattr(cli, "lie_cpi", _with_doubled_bracket)
+    assert cli.main(["braided"]) == 0
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert sorted(report) == ["axioms", "dimension", "image", "subcommand"]
+    failed = [name for name, ok in report["axioms"].items() if not ok]
+    assert "L1" in failed
+    witnesses = err.splitlines()
+    assert [w.split()[1] for w in witnesses] == [n for n in failed if n != "regular"]
+    assert witnesses[0].startswith("witness: L1 fails at (")
 
 
 def test_action_table_is_conjugation_of_matrix_units(data):
