@@ -17,27 +17,36 @@ Modules:
 * ``braided``      -- braided-Lie algebras, R-matrices, enveloping algebras
 * ``quadalg``      -- quadratic presentations and graded dimensions
 * ``cli``          -- scenario-driven command line reports
+
+The names below are re-exported from their home modules and resolve lazily
+(PEP 562), so ``import qdouble`` loads no submodule and ``from qdouble import
+Cyc`` loads ``cyclotomic`` alone.
 """
 
-from .cyclotomic import Cyc, cyc, root_of_unity
-from .groups import FiniteGroup, ClassContext, class_context
-from .reps import Rep, catalog, irrep_catalog, induced_rep, decompose
-from .double import DoubleElement, CrossedModule, build_VCpi, double_irreps
+_HOMES = {
+    "Cyc": "cyclotomic",
+    "cyc": "cyclotomic",
+    "root_of_unity": "cyclotomic",
+    "FiniteGroup": "groups",
+    "ClassContext": "groups",
+    "class_context": "groups",
+    "Rep": "reps",
+    "catalog": "reps",
+    "irrep_catalog": "reps",
+    "induced_rep": "reps",
+    "decompose": "reps",
+    "DoubleElement": "double",
+    "CrossedModule": "double",
+    "build_VCpi": "double",
+    "double_irreps": "double",
+}
 
-__all__ = [
-    "Cyc",
-    "cyc",
-    "root_of_unity",
-    "FiniteGroup",
-    "ClassContext",
-    "class_context",
-    "Rep",
-    "catalog",
-    "irrep_catalog",
-    "induced_rep",
-    "decompose",
-    "DoubleElement",
-    "CrossedModule",
-    "build_VCpi",
-    "double_irreps",
-]
+__all__ = list(_HOMES)
+
+
+def __getattr__(name: str):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    return getattr(import_module(f"{__name__}.{_HOMES[name]}"), name)

@@ -82,10 +82,10 @@ def _orbits(n: int, arity: int, perms):
         yield t
 
 
-def _first_unequal(sides, n: int, arity: int, perms=()):
-    """The first representative tuple t (see ``_orbits``) whose two sides
-    ``sides(*t)`` differ, as (t, lhs, rhs), or None."""
-    for t in _orbits(n, arity, perms):
+def _first_unequal(sides, tuples):
+    """The first tuple t of ``tuples`` whose two sides ``sides(*t)`` differ,
+    as (t, lhs, rhs), or None."""
+    for t in tuples:
         lhs, rhs = sides(*t)
         if lhs != rhs:
             return t, lhs, rhs
@@ -111,20 +111,22 @@ def _braid_sides(psi, i: int, j: int, k: int):
 def _braid_relation_holds(psi, n: int) -> bool:
     """psi_12 psi_23 psi_12 = psi_23 psi_12 psi_23 on every basis triple of
     an n-dimensional space."""
-    return _first_unequal(lambda i, j, k: _braid_sides(psi, i, j, k), n, 3) is None
+    return _first_unequal(lambda i, j, k: _braid_sides(psi, i, j, k), product(range(n), repeat=3)) is None
 
 
 def _act(perm, scale, vec: dict) -> dict:
     """s |> vec for the monomial action s |> v_i = scale[i] v_perm[i], on a
-    sparse vector keyed by basis indices or by tuples of them."""
+    sparse vector keyed by basis indices or by tuples of them; scale None
+    stands for every scale 1."""
     out = {}
     for key, c in vec.items():
         if isinstance(key, tuple):
-            for k in key:
-                c = c * scale[k]
+            if scale is not None:
+                for k in key:
+                    c = c * scale[k]
             out[tuple(perm[k] for k in key)] = c
         else:
-            out[perm[key]] = c * scale[key]
+            out[perm[key]] = c if scale is None else c * scale[key]
     return out
 
 
@@ -151,6 +153,7 @@ class BraidedLie:
         self._bracket_cache: dict = {}
         self._psit_cache: dict = {}
         self._perms = None
+        self._representatives: dict = {}  # arity -> orbit representatives
 
     # braiding of the underlying crossed modules
     def psi(self, i: int, j: int):
@@ -200,6 +203,13 @@ class BraidedLie:
             self._perms = tuple(perms)
         return self._perms
 
+    def _orbit_representatives(self, arity: int) -> list:
+        """The basis tuples of ``_orbits`` under ``_orbit_perms``, built once
+        per arity."""
+        if arity not in self._representatives:
+            self._representatives[arity] = list(_orbits(self.dim, arity, self._orbit_perms()))
+        return self._representatives[arity]
+
     def _equivariant_perm(self, s: int):
         """The permutation p of s |> v_i = c_i v_p(i) if the action of s is
         monomial and the counit, coproduct, Psi, bracket and PsiT commute
@@ -211,19 +221,24 @@ class BraidedLie:
         scale = [row[0][1] for row in rows]
         if len(set(perm)) != self.dim:
             return None
+        if all(c == ONE for c in scale):
+            scale = None  # a permutation action: no scalar products
         for i in range(self.dim):
             delta, image = {}, {}
             for (a, b, c) in self.coproduct[i]:
                 _addto(delta, (a, b), c)
             for (a, b, c) in self.coproduct[perm[i]]:
-                _addto(image, (a, b), c * scale[i])
-            if self.counit[perm[i]] * scale[i] != self.counit[i] or _act(perm, scale, delta) != image:
+                _addto(image, (a, b), c if scale is None else c * scale[i])
+            eps = self.counit[perm[i]] if scale is None else self.counit[perm[i]] * scale[i]
+            if eps != self.counit[i] or _act(perm, scale, delta) != image:
                 return None
         for tensor in (lambda i, j: dict(self.psi(i, j)), self.bracket, self.psit):
             for i in range(self.dim):
                 for j in range(self.dim):
-                    c = scale[i] * scale[j]
-                    image = {k: c * v for k, v in tensor(perm[i], perm[j]).items()}
+                    image = tensor(perm[i], perm[j])
+                    if scale is not None:
+                        c = scale[i] * scale[j]
+                        image = {k: c * v for k, v in image.items()}
                     if _act(perm, scale, tensor(i, j)) != image:
                         return None
         return perm
@@ -246,7 +261,7 @@ class BraidedLie:
             eps_eta = sum((c * self.counit[i] for i, c in eta.items()), ZERO)
             if (delta_eta, eps_eta) != (eta_eta, ONE):
                 return axiom, (), (delta_eta, eps_eta), (eta_eta, ONE)
-            found = _first_unequal(self._L4_sides, self.dim, 1)
+            found = _first_unequal(self._L4_sides, product(range(self.dim)))
         else:
             arity, sides = {
                 "L1": (3, self._L1_sides),
@@ -254,7 +269,7 @@ class BraidedLie:
                 "L3": (2, self._L3_sides),
                 "braid_relation": (3, lambda i, j, k: _braid_sides(self.psit, i, j, k)),
             }[axiom]
-            found = _first_unequal(sides, self.dim, arity, self._orbit_perms())
+            found = _first_unequal(sides, self._orbit_representatives(arity))
         return None if found is None else (axiom, *found)
 
     def _nested(self, x: int, y: int, z: int) -> dict:

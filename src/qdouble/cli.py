@@ -5,6 +5,9 @@ exact cyclotomic serialization ({"N": ..., "coeffs": [[num, den], ...]})
 and optional floating-point renderings.  ``verify-paper`` runs the bundled
 regression suite and exits nonzero on any mismatch.
 
+Each subcommand imports the engine modules it runs in its own body, so one
+invocation loads only those; ``verify-paper`` loads them all.
+
 Exit codes: 0 ok, 2 configuration error, 3 verification failure.
 """
 
@@ -18,32 +21,6 @@ from pathlib import Path
 
 from .cyclotomic import Cyc, cyc
 from .groups import FiniteGroup, class_context
-from .reps import catalog, centralizer_character, irrep_catalog, induced_rep
-from .double import build_VCpi, double_irreps
-from .transfer import (
-    transfer_to_group_algebra,
-    factorization_check,
-)
-from .calculus import fodc_group_algebra, lambda_basis
-from .geometry import (
-    ip_from_lengths,
-    connection_solve,
-    metric_compat_residuals,
-    star_compat_residuals,
-    riemann_compat_residuals,
-    ricci_scalar,
-)
-from .dualgeometry import dual_constraints
-from .braided import (
-    lie_cpi,
-    envelope,
-    frt,
-    covering_map_image,
-    killing_form,
-    quotient_hopf,
-)
-from .poly import Poly
-from . import linalg
 
 
 class ConfigError(Exception):
@@ -94,6 +71,8 @@ _IRREP_KEYS = {
 
 def build_pi(ctx, scenario: dict):
     """The scenario's centralizer irrep, its spec checked in full first."""
+    from .reps import catalog, centralizer_character
+
     spec = scenario.get("irrep")
     if spec is None:
         raise ConfigError("scenario needs an irrep spec")
@@ -189,6 +168,8 @@ def exact_number(value, key: str) -> Fraction:
 def scalar_json(value) -> dict:
     if isinstance(value, Cyc):
         return value.to_json()
+    from .poly import Poly
+
     if isinstance(value, Poly):
         return {
             "vars": list(value.vars),
@@ -253,6 +234,8 @@ def cmd_classes(scenario, args):
 
 
 def cmd_double_irreps(scenario, args):
+    from .double import double_irreps
+
     group = build_group(_required(scenario, "group"))
     blocks = []
     total = 0
@@ -275,6 +258,9 @@ def cmd_double_irreps(scenario, args):
 
 
 def cmd_transfer(scenario, args):
+    from .double import build_VCpi
+    from .transfer import factorization_check, transfer_to_group_algebra
+
     group, ctx, pi = _block(scenario)
     module = build_VCpi(ctx, pi)
     cols = transfer_to_group_algebra(ctx, pi, module)
@@ -299,6 +285,9 @@ def cmd_transfer(scenario, args):
 
 
 def cmd_calculus(scenario, args):
+    from .reps import induced_rep
+    from .calculus import fodc_group_algebra, lambda_basis
+
     group, ctx, pi = _block(scenario)
     rho = induced_rep(ctx, pi)
     calc = fodc_group_algebra(rho)
@@ -320,6 +309,18 @@ def cmd_calculus(scenario, args):
 
 
 def cmd_geometry(scenario, args):
+    from .reps import induced_rep
+    from .calculus import fodc_group_algebra, lambda_basis
+    from .poly import Poly
+    from .geometry import (
+        connection_solve,
+        ip_from_lengths,
+        metric_compat_residuals,
+        ricci_scalar,
+        riemann_compat_residuals,
+        star_compat_residuals,
+    )
+
     group, ctx, pi = _block(scenario)
     calc = fodc_group_algebra(induced_rep(ctx, pi))
     basis = lambda_basis(calc, preferred=scenario.get("basis"))
@@ -375,6 +376,9 @@ def cmd_geometry(scenario, args):
 
 
 def cmd_dual(scenario, args):
+    from .reps import irrep_catalog
+    from .dualgeometry import dual_constraints
+
     group = build_group(_required(scenario, "group"))
     subset = _required(scenario, "subset")
     irreps = irrep_catalog(group)
@@ -398,6 +402,8 @@ def cmd_dual(scenario, args):
 
 
 def cmd_braided(scenario, args):
+    from .braided import covering_map_image, lie_cpi
+
     _, ctx, pi = _block(scenario)
     lie = lie_cpi(ctx, pi)
     axioms = lie.axioms()
@@ -414,6 +420,9 @@ def cmd_braided(scenario, args):
 
 
 def cmd_killing(scenario, args):
+    from .braided import killing_form, lie_cpi
+    from . import linalg
+
     _, ctx, pi = _block(scenario)
     lie = lie_cpi(ctx, pi)
     K = killing_form(lie)
@@ -425,6 +434,8 @@ def cmd_killing(scenario, args):
 
 
 def cmd_envelope(scenario, args):
+    from .braided import envelope, frt, lie_cpi
+
     if args.degree < 0:
         raise ConfigError(f"--degree must be 0 or more, got {args.degree}")
     _, ctx, pi = _block(scenario)
@@ -437,6 +448,8 @@ def cmd_envelope(scenario, args):
 
 
 def cmd_quotient(scenario, args):
+    from .braided import quotient_hopf
+
     _, ctx, pi = _block(scenario)
     H, B = quotient_hopf(ctx, pi)
     return {

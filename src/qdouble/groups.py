@@ -14,7 +14,6 @@ values in C_G.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 
@@ -253,16 +252,10 @@ class Subgroup(FiniteGroup):
         super().__init__(table, labels=[parent.labels[g] for g in elements], perms=perms)
 
 
-@dataclass
 class ClassContext:
-    """One conjugacy class with section and cocycle data."""
-
-    group: FiniteGroup
-    rep: int
-    cls: list[int] = field(init=False)
-    centralizer: Subgroup = field(init=False)
-    q: dict[int, int] = field(init=False)
-    zeta: list[list[int]] = field(init=False)
+    """One conjugacy class with section and cocycle data: the class ``cls``
+    of the base point ``rep`` in ``group``, its ``centralizer``, the section
+    ``q`` and the cocycle table ``zeta``."""
 
     def __init__(self, group: FiniteGroup, rep: int, q_override: dict[int, int] | None = None):
         self.group = group

@@ -311,6 +311,43 @@ def test_two_dimensional_point_class_takes_the_exhaustive_path(data):
     assert all(lie.axioms().values())
 
 
+def _coassociative(lie) -> bool:
+    """(Delta (x) id) Delta = (id (x) Delta) Delta on every basis vector."""
+    for x in range(lie.dim):
+        left, right = {}, {}
+        for (a, b, c) in lie.coproduct[x]:
+            for (a1, a2, c2) in lie.coproduct[a]:
+                la._addto(left, (a1, a2, b), c * c2)
+            for (b1, b2, c2) in lie.coproduct[b]:
+                la._addto(right, (a, b1, b2), c * c2)
+        if left != right:
+            return False
+    return True
+
+
+def test_every_block_coproduct_is_coassociative(data):
+    """axioms() does not decide coassociativity, so it is checked here on
+    every S3 block and on the S4 4-cycle block."""
+    from qdouble.double import centralizer_irreps
+
+    blocks = [
+        (ctx, pi)
+        for ctx in (data.ctx1, data.ctx2, data.ctx3)
+        for pi in centralizer_irreps(ctx)
+        if not (ctx.rep == 0 and pi.is_trivial())
+    ]
+    for ctx, pi in blocks + _s4_blocks()[:1]:
+        assert _coassociative(lie_cpi(ctx, pi)), (ctx.rep, pi.name)
+
+
+def test_dropped_coproduct_term_breaks_coassociativity(data):
+    """The corruption that leaves every verdict of axioms() True."""
+    lie = lie_cpi(data.ctx2, data.pi[1])
+    _corrupt(lie, "coproduct")
+    assert all(lie.axioms().values())
+    assert not _coassociative(lie)
+
+
 def _with_doubled_bracket(ctx, pi):
     """The block's algebra with its first nonzero bracket value doubled."""
     lie = lie_cpi(ctx, pi)
@@ -332,9 +369,10 @@ def test_witness_names_a_failing_triple(data):
 
 def test_cli_writes_the_witness_of_a_failed_axiom(monkeypatch, capsys):
     import json
-    from qdouble import cli
+    from qdouble import braided, cli
 
-    monkeypatch.setattr(cli, "lie_cpi", _with_doubled_bracket)
+    # cmd_braided imports lie_cpi from its home module when it runs
+    monkeypatch.setattr(braided, "lie_cpi", _with_doubled_bracket)
     assert cli.main(["braided"]) == 0
     out, err = capsys.readouterr()
     report = json.loads(out)

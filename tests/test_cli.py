@@ -222,3 +222,56 @@ def test_verify_paper_stdout_is_json(monkeypatch, capsys):
     report = json.loads(out)
     assert report["passed"] == 1 and report["failed"] == ["c2 fake check"]
     assert err.splitlines() == ["PASS  c1 fake check", "FAIL  c2 fake check  [detail]"]
+
+
+_CLI = {"qdouble", "qdouble.cli", "qdouble.cyclotomic", "qdouble.groups"}
+_REPS = _CLI | {"qdouble.double", "qdouble.linalg", "qdouble.reps"}
+_BRAIDED = _REPS | {"qdouble.braided", "qdouble.quadalg"}
+
+
+def _qdouble_modules(code, *argv):
+    """The qdouble modules a fresh interpreter holds after running code."""
+    probe = f"import json, sys; {code}; print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'qdouble']))"
+    out = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True, timeout=500)
+    assert out.returncode == 0, out.stderr
+    return set(json.loads(out.stdout.splitlines()[-1]))
+
+
+@pytest.mark.parametrize(
+    "subcommand, scenario, modules",
+    [
+        ("group", "s3_case_ii", _CLI),
+        ("classes", "s3_case_ii", _CLI),
+        ("double-irreps", "s3_case_ii", _REPS),
+        ("transfer", "s3_case_ii", _REPS | {"qdouble.transfer"}),
+        ("calculus", "s3_case_ii", _REPS | {"qdouble.calculus"}),
+        ("geometry", "s3_case_ii", _REPS | {"qdouble.calculus", "qdouble.geometry", "qdouble.poly"}),
+        ("dual", "s3_dual_union", _REPS | {"qdouble.dualgeometry", "qdouble.poly", "qdouble.transfer"}),
+        ("braided", "s3_case_ii", _BRAIDED),
+    ],
+    ids=["group", "classes", "double-irreps", "transfer", "calculus", "geometry", "dual", "braided"],
+)
+def test_each_subcommand_imports_only_what_it_runs(subcommand, scenario, modules):
+    """A report subcommand loads the modules it calls and no others, so not
+    the regression suite.  dual runs on the one bundled scenario with a subset."""
+    main = "from qdouble.cli import main; assert main(sys.argv[1:]) == 0"
+    assert _qdouble_modules(main, subcommand, "--scenario", str(SCENARIOS / f"{scenario}.json")) == modules
+
+
+def test_package_import_is_lazy():
+    assert _qdouble_modules("import qdouble") == {"qdouble"}
+
+
+def test_package_reexports_resolve_to_their_home_modules():
+    import importlib
+
+    import qdouble
+
+    for name in qdouble.__all__:
+        home = importlib.import_module(f"qdouble.{qdouble._HOMES[name]}")
+        assert getattr(qdouble, name) is getattr(home, name)
+    from qdouble import Cyc, cyclotomic
+
+    assert Cyc is cyclotomic.Cyc
+    with pytest.raises(AttributeError):
+        qdouble.no_such_name
