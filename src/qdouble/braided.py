@@ -8,6 +8,14 @@ are built twice, from the closed crossed-module formulas and through the
 R-matrix of the coquasitriangular structure; agreement of the two routes
 is a standing self-check used by the tests.
 
+Both routes read one action of G on V_{C,pi}, the Wigner construction
+``reps.induced_matrices`` A(g).  G acts on a matrix unit E of
+End(V_{C,pi}) by g |> E = A(g) E A(g^-1), and the quasitriangular
+structure R = sum_h delta_h (x) h of the double acts on V1 (x) V2 as
+R(v_ai (x) w) = v_ai (x) A2(a) w: delta_h picks the grade a of v_ai and h
+then acts on w.  Its second inverse Rhat equals R^-1 entry by entry, by
+the cocycle identity zeta_c(a)^-1 = zeta_{a c a^-1}(a^-1).
+
 Axioms checked on a ``BraidedLie`` (with Psi the crossed-module braiding
 and PsiT the fundamental braiding ([,] (x) id)(id (x) Psi)(Delta (x) id)):
 
@@ -41,15 +49,27 @@ from __future__ import annotations
 
 from itertools import product
 
-from .cyclotomic import Cyc
+from .cyclotomic import ONE, ZERO, Cyc
 from .groups import FiniteGroup, ClassContext
-from .reps import Rep
+from .reps import Rep, induced_matrices
 from .double import DoubleElement, antipode_axiom_holds, bialgebra_axiom_holds
 from .quadalg import QuadAlg
 from .linalg import SparseSpan, _addto
 
-ZERO = Cyc.rational(0)
-ONE = Cyc.rational(1)
+
+def _v_basis(ctx: ClassContext, pi: Rep) -> list:
+    """The basis (c, k) of V_{C,pi}, in the order of ``induced_matrices``."""
+    return [(c, k) for c in ctx.cls for k in range(pi.dim)]
+
+
+def _end_basis(blocks):
+    """The matrix units (t, a, i, b, j) = |a,i><b,j| of End(V_{C,pi}) for each
+    block t, row-major over ``_v_basis``, and their positions."""
+    labels = []
+    for t, (ctx, pi) in enumerate(blocks):
+        v = _v_basis(ctx, pi)
+        labels.extend((t, *ai, *bj) for ai in v for bj in v)
+    return labels, {label: k for k, label in enumerate(labels)}
 
 
 def _orbits(n: int, arity: int, perms):
@@ -367,47 +387,40 @@ class BlockBraidedLie(BraidedLie):
         # blocks: list of (ClassContext, Rep)
         self.blocks = list(blocks)
         group = blocks[0][0].group
-        basis = []
-        self._pos = {}
-        for t, (ctx, pi) in enumerate(self.blocks):
+        for ctx, pi in self.blocks:
             if ctx.rep == 0 and pi.is_trivial():
                 raise ValueError("the trivial pair is excluded")
-            for a in ctx.cls:
-                for i in range(pi.dim):
-                    for b in ctx.cls:
-                        for j in range(pi.dim):
-                            self._pos[(t, a, i, b, j)] = len(basis)
-                            basis.append((t, a, i, b, j))
+        basis, self._pos = _end_basis(self.blocks)
         grading = [
             group.table[a][group.inv[b]] for (t, a, i, b, j) in basis
         ]
         coproduct = []
         counit = []
         for (t, a, i, b, j) in basis:
-            ctx, pi = self.blocks[t]
             terms = []
-            for c in ctx.cls:
-                for k in range(pi.dim):
-                    terms.append(
-                        (self._pos[(t, a, i, c, k)], self._pos[(t, c, k, b, j)], ONE)
-                    )
+            for ck in _v_basis(*self.blocks[t]):
+                terms.append((self._pos[(t, a, i, *ck)], self._pos[(t, *ck, b, j)], ONE))
             coproduct.append(terms)
             counit.append(ONE if (a == b and i == j) else ZERO)
-        # g |> E_{ai}^{bj}: the twisted conjugation on both indices
-        action = []
-        for g in range(group.n):
-            rows = []
-            for (t, a, i, b, j) in basis:
-                ctx, pi = self.blocks[t]
-                za = pi.matrices[ctx.zeta_in_centralizer(a, g)]
-                zb_inv = pi.matrices[ctx.centralizer.inv[ctx.zeta_in_centralizer(b, g)]]
-                a2, b2 = group.conj(g, a), group.conj(g, b)
-                rows.append([
-                    (self._pos[(t, a2, k, b2, l)], za[k][i] * zb_inv[j][l])
-                    for k in range(pi.dim) if za[k][i]
-                    for l in range(pi.dim) if zb_inv[j][l]
-                ])
-            action.append(rows)
+        # g |> E = A(g) E A(g^-1) from the nonzeros of the columns of A(g)
+        # and the rows of A(g^-1); the units of a block are consecutive
+        action = [[] for _ in range(group.n)]
+        self._wigner = []  # per block: A and the positions of _v_basis
+        base = 0
+        for ctx, pi in self.blocks:
+            A = induced_matrices(ctx, pi)
+            dim = len(A[0])
+            self._wigner.append((A, {ck: k for k, ck in enumerate(_v_basis(ctx, pi))}))
+            for g in range(group.n):
+                ag, aginv = A[g], A[group.inv[g]]
+                cols = [[(x, ag[x][r]) for x in range(dim) if ag[x][r]] for r in range(dim)]
+                rows = [[(y, c) for y, c in enumerate(aginv[s]) if c] for s in range(dim)]
+                action[g].extend(
+                    [(base + x * dim + y, cx * cy) for x, cx in cols[r] for y, cy in rows[s]]
+                    for r in range(dim)
+                    for s in range(dim)
+                )
+            base += dim * dim
         super().__init__(group, basis, coproduct, counit, grading, action, unit=None)
 
     def bracket(self, i: int, j: int) -> dict:
@@ -415,7 +428,7 @@ class BlockBraidedLie(BraidedLie):
         key = (i, j)
         if key not in self._bracket_cache:
             (t1, a, ii, b, jj) = self.basis[i]
-            ctx1, pi1 = self.blocks[t1]
+            A, vpos = self._wigner[t1]
             group = self.group
             out: dict = {}
             binv = group.inv[b]
@@ -427,8 +440,8 @@ class BlockBraidedLie(BraidedLie):
                 if lhs != grade:
                     continue
                 x = group.inv[grade]
-                za = ctx1.zeta_in_centralizer(a, x)
-                coeff = pi1.matrices[za][jj][ii]
+                # pi1(zeta_a(x))^{jj}_{ii}
+                coeff = A[x][vpos[(group.conj(x, a), jj)]][vpos[(a, ii)]]
                 if coeff:
                     _addto(out, m, cm * coeff)
             self._bracket_cache[key] = out
@@ -448,11 +461,11 @@ class RegularBraidedLie(BraidedLie):
         basis = [(g, h) for g in range(group.n) for h in range(group.n)]
         pos = {b: i for i, b in enumerate(basis)}
         self._posgh = pos
-        grading = [group.commutator(group.inv[g], h) for (g, h) in basis]
+        elements = [DoubleElement.basis(group, g, h) for (g, h) in basis]
+        grading = [x.grading() for x in elements]
         coproduct = []
         counit = []
-        for (g, h) in basis:
-            elt = DoubleElement.basis(group, g, h)
+        for (g, h), elt in zip(basis, elements):
             terms = []
             for ((g1, h1), (g2, h2)), c in elt.dvee_coproduct().items():
                 terms.append((pos[(g1, h1)], pos[(g2, h2)], c))
@@ -460,7 +473,7 @@ class RegularBraidedLie(BraidedLie):
             counit.append(ONE if g == 0 else ZERO)
         unit = {pos[(g, 0)]: ONE for g in range(group.n)}
         action = [
-            [[(pos[(group.conj(f, g), group.conj(f, h))], ONE)] for (g, h) in basis]
+            [[(pos[key], c) for key, c in x.adjoint_act(f).terms.items()] for x in elements]
             for f in range(group.n)
         ]
         super().__init__(group, basis, coproduct, counit, grading, action, unit=unit)
@@ -469,28 +482,13 @@ class RegularBraidedLie(BraidedLie):
         """[delta_u v, delta_g h] = v |> (delta_g h) if u matches its grade."""
         key = (i, j)
         if key not in self._bracket_cache:
-            group = self.group
-            (u, v) = self.basis[i]
-            (g, h) = self.basis[j]
-            moved = (group.conj(v, g), group.conj(v, h))
-            out: dict = {}
-            grade = group.commutator(group.inv[moved[0]], moved[1])
-            if u == grade:
-                out[self._posgh[moved]] = ONE
-            self._bracket_cache[key] = out
+            u, v = self.basis[i]
+            self._bracket_cache[key] = {m: c for m, c in self.action[v][j] if self.grading[m] == u}
         return self._bracket_cache[key]
-
-
-def lie_bdg(group: FiniteGroup) -> RegularBraidedLie:
-    return RegularBraidedLie(group)
 
 
 def lie_cpi(ctx: ClassContext, pi: Rep) -> BlockBraidedLie:
     return BlockBraidedLie([(ctx, pi)])
-
-
-def lie_direct_sum(blocks) -> BlockBraidedLie:
-    return BlockBraidedLie(blocks)
 
 
 # -- braided Hopf structure of the transmuted double -------------------------------
@@ -529,47 +527,46 @@ def bdg_braided_checks(group: FiniteGroup) -> dict:
 
 
 class BlockRMatrices:
-    """R, its inverse and second inverse between two blocks, as sparse maps.
+    """R and its inverse between two blocks, as sparse maps.
 
-    Index pairs run over V-labels (a, i) of each block; the conventions are
-    pinned by agreement of the induced fundamental braiding with the direct
-    crossed-module formulas.
+    Index pairs run over V-labels (a, i) of each block.  R = sum_h delta_h
+    (x) h acts on V1 (x) V2 through the Wigner construction A2 of the second
+    block: R^{ai}_{bj}{}^{ck}_{dl} = [ai = bj] A2(a)^{ck}_{dl}, which is
+    pi2(zeta_d(a))^k_l when c = a d a^-1, and R^-1 reads A2(a^-1).  The
+    second inverse Rhat equals R^-1 entry by entry, by the cocycle identity
+    zeta_c(a)^-1 = zeta_{a c a^-1}(a^-1), so ``Rinv`` stands for both.  The
+    conventions are pinned by agreement of the induced fundamental braiding
+    with the direct crossed-module formulas.
     """
 
     def __init__(self, block1, block2):
         self.ctx1, self.pi1 = block1
         self.ctx2, self.pi2 = block2
         self.group = self.ctx1.group
+        self._A2 = induced_matrices(self.ctx2, self.pi2)
+        self._pos2 = {ck: k for k, ck in enumerate(self.labels2())}
 
     def labels1(self):
-        return [(a, i) for a in self.ctx1.cls for i in range(self.pi1.dim)]
+        return _v_basis(self.ctx1, self.pi1)
 
     def labels2(self):
-        return [(c, k) for c in self.ctx2.cls for k in range(self.pi2.dim)]
+        return _v_basis(self.ctx2, self.pi2)
 
     def R(self, ai, bj, ck, dl) -> Cyc:
-        """R^{ai}_{bj}{}^{ck}_{dl} = [a=b][c = a d a^-1][i=j] pi2(zeta_d(a))^k_l."""
-        (a, i), (b, j), (c, k), (d, l) = ai, bj, ck, dl
-        if a != b or i != j or c != self.group.conj(a, d):
+        """R^{ai}_{bj}{}^{ck}_{dl} = [ai = bj] A2(a)^{ck}_{dl}."""
+        if ai != bj:
             return ZERO
-        return self.pi2.matrices[self.ctx2.zeta_in_centralizer(d, a)][k][l]
+        return self._A2[ai[0]][self._pos2[ck]][self._pos2[dl]]
 
     def Rinv(self, ai, bj, ck, dl) -> Cyc:
-        (a, i), (b, j), (c, k), (d, l) = ai, bj, ck, dl
-        if a != b or i != j or c != self.group.conj(self.group.inv[a], d):
+        """[ai = bj] A2(a^-1)^{ck}_{dl}, also the second inverse Rhat."""
+        if ai != bj:
             return ZERO
-        return self.pi2.matrices[self.ctx2.zeta_in_centralizer(d, self.group.inv[a])][k][l]
-
-    def Rhat(self, ai, bj, ck, dl) -> Cyc:
-        (a, i), (b, j), (c, k), (d, l) = ai, bj, ck, dl
-        if a != b or i != j or d != self.group.conj(a, c):
-            return ZERO
-        z = self.ctx2.zeta_in_centralizer(c, a)
-        zinv = self.ctx2.centralizer.inv[z]
-        return self.pi2.matrices[zinv][k][l]
+        return self._A2[self.group.inv[ai[0]]][self._pos2[ck]][self._pos2[dl]]
 
     def second_inverse_holds(self) -> bool:
-        """Rhat^i_u{}^v_l R^u_j{}^k_v = delta delta = R^i_u{}^v_l Rhat^u_j{}^k_v."""
+        """Rhat^i_u{}^v_l R^u_j{}^k_v = delta delta = R^i_u{}^v_l Rhat^u_j{}^k_v,
+        with Rhat = ``Rinv``."""
         L1, L2 = self.labels1(), self.labels2()
         for i_ in L1:
             for j_ in L1:
@@ -579,14 +576,14 @@ class BlockRMatrices:
                         t2 = ZERO
                         for u_ in L1:
                             for v_ in L2:
-                                a = self.Rhat(i_, u_, v_, l_)
+                                a = self.Rinv(i_, u_, v_, l_)
                                 if a:
                                     b = self.R(u_, j_, k_, v_)
                                     if b:
                                         t1 = t1 + a * b
                                 a = self.R(i_, u_, v_, l_)
                                 if a:
-                                    b = self.Rhat(u_, j_, k_, v_)
+                                    b = self.Rinv(u_, j_, k_, v_)
                                     if b:
                                         t2 = t2 + a * b
                         expect = ONE if (i_ == j_ and k_ == l_) else ZERO
@@ -617,33 +614,31 @@ class BlockRMatrices:
         return _braid_relation_holds(lambda i, j: psi[(i, j)], len(self.labels1()))
 
 
-def fundamental_braiding_rmatrix(block1, block2, e_ai, e_bj, e_ck, e_dl):
+def fundamental_braiding_rmatrix(r12, r21, e_ai, e_bj, e_ck, e_dl):
     """PsiT on matrix units via the R-matrix contraction:
 
     PsiT(E_I (x) E_K) = E_M (x) E_P *
         Rhat^j_v{}^s_k R^v_q{}^l_r R^r_n{}^p_u Rinv^m_s{}^u_i
 
     with I = (i,j) in End(V1), K = (k,l) in End(V2), M = (m,n) in End(V2),
-    P = (p,q) in End(V1); mixed index pairs use the R-matrix of the
-    corresponding block ordering.  The group parts of the R-matrices are
-    delta functions, so the contraction is chained through their support.
+    P = (p,q) in End(V1); mixed index pairs use the R-matrices r12 and r21
+    of the two block orderings, and Rhat is ``Rinv``.  The group parts of
+    the R-matrices are delta functions, so the contraction is chained
+    through their support.
     """
-    r12 = BlockRMatrices(block1, block2)
-    r21 = BlockRMatrices(block2, block1)
     group = r12.group
-    ctx1, pi1 = block1
-    ctx2, pi2 = block2
+    ctx1, pi1, pi2 = r12.ctx1, r12.pi1, r12.pi2
     i_, j_ = e_ai, e_bj
     k_, l_ = e_ck, e_dl
     out = {}
     ja = j_[0]
-    # Rhat^j_v{}^s_k: v group part = ja, s group part = ja k ja^-1
+    # Rhat^j_v{}^s_k = Rinv^j_v{}^s_k: v group part = ja, s group part = ja k ja^-1
     sa = group.conj(ja, k_[0])
     for vf in range(pi1.dim):
         v_ = (ja, vf)
         for sf in range(pi2.dim):
             s_ = (sa, sf)
-            a = r12.Rhat(j_, v_, s_, k_)
+            a = r12.Rinv(j_, v_, s_, k_)
             if not a:
                 continue
             # R^v_q{}^l_r: q group = ja, l group = ja r ja^-1 -> r = ja^-1 l ja
@@ -684,6 +679,8 @@ def psit_via_rmatrix(lie: BlockBraidedLie, t1: int, t2: int):
     out = {}
     ctx1, pi1 = lie.blocks[t1]
     ctx2, pi2 = lie.blocks[t2]
+    r12 = BlockRMatrices(lie.blocks[t1], lie.blocks[t2])
+    r21 = BlockRMatrices(lie.blocks[t2], lie.blocks[t1])
     for a in ctx1.cls:
         for i in range(pi1.dim):
             for b in ctx1.cls:
@@ -695,8 +692,7 @@ def psit_via_rmatrix(lie: BlockBraidedLie, t1: int, t2: int):
                                 for l in range(pi2.dim):
                                     src2 = lie.index_of(t2, c, k, d, l)
                                     terms = fundamental_braiding_rmatrix(
-                                        lie.blocks[t1], lie.blocks[t2],
-                                        (a, i), (b, j), (c, k), (d, l),
+                                        r12, r21, (a, i), (b, j), (c, k), (d, l)
                                     )
                                     vec = {}
                                     for (((m, mi), (n, ni)), ((p, pi_), (q, qi))), coeff in terms.items():
@@ -729,23 +725,14 @@ def frt(blocks) -> QuadAlg:
     R^{fp}_{ai}{}^{g q}_{c k} t_{fp}^{bj} t_{gq}^{dl}
       = t_{ck}^{gq} t_{ai}^{fp} R^{bj}_{fp}{}^{dl}_{gq}.
     """
-    labels = []
-    pos = {}
-    for t, (ctx, pi) in enumerate(blocks):
-        for a in ctx.cls:
-            for i in range(pi.dim):
-                for b in ctx.cls:
-                    for j in range(pi.dim):
-                        pos[(t, a, i, b, j)] = len(labels)
-                        labels.append((t, a, i, b, j))
+    labels, pos = _end_basis(blocks)
     relations = []
     for t1, b1 in enumerate(blocks):
         ctx1, pi1 = b1
         for t2, b2 in enumerate(blocks):
             ctx2, pi2 = b2
             rm = BlockRMatrices(b2, b1)  # R between (C', pi') and (C, pi)
-            L1 = [(a, i) for a in ctx1.cls for i in range(pi1.dim)]
-            L2 = [(c, k) for c in ctx2.cls for k in range(pi2.dim)]
+            L1, L2 = _v_basis(ctx1, pi1), _v_basis(ctx2, pi2)
             for ai in L1:
                 for bj in L1:
                     for ck in L2:

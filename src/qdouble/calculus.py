@@ -14,15 +14,12 @@ Three concrete carriers:
 
 from __future__ import annotations
 
-from .cyclotomic import Cyc
+from .cyclotomic import ONE, ZERO
 from .groups import FiniteGroup, ClassContext
 from .reps import Rep, induced_rep
 from .double import build_VCpi
 from . import linalg
 from .linalg import _accumulate, _addto
-
-ZERO = Cyc.rational(0)
-ONE = Cyc.rational(1)
 
 
 # -- calculus on C(G) -----------------------------------------------------------
@@ -322,6 +319,7 @@ class DoubleCalculus:
         self.group = ctx.group
         self.module = build_VCpi(ctx, pi)
         self.cls = ctx.cls
+        self._cpos = {c: k for k, c in enumerate(ctx.cls)}
 
     def form_indices(self):
         for c in self.cls:
@@ -334,12 +332,12 @@ class DoubleCalculus:
         return self.group.table[c][self.group.inv[d]]
 
     def _act_dual(self, h, d, j):
-        """h |> E^{dj} = pi(zeta_d(h)^-1)^j_l E^{(h d h^-1) l}."""
-        group = self.group
-        z = self.ctx.zeta_in_centralizer(d, h)
-        zinv = self.ctx.centralizer.inv[z]
-        target = group.conj(h, d)
-        return [(target, l, self.pi.matrices[zinv][j][l]) for l in range(self.pi.dim)]
+        """h |> E^{dj} = pi(zeta_d(h)^-1)^j_l E^{(h d h^-1) l}: row (d, j) of
+        the V_{C,pi} action of h^-1, read at the columns (h d h^-1, l)."""
+        dim = self.pi.dim
+        target = self.group.conj(h, d)
+        row = self.module.action[self.group.inv[h]][self._cpos[d] * dim + j]
+        return [(target, l, row[self._cpos[target] * dim + l]) for l in range(dim)]
 
     def d_delta(self, g: int):
         """d(delta_g) = sum_c (delta_{g c^-1} - delta_g) (x) sum_i E_{ci}^{ci}."""

@@ -13,14 +13,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cyclotomic import Cyc, cyc
+from .cyclotomic import ONE, ZERO, Cyc, cyc
 from .groups import FiniteGroup, ClassContext
-from .reps import Rep, irrep_catalog, irrep_family, check_homomorphism
+from .reps import Rep, check_homomorphism, induced_matrices, irrep_catalog, irrep_family
 from . import linalg
 from .linalg import _accumulate, _addto
-
-ZERO = Cyc.rational(0)
-ONE = Cyc.rational(1)
 
 
 class DoubleElement:
@@ -375,26 +372,12 @@ class CrossedModule:
 
 
 def build_VCpi(ctx: ClassContext, pi: Rep) -> CrossedModule:
-    """Irreducible crossed module on basis c (x) v_i with grading c."""
+    """Irreducible crossed module on basis c (x) v_i with grading c, acted on
+    by the Wigner construction ``induced_matrices``."""
     group = ctx.group
-    cls_ = ctx.cls
-    pos = {c: k for k, c in enumerate(cls_)}
-    dim = len(cls_) * pi.dim
-    action = []
-    for h in range(group.n):
-        m = [[ZERO] * dim for _ in range(dim)]
-        for c in cls_:
-            target = group.conj(h, c)
-            block = pi.matrices[ctx.zeta_in_centralizer(c, h)]
-            for i in range(pi.dim):
-                for j in range(pi.dim):
-                    m[pos[target] * pi.dim + i][pos[c] * pi.dim + j] = block[i][j]
-        action.append(m)
-    grading = [c for c in cls_ for _ in range(pi.dim)]
-    labels = [
-        (group.labels[c], i) for c in cls_ for i in range(pi.dim)
-    ]
-    return CrossedModule(group, labels, action, grading)
+    labels = [(group.labels[c], i) for c in ctx.cls for i in range(pi.dim)]
+    grading = [c for c in ctx.cls for _ in range(pi.dim)]
+    return CrossedModule(group, labels, induced_matrices(ctx, pi), grading)
 
 
 def regular_crossed_module(group: FiniteGroup) -> CrossedModule:
@@ -414,17 +397,17 @@ def regular_crossed_module(group: FiniteGroup) -> CrossedModule:
 
 def bdg_crossed_module(group: FiniteGroup) -> CrossedModule:
     """The double itself as a crossed module: adjoint action, commutator grading."""
-    n = group.n
-    basis = [(g, h) for g in range(n) for h in range(n)]
+    basis = [(g, h) for g in range(group.n) for h in range(group.n)]
     pos = {b: i for i, b in enumerate(basis)}
+    elements = [DoubleElement.basis(group, g, h) for (g, h) in basis]
     action = []
-    for f in range(n):
+    for f in range(group.n):
         m = [[ZERO] * len(basis) for _ in range(len(basis))]
-        for (g, h) in basis:
-            m[pos[(group.conj(f, g), group.conj(f, h))]][pos[(g, h)]] = ONE
+        for j, x in enumerate(elements):
+            for key, c in x.adjoint_act(f).terms.items():
+                m[pos[key]][j] = c
         action.append(m)
-    grading = [group.commutator(group.inv[g], h) for (g, h) in basis]
-    return CrossedModule(group, basis, action, grading)
+    return CrossedModule(group, basis, action, [x.grading() for x in elements])
 
 
 # -- Artin-Wedderburn ----------------------------------------------------------

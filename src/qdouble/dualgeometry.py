@@ -11,16 +11,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cyclotomic import Cyc, cyc
+from .cyclotomic import ONE, ZERO, Cyc, cyc
 from .groups import FiniteGroup, ClassContext
 from .reps import Rep, irrep_catalog
 from .poly import Poly
 from .double import CrossedModule
 from .linalg import _addto
 from .transfer import projector_fixed_space, conjugated_projector
-
-ZERO = Cyc.rational(0)
-ONE = Cyc.rational(1)
 
 
 def dual_operator(group: FiniteGroup, eigenvalues: dict, irreps=None):

@@ -15,14 +15,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cyclotomic import Cyc, cyc
+from .cyclotomic import ONE, ZERO, Cyc, cyc
 from .poly import Poly, RatFunc, _bareiss_det
 from .calculus import LambdaBasis
 from .groups import FiniteGroup
 from . import linalg
-
-ZERO = Cyc.rational(0)
-ONE = Cyc.rational(1)
 
 
 def _pc(value, variables):

@@ -9,11 +9,7 @@ relations contribute their top-degree parts to the associated graded.
 
 from __future__ import annotations
 
-from .cyclotomic import Cyc
 from .linalg import SparseSpan
-
-ZERO = Cyc.rational(0)
-ONE = Cyc.rational(1)
 
 
 class QuadAlg:

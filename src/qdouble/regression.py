@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cyclotomic import Cyc, cyc, root_of_unity
+from .cyclotomic import ONE, ZERO, cyc, root_of_unity
 from .groups import FiniteGroup, class_context
 from .reps import (
     abelian_characters,
@@ -68,9 +68,6 @@ from .braided import (
 from .poly import Poly, groebner, normal_form
 from . import linalg
 from .linalg import _addto
-
-ZERO = Cyc.rational(0)
-ONE = Cyc.rational(1)
 
 
 class S3Data:
@@ -497,7 +494,6 @@ def criterion_6():
         )
     )
     return checks
-
 
 
 # -- criterion 7: curvature -------------------------------------------------------------

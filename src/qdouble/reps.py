@@ -21,12 +21,9 @@ import itertools
 import math
 from fractions import Fraction
 
-from .cyclotomic import Cyc, cyc, root_of_unity
+from .cyclotomic import ONE, ZERO, Cyc, cyc, root_of_unity
 from .groups import FiniteGroup, parse_cycles
 from . import linalg
-
-ZERO = Cyc.rational(0)
-ONE = Cyc.rational(1)
 
 
 class Rep:
@@ -436,25 +433,30 @@ def centralizer_character(ctx, j: int) -> Rep:
     return cyclic_rep(sub, j, generator=sub.position[ctx.rep])
 
 
-def induced_rep(ctx, pi: Rep) -> Rep:
-    """Representation of G on C-class x V_pi induced from pi on the centralizer.
+def induced_matrices(ctx, pi: Rep) -> list:
+    """The Wigner construction: the matrices of G on V_{C,pi}, induced from pi
+    on the centralizer, with C as the orbit and pi as the spin.
 
     Basis (c, i) with c running over the class in sorted order; the matrix
-    of g sends (d, j) to sum_i pi(zeta_d(g))^i_j (g d g^-1, i).
-    """
+    of g sends (d, j) to sum_i pi(zeta_d(g))^i_j (g d g^-1, i).  The one
+    place this action is written: the crossed module V_{C,pi}, the action
+    and R-matrices on End(V_{C,pi}), the dual-double calculus and the
+    coaction on E read it.  Unvalidated; ``induced_rep`` validates."""
     group = ctx.group
-    cls_ = ctx.cls
-    pos = {c: k for k, c in enumerate(cls_)}
-    dim = len(cls_) * pi.dim
+    pos = {c: k for k, c in enumerate(ctx.cls)}
+    dim = len(ctx.cls) * pi.dim
     mats = []
     for g in range(group.n):
         m = [[ZERO] * dim for _ in range(dim)]
-        for d in cls_:
-            c = group.conj(g, d)
-            zeta = ctx.zeta_in_centralizer(d, g)
-            block = pi.matrices[zeta]
+        for d in ctx.cls:
+            block = pi.matrices[ctx.zeta_in_centralizer(d, g)]
+            row, col = pos[group.conj(g, d)] * pi.dim, pos[d] * pi.dim
             for i in range(pi.dim):
-                for j in range(pi.dim):
-                    m[pos[c] * pi.dim + i][pos[d] * pi.dim + j] = block[i][j]
+                m[row + i][col:col + pi.dim] = block[i]
         mats.append(m)
-    return Rep(group, mats, name=f"induced({pi.name})")
+    return mats
+
+
+def induced_rep(ctx, pi: Rep) -> Rep:
+    """Representation of G on C-class x V_pi induced from pi on the centralizer."""
+    return Rep(ctx.group, induced_matrices(ctx, pi), name=f"induced({pi.name})")

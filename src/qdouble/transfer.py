@@ -16,15 +16,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cyclotomic import Cyc, cyc
+from .cyclotomic import ONE, ZERO, Cyc, cyc
 from .groups import ClassContext, FiniteGroup
-from .reps import Rep, group_projector
+from .reps import Rep, group_projector, induced_matrices
 from .double import CrossedModule, DoubleElement
 from . import linalg
 from .linalg import _addto
-
-ZERO = Cyc.rational(0)
-ONE = Cyc.rational(1)
 
 
 # -- Fourier -------------------------------------------------------------------
@@ -317,17 +314,21 @@ def factorization_check(ctx: ClassContext, pi: Rep, module: CrossedModule, embed
 
 
 def coact_E(ctx: ClassContext, pi: Rep):
-    """Left coaction on E in class coordinates; basis keys (c, i)."""
+    """Left coaction on E in class coordinates; basis keys (c, i).  The
+    coefficient of (f^-1 c f, k) is an entry of the V_{C,pi} action of f^-1,
+    pi(zeta_c(f^-1))^k_i."""
     group = ctx.group
+    induced = induced_matrices(ctx, pi)
+    pos = {c: k * pi.dim for k, c in enumerate(ctx.cls)}
 
     def coaction(key):
         c, i = key
         terms = []
         for f in range(group.n):
             cprime = group.conj(group.inv[f], c)
-            z = ctx.zeta_in_centralizer(c, group.inv[f])
+            rows = induced[group.inv[f]]
             for k in range(pi.dim):
-                coeff = pi.matrices[z][k][i]
+                coeff = rows[pos[cprime] + k][pos[c] + i]
                 if coeff:
                     terms.append(((f, group.conj(group.inv[f], group.inv[c])), (cprime, k), coeff))
         return terms

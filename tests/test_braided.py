@@ -8,8 +8,8 @@ from qdouble.reps import centralizer_character
 from qdouble.double import DoubleElement
 from qdouble.braided import (
     lie_cpi,
-    lie_bdg,
-    lie_direct_sum,
+    BlockBraidedLie,
+    RegularBraidedLie,
     psit_via_rmatrix,
     BlockRMatrices,
     envelope,
@@ -386,9 +386,12 @@ def test_cli_writes_the_witness_of_a_failed_axiom(monkeypatch, capsys):
 
 def test_action_table_is_conjugation_of_matrix_units(data):
     """lie.action[g][idx] = rho(g) E rho(g^-1) for E = |a,i><b,j| in V_{C,pi},
-    on every non-trivial S3 block and the S4 4-cycle block."""
-    from qdouble.double import build_VCpi, centralizer_irreps
+    on every non-trivial S3 block and the S4 4-cycle block, with rho the
+    zeta_c(g) formula of the test-side reference, not the package's own
+    induced matrices."""
+    from qdouble.double import centralizer_irreps
     from qdouble.groups import FiniteGroup, class_context
+    from zeta_reference import vcpi_action
 
     blocks = [
         (ctx, pi)
@@ -402,7 +405,7 @@ def test_action_table_is_conjugation_of_matrix_units(data):
     for ctx, pi in blocks:
         lie = lie_cpi(ctx, pi)
         G = ctx.group
-        rho = build_VCpi(ctx, pi).action
+        rho = vcpi_action(ctx, pi)
         pos = {c: k for k, c in enumerate(ctx.cls)}
         dim = len(rho[0])
         for g in range(G.n):
@@ -420,7 +423,7 @@ def test_action_table_is_conjugation_of_matrix_units(data):
 
 
 def test_regular_braided_lie_on_double(data):
-    lie = lie_bdg(data.G)
+    lie = RegularBraidedLie(data.G)
     assert lie.check_L3()
     assert lie.check_L4()
     assert lie.is_regular()
@@ -452,7 +455,7 @@ def test_rmatrix_identities_all_blocks(data):
 
 
 def test_route_agreement_direct_sum(data):
-    lie = lie_direct_sum([(data.ctx2, data.pi[1]), (data.ctx2, data.pi[2])])
+    lie = BlockBraidedLie([(data.ctx2, data.pi[1]), (data.ctx2, data.pi[2])])
     assert lie.dim == 8
     for t1 in (0, 1):
         for t2 in (0, 1):
@@ -462,7 +465,7 @@ def test_route_agreement_direct_sum(data):
 
 
 def test_direct_sum_axioms(data):
-    lie = lie_direct_sum([(data.ctx2, data.pi[1]), (data.ctx2, data.pi[2])])
+    lie = BlockBraidedLie([(data.ctx2, data.pi[1]), (data.ctx2, data.pi[2])])
     assert lie.check_L3()
     assert lie.check_L2()
     assert lie.is_regular()
