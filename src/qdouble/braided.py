@@ -379,8 +379,8 @@ class BlockBraidedLie(BraidedLie):
     """Braided-Lie algebra on a direct sum of matrix blocks End(V_{C,pi}).
 
     Basis labels are (block, a, i, b, j): the matrix unit E_{ai}^{bj} of
-    block (C, pi), graded by a b^-1, with the conjugation action twisted by
-    the centralizer cocycle on both indices.
+    block (C, pi), graded by a b^-1, acted on by g |> E = A(g) E A(g^-1)
+    with A the Wigner construction ``induced_matrices`` of the block.
     """
 
     def __init__(self, blocks):
@@ -632,8 +632,8 @@ def fundamental_braiding_rmatrix(r12, r21, e_ai, e_bj, e_ck, e_dl):
     k_, l_ = e_ck, e_dl
     out = {}
     ja = j_[0]
-    # Rhat^j_v{}^s_k = Rinv^j_v{}^s_k: v group part = ja, s group part = ja k ja^-1
-    sa = group.conj(ja, k_[0])
+    # Rhat^j_v{}^s_k = Rinv^j_v{}^s_k: v group part = ja, s group part = ja^-1 k ja
+    sa = group.conj(group.inv[ja], k_[0])
     for vf in range(pi1.dim):
         v_ = (ja, vf)
         for sf in range(pi2.dim):

@@ -464,6 +464,23 @@ def test_route_agreement_direct_sum(data):
                 assert vec == lie.psit(*key)
 
 
+@pytest.mark.parametrize("group", ["S3", "S4", "C4"])
+def test_rmatrix_route_equals_the_direct_braiding_on_every_block(group):
+    """psit_via_rmatrix = psit on every non-trivial block.  The first factor
+    Rhat^j_v{}^s_k of the contraction has s = a^-1 k a for j = (a, i); the
+    S4 3- and 4-cycle blocks are the ones where that differs from a k a^-1."""
+    from qdouble.double import double_irreps
+    from qdouble.groups import FiniteGroup
+
+    G = {"S3": FiniteGroup.symmetric(3), "S4": FiniteGroup.symmetric(4), "C4": FiniteGroup.cyclic(4)}[group]
+    for ctx, pi in double_irreps(G):
+        if ctx.rep == 0 and pi.is_trivial():
+            continue
+        lie = lie_cpi(ctx, pi)
+        rt = psit_via_rmatrix(lie, 0, 0)
+        assert all(rt[(i, j)] == lie.psit(i, j) for i in range(lie.dim) for j in range(lie.dim))
+
+
 def test_direct_sum_axioms(data):
     lie = BlockBraidedLie([(data.ctx2, data.pi[1]), (data.ctx2, data.pi[2])])
     assert lie.check_L3()
