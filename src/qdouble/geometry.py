@@ -16,6 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cyclotomic import ONE, ZERO, Cyc, cyc
+from .linalg import _addto
 from .poly import Poly, RatFunc, _bareiss_det
 from .calculus import LambdaBasis
 from .groups import FiniteGroup
@@ -551,7 +552,10 @@ def star_compat_residuals(family: ConnectionFamily):
 
 def riemann_compat_residuals(family: ConnectionFamily):
     """Curvature is a bimodule map: antisymmetrized quadratic tensors match
-    their gamma(h)-conjugates for every group element h (Grassmann choice)."""
+    their gamma(h)-conjugates for every group element h (Grassmann choice).
+
+    The antisymmetrized tensor D^a_b[(l,p)] = QQ^a_b[(l,p)] - QQ^a_b[(p,l)]
+    is computed once, and each residual is summed in one sparse map."""
     dim = family.dim
     basis = family.basis
     group = basis.group
@@ -569,6 +573,9 @@ def riemann_compat_residuals(family: ConnectionFamily):
                         t = G[(a, l, n)] * G[(n, p, b)]
                         total = t if total is None else total + t
                     QQ[(a, b, l, p)] = total
+    D = {key: QQ[key] - QQ[(key[0], key[1], key[3], key[2])] for key in QQ}
+    variables = tuple(dict.fromkeys(v for d in D.values() for v in d.vars))
+    D = {key: d.extend(variables) for key, d in D.items()}
     for h in range(1, group.n):
         gh = basis.gamma(h)
         ghinv = basis.gamma(group.inv[h])
@@ -576,7 +583,7 @@ def riemann_compat_residuals(family: ConnectionFamily):
             for j in range(dim):
                 for k in range(dim):
                     for m in range(k + 1, dim):
-                        res = QQ[(i, j, k, m)] - QQ[(i, j, m, k)]
+                        res = dict(D[(i, j, k, m)].terms)
                         for a in range(dim):
                             if not ghinv[i][a]:
                                 continue
@@ -591,11 +598,10 @@ def riemann_compat_residuals(family: ConnectionFamily):
                                         if not gh[p][m]:
                                             continue
                                         scal = outer * gh[l][k] * gh[p][m]
-                                        diff = QQ[(a, b, l, p)] - QQ[(a, b, p, l)]
-                                        if diff:
-                                            res = res - diff * scal
+                                        for e, c in D[(a, b, l, p)].terms.items():
+                                            _addto(res, e, -(c * scal))
                         if res:
-                            out.append(res)
+                            out.append(Poly._make(variables, res))
     return _dedupe(out)
 
 

@@ -6,6 +6,12 @@ them and conjugates the cyclotomic coefficients.  Sparse dict-of-monomials
 representation.  ``poly_gcd`` (a primitive subresultant remainder sequence)
 keeps ``RatFunc`` reduced; ``groebner`` and ``normal_form`` decide ideal
 membership and equality, the polynomial elimination of the regression suite.
+
+Invariant: ``Poly.terms`` is a zero-free {exponent tuple: Cyc} map, and every
+exponent tuple has ``len(vars)`` non-negative int entries.  The public
+constructor checks the exponents and drops zero coefficients; the ring
+operations build maps that already hold the invariant (sums go through
+``linalg._addto``) and wrap them with the trusted ``Poly._make``.
 """
 
 from __future__ import annotations
@@ -25,25 +31,39 @@ class Poly:
         self.vars = tuple(variables)
         self.terms = {}
         if terms:
+            n = len(self.vars)
             for exp, coeff in terms.items():
+                exp = tuple(exp)
+                if len(exp) != n or not all(isinstance(e, int) and e >= 0 for e in exp):
+                    raise ValueError(
+                        f"exponent {exp!r} is not {n} non-negative ints for {self.vars}"
+                    )
                 c = cyc(coeff) if not isinstance(coeff, Cyc) else coeff
                 if c:
-                    self.terms[tuple(exp)] = c
+                    self.terms[exp] = c
+
+    @staticmethod
+    def _make(variables: tuple[str, ...], terms: dict) -> "Poly":
+        """Wrap a map that already holds the module invariant, unchecked."""
+        out = object.__new__(Poly)
+        out.vars = variables
+        out.terms = terms
+        return out
 
     # -- constructors -----------------------------------------------------
 
     @staticmethod
     def constant(value, variables: tuple[str, ...] = ()) -> "Poly":
         v = cyc(value)
-        n = len(variables)
-        return Poly(variables, {(0,) * n: v} if v else {})
+        variables = tuple(variables)
+        return Poly._make(variables, {(0,) * len(variables): v} if v else {})
 
     @staticmethod
     def variable(name: str, variables: tuple[str, ...]) -> "Poly":
         idx = variables.index(name)
         exp = [0] * len(variables)
         exp[idx] = 1
-        return Poly(variables, {tuple(exp): Cyc.rational(1)})
+        return Poly._make(tuple(variables), {tuple(exp): Cyc.rational(1)})
 
     def _align(self, other: "Poly"):
         if self.vars == other.vars:
@@ -61,7 +81,7 @@ class Poly:
             for p, e in zip(pos, exp):
                 new[p] = e
             out[tuple(new)] = c
-        return Poly(variables, out)
+        return Poly._make(tuple(variables), out)
 
     # -- ring operations ---------------------------------------------------
 
@@ -73,32 +93,40 @@ class Poly:
         out = dict(a.terms)
         for exp, c in b.terms.items():
             _addto(out, exp, c)
-        return Poly(a.vars, out)
+        return Poly._make(a.vars, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.vars, {e: -c for e, c in self.terms.items()})
+        return Poly._make(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         other = _as_poly(other, self.vars)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        a, b = self._align(other)
+        out = dict(a.terms)
+        for exp, c in b.terms.items():
+            _addto(out, exp, -c)
+        return Poly._make(a.vars, out)
 
     def __rsub__(self, other):
         return _as_poly(other, self.vars) + (-self)
 
     def __mul__(self, other):
-        other = _as_poly(other, self.vars)
-        if other is NotImplemented:
-            return NotImplemented
+        if not isinstance(other, Poly):
+            if not isinstance(other, (int, Fraction, Cyc)):
+                return NotImplemented
+            k = cyc(other)
+            if not k:
+                return Poly._make(self.vars, {})
+            return Poly._make(self.vars, {e: c * k for e, c in self.terms.items()})
         a, b = self._align(other)
         out: dict[tuple, Cyc] = {}
         for e1, c1 in a.terms.items():
             for e2, c2 in b.terms.items():
                 _addto(out, tuple(x + y for x, y in zip(e1, e2)), c1 * c2)
-        return Poly(a.vars, out)
+        return Poly._make(a.vars, out)
 
     __rmul__ = __mul__
 
@@ -150,7 +178,7 @@ class Poly:
         for exp, c in self.terms.items():
             if exp[i] == power:
                 _addto(out, exp[:i] + (0,) + exp[i + 1:], c)
-        return Poly(self.vars, out)
+        return Poly._make(self.vars, out)
 
     def constant_term(self) -> Cyc:
         return self.terms.get((0,) * len(self.vars), Cyc.rational(0))
@@ -180,7 +208,7 @@ class Poly:
 
     def conj(self) -> "Poly":
         """Conjugate coefficients; variables are real indeterminates."""
-        return Poly(self.vars, {e: c.conj() for e, c in self.terms.items()})
+        return Poly._make(self.vars, {e: c.conj() for e, c in self.terms.items()})
 
     def monic_normalize(self) -> "Poly":
         """Divide by the coefficient of the lexicographically largest monomial."""
@@ -188,7 +216,7 @@ class Poly:
             return self
         lead = max(self.terms)
         inv = self.terms[lead].inverse()
-        return Poly(self.vars, {e: c * inv for e, c in self.terms.items()})
+        return Poly._make(self.vars, {e: c * inv for e, c in self.terms.items()})
 
     def exact_div(self, other: "Poly") -> "Poly":
         """Exact division; raises if not divisible."""
@@ -234,7 +262,7 @@ def _poly_divmod_multivar(a: Poly, b: Poly):
             break
     if main is None:  # b constant
         inv = b.constant_term().inverse()
-        return Poly(a.vars, {e: c * inv for e, c in a.terms.items()}), Poly(a.vars, {})
+        return Poly._make(a.vars, {e: c * inv for e, c in a.terms.items()}), Poly._make(a.vars, {})
     q = Poly.constant(0, a.vars)
     r = a
     db = b.degree(main)
@@ -407,9 +435,10 @@ def groebner(polys) -> list[Poly]:
 
     The order is grevlex over the variables that occur in the polys, taken
     in their merged ``vars`` order.  Buchberger's algorithm with normal pair
-    selection (least lcm first) and the product and chain criteria (Cox,
-    Little, O'Shea, *Ideals, Varieties, and Algorithms*, ch. 2).  The ideal
-    is the unit ideal exactly when the basis is [1].
+    selection (least lcm first, ties to the least index pair) and the product
+    and chain criteria (Cox, Little, O'Shea, *Ideals, Varieties, and
+    Algorithms*, ch. 2).  The ideal is the unit ideal exactly when the basis
+    is [1].
     """
     merged = tuple(dict.fromkeys(v for p in polys for v in p.vars))
     polys = [p.extend(merged) for p in polys if p]
@@ -417,9 +446,14 @@ def groebner(polys) -> list[Poly]:
     basis = [
         _monic({tuple(e[i] for i in occur): c for e, c in p.terms.items()}) for p in polys
     ]
-    pairs = {(i, j) for j in range(len(basis)) for i in range(j)}
+
+    def key(i, j):
+        return _grevlex(_lcm(basis[i][0], basis[j][0])), i, j
+
+    # pending pair -> its selection key, computed once when the pair is made
+    pairs = {(i, j): key(i, j) for j in range(len(basis)) for i in range(j)}
     while pairs:
-        i, j = min(pairs, key=lambda ij: _grevlex(_lcm(basis[ij[0]][0], basis[ij[1]][0])))
+        _, i, j = min(pairs.values())
         li, lj = basis[i][0], basis[j][0]
         lcm = _lcm(li, lj)
         coprime = lcm == tuple(x + y for x, y in zip(li, lj))
@@ -433,16 +467,17 @@ def groebner(polys) -> list[Poly]:
         if not coprime and not chain:
             rem = _reduce(_spoly(basis[i], basis[j]), basis)
             if rem:
-                pairs.update((k, len(basis)) for k in range(len(basis)))
                 basis.append(_monic(rem))
-        pairs.discard((i, j))
+                n = len(basis) - 1
+                pairs.update({(k, n): key(k, n) for k in range(n)})
+        del pairs[(i, j)]
     minimal = []
     for lead, terms in sorted(basis, key=lambda b: _grevlex(b[0])):
         if not any(_divides(l, lead) for l, _ in minimal):
             minimal.append((lead, terms))
     variables = tuple(merged[i] for i in occur)
     return [
-        Poly(variables, _reduce(terms, minimal[:k] + minimal[k + 1:]))
+        Poly._make(variables, _reduce(terms, minimal[:k] + minimal[k + 1:]))
         for k, (_, terms) in enumerate(minimal)
     ]
 
@@ -456,7 +491,7 @@ def normal_form(p: Poly, basis: list[Poly]) -> Poly:
         return p
     variables = tuple(dict.fromkeys(basis[0].vars + p.vars))
     pairs = [_monic(g.extend(variables).terms) for g in basis]
-    return Poly(variables, _reduce(p.extend(variables).terms, pairs))
+    return Poly._make(variables, _reduce(p.extend(variables).terms, pairs))
 
 
 class RatFunc:
@@ -479,7 +514,7 @@ class RatFunc:
                 den = den.exact_div(g)
         if den.degree() == 0:
             inv = den.constant_term().inverse()
-            num = Poly(num.vars, {e: c * inv for e, c in num.terms.items()})
+            num = Poly._make(num.vars, {e: c * inv for e, c in num.terms.items()})
             den = Poly.constant(1, num.vars)
         self.num = num
         self.den = den

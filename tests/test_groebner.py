@@ -193,13 +193,12 @@ def test_reduced_basis_matches_sympy_on_rational_systems():
         assert {_to_sympy(g, gens) for g in basis} == set(reference.exprs)
 
 
-def test_reduced_basis_matches_sympy_on_seeded_random_systems():
+def _seeded_random_systems():
     """Up to three polynomials in x, y, z with small integer coefficients;
     these reach the pair criteria in ways the regression systems do not."""
     rng = random.Random(1)
     V = ("x", "y", "z")
     xs = [Poly.variable(v, V) for v in V]
-    gens = sympy.symbols(V)
     for _ in range(100):
         polys = []
         for _ in range(rng.randint(1, 3)):
@@ -210,8 +209,29 @@ def test_reduced_basis_matches_sympy_on_seeded_random_systems():
                     m = m * x ** rng.randint(0, 2)
                 p = p + m
             polys.append(p)
+        yield polys
+
+
+def test_reduced_basis_matches_sympy_on_seeded_random_systems():
+    gens = sympy.symbols(("x", "y", "z"))
+    for polys in _seeded_random_systems():
         basis = groebner(polys)
         reference = sympy.groebner(
             [_to_sympy(p, gens) for p in polys], *gens, order="grevlex", domain="QQ"
         )
         assert {_to_sympy(g, sympy.symbols(g.vars)) for g in basis} == set(reference.exprs)
+
+
+def test_reduced_basis_does_not_depend_on_the_input_order():
+    """Shuffled generators give the same reduced basis, in the same order."""
+    star = star_compat_residuals(S3Data.get().printed_wqlc_slice().complex_split())
+    systems = [_stripped_metric_residuals(), star, _riemann_slice(0), _riemann_slice(1)]
+    rng = random.Random(7)
+    for polys in systems + list(_seeded_random_systems()):
+        basis = groebner(polys)
+        for _ in range(3):
+            shuffled = list(polys)
+            rng.shuffle(shuffled)
+            again = groebner(shuffled)
+            assert [g.vars for g in again] == [g.vars for g in basis]
+            assert again == basis

@@ -341,3 +341,89 @@ def test_quadalg_inhomogeneous_parts_count():
     inhom = [({(0, 1): cyc(1)}, cyc(-1))]
     alg = QuadAlg(["a", "b"], relations, inhomogeneous=inhom)
     assert alg.graded_dimension(2) == 3
+
+
+# -- Poly invariants: every result is zero-free and over len(vars) exponents ------------
+
+VARSETS = (("x", "y"), ("y", "x"), ("y", "z"), ("x", "y", "z"), ("z",), ())
+ORDERS = (1, 2, 3, 4, 12)
+
+
+def _random_cyc(rng):
+    order = rng.choice(ORDERS)
+    return Cyc(order, [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(order)])
+
+
+def _random_poly(rng, variables):
+    terms = {}
+    for _ in range(rng.randint(0, 5)):
+        terms[tuple(rng.randint(0, 2) for _ in variables)] = _random_cyc(rng)
+    return Poly(variables, terms)
+
+
+def _tagged(p):
+    return p.vars, sorted((e, c.order, c.coeffs) for e, c in p.terms.items())
+
+
+def _assert_invariant(r):
+    rebuilt = Poly(r.vars, r.terms)
+    assert r == rebuilt and _tagged(r) == _tagged(rebuilt)
+    assert all(r.terms.values())
+    assert all(len(e) == len(r.vars) for e in r.terms)
+    assert hash(r) == hash(rebuilt) == hash(r.extend(r.vars + ("w",)))
+
+
+def _poly_pairs(rng, count):
+    """(p, q) over mixed variable tuples; q often cancels some terms of p."""
+    for _ in range(count):
+        p = _random_poly(rng, rng.choice(VARSETS))
+        q = _random_poly(rng, rng.choice(VARSETS))
+        if p.terms and rng.random() < 0.5:
+            cancel = {e: -c for e, c in p.terms.items() if rng.random() < 0.6}
+            wider = tuple(dict.fromkeys(q.vars + p.vars))
+            q = q.extend(wider) + Poly(p.vars, cancel).extend(wider)
+        yield p, q
+
+
+def test_poly_ring_operations_keep_the_invariant():
+    rng = random.Random(15)
+    cancelled = 0
+    for p, q in _poly_pairs(rng, 300):
+        for r in (p + q, p - q, -p, p * q, q + p, q - p, p - p):
+            _assert_invariant(r)
+        assert p + q == q + p and hash(p + q) == hash(q + p)
+        assert p * q == q * p and hash(p * q) == hash(q * p)
+        assert (p - q) + q == p and hash((p - q) + q) == hash(p)
+        assert not (p - p).terms and (p - p).vars == p.vars
+        cancelled += len((p + q).terms) < len(p.terms) + len(q.terms)
+    assert cancelled > 50
+
+
+def test_scalar_product_equals_the_constant_polynomial_product():
+    rng = random.Random(16)
+    for _ in range(200):
+        p = _random_poly(rng, rng.choice(VARSETS))
+        scalars = [
+            _random_cyc(rng),
+            rng.randint(-4, 4),
+            Fraction(rng.randint(-4, 4), rng.randint(1, 4)),
+            cyc(0),
+            0,
+        ]
+        for c in scalars:
+            r = p * c
+            _assert_invariant(r)
+            assert _tagged(r) == _tagged(p * Poly.constant(c, p.vars))
+            assert _tagged(c * p) == _tagged(r)
+            if not c:
+                assert not r.terms and r.vars == p.vars
+
+
+@pytest.mark.parametrize(
+    "exp", [(1,), (1, 0, 0), (-1, 0), (1.0, 0), ("1", 0), (Fraction(1), 0)]
+)
+def test_poly_rejects_malformed_exponents(exp):
+    with pytest.raises(ValueError):
+        Poly(("x", "y"), {exp: 1})
+    with pytest.raises(ValueError):
+        Poly(("x", "y"), {(0, 0): 1, exp: 0})
