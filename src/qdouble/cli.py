@@ -313,6 +313,7 @@ def cmd_geometry(scenario, args):
     from .calculus import fodc_group_algebra, lambda_basis
     from .poly import Poly
     from .geometry import (
+        LINEAR_FLAGS,
         connection_solve,
         ip_from_lengths,
         metric_compat_residuals,
@@ -321,6 +322,19 @@ def cmd_geometry(scenario, args):
         star_compat_residuals,
     )
 
+    residuals = {
+        "metric_compat": metric_compat_residuals,
+        "star_compat": lambda family, ip: star_compat_residuals(family.complex_split()),
+        "riemann_compat": lambda family, ip: riemann_compat_residuals(family),
+    }
+    flags = scenario.get("flags", list(LINEAR_FLAGS))
+    if not isinstance(flags, list):
+        raise ConfigError(f"flags: expected a list of flag names, got {flags!r}")
+    for flag in flags:
+        if not (isinstance(flag, str) and (flag in LINEAR_FLAGS or flag in residuals)):
+            raise ConfigError(
+                f"flags: unknown flag {flag!r}, expected one of {[*LINEAR_FLAGS, *residuals]}"
+            )
     group, ctx, pi = _block(scenario)
     calc = fodc_group_algebra(induced_rep(ctx, pi))
     basis = lambda_basis(calc, preferred=scenario.get("basis"))
@@ -345,9 +359,7 @@ def cmd_geometry(scenario, args):
         target, num, den, source = stratum
         lengths[target] = Poly.variable(source, variables) * cyc(exact_number([num, den], "stratum"))
     ip = ip_from_lengths(basis, lengths, variables)
-    flags = scenario.get("flags", ["covariant", "torsion_free", "cotorsion_free"])
-    linear = [f for f in flags if f in ("covariant", "torsion_free", "cotorsion_free")]
-    family = connection_solve(basis, ip, linear)
+    family = connection_solve(basis, ip, [f for f in flags if f in LINEAR_FLAGS])
     report = {
         "subcommand": "geometry",
         "metric_determinant": scalar_json(ip.det()),
@@ -357,18 +369,12 @@ def cmd_geometry(scenario, args):
         "residual_flags": {},
     }
     for flag in flags:
-        if flag == "metric_compat":
-            res = metric_compat_residuals(family, ip)
-        elif flag == "star_compat":
-            res = star_compat_residuals(family.complex_split())
-        elif flag == "riemann_compat":
-            res = riemann_compat_residuals(family)
-        else:
-            continue
-        report["residual_flags"][flag] = {
-            "residual_count": len(res),
-            "satisfied_identically": not res,
-        }
+        if flag in residuals:
+            res = residuals[flag](family, ip)
+            report["residual_flags"][flag] = {
+                "residual_count": len(res),
+                "satisfied_identically": not res,
+            }
     if scenario.get("ricci"):
         scal = ricci_scalar(family, ip)
         report["ricci_scalar"] = scalar_json(scal)

@@ -3,8 +3,9 @@
 Covariant bimodule inner products determined by class lengths, the class
 Laplacians and the mass/length dictionary, connection families solved from
 linear covariance/torsion/cotorsion constraints, the polynomial
-compatibility conditions (metric, star, curvature) handled by substitution,
-curvature and Ricci data, and geometric Laplacians.
+compatibility conditions (metric, star, curvature) as residual polynomials
+whose ideals ``poly.groebner`` and ``poly.normal_form`` decide, curvature and
+Ricci data, and geometric Laplacians.
 
 All parametric data lives in the polynomial ring over the cyclotomic field
 with named real indeterminates, so the family statements are checked as
@@ -241,15 +242,22 @@ def ip_from_laplacian(basis: LambdaBasis, lambdas: dict, variables=()) -> InnerP
 
 
 class ConnectionFamily:
-    """Affine family of Christoffel symbols over named parameters."""
+    """Affine family of Christoffel symbols over named parameters.
 
-    def __init__(self, basis: LambdaBasis, gamma_entries, param_names, variables, provenance):
+    Invariant: every entry of ``gamma`` is over one tuple ``vars``, exactly
+    the variables that occur in some entry, in the order the entries list
+    them; the constructor re-expresses the entries over it.
+    """
+
+    def __init__(self, basis: LambdaBasis, gamma_entries, param_names):
+        polys = gamma_entries.values()
+        live = {v for p in polys for exp in p.terms for v, e in zip(p.vars, exp) if e}
+        listed = dict.fromkeys(v for p in polys for v in p.vars)
         self.basis = basis
         self.dim = basis.dim
-        self.gamma = gamma_entries  # dict (i,j,k) -> Poly
+        self.vars = tuple(v for v in listed if v in live)
+        self.gamma = {k: v.extend(self.vars) for k, v in gamma_entries.items()}  # (i,j,k) -> Poly
         self.params = tuple(param_names)
-        self.vars = tuple(variables)
-        self.provenance = tuple(provenance)
 
     def n_params(self) -> int:
         return len(self.params)
@@ -257,7 +265,7 @@ class ConnectionFamily:
     def substitute(self, bindings: dict) -> "ConnectionFamily":
         new_params = tuple(p for p in self.params if p not in bindings)
         out = {k: v.substitute(bindings) for k, v in self.gamma.items()}
-        return ConnectionFamily(self.basis, out, new_params, self.vars, self.provenance)
+        return ConnectionFamily(self.basis, out, new_params)
 
     def reparameterize(self, functionals) -> "ConnectionFamily":
         """Express in new parameters given by linear functionals of the symbols.
@@ -268,9 +276,7 @@ class ConnectionFamily:
         old = list(self.params)
         if len(functionals) != len(old):
             raise ValueError("need exactly one functional per parameter")
-        master = tuple(
-            dict.fromkeys(self.vars + self.params + tuple(n for n, _ in functionals))
-        )
+        names = tuple(n for n, _ in functionals)
         mat = []
         const = []
         for name, spec in functionals:
@@ -287,49 +293,41 @@ class ConnectionFamily:
         # old param p_b = sum_a inv[b][a] (new_a - const_a)
         bindings = {}
         for b, p in enumerate(old):
-            expr = RatFunc(Poly.constant(0, master))
-            for a, (name, _) in enumerate(functionals):
-                new_var = Poly.variable(name, master)
-                expr = expr + inv[b][a] * RatFunc(new_var - const[a].extend(master))
+            expr = RatFunc(Poly.constant(0, names))
+            for a, name in enumerate(names):
+                expr = expr + inv[b][a] * RatFunc(Poly.variable(name, names) - const[a])
             bindings[p] = expr.as_poly()
         out = {k: v.substitute(bindings) for k, v in self.gamma.items()}
-        return ConnectionFamily(
-            self.basis, out, tuple(n for n, _ in functionals), self.vars, self.provenance
-        )
+        return ConnectionFamily(self.basis, out, names)
 
     def conjugated(self) -> dict:
         return {k: v.conj() for k, v in self.gamma.items()}
 
     def complex_split(self) -> "ConnectionFamily":
         """Replace each parameter p by p_re + i p_im with real indeterminates."""
-        new_params = []
-        for p in self.params:
-            new_params.extend((f"{p}_re", f"{p}_im"))
-        master = tuple(dict.fromkeys(self.vars + self.params + tuple(new_params)))
+        split = tuple(f"{p}_{part}" for p in self.params for part in ("re", "im"))
         i_unit = Cyc.zeta(4)
         bindings = {
-            p: Poly.variable(f"{p}_re", master)
-            + Poly.variable(f"{p}_im", master) * i_unit
+            p: Poly.variable(f"{p}_re", split) + Poly.variable(f"{p}_im", split) * i_unit
             for p in self.params
         }
         out = {k: v.substitute(bindings) for k, v in self.gamma.items()}
-        return ConnectionFamily(self.basis, out, new_params, self.vars, self.provenance)
+        return ConnectionFamily(self.basis, out, split)
 
 
 LINEAR_FLAGS = ("covariant", "torsion_free", "cotorsion_free")
-POLY_FLAGS = ("metric_compat", "star_compat", "riemann_compat")
 
 
 def connection_solve(basis: LambdaBasis, ip: InnerProduct | None, flags) -> ConnectionFamily:
-    """Solve the linear constraint flags exactly, returning an affine family.
+    """Solve the linear constraints named by ``flags``, each in ``LINEAR_FLAGS``,
+    exactly, returning an affine family with one parameter per solution vector.
 
-    Polynomial flags are not imposed here: ``metric_compat_residuals``,
-    ``star_compat_residuals`` and ``riemann_compat_residuals`` give their
-    conditions on the returned family, as polynomials in its parameters, and
-    ``poly.groebner`` with ``poly.normal_form`` decides what they force.
+    The compatibility conditions are not flags: ``metric_compat_residuals``,
+    ``star_compat_residuals`` and ``riemann_compat_residuals`` give them on
+    the family, and ``poly.groebner`` with ``poly.normal_form`` decides them.
     """
     flags = list(flags)
-    unknown = [f for f in flags if f not in LINEAR_FLAGS + POLY_FLAGS]
+    unknown = [f for f in flags if f not in LINEAR_FLAGS]
     if unknown:
         raise ValueError(f"unknown flags {unknown}")
     dim = basis.dim
@@ -408,21 +406,16 @@ def connection_solve(basis: LambdaBasis, ip: InnerProduct | None, flags) -> Conn
                         combo[a] = combo[a] + cp * base_null[b][a]
             combos.append(combo)
         family_vectors = combos
-        variables = ip.vars
     else:
-        family_vectors = [
-            [Poly.constant(x, ip.vars if ip else ()) for x in vec] for vec in base_null
-        ]
-        variables = ip.vars if ip else ()
+        family_vectors = [[Poly.constant(x) for x in vec] for vec in base_null]
     params = tuple(f"p{a}" for a in range(len(family_vectors)))
-    master = tuple(dict.fromkeys(tuple(variables) + params))
-    gamma = {t: Poly.constant(0, master) for t in index}
+    gamma = {t: Poly.constant(0) for t in index}
     for name, vec in zip(params, family_vectors):
-        pv = Poly.variable(name, master)
+        pv = Poly.variable(name, params)
         for a, t in enumerate(index):
             if vec[a]:
-                gamma[t] = gamma[t] + pv * vec[a].extend(master)
-    return ConnectionFamily(basis, gamma, params, variables, [f for f in flags if f in LINEAR_FLAGS])
+                gamma[t] = gamma[t] + vec[a] * pv
+    return ConnectionFamily(basis, gamma, params)
 
 
 # -- polynomial compatibility residuals -----------------------------------------------
@@ -574,8 +567,6 @@ def riemann_compat_residuals(family: ConnectionFamily):
                         total = t if total is None else total + t
                     QQ[(a, b, l, p)] = total
     D = {key: QQ[key] - QQ[(key[0], key[1], key[3], key[2])] for key in QQ}
-    variables = tuple(dict.fromkeys(v for d in D.values() for v in d.vars))
-    D = {key: d.extend(variables) for key, d in D.items()}
     for h in range(1, group.n):
         gh = basis.gamma(h)
         ghinv = basis.gamma(group.inv[h])
@@ -601,7 +592,7 @@ def riemann_compat_residuals(family: ConnectionFamily):
                                         for e, c in D[(a, b, l, p)].terms.items():
                                             _addto(res, e, -(c * scal))
                         if res:
-                            out.append(Poly._make(variables, res))
+                            out.append(Poly._make(family.vars, res))
     return _dedupe(out)
 
 
@@ -691,7 +682,7 @@ def geometric_laplacian(family: ConnectionFamily, ip: InnerProduct):
     out = {}
     for h in range(basis.group.n):
         alpha = basis.coords(h)
-        lam = ip.length_of(h).extend(trace_term[0].vars)
+        lam = ip.length_of(h)
         for i in range(dim):
             if alpha[i]:
                 lam = lam - trace_term[i] * alpha[i]

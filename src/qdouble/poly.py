@@ -72,14 +72,22 @@ class Poly:
         return self.extend(merged), other.extend(merged)
 
     def extend(self, variables: tuple[str, ...]) -> "Poly":
+        """The same polynomial over ``variables``, which must hold every
+        variable that occurs; others may be added or dropped."""
         if variables == self.vars:
             return self
-        pos = [variables.index(v) for v in self.vars]
+        where = {v: p for p, v in enumerate(variables)}
+        pos = []
+        for i, v in enumerate(self.vars):
+            if v in where:
+                pos.append((i, where[v]))
+            elif any(exp[i] for exp in self.terms):
+                raise ValueError(f"{v} occurs in the polynomial but not in {tuple(variables)}")
         out = {}
         for exp, c in self.terms.items():
             new = [0] * len(variables)
-            for p, e in zip(pos, exp):
-                new[p] = e
+            for i, p in pos:
+                new[p] = exp[i]
             out[tuple(new)] = c
         return Poly._make(tuple(variables), out)
 

@@ -142,9 +142,9 @@ class S3Data:
         return self.wqlc_family().substitute({"x": 0})
 
 
-def printed_wqlc_matrices(variables=("l2", "r", "s", "f")):
+def printed_wqlc_matrices():
     """The printed Christoffel matrices over (r, s, f)."""
-    V = variables
+    V = ("r", "s", "f")
     r = Poly.variable("r", V)
     s = Poly.variable("s", V)
     f = Poly.variable("f", V)
@@ -502,20 +502,17 @@ def criterion_6():
 def criterion_7():
     d = S3Data.get()
     fam = d.printed_wqlc_slice()
-    V = fam.gamma[(0, 0, 0)].vars
-    r = Poly.variable("r", V)
-    s = Poly.variable("s", V)
-    f = Poly.variable("f", V)
-    l2 = Poly.variable("l2", V)
+    V = ("l2",) + fam.vars
+    r, s, f, l2 = (Poly.variable(name, V) for name in ("r", "s", "f", "l2"))
     scal = ricci_scalar(fam, d.ip_stratum())
     expected = l2 * (
         f * f * 12 - f * r * 15 - f * s * 54 + r * r * 6 + r * s * 48 + s * s * 105
     )
     checks = [_check("c7 Ricci scalar identity on the WQLC family", scal == expected)]
-    star = fam.substitute({"s": 0, "r": Poly.variable("f", V)})
+    star = fam.substitute({"s": 0, "r": f})
     ten = ricci(star)
     M = [[6, 3, -3, -3], [3, 6, -3, -3], [-3, -3, 4, 1], [-3, -3, 1, 4]]
-    f2 = Poly.variable("f", V) ** 2
+    f2 = f ** 2
     ok = all(
         ten[(i, j)] == f2 * cyc(Fraction(M[i][j], 2)) for i in range(4) for j in range(4)
     )
@@ -537,11 +534,8 @@ def criterion_8():
     d = S3Data.get()
     fam = d.printed_wqlc_slice()
     ip = d.ip_stratum()
-    V = tuple(dict.fromkeys(fam.gamma[(0, 0, 0)].vars + ("lam1", "lam2")))
-    r = Poly.variable("r", V)
-    s = Poly.variable("s", V)
-    f = Poly.variable("f", V)
-    l2 = Poly.variable("l2", V)
+    V = ("l2",) + fam.vars + ("lam1", "lam2")
+    r, s, f, l2 = (Poly.variable(name, V) for name in ("r", "s", "f", "l2"))
     lam2 = l2 * (Poly.constant(1, V) + (f - r - s * 3) * 3)
     lam1 = l2 * cyc(Fraction(2, 3)) + (lam2 - l2) * cyc(Fraction(2, 3))
     res = laplacian_consistency_residuals(fam, ip, {"e": 0, "u": lam1, "uv": lam2})
@@ -564,13 +558,7 @@ def criterion_8():
     lb1 = lambda_basis(calc1, preferred=["u"])
     W = ("l", "g0", "lam1", "lam2")
     ip1 = ip_from_lengths(lb1, {"u": Poly.variable("l", W), "uv": 0}, W)
-    fam1 = ConnectionFamily(
-        lb1,
-        {(0, 0, 0): Poly.variable("g0", W)},
-        ("g0",),
-        W,
-        ("covariant",),
-    )
+    fam1 = ConnectionFamily(lb1, {(0, 0, 0): Poly.variable("g0", W)}, ("g0",))
     res1 = laplacian_consistency_residuals(
         fam1, ip1, {"e": 0, "u": Poly.variable("lam1", W), "uv": Poly.variable("lam2", W)}
     )

@@ -155,11 +155,17 @@ CHARACTER = {"kind": "centralizer_character"}
         ({"group": {"name": "symmetric", "degree": 0}}, "group.degree: expected a positive integer"),
         ({"group": "s3"}, "group: expected an object with a name or generators, got 's3'"),
         ({"stratum": [1, 2]}, "stratum: expected [target, num, den, source], got [1, 2]"),
+        ({"flags": "metric_compat"}, "flags: expected a list of flag names, got 'metric_compat'"),
+        (
+            {"flags": ["covariant", "torsion_free", "cotorsion_free", "metrc_compat"]},
+            "flags: unknown flag 'metrc_compat'",
+        ),
     ],
     ids=[
         "float-j", "bool-j", "string-j", "float-degree", "float-generators-degree",
         "cyclic-string-j", "user-count", "user-float-entry", "seminormal-no-partition", "no-kind",
         "zero-order", "negative-order", "zero-degree", "string-group", "short-stratum",
+        "string-flags", "misspelled-flag",
     ],
 )
 def test_malformed_scenario_is_a_configuration_error(tmp_path, change, message):
@@ -167,8 +173,10 @@ def test_malformed_scenario_is_a_configuration_error(tmp_path, change, message):
     scenario.update(change)
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(scenario))
-    # only geometry reads the stratum binding
-    out = run_cli("geometry" if "stratum" in change else "transfer", "--scenario", str(path))
+    # only geometry reads the stratum binding and the flags
+    out = run_cli(
+        "geometry" if {"stratum", "flags"} & set(change) else "transfer", "--scenario", str(path)
+    )
     assert (out.returncode, out.stdout) == (2, "")
     assert out.stderr.startswith(f"configuration error: {message}")
 

@@ -121,7 +121,7 @@ def _laplacian_case():
     lb1 = lambda_basis(fodc_group_algebra(induced_rep(d.ctx2, d.pi[0])), preferred=["u"])
     W = ("l", "g0", "lam1", "lam2")
     ip1 = ip_from_lengths(lb1, {"u": Poly.variable("l", W), "uv": 0}, W)
-    fam1 = ConnectionFamily(lb1, {(0, 0, 0): Poly.variable("g0", W)}, ("g0",), W, ("covariant",))
+    fam1 = ConnectionFamily(lb1, {(0, 0, 0): Poly.variable("g0", W)}, ("g0",))
     res1 = laplacian_consistency_residuals(
         fam1, ip1, {"e": 0, "u": Poly.variable("lam1", W), "uv": Poly.variable("lam2", W)}
     )
