@@ -357,6 +357,11 @@ def cmd_geometry(scenario, args):
         ):
             raise ConfigError(f"stratum: expected [target, num, den, source], got {stratum!r}")
         target, num, den, source = stratum
+        if source not in variables:
+            raise ConfigError(
+                f"stratum: source {source!r} is not a length variable, "
+                f"expected one of {list(variables)}"
+            )
         lengths[target] = Poly.variable(source, variables) * cyc(exact_number([num, den], "stratum"))
     ip = ip_from_lengths(basis, lengths, variables)
     family = connection_solve(basis, ip, [f for f in flags if f in LINEAR_FLAGS])

@@ -543,12 +543,31 @@ def star_compat_residuals(family: ConnectionFamily):
     return _dedupe(out)
 
 
+def _contract_leg(T: dict, leg: int, mat) -> dict:
+    """T with index ``leg`` contracted against mat: out[..x..] = sum_y
+    mat[x][y] T[..y..], over entries that are zero-free polynomial term maps."""
+    out = {}
+    for key, terms in T.items():
+        y = key[leg]
+        for x, row in enumerate(mat):
+            s = row[y]
+            if s:
+                acc = out.setdefault(key[:leg] + (x,) + key[leg + 1:], {})
+                for e, c in terms.items():
+                    _addto(acc, e, c * s)
+    return out
+
+
 def riemann_compat_residuals(family: ConnectionFamily):
     """Curvature is a bimodule map: antisymmetrized quadratic tensors match
     their gamma(h)-conjugates for every group element h (Grassmann choice).
 
     The antisymmetrized tensor D^a_b[(l,p)] = QQ^a_b[(l,p)] - QQ^a_b[(p,l)]
-    is computed once, and each residual is summed in one sparse map."""
+    is computed once.  For each h != e its conjugate
+    sum gamma(h^-1)^i_a gamma(h)^b_j gamma(h)^l_k gamma(h)^p_m D^a_b[(l,p)]
+    is contracted one tensor leg at a time, dim^5 sparse scalar
+    multiplications per leg where the full sum takes dim^8, and subtracted
+    from D at each (i, j, k < m) in index order."""
     dim = family.dim
     basis = family.basis
     group = basis.group
@@ -567,30 +586,19 @@ def riemann_compat_residuals(family: ConnectionFamily):
                         total = t if total is None else total + t
                     QQ[(a, b, l, p)] = total
     D = {key: QQ[key] - QQ[(key[0], key[1], key[3], key[2])] for key in QQ}
+    D_terms = {key: poly.terms for key, poly in D.items() if poly.terms}
     for h in range(1, group.n):
-        gh = basis.gamma(h)
-        ghinv = basis.gamma(group.inv[h])
+        gh_t = list(zip(*basis.gamma(h)))
+        conj = _contract_leg(D_terms, 0, basis.gamma(group.inv[h]))
+        for leg in (1, 2, 3):
+            conj = _contract_leg(conj, leg, gh_t)
         for i in range(dim):
             for j in range(dim):
                 for k in range(dim):
                     for m in range(k + 1, dim):
                         res = dict(D[(i, j, k, m)].terms)
-                        for a in range(dim):
-                            if not ghinv[i][a]:
-                                continue
-                            for b in range(dim):
-                                if not gh[b][j]:
-                                    continue
-                                outer = ghinv[i][a] * gh[b][j]
-                                for l in range(dim):
-                                    if not gh[l][k]:
-                                        continue
-                                    for p in range(dim):
-                                        if not gh[p][m]:
-                                            continue
-                                        scal = outer * gh[l][k] * gh[p][m]
-                                        for e, c in D[(a, b, l, p)].terms.items():
-                                            _addto(res, e, -(c * scal))
+                        for e, c in conj.get((i, j, k, m), {}).items():
+                            _addto(res, e, -c)
                         if res:
                             out.append(Poly._make(family.vars, res))
     return _dedupe(out)

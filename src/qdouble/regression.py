@@ -22,12 +22,12 @@ from .reps import (
 from .double import (
     DoubleElement,
     antipode_axiom_holds,
-    bialgebra_axiom_holds,
     build_VCpi,
     centralizer_irreps,
     double_irreps,
     block_idempotent,
     killing_Q,
+    _bialgebra_first_failure,
 )
 from .transfer import (
     transfer_to_group_algebra,
@@ -918,8 +918,15 @@ def criterion_15():
                 ok = False
     ok = all(antipode_axiom_holds(G, *s) for s in structures) and ok
     checks.append(_check("c15 Hopf axioms for both structures on the full S3 basis", ok))
-    ok = all(bialgebra_axiom_holds(G, coproduct, product) for coproduct, product, _ in structures)
-    checks.append(_check("c15 bialgebra compatibility on all S3 pairs", ok))
+    detail = ""
+    for coproduct, product, _ in structures:
+        found = _bialgebra_first_failure(G, coproduct, product)
+        if found:
+            (g, h), (u, v) = found[:2]
+            L = G.labels
+            detail = f"{product.__name__} fails at a = d_{L[g]}|{L[h]}, b = d_{L[u]}|{L[v]}"
+            break
+    checks.append(_check("c15 bialgebra compatibility on all S3 pairs", not detail, detail))
     # star, pairing and quantum Killing form identities
     ok = all(
         DoubleElement.basis(G, g, h).star().star() == DoubleElement.basis(G, g, h)

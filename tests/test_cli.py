@@ -155,6 +155,10 @@ CHARACTER = {"kind": "centralizer_character"}
         ({"group": {"name": "symmetric", "degree": 0}}, "group.degree: expected a positive integer"),
         ({"group": "s3"}, "group: expected an object with a name or generators, got 's3'"),
         ({"stratum": [1, 2]}, "stratum: expected [target, num, den, source], got [1, 2]"),
+        (
+            {"stratum": ["u", 2, 3, "zz"]},
+            "stratum: source 'zz' is not a length variable, expected one of ['l1', 'l2']",
+        ),
         ({"flags": "metric_compat"}, "flags: expected a list of flag names, got 'metric_compat'"),
         (
             {"flags": ["covariant", "torsion_free", "cotorsion_free", "metrc_compat"]},
@@ -165,7 +169,7 @@ CHARACTER = {"kind": "centralizer_character"}
         "float-j", "bool-j", "string-j", "float-degree", "float-generators-degree",
         "cyclic-string-j", "user-count", "user-float-entry", "seminormal-no-partition", "no-kind",
         "zero-order", "negative-order", "zero-degree", "string-group", "short-stratum",
-        "string-flags", "misspelled-flag",
+        "undeclared-stratum-source", "string-flags", "misspelled-flag",
     ],
 )
 def test_malformed_scenario_is_a_configuration_error(tmp_path, change, message):

@@ -1,7 +1,9 @@
+import functools
 import random
 
 import pytest
 
+import hopf_reference as ref
 from qdouble.cyclotomic import cyc, root_of_unity
 from qdouble.groups import FiniteGroup, class_context
 from qdouble.reps import centralizer_character
@@ -20,6 +22,7 @@ from qdouble.double import (
     quasi_R,
     antipode_axiom_holds,
     bialgebra_axiom_holds,
+    _bialgebra_first_failure,
 )
 import qdouble.linalg as la
 
@@ -230,6 +233,92 @@ def test_shared_hopf_checkers_and_negative_controls(s3):
     assert not antipode_axiom_holds(s3, D.dg_coproduct, D.dg_mul, D.dvee_antipode)
     # BD(G) needs the crossed-module braiding between the middle factors
     assert not bialgebra_axiom_holds(s3, D.dvee_coproduct, D.dg_mul)
+
+
+def _adjoint_braid(a2, b1):
+    """The crossed-module braiding of the transmuted double: b1 moved past a2."""
+    return b1.adjoint_act(a2.grading())
+
+
+D = DoubleElement
+PAIRINGS = {  # (coproduct, product, braid) of D(G), its dual and BD(G)
+    "dg": (D.dg_coproduct, D.dg_mul, None),
+    "dvee": (D.dvee_coproduct, D.dvee_mul, None),
+    "bdg": (D.dvee_coproduct, D.dg_mul, _adjoint_braid),
+}
+FALSE_ON_S3 = {
+    "bdg_under_the_flip": (D.dvee_coproduct, D.dg_mul, None),
+    "dg_under_the_crossed_module_braid": (D.dg_coproduct, D.dg_mul, _adjoint_braid),
+}
+
+
+def _dropping(product, a, b):
+    """product with the basis product of a and b (keys) sent to zero."""
+
+    @functools.wraps(product)
+    def dropped(x, y):
+        if set(x.terms) == {a} and set(y.terms) == {b}:
+            return DoubleElement(x.group)
+        return product(x, y)
+
+    return dropped
+
+
+@pytest.mark.parametrize("name", sorted(PAIRINGS))
+def test_bialgebra_check_agrees_with_the_reference_on_s3(s3, name):
+    assert bialgebra_axiom_holds(s3, *PAIRINGS[name])
+    assert ref.bialgebra_axiom_holds(s3, *PAIRINGS[name])
+
+
+@pytest.mark.parametrize("name", sorted(FALSE_ON_S3))
+def test_bialgebra_check_agrees_with_the_reference_on_known_false_pairings(s3, name):
+    assert not bialgebra_axiom_holds(s3, *FALSE_ON_S3[name])
+    assert not ref.bialgebra_axiom_holds(s3, *FALSE_ON_S3[name])
+
+
+@pytest.mark.parametrize("name", sorted(PAIRINGS))
+def test_bialgebra_check_agrees_with_the_reference_on_d8(name):
+    d8 = FiniteGroup.from_generators([[[1, 2, 3, 4]], [[1, 3]]])
+    assert d8.n == 8 and not d8.is_abelian()
+    assert bialgebra_axiom_holds(d8, *PAIRINGS[name])
+    assert ref.bialgebra_axiom_holds(d8, *PAIRINGS[name])
+
+
+@pytest.mark.parametrize("name", ["dg", "bdg"])
+def test_dropped_product_term_fails_both_bialgebra_checks(s3, name):
+    coproduct, product, braid = PAIRINGS[name]
+    u = (s3.element("u"), 0)
+    assert len(product(D.basis(s3, *u), D.basis(s3, *u)).terms) == 1
+    corrupted = _dropping(product, u, u)
+    assert not bialgebra_axiom_holds(s3, coproduct, corrupted, braid)
+    assert not ref.bialgebra_axiom_holds(s3, coproduct, corrupted, braid)
+
+
+def test_bialgebra_witness_is_the_first_failing_pair_of_the_reference(s3):
+    u = (s3.element("u"), 0)
+    corrupted = _dropping(D.dg_mul, u, u)
+    a, b, lhs, rhs = _bialgebra_first_failure(s3, D.dg_coproduct, corrupted)
+    assert lhs != rhs
+    pairs = ref.basis_pairs(s3)
+    sides = [ref.pair_sides(s3, D.dg_coproduct, corrupted, None, *p) for p in pairs]
+    first = next(i for i, (l, r) in enumerate(sides) if l != r)
+    assert (pairs[first], sides[first]) == ((a, b), (lhs, rhs))
+
+
+def test_c15_names_the_first_failing_pair(monkeypatch):
+    from qdouble import regression
+
+    G = regression.S3Data.get().G
+    u = (G.element("u"), 0)
+    corrupted = _dropping(DoubleElement.dg_mul, u, u)
+    (g, h), (x, y), _, _ = _bialgebra_first_failure(G, D.dg_coproduct, corrupted)
+    monkeypatch.setattr(DoubleElement, "dg_mul", corrupted)
+    checks = {name: (ok, detail) for name, ok, detail in regression.criterion_15()}
+    L = G.labels
+    assert checks["c15 bialgebra compatibility on all S3 pairs"] == (
+        False,
+        f"dg_mul fails at a = d_{L[g]}|{L[h]}, b = d_{L[x]}|{L[y]}",
+    )
 
 
 def test_double_irreps_fails_before_building_any_catalogue(monkeypatch):
