@@ -585,18 +585,17 @@ def riemann_compat_residuals(family: ConnectionFamily):
                         t = G[(a, l, n)] * G[(n, p, b)]
                         total = t if total is None else total + t
                     QQ[(a, b, l, p)] = total
-    D = {key: QQ[key] - QQ[(key[0], key[1], key[3], key[2])] for key in QQ}
-    D_terms = {key: poly.terms for key, poly in D.items() if poly.terms}
+    D = {key: (QQ[key] - QQ[(key[0], key[1], key[3], key[2])]).terms for key in QQ}
     for h in range(1, group.n):
         gh_t = list(zip(*basis.gamma(h)))
-        conj = _contract_leg(D_terms, 0, basis.gamma(group.inv[h]))
+        conj = _contract_leg(D, 0, basis.gamma(group.inv[h]))
         for leg in (1, 2, 3):
             conj = _contract_leg(conj, leg, gh_t)
         for i in range(dim):
             for j in range(dim):
                 for k in range(dim):
                     for m in range(k + 1, dim):
-                        res = dict(D[(i, j, k, m)].terms)
+                        res = dict(D[(i, j, k, m)])
                         for e, c in conj.get((i, j, k, m), {}).items():
                             _addto(res, e, -c)
                         if res:
