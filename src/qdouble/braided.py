@@ -526,180 +526,109 @@ def bdg_braided_checks(group: FiniteGroup) -> dict:
 # -- R-matrices ---------------------------------------------------------------------
 
 
+def _group_by(tensor: dict, *legs) -> dict:
+    """The entries of a sparse tensor {index tuple: coeff} grouped by the
+    indices at ``legs``, the ones a contraction fixes: {those indices:
+    [(index tuple, coeff), ...]}, each list in the tensor's order."""
+    out: dict = {}
+    for key, c in tensor.items():
+        out.setdefault(tuple(key[leg] for leg in legs), []).append((key, c))
+    return out
+
+
 class BlockRMatrices:
-    """R and its inverse between two blocks, as sparse maps.
+    """R and its inverse between two blocks, as their nonzero entries.
 
     Index pairs run over V-labels (a, i) of each block.  R = sum_h delta_h
     (x) h acts on V1 (x) V2 through the Wigner construction A2 of the second
     block: R^{ai}_{bj}{}^{ck}_{dl} = [ai = bj] A2(a)^{ck}_{dl}, which is
     pi2(zeta_d(a))^k_l when c = a d a^-1, and R^-1 reads A2(a^-1).  The
     second inverse Rhat equals R^-1 entry by entry, by the cocycle identity
-    zeta_c(a)^-1 = zeta_{a c a^-1}(a^-1), so ``Rinv`` stands for both.  The
-    conventions are pinned by agreement of the induced fundamental braiding
-    with the direct crossed-module formulas.
+    zeta_c(a)^-1 = zeta_{a c a^-1}(a^-1), so ``Rinv`` stands for both.
+
+    ``R`` and ``Rinv`` are built once, from the nonzero entries of A2, as
+    zero-free dicts {(ai, bj, ck, dl): coeff} in which an absent key is a
+    zero entry.  Every contraction looks a factor's entries up by the
+    indices it fixes (``_group_by``), so it runs over stored entries only.
+    The conventions are pinned by agreement of the induced fundamental
+    braiding with the direct crossed-module formulas.
     """
 
     def __init__(self, block1, block2):
         self.ctx1, self.pi1 = block1
         self.ctx2, self.pi2 = block2
-        self.group = self.ctx1.group
-        self._A2 = induced_matrices(self.ctx2, self.pi2)
-        self._pos2 = {ck: k for k, ck in enumerate(self.labels2())}
-
-    def labels1(self):
-        return _v_basis(self.ctx1, self.pi1)
-
-    def labels2(self):
-        return _v_basis(self.ctx2, self.pi2)
-
-    def R(self, ai, bj, ck, dl) -> Cyc:
-        """R^{ai}_{bj}{}^{ck}_{dl} = [ai = bj] A2(a)^{ck}_{dl}."""
-        if ai != bj:
-            return ZERO
-        return self._A2[ai[0]][self._pos2[ck]][self._pos2[dl]]
-
-    def Rinv(self, ai, bj, ck, dl) -> Cyc:
-        """[ai = bj] A2(a^-1)^{ck}_{dl}, also the second inverse Rhat."""
-        if ai != bj:
-            return ZERO
-        return self._A2[self.group.inv[ai[0]]][self._pos2[ck]][self._pos2[dl]]
+        A2 = induced_matrices(self.ctx2, self.pi2)
+        v2 = _v_basis(self.ctx2, self.pi2)
+        inv = self.ctx1.group.inv
+        self.R: dict = {}
+        self.Rinv: dict = {}
+        for ai in _v_basis(self.ctx1, self.pi1):
+            for tensor, g in ((self.R, ai[0]), (self.Rinv, inv[ai[0]])):
+                for ck, row in zip(v2, A2[g]):
+                    for dl, c in zip(v2, row):
+                        if c:
+                            tensor[(ai, ai, ck, dl)] = c
 
     def second_inverse_holds(self) -> bool:
         """Rhat^i_u{}^v_l R^u_j{}^k_v = delta delta = R^i_u{}^v_l Rhat^u_j{}^k_v,
         with Rhat = ``Rinv``."""
-        L1, L2 = self.labels1(), self.labels2()
-        for i_ in L1:
-            for j_ in L1:
-                for k_ in L2:
-                    for l_ in L2:
-                        t1 = ZERO
-                        t2 = ZERO
-                        for u_ in L1:
-                            for v_ in L2:
-                                a = self.Rinv(i_, u_, v_, l_)
-                                if a:
-                                    b = self.R(u_, j_, k_, v_)
-                                    if b:
-                                        t1 = t1 + a * b
-                                a = self.R(i_, u_, v_, l_)
-                                if a:
-                                    b = self.Rinv(u_, j_, k_, v_)
-                                    if b:
-                                        t2 = t2 + a * b
-                        expect = ONE if (i_ == j_ and k_ == l_) else ZERO
-                        if t1 != expect or t2 != expect:
-                            return False
-        return True
 
-    def braiding_operator(self):
-        """Psi^R(E_i (x) E_k) = E_l (x) E_j R^j_i{}^l_k on V1 (x) V2."""
-        L1, L2 = self.labels1(), self.labels2()
-        out = {}
-        for i_i, i_ in enumerate(L1):
-            for k_i, k_ in enumerate(L2):
-                terms = {}
-                for j_i, j_ in enumerate(L1):
-                    for l_i, l_ in enumerate(L2):
-                        c = self.R(j_, i_, l_, k_)
-                        if c:
-                            terms[(l_i, j_i)] = c
-                out[(i_i, k_i)] = terms
-        return out
+        def compose(first, second):
+            second_at = _group_by(second, 0, 3)
+            out: dict = {}
+            for (i, u, v, l), c in first.items():
+                for (_, j, k, _), c2 in second_at.get((u, v), ()):
+                    _addto(out, (i, j, k, l), c * c2)
+            return out
+
+        identity = {
+            (ai, ai, ck, ck): ONE
+            for ai in _v_basis(self.ctx1, self.pi1)
+            for ck in _v_basis(self.ctx2, self.pi2)
+        }
+        return compose(self.Rinv, self.R) == identity == compose(self.R, self.Rinv)
 
     def yang_baxter_holds(self) -> bool:
-        """Braid relation for Psi^R on the triple tensor power (one block)."""
+        """Braid relation on the triple tensor power (one block) for
+        Psi^R(v_i (x) v_k) = R^j_i{}^l_k v_l (x) v_j."""
         if self.ctx1 is not self.ctx2 or self.pi1 is not self.pi2:
             raise ValueError("the YBE check runs on a single block")
-        psi = self.braiding_operator()
-        return _braid_relation_holds(lambda i, j: psi[(i, j)], len(self.labels1()))
+        pos = {ai: n for n, ai in enumerate(_v_basis(self.ctx1, self.pi1))}
+        psi: dict = {}
+        for (j, i, l, k), c in self.R.items():
+            psi.setdefault((pos[i], pos[k]), {})[(pos[l], pos[j])] = c
+        return _braid_relation_holds(lambda i, k: psi.get((i, k), {}), len(pos))
 
 
-def fundamental_braiding_rmatrix(r12, r21, e_ai, e_bj, e_ck, e_dl):
-    """PsiT on matrix units via the R-matrix contraction:
+def psit_via_rmatrix(lie: BlockBraidedLie, t1: int, t2: int):
+    """Fundamental braiding tensor between two blocks by the R-matrix route:
 
     PsiT(E_I (x) E_K) = E_M (x) E_P *
         Rhat^j_v{}^s_k R^v_q{}^l_r R^r_n{}^p_u Rinv^m_s{}^u_i
 
     with I = (i,j) in End(V1), K = (k,l) in End(V2), M = (m,n) in End(V2),
-    P = (p,q) in End(V1); mixed index pairs use the R-matrices r12 and r21
-    of the two block orderings, and Rhat is ``Rinv``.  The group parts of
-    the R-matrices are delta functions, so the contraction is chained
-    through their support.
+    P = (p,q) in End(V1); the mixed index pairs read the stored entries of
+    ``BlockRMatrices`` of the two block orderings, and Rhat is ``Rinv``.
+    The chain is contracted left to right, each factor's entries looked up
+    by the indices already fixed, so only stored (nonzero) entries meet.
     """
-    group = r12.group
-    ctx1, pi1, pi2 = r12.ctx1, r12.pi1, r12.pi2
-    i_, j_ = e_ai, e_bj
-    k_, l_ = e_ck, e_dl
-    out = {}
-    ja = j_[0]
-    # Rhat^j_v{}^s_k = Rinv^j_v{}^s_k: v group part = ja, s group part = ja^-1 k ja
-    sa = group.conj(group.inv[ja], k_[0])
-    for vf in range(pi1.dim):
-        v_ = (ja, vf)
-        for sf in range(pi2.dim):
-            s_ = (sa, sf)
-            a = r12.Rinv(j_, v_, s_, k_)
-            if not a:
-                continue
-            # R^v_q{}^l_r: q group = ja, l group = ja r ja^-1 -> r = ja^-1 l ja
-            ra = group.conj(group.inv[ja], l_[0])
-            for qf in range(pi1.dim):
-                q_ = (ja, qf)
-                for rf in range(pi2.dim):
-                    r_ = (ra, rf)
-                    b = r12.R(v_, q_, l_, r_)
-                    if not b:
-                        continue
-                    # R^r_n{}^p_u (block2 first): n group = ra, p = ra u ra^-1
-                    for nf in range(pi2.dim):
-                        n_ = (ra, nf)
-                        for ua in ctx1.cls:
-                            pa = group.conj(ra, ua)
-                            if pa not in ctx1.cls:
-                                continue
-                            for uf in range(pi1.dim):
-                                for pf in range(pi1.dim):
-                                    u_, p_ = (ua, uf), (pa, pf)
-                                    c = r21.R(r_, n_, p_, u_)
-                                    if not c:
-                                        continue
-                                    # Rinv^m_s{}^u_i: m group = sa, u = sa^-1 i sa
-                                    if ua != group.conj(group.inv[sa], i_[0]):
-                                        continue
-                                    for mf in range(pi2.dim):
-                                        m_ = (sa, mf)
-                                        d = r21.Rinv(m_, s_, u_, i_)
-                                        if d:
-                                            _addto(out, ((m_, n_), (p_, q_)), a * b * c * d)
-    return out
-
-
-def psit_via_rmatrix(lie: BlockBraidedLie, t1: int, t2: int):
-    """Fundamental braiding tensor between two blocks by the R-matrix route."""
-    out = {}
-    ctx1, pi1 = lie.blocks[t1]
-    ctx2, pi2 = lie.blocks[t2]
     r12 = BlockRMatrices(lie.blocks[t1], lie.blocks[t2])
     r21 = BlockRMatrices(lie.blocks[t2], lie.blocks[t1])
-    for a in ctx1.cls:
-        for i in range(pi1.dim):
-            for b in ctx1.cls:
-                for j in range(pi1.dim):
-                    src1 = lie.index_of(t1, a, i, b, j)
-                    for c in ctx2.cls:
-                        for k in range(pi2.dim):
-                            for d in ctx2.cls:
-                                for l in range(pi2.dim):
-                                    src2 = lie.index_of(t2, c, k, d, l)
-                                    terms = fundamental_braiding_rmatrix(
-                                        r12, r21, (a, i), (b, j), (c, k), (d, l)
-                                    )
-                                    vec = {}
-                                    for (((m, mi), (n, ni)), ((p, pi_), (q, qi))), coeff in terms.items():
-                                        tgt1 = lie.index_of(t2, m, mi, n, ni)
-                                        tgt2 = lie.index_of(t1, p, pi_, q, qi)
-                                        _addto(vec, (tgt1, tgt2), coeff)
-                                    out[(src1, src2)] = vec
+    rhat_at = _group_by(r12.Rinv, 0, 3)  # Rhat^j_v{}^s_k by (j, k)
+    r12_at = _group_by(r12.R, 0, 2)  # R^v_q{}^l_r by (v, l)
+    r21_at = _group_by(r21.R, 0)  # R^r_n{}^p_u by r
+    rinv_at = _group_by(r21.Rinv, 1, 2, 3)  # Rinv^m_s{}^u_i by (s, u, i)
+    pos = lie._pos
+    v1, v2 = _v_basis(*lie.blocks[t1]), _v_basis(*lie.blocks[t2])
+    out = {}
+    for i_, j_, k_, l_ in product(v1, v1, v2, v2):
+        vec: dict = {}
+        for (_, v_, s_, _), a in rhat_at.get((j_, k_), ()):
+            for (_, q_, _, r_), b in r12_at.get((v_, l_), ()):
+                for (_, n_, p_, u_), c in r21_at.get((r_,), ()):
+                    for (m_, _, _, _), d in rinv_at.get((s_, u_, i_), ()):
+                        _addto(vec, (pos[(t2, *m_, *n_)], pos[(t1, *p_, *q_)]), a * b * c * d)
+        out[(pos[(t1, *i_, *j_)], pos[(t2, *k_, *l_)])] = vec
     return out
 
 
@@ -721,41 +650,27 @@ def envelope(lie: BraidedLie) -> QuadAlg:
 def frt(blocks) -> QuadAlg:
     """FRT-type bialgebra presentation from the block R-matrices.
 
-    Generators t_{ai}^{bj} per block; relations
+    Generators t_{ai}^{bj} per block; for blocks 1 and 2, with R the stored
+    entries of ``BlockRMatrices(block1, block2)``, the relations
     R^{fp}_{ai}{}^{g q}_{c k} t_{fp}^{bj} t_{gq}^{dl}
       = t_{ck}^{gq} t_{ai}^{fp} R^{bj}_{fp}{}^{dl}_{gq}.
+    The left side looks R up by (ai, ck), the right side by (bj, dl).
     """
     labels, pos = _end_basis(blocks)
     relations = []
     for t1, b1 in enumerate(blocks):
-        ctx1, pi1 = b1
         for t2, b2 in enumerate(blocks):
-            ctx2, pi2 = b2
-            rm = BlockRMatrices(b2, b1)  # R between (C', pi') and (C, pi)
-            L1, L2 = _v_basis(ctx1, pi1), _v_basis(ctx2, pi2)
-            for ai in L1:
-                for bj in L1:
-                    for ck in L2:
-                        for dl in L2:
-                            row = {}
-                            for fp in L1:
-                                for gq in L2:
-                                    c = rm.R(fp, ai, gq, ck)
-                                    if c:
-                                        key = (
-                                            pos[(t1, fp[0], fp[1], bj[0], bj[1])],
-                                            pos[(t2, gq[0], gq[1], dl[0], dl[1])],
-                                        )
-                                        _addto(row, key, c)
-                                    c2 = rm.R(bj, fp, dl, gq)
-                                    if c2:
-                                        key = (
-                                            pos[(t2, ck[0], ck[1], gq[0], gq[1])],
-                                            pos[(t1, ai[0], ai[1], fp[0], fp[1])],
-                                        )
-                                        _addto(row, key, -c2)
-                            if row:
-                                relations.append(row)
+            R = BlockRMatrices(b1, b2).R
+            left_at, right_at = _group_by(R, 1, 3), _group_by(R, 0, 2)
+            v1, v2 = _v_basis(*b1), _v_basis(*b2)
+            for ai, bj, ck, dl in product(v1, v1, v2, v2):
+                row: dict = {}
+                for (fp, _, gq, _), c in left_at.get((ai, ck), ()):
+                    _addto(row, (pos[(t1, *fp, *bj)], pos[(t2, *gq, *dl)]), c)
+                for (_, fp, _, gq), c in right_at.get((bj, dl), ()):
+                    _addto(row, (pos[(t2, *ck, *gq)], pos[(t1, *ai, *fp)]), -c)
+                if row:
+                    relations.append(row)
     return QuadAlg([str(l) for l in labels], relations)
 
 

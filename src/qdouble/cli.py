@@ -59,6 +59,7 @@ def build_context(group: FiniteGroup, scenario: dict):
     rep = scenario.get("class_rep")
     if rep is None:
         raise ConfigError("scenario needs class_rep")
+    _labels(group, [rep], "class_rep")
     return class_context(group, rep, q_override=scenario.get("q_override"))
 
 
@@ -139,6 +140,17 @@ def _positive_integer(value, key: str) -> int:
     """A group size: an integer by the rule above, and at least 1."""
     if _integer(value, key) < 1:
         raise ConfigError(f"{key}: expected a positive integer, got {value!r}")
+    return value
+
+
+def _labels(group: FiniteGroup, value, key: str) -> list:
+    """The one element-label rule: a list of labels of the group's elements.
+    A string is not such a list, even when each of its characters is one."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{key}: expected a list of element labels, got {value!r}")
+    for label in value:
+        if label not in group.labels:
+            raise ConfigError(f"{key}: unknown element label {label!r}")
     return value
 
 
@@ -284,6 +296,12 @@ def cmd_transfer(scenario, args):
     }
 
 
+def _preferred_basis(group: FiniteGroup, scenario: dict):
+    """The scenario's Lambda^1 basis labels, or None to let the calculus choose."""
+    basis = scenario.get("basis")
+    return None if basis is None else _labels(group, basis, "basis")
+
+
 def cmd_calculus(scenario, args):
     from .reps import induced_rep
     from .calculus import fodc_group_algebra, lambda_basis
@@ -291,7 +309,7 @@ def cmd_calculus(scenario, args):
     group, ctx, pi = _block(scenario)
     rho = induced_rep(ctx, pi)
     calc = fodc_group_algebra(rho)
-    basis = lambda_basis(calc, preferred=scenario.get("basis"))
+    basis = lambda_basis(calc, preferred=_preferred_basis(group, scenario))
     report = {
         "subcommand": "calculus",
         "lambda_dim": calc.lambda_dim,
@@ -301,7 +319,7 @@ def cmd_calculus(scenario, args):
         "gamma": {},
         "rho": {},
     }
-    for gen in scenario.get("print_matrices", []):
+    for gen in _labels(group, scenario.get("print_matrices", []), "print_matrices"):
         g = group.element(gen)
         report["gamma"][gen] = [[scalar_json(x) for x in row] for row in basis.gamma(g)]
         report["rho"][gen] = [[scalar_json(x) for x in row] for row in basis.rho_matrix(g)]
@@ -337,7 +355,7 @@ def cmd_geometry(scenario, args):
             )
     group, ctx, pi = _block(scenario)
     calc = fodc_group_algebra(induced_rep(ctx, pi))
-    basis = lambda_basis(calc, preferred=scenario.get("basis"))
+    basis = lambda_basis(calc, preferred=_preferred_basis(group, scenario))
     lengths_spec = scenario.get("lengths", {})
     variables = tuple(sorted({v for v in lengths_spec.values() if isinstance(v, str)}))
     lengths = {}
@@ -391,7 +409,7 @@ def cmd_dual(scenario, args):
     from .dualgeometry import dual_constraints
 
     group = build_group(_required(scenario, "group"))
-    subset = _required(scenario, "subset")
+    subset = _labels(group, _required(scenario, "subset"), "subset")
     irreps = irrep_catalog(group)
     weight_vars = {}
     counter = 1

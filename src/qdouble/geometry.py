@@ -426,44 +426,20 @@ def metric_compat_residuals(family: ConnectionFamily, ip: InnerProduct):
 
     The quadratic terms are grouped so that every polynomial product happens
     once: conjugated symbols T(p)^l_ij are contractions of Gamma with the
-    constant gamma matrices, and the inverse-metric contraction
-    W^l_pk = sum_m adj_lm Gamma^m_pk is shared across equations.
+    constant gamma matrices (``_gamma_conjugate``), and the inverse-metric
+    contraction W^l_pk = sum_m adj_lm Gamma^m_pk is shared across equations.
     """
     dim = family.dim
     basis = family.basis
     adj = ip.adjugate()
     G = family.gamma
-    gam = {p: basis.gamma(p) for p in basis.basis}
-    gaminv = {p: basis.gamma(basis.group.inv[p]) for p in basis.basis}
-
-    def conjugated(p):
-        # T^l_ij = gamma(p^-1)^l_a Gamma^a_bc gamma(p)^b_i gamma(p)^c_j
-        gp, gpin = gam[p], gaminv[p]
-        T = {}
-        for l in range(dim):
-            for i in range(dim):
-                for j in range(dim):
-                    # a Poly sum with no known zero, not a sparse map, so not _addto (also below)
-                    total = None
-                    for a in range(dim):
-                        if not gpin[l][a]:
-                            continue
-                        for b in range(dim):
-                            if not gp[b][i]:
-                                continue
-                            for c_ in range(dim):
-                                if not gp[c_][j]:
-                                    continue
-                                t = G[(a, b, c_)] * (gpin[l][a] * gp[b][i] * gp[c_][j])
-                                total = t if total is None else total + t
-                    T[(l, i, j)] = total
-        return T
-
-    T = {p: conjugated(p) for p in basis.basis}
+    terms = {key: g.terms for key, g in G.items()}
+    T = {p: _gamma_conjugate(terms, basis, p) for p in basis.basis}
     W = {}
     for l in range(dim):
         for pidx in range(dim):
             for k in range(dim):
+                # a Poly sum with no known zero, not a sparse map, so not _addto (also below)
                 total = None
                 for m in range(dim):
                     if adj[l][m]:
@@ -483,8 +459,7 @@ def metric_compat_residuals(family: ConnectionFamily, ip: InnerProduct):
                         w = W[(l, pidx, k)]
                         if w is None:
                             continue
-                        diff = T[p][(l, i, j)]
-                        diff = (diff - G[(l, i, j)]) if diff is not None else -G[(l, i, j)]
+                        diff = Poly._make(family.vars, T[p].get((l, i, j), {})) - G[(l, i, j)]
                         if diff:
                             total = total + w * diff
                 if total:
@@ -498,33 +473,13 @@ def star_compat_residuals(family: ConnectionFamily):
     basis = family.basis
     G = family.gamma
     conjG = family.conjugated()
-    gam = {p: basis.gamma(p) for p in basis.basis}
-    gaminv = {p: basis.gamma(basis.group.inv[p]) for p in basis.basis}
     # bracket(u)^v_jk = Gamma^v_jk - gamma(u^-1)^v_l Gamma^l_pm gamma(u)^p_j gamma(u)^m_k
+    terms = {key: g.terms for key, g in G.items()}
     bracket = {}
     for uidx, u in enumerate(basis.basis):
-        for v in range(dim):
-            for j in range(dim):
-                for k in range(dim):
-                    inner = None
-                    for l in range(dim):
-                        cl = gaminv[u][v][l]
-                        if not cl:
-                            continue
-                        for pidx in range(dim):
-                            gp = gam[u][pidx][j]
-                            if not gp:
-                                continue
-                            for m in range(dim):
-                                gm = gam[u][m][k]
-                                if not gm:
-                                    continue
-                                t = G[(l, pidx, m)] * (cl * gp * gm)
-                                inner = t if inner is None else inner + t
-                    val = G[(v, j, k)]
-                    if inner is not None:
-                        val = val - inner
-                    bracket[(uidx, v, j, k)] = val
+        T = _gamma_conjugate(terms, basis, u)
+        for key, val in G.items():
+            bracket[(uidx, *key)] = val - Poly._make(family.vars, T[key]) if key in T else val
     out = []
     for i in range(dim):
         for j in range(dim):
@@ -558,6 +513,17 @@ def _contract_leg(T: dict, leg: int, mat) -> dict:
     return out
 
 
+def _gamma_conjugate(T: dict, basis, h: int) -> dict:
+    """gamma(h^-1) on the first leg of T and gamma(h) on every other leg,
+    out[i, j, ...] = sum gamma(h^-1)^i_a gamma(h)^b_j ... T[a, b, ...],
+    contracted one leg at a time over zero-free polynomial term maps."""
+    out = _contract_leg(T, 0, basis.gamma(basis.group.inv[h]))
+    gh_t = list(zip(*basis.gamma(h)))
+    for leg in range(1, len(next(iter(T)))):
+        out = _contract_leg(out, leg, gh_t)
+    return out
+
+
 def riemann_compat_residuals(family: ConnectionFamily):
     """Curvature is a bimodule map: antisymmetrized quadratic tensors match
     their gamma(h)-conjugates for every group element h (Grassmann choice).
@@ -587,10 +553,7 @@ def riemann_compat_residuals(family: ConnectionFamily):
                     QQ[(a, b, l, p)] = total
     D = {key: (QQ[key] - QQ[(key[0], key[1], key[3], key[2])]).terms for key in QQ}
     for h in range(1, group.n):
-        gh_t = list(zip(*basis.gamma(h)))
-        conj = _contract_leg(D, 0, basis.gamma(group.inv[h]))
-        for leg in (1, 2, 3):
-            conj = _contract_leg(conj, leg, gh_t)
+        conj = _gamma_conjugate(D, basis, h)
         for i in range(dim):
             for j in range(dim):
                 for k in range(dim):

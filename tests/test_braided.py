@@ -454,6 +454,29 @@ def test_rmatrix_identities_all_blocks(data):
             assert rm.second_inverse_holds()
 
 
+def test_one_removed_r_entry_fails_the_second_inverse_and_the_route(data, monkeypatch):
+    """Negative control: without one stored R entry the second-inverse
+    identities fail and the R-matrix route leaves the direct braiding."""
+    import qdouble.braided as braided
+
+    block = (data.ctx2, data.pi[1])
+    rm = BlockRMatrices(block, block)
+    key = next(iter(rm.R))
+    assert rm.second_inverse_holds()
+    del rm.R[key]
+    assert not rm.second_inverse_holds()
+
+    class Dropped(BlockRMatrices):
+        def __init__(self, block1, block2):
+            super().__init__(block1, block2)
+            del self.R[key]
+
+    monkeypatch.setattr(braided, "BlockRMatrices", Dropped)
+    lie = lie_cpi(*block)
+    rt = psit_via_rmatrix(lie, 0, 0)
+    assert any(rt[(i, j)] != lie.psit(i, j) for i in range(lie.dim) for j in range(lie.dim))
+
+
 def test_route_agreement_direct_sum(data):
     lie = BlockBraidedLie([(data.ctx2, data.pi[1]), (data.ctx2, data.pi[2])])
     assert lie.dim == 8

@@ -137,6 +137,16 @@ def test_inexact_scenario_numbers_are_configuration_errors(tmp_path, change, key
 CHARACTER = {"kind": "centralizer_character"}
 
 
+# a subcommand that reads each key transfer does not read
+_READER = {
+    "stratum": "geometry",
+    "flags": "geometry",
+    "subset": "dual",
+    "basis": "calculus",
+    "print_matrices": "calculus",
+}
+
+
 @pytest.mark.parametrize(
     "change, message",
     [
@@ -164,12 +174,21 @@ CHARACTER = {"kind": "centralizer_character"}
             {"flags": ["covariant", "torsion_free", "cotorsion_free", "metrc_compat"]},
             "flags: unknown flag 'metrc_compat'",
         ),
+        ({"subset": "uvw"}, "subset: expected a list of element labels, got 'uvw'"),
+        ({"subset": ["u", "v", "w", "zz"]}, "subset: unknown element label 'zz'"),
+        ({"basis": "uv"}, "basis: expected a list of element labels, got 'uv'"),
+        ({"basis": ["u", "v", "uv", "zz"]}, "basis: unknown element label 'zz'"),
+        ({"print_matrices": "uv"}, "print_matrices: expected a list of element labels, got 'uv'"),
+        ({"print_matrices": ["u", "zz"]}, "print_matrices: unknown element label 'zz'"),
+        ({"class_rep": "zz"}, "class_rep: unknown element label 'zz'"),
     ],
     ids=[
         "float-j", "bool-j", "string-j", "float-degree", "float-generators-degree",
         "cyclic-string-j", "user-count", "user-float-entry", "seminormal-no-partition", "no-kind",
         "zero-order", "negative-order", "zero-degree", "string-group", "short-stratum",
-        "undeclared-stratum-source", "string-flags", "misspelled-flag",
+        "undeclared-stratum-source", "string-flags", "misspelled-flag", "string-subset",
+        "unknown-subset-label", "string-basis", "unknown-basis-label", "string-print-matrices",
+        "unknown-print-matrices-label", "unknown-class-rep",
     ],
 )
 def test_malformed_scenario_is_a_configuration_error(tmp_path, change, message):
@@ -177,10 +196,8 @@ def test_malformed_scenario_is_a_configuration_error(tmp_path, change, message):
     scenario.update(change)
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(scenario))
-    # only geometry reads the stratum binding and the flags
-    out = run_cli(
-        "geometry" if {"stratum", "flags"} & set(change) else "transfer", "--scenario", str(path)
-    )
+    command = next((_READER[key] for key in change if key in _READER), "transfer")
+    out = run_cli(command, "--scenario", str(path))
     assert (out.returncode, out.stdout) == (2, "")
     assert out.stderr.startswith(f"configuration error: {message}")
 

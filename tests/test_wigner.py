@@ -13,7 +13,7 @@ import pytest
 import zeta_reference as ref
 from qdouble.braided import BlockRMatrices, lie_cpi
 from qdouble.calculus import DoubleCalculus
-from qdouble.cyclotomic import ONE
+from qdouble.cyclotomic import ONE, ZERO
 from qdouble.double import build_VCpi, double_irreps
 from qdouble.groups import FiniteGroup
 from qdouble.reps import centralizer_character, check_homomorphism, induced_matrices, induced_rep
@@ -67,12 +67,16 @@ def test_end_action_and_bracket_are_the_zeta_formulas(name, ctx, pi):
 
 
 def _rmatrix_mismatches(rm, ctx, pi):
+    """Every quadruple where the stored R or Rinv (an absent key is zero)
+    differs from the formulas, and every stored zero."""
     labels = _v_labels(ctx, pi)
-    bad = []
+    bad = [
+        (name, *key) for name, stored in (("R", rm.R), ("Rinv", rm.Rinv)) for key, c in stored.items() if not c
+    ]
     for ai, bj, ck, dl in product(labels, repeat=4):
-        if rm.R(ai, bj, ck, dl) != ref.R(ctx, pi, ai, bj, ck, dl):
+        if rm.R.get((ai, bj, ck, dl), ZERO) != ref.R(ctx, pi, ai, bj, ck, dl):
             bad.append(("R", ai, bj, ck, dl))
-        rinv = rm.Rinv(ai, bj, ck, dl)
+        rinv = rm.Rinv.get((ai, bj, ck, dl), ZERO)
         if rinv != ref.Rinv(ctx, pi, ai, bj, ck, dl) or rinv != ref.Rhat(ctx, pi, ai, bj, ck, dl):
             bad.append(("Rinv", ai, bj, ck, dl))
     return bad
