@@ -137,7 +137,7 @@ def test_inexact_scenario_numbers_are_configuration_errors(tmp_path, change, key
 CHARACTER = {"kind": "centralizer_character"}
 
 
-# a subcommand that reads each key transfer does not read
+# the subcommand run for a key that transfer does not read
 _READER = {
     "stratum": "geometry",
     "flags": "geometry",
