@@ -60,7 +60,19 @@ def build_context(group: FiniteGroup, scenario: dict):
     if rep is None:
         raise ConfigError("scenario needs class_rep")
     _labels(group, [rep], "class_rep")
-    return class_context(group, rep, q_override=scenario.get("q_override"))
+    q = scenario.get("q_override")
+    if q is not None:
+        if not isinstance(q, dict):
+            raise ConfigError(
+                f"q_override: expected an object from class labels to element labels, got {q!r}"
+            )
+        _labels(group, list(q), "q_override")
+        _labels(group, list(q.values()), "q_override")
+        cls = {group.labels[c] for c in group.class_of(group.element(rep))}
+        for label in q:
+            if label not in cls:
+                raise ConfigError(f"q_override: {label!r} is not in the class of {rep!r}")
+    return class_context(group, rep, q_override=q)
 
 
 # the key each irrep kind requires, None for none

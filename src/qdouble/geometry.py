@@ -449,19 +449,22 @@ def metric_compat_residuals(family: ConnectionFamily, ip: InnerProduct):
     out = []
     for i in range(dim):
         for j in range(dim):
+            # the nonzero T(p)^l_ij - Gamma^l_ij, shared by every k
+            diffs = []
+            for pidx, p in enumerate(basis.basis):
+                for l in range(dim):
+                    diff = Poly._make(family.vars, T[p].get((l, i, j), {})) - G[(l, i, j)]
+                    if diff:
+                        diffs.append((l, pidx, diff))
             for k in range(dim):
                 total = None
                 for l in range(dim):
                     t1 = adj[l][k] * G[(l, i, j)] + adj[j][l] * G[(l, i, k)]
                     total = t1 if total is None else total + t1
-                for pidx, p in enumerate(basis.basis):
-                    for l in range(dim):
-                        w = W[(l, pidx, k)]
-                        if w is None:
-                            continue
-                        diff = Poly._make(family.vars, T[p].get((l, i, j), {})) - G[(l, i, j)]
-                        if diff:
-                            total = total + w * diff
+                for l, pidx, diff in diffs:
+                    w = W[(l, pidx, k)]
+                    if w is not None:
+                        total = total + w * diff
                 if total:
                     out.append(total)
     return _dedupe(out)

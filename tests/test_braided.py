@@ -592,6 +592,61 @@ def test_graded_dims_match_rank_mod_p(data):
     assert blocks == 7
 
 
+def _reference_graded_dims(alg, maxdeg):
+    """The full loop that the degree-by-degree ideal replaced: n^d minus the
+    rank of every row T^a (x) R (x) T^b, a + 2 + b = d, built from scratch."""
+    dims = []
+    for d in range(maxdeg + 1):
+        span = la.SparseSpan()
+        for rel in alg._all_quadratic_parts():
+            for a in range(d - 1):
+                for prefix in product(range(alg.n), repeat=a):
+                    for suffix in product(range(alg.n), repeat=d - 2 - a):
+                        span.add({prefix + k + suffix: c for k, c in rel.items()})
+        dims.append(alg.n**d - span.rank)
+    return dims
+
+
+def _assert_echelon(alg):
+    """The SparseSpan invariant on every stored I_d: each row is zero-free
+    over words of length d and monic at its minimum key, which is its pivot."""
+    assert alg._ideals
+    for degree, span in alg._ideals.items():
+        for pivot, row in span.pivots.items():
+            assert min(row) == pivot and row[pivot] == ONE
+            assert all(row.values()) and all(len(k) == degree for k in row)
+
+
+def test_degree_by_degree_ideal_matches_the_full_loop(data):
+    from qdouble.double import centralizer_irreps
+
+    blocks = [
+        (ctx, pi)
+        for ctx in (data.ctx1, data.ctx2, data.ctx3)
+        for pi in centralizer_irreps(ctx)
+        if not (ctx.rep == 0 and pi.is_trivial())
+    ]
+    assert len(blocks) == 7
+    for maxdeg, block_list in ((4, blocks), (2, _s4_blocks()[:1])):
+        for ctx, pi in block_list:
+            for alg in (envelope(lie_cpi(ctx, pi)), frt([(ctx, pi)])):
+                assert alg.hilbert_prefix(maxdeg) == _reference_graded_dims(alg, maxdeg)
+                _assert_echelon(alg)
+
+
+def test_graded_dimension_out_of_order_matches_in_order(data):
+    """graded_dimension(4) first builds I_2 and I_3 on the way; the prefix
+    read afterwards equals the one built degree by degree."""
+    block = (data.ctx3, centralizer_character(data.ctx3, 0))
+    for build in (lambda: envelope(lie_cpi(*block)), lambda: frt([block])):
+        first = build()
+        top = first.graded_dimension(4)
+        assert sorted(first._ideals) == [2, 3, 4]
+        dims = first.hilbert_prefix(4)
+        assert dims == build().hilbert_prefix(4) and dims[4] == top
+        _assert_echelon(first)
+
+
 def test_envelope_relations_case_ii(data):
     """For j = 1, 2 the extra relations kill the four mixed products."""
     lie = lie_cpi(data.ctx2, data.pi[1])

@@ -181,6 +181,13 @@ _READER = {
         ({"print_matrices": "uv"}, "print_matrices: expected a list of element labels, got 'uv'"),
         ({"print_matrices": ["u", "zz"]}, "print_matrices: unknown element label 'zz'"),
         ({"class_rep": "zz"}, "class_rep: unknown element label 'zz'"),
+        ({"q_override": {"zz": "u"}}, "q_override: unknown element label 'zz'"),
+        (
+            {"q_override": "uv"},
+            "q_override: expected an object from class labels to element labels, got 'uv'",
+        ),
+        ({"q_override": {"uv": "e", "vu": "zz"}}, "q_override: unknown element label 'zz'"),
+        ({"q_override": {"uv": "e", "vu": "u", "u": "e"}}, "q_override: 'u' is not in the class"),
     ],
     ids=[
         "float-j", "bool-j", "string-j", "float-degree", "float-generators-degree",
@@ -188,7 +195,8 @@ _READER = {
         "zero-order", "negative-order", "zero-degree", "string-group", "short-stratum",
         "undeclared-stratum-source", "string-flags", "misspelled-flag", "string-subset",
         "unknown-subset-label", "string-basis", "unknown-basis-label", "string-print-matrices",
-        "unknown-print-matrices-label", "unknown-class-rep",
+        "unknown-print-matrices-label", "unknown-class-rep", "unknown-q-override-key",
+        "string-q-override", "unknown-q-override-value", "q-override-key-outside-class",
     ],
 )
 def test_malformed_scenario_is_a_configuration_error(tmp_path, change, message):

@@ -316,23 +316,37 @@ def test_nullspace_of_no_equations_is_the_standard_basis():
     assert la.nullspace([], 3, one, zero) == la.identity(3, one, zero)
 
 
+def _generators(n):
+    return [f"x{i}" for i in range(n)]
+
+
+def test_quadalg_free_algebra():
+    """No relations: dim T^d = n^d, and 0 in negative degrees."""
+    for n in range(1, 5):
+        alg = QuadAlg(_generators(n), [])
+        assert alg.hilbert_prefix(5) == [n**d for d in range(6)]
+        assert alg.graded_dimension(-1) == 0
+
+
 def test_quadalg_symmetric_square():
-    """Anticommutation relations leave the symmetric square: n(n+1)/2."""
-    n = 3
-    relations = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            relations.append({(i, j): cyc(1), (j, i): cyc(-1)})
-    alg = QuadAlg([f"x{i}" for i in range(n)], relations)
-    assert alg.graded_dimension(2) == 6
-    assert alg.graded_dimension(3) == 10
+    """Commutation relations x_i x_j = x_j x_i give the symmetric algebra,
+    dim S^d = C(n + d - 1, d)."""
+    for n in range(1, 5):
+        relations = []
+        for i in range(n):
+            for j in range(i + 1, n):
+                relations.append({(i, j): cyc(1), (j, i): cyc(-1)})
+        alg = QuadAlg(_generators(n), relations)
+        assert alg.hilbert_prefix(5) == [math.comb(n + d - 1, d) for d in range(6)]
 
 
 def test_quadalg_grassmann():
-    n = 3
-    relations = [{(i, j): cyc(1), (j, i): cyc(1)} for i in range(n) for j in range(i, n)]
-    alg = QuadAlg([f"x{i}" for i in range(n)], relations)
-    assert alg.hilbert_prefix(3) == [1, 3, 3, 1]
+    """Anticommutation relations give the exterior algebra, dim = C(n, d),
+    which is 0 above n."""
+    for n in range(1, 5):
+        relations = [{(i, j): cyc(1), (j, i): cyc(1)} for i in range(n) for j in range(i, n)]
+        alg = QuadAlg(_generators(n), relations)
+        assert alg.hilbert_prefix(5) == [math.comb(n, d) for d in range(6)]
 
 
 def test_quadalg_inhomogeneous_parts_count():
