@@ -20,13 +20,12 @@ from .linalg import _addto
 from .transfer import projector_fixed_space, conjugated_projector
 
 
-def dual_operator(group: FiniteGroup, eigenvalues: dict, irreps=None):
+def dual_operator(group: FiniteGroup, eigenvalues: dict):
     """Matrix of L* on the delta basis from per-irrep eigenvalues.
 
     L*(delta_h) = sum_rho (dim/|G|) lambda*_rho sum_f Tr_rho(h^-1 f) delta_f.
     """
-    if irreps is None:
-        irreps = irrep_catalog(group)
+    irreps = irrep_catalog(group)
     lam = {}
     for r in irreps:
         v = eigenvalues[r.name]
@@ -45,12 +44,10 @@ def dual_operator(group: FiniteGroup, eigenvalues: dict, irreps=None):
     return mat
 
 
-def peter_weyl_blocks(group: FiniteGroup, g: int, irreps=None):
+def peter_weyl_blocks(group: FiniteGroup, g: int):
     """Per-irrep components of delta_g: dict name -> function vector."""
-    if irreps is None:
-        irreps = irrep_catalog(group)
     out = {}
-    for rho in irreps:
+    for rho in irrep_catalog(group):
         scale = cyc(Fraction(rho.dim, group.n))
         vec = [ZERO] * group.n
         for h in range(group.n):
@@ -109,15 +106,14 @@ class DualInnerProduct:
         return all(w.conj() == w for w in self.weights.values())
 
 
-def dual_constraints(group: FiniteGroup, subset, weight_vars: dict, lambda_vars: dict, irreps=None):
+def dual_constraints(group: FiniteGroup, subset, weight_vars: dict, lambda_vars: dict):
     """Constraint polynomials and the closed form for the eigenvalues.
 
     Returns (constraints, lambda_formula) where constraints must vanish and
     lambda_formula maps irrep name to
     2 sum_C l*_C (1 - chi_rho(C)) |C| over bidirectional classes.
     """
-    if irreps is None:
-        irreps = irrep_catalog(group)
+    irreps = irrep_catalog(group)
     subset = sorted(group.element(s) if isinstance(s, str) else s for s in subset)
     for c in subset:
         if any(x not in subset for x in group.class_of(c)):

@@ -288,15 +288,15 @@ class ConnectionFamily:
                 row.append(combo.coeff_of(p, 1))
             const.append(combo.substitute({p: 0 for p in old}))
             mat.append(row)
-        frac_mat = [[RatFunc(x) for x in row] for row in mat]
-        inv = linalg.inverse(frac_mat)
+        # a non-constant entry (ValueError) means the family is not linear
+        inv = linalg.inverse([[x.as_cyc() for x in row] for row in mat])
         # old param p_b = sum_a inv[b][a] (new_a - const_a)
         bindings = {}
         for b, p in enumerate(old):
-            expr = RatFunc(Poly.constant(0, names))
+            expr = Poly.constant(0, names)
             for a, name in enumerate(names):
-                expr = expr + inv[b][a] * RatFunc(Poly.variable(name, names) - const[a])
-            bindings[p] = expr.as_poly()
+                expr = expr + (Poly.variable(name, names) - const[a]) * inv[b][a]
+            bindings[p] = expr
         out = {k: v.substitute(bindings) for k, v in self.gamma.items()}
         return ConnectionFamily(self.basis, out, names)
 
@@ -395,7 +395,7 @@ def connection_solve(basis: LambdaBasis, ip: InnerProduct | None, flags) -> Conn
                 if coeff.den.degree() > 0:
                     scale = scale * coeff.den.monic_normalize()
             if scale.degree() > 0:
-                vec = [x * RatFunc(scale, reduce=False) for x in vec]
+                vec = [x * scale for x in vec]
             combo = [Poly.constant(0, ip.vars) for _ in index]
             for b, coeff in enumerate(vec):
                 cp = coeff.as_poly()

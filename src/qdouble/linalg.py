@@ -178,13 +178,16 @@ class SparseSpan:
             c = row.get(col)
             if not c:
                 continue
+            neg = None  # -c, negated once per row, when a new key needs it
             for k, v in self.pivots[col].items():
                 if k in row:
                     row[k] -= c * v
                     if not row[k]:
                         del row[k]
                 else:
-                    row[k] = -c * v
+                    if neg is None:
+                        neg = -c
+                    row[k] = neg * v
                     if k in self.pivots:
                         heappush(todo, k)
         return row

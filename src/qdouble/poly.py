@@ -6,6 +6,10 @@ them and conjugates the cyclotomic coefficients.  Sparse dict-of-monomials
 representation.  ``poly_gcd`` (a primitive subresultant remainder sequence)
 keeps ``RatFunc`` reduced; ``groebner`` and ``normal_form`` decide ideal
 membership and equality, the polynomial elimination of the regression suite.
+One division step serves ``Poly.exact_div`` and ``groebner``: cancel the
+leading term of the remainder by a monomial multiple of the divisor
+(``_divides``, ``_add_multiple``), in lex order for the one and grevlex for
+the other.
 
 Invariant: ``Poly.terms`` is a zero-free {exponent tuple: Cyc} map, and every
 exponent tuple has ``len(vars)`` non-negative int entries.  The public
@@ -227,12 +231,28 @@ class Poly:
         return Poly._make(self.vars, {e: c * inv for e, c in self.terms.items()})
 
     def exact_div(self, other: "Poly") -> "Poly":
-        """Exact division; raises if not divisible."""
+        """The quotient self / other, by leading-term division in lex order
+        (``vars[0]`` most significant); raises ValueError when other does not
+        divide self.
+
+        In lex order every quotient coefficient is fed the same operands as
+        in dividing leading coefficients in vars[0], then vars[1], and so on,
+        so it carries the same ``Cyc`` order tag; grevlex gives the same
+        values with other tags."""
         a, b = self._align(other)
-        q, r = _poly_divmod_multivar(a, b)
-        if r:
-            raise ValueError("inexact polynomial division")
-        return q
+        if not b:
+            raise ZeroDivisionError("polynomial division by zero")
+        lead = max(b.terms)
+        inv = b.terms[lead].inverse()
+        rem, quot = dict(a.terms), {}
+        while rem:
+            m = max(rem)
+            if not _divides(lead, m):
+                raise ValueError("inexact polynomial division")
+            c = rem[m] * inv
+            quot[tuple(x - y for x, y in zip(m, lead))] = c
+            _add_multiple(rem, b.terms, lead, m, -c)
+        return Poly._make(a.vars, quot)
 
     def __repr__(self):
         if not self.terms:
@@ -255,39 +275,6 @@ def _as_poly(value, variables):
     if isinstance(value, (int, Fraction, Cyc)):
         return Poly.constant(value, variables)
     return NotImplemented
-
-
-def _poly_divmod_multivar(a: Poly, b: Poly):
-    """Division treating the last variable of b's support as main; general
-    enough for the univariate and dense cases used here."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    # choose the main variable as the first one appearing in b
-    main = None
-    for i, v in enumerate(b.vars):
-        if any(e[i] for e in b.terms):
-            main = v
-            break
-    if main is None:  # b constant
-        inv = b.constant_term().inverse()
-        return Poly._make(a.vars, {e: c * inv for e, c in a.terms.items()}), Poly._make(a.vars, {})
-    q = Poly.constant(0, a.vars)
-    r = a
-    db = b.degree(main)
-    lead_b = b.coeff_of(main, db)
-    while r and r.degree(main) >= db:
-        dr = r.degree(main)
-        lead_r = r.coeff_of(main, dr)
-        try:
-            factor = lead_r.exact_div(lead_b)
-        except ValueError:
-            break
-        shift = Poly.variable(main, a.vars) ** (dr - db)
-        q = q + factor * shift
-        r = r - factor * shift * b
-        if r and r.degree(main) == dr:
-            break
-    return q, r
 
 
 # -- gcd ------------------------------------------------------------------
@@ -507,7 +494,7 @@ class RatFunc:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: Poly, den: Poly | None = None, reduce: bool = True):
+    def __init__(self, num: Poly, den: Poly | None = None):
         if den is None:
             den = Poly.constant(1, num.vars)
         num, den = num._align(den)
@@ -515,7 +502,7 @@ class RatFunc:
             raise ZeroDivisionError("rational function with zero denominator")
         if not num:
             den = Poly.constant(1, num.vars)
-        if reduce and num and den.degree() > 0:
+        if num and den.degree() > 0:
             g = poly_gcd(num, den)
             if g.degree() > 0:
                 num = num.exact_div(g)
@@ -535,9 +522,9 @@ class RatFunc:
         if isinstance(other, RatFunc):
             return other
         if isinstance(other, Poly):
-            return RatFunc(other, reduce=False)
+            return RatFunc(other)
         if isinstance(other, (int, Fraction, Cyc)):
-            return RatFunc(Poly.constant(other, self.num.vars), reduce=False)
+            return RatFunc(Poly.constant(other, self.num.vars))
         return NotImplemented
 
     def __add__(self, other):
@@ -549,7 +536,11 @@ class RatFunc:
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc(-self.num, self.den, reduce=False)
+        # a reduced fraction negated is still reduced: skip the constructor's gcd
+        out = object.__new__(RatFunc)
+        out.num = -self.num
+        out.den = self.den
+        return out
 
     def __sub__(self, other):
         other = self._coerced(other)

@@ -395,14 +395,12 @@ def character_inner_product(group: FiniteGroup, chi1: list[Cyc], chi2: list[Cyc]
     return total * cyc(Fraction(1, group.n))
 
 
-def decompose(rep: Rep, irreps: list[Rep] | None = None) -> dict[str, int]:
+def decompose(rep: Rep) -> dict[str, int]:
     """Multiplicities of the catalogue irreducibles inside rep."""
-    if irreps is None:
-        irreps = irrep_catalog(rep.group)
     chi = rep.character()
     out = {}
     total = 0
-    for irr in irreps:
+    for irr in irrep_catalog(rep.group):
         m = character_inner_product(rep.group, chi, irr.character())
         if not m.is_rational() or m.as_rational().denominator != 1:
             raise ValueError("non-integer multiplicity; catalogue incomplete?")

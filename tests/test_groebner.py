@@ -1,10 +1,13 @@
 """The Gröbner-basis engine against the devices it replaced and against sympy.
 
 ``membership_certificate`` is the degree-bounded Macaulay certificate the
-regression suite used before ``groebner`` and ``normal_form``, kept here
-verbatim as a reference: whatever it certifies, the engine must certify.
+regression suite used before ``groebner`` and ``normal_form``, kept here as
+a reference: whatever it certifies, the engine must certify.  Its span is
+built once per residual set and degree (``certificate_span``) and serves
+every target.
 """
 
+import functools
 import itertools
 import random
 
@@ -48,33 +51,42 @@ def membership_certificate(residuals, target: Poly, params, degree: int = 1) -> 
     allvars = tuple(dict.fromkeys(sum((r.vars for r in residuals), target.vars)))
     params = tuple(p for p in params if p in allvars)
     base = tuple(v for v in allvars if v not in params)
-    pidx = [allvars.index(p) for p in params]
-    bidx = [allvars.index(b) for b in base]
     scalar_field = not any(
         r.degree(b) > 0 for r in residuals for b in base
     ) and not any(target.degree(b) > 0 for b in base if b in target.vars)
+    span = certificate_span(tuple(residuals), allvars, params, scalar_field, degree)
+    return span.contains(_split(target.extend(allvars), params, scalar_field))
 
-    def split(poly):
-        """Sparse row keyed by param-monomials; Cyc or RatFunc coefficients."""
-        out = {}
-        for exp, c in poly.terms.items():
-            key = tuple(exp[i] for i in pidx)
-            if scalar_field:
-                _addto(out, key, c)
-            else:
-                rest = [0] * len(allvars)
-                for i in bidx:
-                    rest[i] = exp[i]
-                bucket = out.setdefault(key, {})
-                bucket[tuple(rest)] = c
+
+def _split(poly, params, scalar_field):
+    """Sparse row keyed by param-monomials; Cyc or RatFunc coefficients."""
+    pidx = [poly.vars.index(p) for p in params]
+    bidx = [i for i, v in enumerate(poly.vars) if v not in params]
+    out = {}
+    for exp, c in poly.terms.items():
+        key = tuple(exp[i] for i in pidx)
         if scalar_field:
-            return out
-        return {
-            k: RatFunc(Poly(allvars, v))
-            for k, v in out.items()
-            if any(bool(c) for c in v.values())
-        }
+            _addto(out, key, c)
+        else:
+            rest = [0] * len(poly.vars)
+            for i in bidx:
+                rest[i] = exp[i]
+            bucket = out.setdefault(key, {})
+            bucket[tuple(rest)] = c
+    if scalar_field:
+        return out
+    return {
+        k: RatFunc(Poly(poly.vars, v))
+        for k, v in out.items()
+        if any(bool(c) for c in v.values())
+    }
 
+
+@functools.cache
+def certificate_span(residuals, allvars, params, scalar_field, degree):
+    """The span of m R_i over the residuals R_i and the parameter monomials m
+    of degree <= degree, built once per argument tuple: ``contains`` reduces
+    a copy of its row, so the span serves every target."""
     span = linalg.SparseSpan()
     for r in residuals:
         r = r.extend(allvars)
@@ -82,8 +94,8 @@ def membership_certificate(residuals, target: Poly, params, degree: int = 1) -> 
             m = r
             for v in mono:
                 m = m * Poly.variable(v, allvars)
-            span.add(split(m))
-    return span.contains(split(target.extend(allvars)))
+            span.add(_split(m, params, scalar_field))
+    return span
 
 
 P3 = ("r", "s", "f")
