@@ -49,7 +49,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .cyclotomic import ONE, ZERO, Cyc
+from .cyclotomic import ONE, ZERO
 from .groups import FiniteGroup, ClassContext
 from .reps import Rep, induced_matrices
 from .double import DoubleElement, antipode_axiom_holds, bialgebra_axiom_holds
@@ -447,10 +447,7 @@ class BlockBraidedLie(BraidedLie):
             self._bracket_cache[key] = out
         return self._bracket_cache[key]
 
-    def index_of(self, block: int, a, i, b, j) -> int:
-        group = self.group
-        a = group.element(a) if isinstance(a, str) else a
-        b = group.element(b) if isinstance(b, str) else b
+    def index_of(self, block: int, a: int, i: int, b: int, j: int) -> int:
         return self._pos[(block, a, i, b, j)]
 
 
@@ -701,15 +698,12 @@ def covering_map_image(blocks) -> dict:
     Reports the dimension, surjectivity onto the double, and whether the
     classes generate the group (a necessary condition).
     """
-    ctx0 = blocks[0][0]
-    group = ctx0.group
-    gens = []
-    for ctx, pi in blocks:
-        for a in ctx.cls:
-            for i in range(pi.dim):
-                for b in ctx.cls:
-                    for j in range(pi.dim):
-                        gens.append(inclusion_element(ctx, pi, a, i, b, j))
+    group = blocks[0][0].group
+    gens = [
+        inclusion_element(ctx, pi, *ai, *bj)
+        for ctx, pi in blocks
+        for ai, bj in product(_v_basis(ctx, pi), repeat=2)
+    ]
     span = SparseSpan()
     work = [elt for elt in [DoubleElement.unit(group)] + gens if span.add(dict(elt.terms))]
     while work:
@@ -736,29 +730,20 @@ def killing_trace_oracle(lie: BlockBraidedLie):
     [a=d][b=c] delta_i^l delta_k^j.
     """
     dim = lie.dim
-
-    def ev(idx1: int, idx2: int) -> Cyc:
-        (t1, a, i, b, j) = lie.basis[idx1]
-        (t2, c, k, d, l) = lie.basis[idx2]
-        if t1 == t2 and a == d and b == c and i == l and k == j:
-            return ONE
-        return ZERO
-
+    # the dual vector e^m is the transposed unit, and ev(E (x) E') = 1 exactly
+    # when E' is the transpose of E
+    transpose = [lie._pos[(t, b, j, a, i)] for (t, a, i, b, j) in lie.basis]
     K = [[ZERO] * dim for _ in range(dim)]
     for x in range(dim):
         for y in range(dim):
             total = ZERO
             for m in range(dim):
-                (tm, am, im, bm, jm) = lie.basis[m]
-                dual_m = lie._pos[(tm, bm, jm, am, im)]
-                inner = lie.bracket(y, m)
-                for w1, c1 in inner.items():
+                for w1, c1 in lie.bracket(y, m).items():
                     for w, c2 in lie.bracket(x, w1).items():
                         # braid w past the dual vector then pair
-                        for (moved, c3) in lie.action[lie.grading[w]][dual_m]:
-                            p = ev(moved, w)
-                            if p:
-                                total = total + c1 * c2 * c3 * p
+                        for (moved, c3) in lie.action[lie.grading[w]][transpose[m]]:
+                            if transpose[moved] == w:
+                                total = total + c1 * c2 * c3
             K[x][y] = total
     return K
 
@@ -807,27 +792,18 @@ def killing_form(lie: BlockBraidedLie):
                     term = (
                         pi.matrices[arg1][l][k]
                         * pi.matrices[arg2][j][i]
-                        * _trace_sub(pi, arg3)
-                        * _trace_sub(pi, arg4)
+                        * pi.trace(arg3)
+                        * pi.trace(arg4)
                     )
                     total = total + term
             K[x][y] = total
     return K
 
 
-def _trace_sub(pi: Rep, idx: int) -> Cyc:
-    t = ZERO
-    for i in range(pi.dim):
-        t = t + pi.matrices[idx][i][i]
-    return t
-
-
-def braided_antipode_on_generator(ctx: ClassContext, pi: Rep, a, i, b, j):
+def braided_antipode_on_generator(ctx: ClassContext, pi: Rep, a: int, i: int, b: int, j: int):
     """S E_{ai}^{bj} = pi(zeta_b(a b^-1)^-1)_j^k E_{a b^-1 a^-1 k}^{a^-1 i};
     requires a real orthogonal pi and an inversion-stable class."""
     group = ctx.group
-    a = group.element(a) if isinstance(a, str) else a
-    b = group.element(b) if isinstance(b, str) else b
     z = ctx.zeta_in_centralizer(b, group.table[a][group.inv[b]])
     zinv = ctx.centralizer.inv[z]
     target_a = group.word(a, group.inv[b], group.inv[a])
@@ -840,13 +816,40 @@ def braided_antipode_on_generator(ctx: ClassContext, pi: Rep, a, i, b, j):
     return out
 
 
+def _frt_antipode(ctx: ClassContext, pi: Rep, a: int, i: int, b: int, j: int):
+    """S t_{ai}^{bj} = t_{b^-1 j}^{a^-1 i}, the antipode of the FRT quotient."""
+    inv = ctx.group.inv
+    return {(inv[b], j, inv[a], i): ONE}
+
+
+def _antipode_relations(ctx: ClassContext, pi: Rep, pos: dict, antipode) -> list:
+    """The relations sum_ck t_{ai}^{ck} S t_{ck}^{bj} = [ai = bj] and
+    sum_ck S t_{ai}^{ck} t_{ck}^{bj} = [ai = bj], in that order for each
+    (ai, bj), as (quadratic part, -constant) pairs over the positions ``pos``
+    of the units (0, a, i, b, j).  ``antipode(ctx, pi, a, i, b, j)`` gives S
+    on a generator as {(a', i', b', j'): coeff}."""
+    v = _v_basis(ctx, pi)
+    relations = []
+    for ai, bj in product(v, repeat=2):
+        const = -ONE if ai == bj else ZERO
+        left, right = {}, {}
+        for ck in v:
+            for t, c in antipode(ctx, pi, *ck, *bj).items():
+                _addto(left, (pos[(0, *ai, *ck)], pos[(0, *t)]), c)
+            for t, c in antipode(ctx, pi, *ai, *ck).items():
+                _addto(right, (pos[(0, *t)], pos[(0, *ck, *bj)]), c)
+        relations += [(left, const), (right, const)]
+    return relations
+
+
 def quotient_hopf(ctx: ClassContext, pi: Rep):
     """Hopf quotients of the FRT and enveloping presentations.
 
     Adds the antipode relations sum_c t_{ai}^{ck} S t_{ck}^{bj} = [a=b][i=j]
-    (both sides) to the FRT algebra with S t_{ai}^{bj} = t_{b^-1 j}^{a^-1 i},
-    and the braided analogues to the enveloping algebra.  Requires a real
-    orthogonal pi and an inversion-stable class.
+    (both sides) to the FRT algebra with S = ``_frt_antipode``, and the same
+    relations with the braided antipode ``braided_antipode_on_generator`` to
+    the enveloping algebra.  Requires a real orthogonal pi and an
+    inversion-stable class.
     """
     group = ctx.group
     if not pi.is_real_orthogonal():
@@ -856,100 +859,35 @@ def quotient_hopf(ctx: ClassContext, pi: Rep):
     lie = lie_cpi(ctx, pi)
     ua = envelope(lie)
     fa = frt([(ctx, pi)])
-    pos = lie._pos
-
-    def t_index(a, i, b, j):
-        return pos[(0, a, i, b, j)]
-
-    inhom_frt = []
-    inhom_env = []
-    for a in ctx.cls:
-        for i in range(pi.dim):
-            for b in ctx.cls:
-                for j in range(pi.dim):
-                    const = -ONE if (a == b and i == j) else ZERO
-                    # t_{ai}^{ck} S t_{ck}^{bj} with S t_{ck}^{bj} = t_{b^-1 j}^{c^-1 k}
-                    row1 = {}
-                    row2 = {}
-                    for c in ctx.cls:
-                        for k in range(pi.dim):
-                            key1 = (
-                                t_index(a, i, c, k),
-                                t_index(group.inv[b], j, group.inv[c], k),
-                            )
-                            _addto(row1, key1, ONE)
-                            key2 = (
-                                t_index(group.inv[c], k, group.inv[a], i),
-                                t_index(c, k, b, j),
-                            )
-                            _addto(row2, key2, ONE)
-                    inhom_frt.append((row1, const))
-                    inhom_frt.append((row2, const))
-                    # braided side with the braided antipode on generators
-                    row3 = {}
-                    row4 = {}
-                    for c in ctx.cls:
-                        for k in range(pi.dim):
-                            for (ta, tk, tb, ti), coeff in braided_antipode_on_generator(
-                                ctx, pi, c, k, b, j
-                            ).items():
-                                _addto(
-                                    row3,
-                                    (t_index(a, i, c, k), t_index(ta, tk, tb, ti)),
-                                    coeff,
-                                )
-                            for (ta, tk, tb, ti), coeff in braided_antipode_on_generator(
-                                ctx, pi, a, i, c, k
-                            ).items():
-                                _addto(
-                                    row4,
-                                    (t_index(ta, tk, tb, ti), t_index(c, k, b, j)),
-                                    coeff,
-                                )
-                    inhom_env.append((row3, const))
-                    inhom_env.append((row4, const))
-    H = QuadAlg(fa.generators, fa.relations, inhomogeneous=inhom_frt)
-    B = QuadAlg(ua.generators, ua.relations, inhomogeneous=inhom_env)
+    H = QuadAlg(fa.generators, fa.relations, _antipode_relations(ctx, pi, lie._pos, _frt_antipode))
+    B = QuadAlg(
+        ua.generators, ua.relations, _antipode_relations(ctx, pi, lie._pos, braided_antipode_on_generator)
+    )
     return H, B
 
 
 def braided_antipode_preserves_relations(lie: BlockBraidedLie) -> bool:
-    """S extended braided-antimultiplicatively maps the degree-2 relation
-    space of the enveloping presentation into itself."""
+    """S extended braided-antimultiplicatively, S(xy) = S(Psi1(x,y)) S(Psi2(x,y)),
+    maps the degree-2 relation space of the enveloping presentation into
+    itself."""
     if len(lie.blocks) != 1:
         raise ValueError("implemented per block")
     ctx, pi = lie.blocks[0]
-
-    def s_on_index(idx):
-        (t, a, i, b, j) = lie.basis[idx]
-        out = {}
-        for (ta, tk, tb, ti), coeff in braided_antipode_on_generator(ctx, pi, a, i, b, j).items():
-            out[lie._pos[(0, ta, tk, tb, ti)]] = coeff
-        return out
-
-    def s2_on_pair(i, j):
-        # S(xy) = S(Psi1(x,y)) S(Psi2(x,y)) braided-antimultiplicatively
-        out = {}
-        for (a, b), c in lie.psi(i, j):
-            for m1, c1 in s_on_index(a).items():
-                for m2, c2 in s_on_index(b).items():
-                    _addto(out, (m1, m2), c * c1 * c2)
-        return out
-
+    image = [
+        {lie._pos[(0, *t)]: c for t, c in braided_antipode_on_generator(ctx, pi, *label[1:]).items()}
+        for label in lie.basis
+    ]
+    relations = envelope(lie).relations
     span = SparseSpan()
-    rows = []
-    for i in range(lie.dim):
-        for j in range(lie.dim):
-            row = dict(lie.psit(i, j))
-            _addto(row, (i, j), -ONE)
-            if row:
-                rows.append(row)
-                span.add(dict(row))
-    for row in rows:
-        image = {}
+    for row in relations:
+        span.add(row)
+    for row in relations:
+        moved = {}
         for (i, j), c in row.items():
-            for key, c2 in s2_on_pair(i, j).items():
-                _addto(image, key, c * c2)
-        if not span.contains(image):
+            for (a, b), c0 in lie.psi(i, j):
+                for m1, c1 in image[a].items():
+                    for m2, c2 in image[b].items():
+                        _addto(moved, (m1, m2), c * c0 * c1 * c2)
+        if not span.contains(moved):
             return False
     return True

@@ -27,12 +27,27 @@ class ConfigError(Exception):
     pass
 
 
+# every top-level key a subcommand reads
+_SCENARIO_KEYS = {
+    "group", "class_rep", "q_override", "irrep", "basis", "lengths", "print_matrices", "subset",
+    "flags", "ricci", "stratum",
+}
+
+
 def load_scenario(path: str) -> dict:
+    """The scenario object, refused if it is not a JSON object or has a key
+    no subcommand reads, such as a misspelled one."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            scenario = json.load(fh)
     except (OSError, json.JSONDecodeError) as ex:
         raise ConfigError(f"cannot read scenario: {ex}")
+    if not isinstance(scenario, dict):
+        raise ConfigError(f"scenario: expected a JSON object, got {type(scenario).__name__}")
+    for key in scenario:
+        if key not in _SCENARIO_KEYS:
+            raise ConfigError(f"{key}: unknown scenario key")
+    return scenario
 
 
 def build_group(spec: dict) -> FiniteGroup:

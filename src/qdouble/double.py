@@ -329,6 +329,10 @@ class CrossedModule:
     def act(self, h: int, vec):
         return linalg.mat_vec(self.action[h], vec)
 
+    def column(self, h: int, j: int):
+        """h |> w_j as its nonzero (i, A(h)[i][j])."""
+        return [(i, row[j]) for i, row in enumerate(self.action[h]) if row[j]]
+
     def act_delta(self, g: int, vec):
         return [v if self.grading[i] == g else ZERO for i, v in enumerate(vec)]
 
@@ -353,8 +357,7 @@ class CrossedModule:
     def braiding_with(self, other: "CrossedModule"):
         """Psi(v_i (x) w_j) = |v_i| |> w_j (x) v_i as a sparse map."""
         def psi(i: int, j: int):
-            col = [row[j] for row in other.action[self.grading[i]]]
-            return [((k, i), c) for k, c in enumerate(col) if c]
+            return [((k, i), c) for k, c in other.column(self.grading[i], j)]
 
         return psi
 

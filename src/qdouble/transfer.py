@@ -179,12 +179,8 @@ def functions_to_group_algebra(group: FiniteGroup, module: CrossedModule):
     for g in range(group.n):
         for widx in range(module.dim):
             target_g = group.conj(g, group.inv[module.grading[widx]])
-            vec = [ZERO] * module.dim
-            vec[widx] = ONE
-            moved = module.act(g, vec)
-            for out_w, val in enumerate(moved):
-                if val:
-                    mat[target_g * module.dim + out_w][g * module.dim + widx] = val * scale
+            for out_w, val in module.column(g, widx):
+                mat[target_g * module.dim + out_w][g * module.dim + widx] = val * scale
     return mat
 
 
@@ -343,13 +339,9 @@ def coact_VCpi(module: CrossedModule):
     def coaction(widx: int):
         terms = []
         for g in range(group.n):
-            moved_vec = [ZERO] * module.dim
-            moved_vec[widx] = ONE
-            moved = module.act(group.inv[g], moved_vec)
             mid = group.conj(group.inv[g], group.inv[module.grading[widx]])
-            for out_w, val in enumerate(moved):
-                if val:
-                    terms.append(((g, mid), out_w, val))
+            for out_w, val in module.column(group.inv[g], widx):
+                terms.append(((g, mid), out_w, val))
         return terms
 
     return coaction
@@ -364,12 +356,8 @@ def coact_Eprime(module: CrossedModule):
         terms = []
         for f in range(group.n):
             mid = group.conj(group.inv[f], g)
-            vec = [ZERO] * module.dim
-            vec[widx] = ONE
-            moved = module.act(group.inv[f], vec)
-            for out_w, val in enumerate(moved):
-                if val:
-                    terms.append(((f, mid), mid * module.dim + out_w, val))
+            for out_w, val in module.column(group.inv[f], widx):
+                terms.append(((f, mid), mid * module.dim + out_w, val))
         return terms
 
     return coaction
@@ -389,12 +377,8 @@ def coact_EW(ctx: ClassContext, module: CrossedModule):
             )
             cprime = group.conj(group.inv[f], c)
             z = ctx.zeta[c][group.inv[f]]
-            vec = [ZERO] * module.dim
-            vec[widx] = ONE
-            moved = module.act(z, vec)
-            for out_w, val in enumerate(moved):
-                if val:
-                    terms.append(((f, mid), (cprime, out_w), val))
+            for out_w, val in module.column(z, widx):
+                terms.append(((f, mid), (cprime, out_w), val))
         return terms
 
     return coaction

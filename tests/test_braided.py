@@ -1,8 +1,10 @@
+import functools
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+import braided_reference as braided_ref
 from qdouble.cyclotomic import cyc
 from qdouble.reps import centralizer_character
 from qdouble.double import DoubleElement
@@ -779,3 +781,63 @@ def test_braided_antipode_printed_form(data):
             out = braided_antipode_on_generator(data.ctx3, data.pipm[0], a, 0, b, 0)
             target = G.word(a, G.inv[b], G.inv[a])
             assert out == {(target, 0, G.inv[a], 0): ONE}
+
+
+@functools.cache
+def _nontrivial_blocks(group: str):
+    from qdouble.double import double_irreps
+    from qdouble.groups import FiniteGroup
+
+    G = FiniteGroup.symmetric(int(group[1]))
+    return [(ctx, pi) for ctx, pi in double_irreps(G) if not (ctx.rep == 0 and pi.is_trivial())]
+
+
+def _exact(relations):
+    """Inhomogeneous relations with every scalar spelled out, order tag included."""
+    return [
+        ([(key, c.order, c.coeffs) for key, c in q.items()], const.order, const.coeffs)
+        for q, const in relations
+    ]
+
+
+@pytest.mark.parametrize("group, accepted", [("S3", 4), ("S4", 13)])
+def test_antipode_relations_match_the_two_loop_reference(group, accepted):
+    """On every S3 and S4 block that ``quotient_hopf`` accepts, H's and B's
+    relations equal the two-loop reference in order, keys, constants and
+    order tags, and the antipode-preservation verdict equals the reference's."""
+    seen = 0
+    for ctx, pi in _nontrivial_blocks(group):
+        try:
+            H, B = quotient_hopf(ctx, pi)
+        except ValueError:
+            continue
+        seen += 1
+        lie = lie_cpi(ctx, pi)
+        frt_rows, env_rows = braided_ref.quotient_relations(ctx, pi, lie._pos)
+        assert _exact(H.inhomogeneous) == _exact(frt_rows)
+        assert _exact(B.inhomogeneous) == _exact(env_rows)
+        assert braided_antipode_preserves_relations(lie) == braided_ref.preserves_relations(lie)
+    assert seen == accepted
+
+
+def test_frt_antipode_without_inverses_fails_the_reference():
+    """S t_{ai}^{bj} = t_{bj}^{ai}, the FRT antipode without its inverses,
+    gives other relations on the 3-cycle block, whose elements are not
+    involutions."""
+    from qdouble.braided import _antipode_relations
+
+    d = S3Data.get()
+    ctx, pi = d.ctx2, d.pi[0]
+    pos = lie_cpi(ctx, pi)._pos
+    frt_rows, _ = braided_ref.quotient_relations(ctx, pi, pos)
+    no_inverse = lambda ctx, pi, a, i, b, j: {(b, j, a, i): ONE}
+    assert _exact(_antipode_relations(ctx, pi, pos, no_inverse)) != _exact(frt_rows)
+
+
+def test_trace_oracle_matches_the_ev_reference_on_every_s3_block():
+    for ctx, pi in _nontrivial_blocks("S3"):
+        lie = lie_cpi(ctx, pi)
+        K, ref_K = killing_trace_oracle(lie), braided_ref.trace_oracle(lie)
+        assert [[(c.order, c.coeffs) for c in row] for row in K] == [
+            [(c.order, c.coeffs) for c in row] for row in ref_K
+        ]

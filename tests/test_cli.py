@@ -210,6 +210,32 @@ def test_malformed_scenario_is_a_configuration_error(tmp_path, change, message):
     assert out.stderr.startswith(f"configuration error: {message}")
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("flgs", ["covariant", "torsion_free"]), ("q_overide", {"uv": "e", "vu": "u"}), ("colour", "red")],
+    ids=["flgs", "q_overide", "colour"],
+)
+def test_unknown_scenario_key_is_a_configuration_error(tmp_path, key, value):
+    scenario = json.loads((SCENARIOS / "s3_case_ii.json").read_text())
+    scenario[key] = value
+    path = tmp_path / "unknown_key.json"
+    path.write_text(json.dumps(scenario))
+    out = run_cli("geometry", "--scenario", str(path))
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr == f"configuration error: {key}: unknown scenario key\n"
+
+
+@pytest.mark.parametrize(
+    "scenario, kind", [([{"group": {"name": "s3_uvw"}}], "list"), ("s3_case_ii", "str")], ids=["list", "string"]
+)
+def test_scenario_that_is_not_an_object_is_a_configuration_error(tmp_path, scenario, kind):
+    path = tmp_path / "not_an_object.json"
+    path.write_text(json.dumps(scenario))
+    out = run_cli("geometry", "--scenario", str(path))
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr == f"configuration error: scenario: expected a JSON object, got {kind}\n"
+
+
 def test_missing_scenario_key_is_named():
     s4 = Path(__file__).resolve().parent.parent / "perfbench" / "scenarios" / "s4_four_cycle.json"
     out = run_cli("dual", "--scenario", str(s4))

@@ -70,3 +70,20 @@ def test_every_method_is_referenced_as_an_attribute():
         and not used[node.name]
     ]
     assert not dead, "methods with no attribute reference:\n" + "\n".join(dead)
+
+
+def test_every_module_level_import_is_referenced():
+    """A name a module imports at its top level is used in that module."""
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in names:
+                        unused.append(f"{path.name}:{node.lineno} {bound}")
+    assert not unused, "imports with no reference:\n" + "\n".join(unused)
