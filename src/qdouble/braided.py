@@ -848,8 +848,9 @@ def quotient_hopf(ctx: ClassContext, pi: Rep):
     Adds the antipode relations sum_c t_{ai}^{ck} S t_{ck}^{bj} = [a=b][i=j]
     (both sides) to the FRT algebra with S = ``_frt_antipode``, and the same
     relations with the braided antipode ``braided_antipode_on_generator`` to
-    the enveloping algebra.  Requires a real orthogonal pi and an
-    inversion-stable class.
+    the enveloping algebra.  Requires a real orthogonal pi, an
+    inversion-stable class and a braided antipode that maps the enveloping
+    algebra's relations into themselves.
     """
     group = ctx.group
     if not pi.is_real_orthogonal():
@@ -858,6 +859,8 @@ def quotient_hopf(ctx: ClassContext, pi: Rep):
         raise ValueError("conjugacy class must be stable under inversion")
     lie = lie_cpi(ctx, pi)
     ua = envelope(lie)
+    if not braided_antipode_preserves_relations(lie, ua.relations):
+        raise ValueError("braided antipode does not preserve the enveloping algebra's relations")
     fa = frt([(ctx, pi)])
     H = QuadAlg(fa.generators, fa.relations, _antipode_relations(ctx, pi, lie._pos, _frt_antipode))
     B = QuadAlg(
@@ -866,10 +869,10 @@ def quotient_hopf(ctx: ClassContext, pi: Rep):
     return H, B
 
 
-def braided_antipode_preserves_relations(lie: BlockBraidedLie) -> bool:
+def braided_antipode_preserves_relations(lie: BlockBraidedLie, relations) -> bool:
     """S extended braided-antimultiplicatively, S(xy) = S(Psi1(x,y)) S(Psi2(x,y)),
-    maps the degree-2 relation space of the enveloping presentation into
-    itself."""
+    maps relations, the degree-2 relation rows of ``envelope(lie)``, into
+    their span."""
     if len(lie.blocks) != 1:
         raise ValueError("implemented per block")
     ctx, pi = lie.blocks[0]
@@ -877,7 +880,6 @@ def braided_antipode_preserves_relations(lie: BlockBraidedLie) -> bool:
         {lie._pos[(0, *t)]: c for t, c in braided_antipode_on_generator(ctx, pi, *label[1:]).items()}
         for label in lie.basis
     ]
-    relations = envelope(lie).relations
     span = SparseSpan()
     for row in relations:
         span.add(row)

@@ -90,24 +90,18 @@ def build_context(group: FiniteGroup, scenario: dict):
     return class_context(group, rep, q_override=q)
 
 
-# the key each irrep kind requires, None for none
-_IRREP_KEYS = {
-    "centralizer_character": "j", "cyclic": "j", "seminormal": "partition", "user": "matrices",
-    "trivial": None, "sign": None, "s3_two_dim": None, "dihedral2": None,
-}
-
-
 def build_pi(ctx, scenario: dict):
     """The scenario's centralizer irrep, its spec checked in full first."""
-    from .reps import catalog, centralizer_character
+    from .reps import KINDS, catalog, centralizer_character
 
     spec = scenario.get("irrep")
     if spec is None:
         raise ConfigError("scenario needs an irrep spec")
+    required = {"centralizer_character": "j", **{kind: key for kind, (key, _) in KINDS.items()}}
     kind = spec.get("kind") if isinstance(spec, dict) else None
-    if kind not in _IRREP_KEYS:
-        raise ConfigError(f"irrep.kind: expected one of {sorted(_IRREP_KEYS)}, got {kind!r}")
-    key = _IRREP_KEYS[kind]
+    if kind not in required:
+        raise ConfigError(f"irrep.kind: expected one of {sorted(required)}, got {kind!r}")
+    key = required[kind]
     if key and key not in spec:
         raise ConfigError(f"irrep.{key}: required for kind {kind!r}")
     value = spec.get(key)
@@ -380,10 +374,18 @@ def cmd_geometry(scenario, args):
             raise ConfigError(
                 f"flags: unknown flag {flag!r}, expected one of {[*LINEAR_FLAGS, *residuals]}"
             )
+    ricci = scenario.get("ricci", False)
+    if not isinstance(ricci, bool):
+        raise ConfigError(f"ricci: expected true or false, got {ricci!r}")
     group, ctx, pi = _block(scenario)
     calc = fodc_group_algebra(induced_rep(ctx, pi))
     basis = lambda_basis(calc, preferred=_preferred_basis(group, scenario))
     lengths_spec = scenario.get("lengths", {})
+    if not isinstance(lengths_spec, dict):
+        raise ConfigError(
+            f"lengths: expected an object from element labels to lengths, got {lengths_spec!r}"
+        )
+    _labels(group, list(lengths_spec), "lengths")
     variables = tuple(sorted({v for v in lengths_spec.values() if isinstance(v, str)}))
     lengths = {}
     for key, value in lengths_spec.items():
@@ -402,6 +404,7 @@ def cmd_geometry(scenario, args):
         ):
             raise ConfigError(f"stratum: expected [target, num, den, source], got {stratum!r}")
         target, num, den, source = stratum
+        _labels(group, [target], "stratum")
         if source not in variables:
             raise ConfigError(
                 f"stratum: source {source!r} is not a length variable, "
@@ -425,7 +428,7 @@ def cmd_geometry(scenario, args):
                 "residual_count": len(res),
                 "satisfied_identically": not res,
             }
-    if scenario.get("ricci"):
+    if ricci:
         scal = ricci_scalar(family, ip)
         report["ricci_scalar"] = scalar_json(scal)
     return report

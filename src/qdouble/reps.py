@@ -307,27 +307,25 @@ def product_rep(group: FiniteGroup, rep_a: Rep, sub_a: list[int], rep_b: Rep, su
     return Rep(group, mats, name=f"product({rep_a.name},{rep_b.name})")
 
 
-def user_rep(group: FiniteGroup, matrices, name="user") -> Rep:
-    return Rep(group, matrices, name=name)
+# the irrep kinds a scenario may name, beside the class-dependent
+# centralizer_character: the parameter each requires (None for none) and its builder
+KINDS = {
+    "trivial": (None, trivial_rep),
+    "sign": (None, sign_rep),
+    "cyclic": ("j", cyclic_rep),
+    "s3_two_dim": (None, lambda group: seminormal_rep(group, (2, 1))),
+    "seminormal": ("partition", lambda group, partition: seminormal_rep(group, tuple(partition))),
+    "dihedral2": (None, dihedral_two_dim),
+    "user": ("matrices", lambda group, matrices: Rep(group, matrices, name="user")),
+}
 
 
 def catalog(group: FiniteGroup, kind: str, **params) -> Rep:
     """Named constructor dispatch used by configuration files."""
-    if kind == "trivial":
-        return trivial_rep(group)
-    if kind == "sign":
-        return sign_rep(group)
-    if kind == "cyclic":
-        return cyclic_rep(group, params["j"])
-    if kind == "s3_two_dim":
-        return seminormal_rep(group, (2, 1))
-    if kind == "seminormal":
-        return seminormal_rep(group, tuple(params["partition"]))
-    if kind == "dihedral2":
-        return dihedral_two_dim(group)
-    if kind == "user":
-        return user_rep(group, params["matrices"])
-    raise ValueError(f"unknown representation kind {kind!r}")
+    if kind not in KINDS:
+        raise ValueError(f"unknown representation kind {kind!r}")
+    key, build = KINDS[kind]
+    return build(group, params[key]) if key else build(group)
 
 
 def irrep_family(group: FiniteGroup):

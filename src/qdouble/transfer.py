@@ -18,8 +18,8 @@ from fractions import Fraction
 
 from .cyclotomic import ONE, ZERO, Cyc, cyc
 from .groups import ClassContext, FiniteGroup
-from .reps import Rep, group_projector, induced_matrices
-from .double import CrossedModule, DoubleElement
+from .reps import Rep, group_projector
+from .double import CrossedModule, DoubleElement, build_VCpi
 from . import linalg
 from .linalg import _addto
 
@@ -309,96 +309,56 @@ def factorization_check(ctx: ClassContext, pi: Rep, module: CrossedModule, embed
 # -- coactions as explicit tensors -------------------------------------------------
 
 
-def coact_E(ctx: ClassContext, pi: Rep):
-    """Left coaction on E in class coordinates; basis keys (c, i).  The
-    coefficient of (f^-1 c f, k) is an entry of the V_{C,pi} action of f^-1,
-    pi(zeta_c(f^-1))^k_i."""
-    group = ctx.group
-    induced = induced_matrices(ctx, pi)
-    pos = {c: k * pi.dim for k, c in enumerate(ctx.cls)}
-
-    def coaction(key):
-        c, i = key
-        terms = []
-        for f in range(group.n):
-            cprime = group.conj(group.inv[f], c)
-            rows = induced[group.inv[f]]
-            for k in range(pi.dim):
-                coeff = rows[pos[cprime] + k][pos[c] + i]
-                if coeff:
-                    terms.append(((f, group.conj(group.inv[f], group.inv[c])), (cprime, k), coeff))
-        return terms
-
-    return coaction
+def _coaction(group: FiniteGroup, mid, move):
+    """The left coaction key -> sum_f delta_f (x) mid(key, f) (x) move(key, f), where
+    move lists the (key', coeff) of the fibre moved by one column of a G-action."""
+    return lambda key: [
+        ((f, mid(key, f)), out, coeff) for f in range(group.n) for out, coeff in move(key, f)
+    ]
 
 
 def coact_VCpi(module: CrossedModule):
     """Left coaction of a crossed module: sum_g delta_g (x) g^-1|w|^-1 g (x) g^-1 |> w."""
     group = module.group
+    return _coaction(
+        group,
+        lambda w, f: group.conj(group.inv[f], group.inv[module.grading[w]]),
+        lambda w, f: module.column(group.inv[f], w),
+    )
 
-    def coaction(widx: int):
-        terms = []
-        for g in range(group.n):
-            mid = group.conj(group.inv[g], group.inv[module.grading[widx]])
-            for out_w, val in module.column(group.inv[g], widx):
-                terms.append(((g, mid), out_w, val))
-        return terms
 
-    return coaction
+def coact_E(ctx: ClassContext, pi: Rep):
+    """Left coaction on E, basis keys (c, i): the V_{C,pi} coaction read through
+    (c, i) <-> c (x) v_i; the coefficient of (f^-1 c f, k) is pi(zeta_c(f^-1))^k_i."""
+    keys = [(c, i) for c in ctx.cls for i in range(pi.dim)]
+    index = {key: w for w, key in enumerate(keys)}
+    on_module = coact_VCpi(build_VCpi(ctx, pi))
+    return lambda key: [(pair, keys[w], coeff) for pair, w, coeff in on_module(index[key])]
 
 
 def coact_Eprime(module: CrossedModule):
     """Left coaction on E' = kG (x) W; flat basis index g*dim + w."""
-    group = module.group
+    group, dim = module.group, module.dim
 
-    def coaction(idx: int):
-        g, widx = divmod(idx, module.dim)
-        terms = []
-        for f in range(group.n):
-            mid = group.conj(group.inv[f], g)
-            for out_w, val in module.column(group.inv[f], widx):
-                terms.append(((f, mid), mid * module.dim + out_w, val))
-        return terms
+    def mid(i, f):
+        return group.conj(group.inv[f], i // dim)
 
-    return coaction
-
-
-def coact_EW(ctx: ClassContext, module: CrossedModule):
-    """Left coaction on E^W in class coordinates; basis keys (c, w)."""
-    group = ctx.group
-
-    def coaction(key):
-        c, widx = key
-        terms = []
-        for f in range(group.n):
-            mid = group.conj(
-                group.inv[f],
-                group.word(ctx.q[c], group.inv[module.grading[widx]], group.inv[ctx.q[c]]),
-            )
-            cprime = group.conj(group.inv[f], c)
-            z = ctx.zeta[c][group.inv[f]]
-            for out_w, val in module.column(z, widx):
-                terms.append(((f, mid), (cprime, out_w), val))
-        return terms
-
-    return coaction
+    return _coaction(group, mid, lambda i, f: [
+        (mid(i, f) * dim + w, v) for w, v in module.column(group.inv[f], i % dim)
+    ])
 
 
 def coact_Estar(module: CrossedModule):
     """Left coaction on Estar = C(G) (x) W; flat basis index g*dim + w."""
-    group = module.group
+    group, dim = module.group, module.dim
 
-    def coaction(idx: int):
-        g, widx = divmod(idx, module.dim)
-        terms = []
-        for f in range(group.n):
-            mid = group.conj(
-                group.inv[f], group.word(g, group.inv[module.grading[widx]], group.inv[g])
-            )
-            terms.append(((f, mid), group.table[group.inv[f]][g] * module.dim + widx, ONE))
-        return terms
+    def mid(i, f):
+        g, w = divmod(i, dim)
+        return group.conj(group.inv[f], group.word(g, group.inv[module.grading[w]], group.inv[g]))
 
-    return coaction
+    return _coaction(group, mid, lambda i, f: [
+        (group.table[group.inv[f]][i // dim] * dim + i % dim, ONE)
+    ])
 
 
 def coaction_equivariance(map_cols, coact_in, coact_out) -> bool:

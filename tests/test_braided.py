@@ -768,7 +768,7 @@ def test_quotient_case_ii_pi0(data):
 def test_braided_antipode_preserves_relations(data):
     for pi in (data.pipm[0], data.pipm[1]):
         lie = lie_cpi(data.ctx3, pi)
-        assert braided_antipode_preserves_relations(lie)
+        assert braided_antipode_preserves_relations(lie, envelope(lie).relations)
 
 
 def test_braided_antipode_printed_form(data):
@@ -800,11 +800,13 @@ def _exact(relations):
     ]
 
 
-@pytest.mark.parametrize("group, accepted", [("S3", 4), ("S4", 13)])
+@pytest.mark.parametrize("group, accepted", [("S3", 4), ("S4", 12)])
 def test_antipode_relations_match_the_two_loop_reference(group, accepted):
     """On every S3 and S4 block that ``quotient_hopf`` accepts, H's and B's
     relations equal the two-loop reference in order, keys, constants and
-    order tags, and the antipode-preservation verdict equals the reference's."""
+    order tags, and the antipode-preservation verdict equals the reference's.
+    S4 has 13 blocks with a real orthogonal pi and an inversion-stable class;
+    the 4-cycle block with j = 2 fails the preservation check and is refused."""
     seen = 0
     for ctx, pi in _nontrivial_blocks(group):
         try:
@@ -816,8 +818,23 @@ def test_antipode_relations_match_the_two_loop_reference(group, accepted):
         frt_rows, env_rows = braided_ref.quotient_relations(ctx, pi, lie._pos)
         assert _exact(H.inhomogeneous) == _exact(frt_rows)
         assert _exact(B.inhomogeneous) == _exact(env_rows)
-        assert braided_antipode_preserves_relations(lie) == braided_ref.preserves_relations(lie)
+        relations = envelope(lie).relations
+        assert braided_antipode_preserves_relations(lie, relations) == braided_ref.preserves_relations(lie)
     assert seen == accepted
+
+
+def test_quotient_refuses_an_antipode_that_breaks_the_relations():
+    """On the S4 4-cycle class with the real character j = 2 the braided
+    antipode does not map the enveloping relations into themselves."""
+    from qdouble.groups import FiniteGroup, class_context
+
+    ctx = class_context(FiniteGroup.symmetric(4), "s1s2s3")
+    pi = centralizer_character(ctx, 2)
+    lie = lie_cpi(ctx, pi)
+    assert pi.is_real_orthogonal()
+    assert not braided_ref.preserves_relations(lie)
+    with pytest.raises(ValueError, match="braided antipode does not preserve"):
+        quotient_hopf(ctx, pi)
 
 
 def test_frt_antipode_without_inverses_fails_the_reference():

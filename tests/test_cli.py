@@ -86,6 +86,18 @@ def test_quotient_dims():
     assert report["braided_dims"][2] == 24
 
 
+def test_quotient_refuses_a_block_whose_antipode_breaks_the_relations(tmp_path):
+    s4 = Path(__file__).resolve().parent.parent / "perfbench" / "scenarios" / "s4_four_cycle.json"
+    scenario = {**json.loads(s4.read_text()), "irrep": {"kind": "centralizer_character", "j": 2}}
+    path = tmp_path / "s4_four_cycle_j2.json"
+    path.write_text(json.dumps(scenario))
+    out = run_cli("quotient", "--scenario", str(path))
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr == (
+        "configuration error: braided antipode does not preserve the enveloping algebra's relations\n"
+    )
+
+
 def test_braided_report():
     out = run_cli("braided", "--scenario", str(SCENARIOS / "s3_case_iii_plus.json"))
     report = json.loads(out.stdout)
@@ -141,6 +153,8 @@ CHARACTER = {"kind": "centralizer_character"}
 _READER = {
     "stratum": "geometry",
     "flags": "geometry",
+    "lengths": "geometry",
+    "ricci": "geometry",
     "subset": "dual",
     "basis": "calculus",
     "print_matrices": "calculus",
@@ -188,6 +202,11 @@ _READER = {
         ),
         ({"q_override": {"uv": "e", "vu": "zz"}}, "q_override: unknown element label 'zz'"),
         ({"q_override": {"uv": "e", "vu": "u", "u": "e"}}, "q_override: 'u' is not in the class"),
+        ({"lengths": ["l1"]}, "lengths: expected an object from element labels to lengths, got ['l1']"),
+        ({"lengths": {"zz": 1, "uv": "l2"}}, "lengths: unknown element label 'zz'"),
+        ({"stratum": ["zz", 2, 3, "l2"]}, "stratum: unknown element label 'zz'"),
+        ({"ricci": "no"}, "ricci: expected true or false, got 'no'"),
+        ({"ricci": 1}, "ricci: expected true or false, got 1"),
     ],
     ids=[
         "float-j", "bool-j", "string-j", "float-degree", "float-generators-degree",
@@ -197,6 +216,7 @@ _READER = {
         "unknown-subset-label", "string-basis", "unknown-basis-label", "string-print-matrices",
         "unknown-print-matrices-label", "unknown-class-rep", "unknown-q-override-key",
         "string-q-override", "unknown-q-override-value", "q-override-key-outside-class",
+        "list-lengths", "unknown-lengths-label", "unknown-stratum-target", "string-ricci", "int-ricci",
     ],
 )
 def test_malformed_scenario_is_a_configuration_error(tmp_path, change, message):

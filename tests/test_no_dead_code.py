@@ -1,14 +1,15 @@
 """Every function and method defined in the package has a caller.
 
-A def counts as used when its name occurs as a whole word somewhere in the
-package or the tests, other than at the definitions of that name.  A method
-is reached through an attribute, so a def in a class body also needs a
-``.name`` reference outside the definitions of that name: a bare word such
-as a JSON key or a local function of the same name does not count.
+A def counts as used when its name occurs as a ``Name`` or an ``Attribute``
+in the syntax tree of the package or the tests, outside the def's own body.
+An import line, a string or a comment is not such a reference, so a def that
+only a test imports and never calls is dead.  A method is reached through an
+attribute, so a def in a class body also needs a ``.name`` reference outside
+the definitions of that name: a bare word such as a local function of the
+same name does not count.
 """
 
 import ast
-import re
 from collections import Counter
 from pathlib import Path
 
@@ -16,36 +17,43 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "qdouble"
 
 
-def _sources():
-    return [p.read_text() for d in (ROOT / "src", ROOT / "tests") for p in sorted(d.rglob("*.py"))]
+def _trees():
+    return {
+        p: ast.parse(p.read_text())
+        for d in (ROOT / "src", ROOT / "tests")
+        for p in sorted(d.rglob("*.py"))
+    }
 
 
 def test_every_def_is_referenced():
-    defs = {}
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                name = node.name
-                if not (name.startswith("__") and name.endswith("__")):
-                    defs.setdefault(name, []).append(f"{path.name}:{node.lineno}")
-    text = "\n".join(_sources())
-    words = Counter(re.findall(r"\w+", text))
-    defined = Counter(re.findall(r"^\s*(?:async\s+)?def\s+(\w+)", text, re.M))
+    trees = _trees()
+    defs = [
+        (path, node)
+        for path, tree in trees.items()
+        if path.is_relative_to(PACKAGE)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    ]
+    where = {}  # name -> (path, line) of each Name or Attribute node
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                where.setdefault(name, []).append((path, node.lineno))
     dead = [
-        f"{where} {name}"
-        for name, places in sorted(defs.items())
-        if words[name] <= defined[name]
-        for where in places
+        f"{path.name}:{node.lineno} {node.name}"
+        for path, node in defs
+        if all(
+            p == path and node.lineno <= line <= node.end_lineno
+            for p, line in where.get(node.name, ())
+        )
     ]
     assert not dead, "defs with no reference:\n" + "\n".join(dead)
 
 
 def test_every_method_is_referenced_as_an_attribute():
-    trees = {
-        p: ast.parse(p.read_text())
-        for d in (ROOT / "src", ROOT / "tests")
-        for p in sorted(d.rglob("*.py"))
-    }
+    trees = _trees()
     spans, refs = {}, []
     for path, tree in trees.items():
         for node in ast.walk(tree):

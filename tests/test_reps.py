@@ -11,6 +11,7 @@ from qdouble.cyclotomic import cyc, root_of_unity
 from qdouble.double import centralizer_irreps
 from qdouble.groups import ClassContext, FiniteGroup, class_context
 from qdouble.reps import (
+    Rep,
     _axial_distance,
     _order8_nonabelian_irreps,
     _partitions,
@@ -20,7 +21,6 @@ from qdouble.reps import (
     cyclic_rep,
     seminormal_rep,
     product_rep,
-    user_rep,
     irrep_catalog,
     abelian_characters,
     character_inner_product,
@@ -74,13 +74,13 @@ def test_user_rep_validation(s3):
     bad = [[[cyc(1)]] for _ in range(s3.n)]
     bad[s3.element("u")] = [[cyc(2)]]
     with pytest.raises(ValueError):
-        user_rep(s3, bad)
+        Rep(s3, bad)
 
 
 def test_non_homomorphism_rejected():
     z2 = FiniteGroup.cyclic(2)
     with pytest.raises(ValueError):
-        user_rep(z2, [[[cyc(1)]], [[cyc(2)]]])
+        Rep(z2, [[[cyc(1)]], [[cyc(2)]]])
 
 
 def test_group_projector_z3():

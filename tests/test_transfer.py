@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+import transfer_reference as transfer_ref
+import qdouble.transfer as transfer
 from qdouble.cyclotomic import cyc, root_of_unity
 from qdouble.groups import FiniteGroup, class_context
 from qdouble.reps import centralizer_character
@@ -25,11 +27,11 @@ from qdouble.transfer import (
     coact_E,
     coact_Eprime,
     coact_Estar,
-    coact_EW,
     coact_VCpi,
     coaction_equivariance,
     averaging_to_functions,
     theta_H,
+    _coaction,
 )
 import qdouble.linalg as la
 
@@ -133,13 +135,83 @@ def test_transfer_image_in_inverse_class_span(s3):
                     assert idx // module.dim in inverse_class
 
 
-def test_equivariance_all_blocks(s3):
-    for ctx, pi in double_irreps(s3):
+def _equivariant_on_all_blocks(group, eprime=coact_Eprime, estar=coact_Estar):
+    """Both transfers intertwine the coaction on E with eprime and estar on
+    every block of group."""
+    for ctx, pi in double_irreps(group):
         module = build_VCpi(ctx, pi)
         cols = transfer_to_group_algebra(ctx, pi, module)
-        assert coaction_equivariance(cols, coact_E(ctx, pi), coact_Eprime(module))
+        if not coaction_equivariance(cols, coact_E(ctx, pi), eprime(module)):
+            return False
         star_cols = transfer_to_functions(ctx, pi, module)
-        assert coaction_equivariance(star_cols, coact_E(ctx, pi), coact_Estar(module))
+        if not coaction_equivariance(star_cols, coact_E(ctx, pi), estar(module)):
+            return False
+    return True
+
+
+def test_equivariance_all_blocks(s3):
+    assert _equivariant_on_all_blocks(s3)
+
+
+def _coactions(ctx, pi, module, home):
+    """The coactions on E, V_{C,pi}, E' and Estar that home builds, each with
+    its basis keys."""
+    flat = range(ctx.group.n * module.dim)
+    return [
+        (home.coact_E(ctx, pi), [(c, i) for c in ctx.cls for i in range(pi.dim)]),
+        (home.coact_VCpi(module), range(module.dim)),
+        (home.coact_Eprime(module), flat),
+        (home.coact_Estar(module), flat),
+    ]
+
+
+def _exact(terms):
+    """Coaction terms with every scalar spelled out, order tag included."""
+    return [(pair, key, c.order, c.coeffs) for pair, key, c in terms]
+
+
+_GROUPS = {
+    "S3": lambda: FiniteGroup.symmetric(3),
+    "S4": lambda: FiniteGroup.symmetric(4),
+    "C4": lambda: FiniteGroup.cyclic(4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GROUPS))
+def test_coactions_match_the_reference(name):
+    """The coactions ``_coaction`` builds equal the five-loop reference term by
+    term, in order, with keys, values and order tags, on every block."""
+    for ctx, pi in double_irreps(_GROUPS[name]()):
+        module = build_VCpi(ctx, pi)
+        built = _coactions(ctx, pi, module, transfer)
+        reference = _coactions(ctx, pi, module, transfer_ref)
+        for (new, keys), (old, _) in zip(built, reference):
+            for key in keys:
+                assert _exact(new(key)) == _exact(old(key)), (name, ctx.rep, pi.name, key)
+
+
+def _eprime_moved_by_f(module):
+    """coact_Eprime with the fibre moved by f where the formula has f^-1."""
+    group, dim = module.group, module.dim
+
+    def mid(i, f):
+        return group.conj(group.inv[f], i // dim)
+
+    return _coaction(group, mid, lambda i, f: [
+        (mid(i, f) * dim + w, v) for w, v in module.column(f, i % dim)
+    ])
+
+
+def test_coaction_moved_by_f_fails_both_checks(s3):
+    """Moving the fibre by f for f^-1 breaks the term-by-term comparison with
+    the reference and the equivariance of the transfer to E'."""
+    differs = False
+    for ctx, pi in double_irreps(s3):
+        module = build_VCpi(ctx, pi)
+        new, old = _eprime_moved_by_f(module), transfer_ref.coact_Eprime(module)
+        differs |= any(_exact(new(i)) != _exact(old(i)) for i in range(s3.n * module.dim))
+    assert differs
+    assert not _equivariant_on_all_blocks(s3, eprime=_eprime_moved_by_f)
 
 
 def test_equivariance_negative_control(s3, ctx2):
