@@ -135,16 +135,16 @@ def test_transfer_image_in_inverse_class_span(s3):
                     assert idx // module.dim in inverse_class
 
 
-def _equivariant_on_all_blocks(group, eprime=coact_Eprime, estar=coact_Estar):
-    """Both transfers intertwine the coaction on E with eprime and estar on
-    every block of group."""
+def _equivariant_on_all_blocks(group, eprime=coact_Eprime):
+    """Both transfers intertwine the coaction on E with eprime and with the
+    coaction on Estar, on every block of group."""
     for ctx, pi in double_irreps(group):
         module = build_VCpi(ctx, pi)
         cols = transfer_to_group_algebra(ctx, pi, module)
         if not coaction_equivariance(cols, coact_E(ctx, pi), eprime(module)):
             return False
         star_cols = transfer_to_functions(ctx, pi, module)
-        if not coaction_equivariance(star_cols, coact_E(ctx, pi), estar(module)):
+        if not coaction_equivariance(star_cols, coact_E(ctx, pi), coact_Estar(module)):
             return False
     return True
 
@@ -179,8 +179,8 @@ _GROUPS = {
 
 @pytest.mark.parametrize("name", sorted(_GROUPS))
 def test_coactions_match_the_reference(name):
-    """The coactions ``_coaction`` builds equal the five-loop reference term by
-    term, in order, with keys, values and order tags, on every block."""
+    """The coactions ``_coaction`` builds equal the reference's own loops term
+    by term, in order, with keys, values and order tags, on every block."""
     for ctx, pi in double_irreps(_GROUPS[name]()):
         module = build_VCpi(ctx, pi)
         built = _coactions(ctx, pi, module, transfer)
