@@ -300,13 +300,8 @@ def cmd_transfer(scenario, args):
     image = {}
     for (c, i), col in sorted(cols.items()):
         entries = [
-            {
-                "position": group.labels[idx // module.dim],
-                "fiber": str(module.basis[idx % module.dim]),
-                "coeff": scalar_json(v),
-            }
-            for idx, v in enumerate(col)
-            if v
+            {"position": group.labels[g], "fiber": str(module.basis[w]), "coeff": scalar_json(v)}
+            for (g, w), v in sorted(col.items())
         ]
         image[f"({group.labels[c]},{i})"] = entries
     return {
@@ -410,6 +405,10 @@ def cmd_geometry(scenario, args):
                 f"stratum: source {source!r} is not a length variable, "
                 f"expected one of {list(variables)}"
             )
+        target_class = group.class_of(group.element(target))
+        for key in lengths:
+            if group.element(key) in target_class:
+                raise ConfigError(f"stratum: target {target!r} is in the class of the lengths key {key!r}")
         lengths[target] = Poly.variable(source, variables) * cyc(exact_number([num, den], "stratum"))
     ip = ip_from_lengths(basis, lengths, variables)
     family = connection_solve(basis, ip, [f for f in flags if f in LINEAR_FLAGS])

@@ -326,33 +326,20 @@ class CrossedModule:
                     if m[i][j] and self.grading[i] != target:
                         raise ValueError("action does not intertwine the grading")
 
-    def act(self, h: int, vec):
-        return linalg.mat_vec(self.action[h], vec)
-
     def column(self, h: int, j: int):
         """h |> w_j as its nonzero (i, A(h)[i][j])."""
         return [(i, row[j]) for i, row in enumerate(self.action[h]) if row[j]]
 
-    def act_delta(self, g: int, vec):
-        return [v if self.grading[i] == g else ZERO for i, v in enumerate(vec)]
-
-    def act_double(self, x: DoubleElement, vec):
-        """Action of sum coeff delta_g (x) h."""
-        out = [ZERO] * self.dim
-        for (g, h), coeff in x.terms.items():
-            moved = self.act(h, vec)
-            for i in range(self.dim):
-                if moved[i] and self.grading[i] == g:
-                    out[i] = out[i] + coeff * moved[i]
-        return out
-
     def double_matrix(self, x: DoubleElement):
-        """Matrix of x on the module: column j is x acting on basis vector j."""
-        cols = [
-            self.act_double(x, [ONE if i == j else ZERO for i in range(self.dim)])
-            for j in range(self.dim)
-        ]
-        return linalg.transpose(cols)
+        """Matrix of x = sum coeff delta_g (x) h on the module: column j is
+        x acting on basis vector j, the grade-g part of h |> w_j."""
+        m = [[ZERO] * self.dim for _ in range(self.dim)]
+        for (g, h), coeff in x.terms.items():
+            for j in range(self.dim):
+                for i, a in self.column(h, j):
+                    if self.grading[i] == g:
+                        m[i][j] = m[i][j] + coeff * a
+        return m
 
     def braiding_with(self, other: "CrossedModule"):
         """Psi(v_i (x) w_j) = |v_i| |> w_j (x) v_i as a sparse map."""

@@ -226,7 +226,8 @@ def freefield_solutions(
     module: CrossedModule,
     eigenvalues: dict,
 ):
-    """Joint kernel of the wave constraint and the covariant projector.
+    """Joint kernel of the wave constraint and the covariant projector, as
+    a basis of sections {(g, w): Cyc} of E'.
 
     eigenvalues: regular real spectrum per class (zero on the identity,
     equal on inverse classes, otherwise distinct).  Solutions live in the

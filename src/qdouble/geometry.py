@@ -15,6 +15,7 @@ polynomial identities.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 from .cyclotomic import ONE, ZERO, Cyc, cyc
 from .linalg import _addto
@@ -42,10 +43,18 @@ class InnerProduct:
         self.vars = tuple(variables)
         # one length per class, constant on inversion-pairs, zero at the identity
         self.lengths: dict[int, Poly] = {0: Poly.constant(0, self.vars)}
-        assigned = {}
+        assigned, named = {}, {}
         for key, value in lengths.items():
             rep = group.element(key) if isinstance(key, str) else key
-            assigned[group.class_of(rep)[0]] = _pc(value, self.vars)
+            c0 = group.class_of(rep)[0]
+            if c0 == 0:
+                raise ValueError(f"lengths: {group.labels[rep]!r} is the identity, whose length is 0")
+            if c0 in named:
+                raise ValueError(
+                    f"lengths: {named[c0]!r} and {group.labels[rep]!r} name one conjugacy class"
+                )
+            named[c0] = group.labels[rep]
+            assigned[c0] = _pc(value, self.vars)
         for cls_ in group.conjugacy_classes():
             c0 = cls_[0]
             if c0 == 0:
@@ -532,7 +541,7 @@ def riemann_compat_residuals(family: ConnectionFamily):
     their gamma(h)-conjugates for every group element h (Grassmann choice).
 
     The antisymmetrized tensor D^a_b[(l,p)] = QQ^a_b[(l,p)] - QQ^a_b[(p,l)]
-    is computed once.  For each h != e its conjugate
+    is R^a_{plb} of ``curvature``, computed once.  For each h != e its conjugate
     sum gamma(h^-1)^i_a gamma(h)^b_j gamma(h)^l_k gamma(h)^p_m D^a_b[(l,p)]
     is contracted one tensor leg at a time, dim^5 sparse scalar
     multiplications per leg where the full sum takes dim^8, and subtracted
@@ -540,21 +549,9 @@ def riemann_compat_residuals(family: ConnectionFamily):
     dim = family.dim
     basis = family.basis
     group = basis.group
-    G = family.gamma
     out = []
-
-    # QQ^a_b[(l,p)] = sum_n Gamma^a_{ln} Gamma^n_{pb}, computed once
-    QQ = {}
-    for a in range(dim):
-        for b in range(dim):
-            for l in range(dim):
-                for p in range(dim):
-                    total = None
-                    for n in range(dim):
-                        t = G[(a, l, n)] * G[(n, p, b)]
-                        total = t if total is None else total + t
-                    QQ[(a, b, l, p)] = total
-    D = {key: (QQ[key] - QQ[(key[0], key[1], key[3], key[2])]).terms for key in QQ}
+    R = curvature(family)
+    D = {(a, b, l, p): R[(a, p, l, b)].terms for a, b, l, p in R}
     for h in range(1, group.n):
         conj = _gamma_conjugate(D, basis, h)
         for i in range(dim):
@@ -584,21 +581,25 @@ def _dedupe(polys):
 # -- curvature -----------------------------------------------------------------------
 
 
-def curvature(family: ConnectionFamily):
-    """R^i_{jkl} = -Gamma^i_{jm} Gamma^m_{kl} + Gamma^i_{km} Gamma^m_{jl}."""
-    dim = family.dim
+def _quadratic(family: ConnectionFamily) -> dict:
+    """QQ^a_b[(l,p)] = sum_n Gamma^a_{ln} Gamma^n_{pb}, keyed (a, b, l, p)."""
+    dims = range(family.dim)
     G = family.gamma
-    R = {}
-    for i in range(dim):
-        for j in range(dim):
-            for k in range(dim):
-                for l in range(dim):
-                    total = None
-                    for m in range(dim):
-                        t = -(G[(i, j, m)] * G[(m, k, l)]) + G[(i, k, m)] * G[(m, j, l)]
-                        total = t if total is None else total + t
-                    R[(i, j, k, l)] = total
-    return R
+    QQ = {}
+    for a, b, l, p in product(dims, repeat=4):
+        total = None
+        for n in dims:
+            t = G[(a, l, n)] * G[(n, p, b)]
+            total = t if total is None else total + t
+        QQ[(a, b, l, p)] = total
+    return QQ
+
+
+def curvature(family: ConnectionFamily):
+    """R^i_{jkl} = -Gamma^i_{jm} Gamma^m_{kl} + Gamma^i_{km} Gamma^m_{jl},
+    that is QQ^i_l[(k,j)] - QQ^i_l[(j,k)] in the tensor of ``_quadratic``."""
+    QQ = _quadratic(family)
+    return {(i, j, k, l): QQ[(i, l, k, j)] - QQ[(i, l, j, k)] for i, j, k, l in QQ}
 
 
 def ricci(family: ConnectionFamily):

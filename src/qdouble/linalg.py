@@ -6,7 +6,8 @@ vectors are lists.
 
 ``SparseSpan.reduce`` is the one elimination.  ``rref`` is its dense view,
 under the order-tag rule its docstring states, and ``rank``, ``nullspace``,
-``solve``, ``inverse`` and ``same_row_space`` all go through ``rref``.
+``solve`` and ``inverse`` all go through ``rref``; ``same_row_space``
+compares sparse rows through ``SparseSpan`` directly.
 
 ``_addto`` and ``_accumulate`` are the one sparse accumulation rule: every
 {key: scalar} map is built through them and holds no zero, so two maps are
@@ -211,5 +212,10 @@ class SparseSpan:
 
 
 def same_row_space(rows_a, rows_b) -> bool:
-    ra = rank(rows_a)
-    return ra == rank(rows_b) and rank(rows_a + rows_b) == ra
+    """Whether two lists of {column_key: scalar} rows span one space."""
+    span_a, span_b = SparseSpan(), SparseSpan()
+    for row in rows_a:
+        span_a.add(row)
+    for row in rows_b:
+        span_b.add(row)
+    return span_a.rank == span_b.rank and all(span_a.contains(row) for row in rows_b)

@@ -7,9 +7,20 @@ coordinates throughout:
 * E'   on  the group algebra, carrier basis (g, w),
 * Estar on C(G), carrier basis (g, w),
 
-with w running over a crossed module W.  Coactions are stored as explicit
-tensors (basis -> DoubleElement (x) basis), which turns covariance claims
-into finite exact checks.
+with w running over a crossed module W.  Every section is one zero-free
+map, in one of three shapes:
+
+* {(g, w): Cyc}     a section of E' or Estar,
+* {w: Cyc}          a fibre vector; an embedding V_pi -> W lists pi.dim of them,
+* {(g, h, w): Cyc}  an element of the total space D~(G) (x) W.
+
+``CrossedModule.column`` is the one reader of the action of G on W.  Only
+``projector_fixed_space`` works over the flat index g * dim + w, to solve
+its nullspace densely, and it decodes the result into sections at once.
+``fourier``, ``mass_shell_ft`` and the integrals act on functions on G,
+dense lists over the group.  Coactions are stored as explicit tensors
+(basis -> DoubleElement (x) basis), which turns covariance claims into
+finite exact checks.
 """
 
 from __future__ import annotations
@@ -21,7 +32,7 @@ from .groups import ClassContext, FiniteGroup
 from .reps import Rep, group_projector
 from .double import CrossedModule, DoubleElement, build_VCpi
 from . import linalg
-from .linalg import _addto
+from .linalg import _accumulate
 
 
 # -- Fourier -------------------------------------------------------------------
@@ -89,99 +100,84 @@ def conjugated_projector(ctx: ClassContext, pi: Rep, g: int) -> DoubleElement:
 # -- embeddings -----------------------------------------------------------------
 
 
+def _move(module: CrossedModule, h: int, vec: dict) -> dict:
+    """h |> vec for a fibre vector {w: Cyc}, read column by column."""
+    return _accumulate((i, a * c) for w, c in vec.items() for i, a in module.column(h, w))
+
+
 def default_embedding(ctx: ClassContext, pi: Rep, module: CrossedModule):
     """Embedding V_pi -> W as v_i -> (r, i); valid when W = V_{C,pi}."""
-    cols = []
-    for i in range(pi.dim):
-        label = (ctx.group.labels[ctx.rep], i)
-        vec = [ONE if b == label else ZERO for b in module.basis]
-        cols.append(vec)
-    return cols
+    labels = [(ctx.group.labels[ctx.rep], i) for i in range(pi.dim)]
+    return [{w: ONE for w, b in enumerate(module.basis) if b == label} for label in labels]
 
 
 def check_embedding(ctx: ClassContext, pi: Rep, module: CrossedModule, embed) -> None:
-    """The columns must be grade-r vectors intertwining the centralizer action
-    (checked on the centralizer's generators, which suffices)."""
+    """The zero-free fibre vectors must be grade-r vectors intertwining the
+    centralizer action (checked on the centralizer's generators, which suffices)."""
     for col in embed:
-        for i, c in enumerate(col):
-            if c and module.grading[i] != ctx.rep:
-                raise ValueError("embedding does not land in the grade-r component")
+        if any(module.grading[w] != ctx.rep for w in col):
+            raise ValueError("embedding does not land in the grade-r component")
     for n_idx in ctx.centralizer.generators:
-        n = ctx.centralizer.embedding[n_idx]
+        n, m = ctx.centralizer.embedding[n_idx], pi.matrices[n_idx]
         for j in range(pi.dim):
-            lhs = module.act(n, embed[j])
-            rhs = [ZERO] * module.dim
-            for i in range(pi.dim):
-                coeff = pi.matrices[n_idx][i][j]
-                if coeff:
-                    rhs = [x + coeff * y for x, y in zip(rhs, embed[i])]
-            if any(x - y for x, y in zip(lhs, rhs)):
+            rhs = _accumulate(
+                (w, m[i][j] * y) for i in range(pi.dim) if m[i][j] for w, y in embed[i].items()
+            )
+            if _move(module, n, embed[j]) != rhs:
                 raise ValueError("embedding does not intertwine the centralizer action")
+
+
+def _embedding(ctx: ClassContext, pi: Rep, module: CrossedModule, embed):
+    """The checked embedding, the default one when embed is None."""
+    embed = default_embedding(ctx, pi, module) if embed is None else embed
+    check_embedding(ctx, pi, module, embed)
+    return embed
 
 
 # -- transfer maps ---------------------------------------------------------------
 
 
 def transfer_to_group_algebra(ctx: ClassContext, pi: Rep, module: CrossedModule, embed=None):
-    """Map E -> E' over the group algebra.
-
-    Sends the basis section (c, i) to (|C_G|/|G|) c^-1 (x) q_c |> embed(v_i);
-    output columns are vectors over the basis (g, w) of kG (x) W.
-    """
+    """Map E -> E' over the group algebra: the basis section (c, i) goes to
+    (|C_G|/|G|) c^-1 (x) q_c |> embed(v_i), a section {(g, w): Cyc}."""
     group = ctx.group
-    if embed is None:
-        embed = default_embedding(ctx, pi, module)
-    check_embedding(ctx, pi, module, embed)
+    embed = _embedding(ctx, pi, module, embed)
     scale = cyc(Fraction(ctx.centralizer.n, group.n))
-    cols = {}
-    for k, c in enumerate(ctx.cls):
-        moved = [
-            [x * scale for x in module.act(ctx.q[c], embed[i])] for i in range(pi.dim)
-        ]
-        for i in range(pi.dim):
-            col = [ZERO] * (group.n * module.dim)
-            for widx, val in enumerate(moved[i]):
-                if val:
-                    col[group.inv[c] * module.dim + widx] = val
-            cols[(c, i)] = col
-    return cols
+    return {
+        (c, i): {
+            (group.inv[c], w): x * scale for w, x in _move(module, ctx.q[c], embed[i]).items()
+        }
+        for c in ctx.cls
+        for i in range(pi.dim)
+    }
 
 
 def transfer_to_functions(ctx: ClassContext, pi: Rep, module: CrossedModule, embed=None):
     """Map E -> Estar over the function algebra: (c,i) -> sum_n delta_{q_c n} (x) n^-1 |> v."""
     group = ctx.group
-    if embed is None:
-        embed = default_embedding(ctx, pi, module)
-    check_embedding(ctx, pi, module, embed)
-    cols = {}
-    for c in ctx.cls:
-        for i in range(pi.dim):
-            col = [ZERO] * (group.n * module.dim)
-            for n_idx in range(ctx.centralizer.n):
-                n = ctx.centralizer.embedding[n_idx]
-                moved = module.act(group.inv[n], embed[i])
-                g = group.table[ctx.q[c]][n]
-                for widx, val in enumerate(moved):
-                    if val:
-                        col[g * module.dim + widx] = col[g * module.dim + widx] + val
-            cols[(c, i)] = col
-    return cols
+    embed = _embedding(ctx, pi, module, embed)
+    return {
+        (c, i): _accumulate(
+            ((group.table[ctx.q[c]][n], w), x)
+            for n in ctx.centralizer.embedding
+            for w, x in _move(module, group.inv[n], embed[i]).items()
+        )
+        for c in ctx.cls
+        for i in range(pi.dim)
+    }
 
 
-def functions_to_group_algebra(group: FiniteGroup, module: CrossedModule):
-    """Fourier-induced transfer C(G) (x) W -> kG (x) W.
+def functions_to_group_algebra(group: FiniteGroup, module: CrossedModule, section: dict) -> dict:
+    """Fourier-induced transfer C(G) (x) W -> kG (x) W of one section:
 
     delta_g (x) w  ->  (1/|G|) g|w|^-1 g^-1 (x) g |> w.
     """
     scale = cyc(Fraction(1, group.n))
-    dim = group.n * module.dim
-    mat = [[ZERO] * dim for _ in range(dim)]
-    for g in range(group.n):
-        for widx in range(module.dim):
-            target_g = group.conj(g, group.inv[module.grading[widx]])
-            for out_w, val in module.column(g, widx):
-                mat[target_g * module.dim + out_w][g * module.dim + widx] = val * scale
-    return mat
+    return _accumulate(
+        ((group.conj(g, group.inv[module.grading[w]]), i), a * scale * c)
+        for (g, w), c in section.items()
+        for i, a in module.column(g, w)
+    )
 
 
 def projector_cov(ctx: ClassContext, pi: Rep, module: CrossedModule):
@@ -199,7 +195,9 @@ def projector_star(ctx: ClassContext, pi: Rep, module: CrossedModule):
 
 
 def projector_fixed_space(blocks, group: FiniteGroup, module: CrossedModule, points=None):
-    """Basis of the joint fixed space of a pointwise projector family."""
+    """Basis of the joint fixed space of a pointwise projector family, as
+    sections {(g, w): Cyc}.  The nullspace is solved densely over the flat
+    index g * dim + w, which is decoded here and nowhere else."""
     points = list(blocks) if points is None else points
     dim = group.n * module.dim
     rows = []
@@ -217,93 +215,72 @@ def projector_fixed_space(blocks, group: FiniteGroup, module: CrossedModule, poi
                 row = [ZERO] * dim
                 row[g * module.dim + j] = ONE
                 rows.append(row)
-    return linalg.nullspace(rows, dim, ONE, ZERO)
+    return [
+        {divmod(idx, module.dim): x for idx, x in enumerate(vec) if x}
+        for vec in linalg.nullspace(rows, dim, ONE, ZERO)
+    ]
 
 
 # -- averaging on the total space -------------------------------------------------
 
 
-def averaging_to_group_algebra(group: FiniteGroup, module: CrossedModule, element):
-    """av on D~(G) (x) W: (delta_g h, w) -> (1/|G|) sum_k (delta_{g k^-1}, k h k^-1, k |> w).
-
-    element and result are dicts (g, h) -> W-vector.
-    """
+def averaging_to_group_algebra(group: FiniteGroup, module: CrossedModule, element: dict) -> dict:
+    """av on D~(G) (x) W: (delta_g h, w) -> (1/|G|) sum_k (delta_{g k^-1}, k h k^-1, k |> w),
+    on elements {(g, h, w): Cyc}."""
     scale = cyc(Fraction(1, group.n))
-    out: dict[tuple[int, int], list] = {}
-    for (g, h), wvec in element.items():
-        for k in range(group.n):
-            key = (group.table[g][group.inv[k]], group.conj(k, h))
-            moved = module.act(k, wvec)
-            acc = out.get(key)
-            if acc is None:
-                out[key] = [scale * x for x in moved]
-            else:
-                out[key] = [a + scale * x for a, x in zip(acc, moved)]
-    return {k: v for k, v in out.items() if any(v)}
+    return _accumulate(
+        ((group.table[g][group.inv[k]], group.conj(k, h), i), scale * (a * c))
+        for (g, h, w), c in element.items()
+        for k in range(group.n)
+        for i, a in module.column(k, w)
+    )
 
 
-def averaging_to_functions(group: FiniteGroup, module: CrossedModule, element):
-    """av onto the C(G)-invariants: keeps components with h = |w|^-1."""
-    out = {}
-    for (g, h), wvec in element.items():
-        kept = [
-            x if group.inv[module.grading[i]] == h else ZERO for i, x in enumerate(wvec)
-        ]
-        if any(kept):
-            out[(g, h)] = kept
-    return out
+def averaging_to_functions(group: FiniteGroup, module: CrossedModule, element: dict) -> dict:
+    """av onto the C(G)-invariants: keeps the components with h = |w|^-1."""
+    return {
+        (g, h, w): c
+        for (g, h, w), c in element.items()
+        if group.inv[module.grading[w]] == h
+    }
 
 
-def theta_H(ctx: ClassContext, module: CrossedModule, c: int, wvec):
-    """Trivialisation of E^W into the total space: dict (g,h) -> W-vector."""
+def theta_H(ctx: ClassContext, module: CrossedModule, c: int, wvec: dict) -> dict:
+    """Trivialisation of E^W into the total space, {(g, h, w): Cyc}."""
     group = ctx.group
-    out: dict[tuple[int, int], list] = {}
-    for n_idx in range(ctx.centralizer.n):
-        n = ctx.centralizer.embedding[n_idx]
-        moved = module.act(n, wvec)
-        for widx, val in enumerate(moved):
-            if val:
-                key = (group.table[ctx.q[c]][group.inv[n]], group.inv[module.grading[widx]])
-                cur = out.setdefault(key, [ZERO] * module.dim)
-                cur[widx] = cur[widx] + val
-    return out
+    return _accumulate(
+        ((group.table[ctx.q[c]][group.inv[n]], group.inv[module.grading[w]], w), x)
+        for n in ctx.centralizer.embedding
+        for w, x in _move(module, n, wvec).items()
+    )
 
 
-def theta_functions_inverse(group: FiniteGroup, module: CrossedModule, element):
+def theta_functions_inverse(element: dict) -> dict:
     """Inverse trivialisation of E' from the total space (reads the delta_e slot)."""
-    out = [ZERO] * (group.n * module.dim)
-    for (g, h), wvec in element.items():
-        if g == 0:
-            for widx, val in enumerate(wvec):
-                if val:
-                    out[h * module.dim + widx] = out[h * module.dim + widx] + val
-    return out
+    return {(h, w): x for (g, h, w), x in element.items() if g == 0}
 
 
 def transfer_via_total_space(ctx: ClassContext, pi: Rep, module: CrossedModule, embed=None):
     """E -> E' computed upstairs: theta, average, read off the trivialisation."""
     group = ctx.group
-    if embed is None:
-        embed = default_embedding(ctx, pi, module)
-    cols = {}
-    for c in ctx.cls:
-        for i in range(pi.dim):
-            upstairs = theta_H(ctx, module, c, embed[i])
-            averaged = averaging_to_group_algebra(group, module, upstairs)
-            cols[(c, i)] = theta_functions_inverse(group, module, averaged)
-    return cols
+    embed = default_embedding(ctx, pi, module) if embed is None else embed
+    return {
+        (c, i): theta_functions_inverse(
+            averaging_to_group_algebra(group, module, theta_H(ctx, module, c, embed[i]))
+        )
+        for c in ctx.cls
+        for i in range(pi.dim)
+    }
 
 
 def factorization_check(ctx: ClassContext, pi: Rep, module: CrossedModule, embed=None) -> bool:
     """Direct transfer to E' equals transfer to Estar followed by Fourier transfer."""
     direct = transfer_to_group_algebra(ctx, pi, module, embed)
     to_star = transfer_to_functions(ctx, pi, module, embed)
-    bridge = functions_to_group_algebra(ctx.group, module)
-    for key, col in to_star.items():
-        composed = linalg.mat_vec(bridge, col)
-        if any(x - y for x, y in zip(composed, direct[key])):
-            return False
-    return True
+    return all(
+        functions_to_group_algebra(ctx.group, module, col) == direct[key]
+        for key, col in to_star.items()
+    )
 
 
 # -- coactions as explicit tensors -------------------------------------------------
@@ -337,49 +314,46 @@ def coact_E(ctx: ClassContext, pi: Rep):
 
 
 def coact_Eprime(module: CrossedModule):
-    """Left coaction on E' = kG (x) W; flat basis index g*dim + w."""
-    group, dim = module.group, module.dim
+    """Left coaction on E' = kG (x) W, basis keys (g, w)."""
+    group = module.group
 
-    def mid(i, f):
-        return group.conj(group.inv[f], i // dim)
+    def mid(key, f):
+        return group.conj(group.inv[f], key[0])
 
-    return _coaction(group, mid, lambda i, f: [
-        (mid(i, f) * dim + w, v) for w, v in module.column(group.inv[f], i % dim)
+    return _coaction(group, mid, lambda key, f: [
+        ((mid(key, f), w), v) for w, v in module.column(group.inv[f], key[1])
     ])
 
 
 def coact_Estar(module: CrossedModule):
-    """Left coaction on Estar = C(G) (x) W; flat basis index g*dim + w."""
-    group, dim = module.group, module.dim
+    """Left coaction on Estar = C(G) (x) W, basis keys (g, w)."""
+    group = module.group
 
-    def mid(i, f):
-        g, w = divmod(i, dim)
+    def mid(key, f):
+        g, w = key
         return group.conj(group.inv[f], group.word(g, group.inv[module.grading[w]], group.inv[g]))
 
-    return _coaction(group, mid, lambda i, f: [
-        (group.table[group.inv[f]][i // dim] * dim + i % dim, ONE)
-    ])
+    return _coaction(group, mid, lambda key, f: [((group.table[group.inv[f]][key[0]], key[1]), ONE)])
 
 
 def coaction_equivariance(map_cols, coact_in, coact_out) -> bool:
     """(id (x) map) after Delta_in equals Delta_out after map, basis by basis.
 
-    map_cols: dict source-key -> output vector over a flat output basis;
+    map_cols: dict source-key -> zero-free section {output-key: coeff};
     coact_in yields (double-basis, source-key, coeff) triples, coact_out
-    yields (double-basis, flat-output-index, coeff) triples.
+    yields (double-basis, output-key, coeff) triples.
     """
     for key, col in map_cols.items():
-        lhs: dict = {}
-        for pair, mid_key, coeff in coact_in(key):
-            mid_col = map_cols[mid_key]
-            for out_idx, val in enumerate(mid_col):
-                if val:
-                    _addto(lhs, (pair, out_idx), coeff * val)
-        rhs: dict = {}
-        for out_idx, val in enumerate(col):
-            if val:
-                for pair, out_key, coeff in coact_out(out_idx):
-                    _addto(rhs, (pair, out_key), val * coeff)
+        lhs = _accumulate(
+            ((pair, out), coeff * val)
+            for pair, mid_key, coeff in coact_in(key)
+            for out, val in map_cols[mid_key].items()
+        )
+        rhs = _accumulate(
+            ((pair, out_key), val * coeff)
+            for out, val in col.items()
+            for pair, out_key, coeff in coact_out(out)
+        )
         if lhs != rhs:
             return False
     return True

@@ -4,12 +4,19 @@
 of its stdout, the sha256 of its stderr and its exit code.  The ops are the
 11 subcommands on the four bundled scenarios and on
 ``perfbench/scenarios/s4_four_cycle.json``, ``envelope --degree 4``,
-``transfer --float`` and ``verify-paper``.  Each runs in process through
-``cli.main``, with paths relative to the repository root.
+``transfer --float``, ``verify-paper``, and ``transfer``, ``calculus``,
+``braided`` and ``quotient`` on ``tests/scenarios/s4_double_transposition.json``,
+a block whose centralizer irrep has dimension 2.  Each runs in process
+through ``cli.main``, with paths relative to the repository root.
 
-Run from the repository root, to re-record after an intended byte change:
+Run from the repository root:
 
     PYTHONPATH=src python tests/record_report_corpus.py
+
+It records only the ops missing from ``report_corpus.json`` and drops the
+entries of ops no longer in ``OPS``; it never rewrites a recorded entry, so
+running it cannot silently re-pin an op whose bytes moved.  To re-record an
+intended byte change, delete that op's entry from the file first.
 """
 
 import contextlib
@@ -30,6 +37,7 @@ SCENARIOS = [
     "src/qdouble/scenarios/s3_dual_union.json",
     "perfbench/scenarios/s4_four_cycle.json",
 ]
+DIM2_SCENARIO = "tests/scenarios/s4_double_transposition.json"
 REPORTS = [c for c in sorted(cli.COMMANDS) if c != "verify-paper"]
 OPS = (
     [(c, "--scenario", s) for s in SCENARIOS for c in REPORTS]
@@ -38,6 +46,7 @@ OPS = (
         ("transfer", "--float"),
         ("verify-paper",),
     ]
+    + [(c, "--scenario", DIM2_SCENARIO) for c in ("transfer", "calculus", "braided", "quotient")]
 )
 
 
@@ -55,9 +64,17 @@ def run_op(argv) -> dict:
 
 def main():
     os.chdir(ROOT)
-    corpus = {" ".join(argv): run_op(argv) for argv in OPS}
+    recorded = json.loads(CORPUS.read_text()) if CORPUS.exists() else {}
+    corpus, added = {}, 0
+    for argv in OPS:
+        key = " ".join(argv)
+        if key not in recorded:
+            recorded[key] = run_op(argv)
+            added += 1
+        corpus[key] = recorded[key]
     CORPUS.write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n")
-    print(f"{len(corpus)} ops written to {CORPUS.relative_to(ROOT)}")
+    dropped = len(recorded) - len(corpus)
+    print(f"{added} ops recorded, {dropped} dropped, {len(corpus)} in {CORPUS.relative_to(ROOT)}")
 
 
 if __name__ == "__main__":

@@ -117,7 +117,7 @@ def test_criterion_03_literal_transfer_scalar():
     d = S3Data.get()
     module = build_VCpi(d.ctx2, d.pi[1])
     cols = transfer_to_group_algebra(d.ctx2, d.pi[1], module)
-    got = cols[(d.uv, 0)][d.vu * module.dim]
+    got = cols[(d.uv, 0)][(d.vu, 0)]
     assert got == cyc(Fraction(1, 3)), (
         f"computed scalar {got!r} = |C_G|/|G| = 1/2; printed 1/3 is "
         "inconsistent with the printed averaging table and the factorization"

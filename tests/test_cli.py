@@ -205,6 +205,15 @@ _READER = {
         ({"lengths": ["l1"]}, "lengths: expected an object from element labels to lengths, got ['l1']"),
         ({"lengths": {"zz": 1, "uv": "l2"}}, "lengths: unknown element label 'zz'"),
         ({"stratum": ["zz", 2, 3, "l2"]}, "stratum: unknown element label 'zz'"),
+        (
+            {"lengths": {"u": "l1", "uv": "l2", "w": 3}},
+            "lengths: 'u' and 'w' name one conjugacy class",
+        ),
+        ({"lengths": {"u": "l1", "uv": "l2", "e": 1}}, "lengths: 'e' is the identity"),
+        (
+            {"stratum": ["w", 2, 3, "l2"]},
+            "stratum: target 'w' is in the class of the lengths key 'u'",
+        ),
         ({"ricci": "no"}, "ricci: expected true or false, got 'no'"),
         ({"ricci": 1}, "ricci: expected true or false, got 1"),
     ],
@@ -216,7 +225,8 @@ _READER = {
         "unknown-subset-label", "string-basis", "unknown-basis-label", "string-print-matrices",
         "unknown-print-matrices-label", "unknown-class-rep", "unknown-q-override-key",
         "string-q-override", "unknown-q-override-value", "q-override-key-outside-class",
-        "list-lengths", "unknown-lengths-label", "unknown-stratum-target", "string-ricci", "int-ricci",
+        "list-lengths", "unknown-lengths-label", "unknown-stratum-target", "lengths-one-class",
+        "identity-length", "stratum-in-a-lengths-class", "string-ricci", "int-ricci",
     ],
 )
 def test_malformed_scenario_is_a_configuration_error(tmp_path, change, message):

@@ -111,15 +111,15 @@ def test_VCpi_action_case_ii(s3, ctx2):
         module = build_VCpi(ctx2, centralizer_character(ctx2, j))
         u, v = s3.element("u"), s3.element("v")
         uv, vu = s3.element("uv"), s3.element("vu")
-        vec_uv = [cyc(1), cyc(0)]
-        vec_vu = [cyc(0), cyc(1)]
-        assert module.act(u, vec_uv) == vec_vu
-        assert module.act(u, vec_vu) == vec_uv
-        assert module.act(v, vec_uv) == [cyc(0), q**j]
-        assert module.act(v, vec_vu) == [q ** (-j), cyc(0)]
+        # basis vector 0 is uv (x) v_0, basis vector 1 is vu (x) v_0
+        assert module.column(u, 0) == [(1, cyc(1))]
+        assert module.column(u, 1) == [(0, cyc(1))]
+        assert module.column(v, 0) == [(1, q**j)]
+        assert module.column(v, 1) == [(0, q ** (-j))]
         # delta action picks the grading
-        assert module.act_delta(uv, vec_uv) == vec_uv
-        assert module.act_delta(vu, vec_uv) == [cyc(0), cyc(0)]
+        one, zero = cyc(1), cyc(0)
+        assert module.double_matrix(DoubleElement.delta(s3, uv)) == [[one, zero], [zero, zero]]
+        assert module.double_matrix(DoubleElement.delta(s3, vu)) == [[zero, zero], [zero, one]]
 
 
 def test_dimension_sum(s3):
@@ -148,16 +148,12 @@ def test_projector_action_on_blocks(s3):
     for ctx, pi in pairs:
         p = block_idempotent(ctx, pi)
         module = build_VCpi(ctx, pi)
-        for j in range(module.dim):
-            vec = [cyc(1) if i == j else cyc(0) for i in range(module.dim)]
-            assert module.act_double(p, vec) == vec
+        assert module.double_matrix(p) == la.identity(module.dim, cyc(1), cyc(0))
         for ctx2_, pi2 in pairs:
             if ctx2_ is ctx and pi2 is pi:
                 continue
             other = build_VCpi(ctx2_, pi2)
-            for j in range(other.dim):
-                vec = [cyc(1) if i == j else cyc(0) for i in range(other.dim)]
-                assert all(not x for x in other.act_double(p, vec))
+            assert not any(x for row in other.double_matrix(p) for x in row)
 
 
 def test_decompose_self(s3, ctx2):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from qdouble.cyclotomic import cyc
@@ -30,6 +32,21 @@ def data():
 def test_lengths_must_cover_classes(data):
     with pytest.raises(ValueError):
         ip_from_lengths(data.basis_end2(), {"u": 1})
+
+
+@pytest.mark.parametrize(
+    "lengths, message",
+    [
+        ({"u": 1, "uv": 2, "w": 1}, "lengths: 'u' and 'w' name one conjugacy class"),
+        ({"e": 0, "u": 1, "uv": 2}, "lengths: 'e' is the identity"),
+    ],
+    ids=["one-class-twice", "identity"],
+)
+def test_lengths_name_each_nonidentity_class_once(data, lengths, message):
+    """A second key in one class is refused even with an equal value, and the
+    identity's length is fixed at 0, so neither can be given."""
+    with pytest.raises(ValueError, match=re.escape(message)):
+        InnerProduct(data.basis_end2(), lengths)
 
 
 def test_lengths_agree_on_inverse_classes(data):

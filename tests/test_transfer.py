@@ -1,3 +1,4 @@
+import copy
 from fractions import Fraction
 
 import pytest
@@ -16,8 +17,6 @@ from qdouble.transfer import (
     mass_shell_ft,
     transfer_to_group_algebra,
     transfer_to_functions,
-    transfer_via_total_space,
-    functions_to_group_algebra,
     factorization_check,
     projector_cov,
     projector_star,
@@ -111,17 +110,21 @@ def test_transfer_point_class(s3):
         cols = transfer_to_group_algebra(ctx1, pi, module)
         # C = {e}: normalisation |C_G|/|G| = 1 and q_e = e
         for (c, i), col in cols.items():
-            expected = [ZERO] * (s3.n * module.dim)
-            expected[0 * module.dim + i] = ONE
-            assert col == expected
+            assert col == {(0, i): ONE}
+
+
+def _rank(rows):
+    span = la.SparseSpan()
+    for row in rows:
+        span.add(row)
+    return span.rank
 
 
 def test_transfer_injective_all_blocks(s3):
     for ctx, pi in double_irreps(s3):
         module = build_VCpi(ctx, pi)
         cols = transfer_to_group_algebra(ctx, pi, module)
-        rows = [list(c) for c in cols.values()]
-        assert la.rank(rows) == len(ctx.cls) * pi.dim
+        assert _rank(cols.values()) == len(ctx.cls) * pi.dim
 
 
 def test_transfer_image_in_inverse_class_span(s3):
@@ -130,9 +133,7 @@ def test_transfer_image_in_inverse_class_span(s3):
         cols = transfer_to_group_algebra(ctx, pi, module)
         inverse_class = {s3.inv[c] for c in ctx.cls}
         for col in cols.values():
-            for idx, val in enumerate(col):
-                if val:
-                    assert idx // module.dim in inverse_class
+            assert {g for g, w in col} <= inverse_class
 
 
 def _equivariant_on_all_blocks(group, eprime=coact_Eprime):
@@ -153,15 +154,25 @@ def test_equivariance_all_blocks(s3):
     assert _equivariant_on_all_blocks(s3)
 
 
+def _flat_keyed(coaction, dim):
+    """A reference coaction on the flat index g * dim + w, read on (g, w) keys."""
+    return lambda key: [
+        (pair, divmod(out, dim), coeff) for pair, out, coeff in coaction(key[0] * dim + key[1])
+    ]
+
+
 def _coactions(ctx, pi, module, home):
     """The coactions on E, V_{C,pi}, E' and Estar that home builds, each with
-    its basis keys."""
-    flat = range(ctx.group.n * module.dim)
+    its basis keys; the reference's E' and Estar are read on (g, w) keys."""
+    sections = [(g, w) for g in range(ctx.group.n) for w in range(module.dim)]
+    eprime, estar = home.coact_Eprime(module), home.coact_Estar(module)
+    if home is transfer_ref:
+        eprime, estar = _flat_keyed(eprime, module.dim), _flat_keyed(estar, module.dim)
     return [
         (home.coact_E(ctx, pi), [(c, i) for c in ctx.cls for i in range(pi.dim)]),
         (home.coact_VCpi(module), range(module.dim)),
-        (home.coact_Eprime(module), flat),
-        (home.coact_Estar(module), flat),
+        (eprime, sections),
+        (estar, sections),
     ]
 
 
@@ -192,13 +203,13 @@ def test_coactions_match_the_reference(name):
 
 def _eprime_moved_by_f(module):
     """coact_Eprime with the fibre moved by f where the formula has f^-1."""
-    group, dim = module.group, module.dim
+    group = module.group
 
-    def mid(i, f):
-        return group.conj(group.inv[f], i // dim)
+    def mid(key, f):
+        return group.conj(group.inv[f], key[0])
 
-    return _coaction(group, mid, lambda i, f: [
-        (mid(i, f) * dim + w, v) for w, v in module.column(f, i % dim)
+    return _coaction(group, mid, lambda key, f: [
+        ((mid(key, f), w), v) for w, v in module.column(f, key[1])
     ])
 
 
@@ -208,8 +219,10 @@ def test_coaction_moved_by_f_fails_both_checks(s3):
     differs = False
     for ctx, pi in double_irreps(s3):
         module = build_VCpi(ctx, pi)
-        new, old = _eprime_moved_by_f(module), transfer_ref.coact_Eprime(module)
-        differs |= any(_exact(new(i)) != _exact(old(i)) for i in range(s3.n * module.dim))
+        new = _eprime_moved_by_f(module)
+        old = _flat_keyed(transfer_ref.coact_Eprime(module), module.dim)
+        keys = [(g, w) for g in range(s3.n) for w in range(module.dim)]
+        differs |= any(_exact(new(key)) != _exact(old(key)) for key in keys)
     assert differs
     assert not _equivariant_on_all_blocks(s3, eprime=_eprime_moved_by_f)
 
@@ -218,10 +231,10 @@ def test_equivariance_negative_control(s3, ctx2):
     pi = centralizer_character(ctx2, 1)
     module = build_VCpi(ctx2, pi)
     cols = transfer_to_group_algebra(ctx2, pi, module)
-    corrupted = {k: list(v) for k, v in cols.items()}
+    corrupted = {k: dict(v) for k, v in cols.items()}
     key = next(iter(corrupted))
-    idx = next(i for i, x in enumerate(corrupted[key]) if x)
-    corrupted[key][idx] = corrupted[key][idx] * cyc(2)
+    entry = next(iter(corrupted[key]))
+    corrupted[key][entry] = corrupted[key][entry] * cyc(2)
     assert not coaction_equivariance(corrupted, coact_E(ctx2, pi), coact_Eprime(module))
 
 
@@ -229,7 +242,7 @@ def test_identity_map_equivariance(s3, ctx2):
     pi = centralizer_character(ctx2, 1)
     module = build_VCpi(ctx2, pi)
     # identity on the irreducible crossed module, between its two coaction forms
-    cols = {w: [ONE if i == w else ZERO for i in range(module.dim)] for w in range(module.dim)}
+    cols = {w: {w: ONE} for w in range(module.dim)}
 
     def coact_in(key):
         return [(pair, out, coeff) for pair, out, coeff in coact_VCpi(module)(key)]
@@ -247,8 +260,7 @@ def test_geometric_carrier_matches_module(s3, ctx2):
         cols = {}
         for c in ctx2.cls:
             for i in range(pi.dim):
-                idx = pos[c] * pi.dim + i
-                cols[(c, i)] = [ONE if k == idx else ZERO for k in range(module.dim)]
+                cols[(c, i)] = {pos[c] * pi.dim + i: ONE}
 
         def downstream(idx):
             return coact_VCpi(module)(idx)
@@ -287,32 +299,26 @@ def test_star_projector_and_image(s3, ctx2):
         assert la.mat_eq(la.mat_mul(m, m), m)
     fixed = projector_fixed_space(blocks, s3, module)
     assert len(fixed) == s3.n * pi.dim
-    cols = transfer_to_functions(ctx2, pi, module)
-    image_rows = [list(c) for c in cols.values()]
+    image_rows = list(transfer_to_functions(ctx2, pi, module).values())
     # image sits inside the fixed space
-    fixed_rows = [list(f) for f in fixed]
     fixed_span = la.SparseSpan()
-    for f in fixed_rows:
-        fixed_span.add(dict(enumerate(f)))
+    for f in fixed:
+        fixed_span.add(f)
     for row in image_rows:
-        assert fixed_span.contains(dict(enumerate(row)))
+        assert fixed_span.contains(row)
     # the full E^W transfer (all fiber vectors, not only the embedded copy)
-    full_rows = []
-    for c in ctx2.cls:
-        for widx in range(module.dim):
-            col = [ZERO] * (s3.n * module.dim)
-            vec = [ONE if i == widx else ZERO for i in range(module.dim)]
-            for n_idx in range(ctx2.centralizer.n):
-                n = ctx2.centralizer.embedding[n_idx]
-                moved = module.act(s3.inv[n], vec)
-                g = s3.table[ctx2.q[c]][n]
-                for wi, val in enumerate(moved):
-                    if val:
-                        col[g * module.dim + wi] = col[g * module.dim + wi] + val
-            full_rows.append(col)
+    full_rows = [
+        {
+            (s3.table[ctx2.q[c]][n], wi): val
+            for n in ctx2.centralizer.embedding
+            for wi, val in module.column(s3.inv[n], widx)
+        }
+        for c in ctx2.cls
+        for widx in range(module.dim)
+    ]
     # dim(full) + dim(fixed) - dim(union) = dim(intersection) = dim(image)
-    inter = la.rank(full_rows) + la.rank(fixed_rows) - la.rank(full_rows + fixed_rows)
-    assert inter == la.rank(image_rows) == len(ctx2.cls) * pi.dim
+    inter = _rank(full_rows) + _rank(fixed) - _rank(full_rows + fixed)
+    assert inter == _rank(image_rows) == len(ctx2.cls) * pi.dim
 
 
 def test_star_transfer_printed_image(s3, ctx2):
@@ -323,9 +329,9 @@ def test_star_transfer_printed_image(s3, ctx2):
         cols = transfer_to_functions(ctx2, pi, module)
         col = cols[(s3.element("uv"), 0)]
         e, uv, vu = s3.element("e"), s3.element("uv"), s3.element("vu")
-        assert col[e * module.dim + 0] == ONE
-        assert col[vu * module.dim + 0] == q ** j
-        assert col[uv * module.dim + 0] == q ** (-j)
+        assert col[(e, 0)] == ONE
+        assert col[(vu, 0)] == q ** j
+        assert col[(uv, 0)] == q ** (-j)
 
 
 def test_trivial_pi_star_transfer_is_coset_embedding(s3):
@@ -335,7 +341,7 @@ def test_trivial_pi_star_transfer_is_coset_embedding(s3):
     cols = transfer_to_functions(ctx3, pi0, module)
     for (c, i), col in cols.items():
         # image is sum over the coset q_c C_G of deltas, with the fiber moved
-        support = {idx // module.dim for idx, x in enumerate(col) if x}
+        support = {g for g, w in col}
         coset = {s3.table[ctx3.q[c]][n] for n in ctx3.centralizer.embedding}
         assert support == coset
 
@@ -351,22 +357,19 @@ def test_averaging_lands_in_invariants(s3, ctx2):
     module = build_VCpi(ctx2, pi)
     from qdouble.transfer import averaging_to_group_algebra
 
-    elt = {(s3.element("u"), s3.element("uv")): [ONE, ZERO]}
+    elt = {(s3.element("u"), s3.element("uv"), 0): ONE}
     av = averaging_to_group_algebra(s3, module, elt)
-    again = averaging_to_group_algebra(s3, module, av)
-    assert {k: v for k, v in again.items()} == av
+    assert averaging_to_group_algebra(s3, module, av) == av
 
 
 def test_averaging_to_functions_keeps_graded_part(s3, ctx2):
     pi = centralizer_character(ctx2, 1)
     module = build_VCpi(ctx2, pi)
-    x = theta_H(ctx2, module, s3.element("uv"), [ONE, ZERO])
+    x = theta_H(ctx2, module, s3.element("uv"), {0: ONE})
     kept = averaging_to_functions(s3, module, x)
     assert kept  # the trivialized section satisfies the invariance equations
-    for (g, h), vec in kept.items():
-        for i, val in enumerate(vec):
-            if val:
-                assert s3.inv[module.grading[i]] == h
+    for g, h, w in kept:
+        assert s3.inv[module.grading[w]] == h
 
 
 def test_embedding_validation(s3, ctx2):
@@ -374,7 +377,7 @@ def test_embedding_validation(s3, ctx2):
     module = build_VCpi(ctx2, pi)
     good = default_embedding(ctx2, pi, module)
     check_embedding(ctx2, pi, module, good)
-    bad = [list(col) for col in good]
+    bad = [dict(col) for col in good]
     bad[0][1] = ONE  # support off the grade-r component
     with pytest.raises(ValueError):
         check_embedding(ctx2, pi, module, bad)
@@ -391,8 +394,106 @@ def test_transfer_into_bigger_module(s3, ctx2):
     pi = centralizer_character(ctx2, 1)
     small = build_VCpi(ctx2, pi)
     big = small.direct_sum(build_VCpi(ctx2, centralizer_character(ctx2, 0)))
-    embed = [[x for x in col] + [ZERO, ZERO] for col in default_embedding(ctx2, pi, small)]
+    # the summand comes first, so its basis indices carry over to the sum
+    embed = default_embedding(ctx2, pi, small)
     cols = transfer_to_group_algebra(ctx2, pi, big, embed)
-    rows = [list(c) for c in cols.values()]
-    assert la.rank(rows) == 2
+    assert _rank(cols.values()) == 2
     assert factorization_check(ctx2, pi, big, embed)
+
+
+def _exact_section(section):
+    """A zero-free section with every scalar spelled out, order tag included."""
+    return sorted((key, x.order, x.coeffs) for key, x in section.items())
+
+
+def _sparse(dense, dim=None):
+    """A dense reference vector as a zero-free map: over g * dim + w as
+    {(g, w): Cyc}, or with dim None over W as {w: Cyc}."""
+    return {(w if dim is None else divmod(w, dim)): x for w, x in enumerate(dense) if x}
+
+
+def _sparse_total(element):
+    """A reference total-space element {(g, h): dense W-vector} as {(g, h, w): Cyc}."""
+    return {(g, h, w): x for (g, h), vec in element.items() for w, x in enumerate(vec) if x}
+
+
+def _section_mismatches(group):
+    """Every place, over all blocks of group, where a section the package
+    builds differs from the dense reference's, entry by entry with order tags:
+    the embeddings, both transfers, the Fourier transfer of every basis
+    section, each stage of the total-space route and the fixed space of the
+    covariantized projector."""
+    out = []
+
+    def compare(where, got, want):
+        if _exact_section(got) != _exact_section(want):
+            out.append(where)
+
+    for ctx, pi in double_irreps(group):
+        module = build_VCpi(ctx, pi)
+        block = (group.labels[ctx.rep], pi.name)
+        embed = transfer.default_embedding(ctx, pi, module)
+        dense_embed = transfer_ref.default_embedding(ctx, pi, module)
+        for i, (got, want) in enumerate(zip(embed, dense_embed)):
+            compare(block + ("embedding", i), got, _sparse(want))
+        for name in ("transfer_to_group_algebra", "transfer_to_functions", "transfer_via_total_space"):
+            got = getattr(transfer, name)(ctx, pi, module)
+            want = getattr(transfer_ref, name)(ctx, pi, module)
+            for key in want:
+                compare(block + (name, key), got[key], _sparse(want[key], module.dim))
+        bridge = transfer_ref.functions_to_group_algebra(group, module)
+        for g in range(group.n):
+            for w in range(module.dim):
+                got = transfer.functions_to_group_algebra(group, module, {(g, w): ONE})
+                want = [row[g * module.dim + w] for row in bridge]
+                compare(block + ("fourier transfer", g, w), got, _sparse(want, module.dim))
+        for c in ctx.cls:
+            for i in range(pi.dim):
+                up = transfer.theta_H(ctx, module, c, embed[i])
+                up_ref = transfer_ref.theta_H(ctx, module, c, dense_embed[i])
+                compare(block + ("theta_H", c, i), up, _sparse_total(up_ref))
+                for name in ("averaging_to_group_algebra", "averaging_to_functions"):
+                    got = getattr(transfer, name)(group, module, up)
+                    want = getattr(transfer_ref, name)(group, module, up_ref)
+                    compare(block + (name, c, i), got, _sparse_total(want))
+        blocks = projector_cov(ctx, pi, module)
+        got = projector_fixed_space(blocks, group, module, points=ctx.cls)
+        want = transfer_ref.projector_fixed_space(blocks, group, module, points=ctx.cls)
+        if len(got) != len(want):
+            out.append(block + ("fixed space dimension",))
+        for k, (x, y) in enumerate(zip(got, want)):
+            compare(block + ("fixed space", k), x, _sparse(y, module.dim))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(_GROUPS))
+def test_sections_match_the_dense_reference(name):
+    """Every section equals the dense reference's entry by entry, with order
+    tags, on every block; both implementations accept the default embedding
+    and agree that the transfers factor through Estar."""
+    group = _GROUPS[name]()
+    assert _section_mismatches(group) == []
+    for ctx, pi in double_irreps(group):
+        module = build_VCpi(ctx, pi)
+        check_embedding(ctx, pi, module, default_embedding(ctx, pi, module))
+        transfer_ref.check_embedding(ctx, pi, module, transfer_ref.default_embedding(ctx, pi, module))
+        assert factorization_check(ctx, pi, module)
+        assert transfer_ref.factorization_check(ctx, pi, module)
+
+
+def test_transfer_through_q_inverse_fails_both_checks(monkeypatch):
+    """Negative control: moving the fibre by q_c^-1 in place of q_c breaks the
+    comparison with the reference and the factorization through Estar."""
+    honest = transfer.transfer_to_group_algebra
+
+    def through_q_inverse(ctx, pi, module, embed=None):
+        moved = copy.copy(ctx)
+        moved.q = {c: ctx.group.inv[g] for c, g in ctx.q.items()}
+        return honest(moved, pi, module, embed)
+
+    monkeypatch.setattr(transfer, "transfer_to_group_algebra", through_q_inverse)
+    s4 = FiniteGroup.symmetric(4)
+    assert any(where[2] == "transfer_to_group_algebra" for where in _section_mismatches(s4))
+    assert not all(
+        transfer.factorization_check(ctx, pi, build_VCpi(ctx, pi)) for ctx, pi in double_irreps(s4)
+    )
