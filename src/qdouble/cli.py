@@ -406,9 +406,13 @@ def cmd_geometry(scenario, args):
                 f"expected one of {list(variables)}"
             )
         target_class = group.class_of(group.element(target))
+        if target_class == [0]:
+            raise ConfigError(f"stratum: target {target!r} is the identity, whose length is 0")
         for key in lengths:
             if group.element(key) in target_class:
-                raise ConfigError(f"stratum: target {target!r} is in the class of the lengths key {key!r}")
+                raise ConfigError(
+                    f"stratum: target {target!r} is in the class of the lengths key {key!r}"
+                )
         lengths[target] = Poly.variable(source, variables) * cyc(exact_number([num, den], "stratum"))
     ip = ip_from_lengths(basis, lengths, variables)
     family = connection_solve(basis, ip, [f for f in flags if f in LINEAR_FLAGS])

@@ -263,7 +263,7 @@ def theta_functions_inverse(element: dict) -> dict:
 def transfer_via_total_space(ctx: ClassContext, pi: Rep, module: CrossedModule, embed=None):
     """E -> E' computed upstairs: theta, average, read off the trivialisation."""
     group = ctx.group
-    embed = default_embedding(ctx, pi, module) if embed is None else embed
+    embed = _embedding(ctx, pi, module, embed)
     return {
         (c, i): theta_functions_inverse(
             averaging_to_group_algebra(group, module, theta_H(ctx, module, c, embed[i]))

@@ -214,6 +214,7 @@ _READER = {
             {"stratum": ["w", 2, 3, "l2"]},
             "stratum: target 'w' is in the class of the lengths key 'u'",
         ),
+        ({"stratum": ["e", 2, 3, "l2"]}, "stratum: target 'e' is the identity"),
         ({"ricci": "no"}, "ricci: expected true or false, got 'no'"),
         ({"ricci": 1}, "ricci: expected true or false, got 1"),
     ],
@@ -226,7 +227,8 @@ _READER = {
         "unknown-print-matrices-label", "unknown-class-rep", "unknown-q-override-key",
         "string-q-override", "unknown-q-override-value", "q-override-key-outside-class",
         "list-lengths", "unknown-lengths-label", "unknown-stratum-target", "lengths-one-class",
-        "identity-length", "stratum-in-a-lengths-class", "string-ricci", "int-ricci",
+        "identity-length", "stratum-in-a-lengths-class", "identity-stratum-target", "string-ricci",
+        "int-ricci",
     ],
 )
 def test_malformed_scenario_is_a_configuration_error(tmp_path, change, message):
