@@ -8,6 +8,9 @@ are built twice, from the closed crossed-module formulas and through the
 R-matrix of the coquasitriangular structure; agreement of the two routes
 is a standing self-check used by the tests.
 
+A ``BraidedLie`` is a ``double.CrossedModule``, verified when it is built,
+and Psi is its crossed-module braiding ``braiding_with(self)``.
+
 Both routes read one action of G on V_{C,pi}, the Wigner construction
 ``reps.induced_matrices`` A(g).  G acts on a matrix unit E of
 End(V_{C,pi}) by g |> E = A(g) E A(g^-1), and the quasitriangular
@@ -52,7 +55,8 @@ from itertools import product
 from .cyclotomic import ONE, ZERO
 from .groups import FiniteGroup, ClassContext
 from .reps import Rep, induced_matrices
-from .double import DoubleElement, antipode_axiom_holds, bialgebra_axiom_holds
+from .double import CrossedModule, DoubleElement, _columns, adjoint_structure
+from .double import antipode_axiom_holds, bialgebra_axiom_holds
 from .quadalg import QuadAlg
 from .linalg import SparseSpan, _addto
 
@@ -150,35 +154,28 @@ def _act(perm, scale, vec: dict) -> dict:
     return out
 
 
-class BraidedLie:
+class BraidedLie(CrossedModule):
     """Finite-dimensional braided-Lie algebra in the crossed-module category.
 
-    Structure data is sparse over basis indices:
+    The underlying crossed module (grading and the columns action[g][i] of
+    g |> v_i) is verified when the algebra is built, and Psi is its braiding
+    ``braiding_with(self)``.  The rest of the structure is sparse over basis
+    indices:
       coproduct[i] : list of (j, k, coeff)
       counit[i]    : Cyc
       bracket[(i, j)] : dict k -> coeff
-      grading[i]   : group element index
-      action[g][i] : list of (j, coeff), the module action g |> v_i
     """
 
     def __init__(self, group, basis, coproduct, counit, grading, action, unit=None):
-        self.group = group
-        self.basis = list(basis)
-        self.dim = len(self.basis)
+        super().__init__(group, basis, action, grading)
         self.coproduct = coproduct
         self.counit = counit
-        self.grading = grading
-        self.action = action
         self.unit = unit  # optional vector (dict index -> Cyc)
+        self.psi = self.braiding_with(self)  # Psi(v_i (x) v_j) = |v_i| |> v_j (x) v_i
         self._bracket_cache: dict = {}
         self._psit_cache: dict = {}
         self._perms = None
         self._representatives: dict = {}  # arity -> orbit representatives
-
-    # braiding of the underlying crossed modules
-    def psi(self, i: int, j: int):
-        """Psi(v_i (x) v_j) = |v_i| |> v_j (x) v_i."""
-        return [((k, i), c) for k, c in self.action[self.grading[i]][j]]
 
     def psit(self, i: int, j: int):
         """Fundamental braiding from the coproduct, braiding and bracket."""
@@ -234,11 +231,11 @@ class BraidedLie:
         """The permutation p of s |> v_i = c_i v_p(i) if the action of s is
         monomial and the counit, coproduct, Psi, bracket and PsiT commute
         with it on every basis vector and pair, else None."""
-        rows = self.action[s]
-        if not all(len(row) == 1 and row[0][1] for row in rows):
+        cols = self.action[s]
+        if not all(len(col) == 1 and col[0][1] for col in cols):
             return None
-        perm = [row[0][0] for row in rows]
-        scale = [row[0][1] for row in rows]
+        perm = [col[0][0] for col in cols]
+        scale = [col[0][1] for col in cols]
         if len(set(perm)) != self.dim:
             return None
         if all(c == ONE for c in scale):
@@ -412,9 +409,8 @@ class BlockBraidedLie(BraidedLie):
             dim = len(A[0])
             self._wigner.append((A, {ck: k for k, ck in enumerate(_v_basis(ctx, pi))}))
             for g in range(group.n):
-                ag, aginv = A[g], A[group.inv[g]]
-                cols = [[(x, ag[x][r]) for x in range(dim) if ag[x][r]] for r in range(dim)]
-                rows = [[(y, c) for y, c in enumerate(aginv[s]) if c] for s in range(dim)]
+                cols = _columns(A[g])
+                rows = [[(y, c) for y, c in enumerate(row) if c] for row in A[group.inv[g]]]
                 action[g].extend(
                     [(base + x * dim + y, cx * cy) for x, cx in cols[r] for y, cy in rows[s]]
                     for r in range(dim)
@@ -455,24 +451,13 @@ class RegularBraidedLie(BraidedLie):
     """The transmuted double itself as a braided-Lie algebra."""
 
     def __init__(self, group: FiniteGroup):
-        basis = [(g, h) for g in range(group.n) for h in range(group.n)]
+        basis, action, grading = adjoint_structure(group)
         pos = {b: i for i, b in enumerate(basis)}
         self._posgh = pos
-        elements = [DoubleElement.basis(group, g, h) for (g, h) in basis]
-        grading = [x.grading() for x in elements]
-        coproduct = []
-        counit = []
-        for (g, h), elt in zip(basis, elements):
-            terms = []
-            for ((g1, h1), (g2, h2)), c in elt.dvee_coproduct().items():
-                terms.append((pos[(g1, h1)], pos[(g2, h2)], c))
-            coproduct.append(terms)
-            counit.append(ONE if g == 0 else ZERO)
+        deltas = [DoubleElement.basis(group, *x).dvee_coproduct() for x in basis]
+        coproduct = [[(pos[a], pos[b], c) for (a, b), c in delta.items()] for delta in deltas]
+        counit = [ONE if g == 0 else ZERO for g, h in basis]
         unit = {pos[(g, 0)]: ONE for g in range(group.n)}
-        action = [
-            [[(pos[key], c) for key, c in x.adjoint_act(f).terms.items()] for x in elements]
-            for f in range(group.n)
-        ]
         super().__init__(group, basis, coproduct, counit, grading, action, unit=unit)
 
     def bracket(self, i: int, j: int) -> dict:

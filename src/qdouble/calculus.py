@@ -333,11 +333,13 @@ class DoubleCalculus:
 
     def _act_dual(self, h, d, j):
         """h |> E^{dj} = pi(zeta_d(h)^-1)^j_l E^{(h d h^-1) l}: row (d, j) of
-        the V_{C,pi} action of h^-1, read at the columns (h d h^-1, l)."""
+        the V_{C,pi} action of h^-1, read in its columns (h d h^-1, l), with
+        an absent entry read as zero."""
         dim = self.pi.dim
         target = self.group.conj(h, d)
-        row = self.module.action[self.group.inv[h]][self._cpos[d] * dim + j]
-        return [(target, l, row[self._cpos[target] * dim + l]) for l in range(dim)]
+        row, cols = self._cpos[d] * dim + j, self.module.action[self.group.inv[h]]
+        first = self._cpos[target] * dim
+        return [(target, l, dict(cols[first + l]).get(row, ZERO)) for l in range(dim)]
 
     def d_delta(self, g: int):
         """d(delta_g) = sum_c (delta_{g c^-1} - delta_g) (x) sum_i E_{ci}^{ci}."""

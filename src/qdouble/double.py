@@ -7,6 +7,9 @@ coproduct applies is chosen by the caller, matching how the braided theory
 mixes them.  ``CrossedModule`` realizes G-graded G-modules, which are the
 same thing as D(G)-modules; the irreducibles V_{C,pi} are built from a
 class context and a centralizer irrep.
+A crossed module stores its action as sparse columns, the one form of a
+G-action that the package keeps, checked when it is built; every
+``braided.BraidedLie`` is a crossed module.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from fractions import Fraction
 
 from .cyclotomic import ONE, ZERO, Cyc, cyc
 from .groups import FiniteGroup, ClassContext
-from .reps import Rep, check_homomorphism, induced_matrices, irrep_catalog, irrep_family
+from .reps import Rep, induced_matrices, irrep_catalog, irrep_family
 from . import linalg
 from .linalg import _accumulate, _addto
 
@@ -302,49 +305,70 @@ def quasi_R(group: FiniteGroup) -> list[tuple[DoubleElement, DoubleElement]]:
 # -- crossed modules ----------------------------------------------------------
 
 
+def _columns(matrix) -> list:
+    """A dense matrix as its columns: column j is the zero-free list of
+    (i, matrix[i][j]), in increasing i."""
+    return [[(i, row[j]) for i, row in enumerate(matrix) if row[j]] for j in range(len(matrix))]
+
+
 class CrossedModule:
-    """Finite-dimensional G-graded G-module, i.e. a D(G)-module."""
+    """Finite-dimensional G-graded G-module, i.e. a D(G)-module.
+
+    The action is stored as sparse columns, the one form the package keeps
+    of a G-action: action[h][j] is the zero-free list of (i, coeff) of
+    h |> w_j = sum coeff w_i, in increasing i (column j of h's matrix)."""
 
     def __init__(self, group: FiniteGroup, basis_labels, action, grading):
         self.group = group
         self.basis = list(basis_labels)
         self.dim = len(self.basis)
-        self.action = action  # list over g of dim x dim Cyc matrices
+        self.action = action
         self.grading = list(grading)
         self.verify()
 
     def verify(self):
-        """The action is a homomorphism and h maps grade x to grade h x h^-1;
-        both checked on generators, which suffices for each."""
+        """The action is a homomorphism and h maps grade x to grade h x h^-1,
+        both checked on generators, column by column: e fixes each w_j, and
+        column j of g s, as stored, is g applied to column j of s for every g
+        and every generator s; the s for which this holds at every g form a
+        subgroup.  Every column is some g s, so each is checked to be stored
+        zero-free and in increasing i."""
         g_ = self.group
-        check_homomorphism(g_, self.action, "action")
+        for j, col in enumerate(self.action[0]):
+            if col != [(j, ONE)]:
+                raise ValueError(f"action: identity does not map to the identity matrix at (0,{j})")
+        for g, cols in enumerate(self.action):
+            for s in g_.generators:
+                gs = self.action[g_.table[g][s]]
+                for j, col in enumerate(self.action[s]):
+                    moved = _accumulate((i, a * c) for k, c in col for i, a in cols[k])
+                    if sorted(moved.items()) != gs[j]:
+                        raise ValueError(f"action: not a homomorphism at ({g},{s},{j})")
         for h in g_.generators:
-            m = self.action[h]
-            for j in range(self.dim):
+            for j, col in enumerate(self.action[h]):
                 target = g_.conj(h, self.grading[j])
-                for i in range(self.dim):
-                    if m[i][j] and self.grading[i] != target:
-                        raise ValueError("action does not intertwine the grading")
-
-    def column(self, h: int, j: int):
-        """h |> w_j as its nonzero (i, A(h)[i][j])."""
-        return [(i, row[j]) for i, row in enumerate(self.action[h]) if row[j]]
+                if any(self.grading[i] != target for i, _ in col):
+                    raise ValueError(f"action does not intertwine the grading at ({h},{j})")
 
     def double_matrix(self, x: DoubleElement):
         """Matrix of x = sum coeff delta_g (x) h on the module: column j is
         x acting on basis vector j, the grade-g part of h |> w_j."""
         m = [[ZERO] * self.dim for _ in range(self.dim)]
         for (g, h), coeff in x.terms.items():
-            for j in range(self.dim):
-                for i, a in self.column(h, j):
+            for j, col in enumerate(self.action[h]):
+                for i, a in col:
                     if self.grading[i] == g:
                         m[i][j] = m[i][j] + coeff * a
         return m
 
     def braiding_with(self, other: "CrossedModule"):
-        """Psi(v_i (x) w_j) = |v_i| |> w_j (x) v_i as a sparse map."""
+        """Psi(v_i (x) w_j) = |v_i| |> w_j (x) v_i as a sparse map.  It holds
+        the grading and action lists, not the modules, so a module may keep
+        its own braiding without a reference cycle."""
+        grading, action = self.grading, other.action
+
         def psi(i: int, j: int):
-            return [((k, i), c) for k, c in other.column(self.grading[i], j)]
+            return [((k, i), c) for k, c in action[grading[i]][j]]
 
         return psi
 
@@ -359,23 +383,12 @@ class CrossedModule:
         return m
 
     def direct_sum(self, other: "CrossedModule") -> "CrossedModule":
-        dim = self.dim + other.dim
-        action = []
-        for g in range(self.group.n):
-            m = [[ZERO] * dim for _ in range(dim)]
-            for i in range(self.dim):
-                for j in range(self.dim):
-                    m[i][j] = self.action[g][i][j]
-            for i in range(other.dim):
-                for j in range(other.dim):
-                    m[self.dim + i][self.dim + j] = other.action[g][i][j]
-            action.append(m)
-        return CrossedModule(
-            self.group,
-            list(self.basis) + list(other.basis),
-            action,
-            self.grading + other.grading,
-        )
+        action = [
+            cols + [[(self.dim + i, c) for i, c in col] for col in other_cols]
+            for cols, other_cols in zip(self.action, other.action)
+        ]
+        grading = self.grading + other.grading
+        return CrossedModule(self.group, self.basis + other.basis, action, grading)
 
 
 def build_VCpi(ctx: ClassContext, pi: Rep) -> CrossedModule:
@@ -384,7 +397,7 @@ def build_VCpi(ctx: ClassContext, pi: Rep) -> CrossedModule:
     group = ctx.group
     labels = [(group.labels[c], i) for c in ctx.cls for i in range(pi.dim)]
     grading = [c for c in ctx.cls for _ in range(pi.dim)]
-    return CrossedModule(group, labels, induced_matrices(ctx, pi), grading)
+    return CrossedModule(group, labels, [_columns(m) for m in induced_matrices(ctx, pi)], grading)
 
 
 def regular_crossed_module(group: FiniteGroup) -> CrossedModule:
@@ -392,29 +405,29 @@ def regular_crossed_module(group: FiniteGroup) -> CrossedModule:
     n = group.n
     basis = [(g, h) for g in range(n) for h in range(n)]
     pos = {b: i for i, b in enumerate(basis)}
-    action = []
-    for f in range(n):
-        m = [[ZERO] * len(basis) for _ in range(len(basis))]
-        for (g, h) in basis:
-            m[pos[(group.conj(f, g), group.table[f][h])]][pos[(g, h)]] = ONE
-        action.append(m)
-    grading = [g for (g, h) in basis]
-    return CrossedModule(group, basis, action, grading)
+    action = [
+        [[(pos[(group.conj(f, g), group.table[f][h])], ONE)] for g, h in basis] for f in range(n)
+    ]
+    return CrossedModule(group, basis, action, [g for (g, h) in basis])
+
+
+def adjoint_structure(group: FiniteGroup):
+    """The transmuted double's basis (g, h) of delta_g (x) h, its adjoint
+    action f |> x = ``x.adjoint_act(f)`` as columns and its commutator
+    grading, for ``bdg_crossed_module`` and ``braided.RegularBraidedLie``."""
+    basis = [(g, h) for g in range(group.n) for h in range(group.n)]
+    pos = {b: i for i, b in enumerate(basis)}
+    elements = [DoubleElement.basis(group, g, h) for (g, h) in basis]
+    action = [
+        [[(pos[key], c) for key, c in x.adjoint_act(f).terms.items()] for x in elements]
+        for f in range(group.n)
+    ]
+    return basis, action, [x.grading() for x in elements]
 
 
 def bdg_crossed_module(group: FiniteGroup) -> CrossedModule:
     """The double itself as a crossed module: adjoint action, commutator grading."""
-    basis = [(g, h) for g in range(group.n) for h in range(group.n)]
-    pos = {b: i for i, b in enumerate(basis)}
-    elements = [DoubleElement.basis(group, g, h) for (g, h) in basis]
-    action = []
-    for f in range(group.n):
-        m = [[ZERO] * len(basis) for _ in range(len(basis))]
-        for j, x in enumerate(elements):
-            for key, c in x.adjoint_act(f).terms.items():
-                m[pos[key]][j] = c
-        action.append(m)
-    return CrossedModule(group, basis, action, [x.grading() for x in elements])
+    return CrossedModule(group, *adjoint_structure(group))
 
 
 # -- Artin-Wedderburn ----------------------------------------------------------

@@ -60,10 +60,6 @@ def mat_mul(a, b):
     return out
 
 
-def mat_vec(a, v):
-    return [r[0] for r in mat_mul(a, [[x] for x in v])]
-
-
 def identity(n, one, zero):
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 

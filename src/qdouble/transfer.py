@@ -14,7 +14,8 @@ map, in one of three shapes:
 * {w: Cyc}          a fibre vector; an embedding V_pi -> W lists pi.dim of them,
 * {(g, h, w): Cyc}  an element of the total space D~(G) (x) W.
 
-``CrossedModule.column`` is the one reader of the action of G on W.  Only
+The action of G on W is read in the one form a ``CrossedModule`` stores
+it, the sparse columns ``module.action[h][w]`` of h |> w.  Only
 ``projector_fixed_space`` works over the flat index g * dim + w, to solve
 its nullspace densely, and it decodes the result into sections at once.
 ``fourier``, ``mass_shell_ft`` and the integrals act on functions on G,
@@ -102,7 +103,7 @@ def conjugated_projector(ctx: ClassContext, pi: Rep, g: int) -> DoubleElement:
 
 def _move(module: CrossedModule, h: int, vec: dict) -> dict:
     """h |> vec for a fibre vector {w: Cyc}, read column by column."""
-    return _accumulate((i, a * c) for w, c in vec.items() for i, a in module.column(h, w))
+    return _accumulate((i, a * c) for w, c in vec.items() for i, a in module.action[h][w])
 
 
 def default_embedding(ctx: ClassContext, pi: Rep, module: CrossedModule):
@@ -176,7 +177,7 @@ def functions_to_group_algebra(group: FiniteGroup, module: CrossedModule, sectio
     return _accumulate(
         ((group.conj(g, group.inv[module.grading[w]]), i), a * scale * c)
         for (g, w), c in section.items()
-        for i, a in module.column(g, w)
+        for i, a in module.action[g][w]
     )
 
 
@@ -232,7 +233,7 @@ def averaging_to_group_algebra(group: FiniteGroup, module: CrossedModule, elemen
         ((group.table[g][group.inv[k]], group.conj(k, h), i), scale * (a * c))
         for (g, h, w), c in element.items()
         for k in range(group.n)
-        for i, a in module.column(k, w)
+        for i, a in module.action[k][w]
     )
 
 
@@ -300,7 +301,7 @@ def coact_VCpi(module: CrossedModule):
     return _coaction(
         group,
         lambda w, f: group.conj(group.inv[f], group.inv[module.grading[w]]),
-        lambda w, f: module.column(group.inv[f], w),
+        lambda w, f: module.action[group.inv[f]][w],
     )
 
 
@@ -321,7 +322,7 @@ def coact_Eprime(module: CrossedModule):
         return group.conj(group.inv[f], key[0])
 
     return _coaction(group, mid, lambda key, f: [
-        ((mid(key, f), w), v) for w, v in module.column(group.inv[f], key[1])
+        ((mid(key, f), w), v) for w, v in module.action[group.inv[f]][key[1]]
     ])
 
 

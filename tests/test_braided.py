@@ -1,4 +1,5 @@
 import functools
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -7,7 +8,8 @@ import pytest
 import braided_reference as braided_ref
 from qdouble.cyclotomic import cyc
 from qdouble.reps import centralizer_character
-from qdouble.double import DoubleElement
+from qdouble.double import CrossedModule, DoubleElement
+from qdouble.groups import FiniteGroup, class_context
 from qdouble.braided import (
     lie_cpi,
     BlockBraidedLie,
@@ -302,6 +304,67 @@ def test_corrupted_structure_takes_the_exhaustive_path(data, part):
     _corrupt(lie, part)
     assert lie._orbit_perms() == ()
     assert lie.axioms() == _reference_axioms(lie)
+
+
+def _four_cycle_block():
+    S4 = FiniteGroup.symmetric(4)
+    ctx = class_context(S4, "s1s2s3")
+    return ctx, centralizer_character(ctx, 1)
+
+
+def _dense(cols):
+    m = [[ZERO] * len(cols) for _ in cols]
+    for j, col in enumerate(cols):
+        for i, c in col:
+            m[i][j] = c
+    return m
+
+
+def _is_witness(message, group, action, grading) -> bool:
+    """Whether the (g, s, j) or (h, j) a rejection names is a generator
+    position where the dense action breaks the homomorphism or the grading."""
+    hom = re.fullmatch(r"action: not a homomorphism at \((\d+),(\d+),(\d+)\)", message)
+    if hom:
+        g, s, j = map(int, hom.groups())
+        mg, ms, mgs = _dense(action[g]), _dense(action[s]), _dense(action[group.table[g][s]])
+        column = [sum((mg[i][k] * ms[k][j] for k in range(len(ms))), ZERO) for i in range(len(mg))]
+        return s in group.generators and column != [row[j] for row in mgs]
+    grade = re.fullmatch(r"action does not intertwine the grading at \((\d+),(\d+)\)", message)
+    if grade:
+        h, j = map(int, grade.groups())
+        target = group.conj(h, grading[j])
+        return h in group.generators and any(grading[i] != target for i, _ in action[h][j])
+    return False
+
+
+@pytest.mark.parametrize("part", ["coefficient", "grade"])
+@pytest.mark.parametrize("block", ["S3-uv", "S4-s1s2s3"])
+def test_corrupted_block_module_is_refused_with_its_witness(data, monkeypatch, block, part):
+    """A BlockBraidedLie whose End(V) action has one column coefficient
+    doubled, or whose grading has one grade moved, is refused when it is
+    built, and the message names a failing position."""
+    ctx, pi = (data.ctx2, data.pi[1]) if block == "S3-uv" else _four_cycle_block()
+    group = ctx.group
+    h = max(set(range(1, group.n)) - set(group.generators))
+    seen = {}
+    build = CrossedModule.__init__
+
+    def corrupted(self, group_, basis, action, grading):
+        action = [[list(col) for col in cols] for cols in action]
+        grading = list(grading)
+        if part == "coefficient":
+            i, c = action[h][0][0]
+            action[h][0][0] = (i, c + c)
+        else:
+            grading[0] = group.table[grading[0]][1]
+        seen.update(action=action, grading=grading)
+        build(self, group_, basis, action, grading)
+
+    lie_cpi(ctx, pi)  # the uncorrupted block is accepted
+    monkeypatch.setattr(CrossedModule, "__init__", corrupted)
+    with pytest.raises(ValueError) as err:
+        lie_cpi(ctx, pi)
+    assert _is_witness(str(err.value), group, seen["action"], seen["grading"]), str(err.value)
 
 
 def test_two_dimensional_point_class_takes_the_exhaustive_path(data):

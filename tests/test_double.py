@@ -1,5 +1,6 @@
 import functools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -8,8 +9,10 @@ from qdouble.cyclotomic import cyc, root_of_unity
 from qdouble.groups import FiniteGroup, class_context
 from qdouble.reps import centralizer_character
 from qdouble.double import (
+    CrossedModule,
     DoubleElement,
     build_VCpi,
+    centralizer_irreps,
     bdg_crossed_module,
     regular_crossed_module,
     wedderburn_element,
@@ -112,10 +115,10 @@ def test_VCpi_action_case_ii(s3, ctx2):
         u, v = s3.element("u"), s3.element("v")
         uv, vu = s3.element("uv"), s3.element("vu")
         # basis vector 0 is uv (x) v_0, basis vector 1 is vu (x) v_0
-        assert module.column(u, 0) == [(1, cyc(1))]
-        assert module.column(u, 1) == [(0, cyc(1))]
-        assert module.column(v, 0) == [(1, q**j)]
-        assert module.column(v, 1) == [(0, q ** (-j))]
+        assert module.action[u][0] == [(1, cyc(1))]
+        assert module.action[u][1] == [(0, cyc(1))]
+        assert module.action[v][0] == [(1, q**j)]
+        assert module.action[v][1] == [(0, q ** (-j))]
         # delta action picks the grading
         one, zero = cyc(1), cyc(0)
         assert module.double_matrix(DoubleElement.delta(s3, uv)) == [[one, zero], [zero, zero]]
@@ -188,6 +191,44 @@ def test_crossed_module_compatibility(s3):
         module.verify()
     bdg_crossed_module(s3).verify()
     regular_crossed_module(s3).verify()
+
+
+def test_crossed_module_refuses_a_column_not_in_stored_form(s3):
+    """Columns are zero-free and in increasing index order: a column of the
+    S3 point-class 2-dim module reversed, with a stored zero, or with one
+    entry split in two halves is refused, though its dense matrix is right."""
+    ctx = class_context(s3, "e")
+    pi = next(p for p in centralizer_irreps(ctx) if p.dim == 2)
+    module = build_VCpi(ctx, pi)
+    u, v = s3.element("u"), s3.element("v")
+    assert module.action[u][0] == [(0, cyc(1))]
+    (i0, a), (i1, b) = module.action[v][0]
+    half = a * cyc(Fraction(1, 2))
+    for h, col in (
+        (v, [(i1, b), (i0, a)]),
+        (u, [(0, cyc(1)), (1, cyc(0))]),
+        (v, [(i0, half), (i0, half), (i1, b)]),
+    ):
+        action = [list(cols) for cols in module.action]
+        action[h] = [col] + action[h][1:]
+        with pytest.raises(ValueError, match="not a homomorphism"):
+            CrossedModule(s3, module.basis, action, module.grading)
+
+
+def test_double_modules_of_S4_build_and_verify():
+    """The regular and adjoint modules of D(S4), dimension 576, are stored as
+    columns: f |> (g, h) is the one basis vector (f g f^-1, f h) or
+    (f g f^-1, f h f^-1)."""
+    S4 = FiniteGroup.symmetric(4)
+    for module, moved in (
+        (regular_crossed_module(S4), lambda f, g, h: (S4.conj(f, g), S4.table[f][h])),
+        (bdg_crossed_module(S4), lambda f, g, h: (S4.conj(f, g), S4.conj(f, h))),
+    ):
+        module.verify()
+        assert module.dim == 576
+        pos = {b: i for i, b in enumerate(module.basis)}
+        for f in range(S4.n):
+            assert module.action[f] == [[(pos[moved(f, g, h)], cyc(1))] for g, h in module.basis]
 
 
 def test_braiding_braid_relation(s3, ctx2):

@@ -61,7 +61,26 @@ def _full_homomorphism(group, mats) -> bool:
     )
 
 
+def _dense(columns):
+    """The dense matrices of an action stored as columns (action[h][j] lists
+    the nonzero (i, coeff) of column j of h's matrix)."""
+    out = []
+    for cols in columns:
+        m = [[ZERO] * len(cols) for _ in cols]
+        for j, col in enumerate(cols):
+            for i, c in col:
+                m[i][j] = c
+        out.append(m)
+    return out
+
+
+def _columns(mats):
+    """Dense matrices as the zero-free columns a CrossedModule stores."""
+    return [[[(i, row[j]) for i, row in enumerate(m) if row[j]] for j in range(len(m))] for m in mats]
+
+
 def _full_module(group, action, grading) -> bool:
+    """The all-pairs oracle on the dense matrices of the action."""
     if not _full_homomorphism(group, action):
         return False
     return all(
@@ -137,16 +156,18 @@ def test_crossed_module_check_matches_full_loop(group):
         pairs = list({ctx.rep: (ctx, pi) for ctx, pi in pairs}.values())
     for ctx, pi in pairs:
         module = build_VCpi(ctx, pi)
-        assert _full_module(group, module.action, module.grading)
-        bad = _corrupt(module.action, rng)
+        dense = _dense(module.action)
+        assert _columns(dense) == module.action
+        assert _full_module(group, dense, module.grading)
+        bad = _corrupt(dense, rng)
         assert _accepts(
-            lambda: CrossedModule(group, module.basis, bad, module.grading)
+            lambda: CrossedModule(group, module.basis, _columns(bad), module.grading)
         ) == _full_module(group, bad, module.grading)
         grading = list(module.grading)
         grading[rng.randrange(len(grading))] = rng.randrange(group.n)
         assert _accepts(
             lambda: CrossedModule(group, module.basis, module.action, grading)
-        ) == _full_module(group, module.action, grading)
+        ) == _full_module(group, dense, grading)
 
 
 def test_associativity_check_matches_full_loop(group):

@@ -58,20 +58,28 @@ def test_fourier_involution_pair(s3):
     assert fourier(s3, vec)[u] == ONE
 
 
+def _invariant_on_group_algebra(group, integral) -> bool:
+    """(id (x) integral) Delta(g) = integral(g) e for every g of the group.
+    The coproduct of kG is Delta(g) = g (x) g, so the left side is
+    integral(g) g."""
+    for g in range(group.n):
+        vec = [ONE if x == g else ZERO for x in range(group.n)]
+        at_e = [ONE] + [ZERO] * (group.n - 1)
+        if [integral(vec) * x for x in vec] != [integral(vec) * x for x in at_e]:
+            return False
+    return True
+
+
 def test_integrals(s3):
     e_vec = [ONE] + [ZERO] * 5
     assert integral_group_algebra(s3, e_vec) == ONE
     g_vec = [ZERO, ONE, ZERO, ZERO, ZERO, ZERO]
     assert integral_group_algebra(s3, g_vec) == ZERO
     assert integral_functions(s3, [ONE] * 6) == ONE
-    # translation invariance: integral of (coproduct acted) slices
-    for h in range(s3.n):
-        shifted = [ZERO] * 6
-        for x in range(6):
-            shifted[s3.table[h][x]] = g_vec[x]
-        assert integral_group_algebra(s3, shifted) == integral_group_algebra(
-            s3, g_vec
-        ) or True
+    # the integral of kG is invariant; the functional delta_u is not (negative control)
+    assert _invariant_on_group_algebra(s3, lambda vec: integral_group_algebra(s3, vec))
+    u = s3.element("u")
+    assert not _invariant_on_group_algebra(s3, lambda vec: vec[u])
     # proper invariance statement for functions: precompose with translation
     fun = [cyc(k) for k in range(6)]
     for h in range(s3.n):
@@ -209,7 +217,7 @@ def _eprime_moved_by_f(module):
         return group.conj(group.inv[f], key[0])
 
     return _coaction(group, mid, lambda key, f: [
-        ((mid(key, f), w), v) for w, v in module.column(f, key[1])
+        ((mid(key, f), w), v) for w, v in module.action[f][key[1]]
     ])
 
 
@@ -311,7 +319,7 @@ def test_star_projector_and_image(s3, ctx2):
         {
             (s3.table[ctx2.q[c]][n], wi): val
             for n in ctx2.centralizer.embedding
-            for wi, val in module.column(s3.inv[n], widx)
+            for wi, val in module.action[s3.inv[n]][widx]
         }
         for c in ctx2.cls
         for widx in range(module.dim)

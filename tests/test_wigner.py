@@ -40,7 +40,14 @@ def test_induced_matrices_are_the_zeta_action(name, ctx, pi):
     expected = ref.vcpi_action(ctx, pi)
     assert induced_matrices(ctx, pi) == expected
     assert induced_rep(ctx, pi).matrices == expected
-    assert build_VCpi(ctx, pi).action == expected
+    # V_{C,pi} stores column j of h's matrix as its nonzero entries in row
+    # order, each with the order tag of the dense entry
+    action = build_VCpi(ctx, pi).action
+    assert [len(cols) for cols in action] == [len(m) for m in expected]
+    for h, m in enumerate(induced_matrices(ctx, pi)):
+        for j, col in enumerate(action[h]):
+            dense = [(i, row[j]) for i, row in enumerate(m) if row[j]]
+            assert [(i, c.order, c.coeffs) for i, c in col] == [(i, c.order, c.coeffs) for i, c in dense]
 
 
 @pytest.mark.parametrize("name, ctx, pi", NONTRIVIAL, ids=NONTRIVIAL_IDS)

@@ -4,7 +4,7 @@ form the package used before sections became sparse maps.
 Sections of E' and Estar here are dense lists over the flat index
 g * dim + w, fibre vectors are dense lists over W, and elements of the
 total space map (g, h) to a dense W-vector.  The action is the dense
-mat-vec ``_act`` of one action matrix.
+mat-vec ``_act`` of one action matrix, densified from the module's columns.
 
 The coactions on E, V_{C,pi}, E' and Estar are as the package wrote them
 before one builder, ``transfer._coaction``, made all of them: each is its
@@ -20,8 +20,22 @@ from qdouble.cyclotomic import ONE, ZERO, cyc
 from qdouble.reps import induced_matrices
 
 
+def mat_vec(a, v):
+    """The dense product of a matrix and a vector."""
+    return [r[0] for r in linalg.mat_mul(a, [[x] for x in v])]
+
+
+def _matrix(module, h):
+    """The dense matrix of h on the module, from its stored columns."""
+    m = [[ZERO] * module.dim for _ in range(module.dim)]
+    for j, col in enumerate(module.action[h]):
+        for i, c in col:
+            m[i][j] = c
+    return m
+
+
 def _act(module, h, vec):
-    return linalg.mat_vec(module.action[h], vec)
+    return mat_vec(_matrix(module, h), vec)
 
 
 def default_embedding(ctx, pi, module):
@@ -99,7 +113,7 @@ def functions_to_group_algebra(group, module):
     for g in range(group.n):
         for widx in range(module.dim):
             target_g = group.conj(g, group.inv[module.grading[widx]])
-            for out_w, val in module.column(g, widx):
+            for out_w, val in module.action[g][widx]:
                 mat[target_g * module.dim + out_w][g * module.dim + widx] = val * scale
     return mat
 
@@ -110,7 +124,7 @@ def factorization_check(ctx, pi, module, embed=None):
     to_star = transfer_to_functions(ctx, pi, module, embed)
     bridge = functions_to_group_algebra(ctx.group, module)
     for key, col in to_star.items():
-        composed = linalg.mat_vec(bridge, col)
+        composed = mat_vec(bridge, col)
         if any(x - y for x, y in zip(composed, direct[key])):
             return False
     return True
@@ -228,7 +242,7 @@ def coact_VCpi(module):
         terms = []
         for g in range(group.n):
             mid = group.conj(group.inv[g], group.inv[module.grading[widx]])
-            for out_w, val in module.column(group.inv[g], widx):
+            for out_w, val in module.action[group.inv[g]][widx]:
                 terms.append(((g, mid), out_w, val))
         return terms
 
@@ -244,7 +258,7 @@ def coact_Eprime(module):
         terms = []
         for f in range(group.n):
             mid = group.conj(group.inv[f], g)
-            for out_w, val in module.column(group.inv[f], widx):
+            for out_w, val in module.action[group.inv[f]][widx]:
                 terms.append(((f, mid), mid * module.dim + out_w, val))
         return terms
 
