@@ -42,10 +42,12 @@ the group generated by the generators' permutations.
 The argument is used only where its premise is decided first: every
 generator's action is monomial, and the counit, coproduct, Psi, bracket
 and PsiT commute with it on all basis vectors and pairs (dim^2 |S| work).
-Otherwise, for a non-monomial action (dim pi > 1) or a tensor that is not
-equivariant, every tuple is its own representative and the same loop is
-exhaustive.  L4 runs over every basis vector, since the unit need not be
-invariant.
+The representatives then come from ``groups.orbit_representatives`` on the
+image group, read from the verified columns.  Otherwise, for a non-monomial
+action (the S3 point block with dim pi = 2, but not the S4 ``dihedral2``
+block) or a tensor that is not equivariant, every tuple is its own
+representative.  L4 runs over every basis vector, since the unit need not
+be invariant.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from __future__ import annotations
 from itertools import product
 
 from .cyclotomic import ONE, ZERO
-from .groups import FiniteGroup, ClassContext
+from .groups import FiniteGroup, ClassContext, orbit_representatives
 from .reps import Rep, induced_matrices
 from .double import CrossedModule, DoubleElement, _columns, adjoint_structure
 from .double import antipode_axiom_holds, bialgebra_axiom_holds
@@ -74,36 +76,6 @@ def _end_basis(blocks):
         v = _v_basis(ctx, pi)
         labels.extend((t, *ai, *bj) for ai in v for bj in v)
     return labels, {label: k for k, label in enumerate(labels)}
-
-
-def _orbits(n: int, arity: int, perms):
-    """One representative tuple for each orbit of the tuples in
-    range(n)**arity under the permutations ``perms`` of range(n), each
-    acting on every factor.  A tuple is coded in base n and the
-    representative is the least code of its orbit, so representatives come
-    in lexicographic order.  With no permutations every tuple is its own
-    representative.  Each permutation is lifted to the codes of the first
-    arity - 1 factors, so a code moves by one divmod and two lookups."""
-    lifted = []
-    for perm in perms:
-        head = [0]
-        for _ in range(arity - 1):
-            head = [c * n + p for c in head for p in perm]
-        lifted.append((head, perm))
-    seen = bytearray(n ** arity)
-    for code, t in enumerate(product(range(n), repeat=arity)):
-        if seen[code]:
-            continue
-        seen[code] = 1
-        orbit = [code]
-        for member in orbit:
-            q, r = divmod(member, n)
-            for head, perm in lifted:
-                image = head[q] * n + perm[r]
-                if not seen[image]:
-                    seen[image] = 1
-                    orbit.append(image)
-        yield t
 
 
 def _first_unequal(sides, tuples):
@@ -221,10 +193,12 @@ class BraidedLie(CrossedModule):
         return self._perms
 
     def _orbit_representatives(self, arity: int) -> list:
-        """The basis tuples of ``_orbits`` under ``_orbit_perms``, built once
-        per arity."""
+        """One basis tuple per orbit of the image group of G if
+        ``_orbit_perms`` is nonempty (a homomorphism, it is monomial when its
+        generators are), else every tuple; built once per arity."""
         if arity not in self._representatives:
-            self._representatives[arity] = list(_orbits(self.dim, arity, self._orbit_perms()))
+            perms = [[col[0][0] for col in cols] for cols in self.action] if self._orbit_perms() else []
+            self._representatives[arity] = list(orbit_representatives(self.dim, arity, perms))
         return self._representatives[arity]
 
     def _equivariant_perm(self, s: int):

@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cyclotomic import ONE, ZERO, Cyc, cyc
-from .groups import FiniteGroup, ClassContext
+from .groups import FiniteGroup, ClassContext, orbit_representatives
 from .reps import Rep, induced_matrices, irrep_catalog, irrep_family
 from . import linalg
 from .linalg import _accumulate, _addto
@@ -464,11 +464,17 @@ def centralizer_irreps(ctx: ClassContext) -> list[Rep]:
 def double_irreps(group: FiniteGroup):
     """All (context, pi) pairs labelling the irreducibles of the double.
 
-    Every class is checked for a catalogue before any catalogue is built."""
+    Every class is checked for a catalogue before any catalogue is built, and
+    the labels are counted against the conjugation orbits of commuting (a, b)."""
     contexts = [ClassContext(group, cls_[0]) for cls_ in group.conjugacy_classes()]
     if any(irrep_family(ctx.centralizer) is None for ctx in contexts):
         raise ValueError("no centralizer irreducible catalogue for this class")
-    return [(ctx, pi) for ctx in contexts for pi in centralizer_irreps(ctx)]
+    labels = [(ctx, pi) for ctx in contexts for pi in centralizer_irreps(ctx)]
+    t, conj = group.table, [[group.conj(g, x) for x in range(group.n)] for g in range(group.n)]
+    orbits = sum(t[a][b] == t[b][a] for a, b in orbit_representatives(group.n, 2, conj))
+    if len(labels) != orbits:
+        raise RuntimeError(f"{len(labels)} irreducible labels for {orbits} orbits of commuting pairs")
+    return labels
 
 
 def decompose_DG_module(module: CrossedModule, pairs=None) -> dict:

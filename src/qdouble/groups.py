@@ -10,6 +10,8 @@ A ``ClassContext`` packages one conjugacy class C with a base point r, the
 centralizer C_G, a section q_c (with q_c r q_c^-1 = c and q_r = e) and the
 full twisted-cocycle table zeta_c(g) = q^-1_{g c g^-1} g q_c, which takes
 values in C_G.
+``orbit_representatives`` walks a stabiliser chain for one tuple per orbit
+of a permutation group on range(n)**arity.
 """
 
 from __future__ import annotations
@@ -24,6 +26,22 @@ def _compose(p, q):
 
 def _identity_perm(n):
     return tuple(range(n))
+
+
+def orbit_representatives(n: int, arity: int, perms):
+    """The least tuple of each orbit of range(n)**arity, in lexicographic
+    order, under the group whose elements permute range(n) as ``perms``
+    (empty for the trivial group) on every factor: the least point x of each
+    orbit on the first factor, then the stabiliser of x on the rest."""
+    if arity == 0:
+        yield ()
+        return
+    seen = set()
+    for x in range(n):
+        if x not in seen:
+            seen.update(p[x] for p in perms)
+            for rest in orbit_representatives(n, arity - 1, [p for p in perms if p[x] == x]):
+                yield (x, *rest)
 
 
 def parse_cycles(cycles: list[list[int]], degree: int | None = None) -> tuple[int, ...]:

@@ -7,7 +7,13 @@ rows with S t_{ck}^{bj} = t_{b^-1 j}^{c^-1 k} written inline and the braided
 rows through ``antipode_on_generator``.  ``preserves_relations`` rebuilds
 im(PsiT - id) and evaluates S once per Psi term.  ``trace_oracle`` pairs
 through an ``ev`` function on basis labels.
+
+``orbits`` is the orbit enumeration the braided-Lie axioms used before
+``groups.orbit_representatives``: a flood fill over a flat bytearray of the
+n**arity base-n codes, under the generators' permutations alone.
 """
+
+from itertools import product
 
 from qdouble.cyclotomic import ONE, ZERO
 from qdouble.linalg import SparseSpan, _addto
@@ -150,3 +156,32 @@ def trace_oracle(lie):
             K[x][y] = total
     return K
 
+
+def orbits(n: int, arity: int, perms):
+    """One representative tuple for each orbit of the tuples in
+    range(n)**arity under the permutations ``perms`` of range(n), each
+    acting on every factor.  A tuple is coded in base n and the
+    representative is the least code of its orbit, so representatives come
+    in lexicographic order.  With no permutations every tuple is its own
+    representative.  Each permutation is lifted to the codes of the first
+    arity - 1 factors, so a code moves by one divmod and two lookups."""
+    lifted = []
+    for perm in perms:
+        head = [0]
+        for _ in range(arity - 1):
+            head = [c * n + p for c in head for p in perm]
+        lifted.append((head, perm))
+    seen = bytearray(n ** arity)
+    for code, t in enumerate(product(range(n), repeat=arity)):
+        if seen[code]:
+            continue
+        seen[code] = 1
+        orbit = [code]
+        for member in orbit:
+            q, r = divmod(member, n)
+            for head, perm in lifted:
+                image = head[q] * n + perm[r]
+                if not seen[image]:
+                    seen[image] = 1
+                    orbit.append(image)
+        yield t

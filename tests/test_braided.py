@@ -9,7 +9,7 @@ import braided_reference as braided_ref
 from qdouble.cyclotomic import cyc
 from qdouble.reps import centralizer_character
 from qdouble.double import CrossedModule, DoubleElement
-from qdouble.groups import FiniteGroup, class_context
+from qdouble.groups import FiniteGroup, class_context, orbit_representatives
 from qdouble.braided import (
     lie_cpi,
     BlockBraidedLie,
@@ -25,7 +25,6 @@ from qdouble.braided import (
     quotient_hopf,
     braided_antipode_preserves_relations,
     bdg_braided_checks,
-    _orbits,
 )
 from qdouble.regression import S3Data
 import qdouble.linalg as la
@@ -231,9 +230,21 @@ def _s4_blocks():
     return [(four, centralizer_character(four, 1))] + [(two, p) for p in pis]
 
 
+def _s4_dihedral_block():
+    """The S4 double-transposition block with the 2-dim irrep ``dihedral2``
+    of its centralizer, the dihedral group of order 8."""
+    from qdouble.reps import dihedral_two_dim
+
+    S4 = FiniteGroup.symmetric(4)
+    ctx = class_context(S4, "s1s3")
+    return ctx, dihedral_two_dim(ctx.centralizer)
+
+
 def test_orbit_decision_matches_exhaustive_reference(data):
     """axioms() on orbit representatives equals the exhaustive loops on every
-    S3 block and on the S4 blocks, whose monomial actions take the orbit path."""
+    S3 block and on the S4 blocks, whose monomial actions take the orbit path.
+    The path follows the action, not dim pi: the S3 2-dim point block is not
+    monomial, while the S4 ``dihedral2`` block is."""
     from qdouble.double import centralizer_irreps
 
     blocks = [
@@ -242,10 +253,41 @@ def test_orbit_decision_matches_exhaustive_reference(data):
         for pi in centralizer_irreps(ctx)
         if not (ctx.rep == 0 and pi.is_trivial())
     ]
-    for ctx, pi in blocks + _s4_blocks():
+    dihedral = _s4_dihedral_block()
+    for ctx, pi in blocks + _s4_blocks() + [dihedral]:
         lie = lie_cpi(ctx, pi)
         assert lie.axioms() == _reference_axioms(lie_cpi(ctx, pi)), (ctx.rep, pi.name)
-        assert bool(lie._orbit_perms()) == (pi.dim == 1)
+    s3_two = next(pi for pi in centralizer_irreps(data.ctx1) if pi.dim == 2)
+    assert lie_cpi(data.ctx1, s3_two)._orbit_perms() == ()
+    assert lie_cpi(*dihedral)._orbit_perms()
+
+
+def test_orbit_representatives_equal_the_flood_fill_reference():
+    """On all 27 nontrivial S3 and S4 blocks, at arity 2 and 3, the stabiliser
+    chain over the image group gives the tuples of the flood fill over the
+    generators' permutations, in the same order."""
+    blocks = _nontrivial_blocks("S3") + _nontrivial_blocks("S4")
+    assert len(blocks) == 27
+    for ctx, pi in blocks:
+        lie = lie_cpi(ctx, pi)
+        for arity in (2, 3):
+            reference = list(braided_ref.orbits(lie.dim, arity, lie._orbit_perms()))
+            assert lie._orbit_representatives(arity) == reference, (ctx.rep, pi.name, arity)
+
+
+def test_orbit_representatives_see_a_permutation_outside_the_group():
+    """Negative control: a transposition of two basis indices that the image
+    group does not contain merges orbits, so the representatives move."""
+    ctx, pi = _s4_blocks()[0]
+    lie = lie_cpi(ctx, pi)
+    perms = [[col[0][0] for col in cols] for cols in lie.action]  # the image group
+    swap = list(range(lie.dim))
+    swap[0], swap[1] = 1, 0
+    assert swap not in perms
+    for arity in (2, 3):
+        reference = list(braided_ref.orbits(lie.dim, arity, lie._orbit_perms()))
+        assert list(orbit_representatives(lie.dim, arity, perms)) == reference
+        assert list(orbit_representatives(lie.dim, arity, perms + [swap])) != reference
 
 
 def test_orbit_representatives_partition_the_tuples():
@@ -257,7 +299,7 @@ def test_orbit_representatives_partition_the_tuples():
     perms = lie._orbit_perms()
     assert len(perms) == len(ctx.group.generators)
     for arity, count in ((3, 1968), (2, 60)):
-        reps = list(_orbits(lie.dim, arity, perms))
+        reps = lie._orbit_representatives(arity)
         sizes = []
         covered = set()
         for rep in reps:
@@ -280,7 +322,7 @@ def test_orbit_representatives_partition_the_tuples():
 def test_corrupted_psit_outside_the_representatives_fails_the_precondition(data):
     lie = lie_cpi(data.ctx2, data.pi[1])
     assert lie.is_regular()  # fills every psit entry
-    reps = set(_orbits(lie.dim, 2, lie_cpi(data.ctx2, data.pi[1])._orbit_perms()))
+    reps = set(lie_cpi(data.ctx2, data.pi[1])._orbit_representatives(2))
     key = next((i, j) for i in range(lie.dim) for j in range(lie.dim) if (i, j) not in reps and i != j)
     lie._psit_cache[key] = {key: ONE}  # the identity in place of a flip
     assert lie._orbit_perms() == ()

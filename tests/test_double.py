@@ -367,3 +367,50 @@ def test_double_irreps_fails_before_building_any_catalogue(monkeypatch):
     monkeypatch.setattr(qdouble.double, "irrep_catalog", refuse)
     with pytest.raises(ValueError, match="no centralizer irreducible catalogue for this class"):
         double_irreps(FiniteGroup.symmetric(5))
+
+
+def _dihedral_8():
+    return FiniteGroup.from_generators([[[1, 2, 3, 4]], [[1, 3]]], degree=4)
+
+
+@pytest.mark.parametrize(
+    "name, group, count",
+    [
+        ("S3", lambda: FiniteGroup.symmetric(3), 8),
+        ("S4", lambda: FiniteGroup.symmetric(4), 21),
+        ("C4", lambda: FiniteGroup.cyclic(4), 16),
+        ("C6", lambda: FiniteGroup.cyclic(6), 36),
+        ("D8", _dihedral_8, 22),
+    ],
+)
+def test_double_irreps_count_the_orbits_of_commuting_pairs(name, group, count):
+    """As many labels as conjugation orbits of commuting pairs (a, b), each
+    orbit counted here as the set of its members."""
+    G = group()
+    orbits = {
+        frozenset((G.conj(g, a), G.conj(g, b)) for g in range(G.n))
+        for a in range(G.n)
+        for b in G.centralizer(a)
+    }
+    assert len(double_irreps(G)) == len(orbits) == count
+
+
+def test_double_irreps_refuses_a_missing_irrep(monkeypatch):
+    """Negative control: with one centralizer irrep dropped, the labels fall
+    one short of the orbits of commuting pairs."""
+    import qdouble.double
+
+    original = qdouble.double.centralizer_irreps
+    dropped = []
+
+    def one_short(ctx):
+        irreps = original(ctx)
+        if dropped:
+            return irreps
+        dropped.append(irreps[-1])
+        return irreps[:-1]
+
+    monkeypatch.setattr(qdouble.double, "centralizer_irreps", one_short)
+    with pytest.raises(RuntimeError, match="20 irreducible labels for 21 orbits of commuting pairs"):
+        double_irreps(FiniteGroup.symmetric(4))
+    assert len(dropped) == 1
