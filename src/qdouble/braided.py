@@ -29,25 +29,32 @@ and PsiT the fundamental braiding ([,] (x) id)(id (x) Psi)(Delta (x) id)):
 * the braid relation for PsiT and its invertibility (regularity).
 
 L1, L2, L3 and the braid relation are decided on one basis tuple per
-G-orbit.  A braided-Lie algebra in the crossed-module category has a
-G-equivariant counit, coproduct, Psi, bracket and hence PsiT (Majid,
-"Quantum and braided Lie algebras", J. Geom. Phys. 13, 1994), with G
-acting diagonally on tensor powers.  Both sides of each of these axioms
-are composites of those maps, so if a generator s acts monomially,
-s |> v_i = c_i v_p(i) with c_i != 0, a side at (p(i), p(j), ...) is
-(c_i c_j ...)^-1 s |> (the side at (i, j, ...)): the sides agree on the
-image tuple once they agree on the tuple, and so on its whole orbit under
-the group generated by the generators' permutations.
+G-orbit.  In the crossed-module category the counit, coproduct, Psi,
+bracket and hence PsiT are G-equivariant (Majid, "Quantum and braided Lie
+algebras", J. Geom. Phys. 13, 1994), with G acting diagonally on tensor
+powers, and both sides of each axiom are composites of them.  So if a
+generator s acts by s |> v_i = c_i v_p(i), a side at (p(i), p(j), ...) is
+(c_i c_j ...)^-1 s |> (the side at (i, j, ...)), and the sides agree on a
+whole orbit of the image group once they agree on one tuple.
 
-The argument is used only where its premise is decided first: every
-generator's action is monomial, and the counit, coproduct, Psi, bracket
-and PsiT commute with it on all basis vectors and pairs (dim^2 |S| work).
-The representatives then come from ``groups.orbit_representatives`` on the
-image group, read from the verified columns.  Otherwise, for a non-monomial
-action (the S3 point block with dim pi = 2, but not the S4 ``dihedral2``
-block) or a tensor that is not equivariant, every tuple is its own
-representative.  L4 runs over every basis vector, since the unit need not
-be invariant.
+The premise is decided once.  ``CrossedModule.verify`` checks on
+generators that e acts as 1, that action[g s] = action[g] action[s] (a
+homomorphism) and that |s |> v| = s |v| s^-1.  So action[s] is invertible,
+with inverse action[s^-1], and if each of its zero-free columns has one
+entry it permutes the basis.  Psi is equivariant: for homogeneous x,
+  s |> Psi(x (x) y) = (s |x|) |> y (x) s |> x
+                    = (s |x| s^-1) |> (s |> y) (x) s |> x = Psi(s |> x (x) s |> y).
+PsiT, which ``psit`` computes as ([,] (x) id)(id (x) Psi)(Delta (x) id), is
+a composite of equivariant maps once Delta and the bracket are.  What is
+left is decided by ``BraidedLie._equivariant_perm``: each generator's
+columns have one entry, the counit and coproduct commute with it on every
+basis vector, and the bracket on every basis pair (dim^2 |S| work).
+Otherwise, for a non-monomial action (the S3 point block with dim pi = 2,
+but not the S4 ``dihedral2`` block) or a counit, coproduct or bracket that
+is not equivariant, every tuple is its own representative.  The
+representatives come from ``groups.orbit_representatives`` on the image
+group, read from the verified columns.  L4 runs over every basis vector,
+since the unit need not be invariant.
 """
 
 from __future__ import annotations
@@ -60,7 +67,7 @@ from .reps import Rep, induced_matrices
 from .double import CrossedModule, DoubleElement, _columns, adjoint_structure
 from .double import antipode_axiom_holds, bialgebra_axiom_holds
 from .quadalg import QuadAlg
-from .linalg import SparseSpan, _addto
+from .linalg import SparseSpan, _accumulate, _addto
 
 
 def _v_basis(ctx: ClassContext, pi: Rep) -> list:
@@ -112,17 +119,15 @@ def _braid_relation_holds(psi, n: int) -> bool:
 
 def _act(perm, scale, vec: dict) -> dict:
     """s |> vec for the monomial action s |> v_i = scale[i] v_perm[i], on a
-    sparse vector keyed by basis indices or by tuples of them; scale None
-    stands for every scale 1."""
+    sparse vector keyed by basis indices or by tuples of them."""
     out = {}
     for key, c in vec.items():
         if isinstance(key, tuple):
-            if scale is not None:
-                for k in key:
-                    c = c * scale[k]
+            for k in key:
+                c = c * scale[k]
             out[tuple(perm[k] for k in key)] = c
         else:
-            out[perm[key]] = c if scale is None else c * scale[key]
+            out[perm[key]] = c * scale[key]
     return out
 
 
@@ -203,35 +208,25 @@ class BraidedLie(CrossedModule):
 
     def _equivariant_perm(self, s: int):
         """The permutation p of s |> v_i = c_i v_p(i) if the action of s is
-        monomial and the counit, coproduct, Psi, bracket and PsiT commute
-        with it on every basis vector and pair, else None."""
+        monomial and the counit, coproduct and bracket commute with it on
+        every basis vector and pair, else None.  Psi and PsiT then commute
+        with it too (see the module docstring)."""
         cols = self.action[s]
-        if not all(len(col) == 1 and col[0][1] for col in cols):
+        if not all(len(col) == 1 for col in cols):
             return None
         perm = [col[0][0] for col in cols]
         scale = [col[0][1] for col in cols]
-        if len(set(perm)) != self.dim:
-            return None
-        if all(c == ONE for c in scale):
-            scale = None  # a permutation action: no scalar products
         for i in range(self.dim):
-            delta, image = {}, {}
-            for (a, b, c) in self.coproduct[i]:
-                _addto(delta, (a, b), c)
-            for (a, b, c) in self.coproduct[perm[i]]:
-                _addto(image, (a, b), c if scale is None else c * scale[i])
-            eps = self.counit[perm[i]] if scale is None else self.counit[perm[i]] * scale[i]
-            if eps != self.counit[i] or _act(perm, scale, delta) != image:
+            delta = _accumulate(((a, b), c) for a, b, c in self.coproduct[i])
+            image = _accumulate(((a, b), c * scale[i]) for a, b, c in self.coproduct[perm[i]])
+            if self.counit[perm[i]] * scale[i] != self.counit[i] or _act(perm, scale, delta) != image:
                 return None
-        for tensor in (lambda i, j: dict(self.psi(i, j)), self.bracket, self.psit):
-            for i in range(self.dim):
-                for j in range(self.dim):
-                    image = tensor(perm[i], perm[j])
-                    if scale is not None:
-                        c = scale[i] * scale[j]
-                        image = {k: c * v for k, v in image.items()}
-                    if _act(perm, scale, tensor(i, j)) != image:
-                        return None
+        for i in range(self.dim):
+            for j in range(self.dim):
+                c = scale[i] * scale[j]
+                image = {k: c * v for k, v in self.bracket(perm[i], perm[j]).items()}
+                if _act(perm, scale, self.bracket(i, j)) != image:
+                    return None
         return perm
 
     def _first_failure(self, axiom: str):

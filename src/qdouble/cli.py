@@ -569,10 +569,7 @@ def main(argv=None) -> int:
             load_scenario(default_scenario_path()) if args.subcommand != "verify-paper" else {}
         )
         report = COMMANDS[args.subcommand](scenario, args)
-    except ConfigError as ex:
-        print(f"configuration error: {ex}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError) as ex:
+    except (ConfigError, ValueError, KeyError) as ex:
         print(f"configuration error: {ex}", file=sys.stderr)
         return 2
     emit(report, args)

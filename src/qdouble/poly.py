@@ -163,7 +163,10 @@ class Poly:
         return a.terms == b.terms
 
     def __hash__(self):
-        """Over the nonzero (name, exponent) pairs, as __eq__ aligns variables."""
+        """Over the nonzero (name, exponent) pairs, as __eq__ aligns variables;
+        a constant, zero included, hashes as the Cyc it equals."""
+        if not any(map(any, self.terms)):
+            return hash(self.constant_term())
         return hash(
             frozenset(
                 (frozenset((v, e) for v, e in zip(self.vars, exp) if e), c)

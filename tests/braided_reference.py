@@ -11,6 +11,12 @@ through an ``ev`` function on basis labels.
 ``orbits`` is the orbit enumeration the braided-Lie axioms used before
 ``groups.orbit_representatives``: a flood fill over a flat bytearray of the
 n**arity base-n codes, under the generators' permutations alone.
+
+``equivariant_perm`` is the full orbit premise as ``BraidedLie`` decided it
+before the verified crossed module was taken to imply part of it: a
+bijectivity check on the permutation, and the counit, coproduct, Psi,
+bracket and PsiT each compared with the generator's action on every basis
+vector and pair, with a permutation-only path when every scale is 1.
 """
 
 from itertools import product
@@ -185,3 +191,53 @@ def orbits(n: int, arity: int, perms):
                     seen[image] = 1
                     orbit.append(image)
         yield t
+
+
+def _act(perm, scale, vec: dict) -> dict:
+    """s |> vec for the monomial action s |> v_i = scale[i] v_perm[i], on a
+    sparse vector keyed by basis indices or by tuples of them; scale None
+    stands for every scale 1."""
+    out = {}
+    for key, c in vec.items():
+        if isinstance(key, tuple):
+            if scale is not None:
+                for k in key:
+                    c = c * scale[k]
+            out[tuple(perm[k] for k in key)] = c
+        else:
+            out[perm[key]] = c if scale is None else c * scale[key]
+    return out
+
+
+def equivariant_perm(lie, s: int):
+    """The permutation p of s |> v_i = c_i v_p(i) if the action of s is
+    monomial and bijective and the counit, coproduct, Psi, bracket and PsiT
+    commute with it on every basis vector and pair, else None."""
+    cols = lie.action[s]
+    if not all(len(col) == 1 and col[0][1] for col in cols):
+        return None
+    perm = [col[0][0] for col in cols]
+    scale = [col[0][1] for col in cols]
+    if len(set(perm)) != lie.dim:
+        return None
+    if all(c == ONE for c in scale):
+        scale = None
+    for i in range(lie.dim):
+        delta, image = {}, {}
+        for (a, b, c) in lie.coproduct[i]:
+            _addto(delta, (a, b), c)
+        for (a, b, c) in lie.coproduct[perm[i]]:
+            _addto(image, (a, b), c if scale is None else c * scale[i])
+        eps = lie.counit[perm[i]] if scale is None else lie.counit[perm[i]] * scale[i]
+        if eps != lie.counit[i] or _act(perm, scale, delta) != image:
+            return None
+    for tensor in (lambda i, j: dict(lie.psi(i, j)), lie.bracket, lie.psit):
+        for i in range(lie.dim):
+            for j in range(lie.dim):
+                image = tensor(perm[i], perm[j])
+                if scale is not None:
+                    c = scale[i] * scale[j]
+                    image = {k: c * v for k, v in image.items()}
+                if _act(perm, scale, tensor(i, j)) != image:
+                    return None
+    return perm

@@ -6,7 +6,9 @@ of its stdout, the sha256 of its stderr and its exit code.  The ops are the
 ``perfbench/scenarios/s4_four_cycle.json``, ``envelope --degree 4``,
 ``transfer --float``, ``verify-paper``, and ``transfer``, ``calculus``,
 ``braided`` and ``quotient`` on ``tests/scenarios/s4_double_transposition.json``,
-a block whose centralizer irrep has dimension 2.  Each runs in process
+a block whose centralizer irrep has dimension 2, and ``geometry`` on
+``tests/scenarios/s3_all_residuals.json``, the stratum block with every
+residual flag, the star and Riemann ones included.  Each runs in process
 through ``cli.main``, with paths relative to the repository root.
 
 Run from the repository root:
@@ -38,6 +40,7 @@ SCENARIOS = [
     "perfbench/scenarios/s4_four_cycle.json",
 ]
 DIM2_SCENARIO = "tests/scenarios/s4_double_transposition.json"
+RESIDUALS_SCENARIO = "tests/scenarios/s3_all_residuals.json"
 REPORTS = [c for c in sorted(cli.COMMANDS) if c != "verify-paper"]
 OPS = (
     [(c, "--scenario", s) for s in SCENARIOS for c in REPORTS]
@@ -47,6 +50,7 @@ OPS = (
         ("verify-paper",),
     ]
     + [(c, "--scenario", DIM2_SCENARIO) for c in ("transfer", "calculus", "braided", "quotient")]
+    + [("geometry", "--scenario", RESIDUALS_SCENARIO)]
 )
 
 

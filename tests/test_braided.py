@@ -319,15 +319,20 @@ def test_orbit_representatives_partition_the_tuples():
         assert sum(sizes) == len(covered) == lie.dim**arity
 
 
-def test_corrupted_psit_outside_the_representatives_fails_the_precondition(data):
-    lie = lie_cpi(data.ctx2, data.pi[1])
-    assert lie.is_regular()  # fills every psit entry
+def test_corrupted_bracket_outside_the_representatives_fails_the_precondition(data):
+    """One bracket value doubled at a pair off the representatives, before the
+    premise is decided, breaks the bracket's equivariance: the orbit path is
+    refused and the exhaustive path gives the reference verdicts."""
     reps = set(lie_cpi(data.ctx2, data.pi[1])._orbit_representatives(2))
-    key = next((i, j) for i in range(lie.dim) for j in range(lie.dim) if (i, j) not in reps and i != j)
-    lie._psit_cache[key] = {key: ONE}  # the identity in place of a flip
+    lie = lie_cpi(data.ctx2, data.pi[1])
+    key = next(
+        (i, j) for i in range(lie.dim) for j in range(lie.dim) if (i, j) not in reps and lie.bracket(i, j)
+    )
+    lie._bracket_cache[key] = {k: v * cyc(2) for k, v in lie.bracket(*key).items()}
     assert lie._orbit_perms() == ()
-    assert lie.check_braid_relation() is False
-    assert not _reference_braid(lie.psit, lie.dim)
+    verdicts = lie.axioms()
+    assert verdicts == _reference_axioms(lie)
+    assert not all(verdicts.values())
 
 
 def _corrupt(lie, part):
@@ -346,6 +351,31 @@ def test_corrupted_structure_takes_the_exhaustive_path(data, part):
     _corrupt(lie, part)
     assert lie._orbit_perms() == ()
     assert lie.axioms() == _reference_axioms(lie)
+
+
+def test_orbit_premise_agrees_with_the_full_reference(data):
+    """For every generator, the premise the verified crossed module leaves
+    open (a monomial action with an equivariant counit, coproduct and
+    bracket) gives the permutation of the full premise, which also checks
+    bijectivity and compares Psi and PsiT, and None exactly where it does: on
+    the 27 nontrivial S3 and S4 blocks, S4 ``dihedral2`` among them, the
+    regular algebra on S3 and each corrupted block."""
+    blocks = _nontrivial_blocks("S3") + _nontrivial_blocks("S4")
+    assert len(blocks) == 27
+    lies = [lie_cpi(ctx, pi) for ctx, pi in blocks] + [RegularBraidedLie(data.G)]
+    for part in ("action", "counit", "coproduct"):
+        lie = lie_cpi(data.ctx2, data.pi[1])
+        _corrupt(lie, part)
+        lies.append(lie)
+    orbit_path = []
+    for lie in lies:
+        for s in lie.group.generators:
+            assert lie._equivariant_perm(s) == braided_ref.equivariant_perm(lie, s), (lie.basis[0], s)
+        orbit_path.append(bool(lie._orbit_perms()))
+    dihedral = next(k for k, (ctx, pi) in enumerate(blocks) if pi.name == "dihedral2")
+    assert orbit_path[dihedral] and orbit_path[27]  # and the regular algebra
+    assert not all(orbit_path[:27])  # the S3 point block with dim pi = 2
+    assert orbit_path[28:] == [False] * 3
 
 
 def _four_cycle_block():

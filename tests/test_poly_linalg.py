@@ -30,6 +30,12 @@ def test_poly_hash_agrees_with_aligning_eq():
     assert p == swapped == wider
     assert hash(p) == hash(swapped) == hash(wider)
     assert len({p, swapped, wider}) == 1
+    V = ("x",)
+    for value in (3, Fraction(-2, 5), cyc(3), root_of_unity(4, 1), 0):
+        const = Poly.constant(value, V)
+        for other in (value, cyc(value), Poly.constant(value), Poly.constant(value, ("y", "z"))):
+            assert const == other and hash(const) == hash(other), (value, other)
+    assert hash(Poly(V)) == hash(0) and Poly(V) == 0
 
 
 def test_poly_conj_fixes_real_parameters():
