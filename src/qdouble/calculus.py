@@ -14,9 +14,11 @@ Three concrete carriers:
 
 from __future__ import annotations
 
+from math import lcm
+
 from .cyclotomic import ONE, ZERO
 from .groups import FiniteGroup, ClassContext
-from .reps import Rep, induced_rep
+from .reps import Rep, check_homomorphism, induced_rep
 from .double import build_VCpi
 from . import linalg
 from .linalg import _accumulate, _addto
@@ -216,11 +218,10 @@ class LambdaBasis:
         span = linalg.SparseSpan()
         for g in candidates:
             row = calculus._flatten(calculus.e_matrices[g])
-            if not any(row):
-                continue
+            # a zero row never enlarges the span, so e^g = 0 is dependent
             if not span.add(dict(enumerate(row))):
                 if preferred is not None:
-                    raise ValueError("preferred basis is linearly dependent")
+                    raise ValueError(f"preferred basis is linearly dependent at {group.labels[g]!r}")
                 continue
             chosen.append(g)
             chosen_rows.append(row)
@@ -229,24 +230,32 @@ class LambdaBasis:
         self.calculus = calculus
         self.group = group
         self.basis = chosen  # group elements labelling e^i
-        self._rows = chosen_rows
+        # the span's rows are echelon on its pivot columns P, so B[:, P] is
+        # invertible, and x B = t reads x = t[P] B[:, P]^-1 for every target
+        self._pivots = sorted(span.pivots)
+        square = [[row[p] for p in self._pivots] for row in chosen_rows]
+        self._solver = linalg.inverse(square) if chosen else []
+        self._order = lcm(*(x.order for row in chosen_rows for x in row))
         self._coord_cache: dict[int, list] = {}
         self._gamma_cache: dict[int, list] = {}
         self._rho_cache: dict[int, list] = {}
+        self._representations_checked = False
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     def coords(self, g: int):
-        """Coordinates of e^g in the chosen basis."""
+        """Coordinates of e^g in the chosen basis, tagged with the lcm of the
+        orders of the basis rows and of e^g, as one solve of the two would."""
         if g not in self._coord_cache:
             target = self.calculus._flatten(self.calculus.e_matrices[g])
-            # the transpose keeps its len(target) rows when the basis is empty
-            sol = linalg.solve([[row[k] for row in self._rows] for k in range(len(target))], target)
-            if sol is None:
-                raise RuntimeError("basis fails to span e^g")
-            self._coord_cache[g] = sol
+            zero = ZERO.promote(lcm(self._order, *(x.order for x in target)))
+            top = [target[p] for p in self._pivots]
+            self._coord_cache[g] = [
+                sum((t * row[j] for t, row in zip(top, self._solver) if t), zero)
+                for j in range(self.dim)
+            ]
         return self._coord_cache[g]
 
     def gamma(self, g: int):
@@ -270,13 +279,20 @@ class LambdaBasis:
             ]
         return self._rho_cache[g]
 
-    def partial_coefficients(self, g: int):
-        """d g = partial_i g (x) e^i with partial_i g = g <e_i, e^g>; the scalars."""
-        return self.coords(g)
+    def check_representations(self) -> None:
+        """Raise ValueError naming (g, s) unless gamma (right translation,
+        e^i -> e^{ig} - e^g) and rho (conjugation) are representations of G.
+        Every condition decided over Lambda^1 on generators only rests on
+        this premise; it is decided once per basis, on first use."""
+        if self.dim and not self._representations_checked:
+            for act, name in ((self.gamma, "gamma"), (self.rho_matrix, "rho")):
+                check_homomorphism(self.group, [act(g) for g in range(self.group.n)], name)
+            self._representations_checked = True
 
     def gamma_rho_commutation_holds(self) -> bool:
         """gamma(g) rho(k) = rho(k) gamma(k^-1 g k) for every g and every
         generator k; the k that satisfy it are closed under products."""
+        self.check_representations()
         group = self.group
         for g in range(group.n):
             for k in group.generators:

@@ -88,20 +88,15 @@ class InnerProduct:
 
     def covariant(self) -> bool:
         """gamma(u) g gamma(u)^T = g and rho(u) g rho(u)^T = g for every
-        generator u, hence for every u."""
-        dim = self.basis.dim
+        generator u, hence for every u, as gamma and rho are representations."""
+        self.basis.check_representations()
+        dims = range(self.basis.dim)
+        gram = {(i, j): self.matrix[i][j].extend(self.vars).terms for i, j in product(dims, repeat=2)}
         for u in self.group.generators:
             for mat in (self.basis.gamma(u), self.basis.rho_matrix(u)):
-                for i in range(dim):
-                    for j in range(dim):
-                        total = Poly.constant(0, self.vars)
-                        for k in range(dim):
-                            if mat[i][k]:
-                                for l in range(dim):
-                                    if mat[j][l]:
-                                        total = total + self.matrix[k][l] * (mat[i][k] * mat[j][l])
-                        if total != self.matrix[i][j]:
-                            return False
+                moved = _contract_leg(_contract_leg(gram, 0, mat), 1, mat)
+                if any(moved.get(key, {}) != terms for key, terms in gram.items()):
+                    return False
         return True
 
     def metric_conditions_hold(self) -> bool:
@@ -345,24 +340,18 @@ def connection_solve(basis: LambdaBasis, ip: InnerProduct | None, flags) -> Conn
     pos = {t: a for a, t in enumerate(index)}
     rows = []
     if "covariant" in flags:
-        # invariance under the generators gives the same row space, so the
-        # same rref and nullspace, as invariance under every g
+        # Gamma = rho(g^-1) Gamma rho(g) rho(g) on the generators only: as rho
+        # is a representation, the rows of st are combinations of those of s
+        # and t, so the rref and nullspace are those of every g
+        basis.check_representations()
+        unknowns = {t: {a: ONE} for t, a in pos.items()}
         for g in group.generators:
-            r = basis.rho_matrix(g)
-            for i in range(dim):
-                for j in range(dim):
-                    for k in range(dim):
-                        row = [ZERO] * len(index)
-                        for l in range(dim):
-                            if r[i][l]:
-                                row[pos[(l, j, k)]] = row[pos[(l, j, k)]] + r[i][l]
-                        for m in range(dim):
-                            if r[m][j]:
-                                for l in range(dim):
-                                    if r[l][k]:
-                                        row[pos[(i, m, l)]] = row[pos[(i, m, l)]] - r[m][j] * r[l][k]
-                        if any(row):
-                            rows.append(row)
+            moved = _conjugate(unknowns, basis.rho_matrix, group, g)
+            for t, a in pos.items():
+                row = {b: -c for b, c in moved.get(t, {}).items()}
+                _addto(row, a, ONE)
+                if row:
+                    rows.append([row.get(b, ZERO) for b in range(len(index))])
     if "torsion_free" in flags:
         for i in range(dim):
             for j in range(dim):
@@ -435,7 +424,7 @@ def metric_compat_residuals(family: ConnectionFamily, ip: InnerProduct):
 
     The quadratic terms are grouped so that every polynomial product happens
     once: conjugated symbols T(p)^l_ij are contractions of Gamma with the
-    constant gamma matrices (``_gamma_conjugate``), and the inverse-metric
+    constant gamma matrices (``_conjugate``), and the inverse-metric
     contraction W^l_pk = sum_m adj_lm Gamma^m_pk is shared across equations.
     """
     dim = family.dim
@@ -443,7 +432,7 @@ def metric_compat_residuals(family: ConnectionFamily, ip: InnerProduct):
     adj = ip.adjugate()
     G = family.gamma
     terms = {key: g.terms for key, g in G.items()}
-    T = {p: _gamma_conjugate(terms, basis, p) for p in basis.basis}
+    T = {p: _conjugate(terms, basis.gamma, basis.group, p) for p in basis.basis}
     W = {}
     for l in range(dim):
         for pidx in range(dim):
@@ -489,7 +478,7 @@ def star_compat_residuals(family: ConnectionFamily):
     terms = {key: g.terms for key, g in G.items()}
     bracket = {}
     for uidx, u in enumerate(basis.basis):
-        T = _gamma_conjugate(terms, basis, u)
+        T = _conjugate(terms, basis.gamma, basis.group, u)
         for key, val in G.items():
             bracket[(uidx, *key)] = val - Poly._make(family.vars, T[key]) if key in T else val
     out = []
@@ -525,14 +514,13 @@ def _contract_leg(T: dict, leg: int, mat) -> dict:
     return out
 
 
-def _gamma_conjugate(T: dict, basis, h: int) -> dict:
-    """gamma(h^-1) on the first leg of T and gamma(h) on every other leg,
-    out[i, j, ...] = sum gamma(h^-1)^i_a gamma(h)^b_j ... T[a, b, ...],
-    contracted one leg at a time over zero-free polynomial term maps."""
-    out = _contract_leg(T, 0, basis.gamma(basis.group.inv[h]))
-    gh_t = list(zip(*basis.gamma(h)))
+def _conjugate(T: dict, act, group: FiniteGroup, h: int) -> dict:
+    """out[i, j, ...] = sum act(h^-1)^i_a act(h)^b_j ... T[a, b, ...] for act
+    ``LambdaBasis.gamma`` or ``.rho_matrix``, one leg at a time."""
+    out = _contract_leg(T, 0, act(group.inv[h]))
+    ht = list(zip(*act(h)))
     for leg in range(1, len(next(iter(T)))):
-        out = _contract_leg(out, leg, gh_t)
+        out = _contract_leg(out, leg, ht)
     return out
 
 
@@ -541,19 +529,22 @@ def riemann_compat_residuals(family: ConnectionFamily):
     their gamma(h)-conjugates for every group element h (Grassmann choice).
 
     The antisymmetrized tensor D^a_b[(l,p)] = QQ^a_b[(l,p)] - QQ^a_b[(p,l)]
-    is R^a_{plb} of ``curvature``, computed once.  For each h != e its conjugate
-    sum gamma(h^-1)^i_a gamma(h)^b_j gamma(h)^l_k gamma(h)^p_m D^a_b[(l,p)]
-    is contracted one tensor leg at a time, dim^5 sparse scalar
+    is R^a_{plb} of ``curvature``, computed once.  For each generator h its
+    conjugate sum gamma(h^-1)^i_a gamma(h)^b_j gamma(h)^l_k gamma(h)^p_m
+    D^a_b[(l,p)] is contracted one tensor leg at a time, dim^5 sparse scalar
     multiplications per leg where the full sum takes dim^8, and subtracted
-    from D at each (i, j, k < m) in index order."""
+    from D at each (i, j, k < m) in index order.  The ideal is that of every
+    h: as gamma is a representation, D - (st).D = (D - t.D) + t.(D - s.D)
+    with t a constant matrix."""
     dim = family.dim
     basis = family.basis
     group = basis.group
+    basis.check_representations()
     out = []
     R = curvature(family)
     D = {(a, b, l, p): R[(a, p, l, b)].terms for a, b, l, p in R}
-    for h in range(1, group.n):
-        conj = _gamma_conjugate(D, basis, h)
+    for h in group.generators:
+        conj = _conjugate(D, basis.gamma, group, h)
         for i in range(dim):
             for j in range(dim):
                 for k in range(dim):
@@ -645,14 +636,7 @@ def geometric_laplacian(family: ConnectionFamily, ip: InnerProduct):
     """
     basis = family.basis
     dim = family.dim
-    trace_term = []
-    for i in range(dim):
-        total = None
-        for j in range(dim):
-            for k in range(dim):
-                t = family.gamma[(i, j, k)] * ip.matrix[j][k]
-                total = t if total is None else total + t
-        trace_term.append(total)
+    trace_term = _metric_trace(family, ip)
     out = {}
     for h in range(basis.group.n):
         alpha = basis.coords(h)
@@ -664,17 +648,25 @@ def geometric_laplacian(family: ConnectionFamily, ip: InnerProduct):
     return out
 
 
+def _metric_trace(family: ConnectionFamily, ip: InnerProduct):
+    """[sum_{jk} Gamma^i_{jk} g^{jk} for each i], each summed left to right."""
+    dims = range(family.dim)
+    terms = [[family.gamma[(i, j, k)] * ip.matrix[j][k] for j, k in product(dims, repeat=2)] for i in dims]
+    return [sum(t[1:], t[0]) for t in terms]
+
+
 def laplacian_consistency_residuals(family: ConnectionFamily, ip: InnerProduct, lambdas: dict):
     """Conditions for the class operator to arise from the geometric data.
 
-    For every pair (h, g):
+    For every pair (h, g), with the trace of ``_metric_trace``:
       -(lam_{hg^-1} - lam_g) + (l_{hg^-1} - l_g)
         = sum g^{ak} alpha(h)_i gamma(g^-1)^i_l Gamma^l_{ak}.
     """
     basis = family.basis
     group = basis.group
-    dim = family.dim
+    dims = range(family.dim)
     lam = covariant_operator(group, lambdas)
+    trace = _metric_trace(family, ip)
     out = []
     for h in range(group.n):
         alpha = basis.coords(h)
@@ -686,22 +678,8 @@ def laplacian_consistency_residuals(family: ConnectionFamily, ip: InnerProduct, 
                 - ip.length_of(g)
             )
             ginv = basis.gamma(group.inv[g])
-            rhs = None
-            for i in range(dim):
-                if not alpha[i]:
-                    continue
-                for l in range(dim):
-                    if not ginv[i][l]:
-                        continue
-                    for a in range(dim):
-                        for k in range(dim):
-                            if not ip.matrix[a][k]:
-                                continue
-                            t = family.gamma[(l, a, k)] * (
-                                ip.matrix[a][k] * alpha[i] * ginv[i][l]
-                            )
-                            rhs = t if rhs is None else rhs + t
-            res = lhs - rhs if rhs is not None else lhs
+            rhs = [trace[l] * (alpha[i] * ginv[i][l]) for i in dims if alpha[i] for l in dims if ginv[i][l]]
+            res = lhs - sum(rhs[1:], rhs[0]) if rhs else lhs
             if res:
                 out.append(res)
     return _dedupe(out)

@@ -89,6 +89,8 @@ def test_lambda_basis_selection(s3, ctx2):
     assert [s3.labels[g] for g in preferred.basis] == ["u", "v", "uv", "vu"]
     with pytest.raises(ValueError):
         lambda_basis(calc, preferred=["u", "u", "v", "uv"])  # repeat: dependent
+    with pytest.raises(ValueError, match="dependent at 'e'"):
+        lambda_basis(calc, preferred=["e", "u", "v", "uv", "vu"])  # e^e = 0
     with pytest.raises(ValueError):
         lambda_basis(calc, preferred=["u", "v"])  # does not span
 
@@ -96,8 +98,8 @@ def test_lambda_basis_selection(s3, ctx2):
 def test_partials_vanish_on_identity(s3, ctx2):
     calc = fodc_group_algebra(induced_rep(ctx2, centralizer_character(ctx2, 1)))
     lb = lambda_basis(calc, preferred=["u", "v", "uv", "vu"])
-    assert all(not x for x in lb.partial_coefficients(0))
-    alpha_w = lb.partial_coefficients(s3.element("w"))
+    assert all(not x for x in lb.coords(0))
+    alpha_w = lb.coords(s3.element("w"))
     assert [x for x in alpha_w] == [cyc(-1), cyc(-1), ONE, ONE]
 
 

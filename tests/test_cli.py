@@ -192,6 +192,7 @@ _READER = {
         ({"subset": ["u", "v", "w", "zz"]}, "subset: unknown element label 'zz'"),
         ({"basis": "uv"}, "basis: expected a list of element labels, got 'uv'"),
         ({"basis": ["u", "v", "uv", "zz"]}, "basis: unknown element label 'zz'"),
+        ({"basis": ["e", "u", "v", "uv", "vu"]}, "preferred basis is linearly dependent at 'e'"),
         ({"print_matrices": "uv"}, "print_matrices: expected a list of element labels, got 'uv'"),
         ({"print_matrices": ["u", "zz"]}, "print_matrices: unknown element label 'zz'"),
         ({"class_rep": "zz"}, "class_rep: unknown element label 'zz'"),
@@ -223,7 +224,8 @@ _READER = {
         "cyclic-string-j", "user-count", "user-float-entry", "seminormal-no-partition", "no-kind",
         "zero-order", "negative-order", "zero-degree", "string-group", "short-stratum",
         "undeclared-stratum-source", "string-flags", "misspelled-flag", "string-subset",
-        "unknown-subset-label", "string-basis", "unknown-basis-label", "string-print-matrices",
+        "unknown-subset-label", "string-basis", "unknown-basis-label", "identity-in-basis",
+        "string-print-matrices",
         "unknown-print-matrices-label", "unknown-class-rep", "unknown-q-override-key",
         "string-q-override", "unknown-q-override-value", "q-override-key-outside-class",
         "list-lengths", "unknown-lengths-label", "unknown-stratum-target", "lengths-one-class",

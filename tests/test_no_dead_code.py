@@ -63,7 +63,6 @@ TEST_ONLY = frozenset({
     "calculus.DoubleCalculus.pushforward_dims",
     "calculus.FunctionCalculus.leibniz_holds",
     "calculus.FunctionCalculus.right_coaction_check",
-    "calculus.LambdaBasis.partial_coefficients",
     "calculus.base_calculus_functions",
     "calculus.base_calculus_group_algebra",
     "calculus.fodc_double",

@@ -4,9 +4,11 @@
 arithmetic: it forms the antisymmetrized QQ[a,b,l,p] - QQ[a,b,p,l] again
 inside the innermost loop, for every h, i, j, k, m, and rebuilds each
 residual with ``Poly`` subtraction term by term.  The package computes the
-antisymmetrized tensor once and sums each residual in one sparse map; it
-must return the same list, index by index, with the same ``Cyc`` order on
-every coefficient.
+antisymmetrized tensor once, conjugates it by the generators only and sums
+each residual in one sparse map; it must return the reference's list over
+the generators, index by index, with the same ``Cyc`` order on every
+coefficient, and the reference over every h != e must generate the same
+ideal: the same reduced Groebner basis.
 
 ``reference_metric_residuals`` and ``reference_star_residuals`` keep the
 metric and star loops as they were before the gamma(p^-1) Gamma gamma(p)
@@ -18,23 +20,28 @@ the same lists in the same way.
 import pytest
 
 from qdouble.geometry import (
+    LINEAR_FLAGS,
     _dedupe,
     connection_solve,
     metric_compat_residuals,
     riemann_compat_residuals,
     star_compat_residuals,
 )
+from qdouble.poly import groebner
 from qdouble.regression import S3Data
 
 
-def reference_residuals(family, antisymmetrize=True):
-    """The residual loop as written before the antisymmetrization was hoisted.
+def reference_residuals(family, elements=None, antisymmetrize=True):
+    """The residual loop as written before the antisymmetrization was hoisted,
+    over the h in ``elements``, by default every h != e.
 
     With ``antisymmetrize=False`` it uses QQ[a,b,l,p] where the Grassmann
     choice needs QQ[a,b,l,p] - QQ[a,b,p,l]: the negative control."""
     dim = family.dim
     basis = family.basis
     group = basis.group
+    if elements is None:
+        elements = range(1, group.n)
     G = family.gamma
     out = []
 
@@ -52,7 +59,7 @@ def reference_residuals(family, antisymmetrize=True):
     def wedge(a, b, l, p):
         return QQ[(a, b, l, p)] - QQ[(a, b, p, l)] if antisymmetrize else QQ[(a, b, l, p)]
 
-    for h in range(1, group.n):
+    for h in elements:
         gh = basis.gamma(h)
         ghinv = basis.gamma(group.inv[h])
         for i in range(dim):
@@ -216,18 +223,32 @@ FAMILIES = {
 def test_residuals_equal_the_reference_loop_with_order_tags(name):
     family = FAMILIES[name](S3Data.get())
     got = riemann_compat_residuals(family)
-    want = reference_residuals(family)
     assert got
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert g == w
-    assert _tagged(got) == _tagged(want)
+    _assert_same_with_tags(got, reference_residuals(family, family.basis.group.generators))
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES) + ["s3_all_residuals"])
+def test_generators_give_the_ideal_of_every_element(name):
+    """The scenario ``tests/scenarios/s3_all_residuals.json`` solves the
+    three linear flags on the stratum inner product: 12 residuals over every
+    h != e, 10 over the generators."""
+    d = S3Data.get()
+    if name in FAMILIES:
+        family = FAMILIES[name](d)
+    else:
+        family = connection_solve(d.basis_end2(), d.ip_stratum(), LINEAR_FLAGS)
+    got = riemann_compat_residuals(family)
+    every = reference_residuals(family)
+    if name == "s3_all_residuals":
+        assert (len(got), len(every)) == (10, 12)
+    assert groebner(got) == groebner(every)
 
 
 def test_reference_without_antisymmetrization_differs():
     family = S3Data.get().printed_wqlc_slice()
     got = riemann_compat_residuals(family)
-    assert _tagged(reference_residuals(family, antisymmetrize=False)) != _tagged(got)
+    generators = family.basis.group.generators
+    assert _tagged(reference_residuals(family, generators, antisymmetrize=False)) != _tagged(got)
 
 
 def _assert_same_with_tags(got, want):
