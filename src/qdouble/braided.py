@@ -64,10 +64,10 @@ from itertools import product
 from .cyclotomic import ONE, ZERO
 from .groups import FiniteGroup, ClassContext, orbit_representatives
 from .reps import Rep, induced_matrices
-from .double import CrossedModule, DoubleElement, _columns, adjoint_structure
+from .double import CrossedModule, DoubleElement, adjoint_structure
 from .double import antipode_axiom_holds, bialgebra_axiom_holds
 from .quadalg import QuadAlg
-from .linalg import SparseSpan, _accumulate, _addto
+from .linalg import SparseSpan, _accumulate, _addto, _columns
 
 
 def _v_basis(ctx: ClassContext, pi: Rep) -> list:

@@ -21,7 +21,7 @@ from .groups import FiniteGroup, ClassContext
 from .reps import Rep, check_homomorphism, induced_rep
 from .double import build_VCpi
 from . import linalg
-from .linalg import _accumulate, _addto
+from .linalg import _accumulate, _addto, _apply, _columns
 
 
 # -- calculus on C(G) -----------------------------------------------------------
@@ -289,18 +289,26 @@ class LambdaBasis:
                 check_homomorphism(self.group, [act(g) for g in range(self.group.n)], name)
             self._representations_checked = True
 
+    def _gamma_rho_first_failure(self):
+        """The first (g, k, j, lhs, rhs), k a generator, at which column j of
+        gamma(g) rho(k) differs from that of rho(k) gamma(k^-1 g k), or None."""
+        group = self.group
+        gammas = [_columns(self.gamma(g)) for g in range(group.n)]
+        rhos = {k: _columns(self.rho_matrix(k)) for k in group.generators}
+        for g in range(group.n):
+            for k, rho in rhos.items():
+                moved = gammas[group.conj(group.inv[k], g)]
+                for j, col in enumerate(rho):
+                    lhs, rhs = _apply(gammas[g], col), _apply(rho, moved[j])
+                    if lhs != rhs:
+                        return g, k, j, lhs, rhs
+        return None
+
     def gamma_rho_commutation_holds(self) -> bool:
         """gamma(g) rho(k) = rho(k) gamma(k^-1 g k) for every g and every
         generator k; the k that satisfy it are closed under products."""
         self.check_representations()
-        group = self.group
-        for g in range(group.n):
-            for k in group.generators:
-                lhs = linalg.mat_mul(self.gamma(g), self.rho_matrix(k))
-                rhs = linalg.mat_mul(self.rho_matrix(k), self.gamma(group.conj(group.inv[k], g)))
-                if not linalg.mat_eq(lhs, rhs):
-                    return False
-        return True
+        return self._gamma_rho_first_failure() is None
 
     def gamma_well_defined(self) -> bool:
         """e^g = e^h must imply gamma(g) = gamma(h)."""

@@ -7,9 +7,10 @@ coproduct applies is chosen by the caller, matching how the braided theory
 mixes them.  ``CrossedModule`` realizes G-graded G-modules, which are the
 same thing as D(G)-modules; the irreducibles V_{C,pi} are built from a
 class context and a centralizer irrep.
-A crossed module stores its action as sparse columns, the one form of a
-G-action that the package keeps, checked when it is built; every
-``braided.BraidedLie`` is a crossed module.
+A crossed module stores its action as sparse columns (``linalg._columns``),
+the one form of a G-action that the package keeps, checked when it is built
+by ``reps.homomorphism_failure``; every ``braided.BraidedLie`` is a
+crossed module.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from fractions import Fraction
 
 from .cyclotomic import ONE, ZERO, Cyc, cyc
 from .groups import FiniteGroup, ClassContext, orbit_representatives
-from .reps import Rep, induced_matrices, irrep_catalog, irrep_family
+from .reps import Rep, homomorphism_failure, induced_matrices, irrep_catalog, irrep_family
 from . import linalg
-from .linalg import _accumulate, _addto
+from .linalg import _accumulate, _addto, _columns
 
 
 class DoubleElement:
@@ -305,12 +306,6 @@ def quasi_R(group: FiniteGroup) -> list[tuple[DoubleElement, DoubleElement]]:
 # -- crossed modules ----------------------------------------------------------
 
 
-def _columns(matrix) -> list:
-    """A dense matrix as its columns: column j is the zero-free list of
-    (i, matrix[i][j]), in increasing i."""
-    return [[(i, row[j]) for i, row in enumerate(matrix) if row[j]] for j in range(len(matrix))]
-
-
 class CrossedModule:
     """Finite-dimensional G-graded G-module, i.e. a D(G)-module.
 
@@ -327,23 +322,15 @@ class CrossedModule:
         self.verify()
 
     def verify(self):
-        """The action is a homomorphism and h maps grade x to grade h x h^-1,
-        both checked on generators, column by column: e fixes each w_j, and
-        column j of g s, as stored, is g applied to column j of s for every g
-        and every generator s; the s for which this holds at every g form a
-        subgroup.  Every column is some g s, so each is checked to be stored
-        zero-free and in increasing i."""
+        """The action is a homomorphism (``reps.homomorphism_failure``) and h
+        maps grade x to grade h x h^-1, checked on generators."""
         g_ = self.group
-        for j, col in enumerate(self.action[0]):
-            if col != [(j, ONE)]:
+        failure = homomorphism_failure(g_, self.action)
+        if failure is not None:
+            g, s, j = failure
+            if s is None:
                 raise ValueError(f"action: identity does not map to the identity matrix at (0,{j})")
-        for g, cols in enumerate(self.action):
-            for s in g_.generators:
-                gs = self.action[g_.table[g][s]]
-                for j, col in enumerate(self.action[s]):
-                    moved = _accumulate((i, a * c) for k, c in col for i, a in cols[k])
-                    if sorted(moved.items()) != gs[j]:
-                        raise ValueError(f"action: not a homomorphism at ({g},{s},{j})")
+            raise ValueError(f"action: not a homomorphism at ({g},{s},{j})")
         for h in g_.generators:
             for j, col in enumerate(self.action[h]):
                 target = g_.conj(h, self.grading[j])

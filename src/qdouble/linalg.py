@@ -11,8 +11,10 @@ compares sparse rows through ``SparseSpan`` directly.
 
 ``_addto`` and ``_accumulate`` are the one sparse accumulation rule: every
 {key: scalar} map is built through them and holds no zero, so two maps are
-equal exactly when they are equal dicts.  They are private because the
-benchmark tracer wraps every public function, which would cost a span a term.
+equal exactly when they are equal dicts.  ``_columns`` is the one dense to
+zero-free-columns converter, the form every G-action is checked in, and
+``_apply`` the one column product.  They are private because the benchmark
+tracer wraps every public function, which would cost a span a term.
 """
 
 from __future__ import annotations
@@ -42,22 +44,33 @@ def _accumulate(pairs):
 
 
 def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
+    """a b: entry (i, j) sums a[i][t] b[t][j] over nonzero a[i][t], t rising;
+    a zero row of a gives ``a[i][0] * 0`` entries."""
+    k, m = len(b), len(b[0])
     out = []
-    for i in range(n):
-        row = []
-        ai = a[i]
-        for j in range(m):
-            acc = None
-            for t in range(k):
-                if ai[t]:
-                    term = ai[t] * b[t][j]
-                    acc = term if acc is None else acc + term
-            if acc is None:
-                acc = ai[0] * 0
-            row.append(acc)
-        out.append(row)
+    for ai in a:
+        row = [None] * m
+        for t in range(k):
+            x = ai[t]
+            if x:
+                bt = b[t]
+                for j in range(m):
+                    term = x * bt[j]
+                    acc = row[j]
+                    row[j] = term if acc is None else acc + term
+        out.append(row if not m or row[0] is not None else [ai[0] * 0 for _ in range(m)])
     return out
+
+
+def _columns(matrix) -> list:
+    """A dense matrix as its columns: column j is the zero-free list of
+    (i, matrix[i][j]), in increasing i."""
+    return [[(i, row[j]) for i, row in enumerate(matrix) if row[j]] for j in range(len(matrix))]
+
+
+def _apply(cols, col) -> list:
+    """The matrix with columns cols applied to a column, zero-free and sorted."""
+    return sorted(_accumulate((i, a * c) for k, c in col for i, a in cols[k]).items())
 
 
 def identity(n, one, zero):

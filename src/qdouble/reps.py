@@ -5,7 +5,9 @@ table algorithm: trivial and sign representations, characters of cyclic
 and abelian groups, Young seminormal representations of S_n for n <= 5
 (rational entries), a dihedral 2-dimensional representation, internal
 products, and user-supplied matrices.  Every representation is validated
-as a homomorphism on construction, on the group's generating set.
+as a homomorphism on construction, on the group's generating set, by
+``homomorphism_failure``: the one check, on sparse columns, that every
+G-action of the package goes through.
 
 Every catalogue representation, except an internal product or user-supplied
 matrices, is built one way: images of a few generators, extended to the
@@ -83,21 +85,35 @@ class Rep:
         return f"Rep({self.name}, dim={self.dim}, group order {self.group.n})"
 
 
-def check_homomorphism(group: FiniteGroup, matrices, name: str) -> None:
-    """Raise ValueError unless g -> matrices[g] is a homomorphism.
+def homomorphism_failure(group: FiniteGroup, action):
+    """The first witness that g -> action[g] is not a homomorphism, or None.
 
-    Checks M(e) = 1 and M(g) M(s) = M(gs) for every g and every generator s,
-    |G| |S| products.  The h with M(g) M(h) = M(gh) for all g are closed
-    under products, so the identity then holds for every h.
-    """
-    dim = len(matrices[0])
-    if not linalg.mat_eq(matrices[0], linalg.identity(dim, ONE, ZERO)):
-        raise ValueError(f"{name}: identity does not map to the identity matrix")
-    for g in range(group.n):
+    action[g][j] is column j of g's matrix as ``linalg._columns`` gives it.
+    The witness is (0, None, j) when e does not fix w_j, and (g, s, j) when
+    column j of g s, as stored, is not g applied to column j of s, for a
+    generator s; the s passing at every g form a subgroup.  Every column is
+    some g s, so each is also checked to be zero-free and in increasing i."""
+    for j, col in enumerate(action[0]):
+        if col != [(j, ONE)]:
+            return 0, None, j
+    for g, cols in enumerate(action):
         for s in group.generators:
-            lhs = linalg.mat_mul(matrices[g], matrices[s])
-            if not linalg.mat_eq(lhs, matrices[group.table[g][s]]):
-                raise ValueError(f"{name}: not a homomorphism at ({g},{s})")
+            gs = action[group.table[g][s]]
+            for j, col in enumerate(action[s]):
+                if linalg._apply(cols, col) != gs[j]:
+                    return g, s, j
+    return None
+
+
+def check_homomorphism(group: FiniteGroup, matrices, name: str) -> None:
+    """Raise ValueError naming (g, s) unless g -> matrices[g] is a
+    homomorphism, decided on columns by ``homomorphism_failure``."""
+    failure = homomorphism_failure(group, [linalg._columns(m) for m in matrices])
+    if failure is not None:
+        g, s, _ = failure
+        if s is None:
+            raise ValueError(f"{name}: identity does not map to the identity matrix")
+        raise ValueError(f"{name}: not a homomorphism at ({g},{s})")
 
 
 def _kron(a, b):

@@ -33,7 +33,7 @@ from .groups import ClassContext, FiniteGroup
 from .reps import Rep, group_projector
 from .double import CrossedModule, DoubleElement, build_VCpi
 from . import linalg
-from .linalg import _accumulate
+from .linalg import _accumulate, _columns
 
 
 # -- Fourier -------------------------------------------------------------------
@@ -119,11 +119,9 @@ def check_embedding(ctx: ClassContext, pi: Rep, module: CrossedModule, embed) ->
         if any(module.grading[w] != ctx.rep for w in col):
             raise ValueError("embedding does not land in the grade-r component")
     for n_idx in ctx.centralizer.generators:
-        n, m = ctx.centralizer.embedding[n_idx], pi.matrices[n_idx]
-        for j in range(pi.dim):
-            rhs = _accumulate(
-                (w, m[i][j] * y) for i in range(pi.dim) if m[i][j] for w, y in embed[i].items()
-            )
+        n = ctx.centralizer.embedding[n_idx]
+        for j, col in enumerate(_columns(pi.matrices[n_idx])):
+            rhs = _accumulate((w, c * y) for i, c in col for w, y in embed[i].items())
             if _move(module, n, embed[j]) != rhs:
                 raise ValueError("embedding does not intertwine the centralizer action")
 

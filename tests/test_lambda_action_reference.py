@@ -12,11 +12,12 @@ went through ``geometry._contract_leg`` and one factorisation per basis:
 They are compared with the package on every S3 block and on the S4 blocks
 with dim Lambda^1 <= 5, with the ``Cyc`` order on every coefficient; the
 coordinates on every S3 and S4 block.  The premise that gamma and rho are
-representations is decided on every S3 block and on the S4 blocks with
-dim Lambda^1 <= 9 (the larger ones take about 0.3 to 1.1 s each).
+representations is decided on every S3 and S4 block.  The gamma/rho
+commutation names its first failing column, checked against dense products.
 """
 
 import functools
+import itertools
 import re
 
 import pytest
@@ -173,9 +174,9 @@ def test_coords_equal_the_per_element_solve_with_order_tags(degree):
             assert _tagged_scalars(basis.coords(g)) == _tagged_scalars(reference_coords(basis, g))
 
 
-@pytest.mark.parametrize("degree, max_dim", [(3, None), (4, 9)])
-def test_gamma_and_rho_are_representations(degree, max_dim):
-    for basis in _bases(degree, max_dim):
+@pytest.mark.parametrize("degree", [3, 4])
+def test_gamma_and_rho_are_representations(degree):
+    for basis in _bases(degree):
         basis.check_representations()
 
 
@@ -249,3 +250,37 @@ def test_corrupted_rho_makes_connection_solve_refuse():
     basis._rho_cache[s] = bad
     with pytest.raises(ValueError, match=r"rho: not a homomorphism at \(\d+,\d+\)"):
         connection_solve(basis, None, ["covariant"])
+
+
+def _dense_column(matrix, j):
+    return [(i, row[j]) for i, row in enumerate(matrix) if row[j]]
+
+
+def test_corrupted_rho_names_the_commutation_witness():
+    """Negative control: with one rho(s) entry moved, the first failure is a
+    (g, s, j) at which column j of gamma(g) rho(s) and of
+    rho(s) gamma(s^-1 g s) differ as dense products, with every earlier
+    (g, k) pair agreeing."""
+    group, basis = _s3_basis()
+    assert basis._gamma_rho_first_failure() is None
+    s = group.generators[-1]
+    bad = [list(row) for row in basis.rho_matrix(s)]
+    bad[0][0] = bad[0][0] + ONE
+    basis._rho_cache[s] = bad
+    g, k, j, lhs, rhs = basis._gamma_rho_first_failure()
+    assert k == s
+
+    def sides(g, k):
+        return (
+            linalg.mat_mul(basis.gamma(g), basis.rho_matrix(k)),
+            linalg.mat_mul(basis.rho_matrix(k), basis.gamma(group.conj(group.inv[k], g))),
+        )
+
+    dense_lhs, dense_rhs = sides(g, k)
+    assert lhs == _dense_column(dense_lhs, j) and rhs == _dense_column(dense_rhs, j)
+    assert lhs != rhs
+    pairs = list(itertools.product(range(group.n), group.generators))
+    assert all(linalg.mat_eq(*sides(h, t)) for h, t in pairs[: pairs.index((g, k))])
+    assert all(_dense_column(dense_lhs, i) == _dense_column(dense_rhs, i) for i in range(j))
+    with pytest.raises(ValueError, match=r"rho: not a homomorphism at \(\d+,\d+\)"):
+        basis.gamma_rho_commutation_holds()

@@ -327,6 +327,58 @@ def test_nullspace_of_no_equations_is_the_standard_basis():
     assert la.nullspace([], 3, one, zero) == la.identity(3, one, zero)
 
 
+def _reference_mat_mul(a, b):
+    """The product loop (i, j, t) that ``mat_mul`` replaced, which tests
+    a[i][t] again for every column j."""
+    n, k, m = len(a), len(b), len(b[0])
+    out = []
+    for i in range(n):
+        row = []
+        ai = a[i]
+        for j in range(m):
+            acc = None
+            for t in range(k):
+                if ai[t]:
+                    term = ai[t] * b[t][j]
+                    acc = term if acc is None else acc + term
+            if acc is None:
+                acc = ai[0] * 0
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def test_mat_mul_equals_the_reference_loop_with_order_tags():
+    """Same values and order tags as the (i, j, t) loop, zero rows of a
+    (whose entries are a[i][0] * 0) and zero columns of b included."""
+    rng = random.Random(17)
+    matrices = _oracle_matrices()
+    shapes = matrices + [la.transpose(m) for m in matrices]
+    seen_zero_row = False
+    for a in matrices:
+        k = len(a[0])
+        b = rng.choice([m for m in shapes if len(m) == k])
+        a = [list(row) for row in a]
+        for row in a:
+            if rng.random() < 0.3:  # an all-zero row, zeros of mixed tags
+                row[:] = [cyc(0).promote(rng.choice([1, 3, 4])) for _ in row]
+                seen_zero_row = True
+        got, want = la.mat_mul(a, b), _reference_mat_mul(a, b)
+        assert [[(x.order, x.coeffs) for x in row] for row in got] == [
+            [(x.order, x.coeffs) for x in row] for row in want
+        ]
+    assert seen_zero_row
+    V = ("x", "y")
+    x, y = Poly.variable("x", V), Poly.variable("y", V)
+    zero = Poly.constant(0, V)
+    a = [[x, zero], [zero, zero], [y, x * y]]
+    b = [[y, zero, x], [x, x + y, zero]]
+    got, want = la.mat_mul(a, b), _reference_mat_mul(a, b)
+    assert got == want and [[_tagged(p) for p in row] for row in got] == [
+        [_tagged(p) for p in row] for row in want
+    ]
+
+
 def _generators(n):
     return [f"x{i}" for i in range(n)]
 
