@@ -64,8 +64,7 @@ from itertools import product
 from .cyclotomic import ONE, ZERO
 from .groups import FiniteGroup, ClassContext, orbit_representatives
 from .reps import Rep, induced_matrices
-from .double import CrossedModule, DoubleElement, adjoint_structure
-from .double import antipode_axiom_holds, bialgebra_axiom_holds
+from .double import CrossedModule, DoubleElement, adjoint_structure, hopf_failures
 from .quadalg import QuadAlg
 from .linalg import SparseSpan, _accumulate, _addto, _columns
 
@@ -449,6 +448,14 @@ def bdg_braided_checks(group: FiniteGroup) -> dict:
     """Verify the braided Hopf axioms of the transmuted double on the basis."""
     n = group.n
     basis = [DoubleElement.basis(group, g, h) for g in range(n) for h in range(n)]
+    # the crossed-module braiding moves b1 past a2: Psi(a2 (x) b1) = |a2| |> b1 (x) a2
+    found = hopf_failures(
+        group,
+        DoubleElement.dvee_coproduct,
+        DoubleElement.dg_mul,
+        DoubleElement.braided_antipode,
+        braid=lambda a2, b1: b1.adjoint_act(a2.grading()),
+    )
     return {
         # the square of the braided antipode is the ribbon twist x -> |x| |> x
         # (so it is involutive exactly on trivially graded elements)
@@ -461,16 +468,8 @@ def bdg_braided_checks(group: FiniteGroup) -> dict:
         "grading_commutator": all(
             x.grading() == group.commutator(group.inv[g], h) for x in basis for (g, h) in x.terms
         ),
-        "antipode_axiom": antipode_axiom_holds(
-            group, DoubleElement.dvee_coproduct, DoubleElement.dg_mul, DoubleElement.braided_antipode
-        ),
-        # the crossed-module braiding moves b1 past a2: Psi(a2 (x) b1) = |a2| |> b1 (x) a2
-        "braided_bialgebra": bialgebra_axiom_holds(
-            group,
-            DoubleElement.dvee_coproduct,
-            DoubleElement.dg_mul,
-            braid=lambda a2, b1: b1.adjoint_act(a2.grading()),
-        ),
+        "antipode_axiom": found["antipode"] is None,
+        "braided_bialgebra": found["bialgebra"] is None,
     }
 
 

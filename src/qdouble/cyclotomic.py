@@ -328,14 +328,6 @@ class Cyc:
             raise ValueError(f"{self!r} is not rational")
         return Fraction(self.coeffs[0])
 
-    def real_part(self) -> "Cyc":
-        return (self + self.conj()) * Cyc.rational(Fraction(1, 2))
-
-    def imag_part(self) -> "Cyc":
-        """Imaginary part times 2i, divided out exactly: (a - conj a)/(2i)."""
-        i = Cyc.zeta(4)
-        return (self - self.conj()) / (i + i)
-
     def __bool__(self) -> bool:
         return any(self.coeffs)
 

@@ -4,7 +4,10 @@
 by both the double D(G) (semidirect product algebra, tensor coalgebra) and
 its dual D~(G) (tensor algebra, semidirect coproduct); which product or
 coproduct applies is chosen by the caller, matching how the braided theory
-mixes them.  ``CrossedModule`` realizes G-graded G-modules, which are the
+mixes them.  ``hopf_failures`` decides coassociativity, counit, antipode
+and bialgebra axioms of any such choice on tables of basis coproducts,
+products and antipodes, and names the first failing basis key or pair.
+``CrossedModule`` realizes G-graded G-modules, which are the
 same thing as D(G)-modules; the irreducibles V_{C,pi} are built from a
 class context and a centralizer irrep.
 A crossed module stores its action as sparse columns (``linalg._columns``),
@@ -196,68 +199,78 @@ class DoubleElement:
         return " + ".join(bits) if bits else "0"
 
 
-def _basis_elements(group: FiniteGroup) -> list[DoubleElement]:
-    return [DoubleElement.basis(group, g, h) for g in range(group.n) for h in range(group.n)]
+def hopf_failures(group: FiniteGroup, coproduct, product, antipode, braid=None) -> dict:
+    """The first failure of each Hopf axiom on the basis delta_g (x) h, with
+    the counit ``DoubleElement.counit``:
 
+      coassociativity  (Delta (x) id)Delta x = (id (x) Delta)Delta x
+      counit           (eps (x) id)Delta x = x = (id (x) eps)Delta x
+      antipode         m(S (x) id)Delta x = eps(x) 1 = m(id (x) S)Delta x
+      bialgebra        Delta(ab) = a1 b1' (x) a2 b2, where b1' = braid(a2, b1)
+                       is b1 moved past a2 (b1 itself when braid is None: the flip)
 
-def antipode_axiom_holds(group: FiniteGroup, coproduct, product, antipode) -> bool:
-    """m(S (x) id)Delta x = eps(x) 1 = m(id (x) S)Delta x on every basis element."""
-    unit = DoubleElement.unit(group)
-    for x in _basis_elements(group):
-        left = DoubleElement(group)
-        right = DoubleElement(group)
-        for (x1, x2), c in coproduct(x).items():
-            a = DoubleElement.basis(group, *x1, c)
-            b = DoubleElement.basis(group, *x2)
-            left = left + product(antipode(a), b)
-            right = right + product(a, antipode(b))
-        expected = unit.scale(x.counit())
-        if left != expected or right != expected:
-            return False
-    return True
+    Each entry is None, or (at, lhs, rhs): the first basis key x (for the
+    bialgebra, pair (a, b)) in basis order on which the axiom fails, and its
+    two sides as sparse maps {key: coeff}, keyed by tensor legs.
 
-
-def _bialgebra_first_failure(group: FiniteGroup, coproduct, product, braid=None):
-    """The first basis pair (a, b), in basis order, on which the two sides of
-    ``bialgebra_axiom_holds`` differ, as (a, b, lhs, rhs) with a and b basis
-    keys and each side a sparse map {(key1, key2): coeff}; or None."""
-    if braid is None:  # the flip
-        braid = lambda a2, b1: b1
+    The coproduct and antipode of each basis key, the product and the braid
+    of each basis pair are computed once, and every side is expanded through
+    these tables.  That uses only the linearity that the products, the
+    coproducts, the antipodes and ``adjoint_act`` have by construction (each
+    is a sum over the terms of its arguments).  Every pair (a, b) is decided;
+    nothing is reduced to algebra generators, whose argument would need the
+    associativity that the bialgebra axiom tests."""
     n = group.n
     elem = {(g, h): DoubleElement.basis(group, g, h) for g in range(n) for h in range(n)}
+    pairs = [(a, b) for a in elem for b in elem]
     cop = {k: list(coproduct(x).items()) for k, x in elem.items()}
-    pairs = [(k, x, l, y) for k, x in elem.items() for l, y in elem.items()]
-    prod = {(k, l): list(product(x, y).terms.items()) for k, x, l, y in pairs}
-    moved = {(k, l): list(braid(x, y).terms.items()) for k, x, l, y in pairs}
-    for a in elem:
-        for b in elem:
-            lhs = _accumulate((k2, c * c2) for k, c in prod[a, b] for k2, c2 in cop[k])
-            rhs = _accumulate(
-                ((k1, k2), c1 * c2 * c3 * c4 * c5)
-                for (a1, a2), c1 in cop[a]
-                for (b1, b2), c2 in cop[b]
-                for k2, c5 in prod[a2, b2]
-                for y, c3 in moved[a2, b1]
-                for k1, c4 in prod[a1, y]
-            )
-            if lhs != rhs:
-                return a, b, lhs, rhs
-    return None
+    anti = {k: list(antipode(x).terms.items()) for k, x in elem.items()}
+    eps = {k: x.counit() for k, x in elem.items()}
+    prod = {(a, b): list(product(elem[a], elem[b]).terms.items()) for a, b in pairs}
+    if braid is None:  # the flip
+        braid = lambda a2, b1: b1
+    moved = {(a, b): list(braid(elem[a], elem[b]).terms.items()) for a, b in pairs}
 
+    def coassociativity_at(x):
+        lhs = _accumulate(((*y, x2), c * c1) for (x1, x2), c in cop[x] for y, c1 in cop[x1])
+        rhs = _accumulate(((x1, *y), c * c1) for (x1, x2), c in cop[x] for y, c1 in cop[x2])
+        return None if lhs == rhs else (x, lhs, rhs)
 
-def bialgebra_axiom_holds(group: FiniteGroup, coproduct, product, braid=None) -> bool:
-    """Delta(ab) = a1 b1' (x) a2 b2 on every pair of basis elements, where
-    b1' = braid(a2, b1) is b1 moved past a2 (b1 itself when braid is None:
-    the flip).
+    def counit_at(x):
+        lhs = _accumulate((x2, c * eps[x1]) for (x1, x2), c in cop[x])
+        rhs = _accumulate((x1, c * eps[x2]) for (x1, x2), c in cop[x])
+        return None if lhs == rhs == {x: ONE} else (x, lhs, rhs)
 
-    Every pair (a, b) is decided; nothing is reduced to algebra generators,
-    whose argument would need the associativity this check tests.  The
-    coproduct of each basis element, the product and the braid of each basis
-    pair are computed once, and both sides are expanded through these tables.
-    That uses only the linearity that ``dg_mul``, ``dvee_mul``,
-    ``adjoint_act`` and both coproducts have by construction (each is a sum
-    over the terms of its arguments)."""
-    return _bialgebra_first_failure(group, coproduct, product, braid) is None
+    def antipode_at(x):
+        lhs = _accumulate(
+            (k, c * c1 * c2) for (x1, x2), c in cop[x] for s, c1 in anti[x1] for k, c2 in prod[s, x2]
+        )
+        rhs = _accumulate(
+            (k, c * c1 * c2) for (x1, x2), c in cop[x] for s, c1 in anti[x2] for k, c2 in prod[x1, s]
+        )
+        unit = _accumulate(((g, 0), eps[x]) for g in range(n))
+        return None if lhs == rhs == unit else (x, lhs, rhs)
+
+    def bialgebra_at(ab):
+        a, b = ab
+        lhs = _accumulate((k2, c * c2) for k, c in prod[a, b] for k2, c2 in cop[k])
+        rhs = _accumulate(
+            ((k1, k2), c1 * c2 * c3 * c4 * c5)
+            for (a1, a2), c1 in cop[a]
+            for (b1, b2), c2 in cop[b]
+            for k2, c5 in prod[a2, b2]
+            for y, c3 in moved[a2, b1]
+            for k1, c4 in prod[a1, y]
+        )
+        return None if lhs == rhs else (ab, lhs, rhs)
+
+    axioms = {
+        "coassociativity": (coassociativity_at, elem),
+        "counit": (counit_at, elem),
+        "antipode": (antipode_at, elem),
+        "bialgebra": (bialgebra_at, pairs),
+    }
+    return {name: next(filter(None, map(at, domain)), None) for name, (at, domain) in axioms.items()}
 
 
 def pairing(a: DoubleElement, b: DoubleElement) -> Cyc:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cyclotomic import ONE, ZERO, Cyc, cyc
+from .cyclotomic import ONE, ZERO, cyc
 from .groups import FiniteGroup, ClassContext
 from .reps import Rep, irrep_catalog
 from .poly import Poly
@@ -229,17 +229,14 @@ def freefield_solutions(
     """Joint kernel of the wave constraint and the covariant projector, as
     a basis of sections {(g, w): Cyc} of E'.
 
-    eigenvalues: regular real spectrum per class (zero on the identity,
+    eigenvalues: regular real spectrum, one key per class (zero on the identity,
     equal on inverse classes, otherwise distinct).  Solutions live in the
     eigenspace of the class-inverse eigenvalue; the projector transports
     the base-point projector along the section of the inverse element, so
     the fixed space reproduces the transfer image.
     """
     group = ctx.group
-    lam = {}
-    for key, v in eigenvalues.items():
-        rep = group.element(key) if isinstance(key, str) else key
-        lam[group.class_of(rep)[0]] = cyc(v) if not isinstance(v, Cyc) else v
+    lam = {c0: cyc(v) for c0, v in group.per_class(eigenvalues, "eigenvalues").items()}
     values = {}
     for cls_ in group.conjugacy_classes():
         if cls_[0] not in lam:

@@ -43,18 +43,9 @@ class InnerProduct:
         self.vars = tuple(variables)
         # one length per class, constant on inversion-pairs, zero at the identity
         self.lengths: dict[int, Poly] = {0: Poly.constant(0, self.vars)}
-        assigned, named = {}, {}
-        for key, value in lengths.items():
-            rep = group.element(key) if isinstance(key, str) else key
-            c0 = group.class_of(rep)[0]
-            if c0 == 0:
-                raise ValueError(f"lengths: {group.labels[rep]!r} is the identity, whose length is 0")
-            if c0 in named:
-                raise ValueError(
-                    f"lengths: {named[c0]!r} and {group.labels[rep]!r} name one conjugacy class"
-                )
-            named[c0] = group.labels[rep]
-            assigned[c0] = _pc(value, self.vars)
+        assigned = {c0: _pc(v, self.vars) for c0, v in group.per_class(lengths, "lengths").items()}
+        if 0 in assigned:
+            raise ValueError(f"lengths: {group.labels[0]!r} is the identity, whose length is 0")
         for cls_ in group.conjugacy_classes():
             c0 = cls_[0]
             if c0 == 0:
@@ -183,10 +174,7 @@ def ip_from_lengths(basis: LambdaBasis, lengths: dict, variables=()) -> InnerPro
 
 def covariant_operator(group: FiniteGroup, eigenvalues: dict):
     """Diagonal operator with one eigenvalue per conjugacy class."""
-    values = {}
-    for key, v in eigenvalues.items():
-        rep = group.element(key) if isinstance(key, str) else key
-        values[group.class_of(rep)[0]] = v
+    values = group.per_class(eigenvalues, "eigenvalues")
     out = {}
     for cls_ in group.conjugacy_classes():
         if cls_[0] not in values:

@@ -220,6 +220,21 @@ class FiniteGroup:
                 return c
         raise ValueError(f"element {g} out of range")
 
+    def per_class(self, values: dict, what: str) -> dict:
+        """{class representative: value} of a map keyed by elements or their
+        labels; two keys in one conjugacy class are refused, naming both."""
+        out, named = {}, {}
+        for key, value in values.items():
+            rep = self.element(key) if isinstance(key, str) else key
+            c0 = self.class_of(rep)[0]
+            if c0 in named:
+                raise ValueError(
+                    f"{what}: {named[c0]!r} and {self.labels[rep]!r} name one conjugacy class"
+                )
+            named[c0] = self.labels[rep]
+            out[c0] = value
+        return out
+
     def class_inverse(self, cls_: list[int]) -> list[int]:
         return sorted(self.inv[c] for c in cls_)
 

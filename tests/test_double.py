@@ -23,9 +23,7 @@ from qdouble.double import (
     killing_Q,
     beta,
     quasi_R,
-    antipode_axiom_holds,
-    bialgebra_axiom_holds,
-    _bialgebra_first_failure,
+    hopf_failures,
 )
 import qdouble.linalg as la
 
@@ -264,12 +262,17 @@ def test_braiding_invertible(s3, ctx2):
 
 def test_shared_hopf_checkers_and_negative_controls(s3):
     D = DoubleElement
-    assert antipode_axiom_holds(s3, D.dg_coproduct, D.dg_mul, D.dg_antipode)
-    assert antipode_axiom_holds(s3, D.dvee_coproduct, D.dvee_mul, D.dvee_antipode)
-    assert bialgebra_axiom_holds(s3, D.dg_coproduct, D.dg_mul)
-    assert not antipode_axiom_holds(s3, D.dg_coproduct, D.dg_mul, D.dvee_antipode)
+    holds = dict.fromkeys(("coassociativity", "counit", "antipode", "bialgebra"))
+    assert hopf_failures(s3, D.dg_coproduct, D.dg_mul, D.dg_antipode) == holds
+    assert hopf_failures(s3, D.dvee_coproduct, D.dvee_mul, D.dvee_antipode) == holds
+    found = hopf_failures(s3, D.dg_coproduct, D.dg_mul, D.dvee_antipode)
+    assert found["antipode"] is not None
+    want = ref.first_failures(s3, D.dg_coproduct, D.dg_mul, D.dvee_antipode)["antipode"]
+    x, lhs, rhs = found["antipode"]
+    left, right = ref.antipode_sides(s3, D.dg_coproduct, D.dg_mul, D.dvee_antipode, x)
+    assert (x, lhs, rhs) == (want, left.terms, right.terms)
     # BD(G) needs the crossed-module braiding between the middle factors
-    assert not bialgebra_axiom_holds(s3, D.dvee_coproduct, D.dg_mul)
+    assert hopf_failures(s3, D.dvee_coproduct, D.dg_mul, D.braided_antipode)["bialgebra"] is not None
 
 
 def _adjoint_braid(a2, b1):
@@ -277,16 +280,28 @@ def _adjoint_braid(a2, b1):
     return b1.adjoint_act(a2.grading())
 
 
+def _dihedral_8():
+    return FiniteGroup.from_generators([[[1, 2, 3, 4]], [[1, 3]]], degree=4)
+
+
 D = DoubleElement
-PAIRINGS = {  # (coproduct, product, braid) of D(G), its dual and BD(G)
-    "dg": (D.dg_coproduct, D.dg_mul, None),
-    "dvee": (D.dvee_coproduct, D.dvee_mul, None),
-    "bdg": (D.dvee_coproduct, D.dg_mul, _adjoint_braid),
+PAIRINGS = {  # (coproduct, product, antipode, braid) of D(G), its dual and BD(G)
+    "dg": (D.dg_coproduct, D.dg_mul, D.dg_antipode, None),
+    "dvee": (D.dvee_coproduct, D.dvee_mul, D.dvee_antipode, None),
+    "bdg": (D.dvee_coproduct, D.dg_mul, D.braided_antipode, _adjoint_braid),
 }
 FALSE_ON_S3 = {
-    "bdg_under_the_flip": (D.dvee_coproduct, D.dg_mul, None),
-    "dg_under_the_crossed_module_braid": (D.dg_coproduct, D.dg_mul, _adjoint_braid),
+    "bdg_under_the_flip": (D.dvee_coproduct, D.dg_mul, D.braided_antipode, None),
+    "dg_under_the_crossed_module_braid": (D.dg_coproduct, D.dg_mul, D.dg_antipode, _adjoint_braid),
 }
+
+
+def _agrees_with_the_reference(group, structure):
+    """hopf_failures and the reference find the same first failing key (or
+    pair) for every axiom; returns the package's witnesses."""
+    found = hopf_failures(group, *structure)
+    assert {axiom: w and w[0] for axiom, w in found.items()} == ref.first_failures(group, *structure)
+    return found
 
 
 def _dropping(product, a, b):
@@ -301,40 +316,87 @@ def _dropping(product, a, b):
     return dropped
 
 
+def _changing_term(coproduct, x, term, scale):
+    """coproduct with the given term of the coproduct of the basis key x
+    multiplied by scale (dropped when scale is 0)."""
+
+    @functools.wraps(coproduct)
+    def changed(y):
+        out = coproduct(y)
+        if set(y.terms) == {x}:
+            out = dict(out)
+            out[term] = out[term] * cyc(scale)
+            if not scale:
+                del out[term]
+        return out
+
+    return changed
+
+
 @pytest.mark.parametrize("name", sorted(PAIRINGS))
 def test_bialgebra_check_agrees_with_the_reference_on_s3(s3, name):
-    assert bialgebra_axiom_holds(s3, *PAIRINGS[name])
-    assert ref.bialgebra_axiom_holds(s3, *PAIRINGS[name])
+    found = _agrees_with_the_reference(s3, PAIRINGS[name])
+    assert not any(found.values())
 
 
 @pytest.mark.parametrize("name", sorted(FALSE_ON_S3))
 def test_bialgebra_check_agrees_with_the_reference_on_known_false_pairings(s3, name):
-    assert not bialgebra_axiom_holds(s3, *FALSE_ON_S3[name])
-    assert not ref.bialgebra_axiom_holds(s3, *FALSE_ON_S3[name])
+    found = _agrees_with_the_reference(s3, FALSE_ON_S3[name])
+    assert found["bialgebra"] is not None
 
 
 @pytest.mark.parametrize("name", sorted(PAIRINGS))
 def test_bialgebra_check_agrees_with_the_reference_on_d8(name):
-    d8 = FiniteGroup.from_generators([[[1, 2, 3, 4]], [[1, 3]]])
+    d8 = _dihedral_8()
     assert d8.n == 8 and not d8.is_abelian()
-    assert bialgebra_axiom_holds(d8, *PAIRINGS[name])
-    assert ref.bialgebra_axiom_holds(d8, *PAIRINGS[name])
+    found = _agrees_with_the_reference(d8, PAIRINGS[name])
+    assert not any(found.values())
+
+
+@pytest.mark.parametrize(
+    "group, name",
+    [("C4", name) for name in sorted({**PAIRINGS, **FALSE_ON_S3})]
+    + [("D8", name) for name in sorted(FALSE_ON_S3)],
+)
+def test_hopf_failures_agree_with_the_reference_axiom_by_axiom(group, name):
+    G = FiniteGroup.cyclic(4) if group == "C4" else _dihedral_8()
+    _agrees_with_the_reference(G, {**PAIRINGS, **FALSE_ON_S3}[name])
+
+
+def test_dropped_coproduct_term_fails_coassociativity_at_the_reference_key(s3):
+    u, v = s3.element("u"), s3.element("v")
+    x = (u, 0)
+    term = ((v, 0), (s3.table[s3.inv[v]][u], 0))
+    corrupted = _changing_term(D.dg_coproduct, x, term, 0)
+    assert len(corrupted(D.basis(s3, *x))) == len(D.basis(s3, *x).dg_coproduct()) - 1
+    found = _agrees_with_the_reference(s3, (corrupted, D.dg_mul, D.dg_antipode))
+    at, lhs, rhs = found["coassociativity"]
+    assert (lhs, rhs) == ref.coassociativity_sides(s3, corrupted, at)
+
+
+def test_scaled_coproduct_term_fails_the_counit(s3):
+    x = (s3.element("u"), 0)
+    corrupted = _changing_term(D.dvee_coproduct, x, ((0, 0), x), 2)
+    found = _agrees_with_the_reference(s3, (corrupted, D.dvee_mul, D.dvee_antipode))
+    at, lhs, rhs = found["counit"]
+    left, right = ref.counit_sides(s3, corrupted, at)
+    assert at == x and (lhs, rhs) == (left.terms, right.terms) and lhs != {x: cyc(1)}
 
 
 @pytest.mark.parametrize("name", ["dg", "bdg"])
 def test_dropped_product_term_fails_both_bialgebra_checks(s3, name):
-    coproduct, product, braid = PAIRINGS[name]
+    coproduct, product, antipode, braid = PAIRINGS[name]
     u = (s3.element("u"), 0)
     assert len(product(D.basis(s3, *u), D.basis(s3, *u)).terms) == 1
     corrupted = _dropping(product, u, u)
-    assert not bialgebra_axiom_holds(s3, coproduct, corrupted, braid)
+    assert hopf_failures(s3, coproduct, corrupted, antipode, braid)["bialgebra"] is not None
     assert not ref.bialgebra_axiom_holds(s3, coproduct, corrupted, braid)
 
 
 def test_bialgebra_witness_is_the_first_failing_pair_of_the_reference(s3):
     u = (s3.element("u"), 0)
     corrupted = _dropping(D.dg_mul, u, u)
-    a, b, lhs, rhs = _bialgebra_first_failure(s3, D.dg_coproduct, corrupted)
+    (a, b), lhs, rhs = hopf_failures(s3, D.dg_coproduct, corrupted, D.dg_antipode)["bialgebra"]
     assert lhs != rhs
     pairs = ref.basis_pairs(s3)
     sides = [ref.pair_sides(s3, D.dg_coproduct, corrupted, None, *p) for p in pairs]
@@ -342,20 +404,53 @@ def test_bialgebra_witness_is_the_first_failing_pair_of_the_reference(s3):
     assert (pairs[first], sides[first]) == ((a, b), (lhs, rhs))
 
 
-def test_c15_names_the_first_failing_pair(monkeypatch):
+def _c15(name):
     from qdouble import regression
 
-    G = regression.S3Data.get().G
+    return {check: (ok, detail) for check, ok, detail in regression.criterion_15()}[name]
+
+
+def _c15_group():
+    from qdouble import regression
+
+    return regression.S3Data.get().G
+
+
+def test_c15_names_the_first_failing_pair(monkeypatch):
+    G = _c15_group()
     u = (G.element("u"), 0)
     corrupted = _dropping(DoubleElement.dg_mul, u, u)
-    (g, h), (x, y), _, _ = _bialgebra_first_failure(G, D.dg_coproduct, corrupted)
+    ((g, h), (x, y)), _, _ = hopf_failures(G, D.dg_coproduct, corrupted, D.dg_antipode)["bialgebra"]
     monkeypatch.setattr(DoubleElement, "dg_mul", corrupted)
-    checks = {name: (ok, detail) for name, ok, detail in regression.criterion_15()}
     L = G.labels
-    assert checks["c15 bialgebra compatibility on all S3 pairs"] == (
+    assert _c15("c15 bialgebra compatibility on all S3 pairs") == (
         False,
         f"dg_mul fails at a = d_{L[g]}|{L[h]}, b = d_{L[x]}|{L[y]}",
     )
+
+
+HOPF_LINE = "c15 Hopf axioms for both structures on the full S3 basis"
+
+
+def test_c15_hopf_axioms_line_passes_with_an_empty_detail():
+    assert _c15(HOPF_LINE) == (True, "")
+
+
+@pytest.mark.parametrize("axiom", ["coassociativity", "antipode"])
+def test_c15_hopf_axioms_line_names_the_failing_axiom_and_key(monkeypatch, axiom):
+    s3 = _c15_group()
+    if axiom == "antipode":
+        attr, corrupted = "dg_antipode", D.dvee_antipode
+        structure = (D.dg_coproduct, D.dg_mul, corrupted)
+    else:
+        u, v = s3.element("u"), s3.element("v")
+        term = ((v, 0), (s3.table[s3.inv[v]][u], 0))
+        attr, corrupted = "dg_coproduct", _changing_term(D.dg_coproduct, (u, 0), term, 0)
+        structure = (corrupted, D.dg_mul, D.dg_antipode)
+    g, h = ref.first_failures(s3, *structure)[axiom]
+    monkeypatch.setattr(DoubleElement, attr, corrupted)
+    L = s3.labels
+    assert _c15(HOPF_LINE) == (False, f"{axiom} fails for dg_coproduct at d_{L[g]}|{L[h]}")
 
 
 def test_double_irreps_fails_before_building_any_catalogue(monkeypatch):
@@ -367,10 +462,6 @@ def test_double_irreps_fails_before_building_any_catalogue(monkeypatch):
     monkeypatch.setattr(qdouble.double, "irrep_catalog", refuse)
     with pytest.raises(ValueError, match="no centralizer irreducible catalogue for this class"):
         double_irreps(FiniteGroup.symmetric(5))
-
-
-def _dihedral_8():
-    return FiniteGroup.from_generators([[[1, 2, 3, 4]], [[1, 3]]], degree=4)
 
 
 @pytest.mark.parametrize(

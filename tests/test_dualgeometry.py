@@ -150,6 +150,12 @@ def test_freefield_degenerate_spectrum_rejected(data):
         freefield_solutions(data.ctx2, data.pi[1], module, {"e": 1, "u": 3, "uv": 4})
 
 
+def test_freefield_refuses_two_keys_in_one_class(data):
+    module = build_VCpi(data.ctx2, data.pi[1])
+    with pytest.raises(ValueError, match="eigenvalues: 'u' and 'w' name one conjugacy class"):
+        freefield_solutions(data.ctx2, data.pi[1], module, {"e": 0, "u": 1, "w": 3, "uv": 2})
+
+
 def test_freefield_solution_form(data):
     """Solutions are sums of f(c) c^-1 (x) (c (x) v)."""
     ctx, pi = data.ctx2, data.pi[1]

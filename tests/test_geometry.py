@@ -123,6 +123,11 @@ def test_sign_calculus_single_length(data):
     assert not ip.is_regular_candidate()
 
 
+def test_covariant_operator_refuses_two_keys_in_one_class(data):
+    with pytest.raises(ValueError, match="eigenvalues: 'u' and 'w' name one conjugacy class"):
+        covariant_operator(data.G, {"e": 0, "u": 5, "w": 6, "uv": 7})
+
+
 def test_covariant_operator_and_checks(data):
     s3 = data.G
     lam = covariant_operator(s3, {"e": 0, "u": 5, "uv": 7})

@@ -67,8 +67,6 @@ TEST_ONLY = frozenset({
     "calculus.base_calculus_group_algebra",
     "calculus.fodc_double",
     "calculus.fodc_functions",
-    "cyclotomic.Cyc.imag_part",
-    "cyclotomic.Cyc.real_part",
     "double.CrossedModule.braiding_matrix",
     "double.CrossedModule.direct_sum",
     "double.bdg_crossed_module",
