@@ -34,7 +34,6 @@ _HOMES = {
     "catalog": "reps",
     "irrep_catalog": "reps",
     "induced_rep": "reps",
-    "decompose": "reps",
     "DoubleElement": "double",
     "CrossedModule": "double",
     "build_VCpi": "double",

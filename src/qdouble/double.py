@@ -13,7 +13,8 @@ class context and a centralizer irrep.
 A crossed module stores its action as sparse columns (``linalg._columns``),
 the one form of a G-action that the package keeps, checked when it is built
 by ``reps.homomorphism_failure``; every ``braided.BraidedLie`` is a
-crossed module.
+crossed module.  ``double_characters``, one character table on commuting
+pairs, decomposes every module by inner products.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from fractions import Fraction
 from .cyclotomic import ONE, ZERO, Cyc, cyc
 from .groups import FiniteGroup, ClassContext, orbit_representatives
 from .reps import Rep, homomorphism_failure, induced_matrices, irrep_catalog, irrep_family
-from . import linalg
 from .linalg import _accumulate, _addto, _columns
 
 
@@ -361,6 +361,12 @@ class CrossedModule:
                         m[i][j] = m[i][j] + coeff * a
         return m
 
+    def character(self) -> dict:
+        """Zero-free Tr(delta_g (x) h): the coefficient of w_j in h |> w_j,
+        summed over the basis vectors w_j of grade g."""
+        return _accumulate(((self.grading[j], h), c) for h, cols in enumerate(self.action)
+                           for j, col in enumerate(cols) for i, c in col if i == j)
+
     def braiding_with(self, other: "CrossedModule"):
         """Psi(v_i (x) w_j) = |v_i| |> w_j (x) v_i as a sparse map.  It holds
         the grading and action lists, not the modules, so a module may keep
@@ -477,22 +483,42 @@ def double_irreps(group: FiniteGroup):
     return labels
 
 
-def decompose_DG_module(module: CrossedModule, pairs=None) -> dict:
-    """Multiplicity of each V_{C,pi} inside the module, via block idempotent ranks."""
-    group = module.group
-    if pairs is None:
-        pairs = double_irreps(group)
-    out = {}
-    total = 0
-    for ctx, pi in pairs:
-        r = linalg.rank(module.double_matrix(block_idempotent(ctx, pi)))
-        dim_v = len(ctx.cls) * pi.dim
-        if r % dim_v:
-            raise RuntimeError("idempotent rank is not a multiple of the block dimension")
-        mult = r // dim_v
-        if mult:
-            out[(group.labels[ctx.rep], pi.name)] = mult
-        total += r
+def _inner(a: dict, b: dict, order: int) -> Cyc:
+    """<a, b> = (1/|G|) sum over (g, h) of a(g, h) conj(b(g, h))."""
+    return sum((c * b[key].conj() for key, c in a.items() if key in b), ZERO) * cyc(Fraction(1, order))
+
+
+def double_characters(group: FiniteGroup) -> dict:
+    """{(class label, pi name): chi} over ``double_irreps``: the zero-free
+    chi(g, h) = [g in C] chi_pi(q_g^-1 h q_g) of V_{C,pi} on commuting pairs
+    (Coste, Gannon and Ruelle 2000, section 2), decided orthonormal under ``_inner``."""
+    table = {}
+    for ctx, pi in double_irreps(group):
+        label = (group.labels[ctx.rep], pi.name)
+        traces = [pi.trace(k) for k in range(ctx.centralizer.n)]
+        chi = {
+            (g, group.word(ctx.q[g], n, group.inv[ctx.q[g]])): traces[k]
+            for g in ctx.cls for k, n in enumerate(ctx.centralizer.embedding) if traces[k]
+        }
+        if _inner(chi, chi, group.n) != ONE or any(_inner(chi, b, group.n) for b in table.values()):
+            raise RuntimeError(f"the double characters are not orthonormal at {label}")
+        table[label] = chi
+    return table
+
+
+def decompose_DG_module(module: CrossedModule) -> dict:
+    """Multiplicity of each V_{C,pi} in the module: the inner product of its
+    character with the label's in ``double_characters``, decided a non-negative
+    integer; mult times |C| dim pi = sum_g chi(g, e) must add up to the module's dim."""
+    group, chi = module.group, module.character()
+    out, total = {}, ZERO
+    for label, irr in double_characters(group).items():
+        m = _inner(chi, irr, group.n)
+        if not m.is_rational() or m.as_rational().denominator != 1 or m.as_rational() < 0:
+            raise RuntimeError(f"multiplicity of {label} is not a non-negative integer")
+        if m:
+            out[label] = int(m.as_rational())
+            total = total + m * sum((c for (g, h), c in irr.items() if h == 0), ZERO)
     if total != module.dim:
         raise ValueError("blocks do not exhaust the module; incomplete catalogue")
     return out

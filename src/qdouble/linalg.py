@@ -134,11 +134,10 @@ def nullspace(matrix, ncols, one, zero):
     return basis
 
 
-def solve(matrix, rhs):
-    """One solution of matrix @ x = rhs, or None if inconsistent."""
+def solve(matrix, ncols, rhs):
+    """One solution of matrix @ x = rhs in ncols unknowns, or None if inconsistent."""
     aug = [list(row) + [b] for row, b in zip(matrix, rhs)]
     rows, pivots = rref(aug)
-    ncols = len(matrix[0])
     for row in rows:
         if not any(row[:ncols]) and row[ncols]:
             return None

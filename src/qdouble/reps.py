@@ -401,32 +401,6 @@ def _order8_nonabelian_irreps(group: FiniteGroup) -> list[Rep]:
 # -- character tools ----------------------------------------------------------
 
 
-def character_inner_product(group: FiniteGroup, chi1: list[Cyc], chi2: list[Cyc]) -> Cyc:
-    """(1/|G|) sum over g of chi1(g) conj(chi2(g)), by classes."""
-    total = ZERO
-    for cls_, v1, v2 in zip(group.conjugacy_classes(), chi1, chi2):
-        total = total + cyc(len(cls_)) * v1 * v2.conj()
-    return total * cyc(Fraction(1, group.n))
-
-
-def decompose(rep: Rep) -> dict[str, int]:
-    """Multiplicities of the catalogue irreducibles inside rep."""
-    chi = rep.character()
-    out = {}
-    total = 0
-    for irr in irrep_catalog(rep.group):
-        m = character_inner_product(rep.group, chi, irr.character())
-        if not m.is_rational() or m.as_rational().denominator != 1:
-            raise ValueError("non-integer multiplicity; catalogue incomplete?")
-        mult = int(m.as_rational())
-        if mult:
-            out[irr.name] = mult
-            total += mult * irr.dim
-    if total != rep.dim:
-        raise ValueError("catalogue does not cover this group")
-    return out
-
-
 def group_projector(subgroup: FiniteGroup, pi: Rep) -> dict[int, Cyc]:
     """Central idempotent P_pi = (dim/|H|) sum Tr_pi(n^-1) n, as {element: coeff}."""
     if not pi.is_irreducible():

@@ -8,7 +8,9 @@ of its stdout, the sha256 of its stderr and its exit code.  The ops are the
 ``braided`` and ``quotient`` on ``tests/scenarios/s4_double_transposition.json``,
 a block whose centralizer irrep has dimension 2, and ``geometry`` on
 ``tests/scenarios/s3_all_residuals.json``, the stratum block with every
-residual flag, the star and Riemann ones included.  Each runs in process
+residual flag, the star and Riemann ones included, and ``calculus`` on
+``tests/scenarios/c1_trivial.json``, the order-1 group, which has no
+generators and so no innerness constraint.  Each runs in process
 through ``cli.main``, with paths relative to the repository root.
 
 Run from the repository root:
@@ -41,6 +43,7 @@ SCENARIOS = [
 ]
 DIM2_SCENARIO = "tests/scenarios/s4_double_transposition.json"
 RESIDUALS_SCENARIO = "tests/scenarios/s3_all_residuals.json"
+C1_SCENARIO = "tests/scenarios/c1_trivial.json"
 REPORTS = [c for c in sorted(cli.COMMANDS) if c != "verify-paper"]
 OPS = (
     [(c, "--scenario", s) for s in SCENARIOS for c in REPORTS]
@@ -50,7 +53,7 @@ OPS = (
         ("verify-paper",),
     ]
     + [(c, "--scenario", DIM2_SCENARIO) for c in ("transfer", "calculus", "braided", "quotient")]
-    + [("geometry", "--scenario", RESIDUALS_SCENARIO)]
+    + [("geometry", "--scenario", RESIDUALS_SCENARIO), ("calculus", "--scenario", C1_SCENARIO)]
 )
 
 

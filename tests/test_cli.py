@@ -302,6 +302,15 @@ def test_trivial_pair_calculus_prints_empty_matrices(tmp_path):
     assert report["gamma"] == report["rho"] == {"u": []}
 
 
+def test_order_one_group_calculus_is_inner_and_connected():
+    # the order-1 group has no generators, so innerness solves a system with no rows
+    c1 = Path(__file__).resolve().parent / "scenarios" / "c1_trivial.json"
+    out = run_cli("calculus", "--scenario", str(c1))
+    assert out.returncode == 0, out.stderr
+    report = json.loads(out.stdout)
+    assert (report["lambda_dim"], report["inner"], report["connected"]) == (0, True, True)
+
+
 def test_trivial_pair_geometry_is_a_configuration_error(tmp_path):
     spec = {"irrep": {"kind": "trivial"}, "lengths": {"u": 1, "uv": 2}}
     out = run_cli("geometry", "--scenario", _scenario(tmp_path, **spec))

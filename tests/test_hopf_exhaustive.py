@@ -15,7 +15,6 @@ def _tables(group):
     n = group.n
     mul = np.array(group.table, dtype=np.int64)
     inv = np.array(group.inv, dtype=np.int64)
-    conj = mul[mul[:, :], inv[:, None].T]  # placeholder, rebuilt below
     conj = np.empty((n, n), dtype=np.int64)
     for h in range(n):
         for g in range(n):

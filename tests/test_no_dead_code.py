@@ -81,7 +81,6 @@ TEST_ONLY = frozenset({
     "geometry.ip_from_laplacian",
     "geometry.is_second_order",
     "geometry.operator_is_covariant",
-    "reps.decompose",
     "reps.product_rep",
     "transfer.averaging_to_functions",
     "transfer.coact_E",

@@ -75,8 +75,9 @@ def test_exact_dense_linear_algebra():
     assert la.rank(singular) == 1
     ns = la.nullspace(singular, 2, cyc(1), cyc(0))
     assert len(ns) == 1
-    assert la.solve(singular, [cyc(1), cyc(2)]) is not None
-    assert la.solve(singular, [cyc(1), cyc(3)]) is None
+    assert la.solve(singular, 2, [cyc(1), cyc(2)]) is not None
+    assert la.solve(singular, 2, [cyc(1), cyc(3)]) is None
+    assert la.solve([], 0, []) == []
 
 
 def test_sparse_span():
@@ -300,7 +301,7 @@ def test_rref_views_of_the_span_match_the_dense_reference():
         point = [cyc(rng.randint(-2, 2)) for _ in range(ncols)]
         for rhs in (_mat_vec(matrix, point), [cyc(rng.randint(-2, 2)) for _ in range(nrows)]):
             inconsistent = ncols in _gauss_jordan([row + [b] for row, b in zip(matrix, rhs)])[1]
-            x = la.solve(matrix, rhs)
+            x = la.solve(matrix, ncols, rhs)
             assert (x is None) == inconsistent
             if x is not None:
                 assert _mat_vec(matrix, x) == rhs

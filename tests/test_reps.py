@@ -8,7 +8,7 @@ import pytest
 import qdouble.reps
 from qdouble.cli import build_context, build_group
 from qdouble.cyclotomic import cyc, root_of_unity
-from qdouble.double import centralizer_irreps
+from qdouble.double import CrossedModule, _inner, centralizer_irreps, decompose_DG_module, double_characters
 from qdouble.groups import ClassContext, FiniteGroup, class_context
 from qdouble.reps import (
     Rep,
@@ -23,13 +23,12 @@ from qdouble.reps import (
     product_rep,
     irrep_catalog,
     abelian_characters,
-    character_inner_product,
-    decompose,
     group_projector,
     induced_rep,
     centralizer_character,
 )
 import qdouble.linalg as la
+from qdouble.linalg import _columns
 
 
 @pytest.fixture(scope="module")
@@ -128,34 +127,48 @@ def test_reducible_rejected_by_projector(s3):
         group_projector(s3, ind)
 
 
+def decompose_rep(rep):
+    """Multiplicities of rep's irreducibles: ``decompose_DG_module`` on the
+    trivially graded crossed module, whose labels all have class {e}."""
+    module = CrossedModule(rep.group, range(rep.dim), [_columns(m) for m in rep.matrices], [0] * rep.dim)
+    dec = decompose_DG_module(module)
+    assert {label for label, _ in dec} == {rep.group.labels[0]}
+    return {name: mult for (_, name), mult in dec.items()}
+
+
 def test_induced_rep_decompositions(s3, ctx2):
     names = {r.dim: r.name for r in irrep_catalog(s3)}
-    dec0 = decompose(induced_rep(ctx2, centralizer_character(ctx2, 0)))
+    dec0 = decompose_rep(induced_rep(ctx2, centralizer_character(ctx2, 0)))
     assert sorted(dec0.values()) == [1, 1]
     assert names[2] not in dec0
     for j in (1, 2):
-        dec = decompose(induced_rep(ctx2, centralizer_character(ctx2, j)))
+        dec = decompose_rep(induced_rep(ctx2, centralizer_character(ctx2, j)))
         assert dec == {names[2]: 1}
 
 
 def test_induced_rep_case_iii(s3):
     ctx3 = class_context(s3, "v", q_override={"v": "e", "u": "w", "w": "u"})
-    plus = decompose(induced_rep(ctx3, centralizer_character(ctx3, 0)))
+    plus = decompose_rep(induced_rep(ctx3, centralizer_character(ctx3, 0)))
     names = {r.name: r for r in irrep_catalog(s3)}
     trivial = next(n for n, r in names.items() if r.dim == 1 and r.matrices[1][0][0] == cyc(1))
     assert plus[trivial] == 1 and sum(m * d for m, d in zip(plus.values(), [names[k].dim for k in plus])) == 3
-    minus = decompose(induced_rep(ctx3, centralizer_character(ctx3, 1)))
+    minus = decompose_rep(induced_rep(ctx3, centralizer_character(ctx3, 1)))
     assert trivial not in minus
 
 
 def test_schur_orthogonality_s4():
+    """The class-{e} labels of ``double_characters`` are the catalogue
+    characters h -> chi_pi(h) at (e, h), orthonormal."""
     s4 = FiniteGroup.symmetric(4)
     irreps = irrep_catalog(s4)
     assert sorted(r.dim for r in irreps) == [1, 1, 2, 3, 3]
-    chi = [r.character() for r in irreps]
+    table = double_characters(s4)
+    chi = [table[("e", r.name)] for r in irreps]
+    for r, c in zip(irreps, chi):
+        assert c == {(0, h): r.trace(h) for h in range(s4.n) if r.trace(h)}
     for i, a in enumerate(irreps):
         for j, b in enumerate(irreps):
-            inner = character_inner_product(s4, chi[i], chi[j])
+            inner = _inner(chi[i], chi[j], s4.n)
             assert inner == (cyc(1) if i == j else cyc(0))
 
 
