@@ -102,8 +102,9 @@ def _braid_sides(psi, i: int, j: int, k: int):
     def at(vec: dict, pos: int) -> dict:
         out: dict = {}
         for t, c in vec.items():
-            for (a, b), c2 in psi(t[pos], t[pos + 1]).items():
-                _addto(out, t[:pos] + (a, b) + t[pos + 2:], c * c2)
+            head, tail = t[:pos], t[pos + 2:]
+            for ab, c2 in psi(t[pos], t[pos + 1]).items():
+                _addto(out, head + ab + tail, c * c2)
         return out
 
     start = {(i, j, k): ONE}
@@ -155,15 +156,15 @@ class BraidedLie(CrossedModule):
 
     def psit(self, i: int, j: int):
         """Fundamental braiding from the coproduct, braiding and bracket."""
-        key = (i, j)
-        if key not in self._psit_cache:
-            out: dict = {}
+        out = self._psit_cache.get((i, j))
+        if out is None:
+            out = {}
             for (a, b, c1) in self.coproduct[i]:
                 for (k, c2) in self.action[self.grading[b]][j]:
                     for l, c3 in self.bracket(a, k).items():
                         _addto(out, (l, b), c1 * c2 * c3)
-            self._psit_cache[key] = out
-        return self._psit_cache[key]
+            self._psit_cache[i, j] = out
+        return out
 
     def bracket(self, i: int, j: int) -> dict:
         raise NotImplementedError
@@ -389,12 +390,12 @@ class BlockBraidedLie(BraidedLie):
 
     def bracket(self, i: int, j: int) -> dict:
         """(id (x) eps) of the fundamental braiding, computed directly."""
-        key = (i, j)
-        if key not in self._bracket_cache:
+        out = self._bracket_cache.get((i, j))
+        if out is None:
             (t1, a, ii, b, jj) = self.basis[i]
             A, vpos = self._wigner[t1]
             group = self.group
-            out: dict = {}
+            out = {}
             binv = group.inv[b]
             for (m, cm) in self.action[binv][j]:  # b^-1 |> E2
                 (t2, c2, k2, d2, l2) = self.basis[m]
@@ -408,8 +409,8 @@ class BlockBraidedLie(BraidedLie):
                 coeff = A[x][vpos[(group.conj(x, a), jj)]][vpos[(a, ii)]]
                 if coeff:
                     _addto(out, m, cm * coeff)
-            self._bracket_cache[key] = out
-        return self._bracket_cache[key]
+            self._bracket_cache[i, j] = out
+        return out
 
     def index_of(self, block: int, a: int, i: int, b: int, j: int) -> int:
         return self._pos[(block, a, i, b, j)]

@@ -188,7 +188,7 @@ class GroupAlgebraCalculus:
                 for j in range(dim):
                     constraints.append([prod[i][j] - bm[i][j] for bm, prod in zip(bms, prods)])
                     rhs_vec.append(self.e_matrices[g][i][j])
-        sol = linalg.solve(constraints, len(rows), rhs_vec)
+        sol = linalg.solve(constraints, len(rows), rhs_vec, ZERO)
         if sol is None:
             return False, None
         theta = [[ZERO] * self.rho.dim for _ in range(self.rho.dim)]

@@ -1,17 +1,19 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
 Every scalar in this package is a ``Cyc``: a vector of rationals in the
-power basis {1, z, ..., z^(phi(N)-1)} of Q(zeta_N), reduced modulo the
-N-th cyclotomic polynomial.  A coefficient is an ``int`` when it is a whole
-number and a ``Fraction`` otherwise; every division goes through
-``Fraction``, so no float ever enters.
+power basis {1, z, ..., z^(phi(N)-1)} of Q(zeta_N), reduced modulo the N-th
+cyclotomic polynomial, held as integer numerators ``num`` over one ``den``
+(Cohen, GTM 138, 4.2).  ``num`` drops its trailing zeros (zero is ``(0,)``),
+den > 0 and gcd(den, *num) = 1, so a value is rational exactly when
+``len(num) == 1``.  Operations run on ints and end with one gcd; no float
+enters.  ``coeffs`` is the phi(N) coefficients, int or non-whole Fraction.
 
 The order N is a tag, not the conductor of the value: it is the lcm of the
 orders of every operand that fed the value, because no operation lowers
 it.  A rational computed at N = 3 keeps N = 3, and ``to_json`` writes it
 as ``{"N": 3, "coeffs": [[num, den], [0, 1]]}``.  Mixed-order expressions are
 promoted to the lcm order, using the embedding zeta_N -> zeta_M^(M/N) for
-N | M; a rational operand needs no promotion, only zero padding.
+N | M; a rational operand needs no promotion, only a new tag.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import cmath
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
-from operator import add, sub
+from operator import add, mul, neg, sub
 
 
 @cache
@@ -38,12 +40,6 @@ def _phi(n: int) -> int:
     return result
 
 
-@cache
-def _padding(n: int) -> tuple[int, ...]:
-    """The phi(n) - 1 zero coefficients that follow a rational at order n."""
-    return (0,) * (_phi(n) - 1)
-
-
 def _mobius(n: int) -> int:
     result, p = 1, 2
     while p * p <= n:
@@ -57,9 +53,9 @@ def _mobius(n: int) -> int:
 
 
 @cache
-def _trace_weights(n: int) -> tuple[Fraction, ...]:
-    """Tr(zeta_n^k) / phi(n) = mu(n/d) / phi(n/d) with d = gcd(n, k), for k < phi(n)."""
-    return tuple(Fraction(_mobius(n // gcd(n, k)), _phi(n // gcd(n, k))) for k in range(_phi(n)))
+def _trace_weights(n: int) -> tuple[int, ...]:
+    """Tr(zeta_n^k) = mu(n/d) phi(n) / phi(n/d), d = gcd(n, k), for k < phi(n)."""
+    return tuple(_mobius(n // gcd(n, k)) * _phi(n) // _phi(n // gcd(n, k)) for k in range(_phi(n)))
 
 
 def _poly_divmod(num: list[int], den: list[int]):
@@ -90,14 +86,15 @@ def cyclotomic_polynomial(n: int) -> list[int]:
 
 
 @cache
-def _reduction_table(n: int) -> list[tuple[int, ...]]:
-    """Power basis expansion of zeta_n^e for 0 <= e < max(2*phi(n), n)."""
+def _reduction_table(n: int) -> list[tuple[tuple[int, int], ...]]:
+    """zeta_n^e in the power basis, as its nonzero (j, coefficient) pairs,
+    for 0 <= e < max(2*phi(n), n)."""
     phi = _phi(n)
     mod = cyclotomic_polynomial(n)
-    rows: list[tuple[int, ...]] = []
+    rows = []
     current = [1] + [0] * (phi - 1)
     for _ in range(max(2 * phi, n)):
-        rows.append(tuple(current))
+        rows.append(tuple((j, c) for j, c in enumerate(current) if c))
         nxt = [0] + current[:-1]
         top = current[-1]
         if top:
@@ -105,11 +102,6 @@ def _reduction_table(n: int) -> list[tuple[int, ...]]:
                 nxt[j] -= top * mod[j]
         current = nxt
     return rows
-
-
-def _canonical(values) -> tuple:
-    """The coefficients with every whole-number Fraction turned into an int."""
-    return tuple([v if v.__class__ is int or v.denominator != 1 else v.numerator for v in values])
 
 
 def _rational(value):
@@ -121,50 +113,90 @@ def _rational(value):
     raise TypeError(f"a cyclotomic coefficient must be an int or a Fraction, got {value!r}")
 
 
-def _reduce(n: int, coeffs: list) -> tuple:
+def _reduce(n: int, num: list) -> list:
+    """An integer polynomial in zeta_n in the power basis (a short one as it is)."""
     phi = _phi(n)
+    if len(num) <= phi:
+        return num
     table = _reduction_table(n)
-    out = list(coeffs[:phi]) + [0] * (phi - len(coeffs))
-    for e in range(phi, len(coeffs)):
-        c = coeffs[e]
+    out = num[:phi]
+    for e in range(phi, len(num)):
+        c = num[e]
         if c:
-            row = table[e]
-            for j in range(phi):
-                out[j] += c * row[j]
-    return _canonical(out)
+            for j, r in table[e]:
+                out[j] += c * r
+    return out
+
+
+_new = object.__new__
+
+
+def _make(order: int, num: tuple, den: int) -> "Cyc":
+    """Wrap a numerator and denominator that are already canonical."""
+    out = _new(Cyc)
+    out.order, out.num, out.den = order, num, den
+    return out
+
+
+def _norm(order: int, num, den: int) -> "Cyc":
+    """num / den for a positive den: trailing zeros dropped, content cancelled."""
+    if not num[-1]:
+        k = len(num) - 1
+        while k and not num[k]:
+            k -= 1
+        num = num[:k + 1]
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = [c // g for c in num]
+            den //= g
+    return _make(order, tuple(num), den)
+
+
+def _ratio(order: int, x: int, den: int) -> "Cyc":
+    """The rational x / den for a positive den, tagged with order."""
+    g = gcd(x, den)
+    return _make(order, (x // g,), den // g)
+
+
+def _numerators(x: "Cyc", order: int) -> tuple:
+    """x's numerators at order, a multiple of x.order; a rational keeps its own."""
+    return x.num if len(x.num) == 1 else x.promote(order).num
 
 
 class Cyc:
-    """An element of Q(zeta_N) in reduced power basis coordinates."""
+    """An element of Q(zeta_N): integer numerators ``num`` over ``den``."""
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "num", "den")
 
     def __init__(self, order: int, coeffs) -> None:
         if not isinstance(order, int) or order < 1:
             raise ValueError(f"cyclotomic order must be a positive integer, got {order!r}")
-        self.order = order
-        coeffs = [_rational(c) for c in coeffs]
-        self.coeffs = tuple(coeffs) if len(coeffs) == _phi(order) else _reduce(order, coeffs)
+        values = [_rational(c) for c in coeffs] or [0]
+        den = lcm(*(v.denominator for v in values))
+        value = _norm(order, _reduce(order, [v.numerator * (den // v.denominator) for v in values]), den)
+        self.order, self.num, self.den = order, value.num, value.den
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
-    def _make(order: int, coeffs: tuple) -> "Cyc":
-        """Wrap coefficients that are already reduced and canonical."""
-        out = object.__new__(Cyc)
-        out.order = order
-        out.coeffs = coeffs
-        return out
-
-    @staticmethod
     def rational(value) -> "Cyc":
-        return Cyc._make(1, (_rational(value),))
+        value = _rational(value)
+        return _make(1, (value.numerator,), value.denominator)
 
     @staticmethod
     def zeta(order: int, power: int = 1) -> "Cyc":
         if not isinstance(order, int) or order < 1:
             raise ValueError(f"cyclotomic order must be a positive integer, got {order!r}")
-        return Cyc._make(order, _reduction_table(order)[power % order])
+        return _norm(order, _reduce(order, [0] * (power % order) + [1]), 1)
+
+    @property
+    def coeffs(self) -> tuple:
+        """The phi(N) power basis coefficients: an int where whole, else a Fraction."""
+        num, den = self.num, self.den
+        if den != 1:
+            num = tuple([Fraction(c, den) if c % den else c // den for c in num])
+        return num + (0,) * (_phi(self.order) - len(num))
 
     # -- order promotion ------------------------------------------------
 
@@ -174,17 +206,19 @@ class Cyc:
             return self
         if order % self.order:
             raise ValueError(f"cannot promote order {self.order} into order {order}")
+        num = self.num
+        if len(num) == 1:
+            return _make(order, num, self.den)
         step = order // self.order
-        out = [0] * order
-        for k, c in enumerate(self.coeffs):
+        out = [0] * ((len(num) - 1) * step + 1)
+        for k, c in enumerate(num):
             out[k * step] = c
-        return Cyc._make(order, _reduce(order, out))
+        return _norm(order, _reduce(order, out), self.den)
 
     # -- ring operations -------------------------------------------------
     #
-    # Each operation first tries a path that needs no promotion: equal
-    # orders, two rationals (one scalar op, zero padded to the lcm order),
-    # or a rational whose order divides the other operand's.
+    # An operand of another order is promoted to the lcm order first; a
+    # rational one only takes the new tag.
 
     def __add__(self, other):
         if other.__class__ is not Cyc:
@@ -196,7 +230,7 @@ class Cyc:
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyc._make(self.order, tuple([-x for x in self.coeffs]))
+        return _make(self.order, tuple(map(neg, self.num)), self.den)
 
     def __sub__(self, other):
         if other.__class__ is not Cyc:
@@ -213,67 +247,80 @@ class Cyc:
 
     def _combine(self, other: "Cyc", op) -> "Cyc":
         """op(self, other) for op = operator.add or operator.sub."""
-        n, m = self.order, other.order
-        a, b = self.coeffs, other.coeffs
-        if n == m:
-            return Cyc._make(n, _canonical(map(op, a, b)))
-        order = lcm(n, m)
-        if not any(a[1:]) and not any(b[1:]):
-            return Cyc._make(order, _canonical((op(a[0], b[0]),)) + _padding(order))
-        return self.promote(order)._combine(other.promote(order), op)
+        a, b = self.num, other.num
+        n = self.order
+        if len(a) == len(b) == 1:
+            # two rationals: one op, at the lcm tag
+            x = op(a[0] * other.den, b[0] * self.den)
+            return _ratio(lcm(n, other.order), x, self.den * other.den)
+        if n != other.order:
+            n = lcm(n, other.order)
+            a, b = _numerators(self, n), _numerators(other, n)
+        den = self.den
+        if den != other.den:
+            db = other.den
+            g = gcd(den, db)
+            a = [c * (db // g) for c in a]
+            b = [c * (den // g) for c in b]
+            den = den // g * db
+        if len(a) == len(b):
+            return _norm(n, tuple(map(op, a, b)), den)
+        tail = a[len(b):] if len(a) > len(b) else [op(0, c) for c in b[len(a):]]
+        return _norm(n, (*map(op, a, b), *tail), den)
 
     def __mul__(self, other):
         if other.__class__ is not Cyc:
             other = _coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        n, m = self.order, other.order
-        a, b = self.coeffs, other.coeffs
-        if not any(a[1:]):
-            x = a[0]
-            if not any(b[1:]):
-                x *= b[0]
-                if x.__class__ is not int and x.denominator == 1:
-                    x = x.numerator
-                order = lcm(n, m)
-                return Cyc._make(order, (x,) + _padding(order))
-            if m % n == 0:
-                return Cyc._make(m, _canonical([x * y for y in b]))
-        elif not any(b[1:]) and n % m == 0:
+        a, b = self.num, other.num
+        if len(a) == 1:
+            self, other, a, b = other, self, b, a
+        if len(b) == 1:
+            # other is rational: a +-1 whose tag divides self's leaves self's tag
             y = b[0]
-            return Cyc._make(n, _canonical([x * y for x in a]))
-        if n != m:
-            order = lcm(n, m)
-            a, b = self.promote(order).coeffs, other.promote(order).coeffs
-            n = order
-        k = len(a)
-        prod = [0] * (2 * k - 1)
+            if (y == 1 or y == -1) and other.den == 1 and self.order % other.order == 0:
+                return self if y == 1 else _make(self.order, tuple(map(neg, a)), self.den)
+            n = self.order
+            if n % other.order:
+                n = lcm(n, other.order)
+                a = _numerators(self, n)
+            if len(a) == 1:
+                return _ratio(n, a[0] * y, self.den * other.den)
+            return _norm(n, [c * y for c in a], self.den * other.den)
+        n = self.order
+        if n != other.order:
+            n = lcm(n, other.order)
+            a, b = _numerators(self, n), _numerators(other, n)
+        prod = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
-                for j, y in enumerate(b):
+                for j, y in enumerate(b, i):
                     if y:
-                        prod[i + j] += x * y
-        return Cyc._make(n, _reduce(n, prod))
+                        prod[j] += x * y
+        return _norm(n, _reduce(n, prod), self.den * other.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyc":
-        """a^-1 = prod_(k != 1) sigma_k(a) / N(a), over the units k mod N.
-
-        The norm N(a) = a * prod_(k != 1) sigma_k(a) is rational.
-        """
-        if self.is_zero():
+        """x^-1 = d C / (N C) for x = N / d, with C = prod_(k != 1) sigma_k(N)
+        over the units k mod N, so that the norm N C is a rational integer."""
+        num, den, n = self.num, self.den, self.order
+        if not num[-1]:
             raise ZeroDivisionError("inverse of zero in a cyclotomic field")
-        n = self.order
-        if len(self.coeffs) == 1:
-            return Cyc._make(n, _canonical((Fraction(1, self.coeffs[0]),)))
+        if len(num) == 1:
+            x = num[0]
+            return _make(n, (den if x > 0 else -den,), abs(x))
+        integral = _make(n, num, 1)
         cofactor = None
         for k in range(2, n):
             if gcd(k, n) == 1:
-                image = self.galois(k)
+                image = integral.galois(k)
                 cofactor = image if cofactor is None else cofactor * image
-        norm = (self * cofactor).coeffs[0]
-        return Cyc._make(n, _canonical([Fraction(c, norm) for c in cofactor.coeffs]))
+        norm = (integral * cofactor).num[0]
+        if norm < 0:
+            den, norm = -den, -norm
+        return _norm(n, [den * c for c in cofactor.num], norm)
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -295,21 +342,23 @@ class Cyc:
         while exponent:
             if exponent & 1:
                 result = result * base
-            base = base * base
             exponent >>= 1
+            if exponent:
+                base = base * base
         return result
 
     def galois(self, k: int) -> "Cyc":
         """Field automorphism sigma_k: zeta_N -> zeta_N^k, for k prime to N."""
-        n = self.order
+        num, n = self.num, self.order
+        if len(num) == 1:
+            return self
         table = _reduction_table(n)
-        out = [0] * len(self.coeffs)
-        for e, c in enumerate(self.coeffs):
+        out = [0] * _phi(n)
+        for e, c in enumerate(num):
             if c:
-                row = table[(e * k) % n]
-                for j in range(len(out)):
-                    out[j] += c * row[j]
-        return Cyc._make(n, _canonical(out))
+                for j, r in table[(e * k) % n]:
+                    out[j] += c * r
+        return _norm(n, out, self.den)
 
     def conj(self) -> "Cyc":
         """Complex conjugation, the automorphism sigma_(N-1)."""
@@ -317,42 +366,39 @@ class Cyc:
 
     # -- predicates and conversions ---------------------------------------
 
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return len(self.num) == 1
 
     def as_rational(self) -> Fraction:
-        if not self.is_rational():
+        if len(self.num) != 1:
             raise ValueError(f"{self!r} is not rational")
-        return Fraction(self.coeffs[0])
+        return Fraction(self.num[0], self.den)
 
     def __bool__(self) -> bool:
-        return any(self.coeffs)
+        return self.num[-1] != 0
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not Cyc:
             other = _coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if self.order == other.order:
-            return a == b
-        # the power basis is a Q-basis, so a value is rational exactly when
-        # its coefficients past the first vanish, at every order
-        rational_a, rational_b = not any(a[1:]), not any(b[1:])
-        if rational_a or rational_b:
-            return rational_a and rational_b and a[0] == b[0]
+        a, b = self.num, other.num
+        if self.order == other.order or len(a) == len(b) == 1:
+            return a == b and self.den == other.den
+        # a value is rational at every order or at none
+        if len(a) == 1 or len(b) == 1:
+            return False
         order = lcm(self.order, other.order)
-        return self.promote(order).coeffs == other.promote(order).coeffs
+        return self.promote(order).num == other.promote(order).num and self.den == other.den
 
     def __hash__(self):
         """Hash of the normalised trace Tr(x) / phi(N), which is the same at
         every order x is written in, and is x itself for a rational x."""
-        if self.is_rational():
-            return hash(self.coeffs[0])
-        return hash(sum(c * w for c, w in zip(self.coeffs, _trace_weights(self.order)) if c))
+        num, den = self.num, self.den
+        if len(num) == 1:
+            return hash(num[0]) if den == 1 else hash(Fraction(num[0], den))
+        trace = sum(map(mul, num, _trace_weights(self.order)))
+        return hash(Fraction(trace, _phi(self.order) * den))
 
     def to_complex(self) -> complex:
         return sum(
@@ -372,7 +418,7 @@ class Cyc:
         return Cyc(data["N"], tuple(Fraction(n, d) for n, d in data["coeffs"]))
 
     def __repr__(self) -> str:
-        if self.is_rational():
+        if len(self.num) == 1:
             return f"Cyc({self.coeffs[0]})"
         terms = []
         for k, c in enumerate(self.coeffs):

@@ -100,22 +100,15 @@ class InnerProduct:
         products, and in a finite group the generators' products are all
         of G."""
         group = self.group
+        pair = [[self.pair_elements(g, h) for h in range(group.n)] for g in range(group.n)]
         for g in range(group.n):
             for h in range(group.n):
-                base = self.pair_elements(g, h)
+                base = pair[g][h]
                 for u in group.generators:
                     gu, hu = group.table[g][u], group.table[h][u]
-                    rhs = (
-                        self.pair_elements(gu, hu)
-                        - self.pair_elements(gu, u)
-                        - self.pair_elements(u, hu)
-                        + self.pair_elements(u, u)
-                    )
-                    if base != rhs:
+                    if base != pair[gu][hu] - pair[gu][u] - pair[u][hu] + pair[u][u]:
                         return False
-                    if base != self.pair_elements(
-                        group.conj(group.inv[u], g), group.conj(group.inv[u], h)
-                    ):
+                    if base != pair[group.conj(group.inv[u], g)][group.conj(group.inv[u], h)]:
                         return False
         return True
 
@@ -326,30 +319,36 @@ def connection_solve(basis: LambdaBasis, ip: InnerProduct | None, flags) -> Conn
     group = basis.group
     index = [(i, j, k) for i in range(dim) for j in range(dim) for k in range(dim)]
     pos = {t: a for a, t in enumerate(index)}
-    rows = []
-    if "covariant" in flags:
-        # Gamma = rho(g^-1) Gamma rho(g) rho(g) on the generators only: as rho
-        # is a representation, the rows of st are combinations of those of s
-        # and t, so the rref and nullspace are those of every g
-        basis.check_representations()
-        unknowns = {t: {a: ONE} for t, a in pos.items()}
-        for g in group.generators:
-            moved = _conjugate(unknowns, basis.rho_matrix, group, g)
-            for t, a in pos.items():
-                row = {b: -c for b, c in moved.get(t, {}).items()}
-                _addto(row, a, ONE)
-                if row:
-                    rows.append([row.get(b, ZERO) for b in range(len(index))])
-    if "torsion_free" in flags:
-        for i in range(dim):
-            for j in range(dim):
-                for k in range(j + 1, dim):
-                    row = [ZERO] * len(index)
-                    row[pos[(i, j, k)]] = ONE
-                    row[pos[(i, k, j)]] = row[pos[(i, k, j)]] - ONE
-                    if any(row):
-                        rows.append(row)
-    base_null = linalg.nullspace(rows, len(index), ONE, ZERO)
+    # the covariance and torsion kernel depends on the basis and these two
+    # flags alone: solve it once per basis, kept on it by (covariant, torsion_free)
+    kernels = vars(basis).setdefault("connection_kernels", {})
+    covariant, torsion_free = "covariant" in flags, "torsion_free" in flags
+    if (covariant, torsion_free) not in kernels:
+        rows = []
+        if covariant:
+            # Gamma = rho(g^-1) Gamma rho(g) rho(g) on the generators only: as rho
+            # is a representation, the rows of st are combinations of those of s
+            # and t, so the rref and nullspace are those of every g
+            basis.check_representations()
+            unknowns = {t: {a: ONE} for t, a in pos.items()}
+            for g in group.generators:
+                moved = _conjugate(unknowns, basis.rho_matrix, group, g)
+                for t, a in pos.items():
+                    row = {b: -c for b, c in moved.get(t, {}).items()}
+                    _addto(row, a, ONE)
+                    if row:
+                        rows.append([row.get(b, ZERO) for b in range(len(index))])
+        if torsion_free:
+            for i in range(dim):
+                for j in range(dim):
+                    for k in range(j + 1, dim):
+                        row = [ZERO] * len(index)
+                        row[pos[(i, j, k)]] = ONE
+                        row[pos[(i, k, j)]] = row[pos[(i, k, j)]] - ONE
+                        if any(row):
+                            rows.append(row)
+        kernels[covariant, torsion_free] = linalg.nullspace(rows, len(index), ONE, ZERO)
+    base_null = kernels[covariant, torsion_free]
     # express as family over p0.. with Cyc coefficients, then impose cotorsion
     if "cotorsion_free" in flags:
         if ip is None:
@@ -491,14 +490,12 @@ def _contract_leg(T: dict, leg: int, mat) -> dict:
     """T with index ``leg`` contracted against mat: out[..x..] = sum_y
     mat[x][y] T[..y..], over entries that are zero-free polynomial term maps."""
     out = {}
+    cols = linalg._columns(mat)
     for key, terms in T.items():
-        y = key[leg]
-        for x, row in enumerate(mat):
-            s = row[y]
-            if s:
-                acc = out.setdefault(key[:leg] + (x,) + key[leg + 1:], {})
-                for e, c in terms.items():
-                    _addto(acc, e, c * s)
+        for x, s in cols[key[leg]]:
+            acc = out.setdefault(key[:leg] + (x,) + key[leg + 1:], {})
+            for e, c in terms.items():
+                _addto(acc, e, c * s)
     return out
 
 

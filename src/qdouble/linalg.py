@@ -134,14 +134,14 @@ def nullspace(matrix, ncols, one, zero):
     return basis
 
 
-def solve(matrix, ncols, rhs):
-    """One solution of matrix @ x = rhs in ncols unknowns, or None if inconsistent."""
+def solve(matrix, ncols, rhs, zero):
+    """One solution of matrix @ x = rhs in ncols unknowns, free unknowns set
+    to the field's zero, or None if inconsistent."""
     aug = [list(row) + [b] for row, b in zip(matrix, rhs)]
     rows, pivots = rref(aug)
     for row in rows:
         if not any(row[:ncols]) and row[ncols]:
             return None
-    zero = rhs[0] - rhs[0] if rhs else None
     x = [zero] * ncols
     for r, pc in enumerate(pivots):
         if pc < ncols:

@@ -21,6 +21,7 @@ operations build maps that already hold the invariant (sums go through
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 from .cyclotomic import Cyc, cyc
 from .linalg import _addto
@@ -137,7 +138,7 @@ class Poly:
         out: dict[tuple, Cyc] = {}
         for e1, c1 in a.terms.items():
             for e2, c2 in b.terms.items():
-                _addto(out, tuple(x + y for x, y in zip(e1, e2)), c1 * c2)
+                _addto(out, tuple(map(add, e1, e2)), c1 * c2)
         return Poly._make(a.vars, out)
 
     __rmul__ = __mul__
@@ -148,8 +149,9 @@ class Poly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def __bool__(self):
@@ -454,7 +456,7 @@ def groebner(polys) -> list[Poly]:
         _, i, j = min(pairs.values())
         li, lj = basis[i][0], basis[j][0]
         lcm = _lcm(li, lj)
-        coprime = lcm == tuple(x + y for x, y in zip(li, lj))
+        coprime = lcm == tuple(map(add, li, lj))
         chain = any(
             k != i and k != j
             and (min(i, k), max(i, k)) not in pairs

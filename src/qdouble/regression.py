@@ -86,6 +86,7 @@ class S3Data:
         self.ctx1 = class_context(G, "e")
         self.pi = {j: centralizer_character(self.ctx2, j) for j in (0, 1, 2)}
         self.pipm = {j: centralizer_character(self.ctx3, j) for j in (0, 1)}
+        self._basis = None
         self._wqlc = None
         self._ip = {}
 
@@ -96,8 +97,10 @@ class S3Data:
         return cls._instance
 
     def basis_end2(self):
-        calc = fodc_group_algebra(induced_rep(self.ctx2, self.pi[1]))
-        return lambda_basis(calc, preferred=["u", "v", "uv", "vu"])
+        if self._basis is None:
+            calc = fodc_group_algebra(induced_rep(self.ctx2, self.pi[1]))
+            self._basis = lambda_basis(calc, preferred=["u", "v", "uv", "vu"])
+        return self._basis
 
     def ip_generic(self):
         if "generic" not in self._ip:

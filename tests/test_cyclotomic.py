@@ -1,13 +1,15 @@
 import operator
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qdouble.cyclotomic import Cyc, _reduce, cyc, root_of_unity
+import cyclotomic_reference as ref
+from qdouble import cyclotomic
+from qdouble.cyclotomic import Cyc, _phi, cyc, root_of_unity
 
 
 def test_cube_root_relation():
@@ -173,7 +175,7 @@ def _reference(op, a: Cyc, b: Cyc):
     """op on both operands promoted to the lcm order: zip for + and -,
     schoolbook product and reduction for *, coefficient tuples for ==."""
     order = lcm(a.order, b.order)
-    x, y = a.promote(order).coeffs, b.promote(order).coeffs
+    x, y = (ref.Cyc(v.order, v.coeffs).promote(order).coeffs for v in (a, b))
     if op is operator.eq:
         return x == y
     if op is operator.mul:
@@ -181,7 +183,7 @@ def _reference(op, a: Cyc, b: Cyc):
         for i, u in enumerate(x):
             for j, v in enumerate(y):
                 prod[i + j] += u * v
-        return order, _reduce(order, prod)
+        return order, ref._reduce(order, prod)
     return order, tuple(op(u, v) for u, v in zip(x, y))
 
 
@@ -260,3 +262,119 @@ def test_to_complex_is_a_ring_homomorphism(a, b):
         assert np.isclose(x.to_complex(), evaluate(x), atol=1e-9)
     assert np.isclose(evaluate(a + b), evaluate(a) + evaluate(b), atol=1e-9)
     assert np.isclose(evaluate(a * b), evaluate(a) * evaluate(b), atol=1e-9)
+
+
+# -- the fraction-free form against the int-or-Fraction reference ---------------
+
+
+def _invariant_holds(x: Cyc) -> bool:
+    """num: ints, no trailing zero, at most phi(N) of them; den > 0 and
+    prime to the numerators."""
+    num, den = x.num, x.den
+    return (
+        type(num) is tuple
+        and 1 <= len(num) <= _phi(x.order)
+        and all(type(c) is int for c in num)
+        and (len(num) == 1 or num[-1] != 0)
+        and type(den) is int
+        and den > 0
+        and gcd(den, *num) == 1
+    )
+
+
+def _agrees(x: Cyc, r: ref.Cyc) -> bool:
+    """Same order tag, coefficient values and types, JSON and hash."""
+    return (
+        _invariant_holds(x)
+        and x.order == r.order
+        and [(type(c), c) for c in x.coeffs] == [(type(c), c) for c in r.coeffs]
+        and x.to_json() == r.to_json()
+        and hash(x) == hash(r)
+        and repr(x) == repr(r)
+    )
+
+
+@st.composite
+def pairs(draw):
+    """The same value as a package Cyc and as a reference Cyc, at one of
+    ORDERS, from int and Fraction coefficients; a third are rationals."""
+    order = draw(st.sampled_from(ORDERS))
+    if draw(st.integers(0, 2)) == 0:
+        coeffs = [draw(COEFFICIENT)]
+    else:
+        coeffs = draw(st.lists(COEFFICIENT, min_size=1, max_size=order))
+    return Cyc(order, coeffs), ref.Cyc(order, coeffs)
+
+
+@PROPERTY
+@given(pairs(), pairs(), st.sampled_from((1, 2, 3, 4)))
+# a +-1 at an order that does not divide the other operand's: no shortcut
+@example((cyc(-1) * Cyc.zeta(4, 0), ref.Cyc(4, [-1])), (Cyc.zeta(3), ref.Cyc(3, [0, 1])), 1)
+# a content that only the final gcd cancels
+@example(
+    (Cyc(3, [Fraction(1, 2), Fraction(3, 2)]), ref.Cyc(3, [Fraction(1, 2), Fraction(3, 2)])),
+    (Cyc(3, [Fraction(3, 2), Fraction(1, 2)]), ref.Cyc(3, [Fraction(3, 2), Fraction(1, 2)])),
+    2,
+)
+def test_every_operation_agrees_with_the_reference(p, q, factor):
+    (a, ra), (b, rb) = p, q
+    assert _agrees(a, ra) and _agrees(b, rb)
+    for op in (operator.add, operator.sub, operator.mul):
+        assert _agrees(op(a, b), op(ra, rb))
+    assert _agrees(-a, -ra) and _agrees(a.conj(), ra.conj())
+    assert _agrees(a.promote(a.order * factor), ra.promote(ra.order * factor))
+    for k in range(1, a.order):
+        if gcd(k, a.order) == 1:
+            assert _agrees(a.galois(k), ra.galois(k))
+    if b:
+        assert _agrees(a / b, ra / rb) and _agrees(b.inverse(), rb.inverse())
+    assert (a == b) == (ra == rb)
+    assert a.is_rational() == ra.is_rational()
+    if a.is_rational():
+        value = a.as_rational()
+        assert type(value) is Fraction and value == ra.as_rational()
+    back = Cyc.from_json(ra.to_json())
+    assert _agrees(back, ra) and (back.num, back.den) == (a.num, a.den)
+
+
+def test_invariant_check_catches_a_missing_gcd(monkeypatch):
+    """Negative control: with the final gcd skipped, a sum whose content
+    the gcd would cancel breaks the invariant."""
+    half = Cyc(3, [Fraction(1, 2), Fraction(1, 2)])
+    assert _invariant_holds(half + half) and (half + half).den == 1
+    monkeypatch.setattr(cyclotomic, "gcd", lambda *args: 1)
+    unreduced = half + half
+    assert (unreduced.num, unreduced.den) == ((2, 2), 2)
+    assert not _invariant_holds(unreduced)
+
+
+class _NoFraction:
+    def __new__(cls, *args, **kwargs):
+        raise AssertionError("Fraction built on the arithmetic path")
+
+
+def test_arithmetic_builds_no_fraction(monkeypatch):
+    """The ring operations, promote, galois, conj, == and bool run on ints
+    alone; only the constructor, coeffs, JSON, as_rational and the hash of a
+    non-integer may build a Fraction."""
+    values = [
+        Cyc(n, coeffs[:n])
+        for n in (1, 3, 4, 12)
+        for coeffs in ([3], [Fraction(-2, 3)], [1, -2, 0, 5], [Fraction(1, 2), Fraction(-3, 4), 2, 0])
+    ]
+
+    def run():
+        out = []
+        for a in values:
+            out += [-a, a.promote(a.order * 2), a.galois(a.order - 1), a.conj(), bool(a)]
+            if a:
+                out.append(a.inverse())
+            for b in values:
+                out += [a + b, a - b, a * b, a == b, a + 2, 3 - a, a * -1]
+        return [(x.order, x.num, x.den) if isinstance(x, Cyc) else x for x in out]
+
+    expected = run()
+    monkeypatch.setattr(cyclotomic, "Fraction", _NoFraction)
+    assert run() == expected
+    with pytest.raises(AssertionError):
+        values[1].as_rational()

@@ -37,7 +37,7 @@ def reference_coords(basis, g):
     calc = basis.calculus
     rows = [calc._flatten(calc.e_matrices[b]) for b in basis.basis]
     target = calc._flatten(calc.e_matrices[g])
-    return linalg.solve([[row[k] for row in rows] for k in range(len(target))], len(rows), target)
+    return linalg.solve([[row[k] for row in rows] for k in range(len(target))], len(rows), target, ZERO)
 
 
 def reference_covariant(ip):

@@ -75,9 +75,18 @@ def test_exact_dense_linear_algebra():
     assert la.rank(singular) == 1
     ns = la.nullspace(singular, 2, cyc(1), cyc(0))
     assert len(ns) == 1
-    assert la.solve(singular, 2, [cyc(1), cyc(2)]) is not None
-    assert la.solve(singular, 2, [cyc(1), cyc(3)]) is None
-    assert la.solve([], 0, []) == []
+    assert la.solve(singular, 2, [cyc(1), cyc(2)], cyc(0)) is not None
+    assert la.solve(singular, 2, [cyc(1), cyc(3)], cyc(0)) is None
+    assert la.solve([], 0, [], cyc(0)) == []
+
+
+def test_solve_sets_free_unknowns_to_the_given_zero():
+    """With no rows every unknown is free: each is the field zero passed in,
+    never None."""
+    zero = cyc(0)
+    assert la.solve([], 2, [], zero) == [zero, zero]
+    x = la.solve([[cyc(1), cyc(1)]], 2, [cyc(3)], zero)
+    assert x == [cyc(3), zero] and all(v is not None for v in x)
 
 
 def test_sparse_span():
@@ -301,7 +310,7 @@ def test_rref_views_of_the_span_match_the_dense_reference():
         point = [cyc(rng.randint(-2, 2)) for _ in range(ncols)]
         for rhs in (_mat_vec(matrix, point), [cyc(rng.randint(-2, 2)) for _ in range(nrows)]):
             inconsistent = ncols in _gauss_jordan([row + [b] for row, b in zip(matrix, rhs)])[1]
-            x = la.solve(matrix, ncols, rhs)
+            x = la.solve(matrix, ncols, rhs, zero)
             assert (x is None) == inconsistent
             if x is not None:
                 assert _mat_vec(matrix, x) == rhs
