@@ -97,18 +97,19 @@ def _first_unequal(sides, tuples):
 def _braid_sides(psi, i: int, j: int, k: int):
     """psi_12 psi_23 psi_12 and psi_23 psi_12 psi_23 on v_i (x) v_j (x) v_k,
     as sparse vectors over index triples; psi(i, j) is the image
-    {(a, b): coeff} of (i, j)."""
-
-    def at(vec: dict, pos: int) -> dict:
-        out: dict = {}
-        for t, c in vec.items():
-            head, tail = t[:pos], t[pos + 2:]
-            for ab, c2 in psi(t[pos], t[pos + 1]).items():
-                _addto(out, head + ab + tail, c * c2)
-        return out
-
-    start = {(i, j, k): ONE}
-    return at(at(at(start, 0), 1), 0), at(at(at(start, 1), 0), 1)
+    {(a, b): coeff} of (i, j).  Each side sums the coefficient products
+    along its paths of three braidings."""
+    lhs: dict = {}
+    for (a, b), c1 in psi(i, j).items():
+        for (b2, k2), c2 in psi(b, k).items():
+            for (a3, b3), c3 in psi(a, b2).items():
+                _addto(lhs, (a3, b3, k2), c1 * c2 * c3)
+    rhs: dict = {}
+    for (b, k2), c1 in psi(j, k).items():
+        for (a2, b2), c2 in psi(i, b).items():
+            for (b3, k3), c3 in psi(b2, k2).items():
+                _addto(rhs, (a2, b3, k3), c1 * c2 * c3)
+    return lhs, rhs
 
 
 def _braid_relation_holds(psi, n: int) -> bool:

@@ -119,6 +119,13 @@ def _reduce(n: int, num: list) -> list:
     if len(num) <= phi:
         return num
     table = _reduction_table(n)
+    if len(num) > len(table):
+        # zeta_n^n = 1 folds the exponents past the table, which only a long
+        # constructor argument has: a product has at most 2 phi(n) - 1
+        folded = [0] * n
+        for e, c in enumerate(num):
+            folded[e % n] += c
+        num = folded
     out = num[:phi]
     for e in range(phi, len(num)):
         c = num[e]

@@ -230,6 +230,13 @@ def hopf_failures(group: FiniteGroup, coproduct, product, antipode, braid=None) 
     if braid is None:  # the flip
         braid = lambda a2, b1: b1
     moved = {(a, b): list(braid(elem[a], elem[b]).terms.items()) for a, b in pairs}
+    # the terms b1 (x) b2 of Delta b whose product with a2 is nonzero, for
+    # each left factor a2 and each b: most products of two terms vanish
+    live = {
+        (x, b): [(b1, c2, prod[x, b2]) for (b1, b2), c2 in cop[b] if prod[x, b2]]
+        for x in elem
+        for b in elem
+    }
 
     def coassociativity_at(x):
         lhs = _accumulate(((*y, x2), c * c1) for (x1, x2), c in cop[x] for y, c1 in cop[x1])
@@ -257,8 +264,8 @@ def hopf_failures(group: FiniteGroup, coproduct, product, antipode, braid=None) 
         rhs = _accumulate(
             ((k1, k2), c1 * c2 * c3 * c4 * c5)
             for (a1, a2), c1 in cop[a]
-            for (b1, b2), c2 in cop[b]
-            for k2, c5 in prod[a2, b2]
+            for b1, c2, a2b2 in live[a2, b]
+            for k2, c5 in a2b2
             for y, c3 in moved[a2, b1]
             for k1, c4 in prod[a1, y]
         )

@@ -14,7 +14,7 @@ from fractions import Fraction
 from .cyclotomic import ONE, ZERO, cyc
 from .groups import FiniteGroup, ClassContext
 from .reps import Rep, irrep_catalog
-from .poly import Poly
+from .poly import Poly, dot
 from .double import CrossedModule
 from .linalg import _addto
 from .transfer import projector_fixed_space, conjugated_projector
@@ -31,17 +31,14 @@ def dual_operator(group: FiniteGroup, eigenvalues: dict):
         v = eigenvalues[r.name]
         lam[r.name] = v if isinstance(v, Poly) else Poly.constant(v)
     n = group.n
-    mat = [[None] * n for _ in range(n)]
-    for h in range(n):
-        for f in range(n):
-            total = None
-            for rho in irreps:
-                t = lam[rho.name] * (
-                    rho.trace(group.table[group.inv[h]][f]) * cyc(Fraction(rho.dim, n))
-                )
-                total = t if total is None else total + t
-            mat[f][h] = total
-    return mat
+    scale = {rho.name: cyc(Fraction(rho.dim, n)) for rho in irreps}
+    return [
+        [
+            dot((lam[r.name], r.trace(group.table[group.inv[h]][f]) * scale[r.name]) for r in irreps)
+            for h in range(n)
+        ]
+        for f in range(n)
+    ]
 
 
 def peter_weyl_blocks(group: FiniteGroup, g: int):
@@ -140,40 +137,30 @@ def dual_constraints(group: FiniteGroup, subset, weight_vars: dict, lambda_vars:
     def chi(rho, cls_):
         return norm_chi[rho.name][class_index[tuple(cls_)]]
 
+    mass = {rho.name: cyc(Fraction(rho.dim * rho.dim, group.n)) for rho in irreps}  # dim^2 / |G|
     constraints = []
     # classes not in the bidirectional part (and not the identity class)
     for cls_ in group.conjugacy_classes():
         if cls_[0] == 0 or cls_ in bidirectional:
             continue
-        total = Poly.constant(0, variables)
-        for rho in irreps:
-            total = total + lam[rho.name] * (chi(rho, cls_) * cyc(Fraction(rho.dim * rho.dim, group.n)))
-        constraints.append(total)
+        constraints.append(dot(((lam[r.name], chi(r, cls_) * mass[r.name]) for r in irreps), variables))
     # the balancing sum over the bidirectional part
-    total = Poly.constant(0, variables)
-    for cls_ in bidirectional:
-        for rho in irreps:
-            coeff = cyc(Fraction(rho.dim * rho.dim, group.n)) * (
-                cyc(1) + chi(rho, cls_) * cyc(len(cls_))
-            )
-            total = total + lam[rho.name] * coeff
-    constraints.append(total)
+    balance = (
+        (lam[r.name], mass[r.name] * (cyc(1) + chi(r, cls_) * cyc(len(cls_))))
+        for cls_ in bidirectional
+        for r in irreps
+    )
+    constraints.append(dot(balance, variables))
     # weight formulas l*_C = -(1/2) sum_rho (dim^2/|G|) lambda*_rho chi_rho(C)*
     for cls_ in bidirectional:
-        total = Poly.constant(0, variables)
-        for rho in irreps:
-            total = total + lam[rho.name] * (
-                chi(rho, cls_).conj() * cyc(Fraction(-rho.dim * rho.dim, 2 * group.n))
-            )
-        constraints.append(weights[cls_[0]] - total)
-    closed_form = {}
-    for rho in irreps:
-        total = Poly.constant(0, variables)
-        for cls_ in bidirectional:
-            total = total + weights[cls_[0]] * (
-                (cyc(1) - chi(rho, cls_)) * cyc(2 * len(cls_))
-            )
-        closed_form[rho.name] = total
+        terms = (
+            (lam[r.name], chi(r, cls_).conj() * cyc(Fraction(-r.dim * r.dim, 2 * group.n))) for r in irreps
+        )
+        constraints.append(weights[cls_[0]] - dot(terms, variables))
+    closed_form = {
+        r.name: dot(((weights[c[0]], (cyc(1) - chi(r, c)) * cyc(2 * len(c))) for c in bidirectional), variables)
+        for r in irreps
+    }
     return constraints, closed_form
 
 

@@ -19,7 +19,7 @@ from itertools import product
 
 from .cyclotomic import ONE, ZERO, Cyc, cyc
 from .linalg import _addto
-from .poly import Poly, RatFunc, _bareiss_det
+from .poly import Poly, RatFunc, _bareiss_det, dot
 from .calculus import LambdaBasis
 from .groups import FiniteGroup
 from . import linalg
@@ -265,23 +265,14 @@ class ConnectionFamily:
         mat = []
         const = []
         for name, spec in functionals:
-            row = []
-            combo = Poly.constant(0, self.vars)
-            for key, coeff in spec.items():
-                combo = combo + self.gamma[key] * cyc(coeff)
-            for p in old:
-                row.append(combo.coeff_of(p, 1))
+            combo = dot(((self.gamma[key], cyc(coeff)) for key, coeff in spec.items()), self.vars)
+            mat.append([combo.coeff_of(p, 1) for p in old])
             const.append(combo.substitute({p: 0 for p in old}))
-            mat.append(row)
         # a non-constant entry (ValueError) means the family is not linear
         inv = linalg.inverse([[x.as_cyc() for x in row] for row in mat])
         # old param p_b = sum_a inv[b][a] (new_a - const_a)
-        bindings = {}
-        for b, p in enumerate(old):
-            expr = Poly.constant(0, names)
-            for a, name in enumerate(names):
-                expr = expr + (Poly.variable(name, names) - const[a]) * inv[b][a]
-            bindings[p] = expr
+        shifted = [Poly.variable(name, names) - const[a] for a, name in enumerate(names)]
+        bindings = {p: dot(zip(shifted, inv[b]), names) for b, p in enumerate(old)}
         out = {k: v.substitute(bindings) for k, v in self.gamma.items()}
         return ConnectionFamily(self.basis, out, names)
 
@@ -360,16 +351,14 @@ def connection_solve(basis: LambdaBasis, ip: InnerProduct | None, flags) -> Conn
             for i in range(dim):
                 for j in range(i + 1, dim):
                     row = []
-                    for b in range(t):
-                        total = Poly.constant(0, ip.vars)
+                    for vec in base_null:
+                        pairs = []
                         for m in range(dim):
-                            gim = adj[i][m]
-                            gjm = adj[j][m]
-                            if base_null[b][pos[(m, j, k)]]:
-                                total = total + gim * base_null[b][pos[(m, j, k)]]
-                            if base_null[b][pos[(m, i, k)]]:
-                                total = total - gjm * base_null[b][pos[(m, i, k)]]
-                        row.append(RatFunc(total))
+                            if vec[pos[(m, j, k)]]:
+                                pairs.append((adj[i][m], vec[pos[(m, j, k)]]))
+                            if vec[pos[(m, i, k)]]:
+                                pairs.append((adj[j][m], -vec[pos[(m, i, k)]]))
+                        row.append(RatFunc(dot(pairs, ip.vars)))
                     eq_rows.append(row)
         sol = linalg.nullspace(eq_rows, t, RatFunc(Poly.constant(1, ip.vars)), RatFunc(Poly.constant(0, ip.vars)))
         combos = []
@@ -381,25 +370,20 @@ def connection_solve(basis: LambdaBasis, ip: InnerProduct | None, flags) -> Conn
                     scale = scale * coeff.den.monic_normalize()
             if scale.degree() > 0:
                 vec = [x * scale for x in vec]
-            combo = [Poly.constant(0, ip.vars) for _ in index]
-            for b, coeff in enumerate(vec):
-                cp = coeff.as_poly()
-                if not cp:
-                    continue
-                for a in range(len(index)):
-                    if base_null[b][a]:
-                        combo[a] = combo[a] + cp * base_null[b][a]
-            combos.append(combo)
+            cps = [coeff.as_poly() for coeff in vec]
+            combos.append([
+                dot(((cp, null[a]) for cp, null in zip(cps, base_null) if cp and null[a]), ip.vars)
+                for a in range(len(index))
+            ])
         family_vectors = combos
     else:
         family_vectors = [[Poly.constant(x) for x in vec] for vec in base_null]
     params = tuple(f"p{a}" for a in range(len(family_vectors)))
-    gamma = {t: Poly.constant(0) for t in index}
-    for name, vec in zip(params, family_vectors):
-        pv = Poly.variable(name, params)
-        for a, t in enumerate(index):
-            if vec[a]:
-                gamma[t] = gamma[t] + vec[a] * pv
+    pvs = [Poly.variable(name, params) for name in params]
+    gamma = {
+        t: dot((vec[a], pv) for vec, pv in zip(family_vectors, pvs) if vec[a])
+        for a, t in enumerate(index)
+    }
     return ConnectionFamily(basis, gamma, params)
 
 
@@ -420,17 +404,11 @@ def metric_compat_residuals(family: ConnectionFamily, ip: InnerProduct):
     G = family.gamma
     terms = {key: g.terms for key, g in G.items()}
     T = {p: _conjugate(terms, basis.gamma, basis.group, p) for p in basis.basis}
-    W = {}
-    for l in range(dim):
-        for pidx in range(dim):
-            for k in range(dim):
-                # a Poly sum with no known zero, not a sparse map, so not _addto (also below)
-                total = None
-                for m in range(dim):
-                    if adj[l][m]:
-                        t = adj[l][m] * G[(m, pidx, k)]
-                        total = t if total is None else total + t
-                W[(l, pidx, k)] = total
+    W = {
+        (l, pidx, k): dot((adj[l][m], G[(m, pidx, k)]) for m in range(dim) if adj[l][m])
+        for l, pidx, k in product(range(dim), repeat=3)
+        if any(adj[l])
+    }
     out = []
     for i in range(dim):
         for j in range(dim):
@@ -442,14 +420,10 @@ def metric_compat_residuals(family: ConnectionFamily, ip: InnerProduct):
                     if diff:
                         diffs.append((l, pidx, diff))
             for k in range(dim):
-                total = None
-                for l in range(dim):
-                    t1 = adj[l][k] * G[(l, i, j)] + adj[j][l] * G[(l, i, k)]
-                    total = t1 if total is None else total + t1
-                for l, pidx, diff in diffs:
-                    w = W[(l, pidx, k)]
-                    if w is not None:
-                        total = total + w * diff
+                # each two-term sum enters whole: a partial sum that cancels drops its tag
+                pairs = [(dot([(adj[l][k], G[(l, i, j)]), (adj[j][l], G[(l, i, k)])]), 1) for l in range(dim)]
+                pairs += [(W[(l, pidx, k)], diff) for l, pidx, diff in diffs if (l, pidx, k) in W]
+                total = dot(pairs)
                 if total:
                     out.append(total)
     return _dedupe(out)
@@ -468,19 +442,20 @@ def star_compat_residuals(family: ConnectionFamily):
         T = _conjugate(terms, basis.gamma, basis.group, u)
         for key, val in G.items():
             bracket[(uidx, *key)] = val - Poly._make(family.vars, T[key]) if key in T else val
+    minus_conjG = {key: -val for key, val in conjG.items()}
     out = []
     for i in range(dim):
         for j in range(dim):
             for k in range(dim):
-                res = G[(i, j, k)] + conjG[(i, j, k)]
-                for uidx in range(dim):
-                    for v in range(dim):
-                        cstar = conjG[(i, uidx, v)]
-                        if not cstar:
-                            continue
-                        b = bracket[(uidx, v, j, k)]
-                        if b:
-                            res = res - cstar * b
+                res = dot([
+                    (G[(i, j, k)], 1),
+                    (conjG[(i, j, k)], 1),
+                    *(
+                        (minus_conjG[(i, uidx, v)], bracket[(uidx, v, j, k)])
+                        for uidx, v in product(range(dim), repeat=2)
+                        if conjG[(i, uidx, v)] and bracket[(uidx, v, j, k)]
+                    ),
+                ])
                 if res:
                     out.append(res)
     return _dedupe(out)
@@ -563,11 +538,7 @@ def _quadratic(family: ConnectionFamily) -> dict:
     G = family.gamma
     QQ = {}
     for a, b, l, p in product(dims, repeat=4):
-        total = None
-        for n in dims:
-            t = G[(a, l, n)] * G[(n, p, b)]
-            total = t if total is None else total + t
-        QQ[(a, b, l, p)] = total
+        QQ[(a, b, l, p)] = dot((G[(a, l, n)], G[(n, p, b)]) for n in dims)
     return QQ
 
 
@@ -589,26 +560,16 @@ def ricci(family: ConnectionFamily):
     dim = family.dim
     R = curvature(family)
     quarter = Cyc.rational(Fraction(1, 4))
-    out = {}
-    for i in range(dim):
-        for j in range(dim):
-            total = None
-            for k in range(dim):
-                t = R[(k, k, i, j)] - R[(k, i, k, j)]
-                total = t if total is None else total + t
-            out[(i, j)] = total * quarter
-    return out
+    # (sum_k t_k) quarter term by term, the same partial sums scaled by a rational
+    return {
+        (i, j): dot((R[(k, k, i, j)] - R[(k, i, k, j)], quarter) for k in range(dim))
+        for i, j in product(range(dim), repeat=2)
+    }
 
 
 def ricci_scalar(family: ConnectionFamily, ip: InnerProduct) -> Poly:
     ric = ricci(family)
-    dim = family.dim
-    total = None
-    for i in range(dim):
-        for j in range(dim):
-            t = ip.matrix[i][j] * ric[(i, j)]
-            total = t if total is None else total + t
-    return total
+    return dot((ip.matrix[i][j], ric[(i, j)]) for i, j in product(range(family.dim), repeat=2))
 
 
 # -- geometric Laplacians ---------------------------------------------------------------
@@ -625,19 +586,15 @@ def geometric_laplacian(family: ConnectionFamily, ip: InnerProduct):
     out = {}
     for h in range(basis.group.n):
         alpha = basis.coords(h)
-        lam = ip.length_of(h)
-        for i in range(dim):
-            if alpha[i]:
-                lam = lam - trace_term[i] * alpha[i]
-        out[h] = lam
+        terms = [(trace_term[i], -alpha[i]) for i in range(dim) if alpha[i]]
+        out[h] = dot([(ip.length_of(h), 1), *terms])
     return out
 
 
 def _metric_trace(family: ConnectionFamily, ip: InnerProduct):
     """[sum_{jk} Gamma^i_{jk} g^{jk} for each i], each summed left to right."""
     dims = range(family.dim)
-    terms = [[family.gamma[(i, j, k)] * ip.matrix[j][k] for j, k in product(dims, repeat=2)] for i in dims]
-    return [sum(t[1:], t[0]) for t in terms]
+    return [dot((family.gamma[(i, j, k)], ip.matrix[j][k]) for j, k in product(dims, repeat=2)) for i in dims]
 
 
 def laplacian_consistency_residuals(family: ConnectionFamily, ip: InnerProduct, lambdas: dict):
@@ -663,8 +620,8 @@ def laplacian_consistency_residuals(family: ConnectionFamily, ip: InnerProduct, 
                 - ip.length_of(g)
             )
             ginv = basis.gamma(group.inv[g])
-            rhs = [trace[l] * (alpha[i] * ginv[i][l]) for i in dims if alpha[i] for l in dims if ginv[i][l]]
-            res = lhs - sum(rhs[1:], rhs[0]) if rhs else lhs
+            rhs = ((trace[l], alpha[i] * ginv[i][l]) for i in dims if alpha[i] for l in dims if ginv[i][l])
+            res = lhs - dot(rhs)
             if res:
                 out.append(res)
     return _dedupe(out)

@@ -16,6 +16,10 @@ exponent tuple has ``len(vars)`` non-negative int entries.  The public
 constructor checks the exponents and drops zero coefficients; the ring
 operations build maps that already hold the invariant (sums go through
 ``linalg._addto``) and wrap them with the trusted ``Poly._make``.
+
+``dot`` is the one rule for a sum of polynomial products a1 b1 + a2 b2 + ...:
+each product polynomial is added term by term into one map, left to right,
+so the sum is the chain's, order tags included, without copying it per term.
 """
 
 from __future__ import annotations
@@ -280,6 +284,31 @@ def _as_poly(value, variables):
     if isinstance(value, (int, Fraction, Cyc)):
         return Poly.constant(value, variables)
     return NotImplemented
+
+
+def dot(pairs, variables=()) -> Poly:
+    """The sum of a * b over the (a, b) pairs, left to right, where a or b
+    may be a scalar: exactly the chain a1*b1 + a2*b2 + ..., started from
+    ``Poly.constant(0, variables)``.
+
+    Each product polynomial is added term by term into one zero-free map, and
+    the variables are merged in order of first appearance, zero products
+    included, as ``+`` merges them.  A partial sum that cancels drops its
+    order tag, so the association of a sum is part of its value: a product is
+    added whole, never term product by term product."""
+    variables = tuple(variables)
+    out = {}
+    for a, b in pairs:
+        p = a * b
+        if p.vars != variables:
+            merged = tuple(dict.fromkeys(variables + p.vars))
+            if merged != variables:
+                out = Poly._make(variables, out).extend(merged).terms
+                variables = merged
+            p = p.extend(variables)
+        for exp, c in p.terms.items():
+            _addto(out, exp, c)
+    return Poly._make(variables, out)
 
 
 # -- gcd ------------------------------------------------------------------

@@ -72,6 +72,15 @@ def test_field_axioms_on_random_triples():
             assert a.inverse().order == a.order
 
 
+@pytest.mark.parametrize("order, coeffs", [(3, [0] * 6 + [1]), (1, [1, -2, 0, 5]), (4, [0, 0, 0, 0, 1])])
+def test_constructor_reads_exponents_past_the_reduction_table(order, coeffs):
+    """Cyc(N, c) is sum c_e zeta_N^e for any number of coefficients, also past
+    the max(2 phi(N), N) powers that the reduction table holds."""
+    value = Cyc(order, coeffs)
+    expected = sum((Cyc.zeta(order, e) * c for e, c in enumerate(coeffs)), Cyc(order, []))
+    assert (value.order, value.num, value.den) == (expected.order, expected.num, expected.den)
+
+
 def test_reduction_idempotent():
     rng = random.Random(11)
     for _ in range(200):
