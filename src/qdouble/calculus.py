@@ -41,10 +41,6 @@ class FunctionCalculus:
         self.group = group
         self.subset = subset
 
-    @property
-    def dim(self) -> int:
-        return len(self.subset)
-
     def is_connected(self) -> bool:
         return len(self.group.subgroup_generated(self.subset)) == self.group.n
 

@@ -74,20 +74,11 @@ class DualInnerProduct:
         self.group = group
         self.subset = sorted(subset)
         self.vars = tuple(variables)
-        # bidirectional part: classes whose inverse class is also present
-        self.bidirectional = []
-        for cls_ in group.conjugacy_classes():
-            if cls_[0] in self.subset and group.class_inverse(cls_)[0] in {
-                group.class_of(x)[0] for x in self.subset
-            }:
-                if all(c in self.subset for c in cls_):
-                    self.bidirectional.extend(cls_)
-        self.weights = {}
-        for key, value in weights.items():
-            rep = group.element(key) if isinstance(key, str) else key
-            self.weights[group.class_of(rep)[0]] = (
-                value if isinstance(value, Poly) else Poly.constant(value, self.vars)
-            )
+        self.bidirectional = [c for cls_ in _bidirectional(group, self.subset) for c in cls_]
+        self.weights = {
+            c0: value if isinstance(value, Poly) else Poly.constant(value, self.vars)
+            for c0, value in group.per_class(weights, "weights").items()
+        }
 
     def pair(self, c: int, d: int):
         """(e_c, e_d) = [d = c^-1] l*_{[c]} on the bidirectional part."""
@@ -103,6 +94,18 @@ class DualInnerProduct:
         return all(w.conj() == w for w in self.weights.values())
 
 
+def _bidirectional(group: FiniteGroup, subset) -> list[list[int]]:
+    """The classes of ``subset``, a union of non-identity conjugacy classes,
+    whose inverse class is in it too, in class order."""
+    members = set(subset)
+    for c in subset:
+        if not members.issuperset(group.class_of(c)):
+            raise ValueError("subset must be a union of conjugacy classes")
+        if c == 0:
+            raise ValueError("the identity cannot appear in the subset")
+    return [cls_ for cls_ in group.conjugacy_classes() if cls_[0] in members and group.inv[cls_[0]] in members]
+
+
 def dual_constraints(group: FiniteGroup, subset, weight_vars: dict, lambda_vars: dict):
     """Constraint polynomials and the closed form for the eigenvalues.
 
@@ -111,16 +114,7 @@ def dual_constraints(group: FiniteGroup, subset, weight_vars: dict, lambda_vars:
     2 sum_C l*_C (1 - chi_rho(C)) |C| over bidirectional classes.
     """
     irreps = irrep_catalog(group)
-    subset = sorted(group.element(s) if isinstance(s, str) else s for s in subset)
-    for c in subset:
-        if any(x not in subset for x in group.class_of(c)):
-            raise ValueError("subset must be a union of conjugacy classes")
-        if c == 0:
-            raise ValueError("the identity cannot appear in the subset")
-    classes = [cls_ for cls_ in group.conjugacy_classes() if cls_[0] in {group.class_of(c)[0] for c in subset}]
-    bidirectional = [
-        cls_ for cls_ in classes if group.class_inverse(cls_)[0] in {c[0] for c in classes}
-    ]
+    bidirectional = _bidirectional(group, sorted(group.element(s) if isinstance(s, str) else s for s in subset))
     variables = tuple(dict.fromkeys(list(weight_vars.values()) + list(lambda_vars.values())))
     lam = {
         rho.name: Poly.variable(lambda_vars[rho.name], variables)
@@ -223,28 +217,15 @@ def freefield_solutions(
     the fixed space reproduces the transfer image.
     """
     group = ctx.group
-    lam = {c0: cyc(v) for c0, v in group.per_class(eigenvalues, "eigenvalues").items()}
-    values = {}
-    for cls_ in group.conjugacy_classes():
-        if cls_[0] not in lam:
-            raise ValueError("missing eigenvalue for a class")
-        inv0 = group.class_inverse(cls_)[0]
-        if lam[cls_[0]] != lam[inv0]:
-            raise ValueError("spectrum must agree on inverse classes")
-        for c in cls_:
-            values[c] = lam[cls_[0]]
-    if lam[0]:
+    values = group.class_function({k: cyc(v) for k, v in eigenvalues.items()}, "eigenvalues")
+    if any(values[g] != values[group.inv[g]] for g in range(group.n)):
+        raise ValueError("spectrum must agree on inverse classes")
+    if values[0]:
         raise ValueError("the identity class must have eigenvalue zero")
-    distinct = {}
-    for cls_ in group.conjugacy_classes():
-        key = min(cls_[0], group.class_inverse(cls_)[0])
-        distinct.setdefault(key, lam[cls_[0]])
-    seen = list(distinct.values())
-    for i in range(len(seen)):
-        for j in range(i + 1, len(seen)):
-            if seen[i] == seen[j]:
-                raise ValueError("spectrum is not regular (eigenvalue collision)")
-    target = values[group.class_inverse(ctx.cls)[0]]
+    classes = group.conjugacy_classes()
+    if len({values[c[0]] for c in classes}) != len({min(c[0], group.class_inverse(c)[0]) for c in classes}):
+        raise ValueError("spectrum is not regular (eigenvalue collision)")
+    target = values[group.inv[ctx.rep]]
     # eigenspace membership: group elements g with lambda_{class(g)} = target
     allowed = [g for g in range(group.n) if values[g] == target]
     blocks = {}

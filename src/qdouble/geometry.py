@@ -46,21 +46,13 @@ class InnerProduct:
         assigned = {c0: _pc(v, self.vars) for c0, v in group.per_class(lengths, "lengths").items()}
         if 0 in assigned:
             raise ValueError(f"lengths: {group.labels[0]!r} is the identity, whose length is 0")
-        for cls_ in group.conjugacy_classes():
-            c0 = cls_[0]
-            if c0 == 0:
-                continue
-            inv0 = group.class_inverse(cls_)[0]
-            if c0 in assigned:
-                self.lengths[c0] = assigned[c0]
-            elif inv0 in assigned:
-                self.lengths[c0] = assigned[inv0]
-            else:
-                raise ValueError(f"missing length for the class of {group.labels[c0]}")
-        for cls_ in group.conjugacy_classes():
-            c0, i0 = cls_[0], group.class_inverse(cls_)[0]
-            if i0 in assigned and c0 in assigned and assigned[c0] != assigned[i0]:
+        for cls_ in group.conjugacy_classes()[1:]:
+            c0, inv0 = cls_[0], group.class_inverse(cls_)[0]
+            if c0 in assigned and inv0 in assigned and assigned[c0] != assigned[inv0]:
                 raise ValueError("lengths must agree on inverse classes")
+            if c0 not in assigned and inv0 not in assigned:
+                raise ValueError(f"missing length for the class of {group.labels[c0]}")
+            self.lengths[c0] = assigned[c0] if c0 in assigned else assigned[inv0]
         self.matrix = [
             [self.pair_elements(i, j) for j in basis.basis] for i in basis.basis
         ]
@@ -165,18 +157,6 @@ def ip_from_lengths(basis: LambdaBasis, lengths: dict, variables=()) -> InnerPro
 # -- class Laplacians -----------------------------------------------------------
 
 
-def covariant_operator(group: FiniteGroup, eigenvalues: dict):
-    """Diagonal operator with one eigenvalue per conjugacy class."""
-    values = group.per_class(eigenvalues, "eigenvalues")
-    out = {}
-    for cls_ in group.conjugacy_classes():
-        if cls_[0] not in values:
-            raise ValueError("missing eigenvalue for a class")
-        for c in cls_:
-            out[c] = values[cls_[0]]
-    return out
-
-
 def operator_is_covariant(group: FiniteGroup, matrix) -> bool:
     """Comodule condition: the matrix must be diagonal and class-constant."""
     n = group.n
@@ -194,7 +174,7 @@ def operator_is_covariant(group: FiniteGroup, matrix) -> bool:
 
 def is_second_order(group: FiniteGroup, lambdas: dict, ip: InnerProduct) -> bool:
     """Second-order Leibniz rule against the inner product, on all pairs."""
-    lam = covariant_operator(group, lambdas)
+    lam = group.class_function(lambdas, "eigenvalues")
     for g in range(group.n):
         for h in range(group.n):
             gh = group.table[g][h]
@@ -209,7 +189,7 @@ def is_second_order(group: FiniteGroup, lambdas: dict, ip: InnerProduct) -> bool
 def ip_from_laplacian(basis: LambdaBasis, lambdas: dict, variables=()) -> InnerProduct:
     """Inner product induced by a class operator with vanishing scalar eigenvalue."""
     group = basis.group
-    lam = covariant_operator(group, lambdas)
+    lam = group.class_function(lambdas, "eigenvalues")
     if _pc(lam[0], variables):
         raise ValueError("the class of the identity must have eigenvalue zero")
     lengths = {}
@@ -607,7 +587,7 @@ def laplacian_consistency_residuals(family: ConnectionFamily, ip: InnerProduct, 
     basis = family.basis
     group = basis.group
     dims = range(family.dim)
-    lam = covariant_operator(group, lambdas)
+    lam = group.class_function(lambdas, "eigenvalues")
     trace = _metric_trace(family, ip)
     out = []
     for h in range(group.n):

@@ -235,6 +235,16 @@ class FiniteGroup:
             out[c0] = value
         return out
 
+    def class_function(self, values: dict, what: str) -> dict:
+        """{element: value} of a map with one key per conjugacy class, read
+        by ``per_class``; a class that no key names is refused, naming it."""
+        by_class = self.per_class(values, what)
+        classes = self.conjugacy_classes()
+        missing = [self.labels[c[0]] for c in classes if c[0] not in by_class]
+        if missing:
+            raise ValueError(f"{what}: no key names the class of " + ", ".join(map(repr, missing)))
+        return {g: by_class[c[0]] for c in classes for g in c}
+
     def class_inverse(self, cls_: list[int]) -> list[int]:
         return sorted(self.inv[c] for c in cls_)
 

@@ -548,10 +548,6 @@ class RatFunc:
         self.num = num
         self.den = den
 
-    @staticmethod
-    def constant(value, variables=()):
-        return RatFunc(Poly.constant(value, variables))
-
     def _coerced(self, other):
         if isinstance(other, RatFunc):
             return other
@@ -612,9 +608,6 @@ class RatFunc:
         if other is NotImplemented:
             return NotImplemented
         return not (self.num * other.den - other.num * self.den)
-
-    def is_zero(self):
-        return not self.num
 
     def as_poly(self) -> Poly:
         if self.den.degree() > 0:

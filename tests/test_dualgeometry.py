@@ -11,7 +11,9 @@ from qdouble.dualgeometry import (
     dual_constraints,
     second_order_check,
     freefield_solutions,
+    _bidirectional,
 )
+from qdouble.groups import FiniteGroup
 from qdouble.poly import Poly
 from qdouble.regression import S3Data
 
@@ -94,6 +96,45 @@ def test_dual_inner_product_star(data):
     assert not dip2.star_compatible()
 
 
+def test_dual_inner_product_refuses_two_weights_in_one_class(data):
+    G = data.G
+    with pytest.raises(ValueError, match="^weights: 'u' and 'v' name one conjugacy class$"):
+        DualInnerProduct(G, [G.element(x) for x in ("u", "v", "w")], {"u": 1, "v": 5})
+
+
+def _reference_bidirectional(group, subset):
+    """The walk ``dual_constraints`` made before ``_bidirectional``."""
+    for c in subset:
+        if any(x not in subset for x in group.class_of(c)):
+            raise ValueError("subset must be a union of conjugacy classes")
+        if c == 0:
+            raise ValueError("the identity cannot appear in the subset")
+    classes = [cls_ for cls_ in group.conjugacy_classes() if cls_[0] in {group.class_of(c)[0] for c in subset}]
+    return [cls_ for cls_ in classes if group.class_inverse(cls_)[0] in {c[0] for c in classes}]
+
+
+@pytest.mark.parametrize(
+    "group",
+    [
+        FiniteGroup.s3_with_uvw_labels(),
+        FiniteGroup.symmetric(4),
+        # classes that are not their own inverse: C5, and A4's two 3-cycle classes
+        FiniteGroup.cyclic(5),
+        FiniteGroup.from_generators([[[1, 2, 3]], [[1, 2], [3, 4]]]),
+    ],
+    ids=["S3", "S4", "C5", "A4"],
+)
+def test_bidirectional_matches_the_old_walk(group):
+    """Every union of non-identity classes, in the same class order; the
+    inner product's flattened part is the same classes."""
+    classes = group.conjugacy_classes()[1:]
+    for mask in range(1 << len(classes)):
+        subset = sorted(g for k, c in enumerate(classes) if mask >> k & 1 for g in c)
+        expected = _reference_bidirectional(group, subset)
+        assert _bidirectional(group, subset) == expected
+        assert DualInnerProduct(group, subset, {}).bidirectional == [g for c in expected for g in c]
+
+
 def test_second_order_check(data):
     G = data.G
     triv, sign, two = _names(data)
@@ -124,9 +165,9 @@ def test_dual_constraints_reject_bad_subsets(data):
     G = data.G
     triv, sign, two = _names(data)
     lam_names = {triv.name: None, sign.name: "a1", two.name: "a2"}
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^subset must be a union of conjugacy classes$"):
         dual_constraints(G, ["u"], {data.u: "w"}, lam_names)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^the identity cannot appear in the subset$"):
         dual_constraints(G, ["e"], {0: "w"}, lam_names)
 
 

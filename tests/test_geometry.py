@@ -11,7 +11,6 @@ from qdouble.poly import Poly, groebner, normal_form
 from qdouble.geometry import (
     InnerProduct,
     ip_from_lengths,
-    covariant_operator,
     operator_is_covariant,
     is_second_order,
     ip_from_laplacian,
@@ -125,12 +124,12 @@ def test_sign_calculus_single_length(data):
 
 def test_covariant_operator_refuses_two_keys_in_one_class(data):
     with pytest.raises(ValueError, match="eigenvalues: 'u' and 'w' name one conjugacy class"):
-        covariant_operator(data.G, {"e": 0, "u": 5, "w": 6, "uv": 7})
+        data.G.class_function({"e": 0, "u": 5, "w": 6, "uv": 7}, "eigenvalues")
 
 
 def test_covariant_operator_and_checks(data):
     s3 = data.G
-    lam = covariant_operator(s3, {"e": 0, "u": 5, "uv": 7})
+    lam = s3.class_function({"e": 0, "u": 5, "uv": 7}, "eigenvalues")
     matrix = [[cyc(lam[g]) if g == h else cyc(0) for g in range(6)] for h in range(6)]
     assert operator_is_covariant(s3, matrix)
     bad = [row[:] for row in matrix]

@@ -56,6 +56,18 @@ def test_conjugacy_classes_s4_brute_force():
     assert sorted(len(c) for c in g.conjugacy_classes()) == [1, 3, 6, 6, 8]
 
 
+def test_class_function_spreads_one_value_per_class(s3):
+    values = s3.class_function({"e": 0, "w": 5, "vu": 7}, "eigenvalues")
+    assert values == {g: {1: 0, 3: 5, 2: 7}[len(s3.class_of(g))] for g in range(s3.n)}
+
+
+def test_class_function_names_each_class_without_a_key(s3):
+    with pytest.raises(ValueError, match="^eigenvalues: no key names the class of 'uv'$"):
+        s3.class_function({"e": 0, "v": 5}, "eigenvalues")
+    with pytest.raises(ValueError, match="^lambdas: no key names the class of 'u', 'uv'$"):
+        s3.class_function({"e": 0}, "lambdas")
+
+
 def test_class_context_invariants(s3):
     ctx = class_context(s3, "uv", q_override={"uv": "e", "vu": "u"})
     for c in ctx.cls:

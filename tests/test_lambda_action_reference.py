@@ -85,7 +85,7 @@ def reference_laplacian_residuals(family, ip, lambdas):
     basis = family.basis
     group = basis.group
     dim = family.dim
-    lam = geometry.covariant_operator(group, lambdas)
+    lam = group.class_function(lambdas, "eigenvalues")
     out = []
     for h in range(group.n):
         alpha = basis.coords(h)
