@@ -649,9 +649,10 @@ def covering_map_image(blocks) -> dict:
     """Unital subalgebra of the double generated by the inclusion images.
 
     Exact closure: every element that enlarges the span is multiplied by
-    every generator once, so the span ends closed under the generators.
-    Reports the dimension, surjectivity onto the double, and whether the
-    classes generate the group (a necessary condition).
+    every generator once, so the span ends closed under the generators.  A
+    span of rank |G|^2 is all of the double and so closed: the loop stops
+    there.  Reports the dimension, surjectivity onto the double, and whether
+    the classes generate the group (a necessary condition).
     """
     group = blocks[0][0].group
     gens = [
@@ -659,18 +660,21 @@ def covering_map_image(blocks) -> dict:
         for ctx, pi in blocks
         for ai, bj in product(_v_basis(ctx, pi), repeat=2)
     ]
+    full = group.n * group.n
     span = SparseSpan()
     work = [elt for elt in [DoubleElement.unit(group)] + gens if span.add(dict(elt.terms))]
-    while work:
+    while work and span.rank < full:
         elt = work.pop()
         for g in gens:
             prod = elt.dg_mul(g)
             if prod and span.add(dict(prod.terms)):
                 work.append(prod)
+                if span.rank == full:
+                    break
     classes_union = sorted({c for ctx, _ in blocks for c in ctx.cls})
     return {
         "dimension": span.rank,
-        "surjective": span.rank == group.n * group.n,
+        "surjective": span.rank == full,
         "classes_generate": len(group.subgroup_generated(classes_union)) == group.n,
     }
 

@@ -176,7 +176,10 @@ class SparseSpan:
         """Clear the pivot columns of the row, smallest first.
 
         A subtraction may bring in pivot columns above the one it clears, so
-        they wait in a heap.  Only whether the remainder is empty is canonical.
+        they wait in a heap.  The remainder's values are unique: it is zero
+        on every pivot column, the stored pivots are distinct, and it differs
+        from the row by a member of the span.  Its order tags are not; they
+        depend on the rows subtracted.
         """
         row = {k: v for k, v in row.items() if v}
         todo = [k for k in row if k in self.pivots]

@@ -1,22 +1,25 @@
 """Quadratic algebra presentations and graded dimensions by exact rank.
 
-A presentation is a list of generators and a relation subspace inside the
+A presentation is a list of generators and a relation subspace R inside the
 degree-2 part of the tensor algebra.  The degree-d part of the relation
-ideal, I_d = sum_a T^a (x) R (x) T^b, is built one degree at a time,
+ideal, I_d = sum_a T^a (x) R (x) T^b, satisfies
 
-    I_2 = R,    I_d = V (x) I_(d-1) + I_2 (x) V^(d-2)   (d >= 3),
+    I_2 = R,    I_d = V (x) I_(d-1) + I_2 (x) V^(d-2)   (d >= 3)
 
-which spans the same subspace (Polishchuk-Positselski, *Quadratic
-Algebras*, ch. 1), and dim A_d = n^d - rank I_d, with sparse exact
-elimination; no normal forms are involved.  Inhomogeneous (filtered)
-relations contribute their top-degree parts to the associated graded.
+(Polishchuk-Positselski, *Quadratic Algebras*, ch. 1).  Replacing each
+word's tail by its remainder modulo I_(d-1), computed once per word, projects
+along V (x) I_(d-1), so dim A_d = n^d - rank I_d is n dim A_(d-1) minus the
+rank of the tail-reduced rows of I_2 (x) V^(d-2), the only rows stored, one
+SparseSpan per degree.  Inhomogeneous (filtered) relations contribute their
+top-degree parts to the associated graded.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
-from .linalg import SparseSpan
+from .cyclotomic import ONE
+from .linalg import SparseSpan, _accumulate
 
 
 class QuadAlg:
@@ -29,9 +32,11 @@ class QuadAlg:
         self.relations = [dict(r) for r in relations if r]
         # inhomogeneous relations: (quadratic part dict, constant Cyc)
         self.inhomogeneous = [(dict(q), c) for q, c in inhomogeneous]
-        self._dims: dict[int, int] = {0: 1, 1: self.n}
-        # degree -> echelon span of I_degree, for degree >= 2
-        self._ideals: dict[int, SparseSpan] = {}
+        # degree -> span of the tail-reduced rows b (x) w, w a word of length
+        # degree - 2 and b a relation (degree 2) or a stored row of I_2; I_1 = 0
+        self._spans: dict[int, SparseSpan] = {1: SparseSpan()}
+        # word -> its remainder modulo I_len(word), each computed once
+        self._remainders: dict[tuple, dict] = {(): {(): ONE}}
 
     def _all_quadratic_parts(self):
         for r in self.relations:
@@ -39,40 +44,34 @@ class QuadAlg:
         for q, _ in self.inhomogeneous:
             yield q
 
-    def _ideal(self, degree: int) -> SparseSpan:
-        """Echelon span of I_degree, built from I_(degree-1) and I_2.
+    def _remainder(self, word: tuple) -> dict:
+        """The word modulo I_d, d = len(word), zero on every leading word of I_d:
+        the tail step clears each (i,) + p, p leading in I_(d-1), and the reduce
+        the pivots of the degree-d span, whose tail-reduced rows bring none back."""
+        rem = self._remainders.get(word)
+        if rem is None:
+            prefixed = {word[:1] + k: c for k, c in self._remainder(word[1:]).items()}
+            rem = self._remainders[word] = self._span(len(word)).reduce(prefixed)
+        return rem
 
-        A stored row b of I_(d-1) is monic at its minimum key pivot(b), so
-        v_i (x) b is monic at its minimum key (i,) + pivot(b), and these keys
-        are distinct over (i, b): the rows of V (x) I_(d-1) enter the span
-        as pivots with no reduction.  Only the rows b (x) w, b an echelon row
-        of I_2 and w a word of length d-2, are reduced against them.
-        """
-        span = self._ideals.get(degree)
-        if span is not None:
-            return span
-        span = SparseSpan()
-        if degree == 2:
-            for rel in self._all_quadratic_parts():
-                span.add(rel)
-        else:
-            for pivot, row in self._ideal(degree - 1).pivots.items():
-                for i in range(self.n):
-                    span.pivots[(i,) + pivot] = {(i,) + k: c for k, c in row.items()}
-            quadratic = self._ideal(2).pivots.values()
+    def _span(self, degree: int) -> SparseSpan:
+        span = self._spans.get(degree)
+        if span is None:
+            span = SparseSpan()
+            quadratic = self._all_quadratic_parts() if degree == 2 else self._span(2).pivots.values()
             for word in product(range(self.n), repeat=degree - 2):
                 for row in quadratic:
-                    span.add({k + word: c for k, c in row.items()})
-        self._ideals[degree] = span
+                    span.add(_accumulate(((a,) + k, c * v) for (a, b), c in row.items()
+                                         for k, v in self._remainder((b,) + word).items()))
+            self._spans[degree] = span
         return span
 
     def graded_dimension(self, degree: int) -> int:
         """dim of the degree component of the (associated graded) algebra."""
-        if degree < 0:
-            return 0
-        if degree not in self._dims:
-            self._dims[degree] = self.n**degree - self._ideal(degree).rank
-        return self._dims[degree]
+        dim = 1 if degree >= 0 else 0
+        for d in range(1, degree + 1):
+            dim = self.n * dim - self._span(d).rank
+        return dim
 
     def hilbert_prefix(self, maxdeg: int):
         return [self.graded_dimension(d) for d in range(maxdeg + 1)]

@@ -3,7 +3,8 @@
 ``report_corpus.json`` maps each op's argv (joined by spaces) to the sha256
 of its stdout, the sha256 of its stderr and its exit code.  The ops are the
 11 subcommands on the four bundled scenarios and on
-``perfbench/scenarios/s4_four_cycle.json``, ``envelope --degree 4``,
+``perfbench/scenarios/s4_four_cycle.json``, ``envelope --degree 4`` on
+``s3_case_iii_plus``, ``envelope --degree 3`` on the S4 block,
 ``transfer --float``, ``verify-paper``, and ``transfer``, ``calculus``,
 ``braided`` and ``quotient`` on ``tests/scenarios/s4_double_transposition.json``,
 a block whose centralizer irrep has dimension 2, and ``geometry`` on
@@ -49,6 +50,7 @@ OPS = (
     [(c, "--scenario", s) for s in SCENARIOS for c in REPORTS]
     + [
         ("envelope", "--scenario", "src/qdouble/scenarios/s3_case_iii_plus.json", "--degree", "4"),
+        ("envelope", "--scenario", "perfbench/scenarios/s4_four_cycle.json", "--degree", "3"),
         ("transfer", "--float"),
         ("verify-paper",),
     ]

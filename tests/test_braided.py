@@ -26,6 +26,7 @@ from qdouble.braided import (
     braided_antipode_preserves_relations,
     bdg_braided_checks,
 )
+from qdouble.quadalg import QuadAlg
 from qdouble.regression import S3Data
 import qdouble.linalg as la
 
@@ -745,13 +746,15 @@ def _reference_graded_dims(alg, maxdeg):
 
 
 def _assert_echelon(alg):
-    """The SparseSpan invariant on every stored I_d: each row is zero-free
-    over words of length d and monic at its minimum key, which is its pivot."""
-    assert alg._ideals
-    for degree, span in alg._ideals.items():
+    """The invariant of every stored degree-d span: each row is zero-free over
+    words of length d and monic at its minimum key, which is its pivot, and
+    each of its words has a tail that is its own remainder modulo I_(d-1)."""
+    assert 2 in alg._spans
+    for degree, span in alg._spans.items():
         for pivot, row in span.pivots.items():
             assert min(row) == pivot and row[pivot] == ONE
             assert all(row.values()) and all(len(k) == degree for k in row)
+            assert all(alg._remainder(k[1:]) == {k[1:]: ONE} for k in row)
 
 
 def test_degree_by_degree_ideal_matches_the_full_loop(data):
@@ -772,16 +775,39 @@ def test_degree_by_degree_ideal_matches_the_full_loop(data):
 
 
 def test_graded_dimension_out_of_order_matches_in_order(data):
-    """graded_dimension(4) first builds I_2 and I_3 on the way; the prefix
-    read afterwards equals the one built degree by degree."""
+    """graded_dimension(4) first builds the spans of degrees 2 and 3 on the
+    way; the prefix read afterwards equals the one built degree by degree."""
     block = (data.ctx3, centralizer_character(data.ctx3, 0))
     for build in (lambda: envelope(lie_cpi(*block)), lambda: frt([block])):
         first = build()
         top = first.graded_dimension(4)
-        assert sorted(first._ideals) == [2, 3, 4]
+        assert sorted(first._spans) == [1, 2, 3, 4]
         dims = first.hilbert_prefix(4)
         assert dims == build().hilbert_prefix(4) and dims[4] == top
         _assert_echelon(first)
+
+
+def test_spans_store_only_the_rows_outside_v_tensor_the_lower_ideal(data):
+    """At degree 4 the spans of s3_case_iii_plus hold 48 + 234 + 496 rows,
+    where I_2, I_3 and I_4 stored whole would hold 48 + 666 + 6490."""
+    block = (data.ctx3, centralizer_character(data.ctx3, 0))
+    for alg in (envelope(lie_cpi(*block)), frt([block])):
+        assert alg.hilbert_prefix(4) == [1, 9, 33, 63, 71]
+        assert sum(span.rank for span in alg._spans.values()) == 778
+
+
+def test_skipping_the_tail_step_disagrees_with_the_full_loop(data):
+    """Negative control: without the tail step each degree-d span also counts
+    the rows of V (x) I_(d-1) that n dim A_(d-1) has already removed."""
+
+    class NoTailStep(QuadAlg):
+        def _remainder(self, word):
+            return {word: ONE}
+
+    alg = envelope(lie_cpi(data.ctx3, centralizer_character(data.ctx3, 0)))
+    skipped = NoTailStep(alg.generators, alg.relations).hilbert_prefix(4)
+    assert skipped == [1, 9, 33, -135, -5103]
+    assert skipped != _reference_graded_dims(alg, 4) == alg.hilbert_prefix(4)
 
 
 def test_envelope_relations_case_ii(data):
@@ -856,6 +882,17 @@ def test_inclusion_respects_grading(data):
 def test_covering_image_rejects_and_flags(data):
     img = covering_map_image([(data.ctx2, data.pi[0])])
     assert img == {"dimension": 6, "surjective": False, "classes_generate": False}
+
+
+def test_covering_image_stops_once_the_span_is_the_whole_double(monkeypatch):
+    """On the S4 4-cycle block the span is all 576 dimensions of D(S4) after
+    18,949 products, before the 576 x 36 that closing every element takes."""
+    calls = []
+    dg_mul = DoubleElement.dg_mul
+    monkeypatch.setattr(DoubleElement, "dg_mul", lambda self, other: calls.append(1) or dg_mul(self, other))
+    img = covering_map_image(_s4_blocks()[:1])
+    assert img == {"dimension": 576, "surjective": True, "classes_generate": True}
+    assert 0 < len(calls) < 576 * 36
 
 
 def test_killing_forms_match_for_plus(data):
