@@ -134,10 +134,6 @@ class FunctionCalculus:
         return sorted(arrows)
 
 
-def fodc_functions(group: FiniteGroup, subset) -> FunctionCalculus:
-    return FunctionCalculus(group, subset)
-
-
 # -- calculus on the group algebra ----------------------------------------------
 
 
@@ -476,10 +472,6 @@ class DoubleCalculus:
         p1 = len(self.cls) if self.pi.is_trivial() else 0
         p2 = self.pi.dim * self.pi.dim if self.ctx.rep == 0 else 0
         return p1, p2
-
-
-def fodc_double(ctx: ClassContext, pi: Rep) -> DoubleCalculus:
-    return DoubleCalculus(ctx, pi)
 
 
 # -- base calculi of the two bundles ----------------------------------------------

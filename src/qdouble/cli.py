@@ -60,14 +60,36 @@ def build_group(spec: dict) -> FiniteGroup:
     if spec.get("name") == "cyclic":
         return FiniteGroup.cyclic(_positive_integer(spec.get("order"), "group.order"))
     if "generators" in spec:
-        degree = spec.get("degree")
-        return FiniteGroup.from_generators(
-            spec["generators"],
-            labels=spec.get("labels"),
-            degree=None if degree is None else _positive_integer(degree, "group.degree"),
-            relabel=spec.get("relabel"),
-        )
+        degree, labels, relabel = spec.get("degree"), spec.get("labels"), spec.get("relabel")
+        if labels is not None and not (isinstance(labels, list) and all(isinstance(x, str) for x in labels)):
+            raise ConfigError(f"group.labels: expected a list of strings, got {labels!r}")
+        if relabel is not None and not (
+            isinstance(relabel, dict) and all(isinstance(x, str) for x in relabel.values())
+        ):
+            raise ConfigError(f"group.relabel: expected an object from element words to labels, got {relabel!r}")
+        generators = _generators(spec["generators"])
+        degree = None if degree is None else _positive_integer(degree, "group.degree")
+        try:
+            return FiniteGroup.from_generators(generators, labels=labels, degree=degree, relabel=relabel)
+        except ValueError as ex:
+            raise ConfigError(f"group: {ex}")
     raise ConfigError("group spec needs a name or generators")
+
+
+def _generators(value) -> list:
+    """Each generator a permutation image (a list of integers) or a list of
+    1-based cycles (lists of positive integers)."""
+    if not isinstance(value, list):
+        raise ConfigError(f"group.generators: expected a list of generators, got {value!r}")
+    for i, g in enumerate(value):
+        if not isinstance(g, list) or not (
+            all(map(_is_integer, g)) or all(isinstance(c, list) and all(_is_integer(a) and a > 0 for a in c) for c in g)
+        ):
+            raise ConfigError(
+                f"group.generators[{i}]: expected a list of integers or a list of cycles of positive integers, "
+                f"got {g!r}"
+            )
+    return value
 
 
 def build_context(group: FiniteGroup, scenario: dict):

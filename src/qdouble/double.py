@@ -4,7 +4,9 @@
 by both the double D(G) (semidirect product algebra, tensor coalgebra) and
 its dual D~(G) (tensor algebra, semidirect coproduct); which product or
 coproduct applies is chosen by the caller, matching how the braided theory
-mixes them.  ``hopf_failures`` decides coassociativity, counit, antipode
+mixes them.  Each structure map states its basis formula through one of
+four rules: ``_product``, ``_coproduct``, ``_relabel`` and ``_contract``.
+``hopf_failures`` decides coassociativity, counit, antipode
 and bialgebra axioms of any such choice on tables of basis coproducts,
 products and antipodes, and names the first failing basis key or pair.
 ``CrossedModule`` realizes G-graded G-modules, which are the
@@ -89,47 +91,58 @@ class DoubleElement:
             return NotImplemented
         return self.group is other.group and not (self - other)
 
-    def dg_mul(self, other: "DoubleElement") -> "DoubleElement":
-        """Product of D(G): (delta_g h)(delta_u v) = delta_{g,hu h^-1} delta_g (x) hv."""
+    def _product(self, other, first) -> "DoubleElement":
+        """(delta_g h)(delta_u v) = [g = first(h, u)] delta_g (x) hv, extended bilinearly."""
         self._require_same_group(other)
-        g_ = self.group
+        table = self.group.table
         out: dict[tuple[int, int], Cyc] = {}
         for (g, h), a in self.terms.items():
             for (u, v), b in other.terms.items():
-                if g == g_.conj(h, u):
-                    _addto(out, (g, g_.table[h][v]), a * b)
-        return DoubleElement(g_, out)
+                if g == first(h, u):
+                    _addto(out, (g, table[h][v]), a * b)
+        return DoubleElement(self.group, out)
+
+    def _coproduct(self, legs) -> dict:
+        """{(x1, x2): coeff} with delta_g (x) h -> sum over f in G of legs(g, h, f)."""
+        n = self.group.n
+        return _accumulate((legs(g, h, f), c) for (g, h), c in self.terms.items() for f in range(n))
+
+    def _relabel(self, key, coeff=None) -> "DoubleElement":
+        """The linear extension of a map key(g, h) on basis keys, keeping each
+        coefficient or mapping it through coeff (``Cyc.conj`` for the star)."""
+        return DoubleElement(
+            self.group,
+            _accumulate((key(g, h), c if coeff is None else coeff(c)) for (g, h), c in self.terms.items()),
+        )
+
+    @staticmethod
+    def _contract(x: "DoubleElement", y: "DoubleElement", key) -> Cyc:
+        """The bilinear form sum over the terms (g, h) of x of x(g, h) y(key(g, h))."""
+        total = ZERO
+        for (g, h), cx in x.terms.items():
+            cy = y.terms.get(key(g, h))
+            if cy:
+                total = total + cx * cy
+        return total
+
+    def dg_mul(self, other: "DoubleElement") -> "DoubleElement":
+        """Product of D(G): (delta_g h)(delta_u v) = delta_{g,hu h^-1} delta_g (x) hv."""
+        return self._product(other, self.group.conj)
 
     def dvee_mul(self, other: "DoubleElement") -> "DoubleElement":
         """Product of the dual double: tensor product algebra."""
-        self._require_same_group(other)
-        g_ = self.group
-        out: dict[tuple[int, int], Cyc] = {}
-        for (g, h), a in self.terms.items():
-            for (u, v), b in other.terms.items():
-                if g == u:
-                    _addto(out, (g, g_.table[h][v]), a * b)
-        return DoubleElement(g_, out)
+        return self._product(other, lambda h, u: u)
 
     def dg_coproduct(self) -> dict:
         """Tensor coalgebra of D(G): {((a,h),(b,h)): coeff} with ab = g."""
         g_ = self.group
-        return _accumulate(
-            (((a, h), (g_.table[g_.inv[a]][g], h)), coeff)
-            for (g, h), coeff in self.terms.items()
-            for a in range(g_.n)
-        )
+        return self._coproduct(lambda g, h, a: ((a, h), (g_.table[g_.inv[a]][g], h)))
 
     def dvee_coproduct(self) -> dict:
-        """Semidirect coproduct of the dual double."""
+        """Semidirect coproduct of the dual double: delta_g (x) h -> sum over f
+        of delta_f (x) khk^-1 (x) delta_k (x) h, where k = f^-1 g."""
         g_ = self.group
-        out = {}
-        for (g, h), coeff in self.terms.items():
-            ghg = g_.word(g, h, g_.inv[g])
-            for f in range(g_.n):
-                key = ((f, g_.conj(g_.inv[f], ghg)), (g_.table[g_.inv[f]][g], h))
-                _addto(out, key, coeff)
-        return out
+        return self._coproduct(lambda g, h, f: ((f, g_.conj(k := g_.table[g_.inv[f]][g], h)), (k, h)))
 
     def counit(self) -> Cyc:
         total = ZERO
@@ -139,42 +152,27 @@ class DoubleElement:
         return total
 
     def dg_antipode(self) -> "DoubleElement":
+        """S(delta_g h) = delta_{h^-1 g^-1 h} (x) h^-1."""
         g_ = self.group
-        return DoubleElement(
-            g_,
-            _accumulate(
-                ((g_.conj(g_.inv[h], g_.inv[g]), g_.inv[h]), c) for (g, h), c in self.terms.items()
-            ),
-        )
+        return self._relabel(lambda g, h: (g_.conj(g_.inv[h], g_.inv[g]), g_.inv[h]))
 
     def dvee_antipode(self) -> "DoubleElement":
+        """S(delta_g h) = delta_{g^-1} (x) g h^-1 g^-1."""
         g_ = self.group
-        return DoubleElement(
-            g_,
-            _accumulate(
-                ((g_.inv[g], g_.word(g, g_.inv[h], g_.inv[g])), c)
-                for (g, h), c in self.terms.items()
-            ),
-        )
+        return self._relabel(lambda g, h: (g_.inv[g], g_.word(g, g_.inv[h], g_.inv[g])))
 
     def star(self) -> "DoubleElement":
         """Hopf-star of D(G): (delta_g h)* = delta_{h^-1 g h} (x) h^-1."""
         g_ = self.group
-        return DoubleElement(
-            g_,
-            _accumulate(
-                ((g_.conj(g_.inv[h], g), g_.inv[h]), c.conj()) for (g, h), c in self.terms.items()
-            ),
-        )
+        return self._relabel(lambda g, h: (g_.conj(g_.inv[h], g), g_.inv[h]), Cyc.conj)
 
     def braided_antipode(self) -> "DoubleElement":
-        """Antipode of the transmuted double BD(G)."""
+        """Antipode of the transmuted double BD(G):
+        delta_g h -> delta_{[g^-1, h] g^-1} (x) g h^-1 g^-1."""
         g_ = self.group
-        out = {}
-        for (g, h), c in self.terms.items():
-            comm = g_.commutator(g_.inv[g], h)
-            _addto(out, (g_.table[comm][g_.inv[g]], g_.word(g, g_.inv[h], g_.inv[g])), c)
-        return DoubleElement(g_, out)
+        return self._relabel(
+            lambda g, h: (g_.table[g_.commutator(g_.inv[g], h)][g_.inv[g]], g_.word(g, g_.inv[h], g_.inv[g]))
+        )
 
     def grading(self) -> int:
         """Group grading of a basis element in the transmuted double."""
@@ -186,10 +184,7 @@ class DoubleElement:
     def adjoint_act(self, f: int) -> "DoubleElement":
         """G-action of the transmuted double: f (delta_g h) f^-1 in both slots."""
         g_ = self.group
-        return DoubleElement(
-            g_,
-            _accumulate(((g_.conj(f, g), g_.conj(f, h)), c) for (g, h), c in self.terms.items()),
-        )
+        return self._relabel(lambda g, h: (g_.conj(f, g), g_.conj(f, h)))
 
     def __repr__(self):
         labels = self.group.labels
@@ -283,23 +278,13 @@ def hopf_failures(group: FiniteGroup, coproduct, product, antipode, braid=None) 
 def pairing(a: DoubleElement, b: DoubleElement) -> Cyc:
     """Duality pairing <delta_g h, delta_u v> = [g = v^-1][h = u^-1]."""
     g_ = a.group
-    total = ZERO
-    for (g, h), ca in a.terms.items():
-        cb = b.terms.get((g_.inv[h], g_.inv[g]))
-        if cb:
-            total = total + ca * cb
-    return total
+    return DoubleElement._contract(a, b, lambda g, h: (g_.inv[h], g_.inv[g]))
 
 
 def killing_Q(a: DoubleElement, b: DoubleElement) -> Cyc:
     """Quantum Killing form Q(delta_g h, delta_u v) = [g = uvu^-1][h = u]."""
     g_ = a.group
-    total = ZERO
-    for (u, v), cb in b.terms.items():
-        ca = a.terms.get((g_.conj(u, v), u))
-        if ca:
-            total = total + ca * cb
-    return total
+    return DoubleElement._contract(b, a, lambda u, v: (g_.conj(u, v), u))
 
 
 def beta(a: DoubleElement) -> DoubleElement:
@@ -309,10 +294,7 @@ def beta(a: DoubleElement) -> DoubleElement:
     delta_g (x) h basis via h (x) delta_g -> delta_g (x) g^-1 h g.
     """
     g_ = a.group
-    return DoubleElement(
-        g_,
-        _accumulate(((g, g_.conj(g_.inv[g], h)), c) for (g, h), c in a.terms.items()),
-    )
+    return a._relabel(lambda g, h: (g, g_.conj(g_.inv[g], h)))
 
 
 def quasi_R(group: FiniteGroup) -> list[tuple[DoubleElement, DoubleElement]]:
@@ -427,7 +409,7 @@ def regular_crossed_module(group: FiniteGroup) -> CrossedModule:
 def adjoint_structure(group: FiniteGroup):
     """The transmuted double's basis (g, h) of delta_g (x) h, its adjoint
     action f |> x = ``x.adjoint_act(f)`` as columns and its commutator
-    grading, for ``bdg_crossed_module`` and ``braided.RegularBraidedLie``."""
+    grading, the crossed module that ``braided.RegularBraidedLie`` is."""
     basis = [(g, h) for g in range(group.n) for h in range(group.n)]
     pos = {b: i for i, b in enumerate(basis)}
     elements = [DoubleElement.basis(group, g, h) for (g, h) in basis]
@@ -436,11 +418,6 @@ def adjoint_structure(group: FiniteGroup):
         for f in range(group.n)
     ]
     return basis, action, [x.grading() for x in elements]
-
-
-def bdg_crossed_module(group: FiniteGroup) -> CrossedModule:
-    """The double itself as a crossed module: adjoint action, commutator grading."""
-    return CrossedModule(group, *adjoint_structure(group))
 
 
 # -- Artin-Wedderburn ----------------------------------------------------------

@@ -17,7 +17,7 @@ from .reps import Rep, irrep_catalog
 from .poly import Poly, dot
 from .double import CrossedModule
 from .linalg import _addto
-from .transfer import projector_fixed_space, conjugated_projector
+from .transfer import projector_element, projector_fixed_space
 
 
 def dual_operator(group: FiniteGroup, eigenvalues: dict):
@@ -228,7 +228,7 @@ def freefield_solutions(
     target = values[group.inv[ctx.rep]]
     # eigenspace membership: group elements g with lambda_{class(g)} = target
     allowed = [g for g in range(group.n) if values[g] == target]
-    blocks = {}
+    base, blocks = projector_element(ctx, pi), {}
     for g in allowed:
         ginv = group.inv[g]
         if ginv in ctx.cls:
@@ -237,5 +237,5 @@ def freefield_solutions(
             # transport along the class context of the inverse element
             other = ClassContext(group, group.class_of(ginv)[0])
             conjugator = other.q[ginv]
-        blocks[g] = module.double_matrix(conjugated_projector(ctx, pi, conjugator))
+        blocks[g] = module.double_matrix(base.adjoint_act(conjugator))
     return projector_fixed_space(blocks, group, module)

@@ -64,6 +64,10 @@ class FiniteGroup:
         self.n = len(table)
         self.table = [list(row) for row in table]
         self.labels = list(labels) if labels else [f"g{i}" for i in range(self.n)]
+        self._by_label = {}
+        for i, lab in enumerate(self.labels):
+            if self._by_label.setdefault(lab, i) != i:
+                raise ValueError(f"label {lab!r} names two elements")
         self.perms = list(perms) if perms else None
         self.inv = [0] * self.n
         for i in range(self.n):
@@ -72,7 +76,6 @@ class FiniteGroup:
                     self.inv[i] = j
                     break
         self._check_axioms()
-        self._by_label = {lab: i for i, lab in enumerate(self.labels)}
         self._classes = None
 
     # -- construction -------------------------------------------------------
@@ -82,8 +85,10 @@ class FiniteGroup:
         """Close a set of permutations under composition (BFS order).
 
         generators may be permutation tuples (0-based images) or cycle
-        lists (1-based).  labels, if given, name the generators; words in
-        them name the remaining elements.
+        lists (1-based).  labels, if given, name the generators, one each;
+        the default names are a, b, c, d, f, ..., skipping the identity's e.
+        Words in them name the remaining elements, and relabel renames words;
+        no two elements may share a name.
         """
         if not generators:
             raise ValueError("at least one generator is required")
@@ -98,14 +103,17 @@ class FiniteGroup:
         for p in perms:
             if sorted(p) != list(range(deg)):
                 raise ValueError(f"not a permutation of 0..{deg - 1}: {p}")
-        gen_names = list(labels) if labels else [chr(ord("a") + i) for i in range(len(perms))]
+        if labels is None:
+            labels = [chr(ord("a") + i + (i >= 4)) for i in range(len(perms))]
+        elif len(labels) != len(perms):
+            raise ValueError(f"{len(labels)} labels for {len(perms)} generators")
         e = _identity_perm(deg)
         order = [e]
         names = {e: "e"}
         queue = [e]
         while queue:
             current = queue.pop(0)
-            for p, nm in zip(perms, gen_names):
+            for p, nm in zip(perms, labels):
                 nxt = _compose(current, p)
                 if nxt not in names:
                     names[nxt] = nm if current == e else names[current] + nm

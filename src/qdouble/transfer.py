@@ -40,16 +40,13 @@ from .linalg import _accumulate, _columns
 
 
 def fourier(group: FiniteGroup, vec):
-    """Group algebra to functions: g -> delta_{g^-1}."""
+    """Group algebra to functions: g -> delta_{g^-1}; it is its own inverse,
+    since g <-> g^-1 is an involution."""
     out = [ZERO] * group.n
     for g, c in enumerate(vec):
         if c:
             out[group.inv[g]] = out[group.inv[g]] + c
     return out
-
-
-# delta_g -> g^-1 back to the group algebra: the map g <-> g^-1 is an involution
-fourier_inv = fourier
 
 
 def integral_group_algebra(group: FiniteGroup, vec) -> Cyc:
@@ -72,7 +69,7 @@ def mass_shell_ft(ctx: ClassContext, f: dict) -> list:
         if c not in ctx.cls:
             raise ValueError("function support must lie in the class")
         fun[c] = cyc(value) if not isinstance(value, Cyc) else value
-    return fourier_inv(group, fun)
+    return fourier(group, fun)
 
 
 # -- projector elements ---------------------------------------------------------
@@ -86,16 +83,6 @@ def projector_element(ctx: ClassContext, pi: Rep) -> DoubleElement:
     for n_idx, coeff in group_projector(sub, pi).items():
         terms[(ctx.rep, sub.embedding[n_idx])] = coeff
     return DoubleElement(group, terms)
-
-
-def conjugated_projector(ctx: ClassContext, pi: Rep, g: int) -> DoubleElement:
-    """g P_{r,pi} g^-1 for a group element g."""
-    group = ctx.group
-    base = projector_element(ctx, pi)
-    return DoubleElement(
-        group,
-        {(group.conj(g, a), group.conj(g, h)): c for (a, h), c in base.terms.items()},
-    )
 
 
 # -- embeddings -----------------------------------------------------------------
@@ -181,27 +168,25 @@ def functions_to_group_algebra(group: FiniteGroup, module: CrossedModule, sectio
 
 def projector_cov(ctx: ClassContext, pi: Rep, module: CrossedModule):
     """Covariantized projector on C(class) (x) W, block diagonal over c."""
-    return {c: module.double_matrix(conjugated_projector(ctx, pi, ctx.q[c])) for c in ctx.cls}
+    base = projector_element(ctx, pi)
+    return {c: module.double_matrix(base.adjoint_act(ctx.q[c])) for c in ctx.cls}
 
 
 def projector_star(ctx: ClassContext, pi: Rep, module: CrossedModule):
     """Projector on C(G) (x) W: delta_g (x) zeta_r(g)^-1 P zeta_r(g) |> w."""
-    group = ctx.group
+    group, base = ctx.group, projector_element(ctx, pi)
     return {
-        g: module.double_matrix(conjugated_projector(ctx, pi, group.inv[ctx.factorize(g)[1]]))
-        for g in range(group.n)
+        g: module.double_matrix(base.adjoint_act(group.inv[ctx.factorize(g)[1]])) for g in range(group.n)
     }
 
 
-def projector_fixed_space(blocks, group: FiniteGroup, module: CrossedModule, points=None):
-    """Basis of the joint fixed space of a pointwise projector family, as
-    sections {(g, w): Cyc}.  The nullspace is solved densely over the flat
-    index g * dim + w, which is decoded here and nowhere else."""
-    points = list(blocks) if points is None else points
+def projector_fixed_space(blocks, group: FiniteGroup, module: CrossedModule):
+    """Basis of the joint fixed space of a pointwise projector family
+    {g: matrix}, as sections {(g, w): Cyc}.  The nullspace is solved densely
+    over the flat index g * dim + w, which is decoded here and nowhere else."""
     dim = group.n * module.dim
     rows = []
-    for g in points:
-        m = blocks[g]
+    for g, m in blocks.items():
         for i in range(module.dim):
             row = [ZERO] * dim
             for j in range(module.dim):

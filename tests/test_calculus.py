@@ -4,9 +4,9 @@ from qdouble.cyclotomic import cyc
 from qdouble.groups import FiniteGroup, class_context
 from qdouble.reps import centralizer_character, induced_rep, sign_rep
 from qdouble.calculus import (
-    fodc_functions,
+    DoubleCalculus,
+    FunctionCalculus,
     fodc_group_algebra,
-    fodc_double,
     lambda_basis,
     base_calculus_group_algebra,
     base_calculus_functions,
@@ -32,19 +32,19 @@ def ctx3(s3):
 
 
 def test_function_calculus_connectivity(s3):
-    assert fodc_functions(s3, ["u", "v", "w"]).is_connected()
-    assert not fodc_functions(s3, ["uv", "vu"]).is_connected()
+    assert FunctionCalculus(s3, ["u", "v", "w"]).is_connected()
+    assert not FunctionCalculus(s3, ["uv", "vu"]).is_connected()
 
 
 def test_function_calculus_requires_ad_stable(s3):
     with pytest.raises(ValueError):
-        fodc_functions(s3, ["u"])
+        FunctionCalculus(s3, ["u"])
     with pytest.raises(ValueError):
-        fodc_functions(s3, ["e", "u", "v", "w"])
+        FunctionCalculus(s3, ["e", "u", "v", "w"])
 
 
 def test_function_calculus_d_formula(s3):
-    calc = fodc_functions(s3, ["u", "v", "w"])
+    calc = FunctionCalculus(s3, ["u", "v", "w"])
     fun = [ONE] + [ZERO] * 5
     out = calc.d(fun)
     for c in calc.subset:
@@ -55,7 +55,7 @@ def test_function_calculus_d_formula(s3):
 
 def test_function_calculus_properties(s3):
     for subset in (["u", "v", "w"], ["uv", "vu"]):
-        calc = fodc_functions(s3, subset)
+        calc = FunctionCalculus(s3, subset)
         assert calc.leibniz_holds()
         assert calc.is_inner()
         assert calc.right_coaction_check()
@@ -125,7 +125,7 @@ def test_sign_case_gamma_rho(s3, ctx2):
 
 def test_double_calculus(s3, ctx2, ctx3):
     for ctx, j in ((ctx2, 1), (ctx3, 1)):
-        calc = fodc_double(ctx, centralizer_character(ctx, j))
+        calc = DoubleCalculus(ctx, centralizer_character(ctx, j))
         assert calc.inner_check()
         assert calc.leibniz_check()
         for (c, i, d, jj) in calc.form_indices():
@@ -148,7 +148,7 @@ def test_double_calculus_rejects_trivial_pair(s3):
         if p.dim == 1 and all(m[0][0] == ONE for m in p.matrices)
     ][0]
     with pytest.raises(ValueError):
-        fodc_double(ctx1, trivial)
+        DoubleCalculus(ctx1, trivial)
 
 
 def test_base_calculus_possibilities(s3, ctx2, ctx3):
@@ -179,15 +179,15 @@ def test_base_calculus_functions(s3, ctx2, ctx3):
 
 
 def test_pushforward_dims(s3, ctx2, ctx3):
-    calc = fodc_double(ctx2, centralizer_character(ctx2, 1))
+    calc = DoubleCalculus(ctx2, centralizer_character(ctx2, 1))
     assert calc.pushforward_dims() == (0, 0)
-    calc0 = fodc_double(ctx2, centralizer_character(ctx2, 0))
+    calc0 = DoubleCalculus(ctx2, centralizer_character(ctx2, 0))
     assert calc0.pushforward_dims() == (2, 0)
     ctx1 = class_context(s3, "e")
     from qdouble.double import centralizer_irreps
 
     two = [p for p in centralizer_irreps(ctx1) if p.dim == 2][0]
-    calc_e = fodc_double(ctx1, two)
+    calc_e = DoubleCalculus(ctx1, two)
     assert calc_e.pushforward_dims() == (0, 4)
 
 

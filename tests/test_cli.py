@@ -1,11 +1,16 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "src" / "qdouble" / "scenarios"
+SRC = Path(__file__).resolve().parent.parent / "src"
+SCENARIOS = SRC / "qdouble" / "scenarios"
+# a child interpreter does not see pytest's pythonpath setting, so it gets src/
+# first on its PYTHONPATH, ahead of any entries already there
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
 
 
 def run_cli(*args):
@@ -14,6 +19,7 @@ def run_cli(*args):
         capture_output=True,
         text=True,
         timeout=500,
+        env=CHILD_ENV,
     )
 
 
@@ -218,6 +224,16 @@ _READER = {
         ({"stratum": ["e", 2, 3, "l2"]}, "stratum: target 'e' is the identity"),
         ({"ricci": "no"}, "ricci: expected true or false, got 'no'"),
         ({"ricci": 1}, "ricci: expected true or false, got 1"),
+        ({"group": {"generators": [[1, 0, 2], [0, 2, 1]], "labels": ["a"]}}, "group: 1 labels for 2 generators"),
+        ({"group": {"generators": [[1, 0, 2], [0, 2, 1]], "labels": ["a", "a"]}}, "group: label 'a' names two"),
+        ({"group": {"generators": [[1, 0, 2], [0, 2, 1]], "relabel": {"ab": "a"}}}, "group: label 'a' names two"),
+        ({"group": {"generators": [[1, 0, 2]], "labels": 5}}, "group.labels: expected a list of strings, got 5"),
+        ({"group": {"generators": [[1, 0, 2]], "labels": [1]}}, "group.labels: expected a list of strings"),
+        ({"group": {"generators": [[1, 0, 2]], "relabel": 5}}, "group.relabel: expected an object"),
+        ({"group": {"generators": [[1, 0, 2]], "relabel": {"a": 1}}}, "group.relabel: expected an object"),
+        ({"group": {"generators": [[1.0, 0, 2]]}}, "group.generators[0]: expected a list of integers"),
+        ({"group": {"generators": [5]}}, "group.generators[0]: expected a list of integers"),
+        ({"group": {"generators": [[1, 0, 2], [["1", "2"]]]}}, "group.generators[1]: expected a list"),
     ],
     ids=[
         "float-j", "bool-j", "string-j", "float-degree", "float-generators-degree",
@@ -230,7 +246,9 @@ _READER = {
         "string-q-override", "unknown-q-override-value", "q-override-key-outside-class",
         "list-lengths", "unknown-lengths-label", "unknown-stratum-target", "lengths-one-class",
         "identity-length", "stratum-in-a-lengths-class", "identity-stratum-target", "string-ricci",
-        "int-ricci",
+        "int-ricci", "too-few-labels", "repeated-label", "relabel-onto-a-word",
+        "int-labels", "int-label", "int-relabel", "int-relabel-value", "float-image", "int-generator",
+        "string-cycle-entry",
     ],
 )
 def test_malformed_scenario_is_a_configuration_error(tmp_path, change, message):
@@ -338,7 +356,9 @@ _BRAIDED = _REPS | {"qdouble.braided", "qdouble.quadalg"}
 def _qdouble_modules(code, *argv):
     """The qdouble modules a fresh interpreter holds after running code."""
     probe = f"import json, sys; {code}; print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'qdouble']))"
-    out = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True, timeout=500)
+    out = subprocess.run(
+        [sys.executable, "-c", probe, *argv], capture_output=True, text=True, timeout=500, env=CHILD_ENV
+    )
     assert out.returncode == 0, out.stderr
     return set(json.loads(out.stdout.splitlines()[-1]))
 

@@ -11,9 +11,9 @@ from qdouble.reps import centralizer_character
 from qdouble.double import (
     CrossedModule,
     DoubleElement,
+    adjoint_structure,
     build_VCpi,
     centralizer_irreps,
-    bdg_crossed_module,
     regular_crossed_module,
     wedderburn_element,
     block_idempotent,
@@ -187,7 +187,7 @@ def test_crossed_module_compatibility(s3):
     for ctx, pi in double_irreps(s3):
         module = build_VCpi(ctx, pi)
         module.verify()
-    bdg_crossed_module(s3).verify()
+    CrossedModule(s3, *adjoint_structure(s3)).verify()
     regular_crossed_module(s3).verify()
 
 
@@ -220,7 +220,7 @@ def test_double_modules_of_S4_build_and_verify():
     S4 = FiniteGroup.symmetric(4)
     for module, moved in (
         (regular_crossed_module(S4), lambda f, g, h: (S4.conj(f, g), S4.table[f][h])),
-        (bdg_crossed_module(S4), lambda f, g, h: (S4.conj(f, g), S4.conj(f, h))),
+        (CrossedModule(S4, *adjoint_structure(S4)), lambda f, g, h: (S4.conj(f, g), S4.conj(f, h))),
     ):
         module.verify()
         assert module.dim == 576

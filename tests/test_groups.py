@@ -30,6 +30,15 @@ def test_empty_generators_rejected():
         FiniteGroup.from_generators([])
 
 
+def test_default_generator_names_skip_the_identity_name():
+    """The fifth of five unlabelled generators is named f, not e: on the
+    adjacent transpositions of S6, e names the identity and nothing else."""
+    s6 = FiniteGroup.from_generators([parse_cycles([[i, i + 1]], 6) for i in range(1, 6)])
+    assert s6.n == 720
+    assert s6.labels[:6] == ["e", "a", "b", "c", "d", "f"]
+    assert s6.element("e") == 0
+
+
 def test_inconsistent_degree_handled():
     # degrees are padded to the largest; an explicit too-small degree fails
     with pytest.raises(ValueError):

@@ -65,11 +65,8 @@ TEST_ONLY = frozenset({
     "calculus.FunctionCalculus.right_coaction_check",
     "calculus.base_calculus_functions",
     "calculus.base_calculus_group_algebra",
-    "calculus.fodc_double",
-    "calculus.fodc_functions",
     "double.CrossedModule.braiding_matrix",
     "double.CrossedModule.direct_sum",
-    "double.bdg_crossed_module",
     "double.beta",
     "double.decompose_DG_module",
     "double.quasi_R",

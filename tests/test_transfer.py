@@ -11,7 +11,6 @@ from qdouble.reps import centralizer_character
 from qdouble.double import build_VCpi, double_irreps, centralizer_irreps
 from qdouble.transfer import (
     fourier,
-    fourier_inv,
     integral_group_algebra,
     integral_functions,
     mass_shell_ft,
@@ -51,7 +50,7 @@ def ctx2(s3):
 def test_fourier_involution_pair(s3):
     for g in range(s3.n):
         vec = [ONE if x == g else ZERO for x in range(s3.n)]
-        assert fourier_inv(s3, fourier(s3, vec)) == vec
+        assert fourier(s3, fourier(s3, vec)) == vec
     # an involutive element maps to its own delta
     u = s3.element("u")
     vec = [ONE if x == u else ZERO for x in range(s3.n)]
@@ -103,7 +102,7 @@ def test_mass_shell_is_fourier_of_extension(s3, ctx2):
     extended = [ZERO] * s3.n
     for c, v in values.items():
         extended[c] = v
-    assert mass_shell_ft(ctx2, values) == fourier_inv(s3, extended)
+    assert mass_shell_ft(ctx2, values) == fourier(s3, extended)
 
 
 def test_mass_shell_rejects_off_class(s3, ctx2):
@@ -291,7 +290,7 @@ def test_covariant_projector(s3, ctx2):
                 assert m[idx][idx] == expected
         sq = la.mat_mul(m, m)
         assert la.mat_eq(sq, m)
-    fixed = projector_fixed_space(blocks, s3, module, points=ctx2.cls)
+    fixed = projector_fixed_space(blocks, s3, module)
     assert len(fixed) == len(ctx2.cls) * pi.dim
 
 
@@ -465,8 +464,8 @@ def _section_mismatches(group):
                     want = getattr(transfer_ref, name)(group, module, up_ref)
                     compare(block + (name, c, i), got, _sparse_total(want))
         blocks = projector_cov(ctx, pi, module)
-        got = projector_fixed_space(blocks, group, module, points=ctx.cls)
-        want = transfer_ref.projector_fixed_space(blocks, group, module, points=ctx.cls)
+        got = projector_fixed_space(blocks, group, module)
+        want = transfer_ref.projector_fixed_space(blocks, group, module)
         if len(got) != len(want):
             out.append(block + ("fixed space dimension",))
         for k, (x, y) in enumerate(zip(got, want)):

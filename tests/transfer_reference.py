@@ -130,12 +130,10 @@ def factorization_check(ctx, pi, module, embed=None):
     return True
 
 
-def projector_fixed_space(blocks, group, module, points=None):
-    points = list(blocks) if points is None else points
+def projector_fixed_space(blocks, group, module):
     dim = group.n * module.dim
     rows = []
-    for g in points:
-        m = blocks[g]
+    for g, m in blocks.items():
         for i in range(module.dim):
             row = [ZERO] * dim
             for j in range(module.dim):
