@@ -31,7 +31,6 @@ _HOMES = {
     "ClassContext": "groups",
     "class_context": "groups",
     "Rep": "reps",
-    "catalog": "reps",
     "irrep_catalog": "reps",
     "induced_rep": "reps",
     "DoubleElement": "double",

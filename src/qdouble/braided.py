@@ -62,7 +62,7 @@ from __future__ import annotations
 from itertools import product
 
 from .cyclotomic import ONE, ZERO
-from .groups import FiniteGroup, ClassContext, orbit_representatives
+from .groups import ClassContext, ConfigError, FiniteGroup, orbit_representatives
 from .reps import Rep, induced_matrices
 from .double import CrossedModule, DoubleElement, adjoint_structure, hopf_failures
 from .quadalg import QuadAlg
@@ -356,7 +356,7 @@ class BlockBraidedLie(BraidedLie):
         group = blocks[0][0].group
         for ctx, pi in self.blocks:
             if ctx.rep == 0 and pi.is_trivial():
-                raise ValueError("the trivial pair is excluded")
+                raise ConfigError("the trivial pair is excluded")
         basis, self._pos = _end_basis(self.blocks)
         grading = [
             group.table[a][group.inv[b]] for (t, a, i, b, j) in basis
@@ -813,13 +813,13 @@ def quotient_hopf(ctx: ClassContext, pi: Rep):
     """
     group = ctx.group
     if not pi.is_real_orthogonal():
-        raise ValueError("centralizer representation must be real orthogonal")
+        raise ConfigError("centralizer representation must be real orthogonal")
     if sorted(group.inv[c] for c in ctx.cls) != ctx.cls:
-        raise ValueError("conjugacy class must be stable under inversion")
+        raise ConfigError("conjugacy class must be stable under inversion")
     lie = lie_cpi(ctx, pi)
     ua = envelope(lie)
     if not braided_antipode_preserves_relations(lie, ua.relations):
-        raise ValueError("braided antipode does not preserve the enveloping algebra's relations")
+        raise ConfigError("braided antipode does not preserve the enveloping algebra's relations")
     fa = frt([(ctx, pi)])
     H = QuadAlg(fa.generators, fa.relations, _antipode_relations(ctx, pi, lie._pos, _frt_antipode))
     B = QuadAlg(

@@ -17,7 +17,7 @@ from __future__ import annotations
 from math import lcm
 
 from .cyclotomic import ONE, ZERO
-from .groups import FiniteGroup, ClassContext
+from .groups import ClassContext, ConfigError, FiniteGroup
 from .reps import Rep, check_homomorphism, induced_rep
 from .double import build_VCpi
 from . import linalg
@@ -213,12 +213,12 @@ class LambdaBasis:
             # a zero row never enlarges the span, so e^g = 0 is dependent
             if not span.add(dict(enumerate(row))):
                 if preferred is not None:
-                    raise ValueError(f"preferred basis is linearly dependent at {group.labels[g]!r}")
+                    raise ConfigError(f"preferred basis is linearly dependent at {group.labels[g]!r}")
                 continue
             chosen.append(g)
             chosen_rows.append(row)
         if len(chosen) != calculus.lambda_dim:
-            raise ValueError("basis does not span the invariant forms")
+            raise ConfigError("basis does not span the invariant forms")
         self.calculus = calculus
         self.group = group
         self.basis = chosen  # group elements labelling e^i

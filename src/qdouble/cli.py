@@ -8,7 +8,10 @@ regression suite and exits nonzero on any mismatch.
 Each subcommand imports the engine modules it runs in its own body, so one
 invocation loads only those; ``verify-paper`` loads them all.
 
-Exit codes: 0 ok, 2 configuration error, 3 verification failure.
+Each top-level scenario key has one reader in ``READERS``; README's list of
+scenario keys is that table's.  Exit codes: 0 ok, 2 configuration error
+(``ConfigError``: input the engine cannot use), 3 verification failure,
+4 internal error (any other exception: one stderr line, empty stdout).
 """
 
 from __future__ import annotations
@@ -20,23 +23,12 @@ from fractions import Fraction
 from pathlib import Path
 
 from .cyclotomic import Cyc, cyc
-from .groups import FiniteGroup, class_context
-
-
-class ConfigError(Exception):
-    pass
-
-
-# every top-level key a subcommand reads
-_SCENARIO_KEYS = {
-    "group", "class_rep", "q_override", "irrep", "basis", "lengths", "print_matrices", "subset",
-    "flags", "ricci", "stratum",
-}
+from .groups import ConfigError, FiniteGroup, class_context
 
 
 def load_scenario(path: str) -> dict:
     """The scenario object, refused if it is not a JSON object or has a key
-    no subcommand reads, such as a misspelled one."""
+    with no reader in ``READERS``, such as a misspelled one."""
     try:
         with open(path) as fh:
             scenario = json.load(fh)
@@ -45,12 +37,30 @@ def load_scenario(path: str) -> dict:
     if not isinstance(scenario, dict):
         raise ConfigError(f"scenario: expected a JSON object, got {type(scenario).__name__}")
     for key in scenario:
-        if key not in _SCENARIO_KEYS:
+        if key not in READERS:
             raise ConfigError(f"{key}: unknown scenario key")
     return scenario
 
 
-def build_group(spec: dict) -> FiniteGroup:
+def scenario_reader(scenario: dict):
+    """read(key): the value of a scenario key, parsed once by its reader in
+    ``READERS``, which gets the raw scenario and read for the keys it needs;
+    keys with one reader share its result."""
+    parsed = {}
+
+    def read(key: str):
+        rule = READERS[key]
+        if rule not in parsed:
+            parsed[rule] = rule(scenario, read)
+        return parsed[rule]
+
+    return read
+
+
+def _group(scenario: dict, read) -> FiniteGroup:
+    if "group" not in scenario:
+        raise ConfigError("group: required")
+    spec = scenario["group"]
     if not isinstance(spec, dict):
         raise ConfigError(f"group: expected an object with a name or generators, got {spec!r}")
     if spec.get("name") == "s3_uvw":
@@ -92,36 +102,31 @@ def _generators(value) -> list:
     return value
 
 
-def build_context(group: FiniteGroup, scenario: dict):
-    rep = scenario.get("class_rep")
+def _context(scenario: dict, read):
+    """The class context of class_rep and q_override, or None without a class_rep."""
+    group, rep, q = read("group"), scenario.get("class_rep"), scenario.get("q_override")
     if rep is None:
-        raise ConfigError("scenario needs class_rep")
+        return None
     _labels(group, [rep], "class_rep")
-    q = scenario.get("q_override")
     if q is not None:
         if not isinstance(q, dict):
-            raise ConfigError(
-                f"q_override: expected an object from class labels to element labels, got {q!r}"
-            )
-        _labels(group, list(q), "q_override")
-        _labels(group, list(q.values()), "q_override")
-        cls = {group.labels[c] for c in group.class_of(group.element(rep))}
-        for label in q:
-            if label not in cls:
-                raise ConfigError(f"q_override: {label!r} is not in the class of {rep!r}")
+            raise ConfigError(f"q_override: expected an object from class labels to element labels, got {q!r}")
+        _labels(group, [*q, *q.values()], "q_override")
     return class_context(group, rep, q_override=q)
 
 
-def build_pi(ctx, scenario: dict):
-    """The scenario's centralizer irrep, its spec checked in full first."""
-    from .reps import KINDS, catalog, centralizer_character
+def _irrep(scenario: dict, read):
+    """The block's centralizer irrep, its spec checked in full first."""
+    from .reps import KINDS, centralizer_character
 
-    spec = scenario.get("irrep")
+    ctx, spec = read("class_rep"), scenario.get("irrep")
+    if ctx is None:
+        raise ConfigError("scenario needs class_rep")
     if spec is None:
         raise ConfigError("scenario needs an irrep spec")
     required = {"centralizer_character": "j", **{kind: key for kind, (key, _) in KINDS.items()}}
     kind = spec.get("kind") if isinstance(spec, dict) else None
-    if kind not in required:
+    if not (isinstance(kind, str) and kind in required):
         raise ConfigError(f"irrep.kind: expected one of {sorted(required)}, got {kind!r}")
     key = required[kind]
     if key and key not in spec:
@@ -129,15 +134,17 @@ def build_pi(ctx, scenario: dict):
     value = spec.get(key)
     if key == "j":
         value = _integer(value, "irrep.j")
-    elif key == "partition" and not (
-        isinstance(value, list) and all(_is_integer(p) and p > 0 for p in value)
-    ):
+    elif key == "partition" and not (isinstance(value, list) and all(_is_integer(p) and p > 0 for p in value)):
         raise ConfigError(f"irrep.partition: expected a list of positive integers, got {value!r}")
     elif key == "matrices":
         value = _matrices(value, ctx.centralizer.n)
+        try:
+            return KINDS[kind][1](ctx.centralizer, value)
+        except ValueError as ex:  # the homomorphism check, which also guards engine-built matrices
+            raise ConfigError(ex) from ex
     if kind == "centralizer_character":
         return centralizer_character(ctx, value)
-    return catalog(ctx.centralizer, kind, **({key: value} if key else {}))
+    return KINDS[kind][1](ctx.centralizer, *([value] if key else []))
 
 
 def _matrices(value, count: int) -> list:
@@ -155,17 +162,97 @@ def _matrices(value, count: int) -> list:
         for a, m in enumerate(value)
     ]
     if len(out) != count:
-        raise ConfigError(
-            f"irrep.matrices: expected {count}, one per centralizer element, got {len(out)}"
-        )
+        raise ConfigError(f"irrep.matrices: expected {count}, one per centralizer element, got {len(out)}")
     return out
 
 
-def _block(scenario: dict):
-    """(group, class context, centralizer irrep) of a block subcommand."""
-    group = build_group(_required(scenario, "group"))
-    ctx = build_context(group, scenario)
-    return group, ctx, build_pi(ctx, scenario)
+def _basis(scenario: dict, read):
+    """The Lambda^1 basis labels, or None to let the calculus choose."""
+    basis = scenario.get("basis")
+    return None if basis is None else _labels(read("group"), basis, "basis")
+
+
+def _lengths(scenario: dict, read):
+    """(lengths, variables): a length per element label, a string declaring a
+    variable, and the stratum binding target = (num/den) source."""
+    from .poly import Poly
+
+    group, spec = read("group"), scenario.get("lengths", {})
+    if not isinstance(spec, dict):
+        raise ConfigError(f"lengths: expected an object from element labels to lengths, got {spec!r}")
+    _labels(group, list(spec), "lengths")
+    variables = tuple(sorted({v for v in spec.values() if isinstance(v, str)}))
+    lengths = {}
+    for key, value in spec.items():
+        if isinstance(value, str):
+            if not value.isidentifier():
+                raise ConfigError(f"lengths.{key}: {value!r} is neither a number nor a variable name")
+            lengths[key] = Poly.variable(value, variables)
+        else:
+            lengths[key] = cyc(exact_number(value, f"lengths.{key}"))
+    if "stratum" not in scenario:
+        return lengths, variables
+    stratum = scenario["stratum"]
+    if not (
+        isinstance(stratum, list) and len(stratum) == 4
+        and isinstance(stratum[0], str) and isinstance(stratum[3], str)
+    ):
+        raise ConfigError(f"stratum: expected [target, num, den, source], got {stratum!r}")
+    target, num, den, source = stratum
+    _labels(group, [target], "stratum")
+    if source not in variables:
+        raise ConfigError(f"stratum: source {source!r} is not a length variable, expected one of {list(variables)}")
+    target_class = group.class_of(group.element(target))
+    if target_class == [0]:
+        raise ConfigError(f"stratum: target {target!r} is the identity, whose length is 0")
+    for key in lengths:
+        if group.element(key) in target_class:
+            raise ConfigError(f"stratum: target {target!r} is in the class of the lengths key {key!r}")
+    lengths[target] = Poly.variable(source, variables) * cyc(exact_number([num, den], "stratum"))
+    return lengths, variables
+
+
+def _flags(scenario: dict, read) -> list:
+    from .geometry import LINEAR_FLAGS, RESIDUALS
+
+    flags = scenario.get("flags", list(LINEAR_FLAGS))
+    if not isinstance(flags, list):
+        raise ConfigError(f"flags: expected a list of flag names, got {flags!r}")
+    for flag in flags:
+        if not (isinstance(flag, str) and (flag in LINEAR_FLAGS or flag in RESIDUALS)):
+            raise ConfigError(f"flags: unknown flag {flag!r}, expected one of {[*LINEAR_FLAGS, *RESIDUALS]}")
+    return flags
+
+
+def _ricci(scenario: dict, read) -> bool:
+    ricci = scenario.get("ricci", False)
+    if not isinstance(ricci, bool):
+        raise ConfigError(f"ricci: expected true or false, got {ricci!r}")
+    return ricci
+
+
+def _subset(scenario: dict, read) -> list:
+    group = read("group")
+    if "subset" not in scenario:
+        raise ConfigError("subset: required")
+    return _labels(group, scenario["subset"], "subset")
+
+
+# each top-level scenario key and its one reader; README lists these keys
+READERS = {
+    "group": _group,
+    "class_rep": _context,
+    "q_override": _context,
+    "irrep": _irrep,
+    "basis": _basis,
+    "lengths": _lengths,
+    "stratum": _lengths,
+    "print_matrices": lambda scenario, read: _labels(
+        read("group"), scenario.get("print_matrices", []), "print_matrices"),
+    "subset": _subset,
+    "flags": _flags,
+    "ricci": _ricci,
+}
 
 
 def _is_integer(value) -> bool:
@@ -197,13 +284,6 @@ def _labels(group: FiniteGroup, value, key: str) -> list:
     return value
 
 
-def _required(scenario: dict, key: str):
-    """A top-level scenario key the subcommand cannot run without."""
-    if key not in scenario:
-        raise ConfigError(f"{key}: required")
-    return scenario[key]
-
-
 def exact_number(value, key: str) -> Fraction:
     """An int, or an [int, int] pair with a nonzero denominator, as a Fraction.
 
@@ -215,8 +295,7 @@ def exact_number(value, key: str) -> Fraction:
     if isinstance(value, list) and len(value) == 2 and all(map(_is_integer, value)) and value[1]:
         return Fraction(value[0], value[1])
     raise ConfigError(
-        f"{key}: expected an integer or an [integer, integer] pair with a nonzero denominator, "
-        f"got {value!r}"
+        f"{key}: expected an integer or an [integer, integer] pair with a nonzero denominator, got {value!r}"
     )
 
 
@@ -228,40 +307,38 @@ def scalar_json(value) -> dict:
     if isinstance(value, Poly):
         return {
             "vars": list(value.vars),
-            "terms": [
-                {"exps": list(e), "coeff": c.to_json()} for e, c in sorted(value.terms.items())
-            ],
+            "terms": [{"exps": list(e), "coeff": c.to_json()} for e, c in sorted(value.terms.items())],
         }
     return cyc(value).to_json()
 
 
-def with_floats(report, enabled: bool):
-    if not enabled:
-        return report
-    def walk(node):
-        if isinstance(node, dict):
-            if set(node) == {"N", "coeffs"}:
-                z = Cyc.from_json(node).to_complex()
-                return {**node, "float": [z.real, z.imag]}
-            return {k: walk(v) for k, v in node.items()}
-        if isinstance(node, list):
-            return [walk(x) for x in node]
-        return node
-    return walk(report)
+def with_floats(node):
+    """The report with a [real, imaginary] "float" beside each exact scalar."""
+    if isinstance(node, dict):
+        if set(node) == {"N", "coeffs"}:
+            z = Cyc.from_json(node).to_complex()
+            return {**node, "float": [z.real, z.imag]}
+        return {k: with_floats(v) for k, v in node.items()}
+    if isinstance(node, list):
+        return [with_floats(x) for x in node]
+    return node
 
 
 def emit(report: dict, args) -> None:
-    report = with_floats(report, args.float)
+    report = with_floats(report) if args.float else report
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
-        Path(args.out).mkdir(parents=True, exist_ok=True)
-        (Path(args.out) / f"{report['subcommand']}.json").write_text(text + "\n")
+        try:
+            Path(args.out).mkdir(parents=True, exist_ok=True)
+            (Path(args.out) / f"{report['subcommand']}.json").write_text(text + "\n")
+        except OSError as ex:
+            raise ConfigError(f"--out: {ex}")
     else:
         print(text)
 
 
-def cmd_group(scenario, args):
-    group = build_group(_required(scenario, "group"))
+def cmd_group(read, args):
+    group = read("group")
     return {
         "subcommand": "group",
         "order": group.n,
@@ -270,62 +347,52 @@ def cmd_group(scenario, args):
     }
 
 
-def cmd_classes(scenario, args):
-    group = build_group(_required(scenario, "group"))
-    out = []
-    for cls_ in group.conjugacy_classes():
-        ctx = class_context(group, cls_[0])
-        out.append(
-            {
-                "representative": group.labels[cls_[0]],
-                "elements": [group.labels[c] for c in cls_],
-                "centralizer_order": ctx.centralizer.n,
-            }
-        )
+def cmd_classes(read, args):
+    group = read("group")
+    out = [
+        {
+            "representative": group.labels[cls_[0]],
+            "elements": [group.labels[c] for c in cls_],
+            "centralizer_order": len(group.centralizer(cls_[0])),
+        }
+        for cls_ in group.conjugacy_classes()
+    ]
     report = {"subcommand": "classes", "classes": out}
-    if "class_rep" in scenario:
-        report["context"] = build_context(group, scenario).table_report()
+    if read("class_rep") is not None:
+        report["context"] = read("class_rep").table_report()
     return report
 
 
-def cmd_double_irreps(scenario, args):
+def cmd_double_irreps(read, args):
     from .double import double_irreps
 
-    group = build_group(_required(scenario, "group"))
-    blocks = []
-    total = 0
-    for ctx, pi in double_irreps(group):
-        dim = len(ctx.cls) * pi.dim
-        total += dim * dim
-        blocks.append(
-            {
-                "class": group.labels[ctx.rep],
-                "pi": pi.name,
-                "dimension": dim,
-            }
-        )
+    group = read("group")
+    blocks = [
+        {"class": group.labels[ctx.rep], "pi": pi.name, "dimension": len(ctx.cls) * pi.dim}
+        for ctx, pi in double_irreps(group)
+    ]
     return {
         "subcommand": "double-irreps",
         "blocks": blocks,
-        "sum_of_squares": total,
+        "sum_of_squares": sum(block["dimension"] ** 2 for block in blocks),
         "group_order_squared": group.n * group.n,
     }
 
 
-def cmd_transfer(scenario, args):
+def cmd_transfer(read, args):
     from .double import build_VCpi
     from .transfer import factorization_check, transfer_to_group_algebra
 
-    group, ctx, pi = _block(scenario)
+    group, ctx, pi = read("group"), read("class_rep"), read("irrep")
     module = build_VCpi(ctx, pi)
     cols = transfer_to_group_algebra(ctx, pi, module)
-    image = {}
-    for (c, i), col in sorted(cols.items()):
-        entries = [
+    image = {
+        f"({group.labels[c]},{i})": [
             {"position": group.labels[g], "fiber": str(module.basis[w]), "coeff": scalar_json(v)}
             for (g, w), v in sorted(col.items())
         ]
-        image[f"({group.labels[c]},{i})"] = entries
+        for (c, i), col in sorted(cols.items())
+    }
     return {
         "subcommand": "transfer",
         "normalisation": scalar_json(cyc(Fraction(ctx.centralizer.n, group.n))),
@@ -334,20 +401,13 @@ def cmd_transfer(scenario, args):
     }
 
 
-def _preferred_basis(group: FiniteGroup, scenario: dict):
-    """The scenario's Lambda^1 basis labels, or None to let the calculus choose."""
-    basis = scenario.get("basis")
-    return None if basis is None else _labels(group, basis, "basis")
-
-
-def cmd_calculus(scenario, args):
+def cmd_calculus(read, args):
     from .reps import induced_rep
     from .calculus import fodc_group_algebra, lambda_basis
 
-    group, ctx, pi = _block(scenario)
-    rho = induced_rep(ctx, pi)
-    calc = fodc_group_algebra(rho)
-    basis = lambda_basis(calc, preferred=_preferred_basis(group, scenario))
+    group, ctx, pi = read("group"), read("class_rep"), read("irrep")
+    calc = fodc_group_algebra(induced_rep(ctx, pi))
+    basis = lambda_basis(calc, preferred=read("basis"))
     report = {
         "subcommand": "calculus",
         "lambda_dim": calc.lambda_dim,
@@ -357,86 +417,23 @@ def cmd_calculus(scenario, args):
         "gamma": {},
         "rho": {},
     }
-    for gen in _labels(group, scenario.get("print_matrices", []), "print_matrices"):
+    for gen in read("print_matrices"):
         g = group.element(gen)
         report["gamma"][gen] = [[scalar_json(x) for x in row] for row in basis.gamma(g)]
         report["rho"][gen] = [[scalar_json(x) for x in row] for row in basis.rho_matrix(g)]
     return report
 
 
-def cmd_geometry(scenario, args):
+def cmd_geometry(read, args):
     from .reps import induced_rep
     from .calculus import fodc_group_algebra, lambda_basis
-    from .poly import Poly
-    from .geometry import (
-        LINEAR_FLAGS,
-        connection_solve,
-        ip_from_lengths,
-        metric_compat_residuals,
-        ricci_scalar,
-        riemann_compat_residuals,
-        star_compat_residuals,
-    )
+    from .geometry import LINEAR_FLAGS, RESIDUALS, connection_solve, ip_from_lengths, ricci_scalar
 
-    residuals = {
-        "metric_compat": metric_compat_residuals,
-        "star_compat": lambda family, ip: star_compat_residuals(family.complex_split()),
-        "riemann_compat": lambda family, ip: riemann_compat_residuals(family),
-    }
-    flags = scenario.get("flags", list(LINEAR_FLAGS))
-    if not isinstance(flags, list):
-        raise ConfigError(f"flags: expected a list of flag names, got {flags!r}")
-    for flag in flags:
-        if not (isinstance(flag, str) and (flag in LINEAR_FLAGS or flag in residuals)):
-            raise ConfigError(
-                f"flags: unknown flag {flag!r}, expected one of {[*LINEAR_FLAGS, *residuals]}"
-            )
-    ricci = scenario.get("ricci", False)
-    if not isinstance(ricci, bool):
-        raise ConfigError(f"ricci: expected true or false, got {ricci!r}")
-    group, ctx, pi = _block(scenario)
+    flags, ricci = read("flags"), read("ricci")
+    ctx, pi = read("class_rep"), read("irrep")
     calc = fodc_group_algebra(induced_rep(ctx, pi))
-    basis = lambda_basis(calc, preferred=_preferred_basis(group, scenario))
-    lengths_spec = scenario.get("lengths", {})
-    if not isinstance(lengths_spec, dict):
-        raise ConfigError(
-            f"lengths: expected an object from element labels to lengths, got {lengths_spec!r}"
-        )
-    _labels(group, list(lengths_spec), "lengths")
-    variables = tuple(sorted({v for v in lengths_spec.values() if isinstance(v, str)}))
-    lengths = {}
-    for key, value in lengths_spec.items():
-        if isinstance(value, str):
-            if not value.isidentifier():
-                raise ConfigError(f"lengths.{key}: {value!r} is neither a number nor a variable name")
-            lengths[key] = Poly.variable(value, variables)
-        else:
-            lengths[key] = cyc(exact_number(value, f"lengths.{key}"))
-    if "stratum" in scenario:
-        # bindings like l1 = (a/b) l2
-        stratum = scenario["stratum"]
-        if not (
-            isinstance(stratum, list) and len(stratum) == 4
-            and isinstance(stratum[0], str) and isinstance(stratum[3], str)
-        ):
-            raise ConfigError(f"stratum: expected [target, num, den, source], got {stratum!r}")
-        target, num, den, source = stratum
-        _labels(group, [target], "stratum")
-        if source not in variables:
-            raise ConfigError(
-                f"stratum: source {source!r} is not a length variable, "
-                f"expected one of {list(variables)}"
-            )
-        target_class = group.class_of(group.element(target))
-        if target_class == [0]:
-            raise ConfigError(f"stratum: target {target!r} is the identity, whose length is 0")
-        for key in lengths:
-            if group.element(key) in target_class:
-                raise ConfigError(
-                    f"stratum: target {target!r} is in the class of the lengths key {key!r}"
-                )
-        lengths[target] = Poly.variable(source, variables) * cyc(exact_number([num, den], "stratum"))
-    ip = ip_from_lengths(basis, lengths, variables)
+    basis = lambda_basis(calc, preferred=read("basis"))
+    ip = ip_from_lengths(basis, *read("lengths"))
     family = connection_solve(basis, ip, [f for f in flags if f in LINEAR_FLAGS])
     report = {
         "subcommand": "geometry",
@@ -444,27 +441,21 @@ def cmd_geometry(scenario, args):
         "strictly_covariant_gram": ip.covariant(),
         "family_dimension": family.n_params(),
         "free_parameters": list(family.params),
-        "residual_flags": {},
+        "residual_flags": {
+            flag: {"residual_count": len(res), "satisfied_identically": not res}
+            for flag, res in ((f, RESIDUALS[f](family, ip)) for f in flags if f in RESIDUALS)
+        },
     }
-    for flag in flags:
-        if flag in residuals:
-            res = residuals[flag](family, ip)
-            report["residual_flags"][flag] = {
-                "residual_count": len(res),
-                "satisfied_identically": not res,
-            }
     if ricci:
-        scal = ricci_scalar(family, ip)
-        report["ricci_scalar"] = scalar_json(scal)
+        report["ricci_scalar"] = scalar_json(ricci_scalar(family, ip))
     return report
 
 
-def cmd_dual(scenario, args):
+def cmd_dual(read, args):
     from .reps import irrep_catalog
     from .dualgeometry import dual_constraints
 
-    group = build_group(_required(scenario, "group"))
-    subset = _labels(group, _required(scenario, "subset"), "subset")
+    group, subset = read("group"), read("subset")
     irreps = irrep_catalog(group)
     weight_vars = {}
     counter = 1
@@ -485,10 +476,10 @@ def cmd_dual(scenario, args):
     }
 
 
-def cmd_braided(scenario, args):
+def cmd_braided(read, args):
     from .braided import covering_map_image, lie_cpi
 
-    _, ctx, pi = _block(scenario)
+    ctx, pi = read("class_rep"), read("irrep")
     lie = lie_cpi(ctx, pi)
     axioms = lie.axioms()
     for name, ok in axioms.items():
@@ -503,11 +494,11 @@ def cmd_braided(scenario, args):
     }
 
 
-def cmd_killing(scenario, args):
+def cmd_killing(read, args):
     from .braided import killing_form, lie_cpi
     from . import linalg
 
-    _, ctx, pi = _block(scenario)
+    ctx, pi = read("class_rep"), read("irrep")
     lie = lie_cpi(ctx, pi)
     K = killing_form(lie)
     return {
@@ -517,12 +508,12 @@ def cmd_killing(scenario, args):
     }
 
 
-def cmd_envelope(scenario, args):
+def cmd_envelope(read, args):
     from .braided import envelope, frt, lie_cpi
 
     if args.degree < 0:
         raise ConfigError(f"--degree must be 0 or more, got {args.degree}")
-    _, ctx, pi = _block(scenario)
+    ctx, pi = read("class_rep"), read("irrep")
     lie = lie_cpi(ctx, pi)
     return {
         "subcommand": "envelope",
@@ -531,10 +522,10 @@ def cmd_envelope(scenario, args):
     }
 
 
-def cmd_quotient(scenario, args):
+def cmd_quotient(read, args):
     from .braided import quotient_hopf
 
-    _, ctx, pi = _block(scenario)
+    ctx, pi = read("class_rep"), read("irrep")
     H, B = quotient_hopf(ctx, pi)
     return {
         "subcommand": "quotient",
@@ -543,13 +534,12 @@ def cmd_quotient(scenario, args):
     }
 
 
-def cmd_verify_paper(scenario, args):
+def cmd_verify_paper(read, args):
     from .regression import run_regression
 
     results = run_regression()
     for name, ok, detail in results:
-        line = f"{'PASS' if ok else 'FAIL'}  {name}" + (f"  [{detail}]" if detail else "")
-        print(line, file=sys.stderr)
+        print(f"{'PASS' if ok else 'FAIL'}  {name}" + (f"  [{detail}]" if detail else ""), file=sys.stderr)
     failed = [name for name, ok, _ in results if not ok]
     return {
         "subcommand": "verify-paper",
@@ -573,9 +563,7 @@ COMMANDS = {
     "verify-paper": cmd_verify_paper,
 }
 
-
-def default_scenario_path() -> str:
-    return str(Path(__file__).parent / "scenarios" / "s3_case_ii.json")
+DEFAULT_SCENARIO = Path(__file__).parent / "scenarios" / "s3_case_ii.json"
 
 
 def main(argv=None) -> int:
@@ -587,14 +575,16 @@ def main(argv=None) -> int:
     parser.add_argument("--float", action="store_true", help="append numeric renderings")
     args = parser.parse_args(argv)
     try:
-        scenario = load_scenario(args.scenario) if args.scenario else (
-            load_scenario(default_scenario_path()) if args.subcommand != "verify-paper" else {}
-        )
-        report = COMMANDS[args.subcommand](scenario, args)
-    except (ConfigError, ValueError, KeyError) as ex:
+        path = args.scenario or (None if args.subcommand == "verify-paper" else DEFAULT_SCENARIO)
+        scenario = load_scenario(path) if path else {}
+        report = COMMANDS[args.subcommand](scenario_reader(scenario), args)
+        emit(report, args)
+    except ConfigError as ex:
         print(f"configuration error: {ex}", file=sys.stderr)
         return 2
-    emit(report, args)
+    except Exception as ex:  # an engine fault, not the scenario's
+        print(f"internal error: {type(ex).__name__}: {ex}", file=sys.stderr)
+        return 4
     if args.subcommand == "verify-paper" and report["failed"]:
         return 3
     return 0

@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cyclotomic import ONE, ZERO, Cyc, cyc
-from .groups import FiniteGroup, ClassContext, orbit_representatives
+from .groups import ClassContext, ConfigError, FiniteGroup, orbit_representatives
 from .reps import Rep, homomorphism_failure, induced_matrices, irrep_catalog, irrep_family
 from .linalg import _accumulate, _addto, _columns
 
@@ -458,7 +458,7 @@ def double_irreps(group: FiniteGroup):
     the labels are counted against the conjugation orbits of commuting (a, b)."""
     contexts = [ClassContext(group, cls_[0]) for cls_ in group.conjugacy_classes()]
     if any(irrep_family(ctx.centralizer) is None for ctx in contexts):
-        raise ValueError("no centralizer irreducible catalogue for this class")
+        raise ConfigError("no centralizer irreducible catalogue for this class")
     labels = [(ctx, pi) for ctx in contexts for pi in centralizer_irreps(ctx)]
     t, conj = group.table, [[group.conj(g, x) for x in range(group.n)] for g in range(group.n)]
     orbits = sum(t[a][b] == t[b][a] for a, b in orbit_representatives(group.n, 2, conj))

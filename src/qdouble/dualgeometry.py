@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cyclotomic import ONE, ZERO, cyc
-from .groups import FiniteGroup, ClassContext
+from .groups import ClassContext, ConfigError, FiniteGroup
 from .reps import Rep, irrep_catalog
 from .poly import Poly, dot
 from .double import CrossedModule
@@ -100,9 +100,9 @@ def _bidirectional(group: FiniteGroup, subset) -> list[list[int]]:
     members = set(subset)
     for c in subset:
         if not members.issuperset(group.class_of(c)):
-            raise ValueError("subset must be a union of conjugacy classes")
+            raise ConfigError("subset must be a union of conjugacy classes")
         if c == 0:
-            raise ValueError("the identity cannot appear in the subset")
+            raise ConfigError("the identity cannot appear in the subset")
     return [cls_ for cls_ in group.conjugacy_classes() if cls_[0] in members and group.inv[cls_[0]] in members]
 
 

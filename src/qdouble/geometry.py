@@ -21,7 +21,7 @@ from .cyclotomic import ONE, ZERO, Cyc, cyc
 from .linalg import _addto
 from .poly import Poly, RatFunc, _bareiss_det, dot
 from .calculus import LambdaBasis
-from .groups import FiniteGroup
+from .groups import ConfigError, FiniteGroup
 from . import linalg
 
 
@@ -36,7 +36,7 @@ class InnerProduct:
 
     def __init__(self, basis: LambdaBasis, lengths: dict, variables=()):
         if not basis.dim:
-            raise ValueError("Lambda^1 = 0 for the trivial pair, so there is no inner product")
+            raise ConfigError("Lambda^1 = 0 for the trivial pair, so there is no inner product")
         group = basis.group
         self.basis = basis
         self.group = group
@@ -45,13 +45,13 @@ class InnerProduct:
         self.lengths: dict[int, Poly] = {0: Poly.constant(0, self.vars)}
         assigned = {c0: _pc(v, self.vars) for c0, v in group.per_class(lengths, "lengths").items()}
         if 0 in assigned:
-            raise ValueError(f"lengths: {group.labels[0]!r} is the identity, whose length is 0")
+            raise ConfigError(f"lengths: {group.labels[0]!r} is the identity, whose length is 0")
         for cls_ in group.conjugacy_classes()[1:]:
             c0, inv0 = cls_[0], group.class_inverse(cls_)[0]
             if c0 in assigned and inv0 in assigned and assigned[c0] != assigned[inv0]:
-                raise ValueError("lengths must agree on inverse classes")
+                raise ConfigError("lengths must agree on inverse classes")
             if c0 not in assigned and inv0 not in assigned:
-                raise ValueError(f"missing length for the class of {group.labels[c0]}")
+                raise ConfigError(f"missing length for the class of {group.labels[c0]}")
             self.lengths[c0] = assigned[c0] if c0 in assigned else assigned[inv0]
         self.matrix = [
             [self.pair_elements(i, j) for j in basis.basis] for i in basis.basis
@@ -495,6 +495,14 @@ def riemann_compat_residuals(family: ConnectionFamily):
                         if res:
                             out.append(Poly._make(family.vars, res))
     return _dedupe(out)
+
+
+# the residual counts a report may ask for by name, beside LINEAR_FLAGS; each takes (family, ip)
+RESIDUALS = {
+    "metric_compat": metric_compat_residuals,
+    "star_compat": lambda family, ip: star_compat_residuals(family.complex_split()),
+    "riemann_compat": lambda family, ip: riemann_compat_residuals(family),
+}
 
 
 def _dedupe(polys):

@@ -19,6 +19,10 @@ from __future__ import annotations
 from functools import cached_property
 
 
+class ConfigError(ValueError):
+    """Scenario data the engine cannot use: a bad input, not an engine fault."""
+
+
 def _compose(p, q):
     # apply q first, then p
     return tuple(p[q[i]] for i in range(len(p)))
@@ -91,7 +95,7 @@ class FiniteGroup:
         no two elements may share a name.
         """
         if not generators:
-            raise ValueError("at least one generator is required")
+            raise ConfigError("at least one generator is required")
         perms = []
         for g in generators:
             if g and isinstance(g[0], (list, tuple)):
@@ -128,9 +132,9 @@ class FiniteGroup:
 
     @classmethod
     def symmetric(cls, n: int):
-        gens = [parse_cycles([[i, i + 1]], n) for i in range(1, n)]
-        names = [f"s{i}" for i in range(1, n)]
-        return cls.from_generators(gens, labels=names)
+        # S_1 has no adjacent transposition; its one element is generated by the identity
+        gens = [parse_cycles([[i, i + 1]], n) for i in range(1, n)] or [_identity_perm(n)]
+        return cls.from_generators(gens, labels=[f"s{i}" for i in range(1, len(gens) + 1)])
 
     @classmethod
     def cyclic(cls, n: int):
@@ -236,7 +240,7 @@ class FiniteGroup:
             rep = self.element(key) if isinstance(key, str) else key
             c0 = self.class_of(rep)[0]
             if c0 in named:
-                raise ValueError(
+                raise ConfigError(
                     f"{what}: {named[c0]!r} and {self.labels[rep]!r} name one conjugacy class"
                 )
             named[c0] = self.labels[rep]
@@ -315,15 +319,18 @@ class ClassContext:
         self.centralizer = group.subgroup_view(group.centralizer(rep))
         if q_override is not None:
             q = dict(q_override)
+            for c in q:
+                if c not in self.cls:
+                    raise ConfigError(f"q_override: {group.labels[c]!r} is not in the class of {group.labels[rep]!r}")
             for c in self.cls:
                 if c not in q:
-                    raise ValueError(f"q_override missing class element {group.labels[c]}")
+                    raise ConfigError(f"q_override missing class element {group.labels[c]}")
                 if group.conj(q[c], rep) != c:
-                    raise ValueError(
+                    raise ConfigError(
                         f"q_override[{group.labels[c]}] = {group.labels[q[c]]} does not conjugate r to it"
                     )
             if q[rep] != 0:
-                raise ValueError("q at the base point must be the identity")
+                raise ConfigError("q at the base point must be the identity")
         else:
             q = {}
             for c in self.cls:

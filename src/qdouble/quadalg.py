@@ -61,7 +61,8 @@ class QuadAlg:
             quadratic = self._all_quadratic_parts() if degree == 2 else self._span(2).pivots.values()
             for word in product(range(self.n), repeat=degree - 2):
                 for row in quadratic:
-                    span.add(_accumulate(((a,) + k, c * v) for (a, b), c in row.items()
+                    # v is ONE where a word is its own remainder, and c * ONE is c
+                    span.add(_accumulate(((a,) + k, c if v is ONE else c * v) for (a, b), c in row.items()
                                          for k, v in self._remainder((b,) + word).items()))
             self._spans[degree] = span
         return span

@@ -24,7 +24,7 @@ import math
 from fractions import Fraction
 
 from .cyclotomic import ONE, ZERO, Cyc, cyc, root_of_unity
-from .groups import FiniteGroup, parse_cycles
+from .groups import ConfigError, FiniteGroup, parse_cycles
 from . import linalg
 
 
@@ -166,7 +166,7 @@ def cyclic_rep(group: FiniteGroup, j: int, generator: int | None = None) -> Rep:
     if generator is None:
         generator = next((g for g in range(n) if group.order_of(g) == n), None)
         if generator is None:
-            raise ValueError("group is not cyclic")
+            raise ConfigError("group is not cyclic")
     # pi(e) is zeta_n^0, not 1: a printed N is the lcm of the operand orders
     identity = [[root_of_unity(n, 0)]]
     mats = _extend_from_generators(group, [(generator, [[root_of_unity(n, j)]])], identity)
@@ -228,7 +228,7 @@ def seminormal_rep(group: FiniteGroup, partition) -> Rep:
         raise ValueError("seminormal representation needs permutation images")
     n = len(group.perms[0])
     if sum(partition) != n or n > 5:
-        raise ValueError(f"unsupported partition {partition} for degree {n}")
+        raise ConfigError(f"unsupported partition {partition} for degree {n}")
     partition = tuple(sorted(partition, reverse=True))
     tableaux = _standard_tableaux(partition)
     index = {frozenset(t.items()): i for i, t in enumerate(tableaux)}
@@ -255,7 +255,7 @@ def seminormal_rep(group: FiniteGroup, partition) -> Rep:
     element = {p: g for g, p in enumerate(group.perms)}
     adjacent = [parse_cycles([[k, k + 1]], n) for k in range(1, n)]
     if any(p not in element for p in adjacent):
-        raise ValueError("seminormal representation needs the full symmetric group")
+        raise ConfigError("seminormal representation needs the full symmetric group")
     gens = [(element[p], transposition_matrix(k)) for k, p in enumerate(adjacent, start=1)]
     mats = _extend_from_generators(group, gens, linalg.identity(dim, ONE, ZERO))
     return Rep(group, mats, name=f"seminormal{partition}")
@@ -265,11 +265,11 @@ def _dihedral_generators(group: FiniteGroup) -> tuple[int, int]:
     """A rotation of order 4 and a reflection outside the rotations."""
     rot = next((g for g in range(group.n) if group.order_of(g) == 4), None)
     if rot is None or group.n != 8:
-        raise ValueError("not a dihedral group of order 8")
+        raise ConfigError("not a dihedral group of order 8")
     rot_sub = group.subgroup_generated([rot])
     ref = next((g for g in range(group.n) if g not in rot_sub and group.order_of(g) == 2), None)
     if ref is None:
-        raise ValueError("not a dihedral group of order 8")
+        raise ConfigError("not a dihedral group of order 8")
     return rot, ref
 
 
@@ -336,14 +336,6 @@ KINDS = {
 }
 
 
-def catalog(group: FiniteGroup, kind: str, **params) -> Rep:
-    """Named constructor dispatch used by configuration files."""
-    if kind not in KINDS:
-        raise ValueError(f"unknown representation kind {kind!r}")
-    key, build = KINDS[kind]
-    return build(group, params[key]) if key else build(group)
-
-
 def irrep_family(group: FiniteGroup):
     """The catalogue family that builds the irreducibles of group, or None.
 
@@ -364,7 +356,7 @@ def irrep_catalog(group: FiniteGroup) -> list[Rep]:
     """All irreducibles for the supported group families."""
     family = irrep_family(group)
     if family is None:
-        raise ValueError(f"no irreducible catalogue for this group (order {group.n})")
+        raise ConfigError(f"no irreducible catalogue for this group (order {group.n})")
     reps = family(group)
     if sum(r.dim * r.dim for r in reps) != group.n:
         raise RuntimeError("irreducible catalogue is incomplete")
@@ -415,8 +407,10 @@ def group_projector(subgroup: FiniteGroup, pi: Rep) -> dict[int, Cyc]:
 
 def centralizer_character(ctx, j: int) -> Rep:
     """Character pi_j of a cyclic centralizer, pinned by pi_j(r) = zeta^j."""
-    sub = ctx.centralizer
-    return cyclic_rep(sub, j, generator=sub.position[ctx.rep])
+    sub, r = ctx.centralizer, ctx.centralizer.position[ctx.rep]
+    if sub.order_of(r) != sub.n:
+        raise ConfigError(f"centralizer_character: {ctx.group.labels[ctx.rep]!r} does not generate its centralizer")
+    return cyclic_rep(sub, j, generator=r)
 
 
 def induced_matrices(ctx, pi: Rep) -> list:

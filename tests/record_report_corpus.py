@@ -11,7 +11,9 @@ a block whose centralizer irrep has dimension 2, and ``geometry`` on
 ``tests/scenarios/s3_all_residuals.json``, the stratum block with every
 residual flag, the star and Riemann ones included, and ``calculus`` on
 ``tests/scenarios/c1_trivial.json``, the order-1 group, which has no
-generators and so no innerness constraint.  Each runs in process
+generators and so no innerness constraint, and ``group`` and ``classes`` on
+``tests/scenarios/s1_symmetric.json``, the symmetric group of degree 1,
+which is that same order-1 group.  Each runs in process
 through ``cli.main``, with paths relative to the repository root.
 
 Run from the repository root:
@@ -45,6 +47,7 @@ SCENARIOS = [
 DIM2_SCENARIO = "tests/scenarios/s4_double_transposition.json"
 RESIDUALS_SCENARIO = "tests/scenarios/s3_all_residuals.json"
 C1_SCENARIO = "tests/scenarios/c1_trivial.json"
+S1_SCENARIO = "tests/scenarios/s1_symmetric.json"
 REPORTS = [c for c in sorted(cli.COMMANDS) if c != "verify-paper"]
 OPS = (
     [(c, "--scenario", s) for s in SCENARIOS for c in REPORTS]
@@ -56,6 +59,7 @@ OPS = (
     ]
     + [(c, "--scenario", DIM2_SCENARIO) for c in ("transfer", "calculus", "braided", "quotient")]
     + [("geometry", "--scenario", RESIDUALS_SCENARIO), ("calculus", "--scenario", C1_SCENARIO)]
+    + [(c, "--scenario", S1_SCENARIO) for c in ("group", "classes")]
 )
 
 

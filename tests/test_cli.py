@@ -1,5 +1,8 @@
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,6 +24,16 @@ def run_cli(*args):
         timeout=500,
         env=CHILD_ENV,
     )
+
+
+def _main(*argv):
+    """(exit code, stdout, stderr) of cli.main run in process."""
+    from qdouble import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
 
 
 def test_classes_report():
@@ -63,6 +76,13 @@ def test_out_directory(tmp_path):
     assert out.returncode == 0
     written = json.loads((tmp_path / "group.json").read_text())
     assert written["order"] == 6
+
+
+def test_out_under_a_file_is_a_configuration_error(tmp_path):
+    (tmp_path / "file").write_text("")
+    code, out, err = _main("group", "--out", str(tmp_path / "file" / "reports"))
+    assert (code, out) == (2, "")
+    assert err.startswith("configuration error: --out: ") and err.count("\n") == 1
 
 
 def test_envelope_dims():
@@ -346,6 +366,64 @@ def test_verify_paper_stdout_is_json(monkeypatch, capsys):
     report = json.loads(out)
     assert report["passed"] == 1 and report["failed"] == ["c2 fake check"]
     assert err.splitlines() == ["PASS  c1 fake check", "FAIL  c2 fake check  [detail]"]
+
+
+@pytest.mark.parametrize(
+    "error", [KeyError("x"), ValueError("an engine check failed")], ids=["KeyError", "ValueError"]
+)
+def test_an_engine_fault_is_an_internal_error(monkeypatch, error):
+    from qdouble import double
+
+    def fault(group):
+        raise error
+
+    monkeypatch.setattr(double, "double_irreps", fault)
+    assert _main("double-irreps") == (4, "", f"internal error: {type(error).__name__}: {error}\n")
+
+
+def test_symmetric_group_of_degree_one_reports_order_one():
+    s1 = str(Path(__file__).resolve().parent / "scenarios" / "s1_symmetric.json")
+    code, out, err = _main("group", "--scenario", s1)
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"subcommand": "group", "order": 1, "labels": ["e"], "inverses": {"e": "e"}}
+    code, out, err = _main("classes", "--scenario", s1)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["classes"] == [{"representative": "e", "elements": ["e"], "centralizer_order": 1}]
+
+
+# Cyc.__mul__ calls of envelope on s3_case_iii_plus at degree 4 while QuadAlg
+# still multiplied each relation coefficient by a remainder coefficient ONE
+ENVELOPE_MULS_WITH_PRODUCTS_BY_ONE = 61_482
+
+
+def test_envelope_dims_hold_with_fewer_products(monkeypatch):
+    from qdouble.cyclotomic import Cyc
+
+    for name in ("s3_case_ii", "s3_case_ii_stratum"):
+        code, out, _ = _main("envelope", "--scenario", str(SCENARIOS / f"{name}.json"))
+        report = json.loads(out)
+        assert (code, report["enveloping_dims"], report["frt_dims"]) == (0, [1, 4, 6, 8], [1, 4, 6, 8])
+    calls, multiply = [0], Cyc.__mul__
+
+    def counted(a, b):
+        calls[0] += 1
+        return multiply(a, b)
+
+    monkeypatch.setattr(Cyc, "__mul__", counted)
+    code, out, _ = _main("envelope", "--scenario", str(SCENARIOS / "s3_case_iii_plus.json"), "--degree", "4")
+    report = json.loads(out)
+    assert (code, report["enveloping_dims"], report["frt_dims"]) == (0, [1, 9, 33, 63, 71], [1, 9, 33, 63, 71])
+    assert calls[0] < ENVELOPE_MULS_WITH_PRODUCTS_BY_ONE
+
+
+def test_readme_lists_exactly_the_scenario_keys():
+    from qdouble import cli
+
+    readme = (SRC.parent / "README.md").read_text()
+    start = readme.index("must be a JSON object whose keys are")
+    sentence = readme[start:readme.index(". Any other key", start)]
+    assert f"the {len(cli.READERS)} " in sentence
+    assert sorted(re.findall(r"`(\w+)`", sentence)) == sorted(cli.READERS)
 
 
 _CLI = {"qdouble", "qdouble.cli", "qdouble.cyclotomic", "qdouble.groups"}

@@ -50,6 +50,11 @@ def test_conjugacy_classes_s3(s3):
     assert sizes == [1, 2, 3]
 
 
+def test_symmetric_group_of_degree_one_is_the_order_one_group():
+    s1, c1 = FiniteGroup.symmetric(1), FiniteGroup.cyclic(1)
+    assert (s1.n, s1.labels, s1.table, s1.perms) == (c1.n, c1.labels, c1.table, c1.perms) == (1, ["e"], [[0]], [(0,)])
+
+
 def test_conjugacy_classes_abelian():
     z6 = FiniteGroup.cyclic(6)
     assert all(len(c) == 1 for c in z6.conjugacy_classes())

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import qdouble.reps
-from qdouble.cli import build_context, build_group
+from qdouble.cli import scenario_reader
 from qdouble.cyclotomic import cyc, root_of_unity
 from qdouble.double import CrossedModule, _inner, centralizer_irreps, decompose_DG_module, double_characters
 from qdouble.groups import ClassContext, FiniteGroup, class_context
@@ -350,7 +350,7 @@ def test_centralizer_character_matches_power_walk_on_scenarios():
     for path in sorted(scenarios.glob("*.json")):
         scenario = json.loads(path.read_text())
         if scenario.get("irrep", {}).get("kind") == "centralizer_character":
-            contexts.append(build_context(build_group(scenario["group"]), scenario))
+            contexts.append(scenario_reader(scenario)("class_rep"))
     s4 = FiniteGroup.symmetric(4)
     contexts.append(class_context(s4, "s1s2s3"))
     assert len(contexts) == 4
