@@ -178,21 +178,19 @@ class GroupAlgebraCalculus:
             prods = [linalg.mat_mul(bm, self.rho.matrices[g]) for bm in bms]
             for i in range(dim):
                 for j in range(dim):
-                    constraints.append([prod[i][j] - bm[i][j] for bm, prod in zip(bms, prods)])
+                    constraints.append(
+                        {a: x for a, (bm, prod) in enumerate(zip(bms, prods)) if (x := prod[i][j] - bm[i][j])}
+                    )
                     rhs_vec.append(self.e_matrices[g][i][j])
-        sol = linalg.solve(constraints, len(rows), rhs_vec, ZERO)
+        sol = linalg.solve(constraints, len(rows), rhs_vec)
         if sol is None:
             return False, None
-        theta = [[ZERO] * self.rho.dim for _ in range(self.rho.dim)]
-        for coeff, base in zip(sol, rows):
-            for i in range(self.rho.dim):
-                for j in range(self.rho.dim):
-                    theta[i][j] = theta[i][j] + coeff * base[i * self.rho.dim + j]
+        theta = [[ZERO] * dim for _ in range(dim)]
+        for a, coeff in sol.items():
+            for i in range(dim):
+                for j in range(dim):
+                    theta[i][j] = theta[i][j] + coeff * rows[a][i * dim + j]
         return True, theta
-
-
-def fodc_group_algebra(rho: Rep) -> GroupAlgebraCalculus:
-    return GroupAlgebraCalculus(rho)
 
 
 class LambdaBasis:
@@ -231,6 +229,8 @@ class LambdaBasis:
         self._coord_cache: dict[int, list] = {}
         self._gamma_cache: dict[int, list] = {}
         self._rho_cache: dict[int, list] = {}
+        # {(covariant, torsion_free): kernel}, filled by geometry.connection_solve
+        self.connection_kernels: dict[tuple, list] = {}
         self._representations_checked = False
 
     @property

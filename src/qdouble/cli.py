@@ -403,10 +403,10 @@ def cmd_transfer(read, args):
 
 def cmd_calculus(read, args):
     from .reps import induced_rep
-    from .calculus import fodc_group_algebra, lambda_basis
+    from .calculus import GroupAlgebraCalculus, lambda_basis
 
     group, ctx, pi = read("group"), read("class_rep"), read("irrep")
-    calc = fodc_group_algebra(induced_rep(ctx, pi))
+    calc = GroupAlgebraCalculus(induced_rep(ctx, pi))
     basis = lambda_basis(calc, preferred=read("basis"))
     report = {
         "subcommand": "calculus",
@@ -426,12 +426,12 @@ def cmd_calculus(read, args):
 
 def cmd_geometry(read, args):
     from .reps import induced_rep
-    from .calculus import fodc_group_algebra, lambda_basis
+    from .calculus import GroupAlgebraCalculus, lambda_basis
     from .geometry import LINEAR_FLAGS, RESIDUALS, connection_solve, ip_from_lengths, ricci_scalar
 
     flags, ricci = read("flags"), read("ricci")
     ctx, pi = read("class_rep"), read("irrep")
-    calc = fodc_group_algebra(induced_rep(ctx, pi))
+    calc = GroupAlgebraCalculus(induced_rep(ctx, pi))
     basis = lambda_basis(calc, preferred=read("basis"))
     ip = ip_from_lengths(basis, *read("lengths"))
     family = connection_solve(basis, ip, [f for f in flags if f in LINEAR_FLAGS])

@@ -446,11 +446,6 @@ def block_idempotent(ctx: ClassContext, pi: Rep) -> DoubleElement:
     return total
 
 
-def centralizer_irreps(ctx: ClassContext) -> list[Rep]:
-    """Irreducibles of the centralizer subgroup, from the catalogue dispatcher."""
-    return irrep_catalog(ctx.centralizer)
-
-
 def double_irreps(group: FiniteGroup):
     """All (context, pi) pairs labelling the irreducibles of the double.
 
@@ -459,7 +454,7 @@ def double_irreps(group: FiniteGroup):
     contexts = [ClassContext(group, cls_[0]) for cls_ in group.conjugacy_classes()]
     if any(irrep_family(ctx.centralizer) is None for ctx in contexts):
         raise ConfigError("no centralizer irreducible catalogue for this class")
-    labels = [(ctx, pi) for ctx in contexts for pi in centralizer_irreps(ctx)]
+    labels = [(ctx, pi) for ctx in contexts for pi in irrep_catalog(ctx.centralizer)]
     t, conj = group.table, [[group.conj(g, x) for x in range(group.n)] for g in range(group.n)]
     orbits = sum(t[a][b] == t[b][a] for a, b in orbit_representatives(group.n, 2, conj))
     if len(labels) != orbits:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
-from .cyclotomic import ONE, ZERO, Cyc, cyc
+from .cyclotomic import ONE, Cyc, cyc
 from .linalg import _addto
 from .poly import Poly, RatFunc, _bareiss_det, dot
 from .calculus import LambdaBasis
@@ -289,10 +289,9 @@ def connection_solve(basis: LambdaBasis, ip: InnerProduct | None, flags) -> Conn
     dim = basis.dim
     group = basis.group
     index = [(i, j, k) for i in range(dim) for j in range(dim) for k in range(dim)]
-    pos = {t: a for a, t in enumerate(index)}
     # the covariance and torsion kernel depends on the basis and these two
     # flags alone: solve it once per basis, kept on it by (covariant, torsion_free)
-    kernels = vars(basis).setdefault("connection_kernels", {})
+    kernels = basis.connection_kernels
     covariant, torsion_free = "covariant" in flags, "torsion_free" in flags
     if (covariant, torsion_free) not in kernels:
         rows = []
@@ -301,69 +300,66 @@ def connection_solve(basis: LambdaBasis, ip: InnerProduct | None, flags) -> Conn
             # is a representation, the rows of st are combinations of those of s
             # and t, so the rref and nullspace are those of every g
             basis.check_representations()
-            unknowns = {t: {a: ONE} for t, a in pos.items()}
+            unknowns = {t: {t: ONE} for t in index}
             for g in group.generators:
                 moved = _conjugate(unknowns, basis.rho_matrix, group, g)
-                for t, a in pos.items():
+                for t in index:
                     row = {b: -c for b, c in moved.get(t, {}).items()}
-                    _addto(row, a, ONE)
+                    _addto(row, t, ONE)
                     if row:
-                        rows.append([row.get(b, ZERO) for b in range(len(index))])
+                        rows.append(row)
         if torsion_free:
-            for i in range(dim):
-                for j in range(dim):
-                    for k in range(j + 1, dim):
-                        row = [ZERO] * len(index)
-                        row[pos[(i, j, k)]] = ONE
-                        row[pos[(i, k, j)]] = row[pos[(i, k, j)]] - ONE
-                        if any(row):
-                            rows.append(row)
-        kernels[covariant, torsion_free] = linalg.nullspace(rows, len(index), ONE, ZERO)
+            rows += [
+                {(i, j, k): ONE, (i, k, j): -ONE}
+                for i in range(dim)
+                for j in range(dim)
+                for k in range(j + 1, dim)
+            ]
+        kernels[covariant, torsion_free] = linalg.nullspace(rows, index, ONE)
     base_null = kernels[covariant, torsion_free]
     # express as family over p0.. with Cyc coefficients, then impose cotorsion
     if "cotorsion_free" in flags:
         if ip is None:
             raise ValueError("cotorsion freeness needs an inner product")
         adj = ip.adjugate()
-        t = len(base_null)
         eq_rows = []  # over Poly in ip.vars
         for k in range(dim):
             for i in range(dim):
                 for j in range(i + 1, dim):
-                    row = []
-                    for vec in base_null:
+                    row = {}
+                    for a, vec in enumerate(base_null):
                         pairs = []
                         for m in range(dim):
-                            if vec[pos[(m, j, k)]]:
-                                pairs.append((adj[i][m], vec[pos[(m, j, k)]]))
-                            if vec[pos[(m, i, k)]]:
-                                pairs.append((adj[j][m], -vec[pos[(m, i, k)]]))
-                        row.append(RatFunc(dot(pairs, ip.vars)))
-                    eq_rows.append(row)
-        sol = linalg.nullspace(eq_rows, t, RatFunc(Poly.constant(1, ip.vars)), RatFunc(Poly.constant(0, ip.vars)))
-        combos = []
+                            if (m, j, k) in vec:
+                                pairs.append((adj[i][m], vec[m, j, k]))
+                            if (m, i, k) in vec:
+                                pairs.append((adj[j][m], -vec[m, i, k]))
+                        entry = dot(pairs, ip.vars)
+                        if entry:
+                            row[a] = RatFunc(entry)
+                    if row:
+                        eq_rows.append(row)
+        sol = linalg.nullspace(eq_rows, range(len(base_null)), RatFunc(Poly.constant(1, ip.vars)))
+        family_vectors = []
         for vec in sol:
             # clear the denominators, each made monic as it is fixed only up to a constant
             scale = Poly.constant(1, ip.vars)
-            for coeff in vec:
+            for coeff in vec.values():
                 if coeff.den.degree() > 0:
                     scale = scale * coeff.den.monic_normalize()
             if scale.degree() > 0:
-                vec = [x * scale for x in vec]
-            cps = [coeff.as_poly() for coeff in vec]
-            combos.append([
-                dot(((cp, null[a]) for cp, null in zip(cps, base_null) if cp and null[a]), ip.vars)
-                for a in range(len(index))
-            ])
-        family_vectors = combos
+                vec = {a: x * scale for a, x in vec.items()}
+            cps = {a: x.as_poly() for a, x in vec.items()}
+            combos = {
+                t: dot(((cp, base_null[a][t]) for a, cp in cps.items() if t in base_null[a]), ip.vars)
+                for t in index
+            }
+            family_vectors.append({t: p for t, p in combos.items() if p})
     else:
-        family_vectors = [[Poly.constant(x) for x in vec] for vec in base_null]
+        family_vectors = [{t: Poly.constant(x) for t, x in vec.items()} for vec in base_null]
     params = tuple(f"p{a}" for a in range(len(family_vectors)))
     pvs = [Poly.variable(name, params) for name in params]
-    gamma = {
-        t: dot((vec[a], pv) for vec, pv in zip(family_vectors, pvs) if vec[a])
-        for a, t in enumerate(index)
-    }
+    gamma = {t: dot((vec[t], pv) for vec, pv in zip(family_vectors, pvs) if t in vec) for t in index}
     return ConnectionFamily(basis, gamma, params)
 
 

@@ -1,13 +1,17 @@
 """Exact linear algebra over any field with Python arithmetic.
 
 Works for ``Fraction``, ``Cyc`` and the rational function field in
-``poly``; zero testing is truthiness.  Matrices are lists of lists,
-vectors are lists.
+``poly``; zero testing is truthiness.  A linear system is a list of
+zero-free {column: scalar} rows, the ``SparseSpan`` row form, and a
+solution is one zero-free vector in that form; dense matrices are lists of
+lists.
 
-``SparseSpan.reduce`` is the one elimination.  ``rref`` is its dense view,
-under the order-tag rule its docstring states, and ``rank``, ``nullspace``,
-``solve`` and ``inverse`` all go through ``rref``; ``same_row_space``
-compares sparse rows through ``SparseSpan`` directly.
+``SparseSpan.reduce`` is the one elimination and ``_reduced`` its one
+back-substitution and order-tag rule.  ``nullspace`` and ``solve`` take and
+return the sparse form, with any sortable column keys, so a caller poses its
+system in the keys it builds it in; ``rref`` is the dense view, which
+``rank`` and ``inverse`` go through; ``same_row_space`` compares sparse rows
+through ``SparseSpan`` directly.
 
 ``_addto`` and ``_accumulate`` are the one sparse accumulation rule: every
 {key: scalar} map is built through them and holds no zero, so two maps are
@@ -87,66 +91,74 @@ def mat_eq(a, b) -> bool:
     return all(not (x - y) for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
-def rref(matrix):
-    """Reduced row echelon form; returns (rref_rows, pivot_columns).
+def _reduced(rows):
+    """The reduced echelon form of {column: scalar} rows, as {pivot: row}
+    with pivots rising.
 
     The rows go into a ``SparseSpan``; then each stored row, from the last
     pivot up, is reduced against the rows already reduced, which is the
     back-substitution.  The elimination never touches a zero, so the order
-    tag is set here: every ``Cyc`` entry returned, zeros included, is
-    promoted to the lcm of the orders of the ``Cyc`` entries of the input.
+    tag is set here: every ``Cyc`` entry returned is promoted to the lcm of
+    the orders of the ``Cyc`` values of the rows, zeros included.
     """
     span = SparseSpan()
-    for row in matrix:
-        span.add(dict(enumerate(row)))
+    orders = []
+    for row in rows:
+        orders += [x.order for x in row.values() if x.__class__ is Cyc]
+        span.add(row)
     done = SparseSpan()
     for col in sorted(span.pivots, reverse=True):
         done.pivots[col] = done.reduce(span.pivots[col])
-    pivots = sorted(done.pivots)
-    if not pivots:
+    reduced = {p: done.pivots[p] for p in sorted(done.pivots)}
+    if not orders:
+        return reduced
+    tag = lcm(*orders)
+    return {p: {k: v.promote(tag) for k, v in row.items()} for p, row in reduced.items()}
+
+
+def rref(matrix):
+    """Reduced row echelon form of a dense matrix; returns (rref_rows,
+    pivot_columns).  Every ``Cyc`` entry returned, zeros included, carries
+    the order tag of ``_reduced``."""
+    reduced = _reduced(dict(enumerate(row)) for row in matrix)
+    if not reduced:
         return [], []
-    reduced = [done.pivots[p] for p in pivots]
-    zero = reduced[0][pivots[0]] - reduced[0][pivots[0]]
-    orders = [x.order for row in matrix for x in row if x.__class__ is Cyc]
-    if orders:
-        tag = lcm(*orders)
-        zero = zero.promote(tag)
-        reduced = [{k: v.promote(tag) for k, v in row.items()} for row in reduced]
-    return [[row.get(c, zero) for c in range(len(matrix[0]))] for row in reduced], pivots
+    p, row = next(iter(reduced.items()))
+    zero = row[p] - row[p]
+    return [[row.get(c, zero) for c in range(len(matrix[0]))] for row in reduced.values()], list(reduced)
 
 
 def rank(matrix) -> int:
     return len(rref(matrix)[0])
 
 
-def nullspace(matrix, ncols, one, zero):
-    """Basis of the right kernel of a matrix with ncols columns (column
-    vectors as lists); with no rows, the standard basis."""
-    rows, pivots = rref(matrix)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [zero] * ncols
-        vec[fc] = one
-        for r, pc in enumerate(pivots):
-            vec[pc] = -rows[r][fc]
-        basis.append(vec)
-    return basis
+def nullspace(rows, columns, one):
+    """Basis of the right kernel of zero-free {column: scalar} rows over the
+    sortable keys ``columns``, listed rising; with no rows, the standard basis.
+
+    One zero-free vector per free column c, in column order: ``one`` at c,
+    and at each pivot p before c minus the reduced row's entry at c, under
+    the order tag of ``_reduced``.
+    """
+    reduced = _reduced(rows)
+    minus = {}  # free column -> {pivot: -entry}
+    for p, row in reduced.items():
+        for c, v in row.items():
+            if c != p:
+                minus.setdefault(c, {})[p] = -v
+    return [{**minus.get(c, {}), c: one} for c in columns if c not in reduced]
 
 
-def solve(matrix, ncols, rhs, zero):
-    """One solution of matrix @ x = rhs in ncols unknowns, free unknowns set
-    to the field's zero, or None if inconsistent."""
-    aug = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    rows, pivots = rref(aug)
-    for row in rows:
-        if not any(row[:ncols]) and row[ncols]:
-            return None
-    x = [zero] * ncols
-    for r, pc in enumerate(pivots):
-        if pc < ncols:
-            x[pc] = rows[r][ncols]
-    return x
+def solve(rows, ncols, rhs):
+    """One solution x of rows . x = rhs, for zero-free {unknown: scalar} rows
+    over the unknowns 0..ncols-1 and one scalar of rhs per row, or None if
+    inconsistent.  x is zero-free, so a free unknown, set to zero, is absent;
+    its entries carry the order tag of ``_reduced`` on the augmented rows,
+    whose column ncols holds the right-hand side."""
+    reduced = _reduced([{**row, ncols: b} if b else row for row, b in zip(rows, rhs)])
+    if ncols in reduced:
+        return None
+    return {p: row[ncols] for p, row in reduced.items() if ncols in row}
 
 
 def inverse(matrix):

@@ -22,7 +22,6 @@ from .reps import (
 from .double import (
     DoubleElement,
     build_VCpi,
-    centralizer_irreps,
     double_irreps,
     block_idempotent,
     hopf_failures,
@@ -34,7 +33,7 @@ from .transfer import (
     averaging_to_group_algebra,
     factorization_check,
 )
-from .calculus import fodc_group_algebra, lambda_basis
+from .calculus import GroupAlgebraCalculus, lambda_basis
 from .geometry import (
     ip_from_lengths,
     connection_solve,
@@ -98,7 +97,7 @@ class S3Data:
 
     def basis_end2(self):
         if self._basis is None:
-            calc = fodc_group_algebra(induced_rep(self.ctx2, self.pi[1]))
+            calc = GroupAlgebraCalculus(induced_rep(self.ctx2, self.pi[1]))
             self._basis = lambda_basis(calc, preferred=["u", "v", "uv", "vu"])
         return self._basis
 
@@ -322,7 +321,7 @@ def criterion_3():
 def criterion_4():
     d = S3Data.get()
     rho = induced_rep(d.ctx2, d.pi[1])
-    calc = fodc_group_algebra(rho)
+    calc = GroupAlgebraCalculus(rho)
     q = d.q
     qi = q * q
 
@@ -547,7 +546,7 @@ def criterion_8():
     )
     checks.append(_check("c8 identity eigenvalue zero", not geo[0]))
     # the one-dimensional calculus: regular spectra are not realizable
-    calc1 = fodc_group_algebra(induced_rep(d.ctx2, d.pi[0]))
+    calc1 = GroupAlgebraCalculus(induced_rep(d.ctx2, d.pi[0]))
     lb1 = lambda_basis(calc1, preferred=["u"])
     W = ("l", "g0", "lam1", "lam2")
     ip1 = ip_from_lengths(lb1, {"u": Poly.variable("l", W), "uv": 0}, W)
@@ -637,7 +636,7 @@ def criterion_10():
     allok_dim = True
     allok_img = True
     for ctx, pis in ((d.ctx1, None), (d.ctx2, d.pi), (d.ctx3, d.pipm)):
-        pi_list = list(pis.values()) if pis else centralizer_irreps(ctx)
+        pi_list = list(pis.values()) if pis else irrep_catalog(ctx.centralizer)
         for pi in pi_list:
             module = build_VCpi(ctx, pi)
             sols = freefield_solutions(ctx, pi, module, spectrum)
@@ -667,7 +666,7 @@ def criterion_11():
     s3_blocks = [
         (ctx, pi)
         for ctx, pis in ((d.ctx1, None), (d.ctx2, d.pi), (d.ctx3, d.pipm))
-        for pi in (list(pis.values()) if pis else centralizer_irreps(ctx))
+        for pi in (list(pis.values()) if pis else irrep_catalog(ctx.centralizer))
         if not (ctx.rep == 0 and pi.is_trivial())  # trivial pair: unit object only
     ]
     S4 = FiniteGroup.symmetric(4)
@@ -725,7 +724,7 @@ def criterion_12():
     checks.append(_check("c12 dim_2 H = 24", H.graded_dimension(2) == 24))
     checks.append(_check("c12 dim_2 B = 24", B.graded_dimension(2) == 24))
     ok = True
-    for pi in centralizer_irreps(d.ctx1):
+    for pi in irrep_catalog(d.ctx1.centralizer):
         if pi.is_trivial():
             continue
         lie_e = lie_cpi(d.ctx1, pi)
@@ -856,7 +855,7 @@ def criterion_14():
         )
     )
     dims = {}
-    for pi in centralizer_irreps(d.ctx1):
+    for pi in irrep_catalog(d.ctx1.centralizer):
         dims[pi.dim if not pi.is_trivial() else 0] = covering_map_image(
             [(d.ctx1, pi)]
         )["dimension"]

@@ -15,9 +15,9 @@ map, in one of three shapes:
 * {(g, h, w): Cyc}  an element of the total space D~(G) (x) W.
 
 The action of G on W is read in the one form a ``CrossedModule`` stores
-it, the sparse columns ``module.action[h][w]`` of h |> w.  Only
-``projector_fixed_space`` works over the flat index g * dim + w, to solve
-its nullspace densely, and it decodes the result into sections at once.
+it, the sparse columns ``module.action[h][w]`` of h |> w.
+``projector_fixed_space`` poses its nullspace over the section keys (g, w),
+so its kernel vectors are sections as they come.
 ``fourier``, ``mass_shell_ft`` and the integrals act on functions on G,
 dense lists over the group.  Coactions are stored as explicit tensors
 (basis -> DoubleElement (x) basis), which turns covariance claims into
@@ -33,7 +33,7 @@ from .groups import ClassContext, FiniteGroup
 from .reps import Rep, group_projector
 from .double import CrossedModule, DoubleElement, build_VCpi
 from . import linalg
-from .linalg import _accumulate, _columns
+from .linalg import _accumulate, _addto, _columns
 
 
 # -- Fourier -------------------------------------------------------------------
@@ -182,27 +182,17 @@ def projector_star(ctx: ClassContext, pi: Rep, module: CrossedModule):
 
 def projector_fixed_space(blocks, group: FiniteGroup, module: CrossedModule):
     """Basis of the joint fixed space of a pointwise projector family
-    {g: matrix}, as sections {(g, w): Cyc}.  The nullspace is solved densely
-    over the flat index g * dim + w, which is decoded here and nowhere else."""
-    dim = group.n * module.dim
+    {g: matrix}, as sections {(g, w): Cyc}: the nullspace of the rows of
+    P(g) - 1, posed over the section keys (g, w)."""
     rows = []
     for g, m in blocks.items():
-        for i in range(module.dim):
-            row = [ZERO] * dim
-            for j in range(module.dim):
-                row[g * module.dim + j] = m[i][j] - (ONE if i == j else ZERO)
+        for i, mi in enumerate(m):
+            row = {(g, j): x for j, x in enumerate(mi) if x}
+            _addto(row, (g, i), -ONE)
             rows.append(row)
     # points not covered by the family are forced to zero
-    for g in range(group.n):
-        if g not in blocks:
-            for j in range(module.dim):
-                row = [ZERO] * dim
-                row[g * module.dim + j] = ONE
-                rows.append(row)
-    return [
-        {divmod(idx, module.dim): x for idx, x in enumerate(vec) if x}
-        for vec in linalg.nullspace(rows, dim, ONE, ZERO)
-    ]
+    rows += [{(g, j): ONE} for g in range(group.n) if g not in blocks for j in range(module.dim)]
+    return linalg.nullspace(rows, [(g, w) for g in range(group.n) for w in range(module.dim)], ONE)
 
 
 # -- averaging on the total space -------------------------------------------------

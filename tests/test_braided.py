@@ -68,9 +68,9 @@ def test_bracket_simplification_c_equals_d(data):
 
 
 def test_point_class_is_trivial_braided_algebra(data):
-    from qdouble.double import centralizer_irreps
+    from qdouble.reps import irrep_catalog
 
-    two = [p for p in centralizer_irreps(data.ctx1) if p.dim == 2][0]
+    two = [p for p in irrep_catalog(data.ctx1.centralizer) if p.dim == 2][0]
     lie = lie_cpi(data.ctx1, two)
     # flip braiding and bracket [E_i^j, E_k^l] = delta_i^j E_k^l
     for i1 in range(lie.dim):
@@ -82,10 +82,10 @@ def test_point_class_is_trivial_braided_algebra(data):
 
 
 def test_axioms_all_s3_blocks(data):
-    from qdouble.double import centralizer_irreps
+    from qdouble.reps import irrep_catalog
 
     for ctx in (data.ctx1, data.ctx2, data.ctx3):
-        for pi in centralizer_irreps(ctx):
+        for pi in irrep_catalog(ctx.centralizer):
             if ctx.rep == 0 and pi.dim == 1 and all(m[0][0] == ONE for m in pi.matrices):
                 continue
             lie = lie_cpi(ctx, pi)
@@ -110,12 +110,12 @@ def test_axiom_negative_control(data):
 @pytest.mark.parametrize("block", ["case_ii_3_cycle", "point_class_two_dim"])
 def test_regularity_negative_control(data, block):
     """Two basis pairs sent to the same target make the braiding singular."""
-    from qdouble.double import centralizer_irreps
+    from qdouble.reps import irrep_catalog
 
     if block == "case_ii_3_cycle":
         lie = lie_cpi(data.ctx2, data.pi[1])
     else:
-        lie = lie_cpi(data.ctx1, next(p for p in centralizer_irreps(data.ctx1) if p.dim == 2))
+        lie = lie_cpi(data.ctx1, next(p for p in irrep_catalog(data.ctx1.centralizer) if p.dim == 2))
     assert lie.is_regular()
     pairs = [(i, j) for i in range(lie.dim) for j in range(lie.dim)]
     lie._psit_cache[pairs[0]] = dict(lie.psit(*pairs[1]))
@@ -246,19 +246,19 @@ def test_orbit_decision_matches_exhaustive_reference(data):
     S3 block and on the S4 blocks, whose monomial actions take the orbit path.
     The path follows the action, not dim pi: the S3 2-dim point block is not
     monomial, while the S4 ``dihedral2`` block is."""
-    from qdouble.double import centralizer_irreps
+    from qdouble.reps import irrep_catalog
 
     blocks = [
         (ctx, pi)
         for ctx in (data.ctx1, data.ctx2, data.ctx3)
-        for pi in centralizer_irreps(ctx)
+        for pi in irrep_catalog(ctx.centralizer)
         if not (ctx.rep == 0 and pi.is_trivial())
     ]
     dihedral = _s4_dihedral_block()
     for ctx, pi in blocks + _s4_blocks() + [dihedral]:
         lie = lie_cpi(ctx, pi)
         assert lie.axioms() == _reference_axioms(lie_cpi(ctx, pi)), (ctx.rep, pi.name)
-    s3_two = next(pi for pi in centralizer_irreps(data.ctx1) if pi.dim == 2)
+    s3_two = next(pi for pi in irrep_catalog(data.ctx1.centralizer) if pi.dim == 2)
     assert lie_cpi(data.ctx1, s3_two)._orbit_perms() == ()
     assert lie_cpi(*dihedral)._orbit_perms()
 
@@ -441,9 +441,9 @@ def test_corrupted_block_module_is_refused_with_its_witness(data, monkeypatch, b
 
 
 def test_two_dimensional_point_class_takes_the_exhaustive_path(data):
-    from qdouble.double import centralizer_irreps
+    from qdouble.reps import irrep_catalog
 
-    two = next(p for p in centralizer_irreps(data.ctx1) if p.dim == 2)
+    two = next(p for p in irrep_catalog(data.ctx1.centralizer) if p.dim == 2)
     lie = lie_cpi(data.ctx1, two)
     assert lie._orbit_perms() == ()
     assert all(lie.axioms().values())
@@ -466,12 +466,12 @@ def _coassociative(lie) -> bool:
 def test_every_block_coproduct_is_coassociative(data):
     """axioms() does not decide coassociativity, so it is checked here on
     every S3 block and on the S4 4-cycle block."""
-    from qdouble.double import centralizer_irreps
+    from qdouble.reps import irrep_catalog
 
     blocks = [
         (ctx, pi)
         for ctx in (data.ctx1, data.ctx2, data.ctx3)
-        for pi in centralizer_irreps(ctx)
+        for pi in irrep_catalog(ctx.centralizer)
         if not (ctx.rep == 0 and pi.is_trivial())
     ]
     for ctx, pi in blocks + _s4_blocks()[:1]:
@@ -527,14 +527,14 @@ def test_action_table_is_conjugation_of_matrix_units(data):
     on every non-trivial S3 block and the S4 4-cycle block, with rho the
     zeta_c(g) formula of the test-side reference, not the package's own
     induced matrices."""
-    from qdouble.double import centralizer_irreps
+    from qdouble.reps import irrep_catalog
     from qdouble.groups import FiniteGroup, class_context
     from zeta_reference import vcpi_action
 
     blocks = [
         (ctx, pi)
         for ctx in (data.ctx1, data.ctx2, data.ctx3)
-        for pi in centralizer_irreps(ctx)
+        for pi in irrep_catalog(ctx.centralizer)
         if not (ctx.rep == 0 and pi.is_trivial())
     ]
     S4 = FiniteGroup.symmetric(4)
@@ -583,10 +583,10 @@ def test_bdg_braided_structure(data):
 
 
 def test_rmatrix_identities_all_blocks(data):
-    from qdouble.double import centralizer_irreps
+    from qdouble.reps import irrep_catalog
 
     for ctx in (data.ctx2, data.ctx3):
-        for pi in centralizer_irreps(ctx):
+        for pi in irrep_catalog(ctx.centralizer):
             rm = BlockRMatrices((ctx, pi), (ctx, pi))
             assert rm.yang_baxter_holds()
             assert rm.second_inverse_holds()
@@ -717,11 +717,11 @@ def _graded_dims_mod_p(alg, maxdeg):
 def test_graded_dims_match_rank_mod_p(data):
     """Rank mod P is at most the rank over Q(zeta_3), so equal graded dims of
     U(L) and of the FRT algebra are an independent witness of the exact ones."""
-    from qdouble.double import centralizer_irreps
+    from qdouble.reps import irrep_catalog
 
     blocks = 0
     for ctx in (data.ctx1, data.ctx2, data.ctx3):
-        for pi in centralizer_irreps(ctx):
+        for pi in irrep_catalog(ctx.centralizer):
             if ctx.rep == 0 and pi.dim == 1 and all(m[0][0] == ONE for m in pi.matrices):
                 continue
             for alg in (envelope(lie_cpi(ctx, pi)), frt([(ctx, pi)])):
@@ -758,12 +758,12 @@ def _assert_echelon(alg):
 
 
 def test_degree_by_degree_ideal_matches_the_full_loop(data):
-    from qdouble.double import centralizer_irreps
+    from qdouble.reps import irrep_catalog
 
     blocks = [
         (ctx, pi)
         for ctx in (data.ctx1, data.ctx2, data.ctx3)
-        for pi in centralizer_irreps(ctx)
+        for pi in irrep_catalog(ctx.centralizer)
         if not (ctx.rep == 0 and pi.is_trivial())
     ]
     assert len(blocks) == 7
@@ -903,9 +903,9 @@ def test_killing_forms_match_for_plus(data):
 
 
 def test_killing_point_class(data):
-    from qdouble.double import centralizer_irreps
+    from qdouble.reps import irrep_catalog
 
-    two = [p for p in centralizer_irreps(data.ctx1) if p.dim == 2][0]
+    two = [p for p in irrep_catalog(data.ctx1.centralizer) if p.dim == 2][0]
     lie = lie_cpi(data.ctx1, two)
     K = killing_form(lie)
     for i1 in range(lie.dim):

@@ -6,7 +6,7 @@ from qdouble.reps import centralizer_character, induced_rep, sign_rep
 from qdouble.calculus import (
     DoubleCalculus,
     FunctionCalculus,
-    fodc_group_algebra,
+    GroupAlgebraCalculus,
     lambda_basis,
     base_calculus_group_algebra,
     base_calculus_functions,
@@ -62,7 +62,7 @@ def test_function_calculus_properties(s3):
 
 
 def test_group_algebra_calculus_sign(s3):
-    calc = fodc_group_algebra(sign_rep(s3))
+    calc = GroupAlgebraCalculus(sign_rep(s3))
     assert calc.lambda_dim == 1
     assert calc.e_matrices[s3.element("u")][0][0] == cyc(-2)
     assert calc.e_matrices[s3.element("uv")][0][0] == ZERO
@@ -72,7 +72,7 @@ def test_group_algebra_calculus_sign(s3):
 
 
 def test_group_algebra_calculus_end2(s3, ctx2):
-    calc = fodc_group_algebra(induced_rep(ctx2, centralizer_character(ctx2, 1)))
+    calc = GroupAlgebraCalculus(induced_rep(ctx2, centralizer_character(ctx2, 1)))
     assert calc.lambda_dim == 4
     assert calc.is_connected()
     inner, theta = calc.is_inner()
@@ -82,7 +82,7 @@ def test_group_algebra_calculus_end2(s3, ctx2):
 
 
 def test_lambda_basis_selection(s3, ctx2):
-    calc = fodc_group_algebra(induced_rep(ctx2, centralizer_character(ctx2, 1)))
+    calc = GroupAlgebraCalculus(induced_rep(ctx2, centralizer_character(ctx2, 1)))
     lb = lambda_basis(calc)  # greedy
     assert lb.dim == 4
     preferred = lambda_basis(calc, preferred=["u", "v", "uv", "vu"])
@@ -96,7 +96,7 @@ def test_lambda_basis_selection(s3, ctx2):
 
 
 def test_partials_vanish_on_identity(s3, ctx2):
-    calc = fodc_group_algebra(induced_rep(ctx2, centralizer_character(ctx2, 1)))
+    calc = GroupAlgebraCalculus(induced_rep(ctx2, centralizer_character(ctx2, 1)))
     lb = lambda_basis(calc, preferred=["u", "v", "uv", "vu"])
     assert all(not x for x in lb.coords(0))
     alpha_w = lb.coords(s3.element("w"))
@@ -106,7 +106,7 @@ def test_partials_vanish_on_identity(s3, ctx2):
 def test_case_ii_matrices_print_order_3(s3, ctx2):
     """The s3_case_ii report: all 64 gamma and rho entries are rational and
     print N = 3, the lcm of the orders that fed them."""
-    calc = fodc_group_algebra(induced_rep(ctx2, centralizer_character(ctx2, 1)))
+    calc = GroupAlgebraCalculus(induced_rep(ctx2, centralizer_character(ctx2, 1)))
     lb = lambda_basis(calc, preferred=["u", "v", "uv", "vu"])
     for g in (s3.element("u"), s3.element("v")):
         for m in (lb.gamma(g), lb.rho_matrix(g)):
@@ -114,7 +114,7 @@ def test_case_ii_matrices_print_order_3(s3, ctx2):
 
 
 def test_sign_case_gamma_rho(s3, ctx2):
-    calc = fodc_group_algebra(induced_rep(ctx2, centralizer_character(ctx2, 0)))
+    calc = GroupAlgebraCalculus(induced_rep(ctx2, centralizer_character(ctx2, 0)))
     assert calc.lambda_dim == 1
     lb = lambda_basis(calc, preferred=["u"])
     for g in range(s3.n):
@@ -140,11 +140,11 @@ def test_double_calculus(s3, ctx2, ctx3):
 
 def test_double_calculus_rejects_trivial_pair(s3):
     ctx1 = class_context(s3, "e")
-    from qdouble.double import centralizer_irreps
+    from qdouble.reps import irrep_catalog
 
     trivial = [
         p
-        for p in centralizer_irreps(ctx1)
+        for p in irrep_catalog(ctx1.centralizer)
         if p.dim == 1 and all(m[0][0] == ONE for m in p.matrices)
     ][0]
     with pytest.raises(ValueError):
@@ -172,9 +172,9 @@ def test_base_calculus_functions(s3, ctx2, ctx3):
     calc2, arrows2 = base_calculus_functions(ctx2, centralizer_character(ctx2, 1))
     assert arrows2 == []  # abelian class: quotient graph has no arrows
     ctx1 = class_context(s3, "e")
-    from qdouble.double import centralizer_irreps
+    from qdouble.reps import irrep_catalog
 
-    calc3, arrows3 = base_calculus_functions(ctx1, centralizer_irreps(ctx1)[0])
+    calc3, arrows3 = base_calculus_functions(ctx1, irrep_catalog(ctx1.centralizer)[0])
     assert calc3 is None and arrows3 == []
 
 
@@ -184,9 +184,9 @@ def test_pushforward_dims(s3, ctx2, ctx3):
     calc0 = DoubleCalculus(ctx2, centralizer_character(ctx2, 0))
     assert calc0.pushforward_dims() == (2, 0)
     ctx1 = class_context(s3, "e")
-    from qdouble.double import centralizer_irreps
+    from qdouble.reps import irrep_catalog
 
-    two = [p for p in centralizer_irreps(ctx1) if p.dim == 2][0]
+    two = [p for p in irrep_catalog(ctx1.centralizer) if p.dim == 2][0]
     calc_e = DoubleCalculus(ctx1, two)
     assert calc_e.pushforward_dims() == (0, 4)
 
@@ -194,10 +194,10 @@ def test_pushforward_dims(s3, ctx2, ctx3):
 def test_gamma_well_defined_s4():
     s4 = FiniteGroup.symmetric(4)
     ctx = class_context(s4, s4.element("s3"))
-    from qdouble.double import centralizer_irreps
+    from qdouble.reps import irrep_catalog
 
-    for pi in centralizer_irreps(ctx):
-        calc = fodc_group_algebra(induced_rep(ctx, pi))
+    for pi in irrep_catalog(ctx.centralizer):
+        calc = GroupAlgebraCalculus(induced_rep(ctx, pi))
         lb = lambda_basis(calc)
         assert lb.gamma_well_defined()
         assert lb.gamma_rho_commutation_holds()

@@ -10,7 +10,7 @@ import copy
 
 import pytest
 
-from qdouble.calculus import fodc_group_algebra, lambda_basis
+from qdouble.calculus import GroupAlgebraCalculus, lambda_basis
 from qdouble.geometry import (
     ConnectionFamily,
     connection_solve,
@@ -78,7 +78,7 @@ def test_family_vars_are_exactly_the_occurring_variables(name):
 
 def test_a_hand_built_family_keeps_only_its_occurring_variable():
     d = S3Data.get()
-    lb1 = lambda_basis(fodc_group_algebra(induced_rep(d.ctx2, d.pi[0])), preferred=["u"])
+    lb1 = lambda_basis(GroupAlgebraCalculus(induced_rep(d.ctx2, d.pi[0])), preferred=["u"])
     W = ("l", "g0")
     fam = ConnectionFamily(lb1, {(0, 0, 0): Poly.variable("g0", W)}, ("g0",))
     assert fam.vars == ("g0",)

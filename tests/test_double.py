@@ -7,13 +7,12 @@ import pytest
 import hopf_reference as ref
 from qdouble.cyclotomic import cyc, root_of_unity
 from qdouble.groups import FiniteGroup, class_context
-from qdouble.reps import centralizer_character
+from qdouble.reps import centralizer_character, irrep_catalog
 from qdouble.double import (
     CrossedModule,
     DoubleElement,
     adjoint_structure,
     build_VCpi,
-    centralizer_irreps,
     regular_crossed_module,
     wedderburn_element,
     block_idempotent,
@@ -196,7 +195,7 @@ def test_crossed_module_refuses_a_column_not_in_stored_form(s3):
     S3 point-class 2-dim module reversed, with a stored zero, or with one
     entry split in two halves is refused, though its dense matrix is right."""
     ctx = class_context(s3, "e")
-    pi = next(p for p in centralizer_irreps(ctx) if p.dim == 2)
+    pi = next(p for p in irrep_catalog(ctx.centralizer) if p.dim == 2)
     module = build_VCpi(ctx, pi)
     u, v = s3.element("u"), s3.element("v")
     assert module.action[u][0] == [(0, cyc(1))]
@@ -491,17 +490,17 @@ def test_double_irreps_refuses_a_missing_irrep(monkeypatch):
     one short of the orbits of commuting pairs."""
     import qdouble.double
 
-    original = qdouble.double.centralizer_irreps
+    original = qdouble.double.irrep_catalog
     dropped = []
 
-    def one_short(ctx):
-        irreps = original(ctx)
+    def one_short(group):
+        irreps = original(group)
         if dropped:
             return irreps
         dropped.append(irreps[-1])
         return irreps[:-1]
 
-    monkeypatch.setattr(qdouble.double, "centralizer_irreps", one_short)
+    monkeypatch.setattr(qdouble.double, "irrep_catalog", one_short)
     with pytest.raises(RuntimeError, match="20 irreducible labels for 21 orbits of commuting pairs"):
         double_irreps(FiniteGroup.symmetric(4))
     assert len(dropped) == 1

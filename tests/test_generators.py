@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from qdouble.calculus import fodc_group_algebra, lambda_basis
+from qdouble.calculus import GroupAlgebraCalculus, lambda_basis
 from qdouble.cyclotomic import Cyc
 from qdouble.double import CrossedModule, build_VCpi, double_irreps
 from qdouble.groups import FiniteGroup, class_context, parse_cycles
@@ -228,7 +228,7 @@ def test_real_orthogonal_matches_all_elements(group):
 def test_inner_element_and_gamma_rho_hold_on_the_whole_group():
     s3 = GROUPS["S3"]()
     for ctx, pi in double_irreps(s3):
-        calc = fodc_group_algebra(induced_rep(ctx, pi))
+        calc = GroupAlgebraCalculus(induced_rep(ctx, pi))
         inner, theta = calc.is_inner()
         if inner:
             for g in range(s3.n):

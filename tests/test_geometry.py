@@ -4,9 +4,8 @@ import pytest
 
 from qdouble.cyclotomic import cyc
 from qdouble.groups import FiniteGroup, class_context
-from qdouble.double import centralizer_irreps
-from qdouble.reps import induced_rep
-from qdouble.calculus import fodc_group_algebra, lambda_basis
+from qdouble.reps import induced_rep, irrep_catalog
+from qdouble.calculus import GroupAlgebraCalculus, lambda_basis
 from qdouble.poly import Poly, groebner, normal_form
 from qdouble.geometry import (
     InnerProduct,
@@ -94,7 +93,7 @@ def _generic_s3_inner_product(data):
 def _generic_s4_inner_product():
     s4 = FiniteGroup.symmetric(4)
     ctx = class_context(s4, s4.element("s3"))
-    basis = lambda_basis(fodc_group_algebra(induced_rep(ctx, centralizer_irreps(ctx)[0])))
+    basis = lambda_basis(GroupAlgebraCalculus(induced_rep(ctx, irrep_catalog(ctx.centralizer)[0])))
     reps = [c[0] for c in s4.conjugacy_classes() if c[0]]
     V = tuple(f"l{k}" for k in range(len(reps)))
     return InnerProduct(basis, {g: Poly.variable(v, V) for g, v in zip(reps, V)}, V)
@@ -114,7 +113,7 @@ def test_nonzero_identity_length_fails_the_metric_conditions(data):
 
 
 def test_sign_calculus_single_length(data):
-    calc = fodc_group_algebra(induced_rep(data.ctx2, data.pi[0]))
+    calc = GroupAlgebraCalculus(induced_rep(data.ctx2, data.pi[0]))
     lb = lambda_basis(calc, preferred=["u"])
     V = ("l",)
     ip = ip_from_lengths(lb, {"u": Poly.variable("l", V), "uv": 0}, V)

@@ -15,7 +15,7 @@ import sympy
 
 from qdouble import linalg
 from qdouble.linalg import _addto
-from qdouble.calculus import fodc_group_algebra, lambda_basis
+from qdouble.calculus import GroupAlgebraCalculus, lambda_basis
 from qdouble.dualgeometry import dual_constraints
 from qdouble.geometry import (
     ConnectionFamily,
@@ -130,7 +130,7 @@ def _star_cases():
 def _laplacian_case():
     """Criterion 8: the sign calculus forces lambda_2 = 0."""
     d = S3Data.get()
-    lb1 = lambda_basis(fodc_group_algebra(induced_rep(d.ctx2, d.pi[0])), preferred=["u"])
+    lb1 = lambda_basis(GroupAlgebraCalculus(induced_rep(d.ctx2, d.pi[0])), preferred=["u"])
     W = ("l", "g0", "lam1", "lam2")
     ip1 = ip_from_lengths(lb1, {"u": Poly.variable("l", W), "uv": 0}, W)
     fam1 = ConnectionFamily(lb1, {(0, 0, 0): Poly.variable("g0", W)}, ("g0",))

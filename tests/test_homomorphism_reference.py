@@ -15,7 +15,7 @@ import re
 import pytest
 
 from qdouble import linalg
-from qdouble.calculus import fodc_group_algebra, lambda_basis
+from qdouble.calculus import GroupAlgebraCalculus, lambda_basis
 from qdouble.cyclotomic import ONE, ZERO
 from qdouble.double import double_irreps
 from qdouble.groups import FiniteGroup
@@ -57,7 +57,7 @@ def _cases(degree):
         out.append((f"induced-{block}", group, induced_matrices(ctx, pi)))
         if ctx.rep == 0 and pi.is_trivial():
             continue
-        calc = fodc_group_algebra(induced_rep(ctx, pi))
+        calc = GroupAlgebraCalculus(induced_rep(ctx, pi))
         if calc.lambda_dim:
             basis = lambda_basis(calc)
             out.append((f"gamma-{block}", group, [basis.gamma(g) for g in range(group.n)]))

@@ -13,7 +13,9 @@ except the frozen ``TEST_ONLY`` list of defs that only tests reach; that
 list may only shrink.  There a ``Name`` counts as a caller only when it is
 not a local binding of an enclosing function (a parameter, or an
 assignment, ``for``, ``with`` or comprehension target), and a method counts
-only through ``Attribute`` references.  A method is still named by an
+only through ``Attribute`` references.  A reference inside the body of a
+def that has no package caller does not count either, applied until nothing
+changes, so a helper reached only from test-only code is test-only too.  A method is still named by an
 attribute of that name on any object, so ``DualInnerProduct.star_compatible``
 stays hidden behind the ``ip.star_compatible()`` calls on geometry's
 ``InnerProduct``.
@@ -63,22 +65,40 @@ def test_every_def_is_referenced():
 
 
 TEST_ONLY = frozenset({
+    "calculus.DoubleCalculus._act_dual",
+    "calculus.DoubleCalculus._right_mult_delta",
+    "calculus.DoubleCalculus._right_mult_group",
+    "calculus.DoubleCalculus.d_basis",
+    "calculus.DoubleCalculus.d_delta",
+    "calculus.DoubleCalculus.d_group",
     "calculus.DoubleCalculus.form_indices",
     "calculus.DoubleCalculus.inner_check",
+    "calculus.DoubleCalculus.left_mult",
     "calculus.DoubleCalculus.leibniz_check",
     "calculus.DoubleCalculus.pushforward_dims",
+    "calculus.DoubleCalculus.right_mult",
+    "calculus.DoubleCalculus.theta",
     "calculus.FunctionCalculus.leibniz_holds",
+    "calculus.FunctionCalculus.quotient_graph",
     "calculus.FunctionCalculus.right_coaction_check",
     "calculus.base_calculus_functions",
     "calculus.base_calculus_group_algebra",
+    "cyclotomic.Cyc.as_rational",
+    "cyclotomic.Cyc.is_rational",
     "double.CrossedModule.braiding_matrix",
     "double.CrossedModule.direct_sum",
+    "double.DoubleElement.delta",
+    "double.DoubleElement.group_like",
     "double.DoubleElement.scale",
+    "double._inner",
     "double.beta",
     "double.decompose_DG_module",
+    "double.double_characters",
     "double.pairing",
     "double.quasi_R",
     "double.regular_crossed_module",
+    "dualgeometry.DualInnerProduct.pair",
+    "dualgeometry._zero_like",
     "dualgeometry.dual_operator",
     "dualgeometry.is_bicovariant_operator",
     "dualgeometry.peter_weyl_blocks",
@@ -86,12 +106,17 @@ TEST_ONLY = frozenset({
     "geometry.ip_from_laplacian",
     "geometry.is_second_order",
     "geometry.operator_is_covariant",
+    "groups.ClassContext.factorize",
+    "reps._kron",
     "reps.product_rep",
+    "transfer._coaction",
     "transfer.averaging_to_functions",
     "transfer.coact_E",
     "transfer.coact_Eprime",
     "transfer.coact_Estar",
+    "transfer.coact_VCpi",
     "transfer.coaction_equivariance",
+    "transfer.fourier",
     "transfer.integral_functions",
     "transfer.integral_group_algebra",
     "transfer.mass_shell_ft",
@@ -151,12 +176,56 @@ def test_a_local_binding_is_not_a_caller():
     assert sorted(name for name, _, _ in _references(tree)) == ["deco", "default", "g", "h", "obj", "size"]
 
 
+def _test_only_fixed_point(defs, where) -> set:
+    """The dotted names of the defs with no package caller.  A reference
+    counts unless it lies in the def's own body, is a bare ``Name`` for a
+    method, or lies in the body of a def already found uncalled; the last
+    rule is applied until the set stops growing."""
+    uncalled = set()
+    while True:
+        bodies = [(defs[name][0], defs[name][1].lineno, defs[name][1].end_lineno) for name in uncalled]
+        found = {
+            name
+            for name, (path, node, method) in defs.items()
+            if all(
+                (p == path and node.lineno <= line <= node.end_lineno)
+                or (method and not attribute)
+                or any(p == q and lo <= line <= hi for q, lo, hi in bodies)
+                for p, line, attribute in where.get(node.name, ())
+            )
+        }
+        if found == uncalled:
+            return uncalled
+        uncalled = found
+
+
+def test_a_caller_inside_a_test_only_def_does_not_count():
+    """Transitive rule: ``helper`` is named only in the body of ``reached``,
+    which nothing names, so both are uncalled; ``used`` is named at module
+    level and ``helper2`` in its body, so both are called."""
+    source = (
+        "def helper():\n    return 1\n"
+        "def reached():\n    return helper()\n"
+        "def helper2():\n    return 2\n"
+        "def used():\n    return helper2()\n"
+        "VALUE = used()\n"
+    )
+    path = Path("mod.py")
+    tree = ast.parse(source)
+    defs = {node.name: (path, node, False) for node in tree.body if isinstance(node, ast.FunctionDef)}
+    where = {}
+    for name, line, attribute in _references(tree):
+        where.setdefault(name, []).append((path, line, attribute))
+    assert _test_only_fixed_point(defs, where) == {"helper", "reached"}
+
+
 def test_every_def_has_a_package_caller():
     """A module- or class-level def of the package (dunders aside) is named
-    in the package, outside its own body, by a ``Name`` that is not a local
-    binding or, for a method only, by an ``Attribute``, unless it is in
-    ``TEST_ONLY``; and every def in ``TEST_ONLY`` still exists and still
-    lacks such a reference."""
+    in the package, outside its own body and outside the body of every def
+    without a package caller, by a ``Name`` that is not a local binding or,
+    for a method only, by an ``Attribute``, unless it is in ``TEST_ONLY``;
+    and every def in ``TEST_ONLY`` still exists and still lacks such a
+    reference."""
     trees = {p: ast.parse(p.read_text()) for p in sorted(PACKAGE.rglob("*.py"))}
     defs = {}  # dotted name -> (path, node)
     for path, tree in trees.items():
@@ -173,14 +242,7 @@ def test_every_def_has_a_package_caller():
     for path, tree in trees.items():
         for name, line, attribute in _references(tree):
             where.setdefault(name, []).append((path, line, attribute))
-    uncalled = {
-        name
-        for name, (path, node, method) in defs.items()
-        if all(
-            (p == path and node.lineno <= line <= node.end_lineno) or (method and not attribute)
-            for p, line, attribute in where.get(node.name, ())
-        )
-    }
+    uncalled = _test_only_fixed_point(defs, where)
     extra, gone = uncalled - TEST_ONLY, TEST_ONLY - defs.keys()
     assert not extra, "defs with no package caller:\n" + "\n".join(sorted(extra))
     assert not gone, "TEST_ONLY names defs that are gone: " + ", ".join(sorted(gone))

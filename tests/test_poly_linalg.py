@@ -3,7 +3,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import linalg_reference as linalg_ref
 from qdouble.cyclotomic import Cyc, cyc, root_of_unity
 from qdouble.poly import Poly, RatFunc, poly_gcd
 from qdouble.quadalg import QuadAlg
@@ -73,20 +75,21 @@ def test_exact_dense_linear_algebra():
     assert la.rank(m) == 2
     singular = [[cyc(1), cyc(2)], [cyc(2), cyc(4)]]
     assert la.rank(singular) == 1
-    ns = la.nullspace(singular, 2, cyc(1), cyc(0))
-    assert len(ns) == 1
-    assert la.solve(singular, 2, [cyc(1), cyc(2)], cyc(0)) is not None
-    assert la.solve(singular, 2, [cyc(1), cyc(3)], cyc(0)) is None
-    assert la.solve([], 0, [], cyc(0)) == []
 
 
-def test_solve_sets_free_unknowns_to_the_given_zero():
-    """With no rows every unknown is free: each is the field zero passed in,
-    never None."""
-    zero = cyc(0)
-    assert la.solve([], 2, [], zero) == [zero, zero]
-    x = la.solve([[cyc(1), cyc(1)]], 2, [cyc(3)], zero)
-    assert x == [cyc(3), zero] and all(v is not None for v in x)
+def test_sparse_nullspace_and_solve_on_a_singular_system():
+    singular = [{0: cyc(1), 1: cyc(2)}, {0: cyc(2), 1: cyc(4)}]
+    assert la.nullspace(singular, range(2), cyc(1)) == [{0: cyc(-2), 1: cyc(1)}]
+    assert la.solve(singular, 2, [cyc(1), cyc(2)]) == {0: cyc(1)}
+    assert la.solve(singular, 2, [cyc(1), cyc(3)]) is None
+    assert la.solve([], 0, []) == {}
+
+
+def test_solve_sets_free_unknowns_to_zero():
+    """With no rows every unknown is free, and a free unknown is zero, so
+    the zero-free solution leaves it out."""
+    assert la.solve([], 2, []) == {}
+    assert la.solve([{0: cyc(1), 1: cyc(1)}], 2, [cyc(3)]) == {0: cyc(3)}
 
 
 def test_sparse_span():
@@ -303,17 +306,19 @@ def test_rref_views_of_the_span_match_the_dense_reference():
         for probe in probes:
             unchanged = len(_gauss_jordan(matrix + [probe])[1]) == len(ref_pivots)
             assert span.contains(dict(enumerate(probe))) == unchanged
-        kernel = la.nullspace(matrix, ncols, one, zero)
+        sparse = [{c: x for c, x in enumerate(row) if x} for row in matrix]
+        dense = lambda vec: [vec.get(c, zero) for c in range(ncols)]
+        kernel = la.nullspace(sparse, range(ncols), one)
         assert len(kernel) == ncols - len(ref_pivots)
         for vec in kernel:
-            assert not any(_mat_vec(matrix, vec))
+            assert not any(_mat_vec(matrix, dense(vec)))
         point = [cyc(rng.randint(-2, 2)) for _ in range(ncols)]
         for rhs in (_mat_vec(matrix, point), [cyc(rng.randint(-2, 2)) for _ in range(nrows)]):
             inconsistent = ncols in _gauss_jordan([row + [b] for row, b in zip(matrix, rhs)])[1]
-            x = la.solve(matrix, ncols, rhs, zero)
+            x = la.solve(sparse, ncols, rhs)
             assert (x is None) == inconsistent
             if x is not None:
-                assert _mat_vec(matrix, x) == rhs
+                assert _mat_vec(matrix, dense(x)) == rhs
         if nrows == ncols == len(ref_pivots):
             assert la.mat_eq(la.mat_mul(la.inverse(matrix), matrix), la.identity(ncols, one, zero))
 
@@ -333,8 +338,124 @@ def test_rref_over_rational_functions_matches_the_dense_reference():
 
 
 def test_nullspace_of_no_equations_is_the_standard_basis():
-    one, zero = cyc(1), cyc(0)
-    assert la.nullspace([], 3, one, zero) == la.identity(3, one, zero)
+    one = cyc(1)
+    assert la.nullspace([], range(3), one) == [{0: one}, {1: one}, {2: one}]
+    assert la.nullspace([], [(0, 1), (1, 0)], one) == [{(0, 1): one}, {(1, 0): one}]
+
+
+ORDERS = (1, 3, 4, 12)
+SPARSE = settings(derandomize=True, deadline=None, database=None, max_examples=200)
+
+
+@st.composite
+def sparse_systems(draw):
+    """Zero-free rows over int or (g, w) columns, entries of orders 1, 3, 4
+    and 12, some rows combinations of earlier ones, and a right-hand side
+    that is either consistent or arbitrary."""
+    orders = draw(st.lists(st.sampled_from(ORDERS), min_size=1, max_size=2, unique=True))
+    small = st.integers(-2, 2)
+
+    def entry():
+        n = draw(st.sampled_from(orders))
+        return Cyc(n, [Fraction(draw(small), draw(st.integers(1, 2))) for _ in range(n)])
+
+    if draw(st.booleans()):
+        columns = list(range(draw(st.integers(1, 6))))
+    else:
+        columns = [(g, w) for g in range(draw(st.integers(1, 3))) for w in range(draw(st.integers(1, 2)))]
+    rows = []
+    for _ in range(draw(st.integers(0, 5))):
+        if len(rows) >= 2 and draw(st.booleans()):
+            # a combination of two earlier rows, so the rows are dependent
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            c = entry()
+            row = la._accumulate([*a.items(), *((k, c * v) for k, v in b.items())])
+        else:
+            row = {k: x for k in columns if draw(st.booleans()) and (x := entry())}
+        rows.append(row)
+    if draw(st.booleans()):
+        point = {k: entry() for k in columns}
+        rhs = [sum((v * point[k] for k, v in row.items()), cyc(0)) for row in rows]
+    else:
+        rhs = [entry() if draw(st.booleans()) else cyc(0) for _ in rows]
+    return rows, columns, rhs
+
+
+def _dot(row, vec):
+    return sum((v * vec[k] for k, v in row.items() if k in vec), cyc(0))
+
+
+def _kernel_failures(rows, columns, one):
+    """What is wrong with ``la.nullspace`` on the rows, against the dense
+    ``rref`` view: the kernel size, rows . v = 0, the column order, the
+    entries of the dense reference, and the order tag of every entry but
+    the ``one`` at its free column."""
+    out = []
+    dense = [[row.get(k, cyc(0)) for k in columns] for row in rows]
+    rank = len(la.rref(dense)[1])
+    want = linalg_ref.nullspace(dense, len(columns), one, cyc(0))
+    kernel = la.nullspace(rows, columns, one)
+    if len(kernel) != len(columns) - rank:
+        out.append(f"kernel size {len(kernel)}, expected {len(columns) - rank}")
+    orders = [x.order for row in rows for x in row.values()]
+    tag = math.lcm(*orders) if orders else 1
+    for v, w in zip(kernel, want):
+        free = list(v)[-1]
+        if any(_dot(row, v) for row in rows):
+            out.append(f"{v} is not in the kernel")
+        if list(v) != [k for k in columns if k in v] or not all(v.values()) or v[free] is not one:
+            out.append(f"{v} is not zero-free in column order, ending in one")
+        expected = {k: x for k, x in zip(columns, w) if x}
+        if [(k, x.order, x.coeffs) for k, x in v.items()] != [(k, x.order, x.coeffs) for k, x in expected.items()]:
+            out.append(f"{v} differs from the dense reference {expected}")
+        out += [f"{v} has order {x.order} at {k}, expected {tag}" for k, x in v.items() if k != free and x.order != tag]
+    return out
+
+
+@SPARSE
+@given(sparse_systems())
+def test_sparse_nullspace_and_solve_match_the_dense_rref_view(system):
+    rows, columns, rhs = system
+    one = cyc(1)
+    assert _kernel_failures(rows, columns, one) == []
+    # solvability: solve on the columns' positions, against the kernel of the
+    # augmented rows, whose right-hand column is free exactly when rows . x = rhs
+    # is solvable, with the solution that sets every other free unknown to zero
+    end = len(columns) if isinstance(columns[0], int) else (len(columns), 0)
+    augmented = [{**row, end: -b} if b else row for row, b in zip(rows, rhs)]
+    particular = next((v for v in la.nullspace(augmented, [*columns, end], one) if end in v), None)
+    pos = {k: i for i, k in enumerate(columns)}
+    x = la.solve([{pos[k]: v for k, v in row.items()} for row in rows], len(columns), rhs)
+    assert (x is None) == (particular is None)
+    if x is not None:
+        x = {columns[i]: v for i, v in x.items()}
+        assert all(_dot(row, x) == b for row, b in zip(rows, rhs))
+        assert list(x) == [k for k in columns if k in x] and all(x.values())
+        del particular[end]
+        assert [(k, v.order, v.coeffs) for k, v in x.items()] == [
+            (k, v.order, v.coeffs) for k, v in particular.items()
+        ]
+        orders = [v.order for row in rows for v in row.values()] + [b.order for b in rhs if b]
+        assert all(v.order == math.lcm(*orders) for v in x.values())
+
+
+def test_a_kernel_that_skips_the_tag_promotion_fails(monkeypatch):
+    """Negative control: the order-1 entry of the row stays at order 1 in a
+    kernel vector when the reduced rows are not promoted to the lcm tag."""
+    rows = [{0: cyc(1), 1: root_of_unity(3, 1), 2: cyc(2)}]
+    assert _kernel_failures(rows, range(3), cyc(1)) == []
+
+    def unpromoted(rows):
+        span, done = la.SparseSpan(), la.SparseSpan()
+        for row in rows:
+            span.add(row)
+        for col in sorted(span.pivots, reverse=True):
+            done.pivots[col] = done.reduce(span.pivots[col])
+        return {p: done.pivots[p] for p in sorted(done.pivots)}
+
+    monkeypatch.setattr(la, "_reduced", unpromoted)
+    failures = _kernel_failures(rows, range(3), cyc(1))
+    assert failures and all("has order 1 at 0, expected 3" in f for f in failures)
 
 
 def _reference_mat_mul(a, b):

@@ -8,7 +8,7 @@ import pytest
 import qdouble.reps
 from qdouble.cli import scenario_reader
 from qdouble.cyclotomic import cyc, root_of_unity
-from qdouble.double import CrossedModule, _inner, centralizer_irreps, decompose_DG_module, double_characters
+from qdouble.double import CrossedModule, _inner, decompose_DG_module, double_characters
 from qdouble.groups import ClassContext, FiniteGroup, class_context
 from qdouble.reps import (
     Rep,
@@ -402,7 +402,7 @@ def test_centralizer_irreps_from_the_one_dispatcher(degree):
         else:
             family = abelian_characters if sub.is_abelian() else _order8_nonabelian_irreps
             expected = [(r.name, r.dim, _json_matrices(r.matrices)) for r in family(sub)]
-        got = [(r.name, r.dim, _json_matrices(r.matrices)) for r in centralizer_irreps(ctx)]
+        got = [(r.name, r.dim, _json_matrices(r.matrices)) for r in irrep_catalog(ctx.centralizer)]
         assert got == expected
 
 

@@ -7,8 +7,8 @@ import transfer_reference as transfer_ref
 import qdouble.transfer as transfer
 from qdouble.cyclotomic import cyc, root_of_unity
 from qdouble.groups import FiniteGroup, class_context
-from qdouble.reps import centralizer_character
-from qdouble.double import build_VCpi, double_irreps, centralizer_irreps
+from qdouble.reps import centralizer_character, irrep_catalog
+from qdouble.double import build_VCpi, double_irreps
 from qdouble.transfer import (
     fourier,
     integral_group_algebra,
@@ -112,7 +112,7 @@ def test_mass_shell_rejects_off_class(s3, ctx2):
 
 def test_transfer_point_class(s3):
     ctx1 = class_context(s3, "e")
-    for pi in centralizer_irreps(ctx1):
+    for pi in irrep_catalog(ctx1.centralizer):
         module = build_VCpi(ctx1, pi)
         cols = transfer_to_group_algebra(ctx1, pi, module)
         # C = {e}: normalisation |C_G|/|G| = 1 and q_e = e

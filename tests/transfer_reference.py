@@ -15,6 +15,7 @@ crossed module V_{C,pi}.
 
 from fractions import Fraction
 
+import linalg_reference as linalg_ref
 from qdouble import linalg
 from qdouble.cyclotomic import ONE, ZERO, cyc
 from qdouble.reps import induced_matrices
@@ -145,7 +146,7 @@ def projector_fixed_space(blocks, group, module):
                 row = [ZERO] * dim
                 row[g * module.dim + j] = ONE
                 rows.append(row)
-    return linalg.nullspace(rows, dim, ONE, ZERO)
+    return linalg_ref.nullspace(rows, dim, ONE, ZERO)
 
 
 def averaging_to_group_algebra(group, module, element):
