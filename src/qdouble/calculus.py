@@ -19,7 +19,6 @@ from math import lcm
 from .cyclotomic import ONE, ZERO
 from .groups import ClassContext, ConfigError, FiniteGroup
 from .reps import Rep, check_homomorphism, induced_rep
-from .double import build_VCpi
 from . import linalg
 from .linalg import _accumulate, _addto, _apply, _columns
 
@@ -303,13 +302,13 @@ class LambdaBasis:
         return self._gamma_rho_first_failure() is None
 
     def gamma_well_defined(self) -> bool:
-        """e^g = e^h must imply gamma(g) = gamma(h)."""
-        group = self.group
-        for g in range(group.n):
-            for h in range(g + 1, group.n):
-                if linalg.mat_eq(self.calculus.e_matrices[g], self.calculus.e_matrices[h]):
-                    if not linalg.mat_eq(self.gamma(g), self.gamma(h)):
-                        return False
+        """e^g = e^h must imply gamma(g) = gamma(h): each g is keyed by the
+        entries of e^g and compared with the first element of its key only."""
+        first = {}
+        for g, form in enumerate(self.calculus.e_matrices):
+            h = first.setdefault(tuple(x for row in form for x in row), g)
+            if h != g and not linalg.mat_eq(self.gamma(g), self.gamma(h)):
+                return False
         return True
 
 
@@ -330,6 +329,9 @@ class DoubleCalculus:
     def __init__(self, ctx: ClassContext, pi: Rep):
         if ctx.rep == 0 and pi.is_trivial():
             raise ValueError("the trivial pair does not define a calculus")
+        # imported here so that the group-algebra reports do not load double
+        from .double import build_VCpi
+
         self.ctx = ctx
         self.pi = pi
         self.group = ctx.group

@@ -10,14 +10,16 @@ constraint sums only balance under that reading.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .cyclotomic import ONE, ZERO, cyc
 from .groups import ClassContext, ConfigError, FiniteGroup
 from .reps import Rep, irrep_catalog
 from .poly import Poly, dot
-from .double import CrossedModule
 from .linalg import _addto
-from .transfer import projector_element, projector_fixed_space
+
+if TYPE_CHECKING:
+    from .double import CrossedModule
 
 
 def dual_operator(group: FiniteGroup, eigenvalues: dict):
@@ -216,6 +218,9 @@ def freefield_solutions(
     the base-point projector along the section of the inverse element, so
     the fixed space reproduces the transfer image.
     """
+    # imported here so that the dual report, which never calls this, does not load transfer
+    from .transfer import projector_element, projector_fixed_space
+
     group = ctx.group
     values = group.class_function({k: cyc(v) for k, v in eigenvalues.items()}, "eigenvalues")
     if any(values[g] != values[group.inv[g]] for g in range(group.n)):

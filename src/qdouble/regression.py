@@ -10,6 +10,7 @@ test suite.  Everything here runs in exact arithmetic.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from .cyclotomic import ONE, ZERO, cyc, root_of_unity
 from .groups import FiniteGroup, class_context
@@ -69,9 +70,8 @@ from . import linalg
 
 
 class S3Data:
-    """Shared S3 objects for the whole suite."""
-
-    _instance = None
+    """Shared S3 objects for the whole suite: ``get()`` builds the one
+    instance, and each method builds its object once."""
 
     def __init__(self):
         self.G = FiniteGroup.s3_with_uvw_labels()
@@ -85,59 +85,57 @@ class S3Data:
         self.ctx1 = class_context(G, "e")
         self.pi = {j: centralizer_character(self.ctx2, j) for j in (0, 1, 2)}
         self.pipm = {j: centralizer_character(self.ctx3, j) for j in (0, 1)}
-        self._basis = None
-        self._wqlc = None
-        self._ip = {}
 
-    @classmethod
-    def get(cls):
-        if cls._instance is None:
-            cls._instance = cls()
-        return cls._instance
+    @staticmethod
+    @cache
+    def get():
+        return S3Data()
 
+    @cache
+    def blocks(self):
+        """The eight labels (C, pi): class e with its catalogue, class uv with
+        pi_0, pi_1, pi_2 and class v with pi_+, pi_-."""
+        return (
+            [(self.ctx1, pi) for pi in irrep_catalog(self.ctx1.centralizer)]
+            + [(self.ctx2, pi) for pi in self.pi.values()]
+            + [(self.ctx3, pi) for pi in self.pipm.values()]
+        )
+
+    @cache
     def basis_end2(self):
-        if self._basis is None:
-            calc = GroupAlgebraCalculus(induced_rep(self.ctx2, self.pi[1]))
-            self._basis = lambda_basis(calc, preferred=["u", "v", "uv", "vu"])
-        return self._basis
+        calc = GroupAlgebraCalculus(induced_rep(self.ctx2, self.pi[1]))
+        return lambda_basis(calc, preferred=["u", "v", "uv", "vu"])
 
+    @cache
     def ip_generic(self):
-        if "generic" not in self._ip:
-            V = ("l1", "l2")
-            self._ip["generic"] = ip_from_lengths(
-                self.basis_end2(),
-                {"u": Poly.variable("l1", V), "uv": Poly.variable("l2", V)},
-                V,
-            )
-        return self._ip["generic"]
+        V = ("l1", "l2")
+        return ip_from_lengths(
+            self.basis_end2(), {"u": Poly.variable("l1", V), "uv": Poly.variable("l2", V)}, V
+        )
 
+    @cache
     def ip_stratum(self):
-        if "stratum" not in self._ip:
-            W = ("l2",)
-            l2 = Poly.variable("l2", W)
-            self._ip["stratum"] = ip_from_lengths(
-                self.basis_end2(), {"u": l2 * cyc(Fraction(2, 3)), "uv": l2}, W
-            )
-        return self._ip["stratum"]
+        W = ("l2",)
+        l2 = Poly.variable("l2", W)
+        return ip_from_lengths(self.basis_end2(), {"u": l2 * cyc(Fraction(2, 3)), "uv": l2}, W)
 
+    @cache
     def wqlc_family(self):
         """The full torsion/cotorsion-free family on the special stratum, in
         coordinates (r, s, f, x) extending the printed three-parameter slice."""
-        if self._wqlc is None:
-            basis = self.basis_end2()
-            fam = connection_solve(
-                basis, self.ip_stratum(), ["covariant", "torsion_free", "cotorsion_free"]
-            )
-            U, VU, UV = 0, 3, 2
-            functionals = [
-                ("r", {(VU, UV, UV): 1, (VU, VU, VU): 1, (VU, U, U): Fraction(1, 3)}),
-                ("s", {(VU, U, U): Fraction(-1, 6)}),
-                ("f", {(VU, VU, VU): 1}),
-                ("x", {(U, VU, VU): 1}),
-            ]
-            self._wqlc = fam.reparameterize(functionals)
-        return self._wqlc
+        fam = connection_solve(
+            self.basis_end2(), self.ip_stratum(), ["covariant", "torsion_free", "cotorsion_free"]
+        )
+        U, VU, UV = 0, 3, 2
+        functionals = [
+            ("r", {(VU, UV, UV): 1, (VU, VU, VU): 1, (VU, U, U): Fraction(1, 3)}),
+            ("s", {(VU, U, U): Fraction(-1, 6)}),
+            ("f", {(VU, VU, VU): 1}),
+            ("x", {(U, VU, VU): 1}),
+        ]
+        return fam.reparameterize(functionals)
 
+    @cache
     def printed_wqlc_slice(self):
         """The printed three-parameter family (the x = 0 slice)."""
         return self.wqlc_family().substitute({"x": 0})
@@ -197,17 +195,20 @@ def criterion_1():
         "u": ["e", "v", "v", "e", "v", "e"],
         "w": ["e", "e", "v", "v", "e", "v"],
     }
-    checks = []
-    ok = True
-    for c, row in expected_ii.items():
-        got = [G.labels[d.ctx2.zeta[G.element(c)][G.element(x)]] for x in order]
-        ok = ok and got == row
-    checks.append(_check("c1 cocycle table case (ii), 12 entries", ok))
-    ok = True
-    for c, row in expected_iii.items():
-        got = [G.labels[d.ctx3.zeta[G.element(c)][G.element(x)]] for x in order]
-        ok = ok and got == row
-    checks.append(_check("c1 cocycle table case (iii), 18 entries (zeta_u(vu) = e forced)", ok))
+
+    def table_is(ctx, expected):
+        return all(
+            [G.labels[ctx.zeta[G.element(c)][G.element(x)]] for x in order] == row
+            for c, row in expected.items()
+        )
+
+    checks = [
+        _check("c1 cocycle table case (ii), 12 entries", table_is(d.ctx2, expected_ii)),
+        _check(
+            "c1 cocycle table case (iii), 18 entries (zeta_u(vu) = e forced)",
+            table_is(d.ctx3, expected_iii),
+        ),
+    ]
     got_entry = G.labels[d.ctx3.zeta[d.u][d.vu]]
     checks.append(
         _check(
@@ -217,14 +218,13 @@ def criterion_1():
         )
     )
     # the identity that forces it
-    ident = True
-    for ctx in (d.ctx2, d.ctx3, d.ctx1):
-        for c in ctx.cls:
-            for g in range(G.n):
-                for h in range(G.n):
-                    lhs = ctx.zeta[c][G.table[g][h]]
-                    rhs = G.table[ctx.zeta[G.conj(h, c)][g]][ctx.zeta[c][h]]
-                    ident = ident and lhs == rhs
+    ident = all(
+        ctx.zeta[c][G.table[g][h]] == G.table[ctx.zeta[G.conj(h, c)][g]][ctx.zeta[c][h]]
+        for ctx in (d.ctx2, d.ctx3, d.ctx1)
+        for c in ctx.cls
+        for g in range(G.n)
+        for h in range(G.n)
+    )
     checks.append(_check("c1 cocycle identity over all (c,g,h)", ident))
     return checks
 
@@ -635,17 +635,14 @@ def criterion_10():
     checks = []
     allok_dim = True
     allok_img = True
-    for ctx, pis in ((d.ctx1, None), (d.ctx2, d.pi), (d.ctx3, d.pipm)):
-        pi_list = list(pis.values()) if pis else irrep_catalog(ctx.centralizer)
-        for pi in pi_list:
-            module = build_VCpi(ctx, pi)
-            sols = freefield_solutions(ctx, pi, module, spectrum)
-            expect = len(ctx.cls) * pi.dim
-            if len(sols) != expect:
-                allok_dim = False
-            cols = transfer_to_group_algebra(ctx, pi, module)
-            if not linalg.same_row_space(list(cols.values()), sols):
-                allok_img = False
+    for ctx, pi in d.blocks():
+        module = build_VCpi(ctx, pi)
+        sols = freefield_solutions(ctx, pi, module, spectrum)
+        if len(sols) != len(ctx.cls) * pi.dim:
+            allok_dim = False
+        cols = transfer_to_group_algebra(ctx, pi, module)
+        if not linalg.same_row_space(list(cols.values()), sols):
+            allok_img = False
     checks.append(_check("c10 solution space dimension |C| dim(pi) for all 8 pairs", allok_dim))
     checks.append(_check("c10 solution space equals the transfer image", allok_img))
     # degenerate spectrum must be rejected
@@ -663,12 +660,8 @@ def criterion_10():
 
 def criterion_11():
     d = S3Data.get()
-    s3_blocks = [
-        (ctx, pi)
-        for ctx, pis in ((d.ctx1, None), (d.ctx2, d.pi), (d.ctx3, d.pipm))
-        for pi in (list(pis.values()) if pis else irrep_catalog(ctx.centralizer))
-        if not (ctx.rep == 0 and pi.is_trivial())  # trivial pair: unit object only
-    ]
+    # the trivial pair is the unit object only
+    s3_blocks = [(ctx, pi) for ctx, pi in d.blocks() if not (ctx.rep == 0 and pi.is_trivial())]
     S4 = FiniteGroup.symmetric(4)
     ctx = class_context(S4, S4.element("s3"))
     s1_pos = ctx.centralizer.position[S4.element("s1")]
@@ -749,19 +742,23 @@ def criterion_12():
 # -- criterion 13: killing forms -------------------------------------------------------------
 
 
+def _gram_is(lie, K, cls, want):
+    """K(E_a^b, E_c^d) = want(a, b, c, d) for every a, b, c, d in the class."""
+    return all(
+        K[lie.index_of(0, a, 0, b, 0)][lie.index_of(0, c, 0, dd, 0)] == want(a, b, c, dd)
+        for a in cls
+        for b in cls
+        for c in cls
+        for dd in cls
+    )
+
+
 def criterion_13():
     d = S3Data.get()
     checks = []
     liep = lie_cpi(d.ctx3, d.pipm[0])
     Kp = killing_form(liep)
-    ok = all(
-        Kp[liep.index_of(0, a, 0, b, 0)][liep.index_of(0, c, 0, dd, 0)]
-        == (cyc(3) if (b == c and a == dd) else ZERO)
-        for a in d.ctx3.cls
-        for b in d.ctx3.cls
-        for c in d.ctx3.cls
-        for dd in d.ctx3.cls
-    )
+    ok = _gram_is(liep, Kp, d.ctx3.cls, lambda a, b, c, dd: cyc(3) if b == c and a == dd else ZERO)
     checks.append(_check("c13 K+ = 3 delta_bc delta_ad", ok))
     liem = lie_cpi(d.ctx3, d.pipm[1])
     Km = killing_form(liem)
@@ -791,29 +788,17 @@ def criterion_13():
         )
     )
     q = d.q
-    okq = True
-    for j in (1, 2):
-        lie_j = lie_cpi(d.ctx2, d.pi[j])
-        Kj = killing_form(lie_j)
-        expect = q ** (2 * j)
-        for a in d.ctx2.cls:
-            for b in d.ctx2.cls:
-                for c in d.ctx2.cls:
-                    for dd in d.ctx2.cls:
-                        want = expect if (a == b and c == dd) else ZERO
-                        if Kj[lie_j.index_of(0, a, 0, b, 0)][lie_j.index_of(0, c, 0, dd, 0)] != want:
-                            okq = False
+
+    def delta_delta(j, scalar):
+        """K(E_a^b, E_c^d) = scalar delta_ab delta_cd for the block pi_j of the 3-cycle class."""
+        lie = lie_cpi(d.ctx2, d.pi[j])
+        return _gram_is(
+            lie, killing_form(lie), d.ctx2.cls, lambda a, b, c, dd: scalar if a == b and c == dd else ZERO
+        )
+
+    okq = all(delta_delta(j, q ** (2 * j)) for j in (1, 2))
     checks.append(_check("c13 3-cycle class gives q^{2j} delta delta for j = 1, 2", okq))
-    lie0 = lie_cpi(d.ctx2, d.pi[0])
-    K0 = killing_form(lie0)
-    ok0 = all(
-        K0[lie0.index_of(0, a, 0, b, 0)][lie0.index_of(0, c, 0, dd, 0)]
-        == (cyc(4) if (a == b and c == dd) else ZERO)
-        for a in d.ctx2.cls
-        for b in d.ctx2.cls
-        for c in d.ctx2.cls
-        for dd in d.ctx2.cls
-    )
+    ok0 = delta_delta(0, cyc(4))
     checks.append(
         _check(
             "c13 divergence: j = 0 gives 1 + q^0 + 2 q^0 = 4, not q^0 = 1",
@@ -927,22 +912,17 @@ def criterion_15():
             ok = False
     checks.append(_check("c15 factorisability: the Killing pairing inverts to the identity", ok))
     # Schur orthogonality for the irreducible catalogue
-    ok = True
     irreps = irrep_catalog(G)
-    for r1 in irreps:
-        for r2 in irreps:
-            for i in range(r1.dim):
-                for j in range(r1.dim):
-                    for k in range(r2.dim):
-                        for l in range(r2.dim):
-                            total = ZERO
-                            for g in range(n):
-                                total = total + r1.matrices[g][i][j] * r2.matrices[G.inv[g]][k][l]
-                            expected = ZERO
-                            if r1 is r2 and i == l and k == j:
-                                expected = cyc(Fraction(n, r1.dim))
-                            if total != expected:
-                                ok = False
+    ok = all(
+        sum((r1.matrices[g][i][j] * r2.matrices[G.inv[g]][k][l] for g in range(n)), ZERO)
+        == (cyc(Fraction(n, r1.dim)) if r1 is r2 and i == l and k == j else ZERO)
+        for r1 in irreps
+        for r2 in irreps
+        for i in range(r1.dim)
+        for j in range(r1.dim)
+        for k in range(r2.dim)
+        for l in range(r2.dim)
+    )
     checks.append(_check("c15 Schur orthogonality for the S3 catalogue", ok))
     # Yang-Baxter and second-inverse identities for each S3 block
     ok_ybe = True

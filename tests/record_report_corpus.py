@@ -13,7 +13,10 @@ residual flag, the star and Riemann ones included, and ``calculus`` on
 ``tests/scenarios/c1_trivial.json``, the order-1 group, which has no
 generators and so no innerness constraint, and ``group`` and ``classes`` on
 ``tests/scenarios/s1_symmetric.json``, the symmetric group of degree 1,
-which is that same order-1 group.  Each runs in process
+which is that same order-1 group, and ``geometry`` on
+``tests/scenarios/s3_transposition_sign.json``, the transposition class with
+the sign character, whose cotorsion kernel has non-constant denominators
+for ``connection_solve`` to clear.  Each runs in process
 through ``cli.main``, with paths relative to the repository root.
 
 Run from the repository root:
@@ -48,6 +51,7 @@ DIM2_SCENARIO = "tests/scenarios/s4_double_transposition.json"
 RESIDUALS_SCENARIO = "tests/scenarios/s3_all_residuals.json"
 C1_SCENARIO = "tests/scenarios/c1_trivial.json"
 S1_SCENARIO = "tests/scenarios/s1_symmetric.json"
+SIGN_SCENARIO = "tests/scenarios/s3_transposition_sign.json"
 REPORTS = [c for c in sorted(cli.COMMANDS) if c != "verify-paper"]
 OPS = (
     [(c, "--scenario", s) for s in SCENARIOS for c in REPORTS]
@@ -60,6 +64,7 @@ OPS = (
     + [(c, "--scenario", DIM2_SCENARIO) for c in ("transfer", "calculus", "braided", "quotient")]
     + [("geometry", "--scenario", RESIDUALS_SCENARIO), ("calculus", "--scenario", C1_SCENARIO)]
     + [(c, "--scenario", S1_SCENARIO) for c in ("group", "classes")]
+    + [("geometry", "--scenario", SIGN_SCENARIO)]
 )
 
 

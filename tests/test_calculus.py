@@ -191,6 +191,24 @@ def test_pushforward_dims(s3, ctx2, ctx3):
     assert calc_e.pushforward_dims() == (0, 4)
 
 
+@pytest.mark.parametrize("corrupted", ["u", "v", "w"])
+def test_gamma_well_defined_sees_one_corrupted_gamma(s3, ctx2, corrupted, monkeypatch):
+    """On the sign block e^u = e^v = e^w, so a gamma changed at any one of
+    them must make the check fail."""
+    lb = lambda_basis(GroupAlgebraCalculus(induced_rep(ctx2, centralizer_character(ctx2, 0))))
+    u, v, w = (s3.element(x) for x in "uvw")
+    forms = lb.calculus.e_matrices
+    assert la.mat_eq(forms[u], forms[v]) and la.mat_eq(forms[u], forms[w])
+    assert lb.gamma_well_defined()
+    gamma, bad = lb.gamma, s3.element(corrupted)
+
+    def corrupt(g):
+        return [[x + ONE for x in row] for row in gamma(g)] if g == bad else gamma(g)
+
+    monkeypatch.setattr(lb, "gamma", corrupt)
+    assert not lb.gamma_well_defined()
+
+
 def test_gamma_well_defined_s4():
     s4 = FiniteGroup.symmetric(4)
     ctx = class_context(s4, s4.element("s3"))

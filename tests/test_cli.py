@@ -427,8 +427,10 @@ def test_readme_lists_exactly_the_scenario_keys():
 
 
 _CLI = {"qdouble", "qdouble.cli", "qdouble.cyclotomic", "qdouble.groups"}
-_REPS = _CLI | {"qdouble.double", "qdouble.linalg", "qdouble.reps"}
-_BRAIDED = _REPS | {"qdouble.braided", "qdouble.quadalg"}
+_REPS = _CLI | {"qdouble.linalg", "qdouble.reps"}
+_DOUBLE = _REPS | {"qdouble.double"}
+_BRAIDED = _DOUBLE | {"qdouble.braided", "qdouble.quadalg"}
+_EVERY = {"qdouble"} | {f"qdouble.{p.stem}" for p in (SRC / "qdouble").glob("*.py") if p.stem != "__init__"}
 
 
 def _qdouble_modules(code, *argv):
@@ -446,20 +448,29 @@ def _qdouble_modules(code, *argv):
     [
         ("group", "s3_case_ii", _CLI),
         ("classes", "s3_case_ii", _CLI),
-        ("double-irreps", "s3_case_ii", _REPS),
-        ("transfer", "s3_case_ii", _REPS | {"qdouble.transfer"}),
+        ("double-irreps", "s3_case_ii", _DOUBLE),
+        ("transfer", "s3_case_ii", _DOUBLE | {"qdouble.transfer"}),
         ("calculus", "s3_case_ii", _REPS | {"qdouble.calculus"}),
         ("geometry", "s3_case_ii", _REPS | {"qdouble.calculus", "qdouble.geometry", "qdouble.poly"}),
-        ("dual", "s3_dual_union", _REPS | {"qdouble.dualgeometry", "qdouble.poly", "qdouble.transfer"}),
+        ("dual", "s3_dual_union", _REPS | {"qdouble.dualgeometry", "qdouble.poly"}),
         ("braided", "s3_case_ii", _BRAIDED),
+        ("killing", "s3_case_ii", _BRAIDED),
+        ("envelope", "s3_case_ii", _BRAIDED),
+        ("quotient", "s3_case_iii_plus", _BRAIDED),
+        ("verify-paper", None, _EVERY),
     ],
-    ids=["group", "classes", "double-irreps", "transfer", "calculus", "geometry", "dual", "braided"],
+    ids=[
+        "group", "classes", "double-irreps", "transfer", "calculus", "geometry", "dual", "braided",
+        "killing", "envelope", "quotient", "verify-paper",
+    ],
 )
 def test_each_subcommand_imports_only_what_it_runs(subcommand, scenario, modules):
     """A report subcommand loads the modules it calls and no others, so not
-    the regression suite.  dual runs on the one bundled scenario with a subset."""
+    the regression suite, which alone loads every module.  dual runs on the
+    one bundled scenario with a subset, quotient on a real orthogonal block."""
     main = "from qdouble.cli import main; assert main(sys.argv[1:]) == 0"
-    assert _qdouble_modules(main, subcommand, "--scenario", str(SCENARIOS / f"{scenario}.json")) == modules
+    argv = [subcommand] + (["--scenario", str(SCENARIOS / f"{scenario}.json")] if scenario else [])
+    assert _qdouble_modules(main, *argv) == modules
 
 
 def test_package_import_is_lazy():

@@ -4,7 +4,8 @@ import pytest
 
 from qdouble.cyclotomic import cyc
 from qdouble.groups import FiniteGroup, class_context
-from qdouble.reps import induced_rep, irrep_catalog
+from qdouble import linalg
+from qdouble.reps import centralizer_character, induced_rep, irrep_catalog
 from qdouble.calculus import GroupAlgebraCalculus, lambda_basis
 from qdouble.poly import Poly, groebner, normal_form
 from qdouble.geometry import (
@@ -220,3 +221,36 @@ def test_maurer_cartan_connection(data):
     geo = geometric_laplacian(fam, data.ip_stratum())
     for g in range(6):
         assert geo[g] == data.ip_stratum().length_of(g)
+
+
+def test_cotorsion_denominators_are_cleared(monkeypatch):
+    """On the transposition class with the sign character some entry of the
+    cotorsion kernel has a non-constant denominator, so ``connection_solve``
+    clears it; every family vector still satisfies the cotorsion rows
+    sum_m adj_im Gamma^m_jk - adj_jm Gamma^m_ik = 0 built from the adjugate."""
+    G = FiniteGroup.s3_with_uvw_labels()
+    ctx = class_context(G, "u")
+    basis = lambda_basis(GroupAlgebraCalculus(induced_rep(ctx, centralizer_character(ctx, 1))))
+    V = ("l1", "l2")
+    ip = ip_from_lengths(basis, {"u": Poly.variable("l1", V), "uv": Poly.variable("l2", V)}, V)
+    kernels, nullspace = [], linalg.nullspace
+
+    def recorded(*system):
+        kernels.append(nullspace(*system))
+        return kernels[-1]
+
+    monkeypatch.setattr(linalg, "nullspace", recorded)
+    family = connection_solve(basis, ip, ["covariant", "torsion_free", "cotorsion_free"])
+    assert (basis.dim, family.n_params(), len(kernels)) == (5, 9, 2)
+    assert any(x.den.degree() > 0 for vec in kernels[1] for x in vec.values())
+    adj, dim, zero = ip.adjugate(), basis.dim, Poly.constant(0, V)
+    for p in family.params:
+        one_vector = family.substitute({q: int(q == p) for q in family.params})
+        vec = {t: x.extend(V) for t, x in one_vector.gamma.items()}
+        assert any(vec.values())
+        assert all(
+            not sum((adj[i][m] * vec[m, j, k] - adj[j][m] * vec[m, i, k] for m in range(dim)), zero)
+            for k in range(dim)
+            for i in range(dim)
+            for j in range(i + 1, dim)
+        )
