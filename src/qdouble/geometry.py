@@ -1,8 +1,10 @@
 """Quantum Riemannian geometry on a group algebra.
 
-Covariant bimodule inner products determined by class lengths, the class
-Laplacians and the mass/length dictionary, connection families solved from
-linear covariance/torsion/cotorsion constraints, the polynomial
+Covariant bimodule inner products determined by class lengths, with the
+determinant and adjugate of one ``poly._det_adjugate`` pass (a degenerate
+metric has no adjugate, so cotorsion and metric compatibility refuse it), the
+class Laplacians and the mass/length dictionary, connection families solved
+from linear covariance/torsion/cotorsion constraints, the polynomial
 compatibility conditions (metric, star, curvature) as residual polynomials
 whose ideals ``poly.groebner`` and ``poly.normal_form`` decide, curvature and
 Ricci data, and geometric Laplacians.
@@ -15,11 +17,12 @@ polynomial identities.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 
 from .cyclotomic import ONE, Cyc, cyc
 from .linalg import _addto
-from .poly import Poly, RatFunc, _bareiss_det, dot
+from .poly import Poly, RatFunc, _det_adjugate, dot
 from .calculus import LambdaBasis
 from .groups import ConfigError, FiniteGroup
 from . import linalg
@@ -56,8 +59,6 @@ class InnerProduct:
         self.matrix = [
             [self.pair_elements(i, j) for j in basis.basis] for i in basis.basis
         ]
-        self._det = None
-        self._adj = None
 
     def length_of(self, g: int) -> Poly:
         return self.lengths[self.group.class_of(g)[0]]
@@ -113,27 +114,21 @@ class InnerProduct:
                     return False
         return True
 
+    @cached_property
+    def _det_adj(self):
+        return _det_adjugate(self.matrix)
+
     def det(self) -> Poly:
-        if self._det is None:
-            self._det = _bareiss_det([[x for x in row] for row in self.matrix])
-        return self._det
+        return self._det_adj[0]
 
     def adjugate(self):
-        """adj with adj @ matrix = det * id; polynomial entries."""
-        if self._adj is None:
-            n = self.basis.dim
-            adj = [[None] * n for _ in range(n)]
-            for i in range(n):
-                for j in range(n):
-                    minor = [
-                        [self.matrix[r][c] for c in range(n) if c != i]
-                        for r in range(n)
-                        if r != j
-                    ]
-                    d = _bareiss_det(minor) if minor else Poly.constant(1, self.vars)
-                    adj[i][j] = d if (i + j) % 2 == 0 else -d
-            self._adj = adj
-        return self._adj
+        """adj with adj @ matrix = det * id; polynomial entries.  Conditions
+        cleared with it are det times the real ones and hold vacuously when
+        det = 0, so a degenerate metric is refused."""
+        adj = self._det_adj[1]
+        if adj is None:
+            raise ConfigError("lengths: the metric's determinant is 0, so it has no inverse")
+        return adj
 
     def is_regular_candidate(self) -> bool:
         """Necessary regularity bound: enough inversion-distinct classes in the basis."""

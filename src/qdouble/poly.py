@@ -5,11 +5,12 @@ named commuting indeterminates, declared real: complex conjugation fixes
 them and conjugates the cyclotomic coefficients.  Sparse dict-of-monomials
 representation.  ``poly_gcd`` (a primitive subresultant remainder sequence)
 keeps ``RatFunc`` reduced; ``groebner`` and ``normal_form`` decide ideal
-membership and equality, the polynomial elimination of the regression suite.
-One division step serves ``Poly.exact_div`` and ``groebner``: cancel the
-leading term of the remainder by a monomial multiple of the divisor
-(``_divides``, ``_add_multiple``), in lex order for the one and grevlex for
-the other.
+membership and equality, the polynomial elimination of the regression suite;
+``_det_adjugate`` is the fraction-free pass behind a metric's determinant
+and adjugate.  One division step serves ``Poly.exact_div`` and ``groebner``:
+cancel the leading term of the remainder by a monomial multiple of the
+divisor (``_divides``, ``_add_multiple``), in lex order for the one and
+grevlex for the other.
 
 Invariant: ``Poly.terms`` is a zero-free {exponent tuple: Cyc} map, and every
 exponent tuple has ``len(vars)`` non-negative int entries.  The public
@@ -376,33 +377,36 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return g.monic_normalize()
 
 
-def _bareiss_det(rows: list[list[Poly]]) -> Poly:
-    """Determinant by fraction-free (Bareiss) elimination in the polynomial ring.
+def _det_adjugate(rows: list[list[Poly]]):
+    """(det M, adj M) by one fraction-free Gauss-Jordan pass on [M | I]
+    (Bareiss), or (0, None) when a pivot column is zero: det M = 0.
 
     Not ``linalg``'s field elimination: ``Poly`` has exact division but no
-    inverse, and over ``RatFunc`` every step would run a gcd.
-    ``InnerProduct.det``, printed as ``metric_determinant``, and its adjugate
-    come from here."""
+    inverse, and over ``RatFunc`` every step would run a gcd.  Each step
+    divides exactly by the previous pivot and a row swap flips the sign; the
+    rows below a pivot get Bareiss's determinant updates, so the last pivot
+    is ±det M (``metric_determinant``'s bytes) and the right block ±adj M."""
     n = len(rows)
-    rows = [list(r) for r in rows]
     vars_ = rows[0][0].vars
-    prev = Poly.constant(1, vars_)
-    sign = 1
-    for k in range(n - 1):
+    zero, one = Poly.constant(0, vars_), Poly.constant(1, vars_)
+    rows = [[*row, *(one if j == i else zero for j in range(n))] for i, row in enumerate(rows)]
+    prev, sign = one, 1
+    for k in range(n):
         if not rows[k][k]:
             piv = next((i for i in range(k + 1, n) if rows[i][k]), None)
             if piv is None:
-                return Poly.constant(0, vars_)
+                return zero, None
             rows[k], rows[piv] = rows[piv], rows[k]
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = rows[i][j] * rows[k][k] - rows[i][k] * rows[k][j]
-                rows[i][j] = num.exact_div(prev)
-            rows[i][k] = Poly.constant(0, vars_)
-        prev = rows[k][k]
-    d = rows[n - 1][n - 1]
-    return d if sign > 0 else -d
+        pivot = rows[k]
+        for i, row in enumerate(rows):
+            if i != k:
+                for j in range(k + 1, 2 * n):
+                    num = row[j] * pivot[k] - row[k] * pivot[j]
+                    row[j] = num.exact_div(prev)
+        prev = pivot[k]
+    adj = [row[n:] for row in rows]
+    return (prev, adj) if sign > 0 else (-prev, [[-x for x in row] for row in adj])
 
 
 # -- Groebner bases -----------------------------------------------------------

@@ -5,7 +5,10 @@ used before it became leading-term division: the first variable that occurs
 in the divisor is the main one, and each step divides leading coefficients
 in it recursively.  ``reference_reparameterize`` is
 ``ConnectionFamily.reparameterize`` as it was, inverting the functional
-matrix over ``RatFunc``.
+matrix over ``RatFunc``.  ``reference_det`` is the Bareiss determinant
+elimination and ``reference_adjugate`` the cofactor loop, one ``reference_det``
+per (n-1)-minor, that ``InnerProduct.det`` and ``InnerProduct.adjugate`` ran
+before one Gauss-Jordan pass gave both.
 """
 
 from qdouble import linalg
@@ -72,3 +75,42 @@ def reference_reparameterize(fam: ConnectionFamily, functionals) -> ConnectionFa
         bindings[p] = expr.as_poly()
     out = {k: v.substitute(bindings) for k, v in fam.gamma.items()}
     return ConnectionFamily(fam.basis, out, names)
+
+
+def reference_det(rows: list[list[Poly]]) -> Poly:
+    n = len(rows)
+    rows = [list(r) for r in rows]
+    vars_ = rows[0][0].vars
+    prev = Poly.constant(1, vars_)
+    sign = 1
+    for k in range(n - 1):
+        if not rows[k][k]:
+            piv = next((i for i in range(k + 1, n) if rows[i][k]), None)
+            if piv is None:
+                return Poly.constant(0, vars_)
+            rows[k], rows[piv] = rows[piv], rows[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = rows[i][j] * rows[k][k] - rows[i][k] * rows[k][j]
+                rows[i][j] = num.exact_div(prev)
+            rows[i][k] = Poly.constant(0, vars_)
+        prev = rows[k][k]
+    d = rows[n - 1][n - 1]
+    return d if sign > 0 else -d
+
+
+def reference_adjugate(matrix: list[list[Poly]], variables) -> list[list[Poly]]:
+    """adj with adj @ matrix = det * id, each entry a signed minor."""
+    n = len(matrix)
+    adj = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            minor = [
+                [matrix[r][c] for c in range(n) if c != i]
+                for r in range(n)
+                if r != j
+            ]
+            d = reference_det(minor) if minor else Poly.constant(1, variables)
+            adj[i][j] = d if (i + j) % 2 == 0 else -d
+    return adj

@@ -16,7 +16,10 @@ generators and so no innerness constraint, and ``group`` and ``classes`` on
 which is that same order-1 group, and ``geometry`` on
 ``tests/scenarios/s3_transposition_sign.json``, the transposition class with
 the sign character, whose cotorsion kernel has non-constant denominators
-for ``connection_solve`` to clear.  Each runs in process
+for ``connection_solve`` to clear, and ``geometry`` on
+``tests/scenarios/s3_degenerate_metric.json``, the ``s3_case_ii`` block with
+lengths whose metric determinant is 0, asked only for the flags that need no
+inverse metric.  Each runs in process
 through ``cli.main``, with paths relative to the repository root.
 
 Run from the repository root:
@@ -52,6 +55,7 @@ RESIDUALS_SCENARIO = "tests/scenarios/s3_all_residuals.json"
 C1_SCENARIO = "tests/scenarios/c1_trivial.json"
 S1_SCENARIO = "tests/scenarios/s1_symmetric.json"
 SIGN_SCENARIO = "tests/scenarios/s3_transposition_sign.json"
+DEGENERATE_SCENARIO = "tests/scenarios/s3_degenerate_metric.json"
 REPORTS = [c for c in sorted(cli.COMMANDS) if c != "verify-paper"]
 OPS = (
     [(c, "--scenario", s) for s in SCENARIOS for c in REPORTS]
@@ -64,7 +68,7 @@ OPS = (
     + [(c, "--scenario", DIM2_SCENARIO) for c in ("transfer", "calculus", "braided", "quotient")]
     + [("geometry", "--scenario", RESIDUALS_SCENARIO), ("calculus", "--scenario", C1_SCENARIO)]
     + [(c, "--scenario", S1_SCENARIO) for c in ("group", "classes")]
-    + [("geometry", "--scenario", SIGN_SCENARIO)]
+    + [("geometry", "--scenario", SIGN_SCENARIO), ("geometry", "--scenario", DEGENERATE_SCENARIO)]
 )
 
 

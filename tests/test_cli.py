@@ -308,6 +308,21 @@ def test_scenario_that_is_not_an_object_is_a_configuration_error(tmp_path, scena
     assert out.stderr == f"configuration error: scenario: expected a JSON object, got {kind}\n"
 
 
+@pytest.mark.parametrize("flag", ["cotorsion_free", "metric_compat"])
+def test_degenerate_metric_is_refused_where_its_inverse_is_needed(tmp_path, flag):
+    """On s3_case_ii's block with lengths u = 7/12, uv = 1 the determinant
+    l2^3 (12 l1 - 7 l2)/16 is 0, so conditions cleared with the adjugate would
+    hold vacuously; without these flags the report prints that determinant."""
+    degenerate = Path(__file__).resolve().parent / "scenarios" / "s3_degenerate_metric.json"
+    scenario = json.loads(degenerate.read_text())
+    scenario["flags"].append(flag)
+    path = tmp_path / "degenerate.json"
+    path.write_text(json.dumps(scenario))
+    code, out, err = _main("geometry", "--scenario", str(path))
+    assert (code, out) == (2, "")
+    assert re.fullmatch(r"configuration error: lengths: .*\n", err)
+
+
 def test_missing_scenario_key_is_named():
     s4 = Path(__file__).resolve().parent.parent / "perfbench" / "scenarios" / "s4_four_cycle.json"
     out = run_cli("dual", "--scenario", str(s4))

@@ -3,7 +3,7 @@ import re
 import pytest
 
 from qdouble.cyclotomic import cyc
-from qdouble.groups import FiniteGroup, class_context
+from qdouble.groups import ConfigError, FiniteGroup, class_context
 from qdouble import linalg
 from qdouble.reps import centralizer_character, induced_rep, irrep_catalog
 from qdouble.calculus import GroupAlgebraCalculus, lambda_basis
@@ -59,6 +59,8 @@ def test_zero_lengths_degenerate(data):
     ip = ip_from_lengths(data.basis_end2(), {"u": 0, "uv": 0})
     assert all(not x for row in ip.matrix for x in row)
     assert ip.det().is_zero()
+    with pytest.raises(ConfigError, match="^lengths: the metric's determinant is 0"):
+        ip.adjugate()
 
 
 def _metric_conditions_on_all_triples(ip):

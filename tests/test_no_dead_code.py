@@ -8,14 +8,16 @@ attribute, so a def in a class body also needs a ``.name`` reference outside
 the definitions of that name: a bare word such as a local function of the
 same name does not count.
 
-A module- or class-level def must also have a caller inside the package,
-except the frozen ``TEST_ONLY`` list of defs that only tests reach; that
-list may only shrink.  There a ``Name`` counts as a caller only when it is
-not a local binding of an enclosing function (a parameter, or an
-assignment, ``for``, ``with`` or comprehension target), and a method counts
-only through ``Attribute`` references.  A reference inside the body of a
-def that has no package caller does not count either, applied until nothing
-changes, so a helper reached only from test-only code is test-only too.  A method is still named by an
+A module-level class and a module- or class-level def must also have a
+caller inside the package, except the frozen ``TEST_ONLY`` list of defs and
+classes that only tests reach; that list may only shrink.  There a ``Name``
+counts as a caller only when it is not a local binding of an enclosing
+function (a parameter, or an assignment, ``for``, ``with`` or comprehension
+target), a method counts only through ``Attribute`` references and a class
+only through ``Name`` references.  A reference inside the body of a def or
+class that has no package caller does not count either, dunder methods
+included, applied until nothing changes, so a helper reached only from
+test-only code is test-only too.  A method is still named by an
 attribute of that name on any object, so ``DualInnerProduct.star_compatible``
 stays hidden behind the ``ip.star_compatible()`` calls on geometry's
 ``InnerProduct``.
@@ -65,6 +67,8 @@ def test_every_def_is_referenced():
 
 
 TEST_ONLY = frozenset({
+    "braided.RegularBraidedLie",
+    "calculus.DoubleCalculus",
     "calculus.DoubleCalculus._act_dual",
     "calculus.DoubleCalculus._right_mult_delta",
     "calculus.DoubleCalculus._right_mult_group",
@@ -78,7 +82,11 @@ TEST_ONLY = frozenset({
     "calculus.DoubleCalculus.pushforward_dims",
     "calculus.DoubleCalculus.right_mult",
     "calculus.DoubleCalculus.theta",
+    "calculus.FunctionCalculus",
+    "calculus.FunctionCalculus.d",
+    "calculus.FunctionCalculus.function_times_one_form",
     "calculus.FunctionCalculus.leibniz_holds",
+    "calculus.FunctionCalculus.one_form_times_function",
     "calculus.FunctionCalculus.quotient_graph",
     "calculus.FunctionCalculus.right_coaction_check",
     "calculus.base_calculus_functions",
@@ -91,12 +99,14 @@ TEST_ONLY = frozenset({
     "double.DoubleElement.group_like",
     "double.DoubleElement.scale",
     "double._inner",
+    "double.adjoint_structure",
     "double.beta",
     "double.decompose_DG_module",
     "double.double_characters",
     "double.pairing",
     "double.quasi_R",
     "double.regular_crossed_module",
+    "dualgeometry.DualInnerProduct",
     "dualgeometry.DualInnerProduct.pair",
     "dualgeometry._zero_like",
     "dualgeometry.dual_operator",
@@ -176,20 +186,51 @@ def test_a_local_binding_is_not_a_caller():
     assert sorted(name for name, _, _ in _references(tree)) == ["deco", "default", "g", "h", "obj", "size"]
 
 
+def _package_defs(trees) -> dict:
+    """dotted name -> (path, node, kinds) of every module-level def and class
+    and every def in a module-level class body, dunders aside.  ``kinds`` are
+    the reference kinds (is it an ``Attribute``?) that count as a caller: a
+    function is called through either, a method through an ``Attribute``
+    only and a class through a ``Name`` only."""
+    defs = {}
+    for path, tree in trees.items():
+        for node in tree.body:
+            members = [(None, node)]
+            if isinstance(node, ast.ClassDef):
+                defs[f"{path.stem}.{node.name}"] = (path, node, {False})
+                members = [(node.name, sub) for sub in node.body]
+            for cls, sub in members:
+                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                    sub.name.startswith("__") and sub.name.endswith("__")
+                ):
+                    kinds = {False, True} if cls is None else {True}
+                    defs[".".join(filter(None, (path.stem, cls, sub.name)))] = (path, sub, kinds)
+    return defs
+
+
+def _package_references(trees) -> dict:
+    """name -> (path, line, is_attribute) of each of its ``_references``."""
+    where = {}
+    for path, tree in trees.items():
+        for name, line, attribute in _references(tree):
+            where.setdefault(name, []).append((path, line, attribute))
+    return where
+
+
 def _test_only_fixed_point(defs, where) -> set:
     """The dotted names of the defs with no package caller.  A reference
-    counts unless it lies in the def's own body, is a bare ``Name`` for a
-    method, or lies in the body of a def already found uncalled; the last
-    rule is applied until the set stops growing."""
+    counts unless it lies in the def's own body, is of a kind that does not
+    call it, or lies in the body of a def or class already found uncalled;
+    the last rule is applied until the set stops growing."""
     uncalled = set()
     while True:
         bodies = [(defs[name][0], defs[name][1].lineno, defs[name][1].end_lineno) for name in uncalled]
         found = {
             name
-            for name, (path, node, method) in defs.items()
+            for name, (path, node, kinds) in defs.items()
             if all(
                 (p == path and node.lineno <= line <= node.end_lineno)
-                or (method and not attribute)
+                or attribute not in kinds
                 or any(p == q and lo <= line <= hi for q, lo, hi in bodies)
                 for p, line, attribute in where.get(node.name, ())
             )
@@ -197,6 +238,12 @@ def _test_only_fixed_point(defs, where) -> set:
         if found == uncalled:
             return uncalled
         uncalled = found
+
+
+def _snippet_test_only(source) -> set:
+    """The test-only fixed point of ``source`` read as the package's one module."""
+    trees = {Path("mod.py"): ast.parse(source)}
+    return _test_only_fixed_point(_package_defs(trees), _package_references(trees))
 
 
 def test_a_caller_inside_a_test_only_def_does_not_count():
@@ -210,39 +257,41 @@ def test_a_caller_inside_a_test_only_def_does_not_count():
         "def used():\n    return helper2()\n"
         "VALUE = used()\n"
     )
-    path = Path("mod.py")
-    tree = ast.parse(source)
-    defs = {node.name: (path, node, False) for node in tree.body if isinstance(node, ast.FunctionDef)}
-    where = {}
-    for name, line, attribute in _references(tree):
-        where.setdefault(name, []).append((path, line, attribute))
-    assert _test_only_fixed_point(defs, where) == {"helper", "reached"}
+    assert _snippet_test_only(source) == {"mod.helper", "mod.reached"}
+
+
+def test_an_unbuilt_class_and_what_only_its_body_calls_are_test_only():
+    """A class is called only by a ``Name`` outside its own body: ``Unbuilt``
+    is named inside itself and as the attribute ``mod.Unbuilt``, so it is
+    uncalled, and so are its method ``copy``, named nowhere, and ``helper``,
+    named only in its ``__init__``; ``Built`` is named at module level, so
+    ``helper2`` in its ``__init__`` is called."""
+    source = (
+        "def helper():\n    return 1\n"
+        "def helper2():\n    return 2\n"
+        "class Unbuilt:\n"
+        "    def __init__(self):\n        self.x = helper()\n"
+        "    def copy(self):\n        return Unbuilt()\n"
+        "class Built:\n"
+        "    def __init__(self):\n        self.y = helper2()\n"
+        "    def go(self):\n        return 3\n"
+        "VALUE = Built().go()\n"
+        "ALIAS = mod.Unbuilt\n"
+    )
+    assert _snippet_test_only(source) == {"mod.Unbuilt", "mod.Unbuilt.copy", "mod.helper"}
 
 
 def test_every_def_has_a_package_caller():
-    """A module- or class-level def of the package (dunders aside) is named
-    in the package, outside its own body and outside the body of every def
-    without a package caller, by a ``Name`` that is not a local binding or,
-    for a method only, by an ``Attribute``, unless it is in ``TEST_ONLY``;
-    and every def in ``TEST_ONLY`` still exists and still lacks such a
-    reference."""
+    """A module-level class or a module- or class-level def of the package
+    (dunders aside) is named in the package, outside its own body and outside
+    the body of every def or class without a package caller, by a ``Name``
+    that is not a local binding or, for a function or method, by an
+    ``Attribute`` (a method only by an ``Attribute``), unless it is in
+    ``TEST_ONLY``; and every name in ``TEST_ONLY`` still exists and still
+    lacks such a reference."""
     trees = {p: ast.parse(p.read_text()) for p in sorted(PACKAGE.rglob("*.py"))}
-    defs = {}  # dotted name -> (path, node)
-    for path, tree in trees.items():
-        for node in tree.body:
-            members = [(None, node)]
-            if isinstance(node, ast.ClassDef):
-                members = [(node.name, sub) for sub in node.body]
-            for cls, sub in members:
-                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
-                    sub.name.startswith("__") and sub.name.endswith("__")
-                ):
-                    defs[".".join(filter(None, (path.stem, cls, sub.name)))] = (path, sub, cls is not None)
-    where = {}
-    for path, tree in trees.items():
-        for name, line, attribute in _references(tree):
-            where.setdefault(name, []).append((path, line, attribute))
-    uncalled = _test_only_fixed_point(defs, where)
+    defs = _package_defs(trees)
+    uncalled = _test_only_fixed_point(defs, _package_references(trees))
     extra, gone = uncalled - TEST_ONLY, TEST_ONLY - defs.keys()
     assert not extra, "defs with no package caller:\n" + "\n".join(sorted(extra))
     assert not gone, "TEST_ONLY names defs that are gone: " + ", ".join(sorted(gone))
