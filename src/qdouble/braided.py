@@ -2,8 +2,8 @@
 
 The transmuted double carries a braided Hopf structure (double product,
 dual coproduct, commutator grading and adjoint action); its braided
-adjoint action restricts to each matrix block End(V_{C,pi}) and to direct
-sums of blocks, giving finite braided-Lie algebras.  Structure tensors
+adjoint action restricts to each matrix block End(V_{C,pi}), giving the
+finite braided-Lie algebra L_{C,pi} of the block.  Structure tensors
 are built twice, from the closed crossed-module formulas and through the
 R-matrix of the coquasitriangular structure; agreement of the two routes
 is a standing self-check used by the tests.
@@ -74,13 +74,11 @@ def _v_basis(ctx: ClassContext, pi: Rep) -> list:
     return [(c, k) for c in ctx.cls for k in range(pi.dim)]
 
 
-def _end_basis(blocks):
-    """The matrix units (t, a, i, b, j) = |a,i><b,j| of End(V_{C,pi}) for each
-    block t, row-major over ``_v_basis``, and their positions."""
-    labels = []
-    for t, (ctx, pi) in enumerate(blocks):
-        v = _v_basis(ctx, pi)
-        labels.extend((t, *ai, *bj) for ai in v for bj in v)
+def _end_basis(ctx: ClassContext, pi: Rep):
+    """The matrix units (a, i, b, j) = |a,i><b,j| of End(V_{C,pi}), row-major
+    over ``_v_basis``, and their positions."""
+    v = _v_basis(ctx, pi)
+    labels = [(*ai, *bj) for ai in v for bj in v]
     return labels, {label: k for k, label in enumerate(labels)}
 
 
@@ -343,78 +341,57 @@ class BraidedLie(CrossedModule):
 
 
 class BlockBraidedLie(BraidedLie):
-    """Braided-Lie algebra on a direct sum of matrix blocks End(V_{C,pi}).
+    """The braided-Lie algebra L_{C,pi} on the matrix block End(V_{C,pi}).
 
-    Basis labels are (block, a, i, b, j): the matrix unit E_{ai}^{bj} of
-    block (C, pi), graded by a b^-1, acted on by g |> E = A(g) E A(g^-1)
-    with A the Wigner construction ``induced_matrices`` of the block.
+    Basis labels are (a, i, b, j): the matrix unit E_{ai}^{bj}, graded by
+    a b^-1, acted on by g |> E = A(g) E A(g^-1) with A the Wigner
+    construction ``induced_matrices`` of the block.
     """
 
-    def __init__(self, blocks):
-        # blocks: list of (ClassContext, Rep)
-        self.blocks = list(blocks)
-        group = blocks[0][0].group
-        for ctx, pi in self.blocks:
-            if ctx.rep == 0 and pi.is_trivial():
-                raise ConfigError("the trivial pair is excluded")
-        basis, self._pos = _end_basis(self.blocks)
-        grading = [
-            group.table[a][group.inv[b]] for (t, a, i, b, j) in basis
-        ]
-        coproduct = []
-        counit = []
-        for (t, a, i, b, j) in basis:
-            terms = []
-            for ck in _v_basis(*self.blocks[t]):
-                terms.append((self._pos[(t, a, i, *ck)], self._pos[(t, *ck, b, j)], ONE))
-            coproduct.append(terms)
-            counit.append(ONE if (a == b and i == j) else ZERO)
+    def __init__(self, ctx: ClassContext, pi: Rep):
+        if ctx.rep == 0 and pi.is_trivial():
+            raise ConfigError("the trivial pair is excluded")
+        self.ctx, self.pi = ctx, pi
+        group = ctx.group
+        v = _v_basis(ctx, pi)
+        dim = len(v)
+        basis, self._pos = _end_basis(ctx, pi)
+        grading = [group.table[a][group.inv[b]] for (a, i, b, j) in basis]
+        # E_x^y is at x * dim + y, so Delta E_x^y = sum_k E_x^k (x) E_k^y
+        coproduct = [[(x * dim + k, k * dim + y, ONE) for k in range(dim)] for x in range(dim) for y in range(dim)]
+        counit = [ONE if x == y else ZERO for x in range(dim) for y in range(dim)]
         # g |> E = A(g) E A(g^-1) from the nonzeros of the columns of A(g)
-        # and the rows of A(g^-1); the units of a block are consecutive
-        action = [[] for _ in range(group.n)]
-        self._wigner = []  # per block: A and the positions of _v_basis
-        base = 0
-        for ctx, pi in self.blocks:
-            A = induced_matrices(ctx, pi)
-            dim = len(A[0])
-            self._wigner.append((A, {ck: k for k, ck in enumerate(_v_basis(ctx, pi))}))
-            for g in range(group.n):
-                cols = _columns(A[g])
-                rows = [[(y, c) for y, c in enumerate(row) if c] for row in A[group.inv[g]]]
-                action[g].extend(
-                    [(base + x * dim + y, cx * cy) for x, cx in cols[r] for y, cy in rows[s]]
-                    for r in range(dim)
-                    for s in range(dim)
-                )
-            base += dim * dim
+        # and the rows of A(g^-1)
+        self._A = A = induced_matrices(ctx, pi)
+        self._vpos = {ck: k for k, ck in enumerate(v)}
+        action = []
+        for g in range(group.n):
+            cols = _columns(A[g])
+            rows = [[(y, c) for y, c in enumerate(row) if c] for row in A[group.inv[g]]]
+            action.append(
+                [[(x * dim + y, cx * cy) for x, cx in cols[r] for y, cy in rows[s]]
+                 for r in range(dim) for s in range(dim)]
+            )
         super().__init__(group, basis, coproduct, counit, grading, action, unit=None)
 
     def bracket(self, i: int, j: int) -> dict:
-        """(id (x) eps) of the fundamental braiding, computed directly."""
+        """(id (x) eps) of the fundamental braiding, computed directly: for
+        E1 = E_{a ii}^{b jj}, the part of b^-1 |> E2 of grade |E1||E2| times
+        pi(zeta_a(x))^{jj}_{ii}, with x the inverse of that grade."""
         out = self._bracket_cache.get((i, j))
         if out is None:
-            (t1, a, ii, b, jj) = self.basis[i]
-            A, vpos = self._wigner[t1]
-            group = self.group
-            out = {}
-            binv = group.inv[b]
-            for (m, cm) in self.action[binv][j]:  # b^-1 |> E2
-                (t2, c2, k2, d2, l2) = self.basis[m]
-                grade = group.table[c2][group.inv[d2]]
-                # condition |E1||E2| = |b^-1 |> E2|
-                lhs = group.table[self.grading[i]][self.grading[j]]
-                if lhs != grade:
-                    continue
-                x = group.inv[grade]
-                # pi1(zeta_a(x))^{jj}_{ii}
-                coeff = A[x][vpos[(group.conj(x, a), jj)]][vpos[(a, ii)]]
-                if coeff:
-                    _addto(out, m, cm * coeff)
+            (a, ii, b, jj) = self.basis[i]
+            group, vpos = self.group, self._vpos
+            grade = group.table[self.grading[i]][self.grading[j]]
+            x = group.inv[grade]
+            coeff = self._A[x][vpos[(group.conj(x, a), jj)]][vpos[(a, ii)]]
+            action = self.action[group.inv[b]][j] if coeff else ()
+            out = {m: cm * coeff for m, cm in action if self.grading[m] == grade}
             self._bracket_cache[i, j] = out
         return out
 
-    def index_of(self, block: int, a: int, i: int, b: int, j: int) -> int:
-        return self._pos[(block, a, i, b, j)]
+    def index_of(self, a: int, i: int, b: int, j: int) -> int:
+        return self._pos[(a, i, b, j)]
 
 
 class RegularBraidedLie(BraidedLie):
@@ -440,7 +417,7 @@ class RegularBraidedLie(BraidedLie):
 
 
 def lie_cpi(ctx: ClassContext, pi: Rep) -> BlockBraidedLie:
-    return BlockBraidedLie([(ctx, pi)])
+    return BlockBraidedLie(ctx, pi)
 
 
 # -- braided Hopf structure of the transmuted double -------------------------------
@@ -489,16 +466,17 @@ def _group_by(tensor: dict, *legs) -> dict:
 
 
 class BlockRMatrices:
-    """R and its inverse between two blocks, as their nonzero entries.
+    """R and its inverse on V (x) V for one block V = V_{C,pi}, as their
+    nonzero entries.
 
-    Index pairs run over V-labels (a, i) of each block.  R = sum_h delta_h
-    (x) h acts on V1 (x) V2 through the Wigner construction A2 of the second
-    block: R^{ai}_{bj}{}^{ck}_{dl} = [ai = bj] A2(a)^{ck}_{dl}, which is
-    pi2(zeta_d(a))^k_l when c = a d a^-1, and R^-1 reads A2(a^-1).  The
+    Index pairs run over V-labels (a, i).  R = sum_h delta_h (x) h acts on
+    V (x) V through the Wigner construction A of the block:
+    R^{ai}_{bj}{}^{ck}_{dl} = [ai = bj] A(a)^{ck}_{dl}, which is
+    pi(zeta_d(a))^k_l when c = a d a^-1, and R^-1 reads A(a^-1).  The
     second inverse Rhat equals R^-1 entry by entry, by the cocycle identity
     zeta_c(a)^-1 = zeta_{a c a^-1}(a^-1), so ``Rinv`` stands for both.
 
-    ``R`` and ``Rinv`` are built once, from the nonzero entries of A2, as
+    ``R`` and ``Rinv`` are built once, from the nonzero entries of A, as
     zero-free dicts {(ai, bj, ck, dl): coeff} in which an absent key is a
     zero entry.  Every contraction looks a factor's entries up by the
     indices it fixes (``_group_by``), so it runs over stored entries only.
@@ -506,18 +484,16 @@ class BlockRMatrices:
     braiding with the direct crossed-module formulas.
     """
 
-    def __init__(self, block1, block2):
-        self.ctx1, self.pi1 = block1
-        self.ctx2, self.pi2 = block2
-        A2 = induced_matrices(self.ctx2, self.pi2)
-        v2 = _v_basis(self.ctx2, self.pi2)
-        inv = self.ctx1.group.inv
+    def __init__(self, ctx: ClassContext, pi: Rep):
+        A = induced_matrices(ctx, pi)
+        self.v = v = _v_basis(ctx, pi)
+        inv = ctx.group.inv
         self.R: dict = {}
         self.Rinv: dict = {}
-        for ai in _v_basis(self.ctx1, self.pi1):
+        for ai in v:
             for tensor, g in ((self.R, ai[0]), (self.Rinv, inv[ai[0]])):
-                for ck, row in zip(v2, A2[g]):
-                    for dl, c in zip(v2, row):
+                for ck, row in zip(v, A[g]):
+                    for dl, c in zip(v, row):
                         if c:
                             tensor[(ai, ai, ck, dl)] = c
 
@@ -533,54 +509,46 @@ class BlockRMatrices:
                     _addto(out, (i, j, k, l), c * c2)
             return out
 
-        identity = {
-            (ai, ai, ck, ck): ONE
-            for ai in _v_basis(self.ctx1, self.pi1)
-            for ck in _v_basis(self.ctx2, self.pi2)
-        }
+        identity = {(ai, ai, ck, ck): ONE for ai in self.v for ck in self.v}
         return compose(self.Rinv, self.R) == identity == compose(self.R, self.Rinv)
 
     def yang_baxter_holds(self) -> bool:
-        """Braid relation on the triple tensor power (one block) for
+        """Braid relation on the triple tensor power for
         Psi^R(v_i (x) v_k) = R^j_i{}^l_k v_l (x) v_j."""
-        if self.ctx1 is not self.ctx2 or self.pi1 is not self.pi2:
-            raise ValueError("the YBE check runs on a single block")
-        pos = {ai: n for n, ai in enumerate(_v_basis(self.ctx1, self.pi1))}
+        pos = {ai: n for n, ai in enumerate(self.v)}
         psi: dict = {}
         for (j, i, l, k), c in self.R.items():
             psi.setdefault((pos[i], pos[k]), {})[(pos[l], pos[j])] = c
         return _braid_relation_holds(lambda i, k: psi.get((i, k), {}), len(pos))
 
 
-def psit_via_rmatrix(lie: BlockBraidedLie, t1: int, t2: int):
-    """Fundamental braiding tensor between two blocks by the R-matrix route:
+def psit_via_rmatrix(lie: BlockBraidedLie):
+    """Fundamental braiding tensor of the block by the R-matrix route:
 
     PsiT(E_I (x) E_K) = E_M (x) E_P *
         Rhat^j_v{}^s_k R^v_q{}^l_r R^r_n{}^p_u Rinv^m_s{}^u_i
 
-    with I = (i,j) in End(V1), K = (k,l) in End(V2), M = (m,n) in End(V2),
-    P = (p,q) in End(V1); the mixed index pairs read the stored entries of
-    ``BlockRMatrices`` of the two block orderings, and Rhat is ``Rinv``.
-    The chain is contracted left to right, each factor's entries looked up
-    by the indices already fixed, so only stored (nonzero) entries meet.
+    with I = (i,j), K = (k,l), M = (m,n) and P = (p,q) index pairs of
+    End(V); the factors read the stored entries of ``BlockRMatrices`` of the
+    block, and Rhat is ``Rinv``.  The chain is contracted left to right,
+    each factor's entries looked up by the indices already fixed, so only
+    stored (nonzero) entries meet.
     """
-    r12 = BlockRMatrices(lie.blocks[t1], lie.blocks[t2])
-    r21 = BlockRMatrices(lie.blocks[t2], lie.blocks[t1])
-    rhat_at = _group_by(r12.Rinv, 0, 3)  # Rhat^j_v{}^s_k by (j, k)
-    r12_at = _group_by(r12.R, 0, 2)  # R^v_q{}^l_r by (v, l)
-    r21_at = _group_by(r21.R, 0)  # R^r_n{}^p_u by r
-    rinv_at = _group_by(r21.Rinv, 1, 2, 3)  # Rinv^m_s{}^u_i by (s, u, i)
+    rm = BlockRMatrices(lie.ctx, lie.pi)
+    rhat_at = _group_by(rm.Rinv, 0, 3)  # Rhat^j_v{}^s_k by (j, k)
+    r_vl_at = _group_by(rm.R, 0, 2)  # R^v_q{}^l_r by (v, l)
+    r_r_at = _group_by(rm.R, 0)  # R^r_n{}^p_u by r
+    rinv_at = _group_by(rm.Rinv, 1, 2, 3)  # Rinv^m_s{}^u_i by (s, u, i)
     pos = lie._pos
-    v1, v2 = _v_basis(*lie.blocks[t1]), _v_basis(*lie.blocks[t2])
     out = {}
-    for i_, j_, k_, l_ in product(v1, v1, v2, v2):
+    for i_, j_, k_, l_ in product(rm.v, repeat=4):
         vec: dict = {}
         for (_, v_, s_, _), a in rhat_at.get((j_, k_), ()):
-            for (_, q_, _, r_), b in r12_at.get((v_, l_), ()):
-                for (_, n_, p_, u_), c in r21_at.get((r_,), ()):
+            for (_, q_, _, r_), b in r_vl_at.get((v_, l_), ()):
+                for (_, n_, p_, u_), c in r_r_at.get((r_,), ()):
                     for (m_, _, _, _), d in rinv_at.get((s_, u_, i_), ()):
-                        _addto(vec, (pos[(t2, *m_, *n_)], pos[(t1, *p_, *q_)]), a * b * c * d)
-        out[(pos[(t1, *i_, *j_)], pos[(t2, *k_, *l_)])] = vec
+                        _addto(vec, (pos[(*m_, *n_)], pos[(*p_, *q_)]), a * b * c * d)
+        out[(pos[(*i_, *j_)], pos[(*k_, *l_)])] = vec
     return out
 
 
@@ -599,30 +567,27 @@ def envelope(lie: BraidedLie) -> QuadAlg:
     return QuadAlg([str(b) for b in lie.basis], relations)
 
 
-def frt(blocks) -> QuadAlg:
-    """FRT-type bialgebra presentation from the block R-matrices.
+def frt(ctx: ClassContext, pi: Rep) -> QuadAlg:
+    """FRT-type bialgebra presentation from the block's R-matrix.
 
-    Generators t_{ai}^{bj} per block; for blocks 1 and 2, with R the stored
-    entries of ``BlockRMatrices(block1, block2)``, the relations
+    Generators t_{ai}^{bj}, one per matrix unit of End(V_{C,pi}); with R the
+    stored entries of ``BlockRMatrices(ctx, pi)``, the relations
     R^{fp}_{ai}{}^{g q}_{c k} t_{fp}^{bj} t_{gq}^{dl}
       = t_{ck}^{gq} t_{ai}^{fp} R^{bj}_{fp}{}^{dl}_{gq}.
     The left side looks R up by (ai, ck), the right side by (bj, dl).
     """
-    labels, pos = _end_basis(blocks)
+    labels, pos = _end_basis(ctx, pi)
+    rm = BlockRMatrices(ctx, pi)
+    left_at, right_at = _group_by(rm.R, 1, 3), _group_by(rm.R, 0, 2)
     relations = []
-    for t1, b1 in enumerate(blocks):
-        for t2, b2 in enumerate(blocks):
-            R = BlockRMatrices(b1, b2).R
-            left_at, right_at = _group_by(R, 1, 3), _group_by(R, 0, 2)
-            v1, v2 = _v_basis(*b1), _v_basis(*b2)
-            for ai, bj, ck, dl in product(v1, v1, v2, v2):
-                row: dict = {}
-                for (fp, _, gq, _), c in left_at.get((ai, ck), ()):
-                    _addto(row, (pos[(t1, *fp, *bj)], pos[(t2, *gq, *dl)]), c)
-                for (_, fp, _, gq), c in right_at.get((bj, dl), ()):
-                    _addto(row, (pos[(t2, *ck, *gq)], pos[(t1, *ai, *fp)]), -c)
-                if row:
-                    relations.append(row)
+    for ai, bj, ck, dl in product(rm.v, repeat=4):
+        row: dict = {}
+        for (fp, _, gq, _), c in left_at.get((ai, ck), ()):
+            _addto(row, (pos[(*fp, *bj)], pos[(*gq, *dl)]), c)
+        for (_, fp, _, gq), c in right_at.get((bj, dl), ()):
+            _addto(row, (pos[(*ck, *gq)], pos[(*ai, *fp)]), -c)
+        if row:
+            relations.append(row)
     return QuadAlg([str(l) for l in labels], relations)
 
 
@@ -645,8 +610,9 @@ def inclusion_element(ctx: ClassContext, pi: Rep, a, i: int, b, j: int) -> Doubl
     return DoubleElement(group, terms)
 
 
-def covering_map_image(blocks) -> dict:
-    """Unital subalgebra of the double generated by the inclusion images.
+def covering_map_image(ctx: ClassContext, pi: Rep) -> dict:
+    """Unital subalgebra of the double generated by the inclusion images of
+    the block's matrix units.
 
     Exact closure: every element that enlarges the span is multiplied by
     every generator once, so the span ends closed under the generators.  A
@@ -654,12 +620,8 @@ def covering_map_image(blocks) -> dict:
     there.  Reports the dimension, surjectivity onto the double, and whether
     the classes generate the group (a necessary condition).
     """
-    group = blocks[0][0].group
-    gens = [
-        inclusion_element(ctx, pi, *ai, *bj)
-        for ctx, pi in blocks
-        for ai, bj in product(_v_basis(ctx, pi), repeat=2)
-    ]
+    group = ctx.group
+    gens = [inclusion_element(ctx, pi, *ai, *bj) for ai, bj in product(_v_basis(ctx, pi), repeat=2)]
     full = group.n * group.n
     span = SparseSpan()
     work = [elt for elt in [DoubleElement.unit(group)] + gens if span.add(dict(elt.terms))]
@@ -671,11 +633,10 @@ def covering_map_image(blocks) -> dict:
                 work.append(prod)
                 if span.rank == full:
                     break
-    classes_union = sorted({c for ctx, _ in blocks for c in ctx.cls})
     return {
         "dimension": span.rank,
         "surjective": span.rank == full,
-        "classes_generate": len(group.subgroup_generated(classes_union)) == group.n,
+        "classes_generate": len(group.subgroup_generated(ctx.cls)) == group.n,
     }
 
 
@@ -691,7 +652,7 @@ def killing_trace_oracle(lie: BlockBraidedLie):
     dim = lie.dim
     # the dual vector e^m is the transposed unit, and ev(E (x) E') = 1 exactly
     # when E' is the transpose of E
-    transpose = [lie._pos[(t, b, j, a, i)] for (t, a, i, b, j) in lie.basis]
+    transpose = [lie._pos[(b, j, a, i)] for (a, i, b, j) in lie.basis]
     K = [[ZERO] * dim for _ in range(dim)]
     for x in range(dim):
         for y in range(dim):
@@ -715,16 +676,14 @@ def killing_form(lie: BlockBraidedLie):
     q-power values.  ``killing_trace_oracle`` composes the written
     categorical trace instead; the two disagree on some blocks because the
     source derivations themselves disagree (see the project notes)."""
-    if len(lie.blocks) != 1:
-        raise ValueError("closed formula implemented per block")
-    ctx, pi = lie.blocks[0]
+    ctx, pi = lie.ctx, lie.pi
     group = lie.group
     dim = lie.dim
     K = [[ZERO] * dim for _ in range(dim)]
     for x in range(dim):
-        (t1, a, i, b, j) = lie.basis[x]
+        (a, i, b, j) = lie.basis[x]
         for y in range(dim):
-            (t2, c, k, d, l) = lie.basis[y]
+            (c, k, d, l) = lie.basis[y]
             ab = group.table[a][group.inv[b]]
             dc = group.table[d][group.inv[c]]
             if ab != dc:
@@ -735,11 +694,11 @@ def killing_form(lie: BlockBraidedLie):
                     gf = group.table[g][group.inv[f]]
                     if ab != group.commutator(gf, d):
                         continue
-                    t = group.word(group.inv[b], group.inv[d], g)
-                    if group.table[t][f] != group.table[f][t]:
+                    w1 = group.word(group.inv[b], group.inv[d], g)
+                    if group.table[w1][f] != group.table[f][w1]:
                         continue
-                    t2_ = group.word(d, b, f)
-                    if group.table[t2_][g] != group.table[g][t2_]:
+                    w2 = group.word(d, b, f)
+                    if group.table[w2][g] != group.table[g][w2]:
                         continue
                     fg = group.table[f][group.inv[g]]
                     arg1 = ctx.zeta_in_centralizer(c, group.word(group.inv[d], fg, d))
@@ -785,7 +744,7 @@ def _antipode_relations(ctx: ClassContext, pi: Rep, pos: dict, antipode) -> list
     """The relations sum_ck t_{ai}^{ck} S t_{ck}^{bj} = [ai = bj] and
     sum_ck S t_{ai}^{ck} t_{ck}^{bj} = [ai = bj], in that order for each
     (ai, bj), as (quadratic part, -constant) pairs over the positions ``pos``
-    of the units (0, a, i, b, j).  ``antipode(ctx, pi, a, i, b, j)`` gives S
+    of the units (a, i, b, j).  ``antipode(ctx, pi, a, i, b, j)`` gives S
     on a generator as {(a', i', b', j'): coeff}."""
     v = _v_basis(ctx, pi)
     relations = []
@@ -793,10 +752,10 @@ def _antipode_relations(ctx: ClassContext, pi: Rep, pos: dict, antipode) -> list
         const = -ONE if ai == bj else ZERO
         left, right = {}, {}
         for ck in v:
-            for t, c in antipode(ctx, pi, *ck, *bj).items():
-                _addto(left, (pos[(0, *ai, *ck)], pos[(0, *t)]), c)
-            for t, c in antipode(ctx, pi, *ai, *ck).items():
-                _addto(right, (pos[(0, *t)], pos[(0, *ck, *bj)]), c)
+            for unit, c in antipode(ctx, pi, *ck, *bj).items():
+                _addto(left, (pos[(*ai, *ck)], pos[unit]), c)
+            for unit, c in antipode(ctx, pi, *ai, *ck).items():
+                _addto(right, (pos[unit], pos[(*ck, *bj)]), c)
         relations += [(left, const), (right, const)]
     return relations
 
@@ -819,8 +778,9 @@ def quotient_hopf(ctx: ClassContext, pi: Rep):
     lie = lie_cpi(ctx, pi)
     ua = envelope(lie)
     if not braided_antipode_preserves_relations(lie, ua.relations):
-        raise ConfigError("braided antipode does not preserve the enveloping algebra's relations")
-    fa = frt([(ctx, pi)])
+        k = _relation_left_by_antipode(lie, ua.relations)
+        raise ConfigError(f"braided antipode does not preserve the enveloping algebra's relations: relation {k}")
+    fa = frt(ctx, pi)
     H = QuadAlg(fa.generators, fa.relations, _antipode_relations(ctx, pi, lie._pos, _frt_antipode))
     B = QuadAlg(
         ua.generators, ua.relations, _antipode_relations(ctx, pi, lie._pos, braided_antipode_on_generator)
@@ -832,17 +792,21 @@ def braided_antipode_preserves_relations(lie: BlockBraidedLie, relations) -> boo
     """S extended braided-antimultiplicatively, S(xy) = S(Psi1(x,y)) S(Psi2(x,y)),
     maps relations, the degree-2 relation rows of ``envelope(lie)``, into
     their span."""
-    if len(lie.blocks) != 1:
-        raise ValueError("implemented per block")
-    ctx, pi = lie.blocks[0]
+    return _relation_left_by_antipode(lie, relations) is None
+
+
+def _relation_left_by_antipode(lie: BlockBraidedLie, relations):
+    """The index k of the first row of relations whose image under the
+    braided antipode S, extended as in ``braided_antipode_preserves_relations``,
+    leaves the span of the rows, or None."""
     image = [
-        {lie._pos[(0, *t)]: c for t, c in braided_antipode_on_generator(ctx, pi, *label[1:]).items()}
+        {lie._pos[unit]: c for unit, c in braided_antipode_on_generator(lie.ctx, lie.pi, *label).items()}
         for label in lie.basis
     ]
     span = SparseSpan()
     for row in relations:
         span.add(row)
-    for row in relations:
+    for k, row in enumerate(relations):
         moved = {}
         for (i, j), c in row.items():
             for (a, b), c0 in lie.psi(i, j):
@@ -850,5 +814,5 @@ def braided_antipode_preserves_relations(lie: BlockBraidedLie, relations) -> boo
                     for m2, c2 in image[b].items():
                         _addto(moved, (m1, m2), c * c0 * c1 * c2)
         if not span.contains(moved):
-            return False
-    return True
+            return k
+    return None

@@ -460,9 +460,7 @@ def cmd_dual(read, args):
     weight_vars = {}
     counter = 1
     for cls_ in group.conjugacy_classes():
-        if group.labels[cls_[0]] in subset or any(
-            group.labels[c] in subset for c in cls_
-        ):
+        if any(group.labels[c] in subset for c in cls_):
             weight_vars[cls_[0]] = f"lstar{counter}"
             counter += 1
     lambda_vars = {}
@@ -490,7 +488,7 @@ def cmd_braided(read, args):
         "subcommand": "braided",
         "dimension": lie.dim,
         "axioms": axioms,
-        "image": covering_map_image([(ctx, pi)]),
+        "image": covering_map_image(ctx, pi),
     }
 
 
@@ -518,7 +516,7 @@ def cmd_envelope(read, args):
     return {
         "subcommand": "envelope",
         "enveloping_dims": envelope(lie).hilbert_prefix(args.degree),
-        "frt_dims": frt([(ctx, pi)]).hilbert_prefix(args.degree),
+        "frt_dims": frt(ctx, pi).hilbert_prefix(args.degree),
     }
 
 

@@ -694,7 +694,7 @@ def criterion_11():
             lie = lie_cpi(ctx, pi)
             if n < len(blocks):
                 axioms = all(lie.axioms().values()) and axioms
-            rt = psit_via_rmatrix(lie, 0, 0)
+            rt = psit_via_rmatrix(lie)
             routes = routes and all(
                 rt[(i, j)] == lie.psit(i, j) for i in range(lie.dim) for j in range(lie.dim)
             )
@@ -728,13 +728,11 @@ def criterion_12():
     checks.append(_check("c12 dim_2 U(L) for C = {e} equals d^2(d^2+1)/2", ok))
     # transmutation consistency through degree 3 for the small S3 blocks
     ok = True
-    for ctx, pis in ((d.ctx2, (0, 1, 2)),):
-        for j in pis:
-            lie_j = lie_cpi(ctx, d.pi[j])
-            e_j = envelope(lie_j)
-            f_j = frt([(ctx, d.pi[j])])
-            if e_j.hilbert_prefix(3) != f_j.hilbert_prefix(3):
-                ok = False
+    for j in (0, 1, 2):
+        e_j = envelope(lie_cpi(d.ctx2, d.pi[j]))
+        f_j = frt(d.ctx2, d.pi[j])
+        if e_j.hilbert_prefix(3) != f_j.hilbert_prefix(3):
+            ok = False
     checks.append(_check("c12 dim_n U(L) = dim_n A for n <= 3 on the 3-cycle blocks", ok))
     return checks
 
@@ -745,7 +743,7 @@ def criterion_12():
 def _gram_is(lie, K, cls, want):
     """K(E_a^b, E_c^d) = want(a, b, c, d) for every a, b, c, d in the class."""
     return all(
-        K[lie.index_of(0, a, 0, b, 0)][lie.index_of(0, c, 0, dd, 0)] == want(a, b, c, dd)
+        K[lie.index_of(a, 0, b, 0)][lie.index_of(c, 0, dd, 0)] == want(a, b, c, dd)
         for a in cls
         for b in cls
         for c in cls
@@ -770,7 +768,7 @@ def criterion_13():
     )
     computed_pattern = [
         [
-            Km[liem.index_of(0, dd, 0, b, 0)][liem.index_of(0, b, 0, dd, 0)]
+            Km[liem.index_of(dd, 0, b, 0)][liem.index_of(b, 0, dd, 0)]
             for dd in (d.u, d.v, d.w)
         ]
         for b in (d.u, d.v, d.w)
@@ -831,8 +829,8 @@ def criterion_14():
     d = S3Data.get()
     G = d.G
     checks = []
-    img_p = covering_map_image([(d.ctx3, d.pipm[0])])
-    img_m = covering_map_image([(d.ctx3, d.pipm[1])])
+    img_p = covering_map_image(d.ctx3, d.pipm[0])
+    img_m = covering_map_image(d.ctx3, d.pipm[1])
     checks.append(
         _check(
             "c14 surjectivity for ({u,v,w}, pi_pm)",
@@ -841,9 +839,7 @@ def criterion_14():
     )
     dims = {}
     for pi in irrep_catalog(d.ctx1.centralizer):
-        dims[pi.dim if not pi.is_trivial() else 0] = covering_map_image(
-            [(d.ctx1, pi)]
-        )["dimension"]
+        dims[pi.dim if not pi.is_trivial() else 0] = covering_map_image(d.ctx1, pi)["dimension"]
     checks.append(
         _check(
             "c14 image dimensions 1, 2, 6 for the point class",
@@ -852,7 +848,7 @@ def criterion_14():
         )
     )
     okdims = all(
-        covering_map_image([(d.ctx2, d.pi[j])])["dimension"] == 6 for j in (0, 1, 2)
+        covering_map_image(d.ctx2, d.pi[j])["dimension"] == 6 for j in (0, 1, 2)
     )
     checks.append(_check("c14 image dimension 6 for the 3-cycle blocks", okdims))
     r11 = inclusion_element(d.ctx2, d.pi[1], "uv", 0, "uv", 0)
@@ -930,7 +926,7 @@ def criterion_15():
     for ctx, pi in double_irreps(G):
         if ctx.rep == 0 and pi.is_trivial():
             continue
-        rm = BlockRMatrices((ctx, pi), (ctx, pi))
+        rm = BlockRMatrices(ctx, pi)
         ok_ybe = ok_ybe and rm.yang_baxter_holds()
         ok_inv = ok_inv and rm.second_inverse_holds()
     checks.append(_check("c15 Yang-Baxter equation for each block R-matrix", ok_ybe))

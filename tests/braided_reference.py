@@ -46,7 +46,7 @@ def quotient_relations(ctx, pi, pos):
     group = ctx.group
 
     def t_index(a, i, b, j):
-        return pos[(0, a, i, b, j)]
+        return pos[(a, i, b, j)]
 
     inhom_frt = []
     inhom_env = []
@@ -98,13 +98,13 @@ def quotient_relations(ctx, pi, pos):
 
 def preserves_relations(lie) -> bool:
     """S extended braided-antimultiplicatively maps im(PsiT - id) into itself."""
-    ctx, pi = lie.blocks[0]
+    ctx, pi = lie.ctx, lie.pi
 
     def s_on_index(idx):
-        (t, a, i, b, j) = lie.basis[idx]
+        (a, i, b, j) = lie.basis[idx]
         out = {}
         for (ta, tk, tb, ti), coeff in antipode_on_generator(ctx, pi, a, i, b, j).items():
-            out[lie._pos[(0, ta, tk, tb, ti)]] = coeff
+            out[lie._pos[(ta, tk, tb, ti)]] = coeff
         return out
 
     def s2_on_pair(i, j):
@@ -140,9 +140,9 @@ def trace_oracle(lie):
     dim = lie.dim
 
     def ev(idx1, idx2):
-        (t1, a, i, b, j) = lie.basis[idx1]
-        (t2, c, k, d, l) = lie.basis[idx2]
-        if t1 == t2 and a == d and b == c and i == l and k == j:
+        (a, i, b, j) = lie.basis[idx1]
+        (c, k, d, l) = lie.basis[idx2]
+        if a == d and b == c and i == l and k == j:
             return ONE
         return ZERO
 
@@ -151,8 +151,8 @@ def trace_oracle(lie):
         for y in range(dim):
             total = ZERO
             for m in range(dim):
-                (tm, am, im, bm, jm) = lie.basis[m]
-                dual_m = lie._pos[(tm, bm, jm, am, im)]
+                (am, im, bm, jm) = lie.basis[m]
+                dual_m = lie._pos[(bm, jm, am, im)]
                 for w1, c1 in lie.bracket(y, m).items():
                     for w, c2 in lie.bracket(x, w1).items():
                         for (moved, c3) in lie.action[lie.grading[w]][dual_m]:

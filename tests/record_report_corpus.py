@@ -19,7 +19,9 @@ the sign character, whose cotorsion kernel has non-constant denominators
 for ``connection_solve`` to clear, and ``geometry`` on
 ``tests/scenarios/s3_degenerate_metric.json``, the ``s3_case_ii`` block with
 lengths whose metric determinant is 0, asked only for the flags that need no
-inverse metric.  Each runs in process
+inverse metric, and ``quotient`` on ``tests/scenarios/s4_four_cycle_j2.json``,
+the S4 4-cycle block with j = 2, whose braided antipode leaves the enveloping
+algebra's relations and so is refused.  Each runs in process
 through ``cli.main``, with paths relative to the repository root.
 
 Run from the repository root:
@@ -56,6 +58,7 @@ C1_SCENARIO = "tests/scenarios/c1_trivial.json"
 S1_SCENARIO = "tests/scenarios/s1_symmetric.json"
 SIGN_SCENARIO = "tests/scenarios/s3_transposition_sign.json"
 DEGENERATE_SCENARIO = "tests/scenarios/s3_degenerate_metric.json"
+J2_SCENARIO = "tests/scenarios/s4_four_cycle_j2.json"
 REPORTS = [c for c in sorted(cli.COMMANDS) if c != "verify-paper"]
 OPS = (
     [(c, "--scenario", s) for s in SCENARIOS for c in REPORTS]
@@ -69,6 +72,7 @@ OPS = (
     + [("geometry", "--scenario", RESIDUALS_SCENARIO), ("calculus", "--scenario", C1_SCENARIO)]
     + [(c, "--scenario", S1_SCENARIO) for c in ("group", "classes")]
     + [("geometry", "--scenario", SIGN_SCENARIO), ("geometry", "--scenario", DEGENERATE_SCENARIO)]
+    + [("quotient", "--scenario", J2_SCENARIO)]
 )
 
 

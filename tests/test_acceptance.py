@@ -170,7 +170,7 @@ def test_criterion_13_literal_killing_minus_pattern():
     K = killing_form(lie)
     printed = [[1, -3, -1], [-1, -3, -1], [-1, -3, 1]]
     pattern = [
-        [K[lie.index_of(0, dd, 0, b, 0)][lie.index_of(0, b, 0, dd, 0)] for dd in (d.u, d.v, d.w)]
+        [K[lie.index_of(dd, 0, b, 0)][lie.index_of(b, 0, dd, 0)] for dd in (d.u, d.v, d.w)]
         for b in (d.u, d.v, d.w)
     ]
     assert all(

@@ -46,8 +46,8 @@ def test_printed_fundamental_braiding_case_ii(data):
             for b in data.ctx2.cls:
                 for c in data.ctx2.cls:
                     for dd in data.ctx2.cls:
-                        i1 = lie.index_of(0, a, 0, b, 0)
-                        i2 = lie.index_of(0, c, 0, dd, 0)
+                        i1 = lie.index_of(a, 0, b, 0)
+                        i2 = lie.index_of(c, 0, dd, 0)
                         coeff = q ** (j * ((a == c) + (b == c) - (a == dd) - (b == dd)))
                         assert lie.psit(i1, i2) == {(i2, i1): coeff}
 
@@ -59,10 +59,10 @@ def test_bracket_simplification_c_equals_d(data):
         for a in ctx.cls:
             for b in ctx.cls:
                 for c in ctx.cls:
-                    got = lie.bracket(lie.index_of(0, a, 0, b, 0), lie.index_of(0, c, 0, c, 0))
+                    got = lie.bracket(lie.index_of(a, 0, b, 0), lie.index_of(c, 0, c, 0))
                     if a == b:
                         tgt = G.conj(G.inv[b], c)
-                        assert got == {lie.index_of(0, tgt, 0, tgt, 0): ONE}
+                        assert got == {lie.index_of(tgt, 0, tgt, 0): ONE}
                     else:
                         assert got == {}
 
@@ -76,7 +76,7 @@ def test_point_class_is_trivial_braided_algebra(data):
     for i1 in range(lie.dim):
         for i2 in range(lie.dim):
             assert lie.psit(i1, i2) == {(i2, i1): ONE}
-            (_, a, i, b, j) = lie.basis[i1]
+            (a, i, b, j) = lie.basis[i1]
             expected = {i2: ONE} if i == j else {}
             assert lie.bracket(i1, i2) == expected
 
@@ -547,7 +547,7 @@ def test_action_table_is_conjugation_of_matrix_units(data):
         pos = {c: k for k, c in enumerate(ctx.cls)}
         dim = len(rho[0])
         for g in range(G.n):
-            for idx, (_, a, i, b, j) in enumerate(lie.basis):
+            for idx, (a, i, b, j) in enumerate(lie.basis):
                 # rho(g) |r><s| rho(g^-1) has entries rho(g)[x][r] rho(g^-1)[s][y]
                 r, s = pos[a] * pi.dim + i, pos[b] * pi.dim + j
                 expected = {}
@@ -556,7 +556,7 @@ def test_action_table_is_conjugation_of_matrix_units(data):
                         coeff = rho[g][x][r] * rho[G.inv[g]][s][y]
                         if coeff:
                             (a2, k), (b2, l) = divmod(x, pi.dim), divmod(y, pi.dim)
-                            expected[lie.index_of(0, ctx.cls[a2], k, ctx.cls[b2], l)] = coeff
+                            expected[lie.index_of(ctx.cls[a2], k, ctx.cls[b2], l)] = coeff
                 assert dict(lie.action[g][idx]) == expected
 
 
@@ -587,7 +587,7 @@ def test_rmatrix_identities_all_blocks(data):
 
     for ctx in (data.ctx2, data.ctx3):
         for pi in irrep_catalog(ctx.centralizer):
-            rm = BlockRMatrices((ctx, pi), (ctx, pi))
+            rm = BlockRMatrices(ctx, pi)
             assert rm.yang_baxter_holds()
             assert rm.second_inverse_holds()
 
@@ -598,31 +598,21 @@ def test_one_removed_r_entry_fails_the_second_inverse_and_the_route(data, monkey
     import qdouble.braided as braided
 
     block = (data.ctx2, data.pi[1])
-    rm = BlockRMatrices(block, block)
+    rm = BlockRMatrices(*block)
     key = next(iter(rm.R))
     assert rm.second_inverse_holds()
     del rm.R[key]
     assert not rm.second_inverse_holds()
 
     class Dropped(BlockRMatrices):
-        def __init__(self, block1, block2):
-            super().__init__(block1, block2)
+        def __init__(self, ctx, pi):
+            super().__init__(ctx, pi)
             del self.R[key]
 
     monkeypatch.setattr(braided, "BlockRMatrices", Dropped)
     lie = lie_cpi(*block)
-    rt = psit_via_rmatrix(lie, 0, 0)
+    rt = psit_via_rmatrix(lie)
     assert any(rt[(i, j)] != lie.psit(i, j) for i in range(lie.dim) for j in range(lie.dim))
-
-
-def test_route_agreement_direct_sum(data):
-    lie = BlockBraidedLie([(data.ctx2, data.pi[1]), (data.ctx2, data.pi[2])])
-    assert lie.dim == 8
-    for t1 in (0, 1):
-        for t2 in (0, 1):
-            rt = psit_via_rmatrix(lie, t1, t2)
-            for key, vec in rt.items():
-                assert vec == lie.psit(*key)
 
 
 @pytest.mark.parametrize("group", ["S3", "S4", "C4"])
@@ -638,22 +628,30 @@ def test_rmatrix_route_equals_the_direct_braiding_on_every_block(group):
         if ctx.rep == 0 and pi.is_trivial():
             continue
         lie = lie_cpi(ctx, pi)
-        rt = psit_via_rmatrix(lie, 0, 0)
+        rt = psit_via_rmatrix(lie)
         assert all(rt[(i, j)] == lie.psit(i, j) for i in range(lie.dim) for j in range(lie.dim))
 
 
-def test_direct_sum_axioms(data):
-    lie = BlockBraidedLie([(data.ctx2, data.pi[1]), (data.ctx2, data.pi[2])])
-    assert lie.check_L3()
-    assert lie.check_L2()
-    assert lie.is_regular()
+def test_block_basis_is_the_row_major_matrix_units():
+    """The labels of L_{C,pi} are the matrix units (a, i, b, j) of
+    End(V_{C,pi}), row-major over V's basis (c, k); ``index_of`` inverts that
+    order and E_{ai}^{bj} has grade a b^-1.  The Killing rows and every
+    envelope and FRT relation position read this order."""
+    for ctx, pi in _nontrivial_blocks("S3") + _s4_blocks()[:1]:
+        lie = BlockBraidedLie(ctx, pi)
+        group = ctx.group
+        v = [(c, k) for c in ctx.cls for k in range(pi.dim)]
+        assert lie.basis == [(*ai, *bj) for ai in v for bj in v]
+        for k, (a, i, b, j) in enumerate(lie.basis):
+            assert lie.index_of(a, i, b, j) == k
+            assert lie.grading[k] == group.table[a][group.inv[b]]
 
 
 def test_envelope_dims_case_ii(data):
     for j in (0, 1, 2):
         lie = lie_cpi(data.ctx2, data.pi[j])
         env = envelope(lie)
-        fa = frt([(data.ctx2, data.pi[j])])
+        fa = frt(data.ctx2, data.pi[j])
         # j = 0: polynomial algebra on 4 generators; j = 1, 2: the four extra
         # vanishing products leave 6 = 16 - 6 - 4 independent degree-2 monomials
         expected_d2 = 10 if j == 0 else 6
@@ -724,7 +722,7 @@ def test_graded_dims_match_rank_mod_p(data):
         for pi in irrep_catalog(ctx.centralizer):
             if ctx.rep == 0 and pi.dim == 1 and all(m[0][0] == ONE for m in pi.matrices):
                 continue
-            for alg in (envelope(lie_cpi(ctx, pi)), frt([(ctx, pi)])):
+            for alg in (envelope(lie_cpi(ctx, pi)), frt(ctx, pi)):
                 assert alg.hilbert_prefix(3) == _graded_dims_mod_p(alg, 3)
             blocks += 1
     assert blocks == 7
@@ -769,7 +767,7 @@ def test_degree_by_degree_ideal_matches_the_full_loop(data):
     assert len(blocks) == 7
     for maxdeg, block_list in ((4, blocks), (2, _s4_blocks()[:1])):
         for ctx, pi in block_list:
-            for alg in (envelope(lie_cpi(ctx, pi)), frt([(ctx, pi)])):
+            for alg in (envelope(lie_cpi(ctx, pi)), frt(ctx, pi)):
                 assert alg.hilbert_prefix(maxdeg) == _reference_graded_dims(alg, maxdeg)
                 _assert_echelon(alg)
 
@@ -778,7 +776,7 @@ def test_graded_dimension_out_of_order_matches_in_order(data):
     """graded_dimension(4) first builds the spans of degrees 2 and 3 on the
     way; the prefix read afterwards equals the one built degree by degree."""
     block = (data.ctx3, centralizer_character(data.ctx3, 0))
-    for build in (lambda: envelope(lie_cpi(*block)), lambda: frt([block])):
+    for build in (lambda: envelope(lie_cpi(*block)), lambda: frt(*block)):
         first = build()
         top = first.graded_dimension(4)
         assert sorted(first._spans) == [1, 2, 3, 4]
@@ -791,7 +789,7 @@ def test_spans_store_only_the_rows_outside_v_tensor_the_lower_ideal(data):
     """At degree 4 the spans of s3_case_iii_plus hold 48 + 234 + 496 rows,
     where I_2, I_3 and I_4 stored whole would hold 48 + 666 + 6490."""
     block = (data.ctx3, centralizer_character(data.ctx3, 0))
-    for alg in (envelope(lie_cpi(*block)), frt([block])):
+    for alg in (envelope(lie_cpi(*block)), frt(*block)):
         assert alg.hilbert_prefix(4) == [1, 9, 33, 63, 71]
         assert sum(span.rank for span in alg._spans.values()) == 778
 
@@ -814,10 +812,10 @@ def test_envelope_relations_case_ii(data):
     """For j = 1, 2 the extra relations kill the four mixed products."""
     lie = lie_cpi(data.ctx2, data.pi[1])
     env = envelope(lie)
-    e11 = lie.index_of(0, data.uv, 0, data.uv, 0)
-    e12 = lie.index_of(0, data.uv, 0, data.vu, 0)
-    e21 = lie.index_of(0, data.vu, 0, data.uv, 0)
-    e22 = lie.index_of(0, data.vu, 0, data.vu, 0)
+    e11 = lie.index_of(data.uv, 0, data.uv, 0)
+    e12 = lie.index_of(data.uv, 0, data.vu, 0)
+    e21 = lie.index_of(data.vu, 0, data.uv, 0)
+    e22 = lie.index_of(data.vu, 0, data.vu, 0)
     from qdouble.linalg import SparseSpan
 
     span = SparseSpan()
@@ -850,7 +848,7 @@ def test_inclusion_intertwines_brackets(data):
     lie = lie_cpi(data.ctx3, data.pipm[1])
 
     def r_of(idx):
-        (t, a, i, b, j) = lie.basis[idx]
+        (a, i, b, j) = lie.basis[idx]
         return inclusion_element(data.ctx3, data.pipm[1], a, i, b, j)
 
     for x in range(lie.dim):
@@ -873,14 +871,14 @@ def test_inclusion_intertwines_brackets(data):
 def test_inclusion_respects_grading(data):
     lie = lie_cpi(data.ctx3, data.pipm[0])
     for idx in range(lie.dim):
-        (t, a, i, b, j) = lie.basis[idx]
+        (a, i, b, j) = lie.basis[idx]
         elt = inclusion_element(data.ctx3, data.pipm[0], a, i, b, j)
         for (g, h) in elt.terms:
             assert DoubleElement.basis(data.G, g, h).grading() == lie.grading[idx]
 
 
 def test_covering_image_rejects_and_flags(data):
-    img = covering_map_image([(data.ctx2, data.pi[0])])
+    img = covering_map_image(data.ctx2, data.pi[0])
     assert img == {"dimension": 6, "surjective": False, "classes_generate": False}
 
 
@@ -890,7 +888,7 @@ def test_covering_image_stops_once_the_span_is_the_whole_double(monkeypatch):
     calls = []
     dg_mul = DoubleElement.dg_mul
     monkeypatch.setattr(DoubleElement, "dg_mul", lambda self, other: calls.append(1) or dg_mul(self, other))
-    img = covering_map_image(_s4_blocks()[:1])
+    img = covering_map_image(*_s4_blocks()[0])
     assert img == {"dimension": 576, "surjective": True, "classes_generate": True}
     assert 0 < len(calls) < 576 * 36
 
@@ -909,9 +907,9 @@ def test_killing_point_class(data):
     lie = lie_cpi(data.ctx1, two)
     K = killing_form(lie)
     for i1 in range(lie.dim):
-        (_, _, i, _, j) = lie.basis[i1]
+        (_, i, _, j) = lie.basis[i1]
         for i2 in range(lie.dim):
-            (_, _, k, _, l) = lie.basis[i2]
+            (_, k, _, l) = lie.basis[i2]
             expected = cyc(4) if (i == j and k == l) else ZERO
             assert K[i1][i2] == expected
 
@@ -926,10 +924,10 @@ def test_quotient_case_ii_pi0(data):
     assert H.graded_dimension(2) == B.graded_dimension(2) == 5
     # the antipode relation t_1^1 t_2^2 + t_1^2 t_2^1 = 1 is present
     lie = lie_cpi(data.ctx2, data.pi[0])
-    t11 = lie.index_of(0, data.uv, 0, data.uv, 0)
-    t12 = lie.index_of(0, data.uv, 0, data.vu, 0)
-    t21 = lie.index_of(0, data.vu, 0, data.uv, 0)
-    t22 = lie.index_of(0, data.vu, 0, data.vu, 0)
+    t11 = lie.index_of(data.uv, 0, data.uv, 0)
+    t12 = lie.index_of(data.uv, 0, data.vu, 0)
+    t21 = lie.index_of(data.vu, 0, data.uv, 0)
+    t22 = lie.index_of(data.vu, 0, data.vu, 0)
     wanted = {(t11, t22): ONE, (t12, t21): ONE}
     found = any(
         dict(q) == wanted and c == -ONE for q, c in H.inhomogeneous
@@ -938,9 +936,12 @@ def test_quotient_case_ii_pi0(data):
 
 
 def test_braided_antipode_preserves_relations(data):
+    from qdouble.braided import _relation_left_by_antipode
+
     for pi in (data.pipm[0], data.pipm[1]):
         lie = lie_cpi(data.ctx3, pi)
         assert braided_antipode_preserves_relations(lie, envelope(lie).relations)
+        assert _relation_left_by_antipode(lie, envelope(lie).relations) is None
 
 
 def test_braided_antipode_printed_form(data):
@@ -997,15 +998,20 @@ def test_antipode_relations_match_the_two_loop_reference(group, accepted):
 
 def test_quotient_refuses_an_antipode_that_breaks_the_relations():
     """On the S4 4-cycle class with the real character j = 2 the braided
-    antipode does not map the enveloping relations into themselves."""
+    antipode does not map the enveloping relations into themselves; the
+    witness names a relation, and the refusal names the same one."""
+    from qdouble.braided import _relation_left_by_antipode
     from qdouble.groups import FiniteGroup, class_context
 
     ctx = class_context(FiniteGroup.symmetric(4), "s1s2s3")
     pi = centralizer_character(ctx, 2)
     lie = lie_cpi(ctx, pi)
+    relations = envelope(lie).relations
+    k = _relation_left_by_antipode(lie, relations)
     assert pi.is_real_orthogonal()
+    assert k in range(len(relations))
     assert not braided_ref.preserves_relations(lie)
-    with pytest.raises(ValueError, match="braided antipode does not preserve"):
+    with pytest.raises(ValueError, match=f"braided antipode does not preserve .*: relation {k}$"):
         quotient_hopf(ctx, pi)
 
 

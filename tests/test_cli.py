@@ -112,15 +112,12 @@ def test_quotient_dims():
     assert report["braided_dims"][2] == 24
 
 
-def test_quotient_refuses_a_block_whose_antipode_breaks_the_relations(tmp_path):
-    s4 = Path(__file__).resolve().parent.parent / "perfbench" / "scenarios" / "s4_four_cycle.json"
-    scenario = {**json.loads(s4.read_text()), "irrep": {"kind": "centralizer_character", "j": 2}}
-    path = tmp_path / "s4_four_cycle_j2.json"
-    path.write_text(json.dumps(scenario))
+def test_quotient_refuses_a_block_whose_antipode_breaks_the_relations():
+    path = Path(__file__).resolve().parent / "scenarios" / "s4_four_cycle_j2.json"
     out = run_cli("quotient", "--scenario", str(path))
     assert (out.returncode, out.stdout) == (2, "")
     assert out.stderr == (
-        "configuration error: braided antipode does not preserve the enveloping algebra's relations\n"
+        "configuration error: braided antipode does not preserve the enveloping algebra's relations: relation 0\n"
     )
 
 

@@ -55,16 +55,16 @@ def test_end_action_and_bracket_are_the_zeta_formulas(name, ctx, pi):
     lie = lie_cpi(ctx, pi)
     group = ctx.group
     for g in range(group.n):
-        for idx, (_, a, i, b, j) in enumerate(lie.basis):
-            expected = {lie._pos[(0, *key)]: c for key, c in ref.end_action(ctx, pi, g, a, i, b, j).items()}
+        for idx, (a, i, b, j) in enumerate(lie.basis):
+            expected = {lie._pos[key]: c for key, c in ref.end_action(ctx, pi, g, a, i, b, j).items()}
             assert dict(lie.action[g][idx]) == expected
     # the bracket's coefficient pi(zeta_a(x))^{jj}_{ii}, x the inverse grade of
     # b^-1 |> E2 when it matches |E1||E2|
     for i, j in product(range(lie.dim), repeat=2):
-        (_, a, ii, b, jj) = lie.basis[i]
+        (a, ii, b, jj) = lie.basis[i]
         expected = {}
         for m, cm in lie.action[group.inv[b]][j]:
-            (_, c2, _, d2, _) = lie.basis[m]
+            (c2, _, d2, _) = lie.basis[m]
             grade = group.table[c2][group.inv[d2]]
             if grade == group.table[lie.grading[i]][lie.grading[j]]:
                 coeff = ref.bracket_coefficient(ctx, pi, a, ii, jj, group.inv[grade])
@@ -92,7 +92,7 @@ def _rmatrix_mismatches(rm, ctx, pi):
 @pytest.mark.parametrize("name, ctx, pi", BLOCKS, ids=IDS)
 def test_rmatrices_are_the_zeta_formulas(name, ctx, pi):
     """R and Rinv read the induced action; Rinv is also the second inverse Rhat."""
-    assert _rmatrix_mismatches(BlockRMatrices((ctx, pi), (ctx, pi)), ctx, pi) == []
+    assert _rmatrix_mismatches(BlockRMatrices(ctx, pi), ctx, pi) == []
 
 
 @pytest.mark.parametrize("name, ctx, pi", NONTRIVIAL, ids=NONTRIVIAL_IDS)
@@ -122,6 +122,6 @@ def test_one_corrupted_induced_entry_fails_R_and_the_homomorphism_check(monkeypa
     # A(r) fixes (r, 0) with the nonzero coefficient pi(r)
     corrupted[ctx.rep][0][0] = corrupted[ctx.rep][0][0] + ONE
     monkeypatch.setattr(braided, "induced_matrices", lambda c, p: corrupted)
-    assert _rmatrix_mismatches(BlockRMatrices((ctx, pi), (ctx, pi)), ctx, pi) != []
+    assert _rmatrix_mismatches(BlockRMatrices(ctx, pi), ctx, pi) != []
     with pytest.raises(ValueError):
         check_homomorphism(group, corrupted, "corrupted")
